@@ -32,7 +32,6 @@ from .checkers import (
     NotOrdinal,
 )
 from .core import (
-    Economy,
     TiesPresent,
     UtilityProfile,
     make_allocation,
@@ -75,6 +74,10 @@ AXIOMS = (
 )
 
 SEEDLESS_AXIOMS = {"strategy-proofness", "non-bossiness", "continuity"}
+
+# Largest accepted --n. all_orders(n) and rsd cost n! per call, and n = 7
+# is the largest size measured to finish in seconds.
+MAX_N = 7
 
 
 @dataclass
@@ -161,12 +164,18 @@ def _profiles_from_json(text: str, path: str) -> list[UtilityProfile]:
         data = data.get("profiles", data)
     if not isinstance(data, list):
         raise ParseError(f"{path}: expected a list of profiles")
-    if data and data[0] and not isinstance(data[0][0], list):
+    if data and isinstance(data[0], list) and data[0] and not isinstance(data[0][0], list):
         data = [data]  # a single profile given bare
     profiles = []
     for p_index, entry in enumerate(data):
+        if not isinstance(entry, list):
+            raise ParseError(f"{path}: profile {p_index}: expected a list of agent rows")
         utilities = []
         for agent, row in enumerate(entry):
+            if not isinstance(row, list):
+                raise ParseError(
+                    f"{path}: profile {p_index}: agent {agent}: expected a list of utilities"
+                )
             try:
                 utilities.append(make_utility(row))
             except TiesPresent as exc:
@@ -388,10 +397,10 @@ def _run_theorem2(config: RunConfig) -> int:
 
 def run(config: RunConfig) -> int:
     """Execute a parsed command; returns the process exit code."""
-    if config.n != 3:
-        Economy(config.n)  # validates n >= 3
-        if config.command != "stress":
-            raise UsageError("--n above 3 is exploration mode; use the stress command")
+    if not 3 <= config.n <= MAX_N:
+        raise UsageError(f"--n must be between 3 and {MAX_N}")
+    if config.n != 3 and config.command != "stress":
+        raise UsageError("--n above 3 is exploration mode; use the stress command")
     if config.command in ("lemma", "stress", "theorem2") and config.seed is None:
         raise UsageError(f"--seed is required for the randomized {config.command} command")
     handlers = {
@@ -420,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tau", help="continuity gap threshold as p/q")
         p.add_argument("--delta", help="continuity interval width as p/q")
-        p.add_argument("--n", type=int, default=3, help="economy size; >3 explores")
+        p.add_argument("--n", type=int, default=3, help=f"economy size, 3 to {MAX_N}; >3 explores")
 
     check = sub.add_parser("check", help="run one axiom checker on one rule")
     check.add_argument("--rule", required=True)

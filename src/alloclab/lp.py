@@ -1,12 +1,19 @@
-"""Exact rational linear programming over the bistochastic polytope.
+"""Exact rational optimization over the bistochastic polytope.
 
-The solver is a dense two-phase tableau simplex over `fractions.Fraction`
-with Bland's rule, so it terminates on the heavily degenerate programs that
-arise at permutation vertices. Among optimal vertices it returns the
-lexicographically smallest argmax in row-major entry order, found by
-sequentially minimizing each allocation entry over the optimal face (columns
-whose reduced cost is strictly negative at a stage optimum are frozen at
-zero before the next stage, which restricts the search to that face).
+`best_assignment` decides the unconstrained problem. Every vertex of the
+polytope is a permutation matrix (Birkhoff 1946; von Neumann 1953), so an
+exact dynamic program over assignments finds the optimum and the
+lexicographically smallest optimal vertex without pivoting.
+
+`maximize` serves the programs with per-agent expected-utility floors, whose
+optimal points need not be permutation matrices. It is a dense two-phase
+tableau simplex over `fractions.Fraction` with Bland's rule, so it
+terminates on the heavily degenerate programs that arise at permutation
+vertices. Among optimal vertices it returns the lexicographically smallest
+argmax in row-major entry order, found by sequentially minimizing each
+allocation entry over the optimal face (columns whose reduced cost is
+strictly negative at a stage optimum are frozen at zero before the next
+stage, which restricts the search to that face).
 """
 
 from __future__ import annotations
@@ -59,32 +66,6 @@ class LinearProgram:
     @property
     def n(self) -> int:
         return len(self.objective)
-
-    def dump(self) -> str:
-        """Plain-text equation listing, for debugging."""
-        n = self.n
-        lines = [
-            "maximize "
-            + " + ".join(
-                f"{self.objective[i][a]}*x[{i},{a}]"
-                for i in range(n)
-                for a in range(n)
-                if self.objective[i][a]
-            )
-        ]
-        for i in range(n):
-            lines.append(" + ".join(f"x[{i},{a}]" for a in range(n)) + " = 1")
-        for a in range(n):
-            lines.append(" + ".join(f"x[{i},{a}]" for i in range(n)) + " = 1")
-        for floor in self.floors:
-            terms = " + ".join(
-                f"{floor.values[a]}*x[{floor.agent},{a}]"
-                for a in range(n)
-                if floor.values[a]
-            )
-            lines.append(f"{terms} >= {floor.minimum}")
-        lines.append("x >= 0")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -177,8 +158,7 @@ def maximize(lp: LinearProgram) -> LpResult:
     """Exact optimum over the constrained bistochastic polytope.
 
     Returns the lexicographically smallest optimal vertex (row-major entry
-    order), so callers building deterministic rules on top of the engine get
-    a well-defined argmax even on ties.
+    order), so the argmax is well defined even on ties.
     """
     n = lp.n
     num_x = n * n
@@ -256,6 +236,42 @@ def maximize(lp: LinearProgram) -> LpResult:
     return LpResult(status="Optimal", value=value, argmax=argmax)
 
 
+def best_assignment(
+    objective: tuple[tuple[Fraction, ...], ...],
+) -> tuple[Fraction, tuple[int, ...]]:
+    """Optimum of a linear objective over the bistochastic polytope, and the
+    permutation attaining it that `maximize` would return.
+
+    The optimum is attained at a permutation matrix, so dynamic programming
+    over the set of objects already taken decides it in O(n * 2**n) exact
+    additions: ``tail[mask]`` is the best total of rows ``popcount(mask)``
+    to n-1 over the objects outside ``mask``. The assignment is rebuilt row
+    by row, trying objects from n-1 down to 0, so ties go to the largest
+    permutation tuple, which is the row-major lexicographically smallest
+    optimal 0/1 matrix. ``picks[i]`` is the object assigned to row i.
+    """
+    n = len(objective)
+    if n == 0 or any(len(row) != n for row in objective):
+        raise MalformedProgram("objective must be a square grid")
+    full = (1 << n) - 1
+    tail = [ZERO] * (full + 1)
+    for mask in range(full - 1, -1, -1):
+        row = objective[mask.bit_count()]
+        tail[mask] = max(
+            row[a] + tail[mask | (1 << a)] for a in range(n) if not (mask >> a) & 1
+        )
+    picks = []
+    mask = 0
+    for row in objective:
+        for a in range(n - 1, -1, -1):
+            bit = 1 << a
+            if not mask & bit and row[a] + tail[mask | bit] == tail[mask]:
+                break
+        picks.append(a)
+        mask |= bit
+    return tail[0], tuple(picks)
+
+
 def total_utility(profile: UtilityProfile, alloc: Allocation) -> Fraction:
     return sum(
         (expected_utility(u, alloc.row(i)) for i, u in enumerate(profile)), ZERO
@@ -279,10 +295,13 @@ def dominates(profile: UtilityProfile, candidate: Allocation, incumbent: Allocat
 def find_dominating(profile: UtilityProfile, alloc: Allocation) -> Allocation | None:
     """A dominating allocation if one exists, else None.
 
-    One LP decides the existential question exactly: maximize total expected
-    utility subject to every agent weakly improving on the status quo. The
-    optimum exceeds the status-quo total iff some feasible point makes
-    someone strictly better off while nobody loses.
+    A dominating allocation strictly raises total expected utility, so none
+    exists when the status quo already attains the unconstrained optimum of
+    `best_assignment`. Otherwise one LP decides the existential question
+    exactly: maximize total expected utility subject to every agent weakly
+    improving on the status quo. The optimum exceeds the status-quo total
+    iff some feasible point makes someone strictly better off while nobody
+    loses.
     """
     validate_profile(profile)
     n = len(profile)
@@ -292,11 +311,13 @@ def find_dominating(profile: UtilityProfile, alloc: Allocation) -> Allocation | 
         EuFloor(i, profile[i].values, expected_utility(profile[i], alloc.row(i)))
         for i in range(n)
     )
-    lp = LinearProgram(tuple(u.values for u in profile), floors)
-    result = maximize(lp)
+    status_quo = sum(floor.minimum for floor in floors)
+    objective = tuple(u.values for u in profile)
+    if status_quo == best_assignment(objective)[0]:
+        return None
+    result = maximize(LinearProgram(objective, floors))
     if result.status != "Optimal":
         raise AssertionError("status-quo allocation must be feasible")
-    status_quo = sum(floor.minimum for floor in floors)
     if result.value > status_quo:
         better = result.argmax
         if not dominates(profile, better, alloc):

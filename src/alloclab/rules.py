@@ -3,9 +3,10 @@ serial, fixed-priority dictatorship, utilitarian, constant-uniform, and
 convex blends.
 
 Every rule is a pure deterministic function from utility profiles to
-bistochastic allocations. The ordinal rules memoize by ranking profile and
-the utilitarian rule by canonical profile, so the grid checkers can sweep
-tens of thousands of profiles without recomputing.
+bistochastic allocations. The utilitarian rule solves an exact assignment
+problem (`lp.best_assignment`). The ordinal rules memoize by ranking
+profile and the utilitarian rule by canonical profile, so the grid checkers
+can sweep tens of thousands of profiles without recomputing.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from .core import (
     ZERO,
     Allocation,
     UtilityProfile,
+    parse_fraction,
     uniform_allocation,
     validate_profile,
 )
-from .lp import LinearProgram, maximize
+from .bvn import PermutationMatrix
+from .lp import best_assignment
 from .ordinal import OrdinalPreference, canonicalize, ordinal_of
 
 
@@ -128,14 +131,15 @@ def dictatorship_allocate(profile: UtilityProfile) -> Allocation:
 
 @lru_cache(maxsize=None)
 def _utilitarian_by_canonical(profile: UtilityProfile) -> Allocation:
-    result = maximize(LinearProgram(tuple(u.values for u in profile)))
-    return result.argmax
+    _, picks = best_assignment(tuple(u.values for u in profile))
+    return PermutationMatrix(picks).to_allocation()
 
 
 def utilitarian_allocate(profile: UtilityProfile) -> Allocation:
-    """Maximize total expected utility over the bistochastic polytope with
-    the engine's lexicographic tie-break. Inputs are canonicalized first, so
-    any sensitivity to reports is driven by middle rates, not scale."""
+    """Maximize total expected utility over the bistochastic polytope. The
+    optimum is a permutation matrix; ties go to the row-major
+    lexicographically smallest one. Inputs are canonicalized first, so any
+    sensitivity to reports is driven by middle rates, not scale."""
     validate_profile(profile)
     return _utilitarian_by_canonical(tuple(canonicalize(u) for u in profile))
 
@@ -194,7 +198,9 @@ def rule_by_name(spec: str) -> Rule:
         parts = spec.split(":")
         if len(parts) != 4:
             raise ValueError(f"blend spec must be blend:<rule>:<rule>:<p/q>: {spec!r}")
-        return blend_rule(rule_by_name(parts[1]), rule_by_name(parts[2]), Fraction(parts[3]))
+        return blend_rule(
+            rule_by_name(parts[1]), rule_by_name(parts[2]), parse_fraction(parts[3])
+        )
     raise ValueError(f"unknown rule: {spec!r}")
 
 

@@ -137,6 +137,23 @@ def test_sd_strategy_proofness_not_ordinal_exit_one(tmp_path, capsys):
     assert "NotOrdinal" in json.loads(out.read_text())["error"]
 
 
+@pytest.mark.parametrize("spec", ["blend:rsd:ps:0.5", "blend:rsd:ps:1/0"])
+def test_malformed_blend_weight_is_usage_error(spec, capsys):
+    code = main(
+        ["check", "--rule", spec, "--axiom", "ordinality", "--grid", "1/2", "--seed", "1"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["2", "8"])
+def test_n_outside_supported_range_is_usage_error(n, capsys):
+    code = main(["stress", "--rules", "rsd", "--seed", "2", "--n", n, "--grid", "1/2"])
+    assert code == 2
+    assert "--n must be between 3 and 7" in capsys.readouterr().err
+
+
 class TestProfileParsing:
     def test_csv_single_profile(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -189,3 +206,23 @@ class TestProfileParsing:
              "--profiles", str(path), "--seed", "1"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('[{"a":1}]', "profile 0"),
+            ("[1]", "profile 0"),
+            ('[["1","1/2","0"],"120",["0","1/2","1"]]', "agent 1"),
+        ],
+    )
+    def test_json_non_list_entries_rejected(self, tmp_path, capsys, text, where):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=where):
+            parse_profile_file(str(path))
+        code = main(
+            ["check", "--rule", "utilitarian", "--axiom", "efficiency",
+             "--profiles", str(path), "--seed", "1"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.count("\n") == 1

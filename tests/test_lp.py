@@ -1,4 +1,4 @@
-"""Exact simplex engine and the domination LP."""
+"""Exact simplex engine, the assignment DP and the domination LP."""
 
 import random
 from fractions import Fraction
@@ -9,12 +9,14 @@ from alloclab import (
     EuFloor,
     LinearProgram,
     MalformedProgram,
+    best_assignment,
     dominates,
     expected_utility,
     find_dominating,
     make_allocation,
     make_profile,
     maximize,
+    mix_allocations,
     total_utility,
     uniform_allocation,
 )
@@ -101,6 +103,28 @@ class TestMaximize:
             LinearProgram(_ones_objective(), (EuFloor(5, (F(1),) * 3, F(0)),))
 
 
+class TestBestAssignment:
+    def test_matches_maximize_on_tie_heavy_objectives(self):
+        # Entries from {0, 1/2, 1, 3/2, 2} make many optimal permutations, so
+        # the tie-break is exercised as often as the optimum.
+        rng = random.Random(83)
+        for n, trials in ((3, 60), (4, 25), (5, 6)):
+            for _ in range(trials):
+                objective = tuple(
+                    tuple(F(rng.randrange(5), 2) for _ in range(n)) for _ in range(n)
+                )
+                value, picks = best_assignment(objective)
+                result = maximize(LinearProgram(objective))
+                assert value == result.value
+                assert perm_matrix_rows(picks) == result.argmax.rows
+
+    def test_malformed(self):
+        with pytest.raises(MalformedProgram):
+            best_assignment(((F(1), F(0)),))
+        with pytest.raises(MalformedProgram):
+            best_assignment(())
+
+
 class TestFindDominating:
     def test_opposed_rankings_swap(self):
         profile = make_profile(
@@ -147,3 +171,19 @@ class TestFindDominating:
                 found += 1
                 assert dominates_directly(profile, better, alloc)
         assert found > 30  # random allocations are usually dominated
+
+    def test_optimal_face_is_undominated(self):
+        # Agents 0 and 1 have equal utilities, so swapping a and b between
+        # them keeps the total: two permutations are optimal, and their even
+        # mix is a non-vertex point on the optimal face.
+        profile = make_profile(
+            [["1", "1/2", "0"], ["1", "1/2", "0"], ["0", "1/2", "1"]]
+        )
+        optimal = best_assignments(profile)
+        assert sorted(optimal) == [(0, 1, 2), (1, 0, 2)]
+        vertices = [make_allocation(perm_matrix_rows(p)) for p in optimal]
+        for vertex in vertices:
+            assert find_dominating(profile, vertex) is None
+        mix = mix_allocations(vertices[0], vertices[1], F(1, 2))
+        assert mix.rows[0] == (F(1, 2), F(1, 2), F(0))
+        assert find_dominating(profile, mix) is None

@@ -146,6 +146,14 @@ class TestUtilitarian:
         )
         assert utilitarian_allocate(scaled) == utilitarian_allocate(abc_profile)
 
+    def test_fully_tied_profile_gives_anti_diagonal(self):
+        # Every permutation is optimal; the row-major lexicographically
+        # smallest permutation matrix is the anti-diagonal.
+        profile = make_profile([["1", "1/2", "0"]] * 3)
+        assert utilitarian_allocate(profile) == make_allocation(
+            [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+        )
+
     def test_agrees_with_enumeration_oracle(self):
         from alloclab import canonicalize
 
