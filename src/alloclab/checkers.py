@@ -6,14 +6,13 @@ Checkers quantify over a declared finite grid plus seeded random samples and
 say so in their coverage string. A Pass means no violation was found on the
 declared grid, never a proof; a Fail carries an exact witness that
 re-verifies from the value types alone. Scans run in canonical cell order
-(and merge worker results in that order), so verdicts are reproducible.
+and stop at the first failure, so verdicts are reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -128,26 +127,13 @@ def _grid_description(config: CheckConfig, cells: int, extra: str = "") -> str:
     return text + (f"; {extra}" if extra else "")
 
 
-def _scan_blocks(
-    blocks: Iterable, evaluate: Callable, workers: int
-) -> dict | None:
+def _scan_blocks(blocks: Iterable, evaluate: Callable) -> dict | None:
     """Run evaluate over blocks; return the first failure in block order."""
-    if workers <= 1:
-        for block in blocks:
-            failure = evaluate(block)
-            if failure is not None:
-                return failure
-        return None
-    iterator = iter(blocks)
-    chunk = max(16, workers * 8)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        while True:
-            batch = list(itertools.islice(iterator, chunk))
-            if not batch:
-                return None
-            for failure in pool.map(evaluate, batch):
-                if failure is not None:
-                    return failure
+    for block in blocks:
+        failure = evaluate(block)
+        if failure is not None:
+            return failure
+    return None
 
 
 def _deviation_blocks(cells: Sequence[BernoulliUtility]) -> Iterator[tuple[int, tuple]]:
@@ -185,9 +171,7 @@ def check_efficiency(rule: Rule, profiles: Sequence[UtilityProfile]) -> Verdict:
     return Verdict(status="Pass", witness=None, coverage=f"profiles={len(profiles)}")
 
 
-def check_strategy_proofness(
-    rule: Rule, config: CheckConfig, workers: int = 1
-) -> Verdict:
+def check_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
     """Exact weak-inequality test over every grid profile, agent, and
     single-agent grid deviation."""
     cells = grid_cells(config)
@@ -237,7 +221,7 @@ def check_strategy_proofness(
                     }
         return None
 
-    failure = _scan_blocks(_deviation_blocks(cells), evaluate, workers)
+    failure = _scan_blocks(_deviation_blocks(cells), evaluate)
     coverage = _grid_description(
         config, len(cells), f"deviations_per_agent={len(cells)}"
     )
@@ -246,7 +230,7 @@ def check_strategy_proofness(
     return Verdict(status="Pass", witness=None, coverage=coverage)
 
 
-def check_non_bossiness(rule: Rule, config: CheckConfig, workers: int = 1) -> Verdict:
+def check_non_bossiness(rule: Rule, config: CheckConfig) -> Verdict:
     """Whenever a deviation leaves the deviator's own row unchanged, the full
     matrix must be unchanged."""
     cells = grid_cells(config)
@@ -271,7 +255,7 @@ def check_non_bossiness(rule: Rule, config: CheckConfig, workers: int = 1) -> Ve
                 }
         return None
 
-    failure = _scan_blocks(_deviation_blocks(cells), evaluate, workers)
+    failure = _scan_blocks(_deviation_blocks(cells), evaluate)
     coverage = _grid_description(
         config, len(cells), f"deviations_per_agent={len(cells)}"
     )
@@ -280,7 +264,7 @@ def check_non_bossiness(rule: Rule, config: CheckConfig, workers: int = 1) -> Ve
     return Verdict(status="Pass", witness=None, coverage=coverage)
 
 
-def check_ordinality(rule: Rule, config: CheckConfig, workers: int = 1) -> Verdict:
+def check_ordinality(rule: Rule, config: CheckConfig) -> Verdict:
     """Bit-identical output inside every ordinal cell, over grid rates plus
     seeded random rates."""
     mu_grid = config.mu_grid
@@ -311,7 +295,7 @@ def check_ordinality(rule: Rule, config: CheckConfig, workers: int = 1) -> Verdi
         return None
 
     blocks = list(enumerate(itertools.product(all_orders(3), repeat=3)))
-    failure = _scan_blocks(blocks, evaluate, workers)
+    failure = _scan_blocks(blocks, evaluate)
     coverage = (
         f"cells=216; per_cell={len(mu_grid)**3}+{config.samples_per_cell} random; "
         f"seed={config.seed}"

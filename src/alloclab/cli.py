@@ -3,7 +3,8 @@ emit JSON or CSV reports.
 
 Exit codes: 0 when every verdict in the report passes, 1 on any failing
 verdict or metamorphic violation, 2 on usage errors (bad flags, unreadable
-or malformed input files).
+or malformed input files), 3 on an internal error, so that a crash never
+reads as a failed verdict.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ class RunConfig:
     grid: str | None = None
     samples: int = 2
     seed: int | None = None
-    workers: int = 1
     out: str | None = None
     format: str = "json"
     tau: str | None = None
@@ -106,14 +106,28 @@ class RunConfig:
 
 def parse_profile_file(path: str) -> list[UtilityProfile]:
     """Parse a CSV (rows are agents, entries exact rationals) or JSON profile
-    file into a list of square no-ties profiles."""
+    file into a list of square no-ties profiles, all with the same number of
+    agents, between 3 and MAX_N."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise IoError(f"cannot read profile file {path}: {exc}") from exc
     if path.endswith(".json") or text.lstrip().startswith(("[", "{")):
-        return _profiles_from_json(text, path)
-    return _profiles_from_csv(text, path)
+        profiles = _profiles_from_json(text, path)
+    else:
+        profiles = _profiles_from_csv(text, path)
+    for index, profile in enumerate(profiles):
+        if len(profile) != len(profiles[0]):
+            raise ParseError(
+                f"{path}: profile {index}: {len(profile)} agents, "
+                f"but profile 0 has {len(profiles[0])}"
+            )
+        if not 3 <= len(profile) <= MAX_N:
+            raise ParseError(
+                f"{path}: profile {index}: {len(profile)} agents; "
+                f"expected 3 to {MAX_N}"
+            )
+    return profiles
 
 
 def _profiles_from_csv(text: str, path: str) -> list[UtilityProfile]:
@@ -286,13 +300,13 @@ def _run_check(config: RunConfig) -> int:
             profiles = _load_profiles(config.profiles, check_config)
             verdict = check_efficiency(rule, profiles)
         elif axiom == "strategy-proofness":
-            verdict = check_strategy_proofness(rule, check_config, config.workers)
+            verdict = check_strategy_proofness(rule, check_config)
         elif axiom == "sd-strategy-proofness":
             verdict = check_sd_strategy_proofness(rule, check_config)
         elif axiom == "non-bossiness":
-            verdict = check_non_bossiness(rule, check_config, config.workers)
+            verdict = check_non_bossiness(rule, check_config)
         elif axiom == "ordinality":
-            verdict = check_ordinality(rule, check_config, config.workers)
+            verdict = check_ordinality(rule, check_config)
         else:
             verdict = check_continuity_battery(rule, check_config)
     except NotOrdinal as exc:
@@ -360,7 +374,7 @@ def _run_stress(config: RunConfig) -> int:
         record = exploration_stress(family, config.n, check_config)
         _emit(json.dumps(record, sort_keys=True, indent=2), config.out)
         return 0
-    report = theorem_stress(family, check_config, config.workers)
+    report = theorem_stress(family, check_config)
     payload = report.to_csv() if config.format == "csv" else report.to_json()
     _emit(payload, config.out)
     return 0 if not report.metamorphic_violations else 1
@@ -424,7 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, required=seed_required)
         p.add_argument("--grid", help="comma-separated mu values, e.g. 1/10,1/2,9/10")
         p.add_argument("--samples", type=int, default=2, help="random samples per cell")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tau", help="continuity gap threshold as p/q")
@@ -467,17 +480,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code else 0
     fields = {f: getattr(namespace, f) for f in vars(namespace)}
     config = RunConfig(**fields)
-    if config.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
     try:
         return run(config)
-    except (UsageError, IoError, ParseError, TiesPresent) as exc:
+    except ValueError as exc:  # every input error subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -72,10 +72,6 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-def format_fraction(value: Fraction) -> str:
-    return str(value)
-
-
 def object_label(index: ObjectId) -> str:
     return OBJECT_LABELS[index]
 
@@ -85,29 +81,6 @@ def label_index(label: str) -> ObjectId:
     if index < 0:
         raise ValueError(f"unknown object label: {label!r}")
     return index
-
-
-@dataclass(frozen=True)
-class Economy:
-    """Square economy: as many unit-supply objects as agents."""
-
-    n: int = 3
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("economy needs at least three agents/objects")
-
-    @property
-    def m(self) -> int:
-        return self.n
-
-    @property
-    def objects(self) -> range:
-        return range(self.n)
-
-    @property
-    def agents(self) -> range:
-        return range(self.n)
 
 
 @dataclass(frozen=True)
@@ -294,8 +267,9 @@ def validate_profile(profile: UtilityProfile) -> None:
     n = len(profile)
     if n == 0:
         raise DimensionMismatch("empty profile")
-    if any(u.m != n for u in profile):
-        raise DimensionMismatch("profile is not square (n agents, n objects)")
+    for u in profile:  # a loop, not any(genexpr): every rule call runs this
+        if u.m != n:
+            raise DimensionMismatch("profile is not square (n agents, n objects)")
 
 
 def expected_utility(utility: BernoulliUtility, lottery: Lottery) -> Fraction:

@@ -468,9 +468,7 @@ class StressReport:
         return buffer.getvalue()
 
 
-def theorem_stress(
-    rule_family: list[Rule], config: CheckConfig, workers: int = 1
-) -> StressReport:
+def theorem_stress(rule_family: list[Rule], config: CheckConfig) -> StressReport:
     """Run the four axiom checkers plus ordinality on every rule and flag any
     rule that passes all four while failing ordinality. At three agents the
     flag list must stay empty."""
@@ -478,10 +476,10 @@ def theorem_stress(
     efficiency_battery = default_efficiency_profiles(config)
     for rule in rule_family:
         verdicts: dict[str, Verdict] = {
-            "ordinality": check_ordinality(rule, config, workers),
+            "ordinality": check_ordinality(rule, config),
             "efficiency": check_efficiency(rule, efficiency_battery),
-            "strategy_proofness": check_strategy_proofness(rule, config, workers),
-            "non_bossiness": check_non_bossiness(rule, config, workers),
+            "strategy_proofness": check_strategy_proofness(rule, config),
+            "non_bossiness": check_non_bossiness(rule, config),
             "continuity": check_continuity_battery(rule, config),
         }
         report.rules_tested.append(rule.name)

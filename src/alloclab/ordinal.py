@@ -126,7 +126,11 @@ class NormalizedUtility(BernoulliUtility):
 
 
 def canonicalize(utility: BernoulliUtility) -> NormalizedUtility:
-    """Unique min-0 sum-1 representative; effectively the same as the input."""
+    """Unique min-0 sum-1 representative; effectively the same as the input.
+    A `NormalizedUtility` already is its own representative and is returned
+    as is."""
+    if isinstance(utility, NormalizedUtility):
+        return utility
     low = min(utility.values)
     shifted = tuple(v - low for v in utility.values)
     scale = sum(shifted)

@@ -3,33 +3,37 @@ serial, fixed-priority dictatorship, utilitarian, constant-uniform, and
 convex blends.
 
 Every rule is a pure deterministic function from utility profiles to
-bistochastic allocations. The utilitarian rule solves an exact assignment
-problem (`lp.best_assignment`). The ordinal rules memoize by ranking
-profile and the utilitarian rule by canonical profile, so the grid checkers
-can sweep tens of thousands of profiles without recomputing.
+bistochastic allocations, split into a structural key (the part of the
+profile the rule reads) and a computation from that key. Each `Rule` keeps
+one memo from key to allocation: rsd, ps and dictatorship key on the ranking
+profile, utilitarian on the canonical profile, uniform on n, and a blend on
+the pair of its parts' keys. So the grid checkers can sweep tens of
+thousands of profiles while each rule computes once per distinct key. The
+utilitarian rule solves an exact assignment problem (`lp.best_assignment`).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Hashable, Iterable
 
 from .core import (
     ONE,
     ZERO,
     Allocation,
     UtilityProfile,
+    mix_allocations,
     parse_fraction,
     uniform_allocation,
     validate_profile,
 )
 from .bvn import PermutationMatrix
 from .lp import best_assignment
-from .ordinal import OrdinalPreference, canonicalize, ordinal_of
+from .ordinal import canonicalize, ordinal_of
 
 
 class AlphaOutOfRange(ValueError):
@@ -38,67 +42,82 @@ class AlphaOutOfRange(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Rule:
-    """Named allocation mechanism. ``claims_ordinal`` is metadata verified by
-    the checkers, never trusted.
-
-    ``allocate`` is memoized per profile on construction: rules are pure and
-    deterministic, and the grid checkers revisit profiles constantly."""
+    """Named allocation mechanism: ``allocate(profile)`` is
+    ``compute(key(profile))``. ``key`` validates the profile and returns the
+    hashable part of it the rule reads; ``compute`` must depend on nothing
+    else. ``from_key`` is ``compute`` behind one unbounded memo, bounded in
+    practice by the key space ((n!)^n ranking profiles for an ordinal key).
+    ``claims_ordinal`` is metadata verified by the checkers, never trusted."""
 
     name: str
-    allocate: Callable[[UtilityProfile], Allocation]
+    key: Callable[[UtilityProfile], Hashable]
+    compute: Callable[[Hashable], Allocation]
     claims_ordinal: bool
+    from_key: Callable[[Hashable], Allocation] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "allocate", lru_cache(maxsize=None)(self.allocate))
+        object.__setattr__(self, "from_key", lru_cache(maxsize=None)(self.compute))
+
+    def allocate(self, profile: UtilityProfile) -> Allocation:
+        return self.from_key(self.key(profile))
 
 
-def _ordinal_key(profile: UtilityProfile) -> tuple[OrdinalPreference, ...]:
+Rankings = tuple[tuple[int, ...], ...]
+
+
+def _ordinal_key(profile: UtilityProfile) -> Rankings:
+    """Each agent's ranking, best object first, as plain int tuples (which
+    hash in C). Keys are built on every rule call, so they use list
+    comprehensions, which are cheaper than generator expressions here."""
     validate_profile(profile)
-    return tuple(ordinal_of(u) for u in profile)
+    return tuple([ordinal_of(u).ranking for u in profile])
 
 
-@lru_cache(maxsize=None)
+def _canonical_key(profile: UtilityProfile) -> UtilityProfile:
+    validate_profile(profile)
+    return tuple([canonicalize(u) for u in profile])
+
+
+def _size_key(profile: UtilityProfile) -> int:
+    validate_profile(profile)
+    return len(profile)
+
+
 def _dictatorship_picks(
-    orders: tuple[OrdinalPreference, ...], priority: tuple[int, ...]
+    rankings: Rankings, priority: Iterable[int]
 ) -> tuple[int, ...]:
     """Object picked by each agent when dictators choose in priority order."""
     taken: set[int] = set()
-    picks = [-1] * len(orders)
+    picks = [-1] * len(rankings)
     for agent in priority:
-        choice = next(obj for obj in orders[agent].ranking if obj not in taken)
+        choice = next(obj for obj in rankings[agent] if obj not in taken)
         picks[agent] = choice
         taken.add(choice)
     return tuple(picks)
 
 
-@lru_cache(maxsize=None)
-def _rsd_by_orders(orders: tuple[OrdinalPreference, ...]) -> Allocation:
-    n = len(orders)
+def _rsd(rankings: Rankings) -> Allocation:
+    """Average of serial dictatorship over all n! priority orders, exact."""
+    n = len(rankings)
     counts = [[0] * n for _ in range(n)]
     total = 0
     for priority in itertools.permutations(range(n)):
         total += 1
-        for agent, obj in enumerate(_dictatorship_picks(orders, priority)):
+        for agent, obj in enumerate(_dictatorship_picks(rankings, priority)):
             counts[agent][obj] += 1
     return Allocation(
         tuple(tuple(Fraction(c, total) for c in row) for row in counts)
     )
 
 
-def rsd_allocate(profile: UtilityProfile) -> Allocation:
-    """Average of serial dictatorship over all n! priority orders, exact."""
-    return _rsd_by_orders(_ordinal_key(profile))
-
-
-@lru_cache(maxsize=None)
-def _ps_by_orders(orders: tuple[OrdinalPreference, ...]) -> Allocation:
+def _ps(rankings: Rankings) -> Allocation:
     """Simultaneous eating at unit speed with exact rational breakpoints."""
-    n = len(orders)
+    n = len(rankings)
     remaining = [ONE] * n
     shares = [[ZERO] * n for _ in range(n)]
     while any(remaining):
         targets = [
-            next(obj for obj in orders[agent].ranking if remaining[obj] > 0)
+            next(obj for obj in rankings[agent] if remaining[obj] > 0)
             for agent in range(n)
         ]
         eaters = [0] * n
@@ -112,53 +131,33 @@ def _ps_by_orders(orders: tuple[OrdinalPreference, ...]) -> Allocation:
     return Allocation(tuple(tuple(row) for row in shares))
 
 
-def ps_allocate(profile: UtilityProfile) -> Allocation:
-    """Probabilistic serial: agents eat their best available object."""
-    return _ps_by_orders(_ordinal_key(profile))
-
-
-def dictatorship_allocate(profile: UtilityProfile) -> Allocation:
+def _dictatorship(rankings: Rankings) -> Allocation:
     """Serial dictatorship with the fixed priority 0, 1, ..., n-1."""
-    orders = _ordinal_key(profile)
-    picks = _dictatorship_picks(orders, tuple(range(len(orders))))
-    return Allocation(
-        tuple(
-            tuple(ONE if picks[i] == a else ZERO for a in range(len(orders)))
-            for i in range(len(orders))
-        )
-    )
+    return PermutationMatrix(
+        _dictatorship_picks(rankings, range(len(rankings)))
+    ).to_allocation()
 
 
-@lru_cache(maxsize=None)
-def _utilitarian_by_canonical(profile: UtilityProfile) -> Allocation:
-    _, picks = best_assignment(tuple(u.values for u in profile))
+def _utilitarian(canonical: UtilityProfile) -> Allocation:
+    """Maximize total expected utility over the bistochastic polytope. The
+    optimum is a permutation matrix; ties go to the row-major
+    lexicographically smallest one. Inputs are canonicalized by the key, so
+    any sensitivity to reports is driven by middle rates, not scale."""
+    _, picks = best_assignment(tuple(u.values for u in canonical))
     return PermutationMatrix(picks).to_allocation()
 
 
-def utilitarian_allocate(profile: UtilityProfile) -> Allocation:
-    """Maximize total expected utility over the bistochastic polytope. The
-    optimum is a permutation matrix; ties go to the row-major
-    lexicographically smallest one. Inputs are canonicalized first, so any
-    sensitivity to reports is driven by middle rates, not scale."""
-    validate_profile(profile)
-    return _utilitarian_by_canonical(tuple(canonicalize(u) for u in profile))
+RSD = Rule("rsd", _ordinal_key, _rsd, claims_ordinal=True)
+PS = Rule("ps", _ordinal_key, _ps, claims_ordinal=True)
+DICTATORSHIP = Rule("dictatorship", _ordinal_key, _dictatorship, claims_ordinal=True)
+UTILITARIAN = Rule("utilitarian", _canonical_key, _utilitarian, claims_ordinal=False)
+UNIFORM = Rule("uniform", _size_key, uniform_allocation, claims_ordinal=True)
 
-
-@lru_cache(maxsize=None)
-def _uniform_matrix(n: int) -> Allocation:
-    return uniform_allocation(n)
-
-
-def uniform_allocate(profile: UtilityProfile) -> Allocation:
-    validate_profile(profile)
-    return _uniform_matrix(len(profile))
-
-
-RSD = Rule("rsd", rsd_allocate, claims_ordinal=True)
-PS = Rule("ps", ps_allocate, claims_ordinal=True)
-DICTATORSHIP = Rule("dictatorship", dictatorship_allocate, claims_ordinal=True)
-UTILITARIAN = Rule("utilitarian", utilitarian_allocate, claims_ordinal=False)
-UNIFORM = Rule("uniform", uniform_allocate, claims_ordinal=True)
+rsd_allocate = RSD.allocate
+ps_allocate = PS.allocate
+dictatorship_allocate = DICTATORSHIP.allocate
+utilitarian_allocate = UTILITARIAN.allocate
+uniform_allocate = UNIFORM.allocate
 
 BASE_RULES = {
     rule.name: rule for rule in (RSD, PS, DICTATORSHIP, UTILITARIAN, UNIFORM)
@@ -166,25 +165,17 @@ BASE_RULES = {
 
 
 def blend_rule(first: Rule, second: Rule, alpha: Fraction) -> Rule:
-    """Entrywise convex combination alpha*first + (1-alpha)*second."""
+    """Entrywise convex combination alpha*first + (1-alpha)*second, keyed on
+    the pair of its parts' keys."""
     alpha = Fraction(alpha)
     if not ZERO <= alpha <= ONE:
         raise AlphaOutOfRange(f"blend weight {alpha} outside [0, 1]")
-    co = ONE - alpha
-
-    def allocate(profile: UtilityProfile) -> Allocation:
-        left = first.allocate(profile)
-        right = second.allocate(profile)
-        return Allocation(
-            tuple(
-                tuple(alpha * p + co * q for p, q in zip(row_p, row_q))
-                for row_p, row_q in zip(left.rows, right.rows)
-            )
-        )
-
     return Rule(
         name=f"blend:{first.name}:{second.name}:{alpha}",
-        allocate=allocate,
+        key=lambda profile: (first.key(profile), second.key(profile)),
+        compute=lambda keys: mix_allocations(
+            first.from_key(keys[0]), second.from_key(keys[1]), alpha
+        ),
         claims_ordinal=first.claims_ordinal and second.claims_ordinal,
     )
 

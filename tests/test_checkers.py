@@ -55,7 +55,7 @@ def _bossy_allocate(profile):
     return make_allocation(rows)
 
 
-BOSSY = Rule("bossy-test", _bossy_allocate, claims_ordinal=False)
+BOSSY = Rule("bossy-test", lambda profile: profile, _bossy_allocate, claims_ordinal=False)
 
 
 class TestEfficiency:
@@ -124,11 +124,6 @@ class TestStrategyProofness:
                         others[:agent] + (deviation,) + others[agent:]
                     )
                     assert base == moved
-
-    def test_worker_parallelism_is_deterministic(self):
-        serial = check_strategy_proofness(UTILITARIAN, SMALL, workers=1)
-        threaded = check_strategy_proofness(UTILITARIAN, SMALL, workers=4)
-        assert serial.to_dict() == threaded.to_dict()
 
 
 class TestNonBossiness:

@@ -210,6 +210,29 @@ class TestProfileParsing:
     @pytest.mark.parametrize(
         "text, where",
         [
+            (
+                '[[["1","1/2","0"],["1","1/4","0"],["0","1/2","1"]],'
+                ' [["1","0"],["0","1"]]]',
+                "profile 1: 2 agents, but profile 0 has 3",
+            ),
+            ('[[["1","0"],["0","1"]]]', "profile 0: 2 agents; expected 3 to 7"),
+        ],
+    )
+    def test_profile_sizes_checked(self, tmp_path, capsys, text, where):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=where):
+            parse_profile_file(str(path))
+        code = main(
+            ["check", "--rule", "utilitarian", "--axiom", "efficiency",
+             "--profiles", str(path), "--seed", "1"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
             ('[{"a":1}]', "profile 0"),
             ("[1]", "profile 0"),
             ('[["1","1/2","0"],"120",["0","1/2","1"]]', "agent 1"),
@@ -226,3 +249,14 @@ class TestProfileParsing:
         )
         assert code == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_internal_error_is_exit_three(monkeypatch, capsys):
+    import alloclab.cli as cli
+
+    def crash(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_run_decompose", crash)
+    assert main(["decompose", "--matrix", "[[1]]"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"

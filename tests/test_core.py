@@ -24,7 +24,7 @@ from alloclab import (
     support,
     uniform_allocation,
 )
-from alloclab.core import Economy, parse_fraction
+from alloclab.core import parse_fraction
 
 from conftest import lotteries, unit_fractions, utilities
 
@@ -168,9 +168,3 @@ class TestRationals:
     def test_rejects_inexact(self, text):
         with pytest.raises(ValueError):
             parse_fraction(text)
-
-
-def test_economy_requires_three():
-    with pytest.raises(ValueError):
-        Economy(2)
-    assert Economy(4).m == 4

@@ -122,6 +122,8 @@ class TestCanonicalize:
     def test_idempotent(self):
         u = make_utility(["5/7", "2/7", "0"])
         assert canonicalize(u).values == u.values
+        normalized = canonicalize(u)
+        assert canonicalize(normalized) is normalized
 
     def test_affine_reduction(self):
         assert canonicalize(make_utility([3, 7, 5])).values == (

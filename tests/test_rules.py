@@ -8,6 +8,7 @@ import pytest
 
 from alloclab import (
     AlphaOutOfRange,
+    DICTATORSHIP,
     PS,
     RSD,
     UTILITARIAN,
@@ -16,6 +17,7 @@ from alloclab import (
     make_allocation,
     make_profile,
     make_utility,
+    mix_allocations,
     ps_allocate,
     rsd_allocate,
     rule_by_name,
@@ -23,7 +25,7 @@ from alloclab import (
     utilitarian_allocate,
     utility_from,
 )
-from alloclab.ordinal import random_utility_consistent, sd_compare
+from alloclab.ordinal import ordinal_of, random_utility_consistent, sd_compare
 from alloclab.rules import dictatorship_allocate
 
 from conftest import best_assignments, perm_matrix_rows, rsd_oracle
@@ -213,6 +215,43 @@ class TestBlend:
         ).allocate(abc_profile)
         with pytest.raises(ValueError):
             rule_by_name("nope")
+
+
+def _affine_twin(profile, scale, shift):
+    return tuple(make_utility([scale * v + shift for v in u.values]) for u in profile)
+
+
+class TestStructuralMemo:
+    def test_ordinal_rules_share_one_allocation_per_ranking_profile(self, abc_profile):
+        twin = _affine_twin(abc_profile, F(7), F(3))
+        other_rates = tuple(
+            utility_from(ordinal_of(u), F(1, 4)) for u in abc_profile
+        )
+        for rule in (RSD, PS, DICTATORSHIP):
+            first = rule.allocate(abc_profile)
+            assert rule.allocate(twin) is first
+            assert rule.allocate(other_rates) is first
+
+    def test_utilitarian_shares_one_allocation_per_canonical_profile(self, abc_profile):
+        twin = _affine_twin(abc_profile, F(2, 3), F(-5))
+        assert UTILITARIAN.allocate(twin) is UTILITARIAN.allocate(abc_profile)
+
+    def test_blend_mixes_its_parts_and_keys_on_their_keys(self, abc_profile):
+        blend = rule_by_name("blend:rsd:ps:1/3")
+        alloc = blend.allocate(abc_profile)
+        assert alloc == mix_allocations(
+            RSD.allocate(abc_profile), PS.allocate(abc_profile), F(1, 3)
+        )
+        assert blend.allocate(_affine_twin(abc_profile, F(5), F(1))) is alloc
+
+    def test_dictatorship_memo_is_bounded_by_ranking_profiles(self):
+        grid = (F(1, 10), F(2, 5), F(3, 5), F(9, 10))
+        cells = [utility_from(order, mu) for order in all_orders(3) for mu in grid]
+        distinct = {
+            id(DICTATORSHIP.allocate(profile))
+            for profile in itertools.product(cells, repeat=3)
+        }
+        assert len(distinct) <= 216
 
 
 def test_rule_outputs_are_valid_allocations():
