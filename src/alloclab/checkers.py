@@ -6,7 +6,8 @@ Checkers quantify over a declared finite grid plus seeded random samples and
 say so in their coverage string. A Pass means no violation was found on the
 declared grid, never a proof; a Fail carries an exact witness that
 re-verifies from the value types alone. Scans run in canonical cell order
-and stop at the first failure, so verdicts are reproducible.
+and stop at the first failure, so verdicts are reproducible; a Fail's
+coverage says how far its scan got.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     ONE,
@@ -127,13 +128,10 @@ def _grid_description(config: CheckConfig, cells: int, extra: str = "") -> str:
     return text + (f"; {extra}" if extra else "")
 
 
-def _scan_blocks(blocks: Iterable, evaluate: Callable) -> dict | None:
-    """Run evaluate over blocks; return the first failure in block order."""
-    for block in blocks:
-        failure = evaluate(block)
-        if failure is not None:
-            return failure
-    return None
+def _stopped(coverage: str, scanned: int, total: int, unit: str) -> str:
+    """A Fail's coverage: the declared sweep plus how far the scan got
+    before it stopped at the failure."""
+    return f"{coverage}; scanned_{unit}={scanned} of {total}"
 
 
 def _deviation_blocks(cells: Sequence[BernoulliUtility]) -> Iterator[tuple[int, tuple]]:
@@ -147,7 +145,8 @@ def check_efficiency(rule: Rule, profiles: Sequence[UtilityProfile]) -> Verdict:
     """Pass iff no profile in the list yields a dominated allocation."""
     if not profiles:
         raise ValueError("efficiency check needs at least one profile")
-    for profile in profiles:
+    coverage = f"profiles={len(profiles)}"
+    for scanned, profile in enumerate(profiles, start=1):
         alloc = rule.allocate(profile)
         better = find_dominating(profile, alloc)
         if better is not None:
@@ -166,18 +165,20 @@ def check_efficiency(rule: Rule, profiles: Sequence[UtilityProfile]) -> Verdict:
                     "dominating": allocation_json(better),
                     "per_agent_gains": gains,
                 },
-                coverage=f"profiles={len(profiles)}",
+                coverage=_stopped(coverage, scanned, len(profiles), "profiles"),
             )
-    return Verdict(status="Pass", witness=None, coverage=f"profiles={len(profiles)}")
+    return Verdict(status="Pass", witness=None, coverage=coverage)
 
 
 def check_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
     """Exact weak-inequality test over every grid profile, agent, and
     single-agent grid deviation."""
     cells = grid_cells(config)
-
-    def evaluate(block: tuple[int, tuple]) -> dict | None:
-        agent, others = block
+    coverage = _grid_description(
+        config, len(cells), f"deviations_per_agent={len(cells)}"
+    )
+    blocks = 3 * len(cells) ** 2
+    for scanned, (agent, others) in enumerate(_deviation_blocks(cells), start=1):
         allocations = [
             rule.allocate(_profile_with(others, agent, cell)) for cell in cells
         ]
@@ -211,22 +212,18 @@ def check_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
                 continue
             for d, key in enumerate(index_of):
                 if eus[key] > eu_true:
-                    return {
-                        "profile": profile_json(_profile_with(others, agent, truth)),
-                        "agent": agent,
-                        "deviation": utility_json(cells[d]),
-                        "truthful_allocation": allocation_json(allocations[t]),
-                        "deviated_allocation": allocation_json(allocations[d]),
-                        "gap": str(eus[key] - eu_true),
-                    }
-        return None
-
-    failure = _scan_blocks(_deviation_blocks(cells), evaluate)
-    coverage = _grid_description(
-        config, len(cells), f"deviations_per_agent={len(cells)}"
-    )
-    if failure is not None:
-        return Verdict(status="Fail", witness=failure, coverage=coverage)
+                    return Verdict(
+                        status="Fail",
+                        witness={
+                            "profile": profile_json(_profile_with(others, agent, truth)),
+                            "agent": agent,
+                            "deviation": utility_json(cells[d]),
+                            "truthful_allocation": allocation_json(allocations[t]),
+                            "deviated_allocation": allocation_json(allocations[d]),
+                            "gap": str(eus[key] - eu_true),
+                        },
+                        coverage=_stopped(coverage, scanned, blocks, "blocks"),
+                    )
     return Verdict(status="Pass", witness=None, coverage=coverage)
 
 
@@ -234,9 +231,11 @@ def check_non_bossiness(rule: Rule, config: CheckConfig) -> Verdict:
     """Whenever a deviation leaves the deviator's own row unchanged, the full
     matrix must be unchanged."""
     cells = grid_cells(config)
-
-    def evaluate(block: tuple[int, tuple]) -> dict | None:
-        agent, others = block
+    coverage = _grid_description(
+        config, len(cells), f"deviations_per_agent={len(cells)}"
+    )
+    blocks = 3 * len(cells) ** 2
+    for scanned, (agent, others) in enumerate(_deviation_blocks(cells), start=1):
         allocations = [
             rule.allocate(_profile_with(others, agent, cell)) for cell in cells
         ]
@@ -245,22 +244,18 @@ def check_non_bossiness(rule: Rule, config: CheckConfig) -> Verdict:
             row = alloc.rows[agent]
             t = first_with_row.setdefault(row, d)
             if t != d and allocations[t] is not alloc and allocations[t] != alloc:
-                return {
-                    "profile": profile_json(_profile_with(others, agent, cells[t])),
-                    "agent": agent,
-                    "deviation": utility_json(cells[d]),
-                    "own_row": [str(p) for p in row],
-                    "allocation": allocation_json(allocations[t]),
-                    "deviated_allocation": allocation_json(alloc),
-                }
-        return None
-
-    failure = _scan_blocks(_deviation_blocks(cells), evaluate)
-    coverage = _grid_description(
-        config, len(cells), f"deviations_per_agent={len(cells)}"
-    )
-    if failure is not None:
-        return Verdict(status="Fail", witness=failure, coverage=coverage)
+                return Verdict(
+                    status="Fail",
+                    witness={
+                        "profile": profile_json(_profile_with(others, agent, cells[t])),
+                        "agent": agent,
+                        "deviation": utility_json(cells[d]),
+                        "own_row": [str(p) for p in row],
+                        "allocation": allocation_json(allocations[t]),
+                        "deviated_allocation": allocation_json(alloc),
+                    },
+                    coverage=_stopped(coverage, scanned, blocks, "blocks"),
+                )
     return Verdict(status="Pass", witness=None, coverage=coverage)
 
 
@@ -268,14 +263,16 @@ def check_ordinality(rule: Rule, config: CheckConfig) -> Verdict:
     """Bit-identical output inside every ordinal cell, over grid rates plus
     seeded random rates."""
     mu_grid = config.mu_grid
-
-    def evaluate(block: tuple[int, tuple]) -> dict | None:
-        index, orders = block
+    coverage = (
+        f"cells=216; per_cell={len(mu_grid)**3}+{config.samples_per_cell} random; "
+        f"seed={config.seed}"
+    )
+    cells = itertools.product(all_orders(3), repeat=3)
+    for index, orders in enumerate(cells):
         rng = random.Random(f"{config.seed}:cell:{index}")
-        mu_choices = [list(mu_grid) for _ in range(3)]
         profiles = [
             tuple(utility_from(order, mu) for order, mu in zip(orders, mus))
-            for mus in itertools.product(*mu_choices)
+            for mus in itertools.product(mu_grid, repeat=3)
         ]
         for _ in range(config.samples_per_cell):
             profiles.append(
@@ -285,23 +282,17 @@ def check_ordinality(rule: Rule, config: CheckConfig) -> Verdict:
         for profile in profiles[1:]:
             alloc = rule.allocate(profile)
             if alloc != reference:
-                return {
-                    "cell": [str(order) for order in orders],
-                    "profile_a": profile_json(profiles[0]),
-                    "profile_b": profile_json(profile),
-                    "allocation_a": allocation_json(reference),
-                    "allocation_b": allocation_json(alloc),
-                }
-        return None
-
-    blocks = list(enumerate(itertools.product(all_orders(3), repeat=3)))
-    failure = _scan_blocks(blocks, evaluate)
-    coverage = (
-        f"cells=216; per_cell={len(mu_grid)**3}+{config.samples_per_cell} random; "
-        f"seed={config.seed}"
-    )
-    if failure is not None:
-        return Verdict(status="Fail", witness=failure, coverage=coverage)
+                return Verdict(
+                    status="Fail",
+                    witness={
+                        "cell": [str(order) for order in orders],
+                        "profile_a": profile_json(profiles[0]),
+                        "profile_b": profile_json(profile),
+                        "allocation_a": allocation_json(reference),
+                        "allocation_b": allocation_json(alloc),
+                    },
+                    coverage=_stopped(coverage, index + 1, 216, "cells"),
+                )
     return Verdict(status="Pass", witness=None, coverage=coverage)
 
 

@@ -16,7 +16,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 from .bvn import decompose
@@ -45,6 +45,7 @@ from .harness import (
     NotOrdinalOnU,
     default_v_profiles,
     exploration_stress,
+    report_json,
     theorem_stress,
     theorem2_check,
     verify_lemma,
@@ -79,29 +80,6 @@ SEEDLESS_AXIOMS = {"strategy-proofness", "non-bossiness", "continuity"}
 # Largest accepted --n. all_orders(n) and rsd cost n! per call, and n = 7
 # is the largest size measured to finish in seconds.
 MAX_N = 7
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: command plus everything the checkers need."""
-
-    command: str
-    rule: str | None = None
-    rules: str | None = None
-    axiom: str | None = None
-    profiles: str | None = None
-    matrix: str | None = None
-    lemma: str | None = None
-    trials: int = 500
-    count: int = 4
-    grid: str | None = None
-    samples: int = 2
-    seed: int | None = None
-    out: str | None = None
-    format: str = "json"
-    tau: str | None = None
-    delta: str | None = None
-    n: int = 3
 
 
 def parse_profile_file(path: str) -> list[UtilityProfile]:
@@ -211,13 +189,7 @@ def _generated_profiles(spec: str, config: CheckConfig) -> list[UtilityProfile]:
     if spec.startswith("grid:mu="):
         grid = tuple(parse_fraction(part) for part in spec[len("grid:mu=") :].split(","))
         return default_efficiency_profiles(
-            CheckConfig(
-                mu_grid=grid,
-                samples_per_cell=0,
-                seed=config.seed,
-                continuity_gap_tau=config.continuity_gap_tau,
-                continuity_interval_delta=config.continuity_interval_delta,
-            )
+            replace(config, mu_grid=grid, samples_per_cell=0)
         )
     if spec.startswith("random:count="):
         count = int(spec[len("random:count=") :])
@@ -241,16 +213,16 @@ def _load_profiles(spec: str | None, config: CheckConfig) -> list[UtilityProfile
     return parse_profile_file(spec)
 
 
-def _check_config(config: RunConfig) -> CheckConfig:
-    kwargs: dict = {"samples_per_cell": config.samples, "seed": config.seed or 0}
-    if config.grid:
-        kwargs["mu_grid"] = tuple(
-            parse_fraction(part) for part in config.grid.split(",")
-        )
-    if config.tau:
-        kwargs["continuity_gap_tau"] = parse_fraction(config.tau)
-    if config.delta:
-        kwargs["continuity_interval_delta"] = parse_fraction(config.delta)
+def _check_config(args: argparse.Namespace) -> CheckConfig:
+    """The declared grid from --grid, --samples and --seed, plus the
+    continuity thresholds for the subcommands that take --tau and --delta."""
+    kwargs: dict = {"samples_per_cell": args.samples, "seed": args.seed or 0}
+    if args.grid:
+        kwargs["mu_grid"] = tuple(parse_fraction(part) for part in args.grid.split(","))
+    if getattr(args, "tau", None):
+        kwargs["continuity_gap_tau"] = parse_fraction(args.tau)
+    if getattr(args, "delta", None):
+        kwargs["continuity_interval_delta"] = parse_fraction(args.delta)
     return CheckConfig(**kwargs)
 
 
@@ -263,69 +235,67 @@ def _emit(payload: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _verdict_payload(
-    config: RunConfig, verdict: Verdict, elapsed_ms: int
-) -> str:
-    if config.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["axiom", "rule", "status"])
-        writer.writerow([config.axiom, config.rule, verdict.status])
-        return buffer.getvalue()
+def _csv_rows(*rows: list) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+def _not_ordinal(fields: dict, exc: NotOrdinal | NotOrdinalOnU, out: str | None) -> int:
+    """Report a rule that the command's ordinality pre-check rejected."""
+    _emit(report_json({**fields, "error": f"{type(exc).__name__}: {exc}"}), out)
+    return 1
+
+
+def _verdict(fields: dict, verdict: Verdict, args: argparse.Namespace) -> int:
+    """Write a verdict report; the exit code is 0 on Pass and 1 on Fail."""
     report = {
-        "axiom": config.axiom,
-        "rule": config.rule,
+        **fields,
         "status": verdict.status,
         "grid_description": verdict.coverage,
-        "seed": config.seed,
-        "elapsed_ms": elapsed_ms,
+        "seed": args.seed,
     }
     if verdict.witness is not None:
         report["witness"] = verdict.witness
-    return json.dumps(report, sort_keys=True, indent=2)
-
-
-def _run_check(config: RunConfig) -> int:
-    axiom = (config.axiom or "").replace("_", "-")
-    if axiom not in AXIOMS:
-        raise UsageError(f"--axiom must be one of {', '.join(AXIOMS)}")
-    config.axiom = axiom
-    if config.seed is None and axiom not in SEEDLESS_AXIOMS:
-        raise UsageError(f"--seed is required for the randomized {axiom} check")
-    rule = rule_by_name(config.rule or "")
-    check_config = _check_config(config)
-    started = time.perf_counter()
-    try:
-        if axiom == "efficiency":
-            profiles = _load_profiles(config.profiles, check_config)
-            verdict = check_efficiency(rule, profiles)
-        elif axiom == "strategy-proofness":
-            verdict = check_strategy_proofness(rule, check_config)
-        elif axiom == "sd-strategy-proofness":
-            verdict = check_sd_strategy_proofness(rule, check_config)
-        elif axiom == "non-bossiness":
-            verdict = check_non_bossiness(rule, check_config)
-        elif axiom == "ordinality":
-            verdict = check_ordinality(rule, check_config)
-        else:
-            verdict = check_continuity_battery(rule, check_config)
-    except NotOrdinal as exc:
-        _emit(
-            json.dumps(
-                {"axiom": axiom, "rule": config.rule, "error": f"NotOrdinal: {exc}"},
-                sort_keys=True,
-                indent=2,
-            ),
-            config.out,
-        )
-        return 1
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    _emit(_verdict_payload(config, verdict, elapsed_ms), config.out)
+    _emit(report_json(report), args.out)
     return 0 if verdict.passed else 1
 
 
-def _run_decompose(config: RunConfig) -> int:
-    spec = config.matrix or ""
+def _run_check(args: argparse.Namespace) -> int:
+    axiom = args.axiom.replace("_", "-")
+    if axiom not in AXIOMS:
+        raise UsageError(f"--axiom must be one of {', '.join(AXIOMS)}")
+    if args.seed is None and axiom not in SEEDLESS_AXIOMS:
+        raise UsageError(f"--seed is required for the randomized {axiom} check")
+    rule = rule_by_name(args.rule)
+    config = _check_config(args)
+    fields = {"axiom": axiom, "rule": args.rule}
+    started = time.perf_counter()
+    try:
+        if axiom == "efficiency":
+            verdict = check_efficiency(rule, _load_profiles(args.profiles, config))
+        elif axiom == "strategy-proofness":
+            verdict = check_strategy_proofness(rule, config)
+        elif axiom == "sd-strategy-proofness":
+            verdict = check_sd_strategy_proofness(rule, config)
+        elif axiom == "non-bossiness":
+            verdict = check_non_bossiness(rule, config)
+        elif axiom == "ordinality":
+            verdict = check_ordinality(rule, config)
+        else:
+            verdict = check_continuity_battery(rule, config)
+    except NotOrdinal as exc:
+        return _not_ordinal(fields, exc, args.out)
+    elapsed_ms = int((time.perf_counter() - started) * 1000)
+    if args.format == "csv":
+        rows = _csv_rows(["axiom", "rule", "status"], [axiom, args.rule, verdict.status])
+        _emit(rows, args.out)
+        return 0 if verdict.passed else 1
+    return _verdict({**fields, "elapsed_ms": elapsed_ms}, verdict, args)
+
+
+def _run_decompose(args: argparse.Namespace) -> int:
+    spec = args.matrix
     if spec.startswith("@"):
         try:
             spec = Path(spec[1:]).read_text()
@@ -337,86 +307,62 @@ def _run_decompose(config: RunConfig) -> int:
         raise ParseError(f"matrix is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("matrix", data)
-    alloc = make_allocation(data)
-    result = decompose(alloc)
-    _emit(json.dumps(result.to_dict(), sort_keys=True, indent=2), config.out)
+    _emit(report_json(decompose(make_allocation(data)).to_dict()), args.out)
     return 0
 
 
-def _run_lemma(config: RunConfig) -> int:
-    lemma = config.lemma or ""
-    matches = [lid for lid in LEMMA_IDS if lid == lemma or lid.startswith(f"{lemma}_")]
+def _run_lemma(args: argparse.Namespace) -> int:
+    matches = [
+        lid for lid in LEMMA_IDS if lid == args.lemma or lid.startswith(f"{args.lemma}_")
+    ]
     if len(matches) != 1:
         raise UsageError(f"--lemma must be one of {', '.join(LEMMA_IDS)}")
     lemma = matches[0]
-    rule = rule_by_name(config.rule) if config.rule else None
-    report = verify_lemma(lemma, rule, config.trials, config.seed or 0)
-    if config.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["lemma", "rule", "trials", "sampled", "failures"])
-        writer.writerow(
-            [lemma, report.rule, report.trials, report.sampled, len(report.failures)]
+    rule = rule_by_name(args.rule) if args.rule else None
+    report = verify_lemma(lemma, rule, args.trials, args.seed)
+    if args.format == "csv":
+        _emit(
+            _csv_rows(
+                ["lemma", "rule", "trials", "sampled", "failures"],
+                [lemma, report.rule, report.trials, report.sampled, len(report.failures)],
+            ),
+            args.out,
         )
-        _emit(buffer.getvalue(), config.out)
     else:
-        _emit(report.to_json(), config.out)
+        _emit(report.to_json(), args.out)
     return 0 if report.passed else 1
 
 
-def _run_stress(config: RunConfig) -> int:
-    check_config = _check_config(config)
-    if config.rules:
-        family = [rule_by_name(name) for name in config.rules.split(",")]
+def _run_stress(args: argparse.Namespace) -> int:
+    if not 3 <= args.n <= MAX_N:
+        raise UsageError(f"--n must be between 3 and {MAX_N}")
+    config = _check_config(args)
+    if args.rules:
+        family = [rule_by_name(name) for name in args.rules.split(",")]
     else:
-        family = built_in_family(config.seed or 0)
-    if config.n > 3:
-        record = exploration_stress(family, config.n, check_config)
-        _emit(json.dumps(record, sort_keys=True, indent=2), config.out)
+        family = built_in_family(args.seed)
+    if args.n > 3:
+        _emit(report_json(exploration_stress(family, args.n, config)), args.out)
         return 0
-    report = theorem_stress(family, check_config)
-    payload = report.to_csv() if config.format == "csv" else report.to_json()
-    _emit(payload, config.out)
+    report = theorem_stress(family, config)
+    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     return 0 if not report.metamorphic_violations else 1
 
 
-def _run_theorem2(config: RunConfig) -> int:
-    rule = rule_by_name(config.rule or "")
-    check_config = _check_config(config)
-    profiles = default_v_profiles(config.seed or 0, config.count)
+def _run_theorem2(args: argparse.Namespace) -> int:
+    rule = rule_by_name(args.rule)
+    profiles = default_v_profiles(args.seed, args.count)
     try:
-        verdict = theorem2_check(rule, profiles, check_config)
+        verdict = theorem2_check(rule, profiles, _check_config(args))
     except NotOrdinalOnU as exc:
-        _emit(
-            json.dumps(
-                {"rule": config.rule, "error": f"NotOrdinalOnU: {exc}"},
-                sort_keys=True,
-                indent=2,
-            ),
-            config.out,
-        )
-        return 1
-    report = {
-        "command": "theorem2",
-        "rule": config.rule,
-        "status": verdict.status,
-        "grid_description": verdict.coverage,
-        "seed": config.seed,
-    }
-    if verdict.witness is not None:
-        report["witness"] = verdict.witness
-    _emit(json.dumps(report, sort_keys=True, indent=2), config.out)
-    return 0 if verdict.passed else 1
+        return _not_ordinal({"rule": args.rule}, exc, args.out)
+    return _verdict({"command": "theorem2", "rule": args.rule}, verdict, args)
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute a parsed command; returns the process exit code."""
-    if not 3 <= config.n <= MAX_N:
-        raise UsageError(f"--n must be between 3 and {MAX_N}")
-    if config.n != 3 and config.command != "stress":
-        raise UsageError("--n above 3 is exploration mode; use the stress command")
-    if config.command in ("lemma", "stress", "theorem2") and config.seed is None:
-        raise UsageError(f"--seed is required for the randomized {config.command} command")
+    if args.command in ("lemma", "stress", "theorem2") and args.seed is None:
+        raise UsageError(f"--seed is required for the randomized {args.command} command")
     handlers = {
         "check": _run_check,
         "decompose": _run_decompose,
@@ -424,7 +370,19 @@ def run(config: RunConfig) -> int:
         "stress": _run_stress,
         "theorem2": _run_theorem2,
     }
-    return handlers[config.command](config)
+    return handlers[args.command](args)
+
+
+# Options that more than one subcommand takes.
+SHARED_FLAGS = {
+    "--seed": {"type": int},
+    "--grid": {"help": "comma-separated mu values, e.g. 1/10,1/2,9/10"},
+    "--samples": {"type": int, "default": 2, "help": "random samples per cell"},
+    "--out": {"help": "write the report to this path"},
+    "--format": {"choices": ("json", "csv"), "default": "json"},
+    "--tau": {"help": "continuity gap threshold as p/q"},
+    "--delta": {"help": "continuity interval width as p/q"},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -434,54 +392,48 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, seed_required: bool = False) -> None:
-        p.add_argument("--seed", type=int, default=None, required=seed_required)
-        p.add_argument("--grid", help="comma-separated mu values, e.g. 1/10,1/2,9/10")
-        p.add_argument("--samples", type=int, default=2, help="random samples per cell")
-        p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tau", help="continuity gap threshold as p/q")
-        p.add_argument("--delta", help="continuity interval width as p/q")
-        p.add_argument("--n", type=int, default=3, help=f"economy size, 3 to {MAX_N}; >3 explores")
+    def shared(p: argparse.ArgumentParser, *flags: str) -> None:
+        for flag in flags:
+            p.add_argument(flag, **SHARED_FLAGS[flag])
 
     check = sub.add_parser("check", help="run one axiom checker on one rule")
     check.add_argument("--rule", required=True)
     check.add_argument("--axiom", required=True)
     check.add_argument("--profiles", help="profile file, grid:mu=..., or random:count=...")
-    common(check)
+    shared(check, "--seed", "--grid", "--samples", "--out", "--format", "--tau", "--delta")
 
     dec = sub.add_parser("decompose", help="decompose a bistochastic matrix")
     dec.add_argument("--matrix", required=True, help="inline JSON or @file.json")
-    dec.add_argument("--out")
-    dec.add_argument("--format", choices=("json",), default="json")
+    shared(dec, "--out")
 
     lemma = sub.add_parser("lemma", help="statement-level lemma trials")
     lemma.add_argument("--lemma", required=True)
     lemma.add_argument("--rule")
     lemma.add_argument("--trials", type=int, default=500)
-    common(lemma)
+    shared(lemma, "--seed", "--out", "--format")
 
     stress = sub.add_parser("stress", help="metamorphic ordinality stress test")
     stress.add_argument("--rules", help="comma-separated rule names; default built-in family")
-    common(stress)
+    shared(stress, "--seed", "--grid", "--samples", "--out", "--format", "--tau", "--delta")
+    stress.add_argument(
+        "--n", type=int, default=3, help=f"economy size, 3 to {MAX_N}; >3 explores"
+    )
 
     theorem2 = sub.add_parser("theorem2", help="extended-domain ordinality check")
     theorem2.add_argument("--rule", required=True)
     theorem2.add_argument("--count", type=int, default=4, help="number of V-profiles")
-    common(theorem2)
+    shared(theorem2, "--seed", "--grid", "--samples", "--out")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        namespace = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    fields = {f: getattr(namespace, f) for f in vars(namespace)}
-    config = RunConfig(**fields)
     try:
-        return run(config)
+        return run(args)
     except ValueError as exc:  # every input error subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

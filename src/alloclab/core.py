@@ -157,22 +157,8 @@ class Allocation:
     def n(self) -> int:
         return len(self.rows)
 
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
     def row(self, agent: AgentId) -> Lottery:
         return Lottery(self.rows[agent])
-
-    def entry(self, agent: AgentId, obj: ObjectId) -> Fraction:
-        return self.rows[agent][obj]
-
-    def to_dict(self) -> dict:
-        return {"matrix": [[str(p) for p in row] for row in self.rows]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Allocation":
-        return make_allocation(data["matrix"])
 
 
 def make_allocation(grid: Sequence[Sequence[int | Fraction | str]]) -> Allocation:
@@ -240,13 +226,6 @@ class BernoulliUtility:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(({', '.join(str(v) for v in self.values)}))"
-
-    def to_dict(self) -> dict:
-        return {"values": [str(v) for v in self.values]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BernoulliUtility":
-        return make_utility(data["values"])
 
 
 def make_utility(values: Iterable[int | Fraction | str]) -> BernoulliUtility:

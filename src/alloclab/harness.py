@@ -92,6 +92,12 @@ LEMMA_HYPOTHESES: dict[str, tuple[str, ...]] = {
 REJECTION_FACTOR = 50
 
 
+def report_json(data: dict) -> str:
+    """The byte-stable JSON form of every report: sorted keys, two-space
+    indent."""
+    return json.dumps(data, sort_keys=True, indent=2)
+
+
 @dataclass
 class LemmaReport:
     lemma_id: str
@@ -118,7 +124,7 @@ class LemmaReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return report_json(self.to_dict())
 
 
 def _random_order(rng: random.Random) -> OrdinalPreference:
@@ -158,7 +164,6 @@ def verify_lemma(
     rule: Rule | None,
     trials: int,
     seed: int,
-    config: CheckConfig | None = None,
 ) -> LemmaReport:
     """Sample `trials` instances matching the lemma's hypothesis pattern and
     check its conclusion exactly. Rejection sampling gives up after
@@ -456,7 +461,7 @@ class StressReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return report_json(self.to_dict())
 
     def to_csv(self) -> str:
         buffer = io.StringIO()

@@ -56,12 +56,6 @@ class OrdinalPreference:
     def m(self) -> int:
         return len(self.ranking)
 
-    def position(self, obj: ObjectId) -> int:
-        return self.ranking.index(obj)
-
-    def prefers(self, x: ObjectId, y: ObjectId) -> bool:
-        return self.position(x) < self.position(y)
-
     @property
     def best(self) -> ObjectId:
         return self.ranking[0]

@@ -46,13 +46,11 @@ class Rule:
     ``compute(key(profile))``. ``key`` validates the profile and returns the
     hashable part of it the rule reads; ``compute`` must depend on nothing
     else. ``from_key`` is ``compute`` behind one unbounded memo, bounded in
-    practice by the key space ((n!)^n ranking profiles for an ordinal key).
-    ``claims_ordinal`` is metadata verified by the checkers, never trusted."""
+    practice by the key space ((n!)^n ranking profiles for an ordinal key)."""
 
     name: str
     key: Callable[[UtilityProfile], Hashable]
     compute: Callable[[Hashable], Allocation]
-    claims_ordinal: bool
     from_key: Callable[[Hashable], Allocation] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -147,11 +145,11 @@ def _utilitarian(canonical: UtilityProfile) -> Allocation:
     return PermutationMatrix(picks).to_allocation()
 
 
-RSD = Rule("rsd", _ordinal_key, _rsd, claims_ordinal=True)
-PS = Rule("ps", _ordinal_key, _ps, claims_ordinal=True)
-DICTATORSHIP = Rule("dictatorship", _ordinal_key, _dictatorship, claims_ordinal=True)
-UTILITARIAN = Rule("utilitarian", _canonical_key, _utilitarian, claims_ordinal=False)
-UNIFORM = Rule("uniform", _size_key, uniform_allocation, claims_ordinal=True)
+RSD = Rule("rsd", _ordinal_key, _rsd)
+PS = Rule("ps", _ordinal_key, _ps)
+DICTATORSHIP = Rule("dictatorship", _ordinal_key, _dictatorship)
+UTILITARIAN = Rule("utilitarian", _canonical_key, _utilitarian)
+UNIFORM = Rule("uniform", _size_key, uniform_allocation)
 
 rsd_allocate = RSD.allocate
 ps_allocate = PS.allocate
@@ -176,7 +174,6 @@ def blend_rule(first: Rule, second: Rule, alpha: Fraction) -> Rule:
         compute=lambda keys: mix_allocations(
             first.from_key(keys[0]), second.from_key(keys[1]), alpha
         ),
-        claims_ordinal=first.claims_ordinal and second.claims_ordinal,
     )
 
 

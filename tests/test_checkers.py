@@ -55,7 +55,7 @@ def _bossy_allocate(profile):
     return make_allocation(rows)
 
 
-BOSSY = Rule("bossy-test", lambda profile: profile, _bossy_allocate, claims_ordinal=False)
+BOSSY = Rule("bossy-test", lambda profile: profile, _bossy_allocate)
 
 
 class TestEfficiency:

@@ -1,8 +1,13 @@
 """CLI surface: exit codes, report files, profile parsing."""
 
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alloclab.cli import main, parse_profile_file
 from alloclab.core import TiesPresent
@@ -260,3 +265,92 @@ def test_internal_error_is_exit_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_run_decompose", crash)
     assert main(["decompose", "--matrix", "[[1]]"]) == 3
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+PERMUTATION = '[["0","1","0"],["0","0","1"],["1","0","0"]]'
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("check", {"--rule", "--axiom", "--profiles", "--seed", "--grid", "--samples",
+                   "--tau", "--delta", "--out", "--format"}),
+        ("decompose", {"--matrix", "--out"}),
+        ("lemma", {"--lemma", "--rule", "--trials", "--seed", "--out", "--format"}),
+        ("stress", {"--rules", "--seed", "--grid", "--samples", "--tau", "--delta",
+                    "--out", "--format", "--n"}),
+        ("theorem2", {"--rule", "--count", "--seed", "--grid", "--samples", "--out"}),
+    ],
+)
+def test_help_lists_only_the_flags_the_subcommand_reads(command, flags, capsys):
+    assert main([command, "--help"]) == 0
+    assert set(re.findall(r"^  (--[a-z]+)", capsys.readouterr().out, re.M)) == flags
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem2", "--rule", "ps", "--seed", "1", "--grid", "1/2", "--format", "csv"],
+        ["lemma", "--lemma", "L4", "--rule", "rsd", "--trials", "5", "--seed", "1",
+         "--grid", "1/2"],
+        ["lemma", "--lemma", "L4", "--rule", "rsd", "--trials", "5", "--seed", "1",
+         "--samples", "3"],
+        ["check", "--rule", "rsd", "--axiom", "ordinality", "--grid", "1/2", "--seed", "1",
+         "--n", "3"],
+        ["decompose", "--matrix", PERMUTATION, "--format", "json"],
+    ],
+)
+def test_flag_the_subcommand_does_not_read_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, coverage",
+    [
+        (
+            ["check", "--rule", "utilitarian", "--axiom", "strategy-proofness"],
+            "grid: 6 orders x 7 mu per agent; cells_per_agent=42; profiles=74088; "
+            "deviations_per_agent=42; scanned_blocks=1 of 5292",
+        ),
+        (
+            ["check", "--rule", "rsd", "--axiom", "efficiency", "--seed", "1"],
+            "profiles=232; scanned_profiles=1 of 232",
+        ),
+    ],
+)
+def test_fail_coverage_states_how_far_the_scan_got(tmp_path, argv, coverage):
+    out = tmp_path / "verdict.json"
+    assert main([*argv, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["status"] == "Fail"
+    assert report["grid_description"] == coverage
+
+
+@st.composite
+def profile_files(draw):
+    """One to three no-tie rational profiles sharing an agent count."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    row = st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=30),
+        min_size=n, max_size=n, unique=True,
+    )
+    profile = st.lists(row, min_size=n, max_size=n)
+    return draw(st.lists(profile, min_size=1, max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(profiles=profile_files())
+def test_profile_files_round_trip(profiles):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "p.csv"
+        csv_path.write_text(
+            "".join(",".join(map(str, row)) + "\n" for profile in profiles for row in profile)
+        )
+        json_path = Path(tmp) / "p.json"
+        json_path.write_text(
+            json.dumps([[[str(v) for v in row] for row in profile] for profile in profiles])
+        )
+        for path in (csv_path, json_path):
+            parsed = parse_profile_file(str(path))
+            assert [[list(u.values) for u in profile] for profile in parsed] == profiles

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alloclab import (
     AlphaOutOfRange,
@@ -26,7 +28,7 @@ from alloclab import (
     utility_from,
 )
 from alloclab.ordinal import ordinal_of, random_utility_consistent, sd_compare
-from alloclab.rules import dictatorship_allocate
+from alloclab.rules import BASE_RULES, dictatorship_allocate
 
 from conftest import best_assignments, perm_matrix_rows, rsd_oracle
 
@@ -209,12 +211,30 @@ class TestBlend:
 
     def test_rule_by_name(self, abc_profile):
         rule = rule_by_name("blend:rsd:utilitarian:1/2")
-        assert rule.claims_ordinal is False
         assert rule.allocate(abc_profile) == blend_rule(
             RSD, UTILITARIAN, F(1, 2)
         ).allocate(abc_profile)
         with pytest.raises(ValueError):
             rule_by_name("nope")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(sorted(BASE_RULES)), min_size=2, max_size=2),
+    weight=st.integers(min_value=1, max_value=60).flatmap(
+        lambda q: st.tuples(st.integers(min_value=0, max_value=q), st.just(q))
+    ),
+)
+def test_blend_spec_keeps_its_weight(names, weight):
+    first, second = names
+    p, q = weight
+    alpha = F(p, q)
+    rule = rule_by_name(f"blend:{first}:{second}:{p}/{q}")
+    assert rule.name == f"blend:{first}:{second}:{alpha}"
+    profile = make_profile(SAME_TOPS)
+    assert rule.allocate(profile) == mix_allocations(
+        BASE_RULES[first].allocate(profile), BASE_RULES[second].allocate(profile), alpha
+    )
 
 
 def _affine_twin(profile, scale, shift):
