@@ -76,6 +76,10 @@ class CheckConfig:
                 raise ValueError(f"grid value {mu} outside (0, 1)")
         if self.continuity_gap_tau <= 0 or self.continuity_interval_delta <= 0:
             raise ValueError("continuity thresholds must be positive")
+        if self.samples_per_cell < 0:
+            raise ValueError(
+                f"samples per cell must be 0 or more, got {self.samples_per_cell}"
+            )
 
 
 @dataclass
@@ -259,6 +263,25 @@ def check_non_bossiness(rule: Rule, config: CheckConfig) -> Verdict:
     return Verdict(status="Pass", witness=None, coverage=coverage)
 
 
+def cell_twin_witness(
+    rule: Rule, orders: tuple[OrdinalPreference, ...], profiles: list[UtilityProfile]
+) -> dict | None:
+    """The witness that `rule` gives some profile of the ordinal cell
+    `orders` another allocation than the reference `profiles[0]`, or None."""
+    reference = rule.allocate(profiles[0])
+    for profile in profiles[1:]:
+        alloc = rule.allocate(profile)
+        if alloc != reference:
+            return {
+                "cell": [str(order) for order in orders],
+                "profile_a": profile_json(profiles[0]),
+                "profile_b": profile_json(profile),
+                "allocation_a": allocation_json(reference),
+                "allocation_b": allocation_json(alloc),
+            }
+    return None
+
+
 def check_ordinality(rule: Rule, config: CheckConfig) -> Verdict:
     """Bit-identical output inside every ordinal cell, over grid rates plus
     seeded random rates."""
@@ -278,21 +301,13 @@ def check_ordinality(rule: Rule, config: CheckConfig) -> Verdict:
             profiles.append(
                 tuple(utility_from(order, random_rational(rng)) for order in orders)
             )
-        reference = rule.allocate(profiles[0])
-        for profile in profiles[1:]:
-            alloc = rule.allocate(profile)
-            if alloc != reference:
-                return Verdict(
-                    status="Fail",
-                    witness={
-                        "cell": [str(order) for order in orders],
-                        "profile_a": profile_json(profiles[0]),
-                        "profile_b": profile_json(profile),
-                        "allocation_a": allocation_json(reference),
-                        "allocation_b": allocation_json(alloc),
-                    },
-                    coverage=_stopped(coverage, index + 1, 216, "cells"),
-                )
+        witness = cell_twin_witness(rule, orders, profiles)
+        if witness is not None:
+            return Verdict(
+                status="Fail",
+                witness=witness,
+                coverage=_stopped(coverage, index + 1, 216, "cells"),
+            )
     return Verdict(status="Pass", witness=None, coverage=coverage)
 
 

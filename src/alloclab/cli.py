@@ -285,13 +285,19 @@ def _run_check(args: argparse.Namespace) -> int:
         else:
             verdict = check_continuity_battery(rule, config)
     except NotOrdinal as exc:
+        if args.format == "csv":
+            return _check_csv(axiom, args, "NotOrdinal")
         return _not_ordinal(fields, exc, args.out)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     if args.format == "csv":
-        rows = _csv_rows(["axiom", "rule", "status"], [axiom, args.rule, verdict.status])
-        _emit(rows, args.out)
-        return 0 if verdict.passed else 1
+        return _check_csv(axiom, args, verdict.status)
     return _verdict({**fields, "elapsed_ms": elapsed_ms}, verdict, args)
+
+
+def _check_csv(axiom: str, args: argparse.Namespace, status: str) -> int:
+    """The one-row CSV report of `check`; the exit code is 0 only on Pass."""
+    _emit(_csv_rows(["axiom", "rule", "status"], [axiom, args.rule, status]), args.out)
+    return 0 if status == "Pass" else 1
 
 
 def _run_decompose(args: argparse.Namespace) -> int:

@@ -5,7 +5,12 @@ Lemmas are tested as black-box implications about a rule's input/output
 behavior: sample instances that match the hypothesis pattern, then check the
 stated conclusion exactly. A rule only qualifies for a lemma when it passes
 the lemma's hypothesis axioms on the grid (see LEMMA_HYPOTHESES); the
-samplers do not re-verify that.
+samplers do not re-verify that. Two skeletons draw, reject, perturb and judge
+the instances: the one-agent sampler (L1, L2, L4, L9) replaces one agent's
+utility and compares the whole allocation or that agent's share; the
+same-order-pair sampler (L3, L5-L7) draws two agents of one order, checks
+their segments and replaces 0, 1 or 2 of them. L8 has its own sampler, and
+L10 is the separation check that theorem2_check also runs.
 """
 
 from __future__ import annotations
@@ -14,20 +19,20 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .core import (
     BernoulliUtility,
     UtilityProfile,
     expected_utility,
-    in_segment,
     support,
 )
 from .checkers import (
     CheckConfig,
     Verdict,
     allocation_json,
+    cell_twin_witness,
     check_continuity_battery,
     check_efficiency,
     check_non_bossiness,
@@ -41,6 +46,7 @@ from .ordinal import (
     OrdinalPreference,
     SdVerdict,
     all_orders,
+    middle_rate,
     ordinal_of,
     random_lottery,
     random_rational,
@@ -112,19 +118,8 @@ class LemmaReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_dict(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "rule": self.rule,
-            "trials": self.trials,
-            "sampled": self.sampled,
-            "failures": self.failures,
-            "seed": self.seed,
-            "hypothesis_unsatisfiable": self.hypothesis_unsatisfiable,
-        }
-
     def to_json(self) -> str:
-        return report_json(self.to_dict())
+        return report_json(asdict(self))
 
 
 def _random_order(rng: random.Random) -> OrdinalPreference:
@@ -138,10 +133,16 @@ def _random_affine(utility: BernoulliUtility, rng: random.Random) -> BernoulliUt
     return BernoulliUtility(tuple(scale * v + shift for v in utility.values))
 
 
-def _random_member(order: OrdinalPreference, rng: random.Random) -> BernoulliUtility:
-    """Random utility in the cone: canonical representative, then a random
-    affine transform so samplers also exercise non-normalized inputs."""
-    canonical = utility_from(order, random_rational(rng))
+def _random_member(
+    order: OrdinalPreference, rng: random.Random, floor: Fraction | int = 0
+) -> BernoulliUtility:
+    """Random utility in the cone whose middle rate exceeds `floor`: canonical
+    representative, then a random affine transform so samplers also exercise
+    non-normalized inputs."""
+    mu = random_rational(rng)
+    if floor:
+        mu = floor + (1 - floor) * mu
+    canonical = utility_from(order, mu)
     if rng.randrange(2):
         return _random_affine(canonical, rng)
     return canonical
@@ -151,12 +152,10 @@ def _random_profile(rng: random.Random) -> UtilityProfile:
     return tuple(_random_member(_random_order(rng), rng) for _ in range(3))
 
 
-def _own_segments(lottery, order: OrdinalPreference) -> bool:
+def _own_segments(share: tuple[Fraction, ...], order: OrdinalPreference) -> bool:
     """Membership in [best, mid] union [mid, worst] of the agent's order."""
     best, mid, worst = order.ranking
-    return in_segment(lottery, best, mid, "closed") or in_segment(
-        lottery, mid, worst, "closed"
-    )
+    return share[best] + share[mid] == 1 or share[mid] + share[worst] == 1
 
 
 def verify_lemma(
@@ -172,6 +171,8 @@ def verify_lemma(
         raise ValueError(f"unknown lemma id: {lemma_id!r}")
     if lemma_id != "L10_separating" and rule is None:
         raise ValueError(f"{lemma_id} needs a rule")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(f"{seed}:{lemma_id}")
     report = LemmaReport(
         lemma_id=lemma_id,
@@ -199,164 +200,102 @@ def verify_lemma(
 _REJECTED = object()
 
 
-def _check_l1(rule: Rule, rng: random.Random):
-    profile = _random_profile(rng)
-    agent = rng.randrange(3)
-    clone = _random_affine(profile[agent], rng)
-    base = rule.allocate(profile)
-    swapped = rule.allocate(
-        profile[:agent] + (clone,) + profile[agent + 1 :]
-    )
-    if swapped != base:
-        return {
+def _affine_twin(utility: BernoulliUtility, order: OrdinalPreference, rng: random.Random):
+    return _random_affine(utility, rng)
+
+
+def _higher_middle(utility: BernoulliUtility, order: OrdinalPreference, rng: random.Random):
+    return _random_member(order, rng, middle_rate(utility))
+
+
+def _fresh_member(utility: BernoulliUtility, order: OrdinalPreference, rng: random.Random):
+    return _random_member(order, rng)
+
+
+def _top_or_bottom(share: tuple[Fraction, ...], order: OrdinalPreference) -> bool:
+    return share[order.best] == 1 or share[order.worst] == 1
+
+
+def _support_two(share: tuple[Fraction, ...], order: OrdinalPreference) -> bool:
+    return len([p for p in share if p > 0]) <= 2
+
+
+def _one_agent_check(hypothesis, perturb, whole: bool, key: str = "replacement"):
+    """Sampler for L1, L2, L4 and L9. Draw a profile and an agent; reject
+    unless `hypothesis(share, order)` holds for the agent's share (None: no
+    hypothesis); replace the agent's utility by `perturb(utility, order,
+    rng)`; then the whole allocation (`whole`) or only the agent's share must
+    stay the same. The witness names the replacement `key`."""
+
+    def check(rule: Rule, rng: random.Random):
+        profile = _random_profile(rng)
+        agent = rng.randrange(3)
+        order = ordinal_of(profile[agent])
+        base = rule.allocate(profile)
+        if hypothesis and not hypothesis(base.rows[agent], order):
+            return _REJECTED
+        replacement = perturb(profile[agent], order, rng)
+        after = rule.allocate(profile[:agent] + (replacement,) + profile[agent + 1 :])
+        if (after == base) if whole else (after.rows[agent] == base.rows[agent]):
+            return None
+        witness = {
             "profile": profile_json(profile),
             "agent": agent,
-            "replacement": utility_json(clone),
-            "allocation": allocation_json(base),
-            "replaced_allocation": allocation_json(swapped),
+            key: utility_json(replacement),
         }
-    return None
+        if whole:
+            witness["allocation"] = allocation_json(base)
+            witness["replaced_allocation"] = allocation_json(after)
+        else:
+            witness["share_before"] = [str(p) for p in base.rows[agent]]
+            witness["share_after"] = [str(p) for p in after.rows[agent]]
+        return witness
+
+    return check
 
 
-def _check_l2(rule: Rule, rng: random.Random):
-    profile = _random_profile(rng)
-    agent = rng.randrange(3)
-    order = ordinal_of(profile[agent])
-    base = rule.allocate(profile)
-    if not _own_segments(base.row(agent), order):
-        return _REJECTED
-    from .ordinal import middle_rate
+def _same_order_pair_check(draw_j, replaced: int):
+    """Sampler for L3 and L5-L7. Agents i and j share an order, u_j is
+    `draw_j(u_i, order, rng)`, and the instance is rejected unless i or j gets
+    some of the middle object. Both must then receive lotteries on their own
+    segments, and replacing the first `replaced` of (i, j) by fresh members of
+    the order must leave the allocation the same."""
 
-    mu = middle_rate(profile[agent])
-    bump = mu + (Fraction(1) - mu) * random_rational(rng)
-    raised = utility_from(order, bump)
-    if rng.randrange(2):
-        raised = _random_affine(raised, rng)
-    deviated = rule.allocate(profile[:agent] + (raised,) + profile[agent + 1 :])
-    if deviated.rows[agent] != base.rows[agent]:
-        return {
-            "profile": profile_json(profile),
-            "agent": agent,
-            "raised_mu_report": utility_json(raised),
-            "share_before": [str(p) for p in base.rows[agent]],
-            "share_after": [str(p) for p in deviated.rows[agent]],
-        }
-    return None
-
-
-def _check_l3(rule: Rule, rng: random.Random):
-    agents = rng.sample(range(3), 2)
-    i, j = agents
-    order = _random_order(rng)
-    u_i = _random_member(order, rng)
-    u_j = _random_affine(u_i, rng)
-    parts: list[BernoulliUtility] = [None] * 3  # type: ignore[list-item]
-    parts[i], parts[j] = u_i, u_j
-    rest = next(k for k in range(3) if parts[k] is None)
-    parts[rest] = _random_member(_random_order(rng), rng)
-    profile = tuple(parts)
-    alloc = rule.allocate(profile)
-    mid = order.ranking[1]
-    if alloc.rows[i][mid] + alloc.rows[j][mid] == 0:
-        return _REJECTED
-    if _own_segments(alloc.row(i), order) and _own_segments(alloc.row(j), order):
-        return None
-    return {
-        "profile": profile_json(profile),
-        "pair": [i, j],
-        "allocation": allocation_json(alloc),
-    }
-
-
-def _check_l4(rule: Rule, rng: random.Random):
-    profile = _random_profile(rng)
-    agent = rng.randrange(3)
-    order = ordinal_of(profile[agent])
-    base = rule.allocate(profile)
-    row = base.rows[agent]
-    if row[order.best] != 1 and row[order.worst] != 1:
-        return _REJECTED
-    replacement = _random_member(order, rng)
-    deviated = rule.allocate(profile[:agent] + (replacement,) + profile[agent + 1 :])
-    if deviated.rows[agent] != row:
-        return {
-            "profile": profile_json(profile),
-            "agent": agent,
-            "replacement": utility_json(replacement),
-            "share_before": [str(p) for p in row],
-            "share_after": [str(p) for p in deviated.rows[agent]],
-        }
-    return None
-
-
-def _same_order_pair_instance(rng: random.Random):
-    i, j = rng.sample(range(3), 2)
-    order = _random_order(rng)
-    parts: list[BernoulliUtility] = [None] * 3  # type: ignore[list-item]
-    parts[i] = _random_member(order, rng)
-    parts[j] = _random_member(order, rng)
-    rest = next(k for k in range(3) if parts[k] is None)
-    parts[rest] = _random_member(_random_order(rng), rng)
-    return i, j, order, tuple(parts)
-
-
-def _check_l5(rule: Rule, rng: random.Random):
-    i, j, order, profile = _same_order_pair_instance(rng)
-    alloc = rule.allocate(profile)
-    mid = order.ranking[1]
-    if alloc.rows[i][mid] + alloc.rows[j][mid] == 0:
-        return _REJECTED
-    if _own_segments(alloc.row(i), order) and _own_segments(alloc.row(j), order):
-        return None
-    return {
-        "profile": profile_json(profile),
-        "pair": [i, j],
-        "allocation": allocation_json(alloc),
-    }
-
-
-def _check_l6(rule: Rule, rng: random.Random):
-    i, j, order, profile = _same_order_pair_instance(rng)
-    alloc = rule.allocate(profile)
-    mid = order.ranking[1]
-    if alloc.rows[i][mid] + alloc.rows[j][mid] == 0:
-        return _REJECTED
-    replacement = _random_member(order, rng)
-    swapped = rule.allocate(profile[:i] + (replacement,) + profile[i + 1 :])
-    if swapped != alloc or not (
-        _own_segments(alloc.row(i), order) and _own_segments(alloc.row(j), order)
-    ):
-        return {
+    def check(rule: Rule, rng: random.Random):
+        i, j = rng.sample(range(3), 2)
+        order = _random_order(rng)
+        parts: list[BernoulliUtility] = [None] * 3  # type: ignore[list-item]
+        parts[i] = _random_member(order, rng)
+        parts[j] = draw_j(parts[i], order, rng)
+        parts[3 - i - j] = _random_member(_random_order(rng), rng)
+        profile = tuple(parts)
+        alloc = rule.allocate(profile)
+        mid = order.ranking[1]
+        if alloc.rows[i][mid] + alloc.rows[j][mid] == 0:
+            return _REJECTED
+        holds = _own_segments(alloc.rows[i], order) and _own_segments(alloc.rows[j], order)
+        if replaced:
+            replacements = [_random_member(order, rng) for _ in range(replaced)]
+            for agent, utility in zip((i, j), replacements):
+                parts[agent] = utility
+            swapped = rule.allocate(tuple(parts))
+            holds = holds and swapped == alloc
+        if holds:
+            return None
+        witness = {
             "profile": profile_json(profile),
             "pair": [i, j],
-            "replacement": utility_json(replacement),
             "allocation": allocation_json(alloc),
-            "replaced_allocation": allocation_json(swapped),
         }
-    return None
+        if replaced:
+            witness["replaced_allocation"] = allocation_json(swapped)
+        if replaced == 1:
+            witness["replacement"] = utility_json(replacements[0])
+        elif replaced == 2:
+            witness["replacements"] = [utility_json(u) for u in replacements]
+        return witness
 
-
-def _check_l7(rule: Rule, rng: random.Random):
-    i, j, order, profile = _same_order_pair_instance(rng)
-    alloc = rule.allocate(profile)
-    mid = order.ranking[1]
-    if alloc.rows[i][mid] + alloc.rows[j][mid] == 0:
-        return _REJECTED
-    parts = list(profile)
-    parts[i] = _random_member(order, rng)
-    parts[j] = _random_member(order, rng)
-    swapped = rule.allocate(tuple(parts))
-    if swapped != alloc or not (
-        _own_segments(alloc.row(i), order) and _own_segments(alloc.row(j), order)
-    ):
-        return {
-            "profile": profile_json(profile),
-            "pair": [i, j],
-            "replacements": [utility_json(parts[i]), utility_json(parts[j])],
-            "allocation": allocation_json(alloc),
-            "replaced_allocation": allocation_json(swapped),
-        }
-    return None
+    return check
 
 
 def _check_l8(rule: Rule, rng: random.Random):
@@ -376,25 +315,6 @@ def _check_l8(rule: Rule, rng: random.Random):
     return None
 
 
-def _check_l9(rule: Rule, rng: random.Random):
-    profile = _random_profile(rng)
-    agent = rng.randrange(3)
-    alloc = rule.allocate(profile)
-    if len(support(alloc.row(agent))) > 2:
-        return _REJECTED
-    replacement = _random_member(ordinal_of(profile[agent]), rng)
-    swapped = rule.allocate(profile[:agent] + (replacement,) + profile[agent + 1 :])
-    if swapped != alloc:
-        return {
-            "profile": profile_json(profile),
-            "agent": agent,
-            "replacement": utility_json(replacement),
-            "allocation": allocation_json(alloc),
-            "replaced_allocation": allocation_json(swapped),
-        }
-    return None
-
-
 def _l10_member(rng: random.Random) -> VUtility:
     order = _random_order(rng)
     base = random_utility_consistent(order, rng)
@@ -404,8 +324,10 @@ def _l10_member(rng: random.Random) -> VUtility:
     return rdu_utility(order, base, weight_exponent=kind + 1)
 
 
-def _check_l10(rule: Rule | None, rng: random.Random):
-    member = _l10_member(rng)
+def _separation_check(member: VUtility, rng: random.Random):
+    """Draw lotteries p1, p2 with p2 not weakly stochastically dominating p1
+    for the member's order (otherwise rejected), and require the separating
+    utility to share that order and rank p1 strictly above p2."""
     p1 = random_lottery(3, rng)
     p2 = random_lottery(3, rng)
     if sd_compare(p2, p1, member.ordinal) in (SdVerdict.DOMINATES, SdVerdict.EQUAL):
@@ -413,38 +335,35 @@ def _check_l10(rule: Rule | None, rng: random.Random):
     try:
         separating = separating_utility(member, p1, p2)
     except ValueError as exc:
-        return {
-            "member": member.name,
-            "p1": [str(p) for p in p1.probs],
-            "p2": [str(p) for p in p2.probs],
-            "error": str(exc),
-        }
-    if ordinal_of(separating) != member.ordinal or expected_utility(
-        separating, p1
-    ) <= expected_utility(separating, p2):
-        return {
-            "member": member.name,
-            "p1": [str(p) for p in p1.probs],
-            "p2": [str(p) for p in p2.probs],
-            "separating": utility_json(separating),
-        }
-    return None
+        failure = {"error": str(exc)}
+    else:
+        if ordinal_of(separating) == member.ordinal and expected_utility(
+            separating, p1
+        ) > expected_utility(separating, p2):
+            return None
+        failure = {"separating": utility_json(separating)}
+    return {
+        "member": member.name,
+        "p1": [str(p) for p in p1.probs],
+        "p2": [str(p) for p in p2.probs],
+        **failure,
+    }
 
 
 _LEMMA_CHECKERS = {
-    "L1_effectively_same": _check_l1,
-    "L2_middle_bump": _check_l2,
-    "L3_identical_pair": _check_l3,
-    "L4_top_or_bottom": _check_l4,
-    "L5_positive_b": _check_l5,
-    "L6_one_agent_invariance": _check_l6,
-    "L7_same_order_pair": _check_l7,
+    "L1_effectively_same": _one_agent_check(None, _affine_twin, whole=True),
+    "L2_middle_bump": _one_agent_check(
+        _own_segments, _higher_middle, whole=False, key="raised_mu_report"
+    ),
+    "L3_identical_pair": _same_order_pair_check(_affine_twin, replaced=0),
+    "L4_top_or_bottom": _one_agent_check(_top_or_bottom, _fresh_member, whole=False),
+    "L5_positive_b": _same_order_pair_check(_fresh_member, replaced=0),
+    "L6_one_agent_invariance": _same_order_pair_check(_fresh_member, replaced=1),
+    "L7_same_order_pair": _same_order_pair_check(_fresh_member, replaced=2),
     "L8_interior_ordinality": _check_l8,
-    "L9_support_two": _check_l9,
-    "L10_separating": _check_l10,
+    "L9_support_two": _one_agent_check(_support_two, _fresh_member, whole=True),
+    "L10_separating": lambda rule, rng: _separation_check(_l10_member(rng), rng),
 }
-
-AXIOM_NAMES = ("efficiency", "strategy_proofness", "non_bossiness", "continuity")
 
 
 @dataclass
@@ -453,15 +372,8 @@ class StressReport:
     verdicts: dict[str, dict[str, dict]]
     metamorphic_violations: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "rules_tested": self.rules_tested,
-            "verdicts": self.verdicts,
-            "metamorphic_violations": self.metamorphic_violations,
-        }
-
     def to_json(self) -> str:
-        return report_json(self.to_dict())
+        return report_json(asdict(self))
 
     def to_csv(self) -> str:
         buffer = io.StringIO()
@@ -491,7 +403,7 @@ def theorem_stress(rule_family: list[Rule], config: CheckConfig) -> StressReport
         report.verdicts[rule.name] = {
             name: verdict.to_dict() for name, verdict in verdicts.items()
         }
-        axioms_pass = all(verdicts[name].passed for name in AXIOM_NAMES)
+        axioms_pass = all(verdicts[name].passed for name in _ALL_FOUR)
         if axioms_pass and not verdicts["ordinality"].passed:
             report.metamorphic_violations.append(rule.name)
     return report
@@ -524,6 +436,8 @@ def theorem2_check(
 
     Raises NotOrdinalOnU when the rule is not ordinal on Bernoulli profiles.
     """
+    if not v_profiles:
+        raise ValueError("theorem2 needs at least one V-profile")
     ordinal_verdict = check_ordinality(rule, config)
     if not ordinal_verdict.passed:
         raise NotOrdinalOnU(
@@ -539,57 +453,30 @@ def theorem2_check(
     if not validation.all_passed:
         raise ValueError(f"v_profiles fail the domain conditions: {validation.to_dict()}")
 
-    checked_cells = 0
-    lemma_trials = 0
+    coverage = f"v_profiles={len(v_profiles)}"
+    separating_trials = 0
     for profile in v_profiles:
         orders = tuple(member.ordinal for member in profile)
-        canonical = tuple(utility_from(order, Fraction(1, 2)) for order in orders)
-        reference = rule.allocate(canonical)
-        checked_cells += 1
+        twins = [tuple(utility_from(order, Fraction(1, 2)) for order in orders)]
         for _ in range(max(2, config.samples_per_cell)):
-            twin = tuple(
-                utility_from(order, random_rational(rng)) for order in orders
-            )
-            alloc = rule.allocate(twin)
-            if alloc != reference:
-                return Verdict(
-                    status="Fail",
-                    witness={
-                        "cell": [str(order) for order in orders],
-                        "profile_a": profile_json(canonical),
-                        "profile_b": profile_json(twin),
-                        "allocation_a": allocation_json(reference),
-                        "allocation_b": allocation_json(alloc),
-                    },
-                    coverage=f"v_profiles={len(v_profiles)}",
-                )
+            twins.append(tuple(utility_from(order, random_rational(rng)) for order in orders))
+        witness = cell_twin_witness(rule, orders, twins)
+        if witness is not None:
+            return Verdict(status="Fail", witness=witness, coverage=coverage)
         for member in profile:
             for _ in range(4):
-                p1 = random_lottery(3, rng)
-                p2 = random_lottery(3, rng)
-                if sd_compare(p2, p1, member.ordinal) in (
-                    SdVerdict.DOMINATES,
-                    SdVerdict.EQUAL,
-                ):
+                outcome = _separation_check(member, rng)
+                if outcome is _REJECTED:
                     continue
-                lemma_trials += 1
-                separating = separating_utility(member, p1, p2)
-                if ordinal_of(separating) != member.ordinal:
-                    return Verdict(
-                        status="Fail",
-                        witness={
-                            "member": member.name,
-                            "p1": [str(p) for p in p1.probs],
-                            "p2": [str(p) for p in p2.probs],
-                        },
-                        coverage=f"v_profiles={len(v_profiles)}",
-                    )
+                separating_trials += 1
+                if outcome is not None:
+                    return Verdict(status="Fail", witness=outcome, coverage=coverage)
     return Verdict(
         status="Pass",
         witness=None,
         coverage=(
-            f"v_profiles={len(v_profiles)}; cells={checked_cells}; "
-            f"separating_trials={lemma_trials}; seed={config.seed}"
+            f"{coverage}; cells={len(v_profiles)}; "
+            f"separating_trials={separating_trials}; seed={config.seed}"
         ),
     )
 

@@ -1,5 +1,7 @@
 """CLI surface: exit codes, report files, profile parsing."""
 
+import csv
+import io
 import json
 import re
 import tempfile
@@ -150,6 +152,46 @@ def test_malformed_blend_weight_is_usage_error(spec, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lemma", "--lemma", "L1", "--rule", "rsd", "--trials", "-3", "--seed", "1"],
+         "trials must be at least 1"),
+        (["lemma", "--lemma", "L1", "--rule", "rsd", "--trials", "0", "--seed", "1"],
+         "trials must be at least 1"),
+        (["theorem2", "--rule", "rsd", "--count", "0", "--seed", "1"],
+         "at least one V-profile"),
+        (["check", "--rule", "rsd", "--axiom", "ordinality", "--seed", "1", "--samples", "-4"],
+         "samples per cell must be 0 or more"),
+    ],
+)
+def test_out_of_range_count_is_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_zero_random_samples_per_cell_is_accepted(capsys):
+    argv = ["check", "--rule", "rsd", "--axiom", "ordinality", "--seed", "1", "--grid", "1/2",
+            "--samples", "0"]
+    assert main(argv) == 0
+    assert "per_cell=1+0 random" in json.loads(capsys.readouterr().out)["grid_description"]
+
+
+def test_not_ordinal_report_honours_csv(tmp_path):
+    out = tmp_path / "sd.csv"
+    code = main(
+        ["check", "--rule", "utilitarian", "--axiom", "sd-strategy-proofness",
+         "--seed", "2", "--grid", "1/2", "--format", "csv", "--out", str(out)]
+    )
+    assert code == 1
+    assert list(csv.reader(io.StringIO(out.read_text()))) == [
+        ["axiom", "rule", "status"],
+        ["sd-strategy-proofness", "utilitarian", "NotOrdinal"],
+    ]
 
 
 @pytest.mark.parametrize("n", ["2", "8"])
