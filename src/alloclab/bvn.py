@@ -62,15 +62,6 @@ class Decomposition:
             ]
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Decomposition":
-        return cls(
-            tuple(
-                (Fraction(t["weight"]), PermutationMatrix(tuple(t["perm"])))
-                for t in data["terms"]
-            )
-        )
-
 
 def _find_matching(rows: list[list[Fraction]]) -> tuple[ObjectId, ...]:
     """Perfect matching on the positivity pattern, trying agents and objects

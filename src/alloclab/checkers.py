@@ -8,6 +8,17 @@ declared grid, never a proof; a Fail carries an exact witness that
 re-verifies from the value types alone. Scans run in canonical cell order
 and stop at the first failure, so verdicts are reproducible; a Fail's
 coverage says how far its scan got.
+
+The strategy-proofness and non-bossiness scans walk deviation blocks: one
+agent, fixed reports of the other two, and every grid cell for the agent.
+For a rule that reads only rankings (`Rule.reads_only_rankings`), all
+blocks with the same agent and the same orders of the others hold the same
+allocations, so they share one verdict. Such a rule is scanned one block
+per class, the class's first block in canonical order (both others at the
+first grid rate). The full sweep's first failing block is the first block
+of the first failing class, so a Fail's witness and its `scanned_blocks=k`
+(k is the canonical block index) are the full sweep's, and a Pass reports
+the same coverage.
 """
 
 from __future__ import annotations
@@ -138,11 +149,20 @@ def _stopped(coverage: str, scanned: int, total: int, unit: str) -> str:
     return f"{coverage}; scanned_{unit}={scanned} of {total}"
 
 
-def _deviation_blocks(cells: Sequence[BernoulliUtility]) -> Iterator[tuple[int, tuple]]:
-    """(agent, fixed reports of the others), in canonical order."""
+def _deviation_blocks(
+    rule: Rule, cells: Sequence[BernoulliUtility], rates: int
+) -> Iterator[tuple[int, int, tuple]]:
+    """(canonical block index from 1, agent, fixed reports of the others), in
+    canonical order. For a rule that reads only rankings, every block of one
+    class (agent, orders of the others) has the same allocations, so only
+    the class's first block is yielded: the one with both others at the
+    first grid rate."""
+    count = len(cells)
+    step = rates if rule.reads_only_rankings else 1
     for agent in range(3):
-        for others in itertools.product(cells, repeat=2):
-            yield agent, others
+        for i in range(0, count, step):
+            for j in range(0, count, step):
+                yield (agent * count + i) * count + j + 1, agent, (cells[i], cells[j])
 
 
 def check_efficiency(rule: Rule, profiles: Sequence[UtilityProfile]) -> Verdict:
@@ -182,7 +202,7 @@ def check_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
         config, len(cells), f"deviations_per_agent={len(cells)}"
     )
     blocks = 3 * len(cells) ** 2
-    for scanned, (agent, others) in enumerate(_deviation_blocks(cells), start=1):
+    for scanned, agent, others in _deviation_blocks(rule, cells, len(config.mu_grid)):
         allocations = [
             rule.allocate(_profile_with(others, agent, cell)) for cell in cells
         ]
@@ -239,7 +259,7 @@ def check_non_bossiness(rule: Rule, config: CheckConfig) -> Verdict:
         config, len(cells), f"deviations_per_agent={len(cells)}"
     )
     blocks = 3 * len(cells) ** 2
-    for scanned, (agent, others) in enumerate(_deviation_blocks(cells), start=1):
+    for scanned, agent, others in _deviation_blocks(rule, cells, len(config.mu_grid)):
         allocations = [
             rule.allocate(_profile_with(others, agent, cell)) for cell in cells
         ]

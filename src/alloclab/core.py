@@ -44,10 +44,6 @@ class DimensionMismatch(ValueError):
     """Operands disagree on the number of objects or agents."""
 
 
-class SameObject(ValueError):
-    """A segment query needs two distinct objects."""
-
-
 class TiesPresent(ValueError):
     """A Bernoulli utility assigns the same value to two objects."""
 
@@ -106,9 +102,6 @@ class Lottery:
     def to_dict(self) -> dict:
         return {"probs": [str(p) for p in self.probs]}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Lottery":
-        return make_lottery(data["probs"])
 
 
 def make_lottery(probs: Iterable[int | Fraction | str]) -> Lottery:
@@ -119,16 +112,6 @@ def make_lottery(probs: Iterable[int | Fraction | str]) -> Lottery:
 def degenerate_lottery(obj: ObjectId, m: int) -> Lottery:
     """The lottery placing probability one on a single object."""
     return Lottery(tuple(ONE if a == obj else ZERO for a in range(m)))
-
-
-def mix_lotteries(first: Lottery, second: Lottery, weight: Fraction) -> Lottery:
-    """Convex combination weight*first + (1-weight)*second."""
-    if first.m != second.m:
-        raise DimensionMismatch("lotteries differ in length")
-    if not ZERO <= weight <= ONE:
-        raise ValueError("mixing weight must lie in [0, 1]")
-    co = ONE - weight
-    return Lottery(tuple(weight * p + co * q for p, q in zip(first.probs, second.probs)))
 
 
 @dataclass(frozen=True)
@@ -196,15 +179,18 @@ def allocation_distance(first: Allocation, second: Allocation) -> Fraction:
 
 
 class BernoulliUtility:
-    """Per-object utility values with no ties over degenerate lotteries."""
+    """Per-object utility values with no ties over degenerate lotteries.
+    `_ordinal` holds the ranking once `ordinal.ordinal_of` has computed it,
+    so the ranking lives and dies with the utility."""
 
-    __slots__ = ("values", "_hash")
+    __slots__ = ("values", "_hash", "_ordinal")
 
     def __init__(self, values: tuple[Fraction, ...]):
         if len(set(values)) != len(values):
             raise TiesPresent(f"tied utility values in {values}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_hash", hash(values))
+        object.__setattr__(self, "_ordinal", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BernoulliUtility is immutable")
@@ -263,24 +249,3 @@ def expected_utility(utility: BernoulliUtility, lottery: Lottery) -> Fraction:
 def support(lottery: Lottery) -> set[ObjectId]:
     """Objects received with strictly positive probability."""
     return {a for a, p in enumerate(lottery.probs) if p > 0}
-
-
-def in_segment(lottery: Lottery, x: ObjectId, y: ObjectId, kind: str = "closed") -> bool:
-    """Membership in the segment of lotteries supported on {x, y}.
-
-    closed:      prob(x) + prob(y) = 1
-    half_open_x: additionally prob(x) > 0
-    open:        additionally prob(x) > 0 and prob(y) > 0
-    """
-    if x == y:
-        raise SameObject("segment endpoints must differ")
-    if kind not in ("closed", "half_open_x", "open"):
-        raise ValueError(f"unknown segment kind: {kind!r}")
-    px, py = lottery.probs[x], lottery.probs[y]
-    if px + py != ONE:
-        return False
-    if kind == "half_open_x":
-        return px > 0
-    if kind == "open":
-        return px > 0 and py > 0
-    return True

@@ -81,11 +81,15 @@ def all_orders(m: int = 3) -> tuple[OrdinalPreference, ...]:
     return tuple(OrdinalPreference(p) for p in itertools.permutations(range(m)))
 
 
-@lru_cache(maxsize=None)
 def ordinal_of(utility: BernoulliUtility) -> OrdinalPreference:
-    """The strict ranking induced by a no-ties utility."""
-    ranked = sorted(range(utility.m), key=lambda a: utility.values[a], reverse=True)
-    return OrdinalPreference(tuple(ranked))
+    """The strict ranking induced by a no-ties utility, computed once per
+    utility object and kept on it."""
+    order = utility._ordinal
+    if order is None:
+        ranked = sorted(range(utility.m), key=lambda a: utility.values[a], reverse=True)
+        order = OrdinalPreference(tuple(ranked))
+        object.__setattr__(utility, "_ordinal", order)
+    return order
 
 
 def middle_rate(utility: BernoulliUtility) -> Fraction:
@@ -97,13 +101,6 @@ def middle_rate(utility: BernoulliUtility) -> Fraction:
     return (utility.values[mid] - utility.values[worst]) / (
         utility.values[best] - utility.values[worst]
     )
-
-
-def effectively_same(u: BernoulliUtility, v: BernoulliUtility) -> bool:
-    """Same ordinal and same rate of middle substitution."""
-    if u.m != 3 or v.m != 3:
-        raise WrongDimension("effective sameness is defined for three objects")
-    return ordinal_of(u) == ordinal_of(v) and middle_rate(u) == middle_rate(v)
 
 
 class NormalizedUtility(BernoulliUtility):
@@ -131,7 +128,9 @@ def canonicalize(utility: BernoulliUtility) -> NormalizedUtility:
     return NormalizedUtility(tuple(v / scale for v in shifted))
 
 
-@lru_cache(maxsize=None)
+# Bounded: grid scans reuse a few dozen (order, rate) pairs, while lemma
+# sampling draws fresh rates on every trial.
+@lru_cache(maxsize=1024)
 def utility_from(order: OrdinalPreference, mu: Fraction) -> NormalizedUtility:
     """Canonical utility with the given order and middle rate (best 1, middle
     mu, worst 0, then normalized). Three objects only."""

@@ -8,8 +8,10 @@ profile the rule reads) and a computation from that key. Each `Rule` keeps
 one memo from key to allocation: rsd, ps and dictatorship key on the ranking
 profile, utilitarian on the canonical profile, uniform on n, and a blend on
 the pair of its parts' keys. So the grid checkers can sweep tens of
-thousands of profiles while each rule computes once per distinct key. The
-utilitarian rule solves an exact assignment problem (`lp.best_assignment`).
+thousands of profiles while each rule computes once per distinct key, and
+they scan a rule whose key reads only rankings (`Rule.reads_only_rankings`)
+one deviation block per class of ranking profiles. The utilitarian rule
+solves an exact assignment problem (`lp.best_assignment`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Hashable, Iterable
 
 from .core import (
@@ -59,6 +61,14 @@ class Rule:
     def allocate(self, profile: UtilityProfile) -> Allocation:
         return self.from_key(self.key(profile))
 
+    @property
+    def reads_only_rankings(self) -> bool:
+        """Whether the key reads nothing beyond the ranking profile, so that
+        profiles with the same rankings get the same allocation. Derived
+        from the key function itself: the ordinal and size keys qualify, a
+        blend's key iff both parts' keys do, and any other key does not."""
+        return _reads_only_rankings(self.key)
+
 
 Rankings = tuple[tuple[int, ...], ...]
 
@@ -79,6 +89,20 @@ def _canonical_key(profile: UtilityProfile) -> UtilityProfile:
 def _size_key(profile: UtilityProfile) -> int:
     validate_profile(profile)
     return len(profile)
+
+
+def _pair_key(
+    first: Callable[[UtilityProfile], Hashable],
+    second: Callable[[UtilityProfile], Hashable],
+    profile: UtilityProfile,
+) -> tuple[Hashable, Hashable]:
+    return first(profile), second(profile)
+
+
+def _reads_only_rankings(key: Callable[[UtilityProfile], Hashable]) -> bool:
+    if isinstance(key, partial) and key.func is _pair_key:
+        return all(map(_reads_only_rankings, key.args))
+    return key is _ordinal_key or key is _size_key
 
 
 def _dictatorship_picks(
@@ -151,12 +175,6 @@ DICTATORSHIP = Rule("dictatorship", _ordinal_key, _dictatorship)
 UTILITARIAN = Rule("utilitarian", _canonical_key, _utilitarian)
 UNIFORM = Rule("uniform", _size_key, uniform_allocation)
 
-rsd_allocate = RSD.allocate
-ps_allocate = PS.allocate
-dictatorship_allocate = DICTATORSHIP.allocate
-utilitarian_allocate = UTILITARIAN.allocate
-uniform_allocate = UNIFORM.allocate
-
 BASE_RULES = {
     rule.name: rule for rule in (RSD, PS, DICTATORSHIP, UTILITARIAN, UNIFORM)
 }
@@ -170,7 +188,7 @@ def blend_rule(first: Rule, second: Rule, alpha: Fraction) -> Rule:
         raise AlphaOutOfRange(f"blend weight {alpha} outside [0, 1]")
     return Rule(
         name=f"blend:{first.name}:{second.name}:{alpha}",
-        key=lambda profile: (first.key(profile), second.key(profile)),
+        key=partial(_pair_key, first.key, second.key),
         compute=lambda keys: mix_allocations(
             first.from_key(keys[0]), second.from_key(keys[1]), alpha
         ),

@@ -81,4 +81,12 @@ def test_round_trip_n4():
 
 def test_serialization_roundtrip():
     d = decompose(uniform_allocation(3))
-    assert Decomposition.from_dict(d.to_dict()) == d
+    terms = d.to_dict()["terms"]
+    parsed = Decomposition(
+        tuple(
+            (Fraction(t["weight"]), PermutationMatrix(tuple(t["perm"])))
+            for t in terms
+        )
+    )
+    assert parsed == d
+    assert recompose(parsed) == uniform_allocation(3)

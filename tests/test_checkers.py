@@ -7,6 +7,7 @@ import pytest
 
 from alloclab import (
     CheckConfig,
+    DICTATORSHIP,
     EndpointsInDifferentCones,
     NotOrdinal,
     PS,
@@ -14,6 +15,7 @@ from alloclab import (
     Rule,
     UNIFORM,
     UTILITARIAN,
+    blend_rule,
     check_efficiency,
     check_ncc_continuity,
     check_non_bossiness,
@@ -24,9 +26,11 @@ from alloclab import (
     make_allocation,
     make_profile,
     make_utility,
+    rule_by_name,
     utility_from,
 )
 from alloclab.checkers import (
+    _deviation_blocks,
     check_continuity_battery,
     default_continuity_paths,
     default_efficiency_profiles,
@@ -56,6 +60,22 @@ def _bossy_allocate(profile):
 
 
 BOSSY = Rule("bossy-test", lambda profile: profile, _bossy_allocate)
+
+
+def _rankings_bossy_allocate(rankings):
+    """Agent 2 always gets their top object. When agent 1 ranks c first, the
+    order in which agent 2 ranks the other two objects decides how agents 0
+    and 1 split them."""
+    top, second, third = rankings[2]
+    low, high = sorted((second, third))
+    if rankings[1][0] == 2 and second > third:
+        low, high = high, low
+    rows = [[F(0)] * 3 for _ in range(3)]
+    rows[2][top] = rows[0][low] = rows[1][high] = F(1)
+    return make_allocation(rows)
+
+
+RANKINGS_BOSSY = Rule("rankings-bossy-test", RSD.key, _rankings_bossy_allocate)
 
 
 class TestEfficiency:
@@ -146,13 +166,75 @@ class TestNonBossiness:
         assert base != moved
 
 
+RANKING_RULES = [
+    RSD,
+    PS,
+    DICTATORSHIP,
+    UNIFORM,
+    rule_by_name("blend:rsd:ps:1/3"),
+    rule_by_name("blend:ps:dictatorship:1/2"),
+    rule_by_name("blend:rsd:dictatorship:1/3"),
+    rule_by_name("blend:uniform:ps:3/4"),
+    RANKINGS_BOSSY,
+]
+REDUCED_GRIDS = [
+    (F(1, 2),),
+    (F(1, 4), F(3, 4)),
+    (F(1, 3), F(1, 2), F(2, 3)),
+    (F(1, 10), F(9, 10)),  # ps and its blends fail strategy-proofness here
+]
+
+
+class TestRankingQuotient:
+    """Rules that read only rankings are scanned one deviation block per
+    (agent, others' orders) class; the reports must be the full sweep's."""
+
+    @pytest.mark.parametrize("rule", RANKING_RULES, ids=lambda rule: rule.name)
+    def test_reports_match_the_full_sweep(self, rule):
+        twin = Rule(rule.name, lambda profile: rule.key(profile), rule.compute)
+        assert rule.reads_only_rankings and not twin.reads_only_rankings
+        for grid in REDUCED_GRIDS:
+            config = CheckConfig(mu_grid=grid)
+            for check in (check_strategy_proofness, check_non_bossiness):
+                assert check(rule, config).to_dict() == check(twin, config).to_dict()
+
+    def test_both_fail_paths_are_compared(self):
+        config = CheckConfig(mu_grid=REDUCED_GRIDS[3])
+        sp = check_strategy_proofness(rule_by_name("blend:ps:dictatorship:1/2"), config)
+        assert sp.coverage.endswith("scanned_blocks=147 of 432")
+        bossy = check_non_bossiness(RANKINGS_BOSSY, config)
+        # agent 2, agent 0 at the first cell, agent 1 at the first c-first cell
+        assert bossy.coverage.endswith(f"scanned_blocks={2 * 144 + 4 * 2 + 1} of 432")
+        assert bossy.witness["agent"] == 2
+
+    def test_rsd_scans_one_block_per_class_on_the_default_grid(self):
+        calls = []
+
+        class Counted(Rule):
+            def allocate(self, profile):
+                calls.append(1)
+                return super().allocate(profile)
+
+        counted = Counted("rsd-counted", RSD.key, RSD.compute)
+        assert check_strategy_proofness(counted, CheckConfig()).passed
+        assert len(calls) <= 3 * 36 * 42
+
+    def test_cardinal_keys_sweep_every_block(self):
+        config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
+        cells = grid_cells(config)
+        cardinal = [UTILITARIAN, rule_by_name("blend:rsd:utilitarian:1/2"), BOSSY]
+        for rule in cardinal:
+            assert not rule.reads_only_rankings
+            assert len(list(_deviation_blocks(rule, cells, 2))) == 3 * 12**2
+        for rule in RANKING_RULES:
+            assert len(list(_deviation_blocks(rule, cells, 2))) == 3 * 6**2
+
+
 class TestOrdinality:
     def test_rsd_passes(self):
         assert check_ordinality(RSD, SMALL).passed
 
     def test_blend_of_ordinal_rules_passes(self):
-        from alloclab import blend_rule
-
         assert check_ordinality(blend_rule(RSD, PS, F(1, 2)), SMALL).passed
 
     def test_utilitarian_fails_within_cell(self):

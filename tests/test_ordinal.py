@@ -17,7 +17,6 @@ from alloclab import (
     WrongDimension,
     all_orders,
     canonicalize,
-    effectively_same,
     expected_utility,
     make_lottery,
     make_utility,
@@ -56,6 +55,11 @@ class TestOrdinalOf:
         assert order.to_string() == "c>a>b"
         assert OrdinalPreference.from_string("c>a>b") == order
 
+    def test_kept_on_the_utility(self):
+        u = make_utility(["0", "1", "1/2"])
+        assert ordinal_of(u) is ordinal_of(u)
+        assert not hasattr(ordinal_of, "cache_info")  # no global memo to grow
+
     @given(utilities())
     def test_partition_into_cones(self, u):
         matches = [order for order in all_orders(3) if ordinal_of(u) == order]
@@ -93,24 +97,6 @@ class TestMiddleRate:
         assert ordinal_of(moved) == ordinal_of(u)
 
 
-class TestEffectivelySame:
-    def test_examples(self):
-        assert effectively_same(make_utility(["1", "2/5", "0"]), make_utility([10, 4, 0]))
-        assert not effectively_same(
-            make_utility(["1", "2/5", "0"]), make_utility(["1", "1/2", "0"])
-        )
-        assert not effectively_same(
-            make_utility(["1", "2/5", "0"]), make_utility(["0", "2/5", "1"])
-        )
-
-    @given(utilities(), utilities(), utilities())
-    def test_equivalence_relation(self, u, v, w):
-        assert effectively_same(u, u)
-        assert effectively_same(u, v) == effectively_same(v, u)
-        if effectively_same(u, v) and effectively_same(v, w):
-            assert effectively_same(u, w)
-
-
 class TestCanonicalize:
     def test_example(self):
         assert canonicalize(make_utility([10, 4, 0])).values == (
@@ -135,7 +121,8 @@ class TestCanonicalize:
     @given(utilities())
     def test_lands_in_same_class(self, u):
         canonical = canonicalize(u)
-        assert effectively_same(u, canonical)
+        assert ordinal_of(canonical) == ordinal_of(u)
+        assert middle_rate(canonical) == middle_rate(u)
         assert min(canonical.values) == 0
         assert sum(canonical.values) == 1
         assert canonicalize(canonical).values == canonical.values
@@ -168,6 +155,12 @@ class TestUtilityFrom:
             assert ordinal_of(u) == order
             assert middle_rate(u) == mu
             assert canonicalize(u).values == u.values
+
+    def test_memo_is_bounded(self):
+        # Lemma sampling draws fresh rates on every trial.
+        for k in range(1, 2001):
+            utility_from(ABC, Fraction(k, 2001))
+        assert utility_from.cache_info().currsize <= 1024
 
 
 class TestSdCompare:

@@ -20,15 +20,12 @@ from alloclab import (
     make_profile,
     make_utility,
     mix_allocations,
-    ps_allocate,
-    rsd_allocate,
     rule_by_name,
     uniform_allocation,
-    utilitarian_allocate,
     utility_from,
 )
 from alloclab.ordinal import ordinal_of, random_utility_consistent, sd_compare
-from alloclab.rules import BASE_RULES, dictatorship_allocate
+from alloclab.rules import BASE_RULES
 
 from conftest import best_assignments, perm_matrix_rows, rsd_oracle
 
@@ -42,11 +39,11 @@ DISJOINT_TOPS = [[3, 2, 1], [2, 3, 1], [2, 1, 3]]  # a>b>c, b>a>c, c>a>b
 class TestRsd:
     def test_identical_orders_gives_uniform(self):
         profile = make_profile([[3, 2, 1]] * 3)
-        assert rsd_allocate(profile) == uniform_allocation(3)
+        assert RSD.allocate(profile) == uniform_allocation(3)
 
     def test_disjoint_tops(self):
         profile = make_profile(DISJOINT_TOPS)
-        assert rsd_allocate(profile) == make_allocation(
+        assert RSD.allocate(profile) == make_allocation(
             [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         )
 
@@ -59,7 +56,7 @@ class TestRsd:
                 ["0", "5/6", "1/6"],
             ]
         )
-        assert rsd_allocate(profile) == expected
+        assert RSD.allocate(profile) == expected
         assert rsd_oracle(profile) == expected.rows
 
     def test_matches_oracle_on_random_profiles(self):
@@ -69,17 +66,17 @@ class TestRsd:
             profile = tuple(
                 random_utility_consistent(rng.choice(orders), rng) for _ in range(3)
             )
-            assert rsd_allocate(profile).rows == rsd_oracle(profile)
+            assert RSD.allocate(profile).rows == rsd_oracle(profile)
 
 
 class TestPs:
     def test_identical_orders_gives_uniform(self):
         profile = make_profile([[3, 2, 1]] * 3)
-        assert ps_allocate(profile) == uniform_allocation(3)
+        assert PS.allocate(profile) == uniform_allocation(3)
 
     def test_disjoint_tops(self):
         profile = make_profile(DISJOINT_TOPS)
-        assert ps_allocate(profile) == make_allocation(
+        assert PS.allocate(profile) == make_allocation(
             [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         )
 
@@ -87,7 +84,7 @@ class TestPs:
         # Eating schedule: a shared by agents 1,2 until 1/2; b shared by 1,3
         # from 1/2 to 3/4; c eaten by 2 alone then by everyone until 1.
         profile = make_profile(SAME_TOPS)
-        assert ps_allocate(profile) == make_allocation(
+        assert PS.allocate(profile) == make_allocation(
             [
                 ["1/2", "1/4", "1/4"],
                 ["1/2", "0", "1/2"],
@@ -103,8 +100,8 @@ class TestPs:
         mid = F(1, 2)
         for orders in itertools.product(all_orders(3), repeat=3):
             profile = tuple(utility_from(o, mid) for o in orders)
-            ps_alloc = ps_allocate(profile)
-            rsd_alloc = rsd_allocate(profile)
+            ps_alloc = PS.allocate(profile)
+            rsd_alloc = RSD.allocate(profile)
             for i in range(3):
                 verdict = sd_compare(ps_alloc.row(i), rsd_alloc.row(i), orders[i])
                 counts[verdict.value] += 1
@@ -121,19 +118,19 @@ class TestDictatorship:
         profile = make_profile(SAME_TOPS)
         # Agent 0 takes a, agent 1 then takes c (a gone, prefers a>c>b),
         # agent 2 takes b.
-        assert dictatorship_allocate(profile) == make_allocation(
+        assert DICTATORSHIP.allocate(profile) == make_allocation(
             [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
         )
 
 
 class TestUtilitarian:
     def test_highest_middle_rate_gets_middle_object(self, abc_profile):
-        alloc = utilitarian_allocate(abc_profile)
+        alloc = UTILITARIAN.allocate(abc_profile)
         assert alloc.rows[2][1] == 1  # agent 3 receives b outright
 
     def test_disjoint_tops(self):
         profile = make_profile(DISJOINT_TOPS)
-        assert utilitarian_allocate(profile) == make_allocation(
+        assert UTILITARIAN.allocate(profile) == make_allocation(
             [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         )
 
@@ -141,20 +138,20 @@ class TestUtilitarian:
         reversed_profile = make_profile(
             [["1", "9/10", "0"], ["1", "1/2", "0"], ["1", "1/10", "0"]]
         )
-        alloc = utilitarian_allocate(reversed_profile)
+        alloc = UTILITARIAN.allocate(reversed_profile)
         assert alloc.rows[0][1] == 1  # now agent 1 receives b
 
     def test_scale_invariance_via_canonicalization(self, abc_profile):
         scaled = tuple(
             make_utility([F(7) * v + F(3) for v in u.values]) for u in abc_profile
         )
-        assert utilitarian_allocate(scaled) == utilitarian_allocate(abc_profile)
+        assert UTILITARIAN.allocate(scaled) == UTILITARIAN.allocate(abc_profile)
 
     def test_fully_tied_profile_gives_anti_diagonal(self):
         # Every permutation is optimal; the row-major lexicographically
         # smallest permutation matrix is the anti-diagonal.
         profile = make_profile([["1", "1/2", "0"]] * 3)
-        assert utilitarian_allocate(profile) == make_allocation(
+        assert UTILITARIAN.allocate(profile) == make_allocation(
             [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
         )
 
@@ -169,7 +166,7 @@ class TestUtilitarian:
             )
             canonical = tuple(canonicalize(u) for u in profile)
             best = best_assignments(canonical)
-            assert utilitarian_allocate(profile).rows == min(
+            assert UTILITARIAN.allocate(profile).rows == min(
                 perm_matrix_rows(p) for p in best
             )
 
@@ -184,23 +181,23 @@ class TestOrdinalInvariance:
                 random_utility_consistent(o, rng) for o in profile_orders
             )
             twin = tuple(random_utility_consistent(o, rng) for o in profile_orders)
-            assert rsd_allocate(profile) == rsd_allocate(twin)
-            assert ps_allocate(profile) == ps_allocate(twin)
+            assert RSD.allocate(profile) == RSD.allocate(twin)
+            assert PS.allocate(profile) == PS.allocate(twin)
 
 
 class TestBlend:
     def test_extremes(self, abc_profile):
         assert blend_rule(RSD, UTILITARIAN, F(1)).allocate(
             abc_profile
-        ) == rsd_allocate(abc_profile)
+        ) == RSD.allocate(abc_profile)
         assert blend_rule(RSD, UTILITARIAN, F(0)).allocate(
             abc_profile
-        ) == utilitarian_allocate(abc_profile)
+        ) == UTILITARIAN.allocate(abc_profile)
 
     def test_half_blend_is_entrywise_average(self, abc_profile):
         half = blend_rule(RSD, UTILITARIAN, F(1, 2)).allocate(abc_profile)
-        left = rsd_allocate(abc_profile)
-        right = utilitarian_allocate(abc_profile)
+        left = RSD.allocate(abc_profile)
+        right = UTILITARIAN.allocate(abc_profile)
         for i in range(3):
             for a in range(3):
                 assert half.rows[i][a] == (left.rows[i][a] + right.rows[i][a]) / 2
@@ -277,7 +274,7 @@ class TestStructuralMemo:
 def test_rule_outputs_are_valid_allocations():
     rng = random.Random(8)
     orders = all_orders(3)
-    rules = [rsd_allocate, ps_allocate, utilitarian_allocate, dictatorship_allocate]
+    rules = [RSD.allocate, PS.allocate, UTILITARIAN.allocate, DICTATORSHIP.allocate]
     for _ in range(25):
         profile = tuple(
             random_utility_consistent(rng.choice(orders), rng) for _ in range(3)
@@ -291,6 +288,6 @@ def test_rules_generalize_to_four_agents():
     rng = random.Random(21)
     orders = all_orders(4)
     profile = tuple(random_utility_consistent(rng.choice(orders), rng) for _ in range(4))
-    assert rsd_allocate(profile).n == 4
-    assert ps_allocate(profile).n == 4
-    assert utilitarian_allocate(profile).n == 4
+    assert RSD.allocate(profile).n == 4
+    assert PS.allocate(profile).n == 4
+    assert UTILITARIAN.allocate(profile).n == 4
