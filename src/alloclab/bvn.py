@@ -122,14 +122,14 @@ def random_permutation(n: int, rng: random.Random) -> PermutationMatrix:
 
 def random_bistochastic(n: int, rng: random.Random, resolution: int = 60) -> Allocation:
     """Random rational bistochastic matrix: a convex combination of a few
-    random permutation matrices with random rational weights."""
+    random permutation matrices with random rational weights. Each entry is
+    its integer weight count divided once by the total weight."""
     count = rng.randrange(1, 2 * n + 1)
     perms = [random_permutation(n, rng) for _ in range(count)]
     raw = [rng.randrange(1, resolution) for _ in range(count)]
     total = sum(raw)
-    grid = [[ZERO] * n for _ in range(n)]
+    counts = [[0] * n for _ in range(n)]
     for weight, perm in zip(raw, perms):
-        share = Fraction(weight, total)
         for i, obj in enumerate(perm.assignment):
-            grid[i][obj] += share
-    return Allocation(tuple(tuple(row) for row in grid))
+            counts[i][obj] += weight
+    return Allocation(tuple(tuple(Fraction(c, total) for c in row) for row in counts))

@@ -330,7 +330,7 @@ def _run_lemma(args: argparse.Namespace) -> int:
         _emit(
             _csv_rows(
                 ["lemma", "rule", "trials", "sampled", "failures"],
-                [lemma, report.rule, report.trials, report.sampled, len(report.failures)],
+                [lemma, report.rule, report.trials, report.sampled, report.failures_total],
             ),
             args.out,
         )

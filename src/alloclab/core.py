@@ -180,8 +180,9 @@ def allocation_distance(first: Allocation, second: Allocation) -> Fraction:
 
 class BernoulliUtility:
     """Per-object utility values with no ties over degenerate lotteries.
-    `_ordinal` holds the ranking once `ordinal.ordinal_of` has computed it,
-    so the ranking lives and dies with the utility."""
+    `_ordinal` holds the ranking once `ordinal.ordinal_of` has computed it
+    (`ordinal.utility_from` sets it on construction), so the ranking lives
+    and dies with the utility."""
 
     __slots__ = ("values", "_hash", "_ordinal")
 

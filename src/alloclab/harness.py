@@ -97,6 +97,10 @@ LEMMA_HYPOTHESES: dict[str, tuple[str, ...]] = {
 
 REJECTION_FACTOR = 50
 
+# A lemma report keeps the first MAX_WITNESSES failure witnesses, so its
+# memory and output stay bounded for any --trials.
+MAX_WITNESSES = 100
+
 
 def report_json(data: dict) -> str:
     """The byte-stable JSON form of every report: sorted keys, two-space
@@ -113,13 +117,18 @@ class LemmaReport:
     seed: int
     sampled: int = 0
     hypothesis_unsatisfiable: bool = False
+    failures_total: int = 0
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def to_json(self) -> str:
-        return report_json(asdict(self))
+        """`failures_total` appears only when witnesses were dropped."""
+        data = asdict(self)
+        if self.failures_total == len(self.failures):
+            del data["failures_total"]
+        return report_json(data)
 
 
 def _random_order(rng: random.Random) -> OrdinalPreference:
@@ -166,7 +175,8 @@ def verify_lemma(
 ) -> LemmaReport:
     """Sample `trials` instances matching the lemma's hypothesis pattern and
     check its conclusion exactly. Rejection sampling gives up after
-    REJECTION_FACTOR * trials attempts and reports the shortfall."""
+    REJECTION_FACTOR * trials attempts and reports the shortfall. The report
+    keeps the first MAX_WITNESSES failure witnesses and counts them all."""
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id: {lemma_id!r}")
     if lemma_id != "L10_separating" and rule is None:
@@ -191,7 +201,9 @@ def verify_lemma(
             continue
         report.sampled += 1
         if outcome is not None:
-            report.failures.append(outcome)
+            report.failures_total += 1
+            if len(report.failures) < MAX_WITNESSES:
+                report.failures.append(outcome)
     if report.sampled == 0:
         report.hypothesis_unsatisfiable = True
     return report

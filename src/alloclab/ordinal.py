@@ -132,17 +132,21 @@ def canonicalize(utility: BernoulliUtility) -> NormalizedUtility:
 # sampling draws fresh rates on every trial.
 @lru_cache(maxsize=1024)
 def utility_from(order: OrdinalPreference, mu: Fraction) -> NormalizedUtility:
-    """Canonical utility with the given order and middle rate (best 1, middle
-    mu, worst 0, then normalized). Three objects only."""
+    """Canonical utility with the given order and middle rate: best 1, middle
+    mu, worst 0, normalized to sum 1, so best 1/(1+mu), middle mu/(1+mu),
+    worst 0. Its ranking is `order`. Three objects only."""
     if order.m != 3:
         raise WrongDimension("middle-rate parameterization needs three objects")
     mu = Fraction(mu)
     if not ZERO < mu < ONE:
         raise MuOutOfRange(f"mu must lie strictly in (0, 1), got {mu}")
     values = [ZERO, ZERO, ZERO]
-    best, mid, worst = order.ranking
-    values[best], values[mid], values[worst] = ONE, mu, ZERO
-    return canonicalize(BernoulliUtility(tuple(values)))
+    best, mid, _ = order.ranking
+    scale = ONE + mu
+    values[best], values[mid] = ONE / scale, mu / scale
+    utility = NormalizedUtility(tuple(values))
+    object.__setattr__(utility, "_ordinal", order)
+    return utility
 
 
 class SdVerdict(Enum):

@@ -12,6 +12,11 @@ thousands of profiles while each rule computes once per distinct key, and
 they scan a rule whose key reads only rankings (`Rule.reads_only_rankings`)
 one deviation block per class of ranking profiles. The utilitarian rule
 solves an exact assignment problem (`lp.best_assignment`).
+
+Rule outputs are interned, so equal outputs are one shared object and the
+checkers' identity dedup hits: every permutation output (dictatorship,
+utilitarian) is built once per permutation, and a blend mixes once per pair
+of its parts' output objects.
 """
 
 from __future__ import annotations
@@ -153,11 +158,18 @@ def _ps(rankings: Rankings) -> Allocation:
     return Allocation(tuple(tuple(row) for row in shares))
 
 
+@lru_cache(maxsize=None)
+def _permutation_allocation(picks: tuple[int, ...]) -> Allocation:
+    """The permutation matrix giving agent i object picks[i], built once per
+    picks tuple: at most the sum of n! entries (5,913 for n <= 7)."""
+    return PermutationMatrix(picks).to_allocation()
+
+
 def _dictatorship(rankings: Rankings) -> Allocation:
     """Serial dictatorship with the fixed priority 0, 1, ..., n-1."""
-    return PermutationMatrix(
+    return _permutation_allocation(
         _dictatorship_picks(rankings, range(len(rankings)))
-    ).to_allocation()
+    )
 
 
 def _utilitarian(canonical: UtilityProfile) -> Allocation:
@@ -166,7 +178,7 @@ def _utilitarian(canonical: UtilityProfile) -> Allocation:
     lexicographically smallest one. Inputs are canonicalized by the key, so
     any sensitivity to reports is driven by middle rates, not scale."""
     _, picks = best_assignment(tuple(u.values for u in canonical))
-    return PermutationMatrix(picks).to_allocation()
+    return _permutation_allocation(picks)
 
 
 RSD = Rule("rsd", _ordinal_key, _rsd)
@@ -182,16 +194,26 @@ BASE_RULES = {
 
 def blend_rule(first: Rule, second: Rule, alpha: Fraction) -> Rule:
     """Entrywise convex combination alpha*first + (1-alpha)*second, keyed on
-    the pair of its parts' keys."""
+    the pair of its parts' keys. The mix is memoized on the identity pair of
+    the parts' outputs, so the blend builds at most |outputs of first| *
+    |outputs of second| matrices. Each memo entry holds both parts, so an id
+    in it is never reused by another object."""
     alpha = Fraction(alpha)
     if not ZERO <= alpha <= ONE:
         raise AlphaOutOfRange(f"blend weight {alpha} outside [0, 1]")
+    mixes: dict[tuple[int, int], tuple[Allocation, Allocation, Allocation]] = {}
+
+    def compute(keys: tuple[Hashable, Hashable]) -> Allocation:
+        a, b = first.from_key(keys[0]), second.from_key(keys[1])
+        entry = mixes.get((id(a), id(b)))
+        if entry is None:
+            entry = mixes[id(a), id(b)] = (a, b, mix_allocations(a, b, alpha))
+        return entry[2]
+
     return Rule(
         name=f"blend:{first.name}:{second.name}:{alpha}",
         key=partial(_pair_key, first.key, second.key),
-        compute=lambda keys: mix_allocations(
-            first.from_key(keys[0]), second.from_key(keys[1]), alpha
-        ),
+        compute=compute,
     )
 
 

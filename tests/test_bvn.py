@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alloclab import decompose, make_allocation, recompose, uniform_allocation
-from alloclab.bvn import Decomposition, PermutationMatrix, random_bistochastic
+from alloclab.bvn import (
+    Decomposition,
+    PermutationMatrix,
+    random_bistochastic,
+    random_permutation,
+)
 
 
 def test_permutation_matrix_is_single_term():
@@ -77,6 +82,26 @@ def test_round_trip_n4():
         d = decompose(alloc)
         assert recompose(d) == alloc
         assert len(d) <= 10  # (n-1)**2 + 1
+
+
+def _summed_bistochastic(n, rng, resolution=60):
+    """The former formula: sum each permutation's Fraction share per entry."""
+    count = rng.randrange(1, 2 * n + 1)
+    perms = [random_permutation(n, rng).assignment for _ in range(count)]
+    raw = [rng.randrange(1, resolution) for _ in range(count)]
+    total = sum(raw)
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    for weight, perm in zip(raw, perms):
+        for i, obj in enumerate(perm):
+            grid[i][obj] += Fraction(weight, total)
+    return tuple(tuple(row) for row in grid)
+
+
+def test_random_bistochastic_matches_the_summed_shares():
+    new, old = random.Random(31), random.Random(31)
+    for draw in range(20_000):
+        n = 2 + draw % 3
+        assert random_bistochastic(n, new).rows == _summed_bistochastic(n, old)
 
 
 def test_serialization_roundtrip():

@@ -230,6 +230,26 @@ class TestRankingQuotient:
             assert len(list(_deviation_blocks(rule, cells, 2))) == 3 * 6**2
 
 
+class TestInternedOutputs:
+    """Interning rule outputs only lets the checkers' identity dedup hit:
+    every report must be the one for a twin that builds a fresh equal
+    allocation, with fresh rows, for every key."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["utilitarian", "blend:rsd:utilitarian:1/2", "blend:ps:utilitarian:1/3"],
+    )
+    def test_reports_match_a_fresh_allocation_twin(self, spec):
+        rule = rule_by_name(spec)
+        twin = Rule(
+            rule.name, rule.key, lambda key: make_allocation(rule.from_key(key).rows)
+        )
+        for grid in REDUCED_GRIDS[1:3]:
+            config = CheckConfig(mu_grid=grid)
+            for check in (check_strategy_proofness, check_non_bossiness, check_ordinality):
+                assert check(rule, config).to_dict() == check(twin, config).to_dict()
+
+
 class TestOrdinality:
     def test_rsd_passes(self):
         assert check_ordinality(RSD, SMALL).passed

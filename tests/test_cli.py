@@ -87,6 +87,16 @@ def test_lemma_command(tmp_path):
     assert report["failures"] == []
 
 
+def test_lemma_csv_counts_every_failure(capsys):
+    code = main(
+        ["lemma", "--lemma", "L3", "--rule", "rsd", "--trials", "300",
+         "--seed", "3", "--format", "csv"]
+    )
+    assert code == 1
+    row = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))[0]
+    assert row["failures"] == "200"  # the JSON report keeps 100 witnesses
+
+
 def test_stress_csv(tmp_path):
     out = tmp_path / "stress.csv"
     code = main(

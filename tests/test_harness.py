@@ -1,6 +1,7 @@
 """Lemma trials, the stress report, and the extended-domain check."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from alloclab import (
     theorem_stress,
     verify_lemma,
 )
+from alloclab import harness
 from alloclab.core import make_allocation, make_profile, uniform_allocation
 from alloclab.harness import default_v_profiles, exploration_stress
 from alloclab.ordinal import middle_rate, ordinal_of
@@ -60,6 +62,18 @@ class TestVerifyLemma:
         a = verify_lemma("L10_separating", None, trials=60, seed=3)
         b = verify_lemma("L10_separating", None, trials=60, seed=3)
         assert a.to_json() == b.to_json()
+
+    def test_failure_witnesses_are_capped_and_counted(self, monkeypatch):
+        assert harness.MAX_WITNESSES == 100
+        capped = verify_lemma("L3_identical_pair", RSD, trials=300, seed=3)
+        monkeypatch.setattr(harness, "MAX_WITNESSES", 10**6)
+        whole = verify_lemma("L3_identical_pair", RSD, trials=300, seed=3)
+        assert len(whole.failures) == whole.failures_total > 100
+        assert capped.failures == whole.failures[:100]
+        assert capped.failures_total == whole.failures_total
+        assert json.loads(capped.to_json())["failures_total"] == whole.failures_total
+        # a report that kept every witness has no count
+        assert "failures_total" not in json.loads(whole.to_json())
 
     def test_lemma_metadata(self):
         assert set(LEMMA_HYPOTHESES) == set(LEMMA_IDS)
@@ -159,6 +173,15 @@ class TestTheoremStress:
         for axiom in ("strategy_proofness", "non_bossiness", "continuity", "ordinality"):
             assert verdicts[axiom]["status"] == "Pass"
         assert report.metamorphic_violations == []
+
+    def test_family_report_bytes_are_pinned(self):
+        # seed 3's family holds seven blends with utilitarian, in both orders
+        report = theorem_stress(
+            built_in_family(3), CheckConfig(mu_grid=(F(1, 4), F(3, 4)))
+        ).to_json()
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "e9149d247ee080f0615123bd3374d89ff3e760b280e4957e942fba91004692d3"
+        )
 
     def test_report_bytes_stable_for_fixed_seed(self):
         family = [RSD, UNIFORM]

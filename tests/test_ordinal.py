@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alloclab import (
+    BernoulliUtility,
     MuOutOfRange,
     NormalizedUtility,
     OrdinalPreference,
@@ -155,6 +156,20 @@ class TestUtilityFrom:
             assert ordinal_of(u) == order
             assert middle_rate(u) == mu
             assert canonicalize(u).values == u.values
+
+    def test_builds_the_canonical_values_and_keeps_the_order(self):
+        # Bypass the memo: its entry may hold an equal order object from an
+        # earlier call.
+        build = utility_from.__wrapped__
+        for order in all_orders(3):
+            for k in range(1, 300):
+                mu = Fraction(k, 300)
+                values = [Fraction(0)] * 3
+                best, mid, worst = order.ranking
+                values[best], values[mid], values[worst] = Fraction(1), mu, Fraction(0)
+                u = build(order, mu)
+                assert u.values == canonicalize(BernoulliUtility(tuple(values))).values
+                assert ordinal_of(u) is order
 
     def test_memo_is_bounded(self):
         # Lemma sampling draws fresh rates on every trial.

@@ -261,14 +261,32 @@ class TestStructuralMemo:
         )
         assert blend.allocate(_affine_twin(abc_profile, F(5), F(1))) is alloc
 
+    def test_utilitarian_shares_one_allocation_per_permutation(self):
+        # different canonical profiles, the same optimal picks (0, 1, 2)
+        first = make_profile(DISJOINT_TOPS)
+        second = make_profile([[5, 2, 1], [2, 3, 1], [2, 1, 3]])
+        assert UTILITARIAN.key(first) != UTILITARIAN.key(second)
+        assert UTILITARIAN.allocate(second) is UTILITARIAN.allocate(first)
+
     def test_dictatorship_memo_is_bounded_by_ranking_profiles(self):
-        grid = (F(1, 10), F(2, 5), F(3, 5), F(9, 10))
-        cells = [utility_from(order, mu) for order in all_orders(3) for mu in grid]
-        distinct = {
-            id(DICTATORSHIP.allocate(profile))
-            for profile in itertools.product(cells, repeat=3)
-        }
-        assert len(distinct) <= 216
+        assert _distinct_outputs_on_scan_grid(DICTATORSHIP) <= 216
+
+    @pytest.mark.parametrize(
+        "spec, bound",
+        [
+            ("utilitarian", 6),  # one per permutation
+            ("blend:rsd:utilitarian:1/2", 216 * 6),  # one per pair of outputs
+        ],
+    )
+    def test_cardinal_outputs_are_interned(self, spec, bound):
+        assert _distinct_outputs_on_scan_grid(rule_by_name(spec)) <= bound
+
+
+def _distinct_outputs_on_scan_grid(rule):
+    """Number of distinct output objects over the 4-rate grid's profiles."""
+    grid = (F(1, 10), F(2, 5), F(3, 5), F(9, 10))
+    cells = [utility_from(order, mu) for order in all_orders(3) for mu in grid]
+    return len({id(rule.allocate(profile)) for profile in itertools.product(cells, repeat=3)})
 
 
 def test_rule_outputs_are_valid_allocations():
