@@ -52,9 +52,6 @@ class Decomposition:
         if sum(w for w, _ in self.terms) != ONE:
             raise ValueError("decomposition weights must sum to one")
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def to_dict(self) -> dict:
         return {
             "terms": [
@@ -120,13 +117,13 @@ def random_permutation(n: int, rng: random.Random) -> PermutationMatrix:
     return PermutationMatrix(tuple(order))
 
 
-def random_bistochastic(n: int, rng: random.Random, resolution: int = 60) -> Allocation:
-    """Random rational bistochastic matrix: a convex combination of a few
-    random permutation matrices with random rational weights. Each entry is
-    its integer weight count divided once by the total weight."""
+def random_bistochastic(n: int, rng: random.Random) -> Allocation:
+    """Random rational bistochastic matrix: a convex combination of 1 to 2n
+    random permutation matrices with integer weights from 1 to 59. Each entry
+    is its integer weight count divided once by the total weight."""
     count = rng.randrange(1, 2 * n + 1)
     perms = [random_permutation(n, rng) for _ in range(count)]
-    raw = [rng.randrange(1, resolution) for _ in range(count)]
+    raw = [rng.randrange(1, 60) for _ in range(count)]
     total = sum(raw)
     counts = [[0] * n for _ in range(n)]
     for weight, perm in zip(raw, perms):

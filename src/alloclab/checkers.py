@@ -135,12 +135,12 @@ def _profile_with(
     return others[:agent] + (utility,) + others[agent:]
 
 
-def _grid_description(config: CheckConfig, cells: int, extra: str = "") -> str:
-    text = (
+def _grid_description(config: CheckConfig, cells: int) -> str:
+    """Coverage of a deviation scan: every cell as truth and as deviation."""
+    return (
         f"grid: 6 orders x {len(config.mu_grid)} mu per agent; "
-        f"cells_per_agent={cells}; profiles={cells**3}"
+        f"cells_per_agent={cells}; profiles={cells**3}; deviations_per_agent={cells}"
     )
-    return text + (f"; {extra}" if extra else "")
 
 
 def _stopped(coverage: str, scanned: int, total: int, unit: str) -> str:
@@ -198,9 +198,7 @@ def check_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
     """Exact weak-inequality test over every grid profile, agent, and
     single-agent grid deviation."""
     cells = grid_cells(config)
-    coverage = _grid_description(
-        config, len(cells), f"deviations_per_agent={len(cells)}"
-    )
+    coverage = _grid_description(config, len(cells))
     blocks = 3 * len(cells) ** 2
     for scanned, agent, others in _deviation_blocks(rule, cells, len(config.mu_grid)):
         allocations = [
@@ -255,9 +253,7 @@ def check_non_bossiness(rule: Rule, config: CheckConfig) -> Verdict:
     """Whenever a deviation leaves the deviator's own row unchanged, the full
     matrix must be unchanged."""
     cells = grid_cells(config)
-    coverage = _grid_description(
-        config, len(cells), f"deviations_per_agent={len(cells)}"
-    )
+    coverage = _grid_description(config, len(cells))
     blocks = 3 * len(cells) ** 2
     for scanned, agent, others in _deviation_blocks(rule, cells, len(config.mu_grid)):
         allocations = [
@@ -331,14 +327,13 @@ def check_ordinality(rule: Rule, config: CheckConfig) -> Verdict:
     return Verdict(status="Pass", witness=None, coverage=coverage)
 
 
-def check_sd_strategy_proofness(rule: Rule, config: CheckConfig | None = None) -> Verdict:
+def check_sd_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
     """For ordinal rules: the truthful share must weakly stochastically
     dominate every single-agent ordinal deviation's share.
 
     Raises NotOrdinal when the rule varies within a cone on the grid, since
     the finite test only makes sense for ordinal rules.
     """
-    config = config or CheckConfig()
     ordinal_verdict = check_ordinality(rule, config)
     if not ordinal_verdict.passed:
         raise NotOrdinal(
@@ -459,20 +454,19 @@ def default_efficiency_profiles(config: CheckConfig) -> list[UtilityProfile]:
             )
         )
     rng = random.Random(f"{config.seed}:efficiency")
-    orders = all_orders(3)
-    for _ in range(8 * config.samples_per_cell):
-        profiles.append(
-            tuple(
-                utility_from(rng.choice(orders), random_rational(rng))
-                for _ in range(3)
-            )
-        )
+    profiles += [random_profile(rng) for _ in range(8 * config.samples_per_cell)]
     return profiles
 
 
-def default_continuity_paths(
-    config: CheckConfig,
-) -> list[tuple[int, tuple[BernoulliUtility, ...], tuple[NormalizedUtility, NormalizedUtility]]]:
+def random_profile(rng: random.Random) -> UtilityProfile:
+    """Three agents, each with a random order and a random middle rate."""
+    orders = all_orders(3)
+    return tuple(utility_from(rng.choice(orders), random_rational(rng)) for _ in range(3))
+
+
+def default_continuity_paths() -> list[
+    tuple[int, tuple[BernoulliUtility, ...], tuple[NormalizedUtility, NormalizedUtility]]
+]:
     """Battery of within-cone paths, one per agent. The first path crosses a
     utilitarian LP vertex switch: with the others at rates 1/4 and 3/5 in the
     same cone, the moving agent's rate sweeps 1/10 to 9/10 and the optimal
@@ -502,7 +496,7 @@ def default_continuity_paths(
 
 def check_continuity_battery(rule: Rule, config: CheckConfig) -> Verdict:
     """Run the default continuity paths; first failing path wins."""
-    paths = default_continuity_paths(config)
+    paths = default_continuity_paths()
     for index, (agent, others, endpoints) in enumerate(paths):
         verdict = check_ncc_continuity(rule, agent, others, endpoints, config)
         if not verdict.passed:

@@ -16,7 +16,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from .bvn import decompose
@@ -30,6 +29,7 @@ from .checkers import (
     check_sd_strategy_proofness,
     check_strategy_proofness,
     default_efficiency_profiles,
+    random_profile,
     NotOrdinal,
 )
 from .core import (
@@ -50,7 +50,6 @@ from .harness import (
     theorem2_check,
     verify_lemma,
 )
-from .ordinal import all_orders, random_rational, utility_from
 from .rules import built_in_family, rule_by_name
 
 
@@ -66,20 +65,18 @@ class ParseError(ValueError):
     """Profile file content is malformed; message carries the location."""
 
 
-AXIOMS = (
-    "efficiency",
-    "strategy-proofness",
-    "sd-strategy-proofness",
-    "non-bossiness",
-    "ordinality",
-    "continuity",
-)
-
 SEEDLESS_AXIOMS = {"strategy-proofness", "non-bossiness", "continuity"}
 
 # Largest accepted --n. all_orders(n) and rsd cost n! per call, and n = 7
 # is the largest size measured to finish in seconds.
 MAX_N = 7
+
+# Largest accepted --samples and random:count=. Both size a profile list
+# that is built in full before the first check: --samples adds that many
+# profiles to each of the 216 ordinality cells and 8 per sample to the
+# efficiency battery.
+MAX_SAMPLES = 1000
+MAX_PROFILES = 10_000
 
 
 def parse_profile_file(path: str) -> list[UtilityProfile]:
@@ -184,38 +181,30 @@ def _profiles_from_json(text: str, path: str) -> list[UtilityProfile]:
     return profiles
 
 
-def _generated_profiles(spec: str, config: CheckConfig) -> list[UtilityProfile]:
-    """Generator specs: 'grid:mu=1/10,1/2,9/10' or 'random:count=100'."""
-    if spec.startswith("grid:mu="):
-        grid = tuple(parse_fraction(part) for part in spec[len("grid:mu=") :].split(","))
-        return default_efficiency_profiles(
-            replace(config, mu_grid=grid, samples_per_cell=0)
-        )
-    if spec.startswith("random:count="):
-        count = int(spec[len("random:count=") :])
-        rng = random.Random(f"{config.seed}:cli-profiles")
-        orders = all_orders(3)
-        return [
-            tuple(
-                utility_from(rng.choice(orders), random_rational(rng))
-                for _ in range(3)
-            )
-            for _ in range(count)
-        ]
-    raise UsageError(f"unrecognized profile generator spec: {spec!r}")
+def _random_profiles(spec: str, config: CheckConfig) -> list[UtilityProfile]:
+    """The generator spec 'random:count=N': N seeded random profiles."""
+    if not spec.startswith("random:count="):
+        raise UsageError(f"unrecognized profile generator spec: {spec!r}")
+    count = int(spec[len("random:count=") :])
+    if count > MAX_PROFILES:
+        raise UsageError(f"random:count must be at most {MAX_PROFILES}, got {count}")
+    rng = random.Random(f"{config.seed}:cli-profiles")
+    return [random_profile(rng) for _ in range(count)]
 
 
 def _load_profiles(spec: str | None, config: CheckConfig) -> list[UtilityProfile]:
     if spec is None:
         return default_efficiency_profiles(config)
-    if spec.startswith(("grid:", "random:")):
-        return _generated_profiles(spec, config)
+    if spec.startswith("random:"):
+        return _random_profiles(spec, config)
     return parse_profile_file(spec)
 
 
 def _check_config(args: argparse.Namespace) -> CheckConfig:
     """The declared grid from --grid, --samples and --seed, plus the
     continuity thresholds for the subcommands that take --tau and --delta."""
+    if args.samples > MAX_SAMPLES:
+        raise UsageError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     kwargs: dict = {"samples_per_cell": args.samples, "seed": args.seed or 0}
     if args.grid:
         kwargs["mu_grid"] = tuple(parse_fraction(part) for part in args.grid.split(","))
@@ -262,9 +251,21 @@ def _verdict(fields: dict, verdict: Verdict, args: argparse.Namespace) -> int:
 
 
 def _run_check(args: argparse.Namespace) -> int:
+    # Built per call, so a wrapper installed on these module names after
+    # import (perfbench/traced.py) sees the checker calls.
+    checkers = {
+        "efficiency": lambda rule, config: check_efficiency(
+            rule, _load_profiles(args.profiles, config)
+        ),
+        "strategy-proofness": check_strategy_proofness,
+        "sd-strategy-proofness": check_sd_strategy_proofness,
+        "non-bossiness": check_non_bossiness,
+        "ordinality": check_ordinality,
+        "continuity": check_continuity_battery,
+    }
     axiom = args.axiom.replace("_", "-")
-    if axiom not in AXIOMS:
-        raise UsageError(f"--axiom must be one of {', '.join(AXIOMS)}")
+    if axiom not in checkers:
+        raise UsageError(f"--axiom must be one of {', '.join(checkers)}")
     if args.seed is None and axiom not in SEEDLESS_AXIOMS:
         raise UsageError(f"--seed is required for the randomized {axiom} check")
     rule = rule_by_name(args.rule)
@@ -272,18 +273,7 @@ def _run_check(args: argparse.Namespace) -> int:
     fields = {"axiom": axiom, "rule": args.rule}
     started = time.perf_counter()
     try:
-        if axiom == "efficiency":
-            verdict = check_efficiency(rule, _load_profiles(args.profiles, config))
-        elif axiom == "strategy-proofness":
-            verdict = check_strategy_proofness(rule, config)
-        elif axiom == "sd-strategy-proofness":
-            verdict = check_sd_strategy_proofness(rule, config)
-        elif axiom == "non-bossiness":
-            verdict = check_non_bossiness(rule, config)
-        elif axiom == "ordinality":
-            verdict = check_ordinality(rule, config)
-        else:
-            verdict = check_continuity_battery(rule, config)
+        verdict = checkers[axiom](rule, config)
     except NotOrdinal as exc:
         if args.format == "csv":
             return _check_csv(axiom, args, "NotOrdinal")
@@ -357,9 +347,10 @@ def _run_stress(args: argparse.Namespace) -> int:
 
 def _run_theorem2(args: argparse.Namespace) -> int:
     rule = rule_by_name(args.rule)
+    config = _check_config(args)
     profiles = default_v_profiles(args.seed, args.count)
     try:
-        verdict = theorem2_check(rule, profiles, _check_config(args))
+        verdict = theorem2_check(rule, profiles, config)
     except NotOrdinalOnU as exc:
         return _not_ordinal({"rule": args.rule}, exc, args.out)
     return _verdict({"command": "theorem2", "rule": args.rule}, verdict, args)
@@ -405,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run one axiom checker on one rule")
     check.add_argument("--rule", required=True)
     check.add_argument("--axiom", required=True)
-    check.add_argument("--profiles", help="profile file, grid:mu=..., or random:count=...")
+    check.add_argument("--profiles", help="profile file or random:count=N")
     shared(check, "--seed", "--grid", "--samples", "--out", "--format", "--tau", "--delta")
 
     dec = sub.add_parser("decompose", help="decompose a bistochastic matrix")

@@ -72,13 +72,6 @@ def object_label(index: ObjectId) -> str:
     return OBJECT_LABELS[index]
 
 
-def label_index(label: str) -> ObjectId:
-    index = OBJECT_LABELS.find(label)
-    if index < 0:
-        raise ValueError(f"unknown object label: {label!r}")
-    return index
-
-
 @dataclass(frozen=True)
 class Lottery:
     """Probability vector over objects; one agent's random assignment."""
@@ -95,9 +88,6 @@ class Lottery:
     @property
     def m(self) -> int:
         return len(self.probs)
-
-    def __getitem__(self, obj: ObjectId) -> Fraction:
-        return self.probs[obj]
 
     def to_dict(self) -> dict:
         return {"probs": [str(p) for p in self.probs]}
@@ -199,9 +189,6 @@ class BernoulliUtility:
     @property
     def m(self) -> int:
         return len(self.values)
-
-    def __getitem__(self, obj: ObjectId) -> Fraction:
-        return self.values[obj]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BernoulliUtility):

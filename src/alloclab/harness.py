@@ -97,6 +97,9 @@ LEMMA_HYPOTHESES: dict[str, tuple[str, ...]] = {
 
 REJECTION_FACTOR = 50
 
+# Random profiles per rule in the record-only exploration for n > 3.
+EXPLORATION_PROBES = 40
+
 # A lemma report keeps the first MAX_WITNESSES failure witnesses, so its
 # memory and output stay bounded for any --trials.
 MAX_WITNESSES = 100
@@ -493,9 +496,7 @@ def theorem2_check(
     )
 
 
-def exploration_stress(
-    rule_family: list[Rule], n: int, config: CheckConfig, probes: int = 40
-) -> dict:
+def exploration_stress(rule_family: list[Rule], n: int, config: CheckConfig) -> dict:
     """Record-only exploration for economies larger than three agents.
 
     Samples random profiles and records ordinality twins and deviation
@@ -509,7 +510,7 @@ def exploration_stress(
     for rule in rule_family:
         twin_diffs = 0
         deviation_gains = 0
-        for _ in range(probes):
+        for _ in range(EXPLORATION_PROBES):
             profile_orders = tuple(rng.choice(orders) for _ in range(n))
             profile = tuple(
                 random_utility_consistent(order, rng) for order in profile_orders
@@ -531,7 +532,7 @@ def exploration_stress(
             if expected_utility(profile[agent], deviated.row(agent)) > truth_eu:
                 deviation_gains += 1
         record["rules"][rule.name] = {
-            "probes": probes,
+            "probes": EXPLORATION_PROBES,
             "ordinal_twin_differences": twin_diffs,
             "profitable_deviations_observed": deviation_gains,
         }

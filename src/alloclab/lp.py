@@ -272,12 +272,6 @@ def best_assignment(
     return tail[0], tuple(picks)
 
 
-def total_utility(profile: UtilityProfile, alloc: Allocation) -> Fraction:
-    return sum(
-        (expected_utility(u, alloc.row(i)) for i, u in enumerate(profile)), ZERO
-    )
-
-
 def dominates(profile: UtilityProfile, candidate: Allocation, incumbent: Allocation) -> bool:
     """Exact domination test: candidate weakly improves every agent's
     expected utility and strictly improves at least one."""

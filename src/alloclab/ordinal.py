@@ -21,7 +21,6 @@ from .core import (
     ObjectId,
     degenerate_lottery,
     expected_utility,
-    label_index,
     object_label,
 )
 
@@ -64,15 +63,8 @@ class OrdinalPreference:
     def worst(self) -> ObjectId:
         return self.ranking[-1]
 
-    def to_string(self) -> str:
-        return ">".join(object_label(a) for a in self.ranking)
-
-    @classmethod
-    def from_string(cls, text: str) -> "OrdinalPreference":
-        return cls(tuple(label_index(part.strip()) for part in text.split(">")))
-
     def __str__(self) -> str:
-        return self.to_string()
+        return ">".join(object_label(a) for a in self.ranking)
 
 
 @lru_cache(maxsize=None)
@@ -233,22 +225,16 @@ def rdu_utility(
     return VUtility(name=name, evaluate=evaluate, ordinal=order)
 
 
-def separating_utility(
-    v: VUtility,
-    p1: Lottery,
-    p2: Lottery,
-    epsilon_params: tuple[Fraction, Fraction] | None = None,
-) -> BernoulliUtility:
+def separating_utility(v: VUtility, p1: Lottery, p2: Lottery) -> BernoulliUtility:
     """Bernoulli utility with the same ordinal as ``v`` that strictly prefers
     ``p1`` to ``p2`` in expected utility.
 
     Requires that p2 does not weakly sd-dominate p1. The construction scans
     objects worst to best for the first strictly positive upper-set
     cumulative gap; objects above that threshold are compressed into
-    (1 - delta, 1], objects at or below are scaled by delta_prime. When no
-    explicit (delta, delta_prime) is given, both start at 1/2 and are halved
-    until the ordinal is preserved and the expected-utility gap is strictly
-    positive.
+    (1 - delta, 1], objects at or below are scaled by delta. delta starts at
+    1/2 and is halved until the ordinal is preserved and the expected-utility
+    gap is strictly positive.
     """
     order = v.ordinal
     if sd_compare(p2, p1, order) in (SdVerdict.DOMINATES, SdVerdict.EQUAL):
@@ -268,40 +254,19 @@ def separating_utility(
     peak = max(values[b] for b in upper_set)
     span = peak - values[threshold]
 
-    def build(delta: Fraction, delta_prime: Fraction) -> BernoulliUtility | None:
+    delta = Fraction(1, 2)
+    for _ in range(256):
         raw = tuple(
-            ONE - delta * (peak - values[b]) / span
-            if b in upper_set
-            else delta_prime * values[b]
+            ONE - delta * (peak - values[b]) / span if b in upper_set else delta * values[b]
             for b in range(order.m)
         )
-        if len(set(raw)) != len(raw):
-            return None
-        return BernoulliUtility(raw)
-
-    if epsilon_params is not None:
-        delta, delta_prime = (Fraction(x) for x in epsilon_params)
-        candidate = build(delta, delta_prime)
-    else:
-        delta = delta_prime = Fraction(1, 2)
-        candidate = None
-        for _ in range(256):
-            candidate = build(delta, delta_prime)
-            if (
-                candidate is not None
-                and ordinal_of(candidate) == order
-                and expected_utility(candidate, p1) > expected_utility(candidate, p2)
-            ):
-                break
-            candidate = None
-            delta /= 2
-            delta_prime /= 2
-
-    if candidate is None or ordinal_of(candidate) != order:
-        raise ValueError("construction failed to preserve the ordinal; use smaller deltas")
-    if expected_utility(candidate, p1) <= expected_utility(candidate, p2):
-        raise ValueError("construction failed to separate the lotteries; use smaller deltas")
-    return candidate
+        if len(set(raw)) == len(raw):
+            candidate = BernoulliUtility(raw)
+            gap = expected_utility(candidate, p1) - expected_utility(candidate, p2)
+            if ordinal_of(candidate) == order and gap > 0:
+                return candidate
+        delta /= 2
+    raise ValueError("construction failed to preserve the ordinal and separate the lotteries")
 
 
 @dataclass
@@ -396,15 +361,19 @@ def validate_v_domain(
     return report
 
 
-def random_rational(rng: random.Random, denominator: int = 1024) -> Fraction:
-    """Uniform rational in (0, 1) with the given denominator bound."""
-    return Fraction(rng.randrange(1, denominator), denominator)
+# Denominator of the random rates and utility levels the samplers draw.
+DENOMINATOR = 1024
 
 
-def random_lottery(m: int, rng: random.Random, resolution: int = 360) -> Lottery:
-    """Random rational lottery via integer weights."""
+def random_rational(rng: random.Random) -> Fraction:
+    """Uniform rational in (0, 1) with denominator DENOMINATOR."""
+    return Fraction(rng.randrange(1, DENOMINATOR), DENOMINATOR)
+
+
+def random_lottery(m: int, rng: random.Random) -> Lottery:
+    """Random rational lottery via integer weights from 0 to 360."""
     while True:
-        weights = [rng.randrange(0, resolution + 1) for _ in range(m)]
+        weights = [rng.randrange(0, 361) for _ in range(m)]
         total = sum(weights)
         if total:
             return Lottery(tuple(Fraction(w, total) for w in weights))
@@ -435,14 +404,15 @@ def sd_comparable_pair(
 
 
 def random_utility_consistent(
-    order: OrdinalPreference, rng: random.Random, denominator: int = 1024
+    order: OrdinalPreference, rng: random.Random
 ) -> BernoulliUtility:
-    """Random no-ties utility consistent with the given order (any m)."""
+    """Random no-ties utility consistent with the given order (any m), with
+    levels in [0, 4) on denominator DENOMINATOR."""
     while True:
-        draws = {rng.randrange(0, denominator * 4) for _ in range(order.m)}
+        draws = {rng.randrange(0, DENOMINATOR * 4) for _ in range(order.m)}
         if len(draws) == order.m:
             break
-    levels = sorted((Fraction(d, denominator) for d in draws), reverse=True)
+    levels = sorted((Fraction(d, DENOMINATOR) for d in draws), reverse=True)
     values = [ZERO] * order.m
     for level, obj in zip(levels, order.ranking):
         values[obj] = level

@@ -232,13 +232,13 @@ def rule_by_name(spec: str) -> Rule:
     raise ValueError(f"unknown rule: {spec!r}")
 
 
-def built_in_family(seed: int, blends: int = 9) -> list[Rule]:
-    """The stress-test family: rsd, ps, utilitarian, plus seeded blends of
-    distinct base rules with random rational weights."""
+def built_in_family(seed: int) -> list[Rule]:
+    """The 12-rule stress-test family: rsd, ps, utilitarian, plus nine
+    seeded blends of distinct base rules with random rational weights."""
     rng = random.Random(seed)
     family = [RSD, PS, UTILITARIAN]
     pool = [RSD, PS, UTILITARIAN]
-    for _ in range(blends):
+    for _ in range(9):
         first, second = rng.sample(pool, 2)
         alpha = Fraction(rng.randrange(1, 10), 10)
         family.append(blend_rule(first, second, alpha))

@@ -69,7 +69,7 @@ def test_criterion_1_bvn_round_trip():
     for _ in range(1000):
         alloc = random_bistochastic(3, rng)
         d = decompose(alloc)
-        assert len(d) <= 5
+        assert len(d.terms) <= 5
         assert all(w > 0 for w, _ in d.terms)
         assert sum(w for w, _ in d.terms) == 1
         assert recompose(d) == alloc
@@ -277,7 +277,7 @@ def test_criterion_7_utilitarian_ordinality_witness():
 
 
 def test_criterion_8_continuity_localization():
-    agent, others, endpoints = default_continuity_paths(DEFAULT)[0]
+    agent, others, endpoints = default_continuity_paths()[0]
     verdict = check_ncc_continuity(UTILITARIAN, agent, others, endpoints, DEFAULT)
     assert not verdict.passed
     lo, hi = (F(x) for x in verdict.witness["interval"])

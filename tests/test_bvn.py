@@ -19,14 +19,14 @@ from alloclab.bvn import (
 def test_permutation_matrix_is_single_term():
     alloc = make_allocation([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     d = decompose(alloc)
-    assert len(d) == 1
+    assert len(d.terms) == 1
     assert d.terms[0][0] == 1
     assert d.terms[0][1].assignment == (1, 2, 0)
 
 
 def test_uniform_decomposes_into_three_terms():
     d = decompose(uniform_allocation(3))
-    assert len(d) == 3
+    assert len(d.terms) == 3
     assert all(w == Fraction(1, 3) for w, _ in d.terms)
     assert recompose(d) == uniform_allocation(3)
 
@@ -36,7 +36,7 @@ def test_half_matrix_two_terms():
         [["1/2", "1/2", "0"], ["1/2", "0", "1/2"], ["0", "1/2", "1/2"]]
     )
     d = decompose(alloc)
-    assert len(d) == 2
+    assert len(d.terms) == 2
     assert all(w == Fraction(1, 2) for w, _ in d.terms)
     assert recompose(d) == alloc
 
@@ -70,7 +70,7 @@ def test_round_trip_random(seed):
     alloc = random_bistochastic(3, rng)
     d = decompose(alloc)
     assert recompose(d) == alloc
-    assert len(d) <= 5
+    assert len(d.terms) <= 5
     assert all(w > 0 for w, _ in d.terms)
     assert sum(w for w, _ in d.terms) == 1
 
@@ -81,7 +81,7 @@ def test_round_trip_n4():
         alloc = random_bistochastic(4, rng)
         d = decompose(alloc)
         assert recompose(d) == alloc
-        assert len(d) <= 10  # (n-1)**2 + 1
+        assert len(d.terms) <= 10  # (n-1)**2 + 1
 
 
 def _summed_bistochastic(n, rng, resolution=60):

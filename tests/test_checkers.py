@@ -299,11 +299,11 @@ class TestSdStrategyProofness:
 
 class TestContinuity:
     def test_ordinal_rule_constant_on_cone_paths(self):
-        for agent, others, endpoints in default_continuity_paths(SMALL):
+        for agent, others, endpoints in default_continuity_paths():
             assert check_ncc_continuity(RSD, agent, others, endpoints, SMALL).passed
 
     def test_utilitarian_jump_localized(self):
-        agent, others, endpoints = default_continuity_paths(SMALL)[0]
+        agent, others, endpoints = default_continuity_paths()[0]
         verdict = check_ncc_continuity(UTILITARIAN, agent, others, endpoints, SMALL)
         assert not verdict.passed
         lo, hi = (F(x) for x in verdict.witness["interval"])

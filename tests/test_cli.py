@@ -1,6 +1,7 @@
 """CLI surface: exit codes, report files, profile parsing."""
 
 import csv
+import hashlib
 import io
 import json
 import re
@@ -182,6 +183,41 @@ def test_out_of_range_count_is_usage_error(argv, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "at_cap, over_cap, profiles, message",
+    [
+        (["--samples", "1000"], ["--samples", "1001"], 216 + 8 * 1000,
+         "error: --samples must be at most 1000, got 1001\n"),
+        (["--profiles", "random:count=10000"], ["--profiles", "random:count=10001"], 10_000,
+         "error: random:count must be at most 10000, got 10001\n"),
+    ],
+)
+def test_profile_list_size_is_capped(at_cap, over_cap, profiles, message, monkeypatch, capsys):
+    argv = ["check", "--rule", "rsd", "--axiom", "efficiency", "--seed", "1"]
+    assert main([*argv, *at_cap]) == 1  # rsd fails within the first few profiles
+    report = json.loads(capsys.readouterr().out)
+    assert report["grid_description"].startswith(f"profiles={profiles};")
+
+    def no_profiles(*args):
+        raise AssertionError("profiles built before the size check")
+
+    monkeypatch.setattr("alloclab.cli.default_efficiency_profiles", no_profiles)
+    monkeypatch.setattr("alloclab.cli.random_profile", no_profiles)
+    assert main([*argv, *over_cap]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_grid_efficiency_report_bytes_are_pinned(capsys):
+    argv = ["check", "--rule", "rsd", "--axiom", "efficiency", "--grid", "1/4,3/4",
+            "--samples", "0", "--seed", "3"]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    report.pop("elapsed_ms")
+    assert hashlib.sha256(json.dumps(report, sort_keys=True, indent=2).encode()).hexdigest() == (
+        "b001650869a205146a43b28c551396a9a84ffe3b9b5b3bb7b1de18785ddb1410"
+    )
 
 
 def test_zero_random_samples_per_cell_is_accepted(capsys):

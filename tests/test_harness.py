@@ -240,9 +240,10 @@ class TestTheorem2:
 
 class TestExploration:
     def test_n4_records_without_asserting(self):
-        record = exploration_stress([RSD, UNIFORM], n=4, config=SMALL, probes=6)
+        record = exploration_stress([RSD, UNIFORM], n=4, config=SMALL)
         assert record["exploration"] is True
         assert record["n"] == 4
+        assert record["rules"]["rsd"]["probes"] == 40
         assert record["rules"]["rsd"]["ordinal_twin_differences"] == 0
 
     def test_rejects_small_n(self):

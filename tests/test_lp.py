@@ -17,7 +17,6 @@ from alloclab import (
     make_profile,
     maximize,
     mix_allocations,
-    total_utility,
     uniform_allocation,
 )
 from alloclab.bvn import random_bistochastic
@@ -155,7 +154,9 @@ class TestFindDominating:
             for i in range(3)
         )
         pinned = maximize(LinearProgram(objective, floors))
-        assert pinned.value == total_utility(abc_profile, top)
+        assert pinned.value == sum(
+            expected_utility(u, top.row(i)) for i, u in enumerate(abc_profile)
+        )
 
     def test_returned_dominator_verifies_exactly(self):
         rng = random.Random(57)
