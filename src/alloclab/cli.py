@@ -73,10 +73,18 @@ MAX_N = 7
 
 # Largest accepted --samples and random:count=. Both size a profile list
 # that is built in full before the first check: --samples adds that many
-# profiles to each of the 216 ordinality cells and 8 per sample to the
-# efficiency battery.
+# profiles to each of the 216 ordinality cells of a rule that does not read
+# only rankings (a rankings-keyed rule is proved with one profile per cell
+# and builds none of them) and 8 per sample to the efficiency battery.
 MAX_SAMPLES = 1000
 MAX_PROFILES = 10_000
+
+# Largest accepted theorem2 --count and lemma --trials. All V-profiles are
+# built and validated before the check, at about 14 ms each; a lemma trial
+# takes about 0.2-2.5 ms, and up to 26 ms when rejection sampling finds no
+# instance, so both caps keep a run to minutes at most.
+MAX_V_PROFILES = 1000
+MAX_TRIALS = 10_000
 
 
 def parse_profile_file(path: str) -> list[UtilityProfile]:
@@ -185,7 +193,12 @@ def _random_profiles(spec: str, config: CheckConfig) -> list[UtilityProfile]:
     """The generator spec 'random:count=N': N seeded random profiles."""
     if not spec.startswith("random:count="):
         raise UsageError(f"unrecognized profile generator spec: {spec!r}")
-    count = int(spec[len("random:count=") :])
+    text = spec[len("random:count=") :]
+    count = int(text) if text.isdecimal() else 0
+    if count < 1:
+        raise UsageError(
+            f"random:count must be an integer from 1 to {MAX_PROFILES}, got {text!r}"
+        )
     if count > MAX_PROFILES:
         raise UsageError(f"random:count must be at most {MAX_PROFILES}, got {count}")
     rng = random.Random(f"{config.seed}:cli-profiles")
@@ -314,6 +327,8 @@ def _run_lemma(args: argparse.Namespace) -> int:
     if len(matches) != 1:
         raise UsageError(f"--lemma must be one of {', '.join(LEMMA_IDS)}")
     lemma = matches[0]
+    if args.trials > MAX_TRIALS:
+        raise UsageError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     rule = rule_by_name(args.rule) if args.rule else None
     report = verify_lemma(lemma, rule, args.trials, args.seed)
     if args.format == "csv":
@@ -346,6 +361,8 @@ def _run_stress(args: argparse.Namespace) -> int:
 
 
 def _run_theorem2(args: argparse.Namespace) -> int:
+    if args.count > MAX_V_PROFILES:
+        raise UsageError(f"--count must be at most {MAX_V_PROFILES}, got {args.count}")
     rule = rule_by_name(args.rule)
     config = _check_config(args)
     profiles = default_v_profiles(args.seed, args.count)

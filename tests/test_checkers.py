@@ -1,5 +1,6 @@
 """Axiom checkers on small grids; the full default grid runs in acceptance."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -30,6 +31,8 @@ from alloclab import (
     utility_from,
 )
 from alloclab.checkers import (
+    MAX_PATH_PROBES,
+    PROBE_CAP_NOTE,
     _deviation_blocks,
     check_continuity_battery,
     default_continuity_paths,
@@ -76,6 +79,32 @@ def _rankings_bossy_allocate(rankings):
 
 
 RANKINGS_BOSSY = Rule("rankings-bossy-test", RSD.key, _rankings_bossy_allocate)
+
+
+def _counted(rule):
+    """A twin of `rule` with the same key and compute, and the list that
+    gets one entry per `allocate` call."""
+    calls = []
+
+    class Counted(Rule):
+        def allocate(self, profile):
+            calls.append(profile)
+            return super().allocate(profile)
+
+    return Counted(f"{rule.name}-counted", rule.key, rule.compute), calls
+
+
+def _sliding_allocate(profile):
+    """Continuous in agent 0's middle rate mu: agents 0 and 1 swap objects a
+    and b with probability mu, so the allocation moves along every path
+    that moves agent 0."""
+    from alloclab.ordinal import middle_rate
+
+    mu = middle_rate(profile[0])
+    return make_allocation([[1 - mu, mu, 0], [mu, 1 - mu, 0], [0, 0, 1]])
+
+
+SLIDING = Rule("sliding-test", lambda profile: profile, _sliding_allocate)
 
 
 class TestEfficiency:
@@ -187,7 +216,8 @@ REDUCED_GRIDS = [
 
 class TestRankingQuotient:
     """Rules that read only rankings are scanned one deviation block per
-    (agent, others' orders) class; the reports must be the full sweep's."""
+    (agent, others' orders) class and one profile per ordinal cell; the
+    reports must be the full sweep's."""
 
     @pytest.mark.parametrize("rule", RANKING_RULES, ids=lambda rule: rule.name)
     def test_reports_match_the_full_sweep(self, rule):
@@ -195,8 +225,11 @@ class TestRankingQuotient:
         assert rule.reads_only_rankings and not twin.reads_only_rankings
         for grid in REDUCED_GRIDS:
             config = CheckConfig(mu_grid=grid)
-            for check in (check_strategy_proofness, check_non_bossiness):
+            for check in (check_strategy_proofness, check_non_bossiness, check_ordinality):
                 assert check(rule, config).to_dict() == check(twin, config).to_dict()
+            # only ordinality reads samples_per_cell
+            bare = CheckConfig(mu_grid=grid, samples_per_cell=0)
+            assert check_ordinality(rule, bare).to_dict() == check_ordinality(twin, bare).to_dict()
 
     def test_both_fail_paths_are_compared(self):
         config = CheckConfig(mu_grid=REDUCED_GRIDS[3])
@@ -208,16 +241,64 @@ class TestRankingQuotient:
         assert bossy.witness["agent"] == 2
 
     def test_rsd_scans_one_block_per_class_on_the_default_grid(self):
-        calls = []
-
-        class Counted(Rule):
-            def allocate(self, profile):
-                calls.append(1)
-                return super().allocate(profile)
-
-        counted = Counted("rsd-counted", RSD.key, RSD.compute)
+        counted, calls = _counted(RSD)
         assert check_strategy_proofness(counted, CheckConfig()).passed
         assert len(calls) <= 3 * 36 * 42
+
+    def test_ordinality_calls_the_rule_once_per_cell_on_the_default_grid(self):
+        counted, calls = _counted(rule_by_name("blend:rsd:dictatorship:1/3"))
+        verdict = check_ordinality(counted, CheckConfig())
+        assert verdict.to_dict() == {
+            "status": "Pass",
+            "coverage": "cells=216; per_cell=343+2 random; seed=0",
+        }
+        assert len(calls) == 216
+        # each call is its cell's first grid profile, in canonical order
+        first = F(1, 10)
+        assert calls == [
+            tuple(utility_from(order, first) for order in orders)
+            for orders in itertools.product(all_orders(3), repeat=3)
+        ]
+
+    def test_ordinality_raises_where_the_full_sweep_raises(self):
+        orders = list(itertools.product(all_orders(3), repeat=3))
+        bad = tuple(order.ranking for order in orders[100])
+
+        def compute(rankings):
+            if rankings == bad:
+                raise ZeroDivisionError("compute fails on one ranking profile")
+            return RSD.compute(rankings)
+
+        counted, calls = _counted(Rule("raises-on-cell-100", RSD.key, compute))
+        assert counted.reads_only_rankings
+        with pytest.raises(ZeroDivisionError, match="one ranking profile"):
+            check_ordinality(counted, CheckConfig())
+        assert len(calls) == 101
+
+    @pytest.mark.parametrize("samples", [0, 2])
+    def test_cardinal_keys_take_the_full_ordinality_loop(self, samples):
+        # Pinned from the full sweep before the quotient existed: every
+        # rule fails in the first cell, at a profile other than its first.
+        config = CheckConfig(samples_per_cell=samples)
+        verdict = check_ordinality(UTILITARIAN, config)
+        assert verdict.to_dict() == {
+            "status": "Fail",
+            "coverage": f"cells=216; per_cell=343+{samples} random; seed=0; "
+            "scanned_cells=1 of 216",
+            "witness": {
+                "cell": ["a>b>c", "a>b>c", "a>b>c"],
+                "profile_a": [["10/11", "1/11", "0"]] * 3,
+                "profile_b": [["10/11", "1/11", "0"]] * 2 + [["4/5", "1/5", "0"]],
+                "allocation_a": [["0", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]],
+                "allocation_b": [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]],
+            },
+        }
+        blend = check_ordinality(rule_by_name("blend:rsd:utilitarian:1/2"), config)
+        assert blend.witness["profile_b"] == verdict.witness["profile_b"]
+        bossy = check_ordinality(BOSSY, config)
+        assert bossy.witness["profile_b"][0] == ["2/3", "1/3", "0"]
+        for fail in (blend, bossy):
+            assert fail.coverage == verdict.coverage
 
     def test_cardinal_keys_sweep_every_block(self):
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
@@ -309,6 +390,31 @@ class TestContinuity:
         lo, hi = (F(x) for x in verdict.witness["interval"])
         assert hi - lo < SMALL.continuity_interval_delta
         assert F(verdict.witness["gap"]) >= SMALL.continuity_gap_tau
+
+    def test_probe_budget_caps_a_path_that_moves_continuously(self):
+        # Resolving this path to tau = 10^-6 would take about 2^20 rule
+        # evaluations; the budget stops at MAX_PATH_PROBES and says so.
+        counted, calls = _counted(SLIDING)
+        agent, others, endpoints = default_continuity_paths()[0]
+        verdict = check_ncc_continuity(counted, agent, others, endpoints, CheckConfig())
+        assert verdict.passed
+        assert verdict.coverage.endswith(PROBE_CAP_NOTE)
+        assert len(calls) == MAX_PATH_PROBES
+        battery = check_continuity_battery(SLIDING, CheckConfig())
+        assert battery.to_dict() == {
+            "status": "Pass",
+            "coverage": "paths=3; probe_capped_paths=0",
+        }
+
+    def test_tiny_delta_localizes_the_jump_without_recursion(self):
+        delta = F(1, 10**400)  # about 1,330 halvings, past the recursion limit
+        agent, others, endpoints = default_continuity_paths()[0]
+        config = CheckConfig(continuity_interval_delta=delta)
+        verdict = check_ncc_continuity(UTILITARIAN, agent, others, endpoints, config)
+        assert not verdict.passed
+        assert not verdict.coverage.endswith(PROBE_CAP_NOTE)
+        lo, hi = (F(x) for x in verdict.witness["interval"])
+        assert hi - lo < delta
 
     def test_different_cones_rejected(self):
         config = SMALL

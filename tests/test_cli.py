@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alloclab.cli import main, parse_profile_file
+from alloclab.cli import MAX_TRIALS, MAX_V_PROFILES, main, parse_profile_file
 from alloclab.core import TiesPresent
+from alloclab.harness import default_v_profiles, verify_lemma
 from alloclab.cli import ParseError
 
 
@@ -207,6 +208,59 @@ def test_profile_list_size_is_capped(at_cap, over_cap, profiles, message, monkey
     monkeypatch.setattr("alloclab.cli.random_profile", no_profiles)
     assert main([*argv, *over_cap]) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("text", ["abc", "-3"])
+def test_malformed_random_count_is_usage_error(text, monkeypatch, capsys):
+    def no_profiles(*args):
+        raise AssertionError("profiles built before the count check")
+
+    monkeypatch.setattr("alloclab.cli.random_profile", no_profiles)
+    argv = ["check", "--rule", "rsd", "--axiom", "efficiency", "--seed", "1",
+            "--profiles", f"random:count={text}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: random:count must be an integer from 1 to 10000, got '{text}'\n"
+    )
+
+
+def _one_v_profile(sizes):
+    def build(seed, count):
+        sizes.append(count)
+        return default_v_profiles(seed, 1)
+
+    return "default_v_profiles", build
+
+
+def _one_trial(sizes):
+    def run(lemma, rule, trials, seed):
+        sizes.append(trials)
+        return verify_lemma(lemma, rule, 1, seed)
+
+    return "verify_lemma", run
+
+
+@pytest.mark.parametrize(
+    "argv, flag, cap, stub",
+    [
+        (["theorem2", "--rule", "rsd", "--grid", "1/2", "--seed", "1", "--count"],
+         "--count", MAX_V_PROFILES, _one_v_profile),
+        (["lemma", "--lemma", "L1", "--rule", "rsd", "--seed", "1", "--trials"],
+         "--trials", MAX_TRIALS, _one_trial),
+    ],
+)
+def test_v_profile_count_and_lemma_trials_are_capped(argv, flag, cap, stub, monkeypatch, capsys):
+    # The stub records the size it is asked for and builds one item, so the
+    # run at the cap stays short.
+    sizes = []
+    name, replacement = stub(sizes)
+    monkeypatch.setattr(f"alloclab.cli.{name}", replacement)
+    assert main([*argv, str(cap)]) == 0
+    assert sizes == [cap]
+    capsys.readouterr()
+    assert main([*argv, str(cap + 1)]) == 2
+    assert sizes == [cap]  # refused before any profile is built or trial runs
+    assert capsys.readouterr().err == f"error: {flag} must be at most {cap}, got {cap + 1}\n"
 
 
 def test_grid_efficiency_report_bytes_are_pinned(capsys):
