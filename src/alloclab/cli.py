@@ -33,6 +33,7 @@ from .checkers import (
     NotOrdinal,
 )
 from .core import (
+    BernoulliUtility,
     TiesPresent,
     UtilityProfile,
     make_allocation,
@@ -45,6 +46,7 @@ from .harness import (
     NotOrdinalOnU,
     default_v_profiles,
     exploration_stress,
+    report_csv,
     report_json,
     theorem_stress,
     theorem2_check,
@@ -62,7 +64,7 @@ class IoError(ValueError):
 
 
 class ParseError(ValueError):
-    """Profile file content is malformed; message carries the location."""
+    """Profile file or matrix content is malformed; message carries the location."""
 
 
 SEEDLESS_AXIOMS = {"strategy-proofness", "non-bossiness", "continuity"}
@@ -142,10 +144,7 @@ def _profiles_from_csv(text: str, path: str) -> list[UtilityProfile]:
         for agent, (line_no, values) in enumerate(chunk):
             if len(values) != n:
                 raise ParseError(f"{path}:{line_no}: expected {n} columns")
-            try:
-                utilities.append(make_utility(values))
-            except TiesPresent as exc:
-                raise TiesPresent(f"{path}:{line_no}: agent {agent}: {exc}") from exc
+            utilities.append(_utility(values, f"{path}:{line_no}: agent {agent}"))
         profile = tuple(utilities)
         validate_profile(profile)
         profiles.append(profile)
@@ -173,20 +172,21 @@ def _profiles_from_json(text: str, path: str) -> list[UtilityProfile]:
                 raise ParseError(
                     f"{path}: profile {p_index}: agent {agent}: expected a list of utilities"
                 )
-            try:
-                utilities.append(make_utility(row))
-            except TiesPresent as exc:
-                raise TiesPresent(
-                    f"{path}: profile {p_index}: agent {agent}: {exc}"
-                ) from exc
-            except (ValueError, TypeError) as exc:
-                raise ParseError(
-                    f"{path}: profile {p_index}: agent {agent}: {exc}"
-                ) from exc
+            utilities.append(_utility(row, f"{path}: profile {p_index}: agent {agent}"))
         profile = tuple(utilities)
         validate_profile(profile)
         profiles.append(profile)
     return profiles
+
+
+def _utility(row: list, where: str) -> BernoulliUtility:
+    """One agent's utility row; a malformed row is reported at `where`."""
+    try:
+        return make_utility(row)
+    except TiesPresent as exc:
+        raise TiesPresent(f"{where}: {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def _random_profiles(spec: str, config: CheckConfig) -> list[UtilityProfile]:
@@ -235,12 +235,6 @@ def _emit(payload: str, out: str | None) -> None:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
-
-
-def _csv_rows(*rows: list) -> str:
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows(rows)
-    return buffer.getvalue()
 
 
 def _not_ordinal(fields: dict, exc: NotOrdinal | NotOrdinalOnU, out: str | None) -> int:
@@ -299,7 +293,7 @@ def _run_check(args: argparse.Namespace) -> int:
 
 def _check_csv(axiom: str, args: argparse.Namespace, status: str) -> int:
     """The one-row CSV report of `check`; the exit code is 0 only on Pass."""
-    _emit(_csv_rows(["axiom", "rule", "status"], [axiom, args.rule, status]), args.out)
+    _emit(report_csv([["axiom", "rule", "status"], [axiom, args.rule, status]]), args.out)
     return 0 if status == "Pass" else 1
 
 
@@ -316,7 +310,11 @@ def _run_decompose(args: argparse.Namespace) -> int:
         raise ParseError(f"matrix is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("matrix", data)
-    _emit(report_json(decompose(make_allocation(data)).to_dict()), args.out)
+    try:
+        matrix = make_allocation(data)
+    except TypeError as exc:
+        raise ParseError(f"matrix is not a square grid of exact rationals: {exc}") from exc
+    _emit(report_json(decompose(matrix).to_dict()), args.out)
     return 0
 
 
@@ -333,10 +331,10 @@ def _run_lemma(args: argparse.Namespace) -> int:
     report = verify_lemma(lemma, rule, args.trials, args.seed)
     if args.format == "csv":
         _emit(
-            _csv_rows(
+            report_csv([
                 ["lemma", "rule", "trials", "sampled", "failures"],
                 [lemma, report.rule, report.trials, report.sampled, report.failures_total],
-            ),
+            ]),
             args.out,
         )
     else:

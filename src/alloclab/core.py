@@ -89,10 +89,6 @@ class Lottery:
     def m(self) -> int:
         return len(self.probs)
 
-    def to_dict(self) -> dict:
-        return {"probs": [str(p) for p in self.probs]}
-
-
 
 def make_lottery(probs: Iterable[int | Fraction | str]) -> Lottery:
     """Validated lottery from any iterable of exact rationals."""

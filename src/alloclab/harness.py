@@ -67,19 +67,6 @@ class NotOrdinalOnU(ValueError):
     utilities."""
 
 
-LEMMA_IDS = (
-    "L1_effectively_same",
-    "L2_middle_bump",
-    "L3_identical_pair",
-    "L4_top_or_bottom",
-    "L5_positive_b",
-    "L6_one_agent_invariance",
-    "L7_same_order_pair",
-    "L8_interior_ordinality",
-    "L9_support_two",
-    "L10_separating",
-)
-
 _ALL_FOUR = ("efficiency", "strategy_proofness", "non_bossiness", "continuity")
 
 LEMMA_HYPOTHESES: dict[str, tuple[str, ...]] = {
@@ -109,6 +96,13 @@ def report_json(data: dict) -> str:
     """The byte-stable JSON form of every report: sorted keys, two-space
     indent."""
     return json.dumps(data, sort_keys=True, indent=2)
+
+
+def report_csv(rows: list[list]) -> str:
+    """The CSV form of a report: a header row, then one row per record."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
 
 
 @dataclass
@@ -178,8 +172,11 @@ def verify_lemma(
 ) -> LemmaReport:
     """Sample `trials` instances matching the lemma's hypothesis pattern and
     check its conclusion exactly. Rejection sampling gives up after
-    REJECTION_FACTOR * trials attempts and reports the shortfall. The report
-    keeps the first MAX_WITNESSES failure witnesses and counts them all."""
+    REJECTION_FACTOR * trials attempts and reports the shortfall, or after
+    the first REJECTION_FACTOR attempts if none of them met the hypothesis:
+    then `hypothesis_unsatisfiable` is set, meaning no instance was found in
+    those attempts, not that none exists. The report keeps the first
+    MAX_WITNESSES failure witnesses and counts them all."""
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id: {lemma_id!r}")
     if lemma_id != "L10_separating" and rule is None:
@@ -198,6 +195,8 @@ def verify_lemma(
     budget = REJECTION_FACTOR * trials
     attempts = 0
     while report.sampled < trials and attempts < budget:
+        if attempts == REJECTION_FACTOR and not report.sampled:
+            break
         attempts += 1
         outcome = checker(rule, rng)
         if outcome is _REJECTED:
@@ -380,6 +379,8 @@ _LEMMA_CHECKERS = {
     "L10_separating": lambda rule, rng: _separation_check(_l10_member(rng), rng),
 }
 
+LEMMA_IDS = tuple(_LEMMA_CHECKERS)
+
 
 @dataclass
 class StressReport:
@@ -391,13 +392,14 @@ class StressReport:
         return report_json(asdict(self))
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["rule", "axiom", "status"])
-        for rule in self.rules_tested:
-            for axiom, verdict in self.verdicts[rule].items():
-                writer.writerow([rule, axiom, verdict["status"]])
-        return buffer.getvalue()
+        return report_csv(
+            [["rule", "axiom", "status"]]
+            + [
+                [rule, axiom, verdict["status"]]
+                for rule in self.rules_tested
+                for axiom, verdict in self.verdicts[rule].items()
+            ]
+        )
 
 
 def theorem_stress(rule_family: list[Rule], config: CheckConfig) -> StressReport:
@@ -460,13 +462,13 @@ def theorem2_check(
             f"{ordinal_verdict.witness}"
         )
     rng = random.Random(f"{config.seed}:theorem2")
-    validation = validate_v_domain(
+    failures = validate_v_domain(
         [member for profile in v_profiles for member in profile],
         sample_count=25,
         seed=config.seed,
     )
-    if not validation.all_passed:
-        raise ValueError(f"v_profiles fail the domain conditions: {validation.to_dict()}")
+    if failures:
+        raise ValueError(f"v_profiles fail the domain conditions: {failures}")
 
     coverage = f"v_profiles={len(v_profiles)}"
     separating_trials = 0

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -269,96 +269,40 @@ def separating_utility(v: VUtility, p1: Lottery, p2: Lottery) -> BernoulliUtilit
     raise ValueError("construction failed to preserve the ordinal and separate the lotteries")
 
 
-@dataclass
-class VCandidateReport:
-    """Condition checks for one V-domain candidate."""
-
-    name: str
-    no_ties: bool
-    tie_witness: tuple[ObjectId, ObjectId] | None
-    sd_monotone: bool
-    sd_witness: dict | None
-    pairs_tested: int
-
-    @property
-    def passed(self) -> bool:
-        return self.no_ties and self.sd_monotone
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "no_ties": self.no_ties,
-            "tie_witness": list(self.tie_witness) if self.tie_witness else None,
-            "sd_monotone": self.sd_monotone,
-            "sd_witness": self.sd_witness,
-            "pairs_tested": self.pairs_tested,
-        }
-
-
-@dataclass
-class ValidationReport:
-    """Per-candidate verdicts for the V-domain conditions."""
-
-    entries: list[VCandidateReport] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(entry.passed for entry in self.entries)
-
-    def to_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "entries": [entry.to_dict() for entry in self.entries],
-        }
-
-
 def validate_v_domain(
     candidates: Sequence[VUtility], sample_count: int, seed: int
-) -> ValidationReport:
+) -> list[dict]:
     """Check V-domain conditions on each candidate: no ties on degenerate
     lotteries (exhaustive) and strict monotonicity on sampled sd-comparable
-    lottery pairs. Failures carry witnesses; nothing is raised."""
+    lottery pairs. Returns one witness per failing candidate, so an empty
+    list means every candidate passed; nothing is raised."""
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    report = ValidationReport()
+    failures = []
     for index, candidate in enumerate(candidates):
-        rng = random.Random(f"{seed}:candidate:{index}")
         values = candidate.degenerate_values()
-        tie_witness = None
-        for x in range(len(values)):
-            for y in range(x + 1, len(values)):
-                if values[x] == values[y]:
-                    tie_witness = (x, y)
-                    break
-            if tie_witness:
-                break
-
-        sd_witness = None
-        pairs = 0
-        if tie_witness is None:
-            order = candidate.ordinal
-            for _ in range(sample_count):
-                dominant, dominated = sd_comparable_pair(order, rng)
-                pairs += 1
-                if candidate.evaluate(dominant) <= candidate.evaluate(dominated):
-                    sd_witness = {
-                        "dominant": dominant.to_dict(),
-                        "dominated": dominated.to_dict(),
-                        "value_dominant": str(candidate.evaluate(dominant)),
-                        "value_dominated": str(candidate.evaluate(dominated)),
-                    }
-                    break
-        report.entries.append(
-            VCandidateReport(
-                name=candidate.name,
-                no_ties=tie_witness is None,
-                tie_witness=tie_witness,
-                sd_monotone=sd_witness is None,
-                sd_witness=sd_witness,
-                pairs_tested=pairs,
-            )
+        tie = next(
+            ([x, y] for x, y in itertools.combinations(range(len(values)), 2)
+             if values[x] == values[y]),
+            None,
         )
-    return report
+        if tie is not None:
+            failures.append({"name": candidate.name, "tie": tie})
+            continue
+        rng = random.Random(f"{seed}:candidate:{index}")
+        for _ in range(sample_count):
+            dominant, dominated = sd_comparable_pair(candidate.ordinal, rng)
+            high, low = candidate.evaluate(dominant), candidate.evaluate(dominated)
+            if high <= low:
+                failures.append({
+                    "name": candidate.name,
+                    "dominant": [str(p) for p in dominant.probs],
+                    "dominated": [str(p) for p in dominated.probs],
+                    "value_dominant": str(high),
+                    "value_dominated": str(low),
+                })
+                break
+    return failures
 
 
 # Denominator of the random rates and utility levels the samplers draw.

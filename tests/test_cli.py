@@ -496,3 +496,81 @@ def test_profile_files_round_trip(profiles):
         for path in (csv_path, json_path):
             parsed = parse_profile_file(str(path))
             assert [[list(u.values) for u in profile] for profile in parsed] == profiles
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("tied.json", '[[["1","1","0"],["1","1/2","0"],["1","9/10","0"]]]',
+         ": profile 0: agent 0: tied utility values in "
+         "(Fraction(1, 1), Fraction(1, 1), Fraction(0, 1))"),
+        ("rational.json", '[[["1","a","0"],["1","1/2","0"],["1","9/10","0"]]]',
+         ": profile 0: agent 0: not an exact rational: 'a'"),
+        ("decimal.json", "[[[1,0.5,0],[1,0.25,0],[0,0.5,1]]]",
+         ": profile 0: agent 0: exact rational expected, got float"),
+        ("broken.json", "[[[1,", ": invalid JSON: Expecting value: line 1 column 6 (char 5)"),
+        ("object.json", '{"x": 1}', ": expected a list of profiles"),
+        ("tied.csv", "1,2/5,0\n1,1,0\n1,9/10,0\n",
+         ":2: agent 1: tied utility values in "
+         "(Fraction(1, 1), Fraction(1, 1), Fraction(0, 1))"),
+        ("blank.csv", "\n  ,  \n\n", ": no profile rows"),
+        ("incomplete.csv", "1,2/5,0\n1,1/2,0\n",
+         ": 2 agent rows do not form complete profiles of 3 agents"),
+        ("short.csv", "1,2/5,0\n1,1/2\n1,9/10,0\n", ":2: expected 3 columns"),
+    ],
+)
+def test_malformed_profile_file_message_is_pinned(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = ["check", "--rule", "utilitarian", "--axiom", "efficiency", "--seed", "1",
+            "--profiles", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+
+def test_unknown_generator_spec_is_usage_error(capsys):
+    argv = ["check", "--rule", "rsd", "--axiom", "efficiency", "--seed", "1",
+            "--profiles", "random:n=3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: unrecognized profile generator spec: 'random:n=3'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "thresholds, code, width",
+    [
+        ([], 1, "1/1073741824"),
+        (["--delta", "1/64"], 1, "1/128"),
+        (["--tau", "2", "--delta", "1/64"], 0, None),  # utilitarian's jump is 1
+    ],
+)
+def test_continuity_thresholds_reach_the_checker(thresholds, code, width, capsys):
+    argv = ["check", "--rule", "utilitarian", "--axiom", "continuity", *thresholds]
+    assert main(argv) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report.get("witness", {}).get("width") == width
+
+
+@pytest.mark.parametrize("flag", ["--tau", "--delta"])
+def test_nonpositive_continuity_threshold_is_usage_error(flag, capsys):
+    argv = ["check", "--rule", "rsd", "--axiom", "continuity", flag, "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: continuity thresholds must be positive\n"
+
+
+@pytest.mark.parametrize("rule, code, status", [("rsd", 0, "Pass"), ("utilitarian", 1, "Fail")])
+def test_check_csv_row_on_a_verdict(rule, code, status, capsys):
+    argv = ["check", "--rule", rule, "--axiom", "ordinality", "--seed", "1", "--grid", "1/2",
+            "--format", "csv"]
+    assert main(argv) == code
+    assert capsys.readouterr().out == f"axiom,rule,status\r\nordinality,{rule},{status}\r\n"
+
+
+@pytest.mark.parametrize(
+    "matrix", ["[[0.5,0.5],[0.5,0.5]]", "[[null,1],[1,0]]", "7", "[1,2]"]
+)
+def test_malformed_matrix_is_usage_error(matrix, capsys):
+    assert main(["decompose", "--matrix", matrix]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix ") and err.count("\n") == 1

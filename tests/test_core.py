@@ -43,11 +43,6 @@ class TestLottery:
         with pytest.raises(NegativeEntry):
             make_lottery(["3/2", "-1/2", "0"])
 
-    def test_roundtrip_dict(self):
-        lot = make_lottery(["2/5", "2/5", "1/5"])
-        assert lot.to_dict() == {"probs": ["2/5", "2/5", "1/5"]}
-        assert make_lottery(lot.to_dict()["probs"]) == lot
-
 
 class TestAllocation:
     def test_identity_permutation(self):

@@ -21,9 +21,15 @@ from alloclab import (
     verify_lemma,
 )
 from alloclab import harness
-from alloclab.core import make_allocation, make_profile, uniform_allocation
+from alloclab.core import (
+    expected_utility,
+    make_allocation,
+    make_profile,
+    make_utility,
+    uniform_allocation,
+)
 from alloclab.harness import default_v_profiles, exploration_stress
-from alloclab.ordinal import middle_rate, ordinal_of
+from alloclab.ordinal import VUtility, middle_rate, ordinal_of, v_from_bernoulli
 from alloclab.rules import DICTATORSHIP, Rule, built_in_family, rule_by_name
 
 F = Fraction
@@ -56,6 +62,19 @@ class TestVerifyLemma:
         # interior-support hypothesis cannot be instantiated.
         report = verify_lemma("L8_interior_ordinality", DICTATORSHIP, trials=5, seed=1)
         assert report.hypothesis_unsatisfiable
+        assert report.failures == []
+
+    def test_unsatisfiable_hypothesis_stops_after_rejection_factor_attempts(self):
+        calls = []
+
+        def counted_key(profile):
+            calls.append(1)
+            return DICTATORSHIP.key(profile)
+
+        rule = Rule("counted-dictatorship", counted_key, DICTATORSHIP.compute)
+        report = verify_lemma("L8_interior_ordinality", rule, trials=1000, seed=1)
+        assert len(calls) == harness.REJECTION_FACTOR
+        assert report.sampled == 0 and report.hypothesis_unsatisfiable
         assert report.failures == []
 
     def test_reports_are_deterministic(self):
@@ -213,6 +232,15 @@ class TestTheorem2:
         profiles = default_v_profiles(seed=3, count=2)
         with pytest.raises(NotOrdinalOnU):
             theorem2_check(UTILITARIAN, profiles, SMALL)
+
+    def test_v_profiles_outside_the_domain_are_refused(self):
+        base = make_utility(["1", "2/5", "0"])
+        reversed_eu = VUtility(
+            "minus-eu", lambda lot: -expected_utility(base, lot), ordinal_of(base)
+        )
+        profile = (v_from_bernoulli(base), reversed_eu, v_from_bernoulli(base))
+        with pytest.raises(ValueError, match="v_profiles fail the domain conditions: .*minus-eu"):
+            theorem2_check(RSD, [profile], SMALL)
 
     def test_rule_ordinal_only_on_grid_rates_fails_with_reverifying_witness(self):
         # Uniform when every middle rate is a grid rate, the identity

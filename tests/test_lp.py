@@ -173,6 +173,28 @@ class TestFindDominating:
                 assert dominates_directly(profile, better, alloc)
         assert found > 30  # random allocations are usually dominated
 
+    def test_negative_status_quo_utilities(self):
+        # Utilities below zero give every agent a negative status-quo
+        # floor, so the LP enters phase 1 with sign-flipped rows. Shifting
+        # every utility by a constant leaves the feasible set and the
+        # optimal face unchanged, so the answer must be the same.
+        rng = random.Random(58)
+        orders = all_orders(3)
+        found = 0
+        for _ in range(60):
+            profile = tuple(
+                random_utility_consistent(rng.choice(orders), rng) for _ in range(3)
+            )
+            shifted = make_profile([[v - 10 for v in u.values] for u in profile])
+            alloc = random_bistochastic(3, rng)
+            assert all(expected_utility(u, alloc.row(i)) < 0 for i, u in enumerate(shifted))
+            better = find_dominating(shifted, alloc)
+            assert better == find_dominating(profile, alloc)
+            if better is not None:
+                found += 1
+                assert dominates_directly(shifted, better, alloc)
+        assert found > 30
+
     def test_optimal_face_is_undominated(self):
         # Agents 0 and 1 have equal utilities, so swapping a and b between
         # them keeps the total: two permutations are optimal, and their even

@@ -284,17 +284,16 @@ class TestRdu:
 class TestValidateVDomain:
     def test_eu_members_pass(self):
         candidates = [v_from_bernoulli(make_utility([3, 1, 2]))]
-        report = validate_v_domain(candidates, sample_count=40, seed=2)
-        assert report.all_passed
+        assert validate_v_domain(candidates, sample_count=40, seed=2) == []
 
     def test_rdu_members_pass(self):
         base = make_utility(["1", "2/5", "0"])
-        report = validate_v_domain(
+        failures = validate_v_domain(
             [rdu_utility(ABC, base, 2), rdu_utility(ABC, base, 3)],
             sample_count=60,
             seed=3,
         )
-        assert report.all_passed
+        assert failures == []
 
     def test_broken_member_fails_with_witness(self):
         from alloclab import VUtility
@@ -304,6 +303,25 @@ class TestValidateVDomain:
             evaluate=lambda lot: lot.probs[0] + lot.probs[1],
             ordinal=ABC,
         )
-        report = validate_v_domain([broken], sample_count=5, seed=1)
-        assert not report.all_passed
-        assert report.entries[0].tie_witness == (0, 1)
+        assert validate_v_domain([broken], sample_count=5, seed=1) == [
+            {"name": "tied", "tie": [0, 1]}
+        ]
+
+    def test_non_monotone_member_fails_with_reverifying_witness(self):
+        from alloclab import VUtility
+
+        base = make_utility(["1", "2/5", "0"])
+        reversed_eu = VUtility(
+            name="minus-eu",
+            evaluate=lambda lot: -expected_utility(base, lot),
+            ordinal=ABC,
+        )
+        members = [v_from_bernoulli(base), reversed_eu]
+        [witness] = validate_v_domain(members, sample_count=5, seed=1)
+        assert witness["name"] == "minus-eu"
+        dominant = make_lottery(witness["dominant"])
+        dominated = make_lottery(witness["dominated"])
+        assert sd_compare(dominant, dominated, ABC) == SdVerdict.DOMINATES
+        assert witness["value_dominant"] == str(reversed_eu.evaluate(dominant))
+        assert witness["value_dominated"] == str(reversed_eu.evaluate(dominated))
+        assert reversed_eu.evaluate(dominant) <= reversed_eu.evaluate(dominated)
