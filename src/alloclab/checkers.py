@@ -9,8 +9,9 @@ re-verifies from the value types alone. Scans run in canonical cell order
 and stop at the first failure, so verdicts are reproducible; a Fail's
 coverage says how far its scan got.
 
-The strategy-proofness and non-bossiness scans walk deviation blocks: one
-agent, fixed reports of the other two, and every grid cell for the agent.
+The strategy-proofness and non-bossiness scans are one loop over deviation
+blocks (`_scan_blocks`), each with its own judge of a block: one agent,
+fixed reports of the other two, and every grid cell for the agent.
 For a rule that reads only rankings (`Rule.reads_only_rankings`), all
 blocks with the same agent and the same orders of the others hold the same
 allocations, so they share one verdict. Such a rule is scanned one block
@@ -32,7 +33,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import (
     ONE,
@@ -94,9 +95,11 @@ class CheckConfig:
     continuity_interval_delta: Fraction = Fraction(1, 10**9)
 
     def __post_init__(self) -> None:
-        for mu in self.mu_grid:
+        for index, mu in enumerate(self.mu_grid):
             if not ZERO < mu < ONE:
                 raise ValueError(f"grid value {mu} outside (0, 1)")
+            if mu in self.mu_grid[:index]:
+                raise ValueError(f"grid value {mu} repeated")
         if self.continuity_gap_tau <= 0 or self.continuity_interval_delta <= 0:
             raise ValueError("continuity thresholds must be positive")
         if self.samples_per_cell < 0:
@@ -107,13 +110,18 @@ class CheckConfig:
 
 @dataclass
 class Verdict:
-    status: str  # "Pass" or "Fail"
+    """A checker's answer: a Fail carries its witness, a Pass has none."""
+
     witness: dict | None
     coverage: str
 
     @property
     def passed(self) -> bool:
-        return self.status == "Pass"
+        return self.witness is None
+
+    @property
+    def status(self) -> str:
+        return "Pass" if self.witness is None else "Fail"
 
     def to_dict(self) -> dict:
         data = {"status": self.status, "coverage": self.coverage}
@@ -147,34 +155,10 @@ def _profile_with(
     return others[:agent] + (utility,) + others[agent:]
 
 
-def _grid_description(config: CheckConfig, cells: int) -> str:
-    """Coverage of a deviation scan: every cell as truth and as deviation."""
-    return (
-        f"grid: 6 orders x {len(config.mu_grid)} mu per agent; "
-        f"cells_per_agent={cells}; profiles={cells**3}; deviations_per_agent={cells}"
-    )
-
-
 def _stopped(coverage: str, scanned: int, total: int, unit: str) -> str:
     """A Fail's coverage: the declared sweep plus how far the scan got
     before it stopped at the failure."""
     return f"{coverage}; scanned_{unit}={scanned} of {total}"
-
-
-def _deviation_blocks(
-    rule: Rule, cells: Sequence[BernoulliUtility], rates: int
-) -> Iterator[tuple[int, int, tuple]]:
-    """(canonical block index from 1, agent, fixed reports of the others), in
-    canonical order. For a rule that reads only rankings, every block of one
-    class (agent, orders of the others) has the same allocations, so only
-    the class's first block is yielded: the one with both others at the
-    first grid rate."""
-    count = len(cells)
-    step = rates if rule.reads_only_rankings else 1
-    for agent in range(3):
-        for i in range(0, count, step):
-            for j in range(0, count, step):
-                yield (agent * count + i) * count + j + 1, agent, (cells[i], cells[j])
 
 
 def check_efficiency(rule: Rule, profiles: Sequence[UtilityProfile]) -> Verdict:
@@ -194,7 +178,6 @@ def check_efficiency(rule: Rule, profiles: Sequence[UtilityProfile]) -> Verdict:
                 for i, u in enumerate(profile)
             ]
             return Verdict(
-                status="Fail",
                 witness={
                     "profile": profile_json(profile),
                     "allocation": allocation_json(alloc),
@@ -203,92 +186,116 @@ def check_efficiency(rule: Rule, profiles: Sequence[UtilityProfile]) -> Verdict:
                 },
                 coverage=_stopped(coverage, scanned, len(profiles), "profiles"),
             )
-    return Verdict(status="Pass", witness=None, coverage=coverage)
+    return Verdict(None, coverage)
+
+
+def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
+    """Allocate every cell of each deviation block, in canonical order (one
+    block per class for a rule that reads only rankings), and stop at the
+    first block where ``judge(agent, others, cells, allocations)`` returns a
+    witness; `scanned_blocks` is that block's canonical index from 1."""
+    cells = grid_cells(config)
+    count = len(cells)
+    coverage = (
+        f"grid: 6 orders x {len(config.mu_grid)} mu per agent; "
+        f"cells_per_agent={count}; profiles={count**3}; deviations_per_agent={count}"
+    )
+    step = len(config.mu_grid) if rule.reads_only_rankings else 1
+    for agent in range(3):
+        for i in range(0, count, step):
+            for j in range(0, count, step):
+                others = (cells[i], cells[j])
+                allocations = [
+                    rule.allocate(_profile_with(others, agent, cell)) for cell in cells
+                ]
+                witness = judge(agent, others, cells, allocations)
+                if witness is not None:
+                    scanned = (agent * count + i) * count + j + 1
+                    return Verdict(
+                        witness, _stopped(coverage, scanned, 3 * count**2, "blocks")
+                    )
+    return Verdict(None, coverage)
+
+
+def _row_classes(allocations: Sequence[Allocation], agent: int) -> tuple[list, list[int]]:
+    """The agent's distinct rows over `allocations`, and each allocation's
+    row class index. Rows match first by identity (memoized rules return
+    shared objects, and the block keeps them alive), then by value so rules
+    that rebuild equal allocations still collapse."""
+    seen_id: dict[int, int] = {}
+    seen_value: dict[tuple[Fraction, ...], int] = {}
+    distinct: list[tuple[Fraction, ...]] = []
+    index_of: list[int] = []
+    for alloc in allocations:
+        row = alloc.rows[agent]
+        key = seen_id.get(id(row))
+        if key is None:
+            key = seen_value.setdefault(row, len(distinct))
+            if key == len(distinct):
+                distinct.append(row)
+            seen_id[id(row)] = key
+        index_of.append(key)
+    return distinct, index_of
+
+
+def _manipulation(agent, others, cells, allocations) -> dict | None:
+    """The first (truth, deviation) pair of the block where the agent gains
+    strictly by reporting the deviation, or None."""
+    distinct, index_of = _row_classes(allocations, agent)
+    for t, truth in enumerate(cells):
+        values = truth.values
+        eus = []
+        for row in distinct:
+            eu = ZERO
+            for v, p in zip(values, row):
+                if p:
+                    eu += v * p
+            eus.append(eu)
+        eu_true = eus[index_of[t]]
+        if max(eus) <= eu_true:
+            continue
+        for d, key in enumerate(index_of):
+            if eus[key] > eu_true:
+                return {
+                    "profile": profile_json(_profile_with(others, agent, truth)),
+                    "agent": agent,
+                    "deviation": utility_json(cells[d]),
+                    "truthful_allocation": allocation_json(allocations[t]),
+                    "deviated_allocation": allocation_json(allocations[d]),
+                    "gap": str(eus[key] - eu_true),
+                }
+    return None
+
+
+def _bossiness(agent, others, cells, allocations) -> dict | None:
+    """The first cell of the block whose allocation differs from that of the
+    first cell with the same own row, or None."""
+    first: dict[int, int] = {}
+    for d, key in enumerate(_row_classes(allocations, agent)[1]):
+        t = first.setdefault(key, d)
+        alloc = allocations[d]
+        if t != d and allocations[t] is not alloc and allocations[t] != alloc:
+            return {
+                "profile": profile_json(_profile_with(others, agent, cells[t])),
+                "agent": agent,
+                "deviation": utility_json(cells[d]),
+                "own_row": [str(p) for p in alloc.rows[agent]],
+                "allocation": allocation_json(allocations[t]),
+                "deviated_allocation": allocation_json(alloc),
+            }
+    return None
 
 
 def check_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
     """Exact weak-inequality test over every grid profile, agent, and
     single-agent grid deviation."""
-    cells = grid_cells(config)
-    coverage = _grid_description(config, len(cells))
-    blocks = 3 * len(cells) ** 2
-    for scanned, agent, others in _deviation_blocks(rule, cells, len(config.mu_grid)):
-        allocations = [
-            rule.allocate(_profile_with(others, agent, cell)) for cell in cells
-        ]
-        rows = [alloc.rows[agent] for alloc in allocations]
-        # Deduplicate the agent's rows: first by identity (memoized rules
-        # return shared objects, and the block keeps them alive), then by
-        # value so rules that rebuild equal allocations still collapse.
-        seen_id: dict[int, int] = {}
-        seen_value: dict[tuple[Fraction, ...], int] = {}
-        distinct: list[tuple[Fraction, ...]] = []
-        index_of: list[int] = []
-        for row in rows:
-            key = seen_id.get(id(row))
-            if key is None:
-                key = seen_value.setdefault(row, len(distinct))
-                if key == len(distinct):
-                    distinct.append(row)
-                seen_id[id(row)] = key
-            index_of.append(key)
-        for t, truth in enumerate(cells):
-            values = truth.values
-            eus = []
-            for row in distinct:
-                eu = ZERO
-                for v, p in zip(values, row):
-                    if p:
-                        eu += v * p
-                eus.append(eu)
-            eu_true = eus[index_of[t]]
-            if max(eus) <= eu_true:
-                continue
-            for d, key in enumerate(index_of):
-                if eus[key] > eu_true:
-                    return Verdict(
-                        status="Fail",
-                        witness={
-                            "profile": profile_json(_profile_with(others, agent, truth)),
-                            "agent": agent,
-                            "deviation": utility_json(cells[d]),
-                            "truthful_allocation": allocation_json(allocations[t]),
-                            "deviated_allocation": allocation_json(allocations[d]),
-                            "gap": str(eus[key] - eu_true),
-                        },
-                        coverage=_stopped(coverage, scanned, blocks, "blocks"),
-                    )
-    return Verdict(status="Pass", witness=None, coverage=coverage)
+    return _scan_blocks(rule, config, _manipulation)
 
 
 def check_non_bossiness(rule: Rule, config: CheckConfig) -> Verdict:
     """Whenever a deviation leaves the deviator's own row unchanged, the full
     matrix must be unchanged."""
-    cells = grid_cells(config)
-    coverage = _grid_description(config, len(cells))
-    blocks = 3 * len(cells) ** 2
-    for scanned, agent, others in _deviation_blocks(rule, cells, len(config.mu_grid)):
-        allocations = [
-            rule.allocate(_profile_with(others, agent, cell)) for cell in cells
-        ]
-        first_with_row: dict[tuple, int] = {}
-        for d, alloc in enumerate(allocations):
-            row = alloc.rows[agent]
-            t = first_with_row.setdefault(row, d)
-            if t != d and allocations[t] is not alloc and allocations[t] != alloc:
-                return Verdict(
-                    status="Fail",
-                    witness={
-                        "profile": profile_json(_profile_with(others, agent, cells[t])),
-                        "agent": agent,
-                        "deviation": utility_json(cells[d]),
-                        "own_row": [str(p) for p in row],
-                        "allocation": allocation_json(allocations[t]),
-                        "deviated_allocation": allocation_json(alloc),
-                    },
-                    coverage=_stopped(coverage, scanned, blocks, "blocks"),
-                )
-    return Verdict(status="Pass", witness=None, coverage=coverage)
+    return _scan_blocks(rule, config, _bossiness)
 
 
 def cell_twin_witness(
@@ -341,12 +348,8 @@ def check_ordinality(rule: Rule, config: CheckConfig) -> Verdict:
             )
         witness = cell_twin_witness(rule, orders, profiles)
         if witness is not None:
-            return Verdict(
-                status="Fail",
-                witness=witness,
-                coverage=_stopped(coverage, index + 1, 216, "cells"),
-            )
-    return Verdict(status="Pass", witness=None, coverage=coverage)
+            return Verdict(witness, _stopped(coverage, index + 1, 216, "cells"))
+    return Verdict(None, coverage)
 
 
 def check_sd_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
@@ -364,7 +367,9 @@ def check_sd_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
         )
     orders = all_orders(3)
     mid = Fraction(1, 2)
-    for truth_orders in itertools.product(orders, repeat=3):
+    coverage = "cells=216; ordinal deviations=6 per agent"
+    cells = itertools.product(orders, repeat=3)
+    for index, truth_orders in enumerate(cells):
         profile = tuple(utility_from(order, mid) for order in truth_orders)
         truthful = rule.allocate(profile)
         for agent in range(3):
@@ -383,7 +388,6 @@ def check_sd_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
                 )
                 if verdict not in (SdVerdict.DOMINATES, SdVerdict.EQUAL):
                     return Verdict(
-                        status="Fail",
                         witness={
                             "cell": [str(o) for o in truth_orders],
                             "agent": agent,
@@ -392,13 +396,9 @@ def check_sd_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
                             "deviated_share": [str(p) for p in deviated.rows[agent]],
                             "sd_verdict": verdict.value,
                         },
-                        coverage="cells=216; ordinal deviations=6 per agent",
+                        coverage=_stopped(coverage, index + 1, 216, "cells"),
                     )
-    return Verdict(
-        status="Pass",
-        witness=None,
-        coverage="cells=216; ordinal deviations=6 per agent",
-    )
+    return Verdict(None, coverage)
 
 
 def check_ncc_continuity(
@@ -474,8 +474,8 @@ def check_ncc_continuity(
     if capped:
         coverage += PROBE_CAP_NOTE
     if witness is not None:
-        return Verdict(status="Fail", witness=witness, coverage=coverage)
-    return Verdict(status="Pass", witness=None, coverage=coverage)
+        return Verdict(witness, coverage)
+    return Verdict(None, coverage)
 
 
 def default_efficiency_profiles(config: CheckConfig) -> list[UtilityProfile]:
@@ -542,9 +542,5 @@ def check_continuity_battery(rule: Rule, config: CheckConfig) -> Verdict:
         note = f"; probe_capped_paths={','.join(capped)}" if capped else ""
         if not verdict.passed:
             verdict.witness["path"] = index
-            return Verdict(
-                status="Fail",
-                witness=verdict.witness,
-                coverage=f"paths={len(paths)}; failed_path={index}{note}",
-            )
-    return Verdict(status="Pass", witness=None, coverage=f"paths={len(paths)}{note}")
+            return Verdict(verdict.witness, f"paths={len(paths)}; failed_path={index}{note}")
+    return Verdict(None, f"paths={len(paths)}{note}")

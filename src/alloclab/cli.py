@@ -88,6 +88,12 @@ MAX_PROFILES = 10_000
 MAX_V_PROFILES = 1000
 MAX_TRIALS = 10_000
 
+# Largest accepted number of --grid rates. A deviation scan of a rule with a
+# cardinal key costs the cube of the rate count: non-bossiness took 7.3 s and
+# 27 MB at 7 rates and 17.8 s and 51 MB at 10 for utilitarian, and 8.8 s and
+# 43 MB, 23.3 s and 97 MB for blend:rsd:utilitarian:1/2 (2 vCPUs, Python 3.11).
+MAX_GRID_RATES = 10
+
 
 def parse_profile_file(path: str) -> list[UtilityProfile]:
     """Parse a CSV (rows are agents, entries exact rationals) or JSON profile
@@ -154,7 +160,7 @@ def _profiles_from_csv(text: str, path: str) -> list[UtilityProfile]:
 def _profiles_from_json(text: str, path: str) -> list[UtilityProfile]:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("profiles", data)
@@ -220,7 +226,10 @@ def _check_config(args: argparse.Namespace) -> CheckConfig:
         raise UsageError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     kwargs: dict = {"samples_per_cell": args.samples, "seed": args.seed or 0}
     if args.grid:
-        kwargs["mu_grid"] = tuple(parse_fraction(part) for part in args.grid.split(","))
+        rates = args.grid.split(",")
+        if len(rates) > MAX_GRID_RATES:
+            raise UsageError(f"--grid takes at most {MAX_GRID_RATES} rates, got {len(rates)}")
+        kwargs["mu_grid"] = tuple(parse_fraction(part) for part in rates)
     if getattr(args, "tau", None):
         kwargs["continuity_gap_tau"] = parse_fraction(args.tau)
     if getattr(args, "delta", None):
@@ -306,7 +315,7 @@ def _run_decompose(args: argparse.Namespace) -> int:
             raise IoError(f"cannot read matrix file: {exc}") from exc
     try:
         data = json.loads(spec)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"matrix is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("matrix", data)

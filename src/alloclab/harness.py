@@ -479,7 +479,7 @@ def theorem2_check(
             twins.append(tuple(utility_from(order, random_rational(rng)) for order in orders))
         witness = cell_twin_witness(rule, orders, twins)
         if witness is not None:
-            return Verdict(status="Fail", witness=witness, coverage=coverage)
+            return Verdict(witness, coverage)
         for member in profile:
             for _ in range(4):
                 outcome = _separation_check(member, rng)
@@ -487,14 +487,11 @@ def theorem2_check(
                     continue
                 separating_trials += 1
                 if outcome is not None:
-                    return Verdict(status="Fail", witness=outcome, coverage=coverage)
+                    return Verdict(outcome, coverage)
     return Verdict(
-        status="Pass",
-        witness=None,
-        coverage=(
-            f"{coverage}; cells={len(v_profiles)}; "
-            f"separating_trials={separating_trials}; seed={config.seed}"
-        ),
+        None,
+        f"{coverage}; cells={len(v_profiles)}; "
+        f"separating_trials={separating_trials}; seed={config.seed}",
     )
 
 

@@ -75,8 +75,9 @@ class LpResult:
     argmax: Allocation | None
 
 
-def _solve_stage(tab, basis, costs, allowed, ncols) -> None:
-    """Pivot until no allowed column improves `costs` (maximization).
+def _solve_stage(tab, basis, costs, allowed, ncols) -> list[Fraction]:
+    """Pivot until no allowed column improves `costs` (maximization), and
+    return the reduced costs at the stage optimum.
 
     Bland's rule throughout: entering column is the smallest allowed index
     with positive reduced cost; on ratio ties the leaving row is the one
@@ -97,7 +98,7 @@ def _solve_stage(tab, basis, costs, allowed, ncols) -> None:
                 col = j
                 break
         if col < 0:
-            return
+            return z
         pivot_row = -1
         best_ratio = None
         for r, row in enumerate(tab):
@@ -137,20 +138,12 @@ def _pivot(tab, z, basis, row, col, ncols) -> None:
     basis[row] = col
 
 
-def _freeze_off_face(tab, basis, costs, allowed, ncols) -> None:
-    """Disallow nonbasic columns with strictly negative reduced cost: every
-    point of the current optimal face has them at zero."""
-    cbar = list(costs)
-    for r, b in enumerate(basis):
-        cb = costs[b]
-        if cb:
-            row = tab[r]
-            for j in range(ncols):
-                if row[j]:
-                    cbar[j] -= cb * row[j]
+def _freeze_off_face(basis, reduced, allowed, ncols) -> None:
+    """Disallow nonbasic columns with strictly negative reduced cost at a
+    stage optimum: every point of the current optimal face has them at zero."""
     basic = set(basis)
     for j in range(ncols):
-        if allowed[j] and j not in basic and cbar[j] < 0:
+        if allowed[j] and j not in basic and reduced[j] < 0:
             allowed[j] = False
 
 
@@ -216,13 +209,13 @@ def maximize(lp: LinearProgram) -> LpResult:
 
     objective = [lp.objective[j // n][j % n] for j in range(num_x)]
     costs = objective + [ZERO] * (num_s + num_rows)
-    _solve_stage(tab, basis, costs, allowed, ncols)
+    reduced = _solve_stage(tab, basis, costs, allowed, ncols)
 
     for k in range(num_x):
-        _freeze_off_face(tab, basis, costs, allowed, ncols)
+        _freeze_off_face(basis, reduced, allowed, ncols)
         costs = [ZERO] * ncols
         costs[k] = -ONE
-        _solve_stage(tab, basis, costs, allowed, ncols)
+        reduced = _solve_stage(tab, basis, costs, allowed, ncols)
 
     solution = [ZERO] * ncols
     for r, b in enumerate(basis):

@@ -49,11 +49,12 @@ class AlphaOutOfRange(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Rule:
-    """Named allocation mechanism: ``allocate(profile)`` is
-    ``compute(key(profile))``. ``key`` validates the profile and returns the
-    hashable part of it the rule reads; ``compute`` must depend on nothing
-    else. ``from_key`` is ``compute`` behind one unbounded memo, bounded in
-    practice by the key space ((n!)^n ranking profiles for an ordinal key)."""
+    """Named allocation mechanism: ``allocate(profile)`` validates the
+    profile once and returns ``compute(key(profile))``. ``key`` returns the
+    hashable part of the profile the rule reads; ``compute`` must depend on
+    nothing else. ``from_key`` is ``compute`` behind one unbounded memo,
+    bounded in practice by the key space ((n!)^n ranking profiles for an
+    ordinal key)."""
 
     name: str
     key: Callable[[UtilityProfile], Hashable]
@@ -64,6 +65,7 @@ class Rule:
         object.__setattr__(self, "from_key", lru_cache(maxsize=None)(self.compute))
 
     def allocate(self, profile: UtilityProfile) -> Allocation:
+        validate_profile(profile)
         return self.from_key(self.key(profile))
 
     @property
@@ -82,17 +84,14 @@ def _ordinal_key(profile: UtilityProfile) -> Rankings:
     """Each agent's ranking, best object first, as plain int tuples (which
     hash in C). Keys are built on every rule call, so they use list
     comprehensions, which are cheaper than generator expressions here."""
-    validate_profile(profile)
     return tuple([ordinal_of(u).ranking for u in profile])
 
 
 def _canonical_key(profile: UtilityProfile) -> UtilityProfile:
-    validate_profile(profile)
     return tuple([canonicalize(u) for u in profile])
 
 
 def _size_key(profile: UtilityProfile) -> int:
-    validate_profile(profile)
     return len(profile)
 
 

@@ -33,7 +33,6 @@ from alloclab import (
 from alloclab.checkers import (
     MAX_PATH_PROBES,
     PROBE_CAP_NOTE,
-    _deviation_blocks,
     check_continuity_battery,
     default_continuity_paths,
     default_efficiency_profiles,
@@ -301,14 +300,22 @@ class TestRankingQuotient:
             assert fail.coverage == verdict.coverage
 
     def test_cardinal_keys_sweep_every_block(self):
+        # A Pass scan calls the rule once per cell (12 here) of every block
+        # it visits: all 3 x 12^2 blocks for a cardinal key, and one block
+        # per class, 3 x 6^2, for a key that reads only rankings.
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
-        cells = grid_cells(config)
-        cardinal = [UTILITARIAN, rule_by_name("blend:rsd:utilitarian:1/2"), BOSSY]
-        for rule in cardinal:
-            assert not rule.reads_only_rankings
-            assert len(list(_deviation_blocks(rule, cells, 2))) == 3 * 12**2
+        opaque = Rule("rsd-opaque", lambda profile: RSD.key(profile), RSD.compute)
+        blend = rule_by_name("blend:rsd:utilitarian:1/2")
+        scans = [(check_strategy_proofness, rule, 12) for rule in (opaque, BOSSY)]
+        scans += [(check_non_bossiness, rule, 12) for rule in (opaque, UTILITARIAN, blend)]
         for rule in RANKING_RULES:
-            assert len(list(_deviation_blocks(rule, cells, 2))) == 3 * 6**2
+            if rule is not RANKINGS_BOSSY:
+                scans += [(check_strategy_proofness, rule, 6), (check_non_bossiness, rule, 6)]
+        for check, rule, classes in scans:
+            counted, calls = _counted(rule)
+            assert counted.reads_only_rankings == (classes == 6)
+            assert check(counted, config).passed
+            assert len(calls) == 3 * classes**2 * 12
 
 
 class TestInternedOutputs:

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alloclab.cli import MAX_TRIALS, MAX_V_PROFILES, main, parse_profile_file
+from alloclab.cli import (
+    MAX_GRID_RATES,
+    MAX_TRIALS,
+    MAX_V_PROFILES,
+    main,
+    parse_profile_file,
+)
 from alloclab.core import TiesPresent
 from alloclab.harness import default_v_profiles, verify_lemma
 from alloclab.cli import ParseError
@@ -459,6 +465,11 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(argv, capsys):
             ["check", "--rule", "rsd", "--axiom", "efficiency", "--seed", "1"],
             "profiles=232; scanned_profiles=1 of 232",
         ),
+        (
+            ["check", "--rule", "ps", "--axiom", "sd-strategy-proofness", "--grid", "1/2",
+             "--seed", "4"],
+            "cells=216; ordinal deviations=6 per agent; scanned_cells=4 of 216",
+        ),
     ],
 )
 def test_fail_coverage_states_how_far_the_scan_got(tmp_path, argv, coverage):
@@ -574,3 +585,39 @@ def test_malformed_matrix_is_usage_error(matrix, capsys):
     assert main(["decompose", "--matrix", matrix]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: matrix ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--rule", "rsd", "--axiom", "efficiency", "--seed", "1", "--profiles",
+          "{deep}"], "error: {deep}: invalid JSON: maximum recursion depth exceeded"),
+        (["decompose", "--matrix", "@{deep}"],
+         "error: matrix is not valid JSON: maximum recursion depth exceeded"),
+    ],
+)
+def test_deeply_nested_json_is_usage_error(argv, message, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main([arg.format(deep=deep) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(deep=deep)) and err.count("\n") == 1
+
+
+def test_grid_rates_are_distinct_and_capped(monkeypatch, capsys):
+    argv = ["check", "--rule", "rsd", "--axiom", "ordinality", "--seed", "1", "--samples", "0"]
+    rates = [f"{k}/{MAX_GRID_RATES + 2}" for k in range(1, MAX_GRID_RATES + 2)]
+    assert main([*argv, "--grid", ",".join(rates[:MAX_GRID_RATES])]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["grid_description"].startswith(f"cells=216; per_cell={MAX_GRID_RATES**3}+0")
+    assert main([*argv, "--grid", "1/2,1/3,1/2"]) == 2
+    assert capsys.readouterr().err == "error: grid value 1/2 repeated\n"
+
+    def no_config(**kwargs):
+        raise AssertionError("grid built before the rate count check")
+
+    monkeypatch.setattr("alloclab.cli.CheckConfig", no_config)
+    assert main([*argv, "--grid", ",".join(rates)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --grid takes at most {MAX_GRID_RATES} rates, got {MAX_GRID_RATES + 1}\n"
+    )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from alloclab import (
     AlphaOutOfRange,
+    DimensionMismatch,
     DICTATORSHIP,
     PS,
     RSD,
@@ -25,6 +26,7 @@ from alloclab import (
     utility_from,
 )
 from alloclab.ordinal import ordinal_of, random_utility_consistent, sd_compare
+from alloclab.core import validate_profile
 from alloclab.rules import BASE_RULES
 
 from conftest import best_assignments, perm_matrix_rows, rsd_oracle
@@ -309,3 +311,23 @@ def test_rules_generalize_to_four_agents():
     assert RSD.allocate(profile).n == 4
     assert PS.allocate(profile).n == 4
     assert UTILITARIAN.allocate(profile).n == 4
+
+
+def test_a_blend_validates_each_profile_once(abc_profile, monkeypatch):
+    calls = []
+
+    def counted(profile):
+        calls.append(profile)
+        validate_profile(profile)
+
+    monkeypatch.setattr("alloclab.rules.validate_profile", counted)
+    blend_rule(RSD, UTILITARIAN, F(1, 2)).allocate(abc_profile)
+    assert calls == [abc_profile]
+
+
+@pytest.mark.parametrize("spec", [*BASE_RULES, "blend:rsd:utilitarian:1/2"])
+@pytest.mark.parametrize("rows", [[[3, 2, 1], [3, 2, 1]], [[3, 2], [2, 3], [1, 3]]])
+def test_non_square_profile_is_rejected_by_every_rule(spec, rows):
+    profile = tuple(make_utility(row) for row in rows)
+    with pytest.raises(DimensionMismatch, match="not square"):
+        rule_by_name(spec).allocate(profile)
