@@ -10,47 +10,45 @@ entry, so a decomposition has at most (n-1)**2 + 1 terms.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ONE, ZERO, AgentId, Allocation, ObjectId
+from .core import ONE, ZERO, AgentId, Allocation, Frozen, ObjectId
 
 
-@dataclass(frozen=True)
-class PermutationMatrix:
+class PermutationMatrix(Frozen):
     """Deterministic assignment: agent i receives object assignment[i]."""
 
-    assignment: tuple[ObjectId, ...]
+    __slots__ = ("assignment",)
 
-    def __post_init__(self) -> None:
-        if sorted(self.assignment) != list(range(len(self.assignment))):
-            raise ValueError(f"not a bijection: {self.assignment}")
+    def __init__(self, assignment: tuple[ObjectId, ...]):
+        if sorted(assignment) != list(range(len(assignment))):
+            raise ValueError(f"not a bijection: {assignment}")
+        object.__setattr__(self, "assignment", assignment)
 
     @property
     def n(self) -> int:
         return len(self.assignment)
 
     def to_allocation(self) -> Allocation:
-        n = self.n
-        return Allocation(
-            tuple(
-                tuple(ONE if self.assignment[i] == a else ZERO for a in range(n))
-                for i in range(n)
-            )
+        picks, n = self.assignment, self.n
+        return Allocation._trusted(
+            tuple(tuple(ONE if obj == a else ZERO for a in range(n)) for obj in picks)
         )
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Positive weights on permutation matrices, summing to one."""
+class Decomposition(Frozen):
+    """Positive weights on permutation matrices of one size, summing to one."""
 
-    terms: tuple[tuple[Fraction, PermutationMatrix], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        if any(w <= 0 for w, _ in self.terms):
+    def __init__(self, terms: tuple[tuple[Fraction, PermutationMatrix], ...]):
+        if any(w <= 0 for w, _ in terms):
             raise ValueError("decomposition weights must be strictly positive")
-        if sum(w for w, _ in self.terms) != ONE:
+        if sum(w for w, _ in terms) != ONE:
             raise ValueError("decomposition weights must sum to one")
+        if len({p.n for _, p in terms}) != 1:
+            raise ValueError("decomposition permutations differ in size")
+        object.__setattr__(self, "terms", terms)
 
     def to_dict(self) -> dict:
         return {
@@ -108,7 +106,7 @@ def recompose(decomposition: Decomposition) -> Allocation:
     for weight, perm in decomposition.terms:
         for i, obj in enumerate(perm.assignment):
             grid[i][obj] += weight
-    return Allocation(tuple(tuple(row) for row in grid))
+    return Allocation._trusted(tuple(tuple(row) for row in grid))
 
 
 def random_permutation(n: int, rng: random.Random) -> PermutationMatrix:
@@ -129,4 +127,4 @@ def random_bistochastic(n: int, rng: random.Random) -> Allocation:
     for weight, perm in zip(raw, perms):
         for i, obj in enumerate(perm.assignment):
             counts[i][obj] += weight
-    return Allocation(tuple(tuple(Fraction(c, total) for c in row) for row in counts))
+    return Allocation._trusted(tuple(tuple(Fraction(c, total) for c in r) for r in counts))

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,6 +39,8 @@ from .core import (
     ZERO,
     Allocation,
     BernoulliUtility,
+    Fields,
+    Frozen,
     UtilityProfile,
     allocation_distance,
     expected_utility,
@@ -84,17 +85,18 @@ DEFAULT_MU_GRID = (
 )
 
 
-@dataclass(frozen=True)
-class CheckConfig:
+class CheckConfig(Frozen):
     """Declared quantification grid and continuity thresholds."""
 
-    mu_grid: tuple[Fraction, ...] = DEFAULT_MU_GRID
-    samples_per_cell: int = 2
-    seed: int = 0
-    continuity_gap_tau: Fraction = Fraction(1, 10**6)
-    continuity_interval_delta: Fraction = Fraction(1, 10**9)
+    __slots__ = ("mu_grid", "samples_per_cell", "seed", "continuity_gap_tau",
+                 "continuity_interval_delta")
 
-    def __post_init__(self) -> None:
+    def __init__(self, mu_grid: tuple[Fraction, ...] = DEFAULT_MU_GRID,
+                 samples_per_cell: int = 2, seed: int = 0,
+                 continuity_gap_tau: Fraction = Fraction(1, 10**6),
+                 continuity_interval_delta: Fraction = Fraction(1, 10**9)):
+        self._set(mu_grid, samples_per_cell, seed, continuity_gap_tau,
+                  continuity_interval_delta)
         for index, mu in enumerate(self.mu_grid):
             if not ZERO < mu < ONE:
                 raise ValueError(f"grid value {mu} outside (0, 1)")
@@ -108,12 +110,13 @@ class CheckConfig:
             )
 
 
-@dataclass
-class Verdict:
+class Verdict(Fields):
     """A checker's answer: a Fail carries its witness, a Pass has none."""
 
-    witness: dict | None
-    coverage: str
+    __slots__ = ("witness", "coverage")
+
+    def __init__(self, witness: dict | None, coverage: str):
+        self._set(witness, coverage)
 
     @property
     def passed(self) -> bool:

@@ -225,7 +225,7 @@ def _check_config(args: argparse.Namespace) -> CheckConfig:
     if args.samples > MAX_SAMPLES:
         raise UsageError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     kwargs: dict = {"samples_per_cell": args.samples, "seed": args.seed or 0}
-    if args.grid:
+    if args.grid is not None:
         rates = args.grid.split(",")
         if len(rates) > MAX_GRID_RATES:
             raise UsageError(f"--grid takes at most {MAX_GRID_RATES} rates, got {len(rates)}")

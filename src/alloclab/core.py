@@ -9,7 +9,6 @@ dominance) is bit-exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -72,18 +71,63 @@ def object_label(index: ObjectId) -> str:
     return OBJECT_LABELS[index]
 
 
-@dataclass(frozen=True)
-class Lottery:
+class Fields:
+    """Value base: `__slots__` names the fields, in constructor order."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return type(self).__name__ + repr(self._fields())
+
+    def __reduce__(self):  # for pickle and copy, which cannot set a frozen field
+        return type(self), self._fields()
+
+
+class Frozen(Fields):
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    @classmethod
+    def _trusted(cls, value):  # one-field types only; only for values valid by construction
+        self = object.__new__(cls)
+        object.__setattr__(self, cls.__slots__[0], value)
+        return self
+
+
+class Lottery(Frozen):
     """Probability vector over objects; one agent's random assignment."""
 
-    probs: tuple[Fraction, ...]
+    __slots__ = ("probs",)
 
-    def __post_init__(self) -> None:
-        for p in self.probs:
+    def __init__(self, probs: tuple[Fraction, ...]):
+        object.__setattr__(self, "probs", probs)
+        for p in probs:
             if p < 0:
                 raise NegativeEntry(f"negative probability {p}")
-        if sum(self.probs) != ONE:
-            raise SumNotOne(f"probabilities sum to {sum(self.probs)}, not 1")
+        if sum(probs) != ONE:
+            raise SumNotOne(f"probabilities sum to {sum(probs)}, not 1")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.probs == other.probs
+
+    def __hash__(self) -> int:
+        return hash(self.probs)
 
     @property
     def m(self) -> int:
@@ -100,11 +144,14 @@ def degenerate_lottery(obj: ObjectId, m: int) -> Lottery:
     return Lottery(tuple(ONE if a == obj else ZERO for a in range(m)))
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(Frozen):
     """Bistochastic matrix: rows are agents, columns are objects."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[Fraction, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.rows)
@@ -122,12 +169,18 @@ class Allocation:
             if total != ONE:
                 raise ColumnSumNotOne(f"column {a} sums to {total}, not 1")
 
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
     @property
     def n(self) -> int:
         return len(self.rows)
 
     def row(self, agent: AgentId) -> Lottery:
-        return Lottery(self.rows[agent])
+        return Lottery._trusted(self.rows[agent])
 
 
 def make_allocation(grid: Sequence[Sequence[int | Fraction | str]]) -> Allocation:
@@ -136,16 +189,19 @@ def make_allocation(grid: Sequence[Sequence[int | Fraction | str]]) -> Allocatio
 
 
 def uniform_allocation(n: int) -> Allocation:
-    share = Fraction(1, n)
-    return Allocation(tuple(tuple(share for _ in range(n)) for _ in range(n)))
+    if n < 1:
+        raise DimensionMismatch(f"an allocation needs at least one agent, got {n}")
+    return Allocation._trusted(((Fraction(1, n),) * n,) * n)
 
 
 def mix_allocations(first: Allocation, second: Allocation, weight: Fraction) -> Allocation:
     """Entrywise convex combination; bistochasticity is preserved."""
     if first.n != second.n:
         raise DimensionMismatch("allocations differ in size")
+    if not ZERO <= weight <= ONE:
+        raise NegativeEntry(f"mix weight {weight} outside [0, 1]")
     co = ONE - weight
-    return Allocation(
+    return Allocation._trusted(
         tuple(
             tuple(weight * p + co * q for p, q in zip(row_p, row_q))
             for row_p, row_q in zip(first.rows, second.rows)
@@ -164,7 +220,7 @@ def allocation_distance(first: Allocation, second: Allocation) -> Fraction:
     )
 
 
-class BernoulliUtility:
+class BernoulliUtility(Frozen):
     """Per-object utility values with no ties over degenerate lotteries.
     `_ordinal` holds the ranking once `ordinal.ordinal_of` has computed it
     (`ordinal.utility_from` sets it on construction), so the ranking lives
@@ -179,17 +235,12 @@ class BernoulliUtility:
         object.__setattr__(self, "_hash", hash(values))
         object.__setattr__(self, "_ordinal", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BernoulliUtility is immutable")
-
     @property
     def m(self) -> int:
         return len(self.values)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, BernoulliUtility):
-            return NotImplemented
-        return self.values == other.values
+        return isinstance(other, BernoulliUtility) and self.values == other.values
 
     def __hash__(self) -> int:
         return self._hash

@@ -19,11 +19,11 @@ import csv
 import io
 import json
 import random
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .core import (
     BernoulliUtility,
+    Fields,
     UtilityProfile,
     expected_utility,
     support,
@@ -105,16 +105,15 @@ def report_csv(rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-@dataclass
-class LemmaReport:
-    lemma_id: str
-    rule: str | None
-    trials: int
-    failures: list[dict]
-    seed: int
-    sampled: int = 0
-    hypothesis_unsatisfiable: bool = False
-    failures_total: int = 0
+class LemmaReport(Fields):
+    __slots__ = ("lemma_id", "rule", "trials", "failures", "seed", "sampled",
+                 "hypothesis_unsatisfiable", "failures_total")
+
+    def __init__(self, lemma_id: str, rule: str | None, trials: int, failures: list[dict],
+                 seed: int, sampled: int = 0, hypothesis_unsatisfiable: bool = False,
+                 failures_total: int = 0):
+        self._set(lemma_id, rule, trials, failures, seed, sampled,
+                  hypothesis_unsatisfiable, failures_total)
 
     @property
     def passed(self) -> bool:
@@ -122,7 +121,7 @@ class LemmaReport:
 
     def to_json(self) -> str:
         """`failures_total` appears only when witnesses were dropped."""
-        data = asdict(self)
+        data = dict(zip(self.__slots__, self._fields()))
         if self.failures_total == len(self.failures):
             del data["failures_total"]
         return report_json(data)
@@ -382,14 +381,15 @@ _LEMMA_CHECKERS = {
 LEMMA_IDS = tuple(_LEMMA_CHECKERS)
 
 
-@dataclass
-class StressReport:
-    rules_tested: list[str]
-    verdicts: dict[str, dict[str, dict]]
-    metamorphic_violations: list[str] = field(default_factory=list)
+class StressReport(Fields):
+    __slots__ = ("rules_tested", "verdicts", "metamorphic_violations")
+
+    def __init__(self, rules_tested: list[str], verdicts: dict[str, dict[str, dict]],
+                 metamorphic_violations: tuple[str, ...] | list[str] = ()):
+        self._set(rules_tested, verdicts, list(metamorphic_violations))
 
     def to_json(self) -> str:
-        return report_json(asdict(self))
+        return report_json(dict(zip(self.__slots__, self._fields())))
 
     def to_csv(self) -> str:
         return report_csv(

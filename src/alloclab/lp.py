@@ -18,7 +18,6 @@ stage, which restricts the search to that face).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -26,6 +25,7 @@ from .core import (
     ZERO,
     AgentId,
     Allocation,
+    Frozen,
     UtilityProfile,
     expected_utility,
     validate_profile,
@@ -36,24 +36,24 @@ class MalformedProgram(ValueError):
     """Objective or constraints are dimensionally inconsistent."""
 
 
-@dataclass(frozen=True)
-class EuFloor:
+class EuFloor(Frozen):
     """Per-agent lower bound on expected utility: values . x_agent >= minimum."""
 
-    agent: AgentId
-    values: tuple[Fraction, ...]
-    minimum: Fraction
+    __slots__ = ("agent", "values", "minimum")
+
+    def __init__(self, agent: AgentId, values: tuple[Fraction, ...], minimum: Fraction):
+        self._set(agent, values, minimum)
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(Frozen):
     """Maximize a linear objective over bistochastic matrices, optionally
     intersected with per-agent expected-utility floors."""
 
-    objective: tuple[tuple[Fraction, ...], ...]
-    floors: tuple[EuFloor, ...] = ()
+    __slots__ = ("objective", "floors")
 
-    def __post_init__(self) -> None:
+    def __init__(self, objective: tuple[tuple[Fraction, ...], ...],
+                 floors: tuple[EuFloor, ...] = ()):
+        self._set(objective, floors)
         n = len(self.objective)
         if n == 0 or any(len(row) != n for row in self.objective):
             raise MalformedProgram("objective must be a square grid")
@@ -68,11 +68,11 @@ class LinearProgram:
         return len(self.objective)
 
 
-@dataclass(frozen=True)
-class LpResult:
-    status: str  # "Optimal" or "Infeasible"
-    value: Fraction | None
-    argmax: Allocation | None
+class LpResult(Frozen):
+    __slots__ = ("status", "value", "argmax")  # status: "Optimal" or "Infeasible"
+
+    def __init__(self, status: str, value: Fraction | None, argmax: Allocation | None):
+        self._set(status, value, argmax)
 
 
 def _solve_stage(tab, basis, costs, allowed, ncols) -> list[Fraction]:

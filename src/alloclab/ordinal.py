@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -17,6 +16,7 @@ from .core import (
     ZERO,
     BernoulliUtility,
     DimensionMismatch,
+    Frozen,
     Lottery,
     ObjectId,
     degenerate_lottery,
@@ -41,15 +41,21 @@ class InconsistentBase(ValueError):
     """Base utility does not rank objects as the declared order."""
 
 
-@dataclass(frozen=True)
-class OrdinalPreference:
+class OrdinalPreference(Frozen):
     """Strict ranking of objects, best first."""
 
-    ranking: tuple[ObjectId, ...]
+    __slots__ = ("ranking",)
 
-    def __post_init__(self) -> None:
-        if sorted(self.ranking) != list(range(len(self.ranking))):
-            raise ValueError(f"not a permutation of objects: {self.ranking}")
+    def __init__(self, ranking: tuple[ObjectId, ...]):
+        if sorted(ranking) != list(range(len(ranking))):
+            raise ValueError(f"not a permutation of objects: {ranking}")
+        object.__setattr__(self, "ranking", ranking)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.ranking == other.ranking
+
+    def __hash__(self) -> int:
+        return hash(self.ranking)
 
     @property
     def m(self) -> int:
@@ -171,14 +177,16 @@ def sd_compare(p: Lottery, q: Lottery, order: OrdinalPreference) -> SdVerdict:
     return SdVerdict.INCOMPARABLE
 
 
-@dataclass(frozen=True, eq=False)
-class VUtility:
+class VUtility(Frozen):
     """Member of an extended preference domain: a total evaluator on
     lotteries plus the ranking it induces on degenerate lotteries."""
 
-    name: str
-    evaluate: Callable[[Lottery], Fraction]
-    ordinal: OrdinalPreference
+    __slots__ = ("name", "evaluate", "ordinal")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity
+
+    def __init__(self, name: str, evaluate: Callable[[Lottery], Fraction],
+                 ordinal: OrdinalPreference):
+        self._set(name, evaluate, ordinal)
 
     def degenerate_values(self) -> tuple[Fraction, ...]:
         m = self.ordinal.m

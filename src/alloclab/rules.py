@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Hashable, Iterable
@@ -32,6 +31,7 @@ from .core import (
     ONE,
     ZERO,
     Allocation,
+    Frozen,
     UtilityProfile,
     mix_allocations,
     parse_fraction,
@@ -47,8 +47,7 @@ class AlphaOutOfRange(ValueError):
     """Blend weight must lie in [0, 1]."""
 
 
-@dataclass(frozen=True, eq=False)
-class Rule:
+class Rule(Frozen):
     """Named allocation mechanism: ``allocate(profile)`` validates the
     profile once and returns ``compute(key(profile))``. ``key`` returns the
     hashable part of the profile the rule reads; ``compute`` must depend on
@@ -56,10 +55,13 @@ class Rule:
     bounded in practice by the key space ((n!)^n ranking profiles for an
     ordinal key)."""
 
-    name: str
-    key: Callable[[UtilityProfile], Hashable]
-    compute: Callable[[Hashable], Allocation]
-    from_key: Callable[[Hashable], Allocation] = field(init=False, repr=False)
+    __slots__ = ("name", "key", "compute", "__dict__")  # __dict__: from_key, profiler hooks
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity
+
+    def __init__(self, name: str, key: Callable[[UtilityProfile], Hashable],
+                 compute: Callable[[Hashable], Allocation]):
+        self._set(name, key, compute)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "from_key", lru_cache(maxsize=None)(self.compute))
@@ -131,9 +133,7 @@ def _rsd(rankings: Rankings) -> Allocation:
         total += 1
         for agent, obj in enumerate(_dictatorship_picks(rankings, priority)):
             counts[agent][obj] += 1
-    return Allocation(
-        tuple(tuple(Fraction(c, total) for c in row) for row in counts)
-    )
+    return Allocation._trusted(tuple(tuple(Fraction(c, total) for c in r) for r in counts))
 
 
 def _ps(rankings: Rankings) -> Allocation:
@@ -154,7 +154,7 @@ def _ps(rankings: Rankings) -> Allocation:
             shares[agent][obj] += step
         for obj in set(targets):
             remaining[obj] -= step * eaters[obj]
-    return Allocation(tuple(tuple(row) for row in shares))
+    return Allocation._trusted(tuple(tuple(row) for row in shares))
 
 
 @lru_cache(maxsize=None)

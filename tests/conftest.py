@@ -18,6 +18,17 @@ from alloclab import (
 )
 
 
+F = Fraction
+
+# Grids small enough to sweep whole in a unit test.
+REDUCED_GRIDS = [
+    (F(1, 2),),
+    (F(1, 4), F(3, 4)),
+    (F(1, 3), F(1, 2), F(2, 3)),
+    (F(1, 10), F(9, 10)),  # ps and its blends fail strategy-proofness here
+]
+
+
 @st.composite
 def lotteries(draw, m: int = 3, resolution: int = 24) -> Lottery:
     weights = draw(

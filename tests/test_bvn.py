@@ -1,5 +1,6 @@
 """Birkhoff-von Neumann decomposition round trips and structural bounds."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alloclab import decompose, make_allocation, recompose, uniform_allocation
+from alloclab import Allocation, decompose, make_allocation, recompose, uniform_allocation
 from alloclab.bvn import (
     Decomposition,
     PermutationMatrix,
@@ -115,3 +116,27 @@ def test_serialization_roundtrip():
     )
     assert parsed == d
     assert recompose(parsed) == uniform_allocation(3)
+
+
+def test_recompose_refuses_permutations_of_different_sizes():
+    small, large = PermutationMatrix((1, 0)), PermutationMatrix((2, 0, 1))
+    half = Fraction(1, 2)
+    for terms in (((half, large), (half, small)), ((half, small), (half, large))):
+        with pytest.raises(ValueError):
+            recompose(Decomposition(terms))
+
+
+def test_trusted_builds_pass_validation():
+    """random_bistochastic, recompose and to_allocation skip validation;
+    their outputs must pass it."""
+    rng = random.Random(97)
+    for n in range(2, 8):
+        for _ in range(40):
+            alloc = random_bistochastic(n, rng)
+            assert Allocation(alloc.rows) == alloc
+            rebuilt = recompose(decompose(alloc))
+            assert Allocation(rebuilt.rows) == rebuilt == alloc
+    for n in range(1, 5):
+        for perm in itertools.permutations(range(n)):
+            alloc = PermutationMatrix(perm).to_allocation()
+            assert Allocation(alloc.rows) == alloc

@@ -40,6 +40,8 @@ from alloclab.checkers import (
 )
 from alloclab.ordinal import OrdinalPreference, all_orders, ordinal_of
 
+from conftest import REDUCED_GRIDS
+
 F = Fraction
 SMALL = CheckConfig(mu_grid=(F(1, 10), F(1, 2), F(9, 10)), samples_per_cell=1, seed=5)
 ABC = OrdinalPreference((0, 1, 2))
@@ -205,14 +207,6 @@ RANKING_RULES = [
     rule_by_name("blend:uniform:ps:3/4"),
     RANKINGS_BOSSY,
 ]
-REDUCED_GRIDS = [
-    (F(1, 2),),
-    (F(1, 4), F(3, 4)),
-    (F(1, 3), F(1, 2), F(2, 3)),
-    (F(1, 10), F(9, 10)),  # ps and its blends fail strategy-proofness here
-]
-
-
 class TestRankingQuotient:
     """Rules that read only rankings are scanned one deviation block per
     (agent, others' orders) class and one profile per ordinal cell; the

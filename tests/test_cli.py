@@ -4,7 +4,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alloclab
 from alloclab.cli import (
     MAX_GRID_RATES,
     MAX_TRIALS,
@@ -621,3 +625,26 @@ def test_grid_rates_are_distinct_and_capped(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         f"error: --grid takes at most {MAX_GRID_RATES} rates, got {MAX_GRID_RATES + 1}\n"
     )
+
+
+@pytest.mark.parametrize("command", ["check", "stress", "theorem2"])
+def test_empty_grid_is_refused(command, capsys):
+    argv = {
+        "check": ["check", "--rule", "rsd", "--axiom", "ordinality", "--samples", "0"],
+        "stress": ["stress", "--rules", "rsd", "--samples", "0"],
+        "theorem2": ["theorem2", "--rule", "rsd"],
+    }[command]
+    assert main([*argv, "--seed", "1", "--grid", ""]) == 2
+    assert capsys.readouterr().err == "error: not an exact rational: ''\n"
+
+
+def test_import_loads_no_dataclass_machinery():
+    """Every CLI process pays for its imports: `dataclasses` alone pulls in
+    `inspect`, `ast`, `dis` and `tokenize`."""
+    src = str(Path(alloclab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, alloclab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "[]\n"

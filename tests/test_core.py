@@ -1,5 +1,7 @@
 """Value types: lotteries, allocations, utilities, expected utility."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,15 +14,29 @@ from alloclab import (
     NegativeEntry,
     SumNotOne,
     TiesPresent,
+    Allocation,
+    CheckConfig,
+    EuFloor,
+    LinearProgram,
+    LpResult,
+    Lottery,
+    OrdinalPreference,
+    PermutationMatrix,
+    RSD,
+    Rule,
     allocation_distance,
+    decompose,
     expected_utility,
     make_allocation,
     make_lottery,
     make_profile,
     make_utility,
+    mix_allocations,
     support,
     uniform_allocation,
+    v_from_bernoulli,
 )
+from alloclab import core, rules
 from alloclab.core import parse_fraction
 
 from conftest import lotteries, unit_fractions, utilities
@@ -138,3 +154,118 @@ class TestRationals:
     def test_rejects_inexact(self, text):
         with pytest.raises(ValueError):
             parse_fraction(text)
+
+
+class TestValueTypes:
+    """The value types are plain classes on the `core.Frozen` base: value
+    equality and hash for the one-field types, identity for rules and
+    V-domain members, and no assignment after construction."""
+
+    def test_value_equality_and_hash(self):
+        pairs = [
+            (make_allocation([["1/2", "1/2"], ["1/2", "1/2"]]), uniform_allocation(2)),
+            (make_lottery(["1/4", "3/4"]), make_lottery([Fraction(1, 4), Fraction(3, 4)])),
+            (OrdinalPreference((2, 0, 1)), OrdinalPreference(tuple([2, 0, 1]))),
+            (CheckConfig(seed=3), CheckConfig(seed=3)),
+        ]
+        for first, second in pairs:
+            assert first is not second
+            assert first == second and hash(first) == hash(second)
+            assert len({first, second}) == 1
+        assert OrdinalPreference((0, 1, 2)) != OrdinalPreference((0, 2, 1))
+        assert make_allocation([[1, 0], [0, 1]]) != make_allocation([[0, 1], [1, 0]])
+        assert make_lottery([1, 0]) != make_allocation([[1, 0], [0, 1]])
+
+    def test_values_survive_pickle_and_copy(self):
+        values = [
+            uniform_allocation(3),
+            make_lottery(["1/4", "3/4"]),
+            OrdinalPreference((2, 0, 1)),
+            decompose(uniform_allocation(3)),
+            CheckConfig(seed=4),
+            LpResult("Optimal", Fraction(1), uniform_allocation(2)),
+        ]
+        for value in values:
+            assert pickle.loads(pickle.dumps(value)) == value
+            assert copy.copy(value) == value and copy.deepcopy(value) == value
+
+    def test_rules_and_v_members_are_equal_only_to_themselves(self):
+        twin = Rule(RSD.name, RSD.key, RSD.compute)
+        assert twin != RSD and twin == twin
+        u = make_utility([3, 2, 1])
+        assert v_from_bernoulli(u) != v_from_bernoulli(u)
+
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (make_lottery([1, 0]), "probs"),
+            (uniform_allocation(2), "rows"),
+            (make_utility([1, 0]), "values"),
+            (OrdinalPreference((1, 0)), "ranking"),
+            (PermutationMatrix((1, 0)), "assignment"),
+            (decompose(uniform_allocation(2)), "terms"),
+            (CheckConfig(), "seed"),
+            (EuFloor(0, (Fraction(1), Fraction(0)), Fraction(0)), "minimum"),
+            (LinearProgram(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))), "floors"),
+            (LpResult("Infeasible", None, None), "status"),
+            (v_from_bernoulli(make_utility([1, 0])), "name"),
+            (RSD, "name"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else type(value).__name__,
+    )
+    def test_frozen_types_refuse_assignment(self, value, field):
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+
+    def test_validation_hooks_are_looked_up_on_the_class(self, monkeypatch):
+        """A profiler replaces both `__post_init__`s on the class and rebinds
+        `allocate` on a rule instance; construction must go through them."""
+        calls = []
+        for cls in (core.Allocation, rules.Rule):
+            original = cls.__post_init__
+
+            def hook(self, original=original):
+                calls.append(type(self).__name__)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", hook)
+        rows = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        Allocation(rows)
+        make_allocation([[0, 1], [1, 0]])
+        Allocation._trusted(rows)
+        rule = Rule("twin", RSD.key, RSD.compute)
+        assert calls == ["Allocation", "Allocation", "Rule"]
+        allocate = RSD.allocate
+        object.__setattr__(rule, "allocate", allocate)
+        assert rule.allocate is allocate
+
+
+class TestTrustedConstruction:
+    """Public builders that skip validation still refuse bad arguments, and
+    what they build passes the validating constructor."""
+
+    @pytest.mark.parametrize("weight", [Fraction(2), Fraction(-1), Fraction(3, 2)])
+    def test_mix_weight_outside_unit_interval(self, weight):
+        identity = make_allocation([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(NegativeEntry):
+            mix_allocations(identity, uniform_allocation(3), weight)
+
+    @pytest.mark.parametrize("n", [0, -1, -4])
+    def test_uniform_needs_an_agent(self, n):
+        with pytest.raises(DimensionMismatch):
+            uniform_allocation(n)
+
+    def test_outputs_validate(self):
+        identity = make_allocation([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        built = [uniform_allocation(n) for n in range(1, 8)] + [
+            mix_allocations(identity, uniform_allocation(3), Fraction(k, 6))
+            for k in range(7)
+        ]
+        for alloc in built:
+            assert Allocation(alloc.rows) == alloc
+            for agent in range(alloc.n):
+                assert Lottery(alloc.row(agent).probs) == alloc.row(agent)

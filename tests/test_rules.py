@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alloclab import (
+    Allocation,
     AlphaOutOfRange,
+    CheckConfig,
     DimensionMismatch,
     DICTATORSHIP,
     PS,
@@ -27,9 +29,10 @@ from alloclab import (
 )
 from alloclab.ordinal import ordinal_of, random_utility_consistent, sd_compare
 from alloclab.core import validate_profile
+from alloclab.checkers import grid_cells
 from alloclab.rules import BASE_RULES
 
-from conftest import best_assignments, perm_matrix_rows, rsd_oracle
+from conftest import REDUCED_GRIDS, best_assignments, perm_matrix_rows, rsd_oracle
 
 
 F = Fraction
@@ -331,3 +334,26 @@ def test_non_square_profile_is_rejected_by_every_rule(spec, rows):
     profile = tuple(make_utility(row) for row in rows)
     with pytest.raises(DimensionMismatch, match="not square"):
         rule_by_name(spec).allocate(profile)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *BASE_RULES,
+        "blend:rsd:ps:1/3",
+        "blend:uniform:ps:3/4",
+        "blend:rsd:utilitarian:1/2",
+    ],
+)
+def test_every_grid_output_passes_validation(spec):
+    """Rule outputs are built without validation; every distinct output on
+    every reduced grid must pass the validating constructor."""
+    rule = rule_by_name(spec)
+    outputs = {}
+    for grid in REDUCED_GRIDS:
+        cells = grid_cells(CheckConfig(mu_grid=grid))
+        for profile in itertools.product(cells, repeat=3):
+            alloc = rule.allocate(profile)
+            outputs[id(alloc)] = alloc
+    for alloc in outputs.values():
+        assert Allocation(alloc.rows) == alloc
