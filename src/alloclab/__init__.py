@@ -44,9 +44,6 @@ from .ordinal import (
 )
 from .bvn import Decomposition, PermutationMatrix, decompose, recompose
 from .lp import (
-    EuFloor,
-    LinearProgram,
-    LpResult,
     MalformedProgram,
     best_assignment,
     dominates,

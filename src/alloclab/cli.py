@@ -230,9 +230,9 @@ def _check_config(args: argparse.Namespace) -> CheckConfig:
         if len(rates) > MAX_GRID_RATES:
             raise UsageError(f"--grid takes at most {MAX_GRID_RATES} rates, got {len(rates)}")
         kwargs["mu_grid"] = tuple(parse_fraction(part) for part in rates)
-    if getattr(args, "tau", None):
+    if getattr(args, "tau", None) is not None:
         kwargs["continuity_gap_tau"] = parse_fraction(args.tau)
-    if getattr(args, "delta", None):
+    if getattr(args, "delta", None) is not None:
         kwargs["continuity_interval_delta"] = parse_fraction(args.delta)
     return CheckConfig(**kwargs)
 
@@ -355,7 +355,7 @@ def _run_stress(args: argparse.Namespace) -> int:
     if not 3 <= args.n <= MAX_N:
         raise UsageError(f"--n must be between 3 and {MAX_N}")
     config = _check_config(args)
-    if args.rules:
+    if args.rules is not None:
         family = [rule_by_name(name) for name in args.rules.split(",")]
     else:
         family = built_in_family(args.seed)

@@ -248,6 +248,9 @@ class BernoulliUtility(Frozen):
     def __repr__(self) -> str:
         return f"{type(self).__name__}(({', '.join(str(v) for v in self.values)}))"
 
+    def __reduce__(self):  # the cached hash and ranking are rebuilt, not passed
+        return type(self), (self.values,)
+
 
 def make_utility(values: Iterable[int | Fraction | str]) -> BernoulliUtility:
     return BernoulliUtility(tuple(as_fraction(v) for v in values))

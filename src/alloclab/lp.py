@@ -6,14 +6,14 @@ exact dynamic program over assignments finds the optimum and the
 lexicographically smallest optimal vertex without pivoting.
 
 `maximize` serves the programs with per-agent expected-utility floors, whose
-optimal points need not be permutation matrices. It is a dense two-phase
-tableau simplex over `fractions.Fraction` with Bland's rule, so it
-terminates on the heavily degenerate programs that arise at permutation
-vertices. Among optimal vertices it returns the lexicographically smallest
-argmax in row-major entry order, found by sequentially minimizing each
-allocation entry over the optimal face (columns whose reduced cost is
-strictly negative at a stage optimum are frozen at zero before the next
-stage, which restricts the search to that face).
+optimal points need not be permutation matrices. It builds them on
+`_simplex`, a dense two-phase tableau simplex over `fractions.Fraction` with
+Bland's rule (Bland 1977), which terminates on the heavily degenerate
+programs that arise at permutation vertices. Its second phase prices
+lexicographically: a column enters when its reduced costs for the objective,
+then for -x_0, -x_1, ... in row-major entry order, form a lexicographically
+positive vector. The tie components are read off the tableau, so the one
+stage ends at the lexicographically smallest optimal point, which is unique.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from fractions import Fraction
 from .core import (
     ONE,
     ZERO,
-    AgentId,
     Allocation,
-    Frozen,
     UtilityProfile,
     expected_utility,
     validate_profile,
@@ -36,75 +34,47 @@ class MalformedProgram(ValueError):
     """Objective or constraints are dimensionally inconsistent."""
 
 
-class EuFloor(Frozen):
-    """Per-agent lower bound on expected utility: values . x_agent >= minimum."""
+def _entering(tab, basis, z, lex) -> int:
+    """Bland's entering column: the smallest index whose reduced-cost vector
+    is lexicographically positive, or -1 at the optimum.
 
-    __slots__ = ("agent", "values", "minimum")
-
-    def __init__(self, agent: AgentId, values: tuple[Fraction, ...], minimum: Fraction):
-        self._set(agent, values, minimum)
-
-
-class LinearProgram(Frozen):
-    """Maximize a linear objective over bistochastic matrices, optionally
-    intersected with per-agent expected-utility floors."""
-
-    __slots__ = ("objective", "floors")
-
-    def __init__(self, objective: tuple[tuple[Fraction, ...], ...],
-                 floors: tuple[EuFloor, ...] = ()):
-        self._set(objective, floors)
-        n = len(self.objective)
-        if n == 0 or any(len(row) != n for row in self.objective):
-            raise MalformedProgram("objective must be a square grid")
-        for floor in self.floors:
-            if not 0 <= floor.agent < n:
-                raise MalformedProgram(f"floor references unknown agent {floor.agent}")
-            if len(floor.values) != n:
-                raise MalformedProgram("floor utility length differs from economy")
-
-    @property
-    def n(self) -> int:
-        return len(self.objective)
-
-
-class LpResult(Frozen):
-    __slots__ = ("status", "value", "argmax")  # status: "Optimal" or "Infeasible"
-
-    def __init__(self, status: str, value: Fraction | None, argmax: Allocation | None):
-        self._set(status, value, argmax)
-
-
-def _solve_stage(tab, basis, costs, allowed, ncols) -> list[Fraction]:
-    """Pivot until no allowed column improves `costs` (maximization), and
-    return the reduced costs at the stage optimum.
-
-    Bland's rule throughout: entering column is the smallest allowed index
-    with positive reduced cost; on ratio ties the leaving row is the one
-    whose basic variable has the smallest index.
+    The vector is (z[j], d_0, ..., d_{lex-1}), where d_k is the reduced cost
+    of column j for the cost -x_k: the tableau entry of j in the row where k
+    is basic, -1 when k is j itself, and 0 otherwise.
     """
-    z = list(costs) + [ZERO]
-    for r, b in enumerate(basis):
+    row_of = {b: r for r, b in enumerate(basis)}
+    for j in range(len(z) - 1):
+        if z[j] > 0:
+            return j
+        if z[j] or j in row_of:
+            continue
+        for k in range(min(j, lex)):
+            r = row_of.get(k)
+            if r is not None and tab[r][j]:
+                if tab[r][j] > 0:
+                    return j
+                break
+    return -1
+
+
+def _solve(tab, basis, costs, lex) -> None:
+    """Pivot until no column improves `costs` (maximization), ties broken by
+    minimizing columns 0, ..., lex-1 in turn. On ratio ties the leaving row
+    is the one whose basic variable has the smallest index (Bland)."""
+    z = [*costs, ZERO]
+    for row, b in zip(tab, basis):
         cb = costs[b]
         if cb:
-            row = tab[r]
-            for j in range(ncols + 1):
-                if row[j]:
-                    z[j] -= cb * row[j]
-    while True:
-        col = -1
-        for j in range(ncols):
-            if allowed[j] and z[j] > 0:
-                col = j
-                break
-        if col < 0:
-            return z
+            for j, v in enumerate(row):
+                if v:
+                    z[j] -= cb * v
+    while (col := _entering(tab, basis, z, lex)) >= 0:
         pivot_row = -1
         best_ratio = None
         for r, row in enumerate(tab):
             a = row[col]
             if a > 0:
-                ratio = row[ncols] / a
+                ratio = row[-1] / a
                 if (
                     best_ratio is None
                     or ratio < best_ratio
@@ -114,119 +84,104 @@ def _solve_stage(tab, basis, costs, allowed, ncols) -> list[Fraction]:
                     pivot_row = r
         if pivot_row < 0:
             raise MalformedProgram("unbounded objective on a compact polytope")
-        _pivot(tab, z, basis, pivot_row, col, ncols)
+        _pivot(tab, basis, pivot_row, col, z)
 
 
-def _pivot(tab, z, basis, row, col, ncols) -> None:
+def _pivot(tab, basis, row, col, z=None) -> None:
     prow = tab[row]
     piv = prow[col]
     if piv != ONE:
         tab[row] = prow = [v / piv if v else v for v in prow]
-    for target in tab:
-        if target is prow:
-            continue
+    entries = [(j, v) for j, v in enumerate(prow) if v]
+    for target in tab if z is None else (*tab, z):
         factor = target[col]
-        if factor:
-            for j in range(ncols + 1):
-                if prow[j]:
-                    target[j] -= factor * prow[j]
-    factor = z[col]
-    if factor:
-        for j in range(ncols + 1):
-            if prow[j]:
-                z[j] -= factor * prow[j]
+        if factor and target is not prow:
+            for j, v in entries:
+                target[j] -= factor * v
     basis[row] = col
 
 
-def _freeze_off_face(basis, reduced, allowed, ncols) -> None:
-    """Disallow nonbasic columns with strictly negative reduced cost at a
-    stage optimum: every point of the current optimal face has them at zero."""
-    basic = set(basis)
-    for j in range(ncols):
-        if allowed[j] and j not in basic and reduced[j] < 0:
-            allowed[j] = False
-
-
-def maximize(lp: LinearProgram) -> LpResult:
-    """Exact optimum over the constrained bistochastic polytope.
-
-    Returns the lexicographically smallest optimal vertex (row-major entry
-    order), so the argmax is well defined even on ties.
-    """
-    n = lp.n
-    num_x = n * n
-    num_s = len(lp.floors)
-
-    rows: list[tuple[list[Fraction], Fraction]] = []
-    for i in range(n):
-        coef = [ZERO] * (num_x + num_s)
-        for a in range(n):
-            coef[i * n + a] = ONE
-        rows.append((coef, ONE))
-    for a in range(n):
-        coef = [ZERO] * (num_x + num_s)
-        for i in range(n):
-            coef[i * n + a] = ONE
-        rows.append((coef, ONE))
-    for k, floor in enumerate(lp.floors):
-        coef = [ZERO] * (num_x + num_s)
-        for a in range(n):
-            coef[floor.agent * n + a] = floor.values[a]
-        coef[num_x + k] = -ONE
-        rows.append((coef, floor.minimum))
-
-    num_rows = len(rows)
-    ncols = num_x + num_s + num_rows
+def _simplex(rows, costs, lex) -> list[Fraction] | None:
+    """Maximize `costs` over x >= 0 subject to the equality rows
+    (coefficients, rhs), ties broken by minimizing x_0, ..., x_{lex-1} in
+    turn; the optimal x, or None when the rows are infeasible."""
+    ncols = len(costs)
     tab: list[list[Fraction]] = []
-    basis: list[int] = []
     for r, (coef, rhs) in enumerate(rows):
         if rhs < 0:
             coef = [-c for c in coef]
             rhs = -rhs
-        art = [ZERO] * num_rows
+        art = [ZERO] * len(rows)
         art[r] = ONE
-        tab.append(coef + art + [rhs])
-        basis.append(num_x + num_s + r)
-    allowed = [True] * ncols
+        tab.append([*coef, *art, rhs])
+    basis = list(range(ncols, ncols + len(rows)))
 
-    phase1 = [ZERO] * (num_x + num_s) + [-ONE] * num_rows
-    _solve_stage(tab, basis, phase1, allowed, ncols)
-    if any(basis[r] >= num_x + num_s and tab[r][ncols] > 0 for r in range(len(tab))):
-        return LpResult(status="Infeasible", value=None, argmax=None)
-
+    _solve(tab, basis, [ZERO] * ncols + [-ONE] * len(rows), 0)
+    if any(b >= ncols and row[-1] > 0 for b, row in zip(basis, tab)):
+        return None
     r = 0
     while r < len(tab):
-        if basis[r] >= num_x + num_s:
-            col = next((j for j in range(num_x + num_s) if tab[r][j]), None)
+        if basis[r] >= ncols:
+            col = next((j for j in range(ncols) if tab[r][j]), None)
             if col is None:
                 del tab[r]  # redundant constraint (row/column sums overlap)
                 del basis[r]
                 continue
-            _pivot(tab, [ZERO] * (ncols + 1), basis, r, col, ncols)
+            _pivot(tab, basis, r, col)
         r += 1
-    for j in range(num_x + num_s, ncols):
-        allowed[j] = False
+    tab = [row[:ncols] + row[-1:] for row in tab]  # artificials are out of the basis
 
-    objective = [lp.objective[j // n][j % n] for j in range(num_x)]
-    costs = objective + [ZERO] * (num_s + num_rows)
-    reduced = _solve_stage(tab, basis, costs, allowed, ncols)
-
-    for k in range(num_x):
-        _freeze_off_face(basis, reduced, allowed, ncols)
-        costs = [ZERO] * ncols
-        costs[k] = -ONE
-        reduced = _solve_stage(tab, basis, costs, allowed, ncols)
-
+    _solve(tab, basis, costs, lex)
     solution = [ZERO] * ncols
-    for r, b in enumerate(basis):
-        solution[b] = tab[r][ncols]
-    value = sum(
-        (objective[j] * solution[j] for j in range(num_x) if solution[j]), ZERO
-    )
-    argmax = Allocation(
-        tuple(tuple(solution[i * n + a] for a in range(n)) for i in range(n))
-    )
-    return LpResult(status="Optimal", value=value, argmax=argmax)
+    for row, b in zip(tab, basis):
+        solution[b] = row[-1]
+    return solution
+
+
+def maximize(
+    objective: tuple[tuple[Fraction, ...], ...],
+    floors: tuple[tuple[int, tuple[Fraction, ...], Fraction], ...] = (),
+) -> tuple[Fraction, Allocation] | None:
+    """Exact optimum of the objective over bistochastic matrices x with
+    values . x[agent] >= minimum for each floor (agent, values, minimum).
+
+    Returns (value, argmax), where the argmax is the lexicographically
+    smallest optimal point in row-major entry order, or None when the floors
+    are infeasible.
+    """
+    n = len(objective)
+    if n == 0 or any(len(row) != n for row in objective):
+        raise MalformedProgram("objective must be a square grid")
+    for agent, values, _ in floors:
+        if not 0 <= agent < n:
+            raise MalformedProgram(f"floor references unknown agent {agent}")
+        if len(values) != n:
+            raise MalformedProgram("floor utility length differs from economy")
+    num_x = n * n
+    width = num_x + len(floors)
+
+    rows: list[tuple[list[Fraction], Fraction]] = []
+    for i in range(n):
+        coef = [ZERO] * width
+        coef[i * n:(i + 1) * n] = [ONE] * n
+        rows.append((coef, ONE))
+    for a in range(n):
+        coef = [ZERO] * width
+        coef[a:num_x:n] = [ONE] * n
+        rows.append((coef, ONE))
+    for k, (agent, values, minimum) in enumerate(floors):
+        coef = [ZERO] * width
+        coef[agent * n:(agent + 1) * n] = values
+        coef[num_x + k] = -ONE
+        rows.append((coef, minimum))
+
+    costs = [v for row in objective for v in row] + [ZERO] * len(floors)
+    solution = _simplex(rows, costs, num_x)
+    if solution is None:
+        return None
+    value = sum((c * x for c, x in zip(costs, solution) if x), ZERO)
+    argmax = Allocation(tuple(tuple(solution[i * n:(i + 1) * n]) for i in range(n)))
+    return value, argmax
 
 
 def best_assignment(
@@ -295,18 +250,17 @@ def find_dominating(profile: UtilityProfile, alloc: Allocation) -> Allocation | 
     if alloc.n != n:
         raise MalformedProgram("allocation size differs from profile")
     floors = tuple(
-        EuFloor(i, profile[i].values, expected_utility(profile[i], alloc.row(i)))
-        for i in range(n)
+        (i, u.values, expected_utility(u, alloc.row(i))) for i, u in enumerate(profile)
     )
-    status_quo = sum(floor.minimum for floor in floors)
+    status_quo = sum(minimum for _, _, minimum in floors)
     objective = tuple(u.values for u in profile)
     if status_quo == best_assignment(objective)[0]:
         return None
-    result = maximize(LinearProgram(objective, floors))
-    if result.status != "Optimal":
+    result = maximize(objective, floors)
+    if result is None:
         raise AssertionError("status-quo allocation must be feasible")
-    if result.value > status_quo:
-        better = result.argmax
+    value, better = result
+    if value > status_quo:
         if not dominates(profile, better, alloc):
             raise AssertionError("LP argmax failed the exact domination test")
         return better

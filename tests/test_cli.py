@@ -627,15 +627,27 @@ def test_grid_rates_are_distinct_and_capped(monkeypatch, capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["check", "stress", "theorem2"])
-def test_empty_grid_is_refused(command, capsys):
-    argv = {
-        "check": ["check", "--rule", "rsd", "--axiom", "ordinality", "--samples", "0"],
-        "stress": ["stress", "--rules", "rsd", "--samples", "0"],
-        "theorem2": ["theorem2", "--rule", "rsd"],
-    }[command]
-    assert main([*argv, "--seed", "1", "--grid", ""]) == 2
-    assert capsys.readouterr().err == "error: not an exact rational: ''\n"
+NOT_RATIONAL = "not an exact rational: ''"
+CONTINUITY = ["check", "--rule", "rsd", "--axiom", "continuity"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["check", "--rule", "rsd", "--axiom", "ordinality", "--samples", "0", "--grid", ""],
+         NOT_RATIONAL),
+        (["stress", "--rules", "rsd", "--samples", "0", "--grid", ""], NOT_RATIONAL),
+        (["theorem2", "--rule", "rsd", "--grid", ""], NOT_RATIONAL),
+        ([*CONTINUITY, "--tau", ""], NOT_RATIONAL),
+        ([*CONTINUITY, "--delta", ""], NOT_RATIONAL),
+        (["stress", "--rules", "", "--samples", "0"], "unknown rule: ''"),
+    ],
+    ids=["check", "stress", "theorem2", "check-tau", "check-delta", "stress-rules"],
+)
+def test_empty_grid_is_refused(argv, error, capsys):
+    """An empty flag value is refused, not read as the flag's absence."""
+    assert main([*argv, "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_import_loads_no_dataclass_machinery():

@@ -6,8 +6,6 @@ from fractions import Fraction
 import pytest
 
 from alloclab import (
-    EuFloor,
-    LinearProgram,
     MalformedProgram,
     best_assignment,
     dominates,
@@ -34,36 +32,35 @@ def _ones_objective(n=3):
 
 class TestMaximize:
     def test_sum_of_entries(self):
-        result = maximize(LinearProgram(_ones_objective()))
-        assert result.status == "Optimal"
-        assert result.value == 3
+        value, _ = maximize(_ones_objective())
+        assert value == 3
 
     def test_single_agent_objective(self):
         objective = ((F(1), F(2, 5), F(0)), (F(0),) * 3, (F(0),) * 3)
-        result = maximize(LinearProgram(objective))
-        assert result.value == 1
-        assert result.argmax.rows[0] == (F(1), F(0), F(0))
+        value, argmax = maximize(objective)
+        assert value == 1
+        assert argmax.rows[0] == (F(1), F(0), F(0))
 
     def test_total_utility_optimum_is_permutation(self, abc_profile):
         objective = tuple(u.values for u in abc_profile)
-        result = maximize(LinearProgram(objective))
+        value, argmax = maximize(objective)
         best = best_assignments(abc_profile)
-        assert result.value == max(
+        assert value == max(
             sum(abc_profile[i].values[p[i]] for i in range(3))
             for p in best
         )
-        assert result.argmax.rows in [perm_matrix_rows(p) for p in best]
+        assert argmax.rows in [perm_matrix_rows(p) for p in best]
 
     def test_lexicographic_tie_break(self):
         # All agents identical: every permutation is optimal; the argmax must
         # be the row-major lexicographically smallest vertex.
         profile = make_profile([[3, 2, 1]] * 3)
         objective = tuple(u.values for u in profile)
-        result = maximize(LinearProgram(objective))
+        _, argmax = maximize(objective)
         optimal = best_assignments(profile)
         assert len(optimal) == 6
         lex_min = min(perm_matrix_rows(p) for p in optimal)
-        assert result.argmax.rows == lex_min
+        assert argmax.rows == lex_min
 
     def test_matches_enumeration_on_random_objectives(self):
         rng = random.Random(31)
@@ -73,33 +70,30 @@ class TestMaximize:
                 random_utility_consistent(rng.choice(orders), rng) for _ in range(3)
             )
             objective = tuple(u.values for u in profile)
-            result = maximize(LinearProgram(objective))
+            value, argmax = maximize(objective)
             optimal = best_assignments(profile)
-            assert result.value == sum(
+            assert value == sum(
                 profile[i].values[optimal[0][i]] for i in range(3)
             )
-            assert result.argmax.rows == min(perm_matrix_rows(p) for p in optimal)
+            assert argmax.rows == min(perm_matrix_rows(p) for p in optimal)
 
     def test_floor_constrained(self):
         # Forcing agent 0 to keep expected utility 1 pins object a to them.
         objective = ((F(0),) * 3, (F(1), F(0), F(0)), (F(0),) * 3)
-        floors = (EuFloor(0, (F(1), F(0), F(0)), F(1)),)
-        result = maximize(LinearProgram(objective, floors))
-        assert result.status == "Optimal"
-        assert result.argmax.rows[0] == (F(1), F(0), F(0))
-        assert result.value == 0
+        floors = ((0, (F(1), F(0), F(0)), F(1)),)
+        value, argmax = maximize(objective, floors)
+        assert argmax.rows[0] == (F(1), F(0), F(0))
+        assert value == 0
 
     def test_infeasible_floor(self):
-        floors = (EuFloor(0, (F(1), F(0), F(0)), F(2)),)
-        result = maximize(LinearProgram(_ones_objective(), floors))
-        assert result.status == "Infeasible"
-        assert result.argmax is None
+        floors = ((0, (F(1), F(0), F(0)), F(2)),)
+        assert maximize(_ones_objective(), floors) is None
 
     def test_malformed(self):
         with pytest.raises(MalformedProgram):
-            LinearProgram(((F(1), F(0)),))
+            maximize(((F(1), F(0)),))
         with pytest.raises(MalformedProgram):
-            LinearProgram(_ones_objective(), (EuFloor(5, (F(1),) * 3, F(0)),))
+            maximize(_ones_objective(), ((5, (F(1),) * 3, F(0)),))
 
 
 class TestBestAssignment:
@@ -113,9 +107,7 @@ class TestBestAssignment:
                     tuple(F(rng.randrange(5), 2) for _ in range(n)) for _ in range(n)
                 )
                 value, picks = best_assignment(objective)
-                result = maximize(LinearProgram(objective))
-                assert value == result.value
-                assert perm_matrix_rows(picks) == result.argmax.rows
+                assert maximize(objective) == (value, make_allocation(perm_matrix_rows(picks)))
 
     def test_malformed(self):
         with pytest.raises(MalformedProgram):
@@ -143,18 +135,18 @@ class TestFindDominating:
 
     def test_sum_maximizer_is_undominated(self, abc_profile):
         objective = tuple(u.values for u in abc_profile)
-        top = maximize(LinearProgram(objective)).argmax
+        _, top = maximize(objective)
         assert find_dominating(abc_profile, top) is None
 
     def test_none_means_lp_optimum_equals_status_quo(self, abc_profile):
         objective = tuple(u.values for u in abc_profile)
-        top = maximize(LinearProgram(objective)).argmax
+        _, top = maximize(objective)
         floors = tuple(
-            EuFloor(i, abc_profile[i].values, expected_utility(abc_profile[i], top.row(i)))
+            (i, abc_profile[i].values, expected_utility(abc_profile[i], top.row(i)))
             for i in range(3)
         )
-        pinned = maximize(LinearProgram(objective, floors))
-        assert pinned.value == sum(
+        value, _ = maximize(objective, floors)
+        assert value == sum(
             expected_utility(u, top.row(i)) for i, u in enumerate(abc_profile)
         )
 
@@ -194,6 +186,28 @@ class TestFindDominating:
                 found += 1
                 assert dominates_directly(shifted, better, alloc)
         assert found > 30
+
+    @pytest.mark.parametrize(
+        "rows, status_quo, dominating",
+        [
+            (
+                [[1, 2, 0], [2, 0, 1], [3, 1, 2]],
+                [["1/2", "1/2", 0], ["1/2", "1/2", 0], [0, 0, 1]],
+                [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+            ),
+            (
+                [[3, 0, 1], [0, 3, 1], [1, 2, 0]],
+                [["1/2", "1/2", 0], ["1/2", 0, "1/2"], [0, "1/2", "1/2"]],
+                [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+            ),
+        ],
+    )
+    def test_floor_constrained_tie_break(self, rows, status_quo, dominating):
+        # The objective alone does not stop at this vertex: the argmax must
+        # be the row-major lexicographically smallest point of the optimal
+        # face under the status-quo floors.
+        better = find_dominating(make_profile(rows), make_allocation(status_quo))
+        assert better.rows == make_allocation(dominating).rows
 
     def test_optimal_face_is_undominated(self):
         # Agents 0 and 1 have equal utilities, so swapping a and b between
