@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .core import (
@@ -44,6 +45,7 @@ from .core import (
     UtilityProfile,
     allocation_distance,
     expected_utility,
+    over_common_denominator,
 )
 from .lp import find_dominating
 from .ordinal import (
@@ -195,9 +197,12 @@ def check_efficiency(rule: Rule, profiles: Sequence[UtilityProfile]) -> Verdict:
 def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     """Allocate every cell of each deviation block, in canonical order (one
     block per class for a rule that reads only rankings), and stop at the
-    first block where ``judge(agent, others, cells, allocations)`` returns a
-    witness; `scanned_blocks` is that block's canonical index from 1."""
+    first block where ``judge(agent, others, cells, scaled, allocations)``
+    returns a witness; `scanned_blocks` is that block's canonical index from
+    one. ``scaled[c]`` holds cell c's values as integers over their own
+    common denominator, computed once per scan."""
     cells = grid_cells(config)
+    scaled = [over_common_denominator([cell.values])[1][0] for cell in cells]
     count = len(cells)
     coverage = (
         f"grid: 6 orders x {len(config.mu_grid)} mu per agent; "
@@ -211,7 +216,7 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
                 allocations = [
                     rule.allocate(_profile_with(others, agent, cell)) for cell in cells
                 ]
-                witness = judge(agent, others, cells, allocations)
+                witness = judge(agent, others, cells, scaled, allocations)
                 if witness is not None:
                     scanned = (agent * count + i) * count + j + 1
                     return Verdict(
@@ -241,36 +246,42 @@ def _row_classes(allocations: Sequence[Allocation], agent: int) -> tuple[list, l
     return distinct, index_of
 
 
-def _manipulation(agent, others, cells, allocations) -> dict | None:
+def _manipulation(agent, others, cells, scaled, allocations) -> dict | None:
     """The first (truth, deviation) pair of the block where the agent gains
-    strictly by reporting the deviation, or None."""
+    strictly by reporting the deviation, or None.
+
+    Expected utilities are compared as integers: each truth's values over
+    their common denominator (``scaled``) dotted with the block's distinct
+    rows over theirs. Both scales are positive and fixed for one truth, so
+    every comparison is the rational one; the witness's gap is computed in
+    `Fraction`s, only once a gain is found."""
     distinct, index_of = _row_classes(allocations, agent)
-    for t, truth in enumerate(cells):
-        values = truth.values
-        eus = []
-        for row in distinct:
-            eu = ZERO
-            for v, p in zip(values, row):
-                if p:
-                    eu += v * p
-            eus.append(eu)
+    if len(distinct) == 1:
+        return None
+    rows = over_common_denominator(distinct)[1]
+    for t, values in enumerate(scaled):
+        eus = [sum(map(mul, values, row)) for row in rows]
         eu_true = eus[index_of[t]]
         if max(eus) <= eu_true:
             continue
         for d, key in enumerate(index_of):
             if eus[key] > eu_true:
+                truth = cells[t]
+                gap = expected_utility(truth, allocations[d].row(agent)) - expected_utility(
+                    truth, allocations[t].row(agent)
+                )
                 return {
                     "profile": profile_json(_profile_with(others, agent, truth)),
                     "agent": agent,
                     "deviation": utility_json(cells[d]),
                     "truthful_allocation": allocation_json(allocations[t]),
                     "deviated_allocation": allocation_json(allocations[d]),
-                    "gap": str(eus[key] - eu_true),
+                    "gap": str(gap),
                 }
     return None
 
 
-def _bossiness(agent, others, cells, allocations) -> dict | None:
+def _bossiness(agent, others, cells, scaled, allocations) -> dict | None:
     """The first cell of the block whose allocation differs from that of the
     first cell with the same own row, or None."""
     first: dict[int, int] = {}

@@ -60,7 +60,7 @@ class UsageError(ValueError):
 
 
 class IoError(ValueError):
-    """Profile or matrix file is unreadable."""
+    """Profile or matrix file is unreadable, or the report file unwritable."""
 
 
 class ParseError(ValueError):
@@ -238,8 +238,11 @@ def _check_config(args: argparse.Namespace) -> CheckConfig:
 
 
 def _emit(payload: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(payload)
+    if out is not None:
+        try:
+            Path(out).write_text(payload)
+        except OSError as exc:
+            raise IoError(f"cannot write report to {out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
@@ -336,7 +339,7 @@ def _run_lemma(args: argparse.Namespace) -> int:
     lemma = matches[0]
     if args.trials > MAX_TRIALS:
         raise UsageError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
-    rule = rule_by_name(args.rule) if args.rule else None
+    rule = rule_by_name(args.rule) if args.rule is not None else None
     report = verify_lemma(lemma, rule, args.trials, args.seed)
     if args.format == "csv":
         _emit(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 AgentId = int
@@ -195,18 +196,41 @@ def uniform_allocation(n: int) -> Allocation:
 
 
 def mix_allocations(first: Allocation, second: Allocation, weight: Fraction) -> Allocation:
-    """Entrywise convex combination; bistochasticity is preserved."""
+    """Entrywise convex combination; bistochasticity is preserved.
+
+    With weight a/b, each entry w*p + (1-w)*q is built as the one fraction
+    (a*p.num*q.den + (b-a)*q.num*p.den) / (b*p.den*q.den) from integer
+    numerators and denominators, which `Fraction` reduces once, instead of
+    two products and a sum that each reduce; the value is the same."""
     if first.n != second.n:
         raise DimensionMismatch("allocations differ in size")
     if not ZERO <= weight <= ONE:
         raise NegativeEntry(f"mix weight {weight} outside [0, 1]")
-    co = ONE - weight
+    a, b = weight.numerator, weight.denominator
+    co = b - a
     return Allocation._trusted(
         tuple(
-            tuple(weight * p + co * q for p, q in zip(row_p, row_q))
+            tuple(
+                Fraction(
+                    a * p.numerator * q.denominator + co * q.numerator * p.denominator,
+                    b * p.denominator * q.denominator,
+                )
+                for p, q in zip(row_p, row_q)
+            )
             for row_p, row_q in zip(first.rows, second.rows)
         )
     )
+
+
+def over_common_denominator(
+    rows: Sequence[Sequence[int | Fraction]],
+) -> tuple[int, list[list[int]]]:
+    """The lcm of every entry's denominator, and each entry times it as an
+    int. All entries share one positive scale, so sums, dot products with
+    integer vectors and their comparisons keep their order and equalities:
+    integer kernels decide on these and divide by the scale only to print."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
 def allocation_distance(first: Allocation, second: Allocation) -> Fraction:

@@ -26,6 +26,7 @@ from .core import (
     Allocation,
     UtilityProfile,
     expected_utility,
+    over_common_denominator,
     validate_profile,
 )
 
@@ -197,27 +198,33 @@ def best_assignment(
     by row, trying objects from n-1 down to 0, so ties go to the largest
     permutation tuple, which is the row-major lexicographically smallest
     optimal 0/1 matrix. ``picks[i]`` is the object assigned to row i.
+
+    The program runs on integers: every entry is scaled by the one positive
+    lcm of the entries' denominators, which scales every total alike, so
+    each comparison, and hence the picks, is the rational one, and the
+    optimum is the integer optimum over that lcm.
     """
     n = len(objective)
     if n == 0 or any(len(row) != n for row in objective):
         raise MalformedProgram("objective must be a square grid")
+    scale, scaled = over_common_denominator(objective)
     full = (1 << n) - 1
-    tail = [ZERO] * (full + 1)
+    tail = [0] * (full + 1)
     for mask in range(full - 1, -1, -1):
-        row = objective[mask.bit_count()]
+        row = scaled[mask.bit_count()]
         tail[mask] = max(
             row[a] + tail[mask | (1 << a)] for a in range(n) if not (mask >> a) & 1
         )
     picks = []
     mask = 0
-    for row in objective:
+    for row in scaled:
         for a in range(n - 1, -1, -1):
             bit = 1 << a
             if not mask & bit and row[a] + tail[mask | bit] == tail[mask]:
                 break
         picks.append(a)
         mask |= bit
-    return tail[0], tuple(picks)
+    return Fraction(tail[0], scale), tuple(picks)
 
 
 def dominates(profile: UtilityProfile, candidate: Allocation, incumbent: Allocation) -> bool:

@@ -191,12 +191,16 @@ BASE_RULES = {
 }
 
 
+@lru_cache(maxsize=None)
 def blend_rule(first: Rule, second: Rule, alpha: Fraction) -> Rule:
     """Entrywise convex combination alpha*first + (1-alpha)*second, keyed on
     the pair of its parts' keys. The mix is memoized on the identity pair of
     the parts' outputs, so the blend builds at most |outputs of first| *
     |outputs of second| matrices. Each memo entry holds both parts, so an id
-    in it is never reused by another object."""
+    in it is never reused by another object.
+
+    Equal arguments return the one shared `Rule`, memo included, so a family
+    that draws the same blend twice computes it once."""
     alpha = Fraction(alpha)
     if not ZERO <= alpha <= ONE:
         raise AlphaOutOfRange(f"blend weight {alpha} outside [0, 1]")

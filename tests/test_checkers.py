@@ -30,14 +30,20 @@ from alloclab import (
     rule_by_name,
     utility_from,
 )
+from alloclab.bvn import random_bistochastic
 from alloclab.checkers import (
     MAX_PATH_PROBES,
     PROBE_CAP_NOTE,
+    _manipulation,
+    allocation_json,
     check_continuity_battery,
     default_continuity_paths,
     default_efficiency_profiles,
     grid_cells,
+    profile_json,
+    utility_json,
 )
+from alloclab.core import over_common_denominator
 from alloclab.ordinal import OrdinalPreference, all_orders, ordinal_of
 
 from conftest import REDUCED_GRIDS
@@ -131,7 +137,51 @@ class TestEfficiency:
         assert check_efficiency(PS, [profile]).passed
 
 
+def _manipulation_reference(agent, others, cells, allocations):
+    """The judge's `Fraction` formula: the first truth, then the first
+    deviation, whose expected utility for that truth is strictly higher."""
+    for t, truth in enumerate(cells):
+        held = expected_utility(truth, allocations[t].row(agent))
+        for d, alloc in enumerate(allocations):
+            gained = expected_utility(truth, alloc.row(agent))
+            if gained > held:
+                return {
+                    "profile": profile_json(others[:agent] + (truth,) + others[agent:]),
+                    "agent": agent,
+                    "deviation": utility_json(cells[d]),
+                    "truthful_allocation": allocation_json(allocations[t]),
+                    "deviated_allocation": allocation_json(alloc),
+                    "gap": str(gained - held),
+                }
+    return None
+
+
 class TestStrategyProofness:
+    def test_integer_judge_matches_fraction_formula(self):
+        """Seeded blocks over a menu of random bistochastic matrices, whose
+        rows have unlike denominators, on grid utilities 1/(1+mu) with unlike
+        denominators too. The agent either takes its expected-utility-best
+        menu entry (no gain anywhere; ties are common) or a random one."""
+        rng = random.Random(14)
+        cells = grid_cells(CheckConfig(mu_grid=(F(1, 10), F(2, 7), F(3, 5), F(9, 10))))
+        scaled = [over_common_denominator([cell.values])[1][0] for cell in cells]
+        outcomes = set()
+        for _ in range(40):
+            menu = [random_bistochastic(3, rng) for _ in range(rng.randrange(2, 6))]
+            agent = rng.randrange(3)
+            others = (rng.choice(cells), rng.choice(cells))
+            best = [
+                max(menu, key=lambda alloc: expected_utility(cell, alloc.row(agent)))
+                for cell in cells
+            ]
+            drawn = [rng.choice(menu) for _ in cells]
+            for allocations in (best, drawn):
+                expected = _manipulation_reference(agent, others, cells, allocations)
+                assert _manipulation(agent, others, cells, scaled, allocations) == expected
+                assert expected is None or allocations is drawn
+                outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
     def test_rsd_passes(self):
         assert check_strategy_proofness(RSD, SMALL).passed
 

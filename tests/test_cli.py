@@ -628,26 +628,41 @@ def test_grid_rates_are_distinct_and_capped(monkeypatch, capsys):
 
 
 NOT_RATIONAL = "not an exact rational: ''"
-CONTINUITY = ["check", "--rule", "rsd", "--axiom", "continuity"]
+CONTINUITY = ["check", "--rule", "rsd", "--axiom", "continuity", "--seed", "1"]
 
 
 @pytest.mark.parametrize(
     "argv, error",
     [
-        (["check", "--rule", "rsd", "--axiom", "ordinality", "--samples", "0", "--grid", ""],
+        (["check", "--rule", "rsd", "--axiom", "ordinality", "--samples", "0", "--grid", "",
+          "--seed", "1"], NOT_RATIONAL),
+        (["stress", "--rules", "rsd", "--samples", "0", "--grid", "", "--seed", "1"],
          NOT_RATIONAL),
-        (["stress", "--rules", "rsd", "--samples", "0", "--grid", ""], NOT_RATIONAL),
-        (["theorem2", "--rule", "rsd", "--grid", ""], NOT_RATIONAL),
+        (["theorem2", "--rule", "rsd", "--grid", "", "--seed", "1"], NOT_RATIONAL),
         ([*CONTINUITY, "--tau", ""], NOT_RATIONAL),
         ([*CONTINUITY, "--delta", ""], NOT_RATIONAL),
-        (["stress", "--rules", "", "--samples", "0"], "unknown rule: ''"),
+        (["stress", "--rules", "", "--samples", "0", "--seed", "1"], "unknown rule: ''"),
+        (["decompose", "--matrix", "[[1,0],[0,1]]", "--out", ""],
+         "cannot write report to '': Is a directory"),
+        (["lemma", "--lemma", "L10", "--rule", "", "--trials", "3", "--seed", "1"],
+         "unknown rule: ''"),
     ],
-    ids=["check", "stress", "theorem2", "check-tau", "check-delta", "stress-rules"],
+    ids=["check", "stress", "theorem2", "check-tau", "check-delta", "stress-rules",
+         "decompose-out", "lemma-rule"],
 )
 def test_empty_grid_is_refused(argv, error, capsys):
     """An empty flag value is refused, not read as the flag's absence."""
-    assert main([*argv, "--seed", "1"]) == 2
-    assert capsys.readouterr().err == f"error: {error}\n"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n" and captured.out == ""
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["decompose", "--matrix", "[[1,0],[0,1]]", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write report to {str(out)!r}: No such file or directory\n"
+    )
 
 
 def test_import_loads_no_dataclass_machinery():

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from alloclab import (
     v_from_bernoulli,
 )
 from alloclab import core, rules
+from alloclab.bvn import random_bistochastic
 from alloclab.core import parse_fraction
 
 from conftest import lotteries, unit_fractions, utilities
@@ -254,6 +256,22 @@ class TestTrustedConstruction:
     def test_uniform_needs_an_agent(self, n):
         with pytest.raises(DimensionMismatch):
             uniform_allocation(n)
+
+    def test_mix_matches_fraction_formula(self):
+        """Each entry, built from integer numerators and denominators, equals
+        w*p + (1-w)*q in `Fraction`s, on matrices with unlike denominators."""
+        rng = random.Random(14)
+        weights = [Fraction(0), Fraction(1), Fraction(3, 10), Fraction(2, 7), Fraction(1, 2)]
+        for _ in range(60):
+            n = rng.randrange(2, 6)
+            first, second = random_bistochastic(n, rng), random_bistochastic(n, rng)
+            weight = rng.choice(weights)
+            mixed = mix_allocations(first, second, weight)
+            assert mixed.rows == tuple(
+                tuple(weight * p + (1 - weight) * q for p, q in zip(row_p, row_q))
+                for row_p, row_q in zip(first.rows, second.rows)
+            )
+            assert all(type(p) is Fraction for row in mixed.rows for p in row)
 
     def test_outputs_validate(self):
         identity = make_allocation([[1, 0, 0], [0, 1, 0], [0, 0, 1]])

@@ -1,5 +1,6 @@
 """Exact simplex engine, the assignment DP and the domination LP."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -108,6 +109,28 @@ class TestBestAssignment:
                 )
                 value, picks = best_assignment(objective)
                 assert maximize(objective) == (value, make_allocation(perm_matrix_rows(picks)))
+
+    def test_matches_brute_force_on_mixed_entries(self):
+        """The integer DP against every permutation's `Fraction` total, on
+        grid utilities 1/(1+mu) and mu/(1+mu), negative fractions and plain
+        ints, drawn from a small pool so that optimal ties are common. Ties
+        go to the largest permutation tuple."""
+        rng = random.Random(14)
+        pool = [F(1, 1 + mu) for mu in (F(1, 10), F(2, 7))] + [
+            F(2, 7) / (1 + F(2, 7)), F(-3, 10), F(-5, 4), 0, 1, -2,
+        ]
+        for n, trials in ((3, 80), (4, 40), (5, 12)):
+            for _ in range(trials):
+                objective = tuple(tuple(rng.choice(pool) for _ in range(n)) for _ in range(n))
+                totals = {
+                    perm: sum((objective[i][a] for i, a in enumerate(perm)), F(0))
+                    for perm in itertools.permutations(range(n))
+                }
+                top = max(totals.values())
+                picks = max(perm for perm, total in totals.items() if total == top)
+                value, got = best_assignment(objective)
+                assert (value, got) == (top, picks)
+                assert type(value) is Fraction
 
     def test_malformed(self):
         with pytest.raises(MalformedProgram):
