@@ -336,11 +336,11 @@ def check_ordinality(rule: Rule, config: CheckConfig) -> Verdict:
     seeded random rates.
 
     A rule that reads only rankings gives every profile of a cell the same
-    key, hence the same memoized allocation object, so each cell is proved
-    by one rule call on its first grid profile (every agent at the first
-    grid rate). That call is kept so that a `compute` that raises still
-    raises at the same cell, and the coverage still describes the declared
-    sweep, which the quotient proves."""
+    key, hence the same allocation, so each cell is proved by one rule call
+    on its first grid profile (every agent at the first grid rate). That
+    call is kept so that a `compute` that raises still raises at the same
+    cell, and the coverage still describes the declared sweep, which the
+    quotient proves."""
     mu_grid = config.mu_grid
     coverage = (
         f"cells=216; per_cell={len(mu_grid)**3}+{config.samples_per_cell} random; "

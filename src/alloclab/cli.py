@@ -409,8 +409,17 @@ SHARED_FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises `UsageError` where argparse would print its usage and exit 2,
+    so a bad flag gets the same one-line message as every other input error.
+    `add_subparsers` builds each subcommand's parser with this class too."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alloclab",
         description="Exact-arithmetic laboratory for random allocation rules.",
     )
@@ -451,13 +460,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        return run(_build_parser().parse_args(argv))
+    except SystemExit as exc:  # --help
         return 2 if exc.code else 0
-    try:
-        return run(args)
     except ValueError as exc:  # every input error subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,10 +4,10 @@ convex blends.
 
 Every rule is a pure deterministic function from utility profiles to
 bistochastic allocations, split into a structural key (the part of the
-profile the rule reads) and a computation from that key. Each `Rule` keeps
-one memo from key to allocation: rsd, ps and dictatorship key on the ranking
-profile, utilitarian on the canonical profile, uniform on n, and a blend on
-the pair of its parts' keys. So the grid checkers can sweep tens of
+profile the rule reads) and a computation from that key. Each rule has one
+memo, where its work is done: rsd, ps and dictatorship memoize their compute
+on the ranking profile, utilitarian on the canonical profile, uniform on n,
+and a blend keeps only its mix table. So the grid checkers can sweep tens of
 thousands of profiles while each rule computes once per distinct key, and
 they scan a rule whose key reads only rankings (`Rule.reads_only_rankings`)
 one deviation block per class of ranking profiles. The utilitarian rule
@@ -51,11 +51,16 @@ class Rule(Frozen):
     """Named allocation mechanism: ``allocate(profile)`` validates the
     profile once and returns ``compute(key(profile))``. ``key`` returns the
     hashable part of the profile the rule reads; ``compute`` must depend on
-    nothing else. ``from_key`` is ``compute`` behind one unbounded memo,
-    bounded in practice by the key space ((n!)^n ranking profiles for an
-    ordinal key)."""
+    nothing else. A rule keeps no memo of its own: a compute worth
+    memoizing is passed in memoized.
 
-    __slots__ = ("name", "key", "compute", "__dict__")  # __dict__: from_key, profiler hooks
+    ``reads_only_rankings`` says whether the key reads nothing beyond the
+    ranking profile, so that profiles with the same rankings get the same
+    allocation. It is derived from the key function itself: the ordinal and
+    size keys qualify, a blend's key iff both parts' keys do, and any other
+    key does not."""
+
+    __slots__ = ("name", "key", "compute", "__dict__")  # __dict__: reads_only_rankings, hooks
     __eq__, __hash__ = object.__eq__, object.__hash__  # identity
 
     def __init__(self, name: str, key: Callable[[UtilityProfile], Hashable],
@@ -64,19 +69,11 @@ class Rule(Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "from_key", lru_cache(maxsize=None)(self.compute))
+        object.__setattr__(self, "reads_only_rankings", _reads_only_rankings(self.key))
 
     def allocate(self, profile: UtilityProfile) -> Allocation:
         validate_profile(profile)
-        return self.from_key(self.key(profile))
-
-    @property
-    def reads_only_rankings(self) -> bool:
-        """Whether the key reads nothing beyond the ranking profile, so that
-        profiles with the same rankings get the same allocation. Derived
-        from the key function itself: the ordinal and size keys qualify, a
-        blend's key iff both parts' keys do, and any other key does not."""
-        return _reads_only_rankings(self.key)
+        return self.compute(self.key(profile))
 
 
 Rankings = tuple[tuple[int, ...], ...]
@@ -180,11 +177,12 @@ def _utilitarian(canonical: UtilityProfile) -> Allocation:
     return _permutation_allocation(picks)
 
 
-RSD = Rule("rsd", _ordinal_key, _rsd)
-PS = Rule("ps", _ordinal_key, _ps)
-DICTATORSHIP = Rule("dictatorship", _ordinal_key, _dictatorship)
-UTILITARIAN = Rule("utilitarian", _canonical_key, _utilitarian)
-UNIFORM = Rule("uniform", _size_key, uniform_allocation)
+# One memo entry per distinct key: at most (n!)^n for a ranking key.
+RSD = Rule("rsd", _ordinal_key, lru_cache(maxsize=None)(_rsd))
+PS = Rule("ps", _ordinal_key, lru_cache(maxsize=None)(_ps))
+DICTATORSHIP = Rule("dictatorship", _ordinal_key, lru_cache(maxsize=None)(_dictatorship))
+UTILITARIAN = Rule("utilitarian", _canonical_key, lru_cache(maxsize=None)(_utilitarian))
+UNIFORM = Rule("uniform", _size_key, lru_cache(maxsize=None)(uniform_allocation))
 
 BASE_RULES = {
     rule.name: rule for rule in (RSD, PS, DICTATORSHIP, UTILITARIAN, UNIFORM)
@@ -194,20 +192,21 @@ BASE_RULES = {
 @lru_cache(maxsize=None)
 def blend_rule(first: Rule, second: Rule, alpha: Fraction) -> Rule:
     """Entrywise convex combination alpha*first + (1-alpha)*second, keyed on
-    the pair of its parts' keys. The mix is memoized on the identity pair of
-    the parts' outputs, so the blend builds at most |outputs of first| *
-    |outputs of second| matrices. Each memo entry holds both parts, so an id
-    in it is never reused by another object.
+    the pair of its parts' keys. Its only memo is the mix table, keyed on the
+    identity pair of the parts' outputs, so the blend builds at most
+    |outputs of first| * |outputs of second| matrices. Each entry holds both
+    parts, so an id in it is never reused by another object, even when a
+    part without a memo returns short-lived outputs.
 
-    Equal arguments return the one shared `Rule`, memo included, so a family
-    that draws the same blend twice computes it once."""
+    Equal arguments return the one shared `Rule`, mix table included, so a
+    family that draws the same blend twice computes it once."""
     alpha = Fraction(alpha)
     if not ZERO <= alpha <= ONE:
         raise AlphaOutOfRange(f"blend weight {alpha} outside [0, 1]")
     mixes: dict[tuple[int, int], tuple[Allocation, Allocation, Allocation]] = {}
 
     def compute(keys: tuple[Hashable, Hashable]) -> Allocation:
-        a, b = first.from_key(keys[0]), second.from_key(keys[1])
+        a, b = first.compute(keys[0]), second.compute(keys[1])
         entry = mixes.get((id(a), id(b)))
         if entry is None:
             entry = mixes[id(a), id(b)] = (a, b, mix_allocations(a, b, alpha))

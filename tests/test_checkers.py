@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -69,7 +70,7 @@ def _bossy_allocate(profile):
     return make_allocation(rows)
 
 
-BOSSY = Rule("bossy-test", lambda profile: profile, _bossy_allocate)
+BOSSY = Rule("bossy-test", lambda profile: profile, lru_cache(maxsize=None)(_bossy_allocate))
 
 
 def _rankings_bossy_allocate(rankings):
@@ -85,7 +86,9 @@ def _rankings_bossy_allocate(rankings):
     return make_allocation(rows)
 
 
-RANKINGS_BOSSY = Rule("rankings-bossy-test", RSD.key, _rankings_bossy_allocate)
+RANKINGS_BOSSY = Rule(
+    "rankings-bossy-test", RSD.key, lru_cache(maxsize=None)(_rankings_bossy_allocate)
+)
 
 
 def _counted(rule):
@@ -111,7 +114,7 @@ def _sliding_allocate(profile):
     return make_allocation([[1 - mu, mu, 0], [mu, 1 - mu, 0], [0, 0, 1]])
 
 
-SLIDING = Rule("sliding-test", lambda profile: profile, _sliding_allocate)
+SLIDING = Rule("sliding-test", lambda profile: profile, lru_cache(maxsize=None)(_sliding_allocate))
 
 
 class TestEfficiency:
@@ -373,9 +376,8 @@ class TestInternedOutputs:
     )
     def test_reports_match_a_fresh_allocation_twin(self, spec):
         rule = rule_by_name(spec)
-        twin = Rule(
-            rule.name, rule.key, lambda key: make_allocation(rule.from_key(key).rows)
-        )
+        fresh = lru_cache(maxsize=None)(lambda key: make_allocation(rule.compute(key).rows))
+        twin = Rule(rule.name, rule.key, fresh)
         for grid in REDUCED_GRIDS[1:3]:
             config = CheckConfig(mu_grid=grid)
             for check in (check_strategy_proofness, check_non_bossiness, check_ordinality):

@@ -454,7 +454,28 @@ def test_help_lists_only_the_flags_the_subcommand_reads(command, flags, capsys):
 )
 def test_flag_the_subcommand_does_not_read_is_usage_error(argv, capsys):
     assert main(argv) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--rule", "rsd", "--axiom", "ordinality", "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+        (["check", "--axiom", "ordinality", "--seed", "1"],
+         "the following arguments are required: --rule"),
+        (["check", "--rule", "rsd", "--axiom", "ordinality", "--seed", "1", "--format", "xml"],
+         "argument --format: invalid choice: 'xml'"),
+        (["lemma", "--lemma", "L4", "--rule", "rsd", "--trials", "x", "--seed", "1"],
+         "argument --trials: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_argument_parser_errors_print_one_line(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

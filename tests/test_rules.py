@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from alloclab import (
     UTILITARIAN,
     all_orders,
     blend_rule,
+    check_non_bossiness,
+    check_strategy_proofness,
     make_allocation,
     make_profile,
     make_utility,
@@ -286,11 +289,29 @@ class TestStructuralMemo:
     def test_cardinal_outputs_are_interned(self, spec, bound):
         assert _distinct_outputs_on_scan_grid(rule_by_name(spec)) <= bound
 
+    def test_a_blend_keeps_no_memory_per_profile(self):
+        # A blend's only memo is its mix table, at most one entry per pair of
+        # its parts' outputs, however many profiles are scanned; a memo per
+        # profile would keep 13,824 entries here, several megabytes.
+        config = CheckConfig(mu_grid=SCAN_GRID)
+        assert check_non_bossiness(UTILITARIAN, config).passed
+        assert check_strategy_proofness(RSD, config).passed
+        fresh = blend_rule.__wrapped__(RSD, UTILITARIAN, F(1, 2))  # no earlier test filled it
+        tracemalloc.start()
+        try:
+            assert check_non_bossiness(fresh, config).passed
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 1.5 * 2**20
+
+
+SCAN_GRID = (F(1, 10), F(2, 5), F(3, 5), F(9, 10))
+
 
 def _distinct_outputs_on_scan_grid(rule):
     """Number of distinct output objects over the 4-rate grid's profiles."""
-    grid = (F(1, 10), F(2, 5), F(3, 5), F(9, 10))
-    cells = [utility_from(order, mu) for order in all_orders(3) for mu in grid]
+    cells = [utility_from(order, mu) for order in all_orders(3) for mu in SCAN_GRID]
     return len({id(rule.allocate(profile)) for profile in itertools.product(cells, repeat=3)})
 
 
