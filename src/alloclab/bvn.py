@@ -51,11 +51,7 @@ class Decomposition(Frozen):
         object.__setattr__(self, "terms", terms)
 
     def to_dict(self) -> dict:
-        return {
-            "terms": [
-                {"weight": str(w), "perm": list(p.assignment)} for w, p in self.terms
-            ]
-        }
+        return {"terms": [{"weight": w, "perm": p.assignment} for w, p in self.terms]}
 
 
 def _find_matching(rows: list[list[Fraction]]) -> tuple[ObjectId, ...]:

@@ -30,6 +30,7 @@ grid and random profiles, which that one call proves.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from operator import mul
@@ -42,6 +43,7 @@ from .core import (
     BernoulliUtility,
     Fields,
     Frozen,
+    Lottery,
     UtilityProfile,
     allocation_distance,
     expected_utility,
@@ -135,16 +137,41 @@ class Verdict(Fields):
         return data
 
 
-def profile_json(profile: UtilityProfile) -> list[list[str]]:
-    return [[str(v) for v in u.values] for u in profile]
+def encode(value):
+    """How a report writes an exact value (the `default` hook of `json.dumps`):
+    a rational as 'p/q', a ranking as 'a>b>c', an sd verdict as its value, and
+    a utility, lottery or allocation as its entries. Witnesses hold values."""
+    if isinstance(value, (Fraction, OrdinalPreference)):
+        return str(value)
+    if isinstance(value, SdVerdict):
+        return value.value
+    if isinstance(value, BernoulliUtility):
+        return value.values
+    if isinstance(value, Lottery):
+        return value.probs
+    if isinstance(value, Allocation):
+        return value.rows
+    raise TypeError(f"{type(value).__name__} has no report form")
 
 
-def utility_json(utility: BernoulliUtility) -> list[str]:
-    return [str(v) for v in utility.values]
+def report_json(data: dict) -> str:
+    """The byte-stable JSON form of every report: sorted keys, two-space
+    indent, exact values through `encode`."""
+    return json.dumps(data, sort_keys=True, indent=2, default=encode)
 
 
-def allocation_json(alloc: Allocation) -> list[list[str]]:
-    return [[str(p) for p in row] for row in alloc.rows]
+def encoded(data):
+    """`data` with every exact value in its report form, as plain lists and
+    strings; error messages embed a witness in this form."""
+    return json.loads(json.dumps(data, default=encode))
+
+
+def require_ordinal(rule: Rule, config: CheckConfig, error: type[ValueError], claim: str) -> None:
+    """Raise `error` when `rule` fails ordinality on the grid; the message
+    says `claim` of the rule and embeds the encoded witness."""
+    verdict = check_ordinality(rule, config)
+    if not verdict.passed:
+        raise error(f"rule {rule.name} {claim}: {encoded(verdict.witness)}")
 
 
 def grid_cells(config: CheckConfig) -> tuple[NormalizedUtility, ...]:
@@ -176,17 +203,14 @@ def check_efficiency(rule: Rule, profiles: Sequence[UtilityProfile]) -> Verdict:
         better = find_dominating(profile, alloc)
         if better is not None:
             gains = [
-                str(
-                    expected_utility(u, better.row(i))
-                    - expected_utility(u, alloc.row(i))
-                )
+                expected_utility(u, better.row(i)) - expected_utility(u, alloc.row(i))
                 for i, u in enumerate(profile)
             ]
             return Verdict(
                 witness={
-                    "profile": profile_json(profile),
-                    "allocation": allocation_json(alloc),
-                    "dominating": allocation_json(better),
+                    "profile": profile,
+                    "allocation": alloc,
+                    "dominating": better,
                     "per_agent_gains": gains,
                 },
                 coverage=_stopped(coverage, scanned, len(profiles), "profiles"),
@@ -271,12 +295,12 @@ def _manipulation(agent, others, cells, scaled, allocations) -> dict | None:
                     truth, allocations[t].row(agent)
                 )
                 return {
-                    "profile": profile_json(_profile_with(others, agent, truth)),
+                    "profile": _profile_with(others, agent, truth),
                     "agent": agent,
-                    "deviation": utility_json(cells[d]),
-                    "truthful_allocation": allocation_json(allocations[t]),
-                    "deviated_allocation": allocation_json(allocations[d]),
-                    "gap": str(gap),
+                    "deviation": cells[d],
+                    "truthful_allocation": allocations[t],
+                    "deviated_allocation": allocations[d],
+                    "gap": gap,
                 }
     return None
 
@@ -290,12 +314,12 @@ def _bossiness(agent, others, cells, scaled, allocations) -> dict | None:
         alloc = allocations[d]
         if t != d and allocations[t] is not alloc and allocations[t] != alloc:
             return {
-                "profile": profile_json(_profile_with(others, agent, cells[t])),
+                "profile": _profile_with(others, agent, cells[t]),
                 "agent": agent,
-                "deviation": utility_json(cells[d]),
-                "own_row": [str(p) for p in alloc.rows[agent]],
-                "allocation": allocation_json(allocations[t]),
-                "deviated_allocation": allocation_json(alloc),
+                "deviation": cells[d],
+                "own_row": alloc.rows[agent],
+                "allocation": allocations[t],
+                "deviated_allocation": alloc,
             }
     return None
 
@@ -322,11 +346,11 @@ def cell_twin_witness(
         alloc = rule.allocate(profile)
         if alloc != reference:
             return {
-                "cell": [str(order) for order in orders],
-                "profile_a": profile_json(profiles[0]),
-                "profile_b": profile_json(profile),
-                "allocation_a": allocation_json(reference),
-                "allocation_b": allocation_json(alloc),
+                "cell": orders,
+                "profile_a": profiles[0],
+                "profile_b": profile,
+                "allocation_a": reference,
+                "allocation_b": alloc,
             }
     return None
 
@@ -373,12 +397,7 @@ def check_sd_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
     Raises NotOrdinal when the rule varies within a cone on the grid, since
     the finite test only makes sense for ordinal rules.
     """
-    ordinal_verdict = check_ordinality(rule, config)
-    if not ordinal_verdict.passed:
-        raise NotOrdinal(
-            f"rule {rule.name} varies within an ordinal cone: "
-            f"{ordinal_verdict.witness}"
-        )
+    require_ordinal(rule, config, NotOrdinal, "varies within an ordinal cone")
     orders = all_orders(3)
     mid = Fraction(1, 2)
     coverage = "cells=216; ordinal deviations=6 per agent"
@@ -403,12 +422,12 @@ def check_sd_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
                 if verdict not in (SdVerdict.DOMINATES, SdVerdict.EQUAL):
                     return Verdict(
                         witness={
-                            "cell": [str(o) for o in truth_orders],
+                            "cell": truth_orders,
                             "agent": agent,
-                            "deviation_order": str(deviation),
-                            "truthful_share": [str(p) for p in truthful.rows[agent]],
-                            "deviated_share": [str(p) for p in deviated.rows[agent]],
-                            "sd_verdict": verdict.value,
+                            "deviation_order": deviation,
+                            "truthful_share": truthful.rows[agent],
+                            "deviated_share": deviated.rows[agent],
+                            "sd_verdict": verdict,
                         },
                         coverage=_stopped(coverage, index + 1, 216, "cells"),
                     )
@@ -470,11 +489,11 @@ def check_ncc_continuity(
         if hi - lo < delta:
             witness = {
                 "agent": agent,
-                "interval": [str(lo), str(hi)],
-                "width": str(hi - lo),
-                "gap": str(gap),
-                "allocation_low": allocation_json(left),
-                "allocation_high": allocation_json(right),
+                "interval": (lo, hi),
+                "width": hi - lo,
+                "gap": gap,
+                "allocation_low": left,
+                "allocation_high": right,
             }
             break
         if len(cache) >= MAX_PATH_PROBES:

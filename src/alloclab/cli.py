@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 import time
@@ -30,6 +31,7 @@ from .checkers import (
     check_strategy_proofness,
     default_efficiency_profiles,
     random_profile,
+    report_json,
     NotOrdinal,
 )
 from .core import (
@@ -47,7 +49,6 @@ from .harness import (
     default_v_profiles,
     exploration_stress,
     report_csv,
-    report_json,
     theorem_stress,
     theorem2_check,
     verify_lemma,
@@ -243,10 +244,16 @@ def _emit(payload: str, out: str | None) -> None:
             Path(out).write_text(payload)
         except OSError as exc:
             raise IoError(f"cannot write report to {out!r}: {exc.strerror}") from exc
+    elif sys.stdout is None:  # the process started with stdout closed
+        raise IoError("cannot write report to stdout: it is closed")
     else:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            print(payload, end="" if payload.endswith("\n") else "\n", flush=True)
+        except OSError as exc:
+            # The interpreter flushes stdout again at exit: point it at
+            # devnull, so that the error line stays the only message.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise IoError(f"cannot write report to stdout: {exc.strerror}") from exc
 
 
 def _not_ordinal(fields: dict, exc: NotOrdinal | NotOrdinalOnU, out: str | None) -> int:

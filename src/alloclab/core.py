@@ -49,11 +49,11 @@ class TiesPresent(ValueError):
 
 
 def as_fraction(value: int | Fraction | str) -> Fraction:
-    """Coerce to Fraction. Strings must be integers or 'p/q'; floats and
-    decimal literals are rejected to keep the pipeline exact."""
+    """Coerce to Fraction. Strings must be integers or 'p/q'; floats, bools
+    and decimal literals are rejected to keep the pipeline exact."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_fraction(value)

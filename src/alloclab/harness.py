@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import random
 from fractions import Fraction
 
@@ -31,7 +30,6 @@ from .core import (
 from .checkers import (
     CheckConfig,
     Verdict,
-    allocation_json,
     cell_twin_witness,
     check_continuity_battery,
     check_efficiency,
@@ -39,8 +37,9 @@ from .checkers import (
     check_ordinality,
     check_strategy_proofness,
     default_efficiency_profiles,
-    profile_json,
-    utility_json,
+    encoded,
+    report_json,
+    require_ordinal,
 )
 from .ordinal import (
     OrdinalPreference,
@@ -90,12 +89,6 @@ EXPLORATION_PROBES = 40
 # A lemma report keeps the first MAX_WITNESSES failure witnesses, so its
 # memory and output stay bounded for any --trials.
 MAX_WITNESSES = 100
-
-
-def report_json(data: dict) -> str:
-    """The byte-stable JSON form of every report: sorted keys, two-space
-    indent."""
-    return json.dumps(data, sort_keys=True, indent=2)
 
 
 def report_csv(rows: list[list]) -> str:
@@ -251,17 +244,13 @@ def _one_agent_check(hypothesis, perturb, whole: bool, key: str = "replacement")
         after = rule.allocate(profile[:agent] + (replacement,) + profile[agent + 1 :])
         if (after == base) if whole else (after.rows[agent] == base.rows[agent]):
             return None
-        witness = {
-            "profile": profile_json(profile),
-            "agent": agent,
-            key: utility_json(replacement),
-        }
+        witness = {"profile": profile, "agent": agent, key: replacement}
         if whole:
-            witness["allocation"] = allocation_json(base)
-            witness["replaced_allocation"] = allocation_json(after)
+            witness["allocation"] = base
+            witness["replaced_allocation"] = after
         else:
-            witness["share_before"] = [str(p) for p in base.rows[agent]]
-            witness["share_after"] = [str(p) for p in after.rows[agent]]
+            witness["share_before"] = base.rows[agent]
+            witness["share_after"] = after.rows[agent]
         return witness
 
     return check
@@ -295,17 +284,13 @@ def _same_order_pair_check(draw_j, replaced: int):
             holds = holds and swapped == alloc
         if holds:
             return None
-        witness = {
-            "profile": profile_json(profile),
-            "pair": [i, j],
-            "allocation": allocation_json(alloc),
-        }
+        witness = {"profile": profile, "pair": [i, j], "allocation": alloc}
         if replaced:
-            witness["replaced_allocation"] = allocation_json(swapped)
+            witness["replaced_allocation"] = swapped
         if replaced == 1:
-            witness["replacement"] = utility_json(replacements[0])
+            witness["replacement"] = replacements[0]
         elif replaced == 2:
-            witness["replacements"] = [utility_json(u) for u in replacements]
+            witness["replacements"] = replacements
         return witness
 
     return check
@@ -320,10 +305,10 @@ def _check_l8(rule: Rule, rng: random.Random):
     swapped = rule.allocate(clones)
     if swapped != alloc:
         return {
-            "profile": profile_json(profile),
-            "ordinal_twin": profile_json(clones),
-            "allocation": allocation_json(alloc),
-            "twin_allocation": allocation_json(swapped),
+            "profile": profile,
+            "ordinal_twin": clones,
+            "allocation": alloc,
+            "twin_allocation": swapped,
         }
     return None
 
@@ -354,13 +339,8 @@ def _separation_check(member: VUtility, rng: random.Random):
             separating, p1
         ) > expected_utility(separating, p2):
             return None
-        failure = {"separating": utility_json(separating)}
-    return {
-        "member": member.name,
-        "p1": [str(p) for p in p1.probs],
-        "p2": [str(p) for p in p2.probs],
-        **failure,
-    }
+        failure = {"separating": separating}
+    return {"member": member.name, "p1": p1, "p2": p2, **failure}
 
 
 _LEMMA_CHECKERS = {
@@ -455,12 +435,7 @@ def theorem2_check(
     """
     if not v_profiles:
         raise ValueError("theorem2 needs at least one V-profile")
-    ordinal_verdict = check_ordinality(rule, config)
-    if not ordinal_verdict.passed:
-        raise NotOrdinalOnU(
-            f"rule {rule.name} is not ordinal on Bernoulli utilities: "
-            f"{ordinal_verdict.witness}"
-        )
+    require_ordinal(rule, config, NotOrdinalOnU, "is not ordinal on Bernoulli utilities")
     rng = random.Random(f"{config.seed}:theorem2")
     failures = validate_v_domain(
         [member for profile in v_profiles for member in profile],
@@ -468,7 +443,7 @@ def theorem2_check(
         seed=config.seed,
     )
     if failures:
-        raise ValueError(f"v_profiles fail the domain conditions: {failures}")
+        raise ValueError(f"v_profiles fail the domain conditions: {encoded(failures)}")
 
     coverage = f"v_profiles={len(v_profiles)}"
     separating_trials = 0

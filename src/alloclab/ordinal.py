@@ -304,10 +304,10 @@ def validate_v_domain(
             if high <= low:
                 failures.append({
                     "name": candidate.name,
-                    "dominant": [str(p) for p in dominant.probs],
-                    "dominated": [str(p) for p in dominated.probs],
-                    "value_dominant": str(high),
-                    "value_dominated": str(low),
+                    "dominant": dominant,
+                    "dominated": dominated,
+                    "value_dominant": high,
+                    "value_dominated": low,
                 })
                 break
     return failures

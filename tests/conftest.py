@@ -3,22 +3,59 @@
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
+from enum import Enum
+
 from alloclab import (
     Allocation,
     BernoulliUtility,
     Lottery,
+    OrdinalPreference,
     expected_utility,
+    make_allocation,
     make_lottery,
     make_utility,
 )
+from alloclab.checkers import report_json
+from alloclab.core import OBJECT_LABELS, parse_fraction
 
 
 F = Fraction
+
+def printed_witness(verdict) -> dict:
+    """A Fail's witness as its report prints it: every exact value spelled
+    out by the report encoder, then read back from the JSON."""
+    return json.loads(report_json(verdict.to_dict()))["witness"]
+
+
+def read_back(printed, value):
+    """Parse a printed witness field back into the type of `value`, the same
+    field as the witness holds it, so the two can be compared."""
+    if isinstance(value, dict):
+        assert printed.keys() == value.keys()
+        return {key: read_back(printed[key], field) for key, field in value.items()}
+    if isinstance(value, (tuple, list)):
+        return type(value)(read_back(p, v) for p, v in zip(printed, value, strict=True))
+    if isinstance(value, BernoulliUtility):
+        return make_utility(printed)
+    if isinstance(value, Allocation):
+        return make_allocation(printed)
+    if isinstance(value, Lottery):
+        return make_lottery(printed)
+    if isinstance(value, OrdinalPreference):
+        return OrdinalPreference(tuple(OBJECT_LABELS.index(c) for c in printed.split(">")))
+    if isinstance(value, Fraction):
+        return parse_fraction(printed)
+    if isinstance(value, Enum):
+        return type(value)(printed)
+    assert type(printed) is type(value)  # ints and names print as they are
+    return printed
+
 
 # Grids small enough to sweep whole in a unit test.
 REDUCED_GRIDS = [

@@ -51,7 +51,7 @@ from alloclab.ordinal import (
 )
 from alloclab.rules import built_in_family
 
-from conftest import best_assignments, dominates_directly, perm_matrix_rows
+from conftest import best_assignments, dominates_directly, perm_matrix_rows, printed_witness
 
 F = Fraction
 ABC = OrdinalPreference((0, 1, 2))
@@ -145,7 +145,7 @@ def test_criterion_4_rule_axiom_matrix_default_grid():
 
     sp = check_strategy_proofness(UTILITARIAN, DEFAULT)
     results.append(not sp.passed)
-    witness = sp.witness
+    witness = printed_witness(sp)
     profile = make_profile(witness["profile"])
     agent = witness["agent"]
     truthful = make_allocation(witness["truthful_allocation"])
@@ -163,8 +163,8 @@ def test_criterion_4_rule_axiom_matrix_default_grid():
 
     ordinality = check_ordinality(UTILITARIAN, DEFAULT)
     results.append(not ordinality.passed)
-    cell_a = make_profile(ordinality.witness["profile_a"])
-    cell_b = make_profile(ordinality.witness["profile_b"])
+    cell_a = make_profile(printed_witness(ordinality)["profile_a"])
+    cell_b = make_profile(printed_witness(ordinality)["profile_b"])
     results.append(
         [ordinal_of(u) for u in cell_a] == [ordinal_of(u) for u in cell_b]
         and UTILITARIAN.allocate(cell_a) != UTILITARIAN.allocate(cell_b)

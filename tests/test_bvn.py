@@ -1,6 +1,7 @@
 """Birkhoff-von Neumann decomposition round trips and structural bounds."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from alloclab.bvn import (
     random_bistochastic,
     random_permutation,
 )
+from alloclab.checkers import report_json
 
 
 def test_permutation_matrix_is_single_term():
@@ -107,7 +109,7 @@ def test_random_bistochastic_matches_the_summed_shares():
 
 def test_serialization_roundtrip():
     d = decompose(uniform_allocation(3))
-    terms = d.to_dict()["terms"]
+    terms = json.loads(report_json(d.to_dict()))["terms"]
     parsed = Decomposition(
         tuple(
             (Fraction(t["weight"]), PermutationMatrix(tuple(t["perm"])))

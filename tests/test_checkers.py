@@ -1,6 +1,8 @@
 """Axiom checkers on small grids; the full default grid runs in acceptance."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -17,6 +19,8 @@ from alloclab import (
     Rule,
     UNIFORM,
     UTILITARIAN,
+    SdVerdict,
+    allocation_distance,
     blend_rule,
     check_efficiency,
     check_ncc_continuity,
@@ -29,6 +33,7 @@ from alloclab import (
     make_profile,
     make_utility,
     rule_by_name,
+    sd_compare,
     utility_from,
 )
 from alloclab.bvn import random_bistochastic
@@ -36,18 +41,16 @@ from alloclab.checkers import (
     MAX_PATH_PROBES,
     PROBE_CAP_NOTE,
     _manipulation,
-    allocation_json,
     check_continuity_battery,
     default_continuity_paths,
     default_efficiency_profiles,
     grid_cells,
-    profile_json,
-    utility_json,
+    report_json,
 )
 from alloclab.core import over_common_denominator
 from alloclab.ordinal import OrdinalPreference, all_orders, ordinal_of
 
-from conftest import REDUCED_GRIDS
+from conftest import REDUCED_GRIDS, printed_witness, read_back
 
 F = Fraction
 SMALL = CheckConfig(mu_grid=(F(1, 10), F(1, 2), F(9, 10)), samples_per_cell=1, seed=5)
@@ -117,22 +120,30 @@ def _sliding_allocate(profile):
 SLIDING = Rule("sliding-test", lambda profile: profile, lru_cache(maxsize=None)(_sliding_allocate))
 
 
+def _fail_witness(verdict) -> dict:
+    """A Fail's witness, which holds the counterexample's own values; the
+    printed report must parse back to equal values."""
+    assert not verdict.passed
+    assert read_back(printed_witness(verdict), verdict.witness) == verdict.witness
+    return verdict.witness
+
+
 class TestEfficiency:
     def test_utilitarian_passes(self):
         profiles = default_efficiency_profiles(SMALL)[:40]
         assert check_efficiency(UTILITARIAN, profiles).passed
 
     def test_rsd_fails_with_reverifying_witness(self, abc_profile):
-        verdict = check_efficiency(RSD, [abc_profile])
-        assert not verdict.passed
-        better = make_allocation(verdict.witness["dominating"])
-        held = make_allocation(verdict.witness["allocation"])
-        profile = make_profile(verdict.witness["profile"])
+        witness = _fail_witness(check_efficiency(RSD, [abc_profile]))
+        better, profile = witness["dominating"], witness["profile"]
+        held = RSD.allocate(profile)
+        assert held == witness["allocation"]
         gains = [
             expected_utility(u, better.row(i)) - expected_utility(u, held.row(i))
             for i, u in enumerate(profile)
         ]
         assert all(g >= 0 for g in gains) and any(g > 0 for g in gains)
+        assert gains == witness["per_agent_gains"]
 
     def test_disjoint_tops_efficient_for_any_rule(self):
         profile = make_profile([[3, 2, 1], [2, 3, 1], [2, 1, 3]])
@@ -149,12 +160,12 @@ def _manipulation_reference(agent, others, cells, allocations):
             gained = expected_utility(truth, alloc.row(agent))
             if gained > held:
                 return {
-                    "profile": profile_json(others[:agent] + (truth,) + others[agent:]),
+                    "profile": others[:agent] + (truth,) + others[agent:],
                     "agent": agent,
-                    "deviation": utility_json(cells[d]),
-                    "truthful_allocation": allocation_json(allocations[t]),
-                    "deviated_allocation": allocation_json(alloc),
-                    "gap": str(gained - held),
+                    "deviation": cells[d],
+                    "truthful_allocation": allocations[t],
+                    "deviated_allocation": alloc,
+                    "gap": gained - held,
                 }
     return None
 
@@ -192,21 +203,19 @@ class TestStrategyProofness:
         assert check_strategy_proofness(UNIFORM, SMALL).passed
 
     def test_utilitarian_fails_with_exact_witness(self):
-        verdict = check_strategy_proofness(UTILITARIAN, SMALL)
-        assert not verdict.passed
-        witness = verdict.witness
-        profile = make_profile(witness["profile"])
+        witness = _fail_witness(check_strategy_proofness(UTILITARIAN, SMALL))
+        profile = witness["profile"]
         agent = witness["agent"]
-        truthful = make_allocation(witness["truthful_allocation"])
-        deviated = make_allocation(witness["deviated_allocation"])
+        truthful = witness["truthful_allocation"]
+        deviated = witness["deviated_allocation"]
         gap = expected_utility(profile[agent], deviated.row(agent)) - expected_utility(
             profile[agent], truthful.row(agent)
         )
         assert gap > 0
-        assert str(gap) == witness["gap"]
+        assert gap == witness["gap"]
         # the named allocations are genuine rule outputs
         assert UTILITARIAN.allocate(profile) == truthful
-        deviation = make_utility(witness["deviation"])
+        deviation = witness["deviation"]
         deviated_profile = profile[:agent] + (deviation,) + profile[agent + 1 :]
         assert UTILITARIAN.allocate(deviated_profile) == deviated
 
@@ -237,16 +246,19 @@ class TestNonBossiness:
         assert check_non_bossiness(RSD, SMALL).passed
 
     def test_bossy_rule_fails_with_toggling_pair(self):
-        verdict = check_non_bossiness(BOSSY, SMALL)
-        assert not verdict.passed
-        witness = verdict.witness
-        profile = make_profile(witness["profile"])
-        deviation = make_utility(witness["deviation"])
-        agent = witness["agent"]
+        witness = _fail_witness(check_non_bossiness(BOSSY, SMALL))
+        profile, deviation, agent = witness["profile"], witness["deviation"], witness["agent"]
         base = BOSSY.allocate(profile)
         moved = BOSSY.allocate(profile[:agent] + (deviation,) + profile[agent + 1 :])
-        assert base.rows[agent] == moved.rows[agent]
+        assert (base, moved) == (witness["allocation"], witness["deviated_allocation"])
+        assert base.rows[agent] == moved.rows[agent] == witness["own_row"]
         assert base != moved
+
+    def test_bossy_report_bytes_are_pinned(self):
+        report = report_json(check_non_bossiness(BOSSY, SMALL).to_dict())
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "7bc5dc87792c9433646702c77dd4094546791bc2fdc38ff82ce2acde79e01553"
+        )
 
 
 RANKING_RULES = [
@@ -327,7 +339,7 @@ class TestRankingQuotient:
         # rule fails in the first cell, at a profile other than its first.
         config = CheckConfig(samples_per_cell=samples)
         verdict = check_ordinality(UTILITARIAN, config)
-        assert verdict.to_dict() == {
+        assert json.loads(report_json(verdict.to_dict())) == {
             "status": "Fail",
             "coverage": f"cells=216; per_cell=343+{samples} random; seed=0; "
             "scanned_cells=1 of 216",
@@ -342,7 +354,7 @@ class TestRankingQuotient:
         blend = check_ordinality(rule_by_name("blend:rsd:utilitarian:1/2"), config)
         assert blend.witness["profile_b"] == verdict.witness["profile_b"]
         bossy = check_ordinality(BOSSY, config)
-        assert bossy.witness["profile_b"][0] == ["2/3", "1/3", "0"]
+        assert bossy.witness["profile_b"][0].values == (F(2, 3), F(1, 3), 0)
         for fail in (blend, bossy):
             assert fail.coverage == verdict.coverage
 
@@ -392,13 +404,12 @@ class TestOrdinality:
         assert check_ordinality(blend_rule(RSD, PS, F(1, 2)), SMALL).passed
 
     def test_utilitarian_fails_within_cell(self):
-        verdict = check_ordinality(UTILITARIAN, SMALL)
-        assert not verdict.passed
-        witness = verdict.witness
-        a = make_profile(witness["profile_a"])
-        b = make_profile(witness["profile_b"])
-        assert [ordinal_of(u) for u in a] == [ordinal_of(u) for u in b]
-        assert UTILITARIAN.allocate(a) != UTILITARIAN.allocate(b)
+        witness = _fail_witness(check_ordinality(UTILITARIAN, SMALL))
+        a, b = witness["profile_a"], witness["profile_b"]
+        assert tuple(map(ordinal_of, a)) == tuple(map(ordinal_of, b)) == witness["cell"]
+        assert UTILITARIAN.allocate(a) == witness["allocation_a"]
+        assert UTILITARIAN.allocate(b) == witness["allocation_b"]
+        assert witness["allocation_a"] != witness["allocation_b"]
 
     def test_lemma1_consequence_for_compliant_rules(self):
         # Effectively-same replacements leave rsd's output bit-identical.
@@ -426,6 +437,20 @@ class TestSdStrategyProofness:
         second = check_sd_strategy_proofness(PS, SMALL)
         assert first.to_dict() == second.to_dict()
 
+    def test_ps_fails_with_reverifying_witness(self):
+        witness = _fail_witness(check_sd_strategy_proofness(PS, SMALL))
+        cell, agent = witness["cell"], witness["agent"]
+        profile = tuple(utility_from(order, F(1, 2)) for order in cell)
+        deviation = utility_from(witness["deviation_order"], F(1, 2))
+        truthful = PS.allocate(profile).row(agent)
+        deviated = PS.allocate(profile[:agent] + (deviation,) + profile[agent + 1 :]).row(agent)
+        assert (truthful.probs, deviated.probs) == (
+            witness["truthful_share"], witness["deviated_share"]
+        )
+        verdict = sd_compare(truthful, deviated, cell[agent])
+        assert verdict == witness["sd_verdict"]
+        assert verdict not in (SdVerdict.DOMINATES, SdVerdict.EQUAL)
+
     def test_utilitarian_raises_not_ordinal(self):
         with pytest.raises(NotOrdinal):
             check_sd_strategy_proofness(UTILITARIAN, SMALL)
@@ -443,6 +468,23 @@ class TestContinuity:
         lo, hi = (F(x) for x in verdict.witness["interval"])
         assert hi - lo < SMALL.continuity_interval_delta
         assert F(verdict.witness["gap"]) >= SMALL.continuity_gap_tau
+
+    def test_battery_witness_reallocates_the_interval(self):
+        witness = _fail_witness(check_continuity_battery(UTILITARIAN, SMALL))
+        agent, others, (end0, end1) = default_continuity_paths()[witness["path"]]
+        assert agent == witness["agent"]
+
+        def allocate_at(alpha):
+            moving = make_utility(
+                [alpha * v1 + (1 - alpha) * v0 for v0, v1 in zip(end0.values, end1.values)]
+            )
+            return UTILITARIAN.allocate(others[:agent] + (moving,) + others[agent:])
+
+        lo, hi = witness["interval"]
+        low, high = allocate_at(lo), allocate_at(hi)
+        assert (low, high) == (witness["allocation_low"], witness["allocation_high"])
+        assert hi - lo == witness["width"] < SMALL.continuity_interval_delta
+        assert allocation_distance(low, high) == witness["gap"] >= SMALL.continuity_gap_tau
 
     def test_probe_budget_caps_a_path_that_moves_continuously(self):
         # Resolving this path to tau = 10^-6 would take about 2^20 rule

@@ -284,6 +284,41 @@ def test_grid_efficiency_report_bytes_are_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["check", "--rule", "ps", "--axiom", "strategy-proofness", "--grid", "1/10,9/10"], 1,
+         "e30b2bd72f6a6c14bab70d3bdb94666622fc9eb024696dbf00dcae2a2edbd239"),
+        (["check", "--rule", "utilitarian", "--axiom", "ordinality", "--grid", "1/4,3/4",
+          "--seed", "2"], 1,
+         "da7935d98d964ee0f2c7df95a5b2b5e33f15f6f5aa13bd68de32babd9f1c7181"),
+        (["check", "--rule", "ps", "--axiom", "sd-strategy-proofness", "--grid", "1/2",
+          "--seed", "4"], 1,
+         "d2c3159218cc2ec7c889e5f2195c07f36cef2d682f18e47193e735f3371b382b"),
+        (["check", "--rule", "utilitarian", "--axiom", "continuity"], 1,
+         "f80468801fd3594727a83081ae29e7d15c9809269b186e249ef56ef6b4757fb8"),
+        (["check", "--rule", "utilitarian", "--axiom", "sd-strategy-proofness", "--grid",
+          "1/4,3/4", "--seed", "4"], 1,
+         "215b6cbf977a270315e6f8e40f4c70e5785ebb32c53ad80de9959721b820233f"),
+        (["theorem2", "--rule", "utilitarian", "--grid", "1/4,3/4", "--seed", "5"], 1,
+         "4e696e4052cafdefbf894ba7b1f7f7b761abbf03829fd123559e2abd4d54ceff"),
+        (["decompose", "--matrix",
+          '[["1/2","1/3","1/6"],["1/3","1/6","1/2"],["1/6","1/2","1/3"]]'], 0,
+         "764723994a2a226946e83a2dd7f778bd917793416675cfe5127e8b5f73b6127b"),
+    ],
+    ids=["strategy-proofness", "ordinality", "sd-strategy-proofness", "continuity",
+         "not-ordinal", "not-ordinal-on-u", "decompose"],
+)
+def test_report_bytes_are_pinned(argv, code, digest, capsys):
+    """Each report less `elapsed_ms`, as the sha256 of its sorted JSON."""
+    assert main(argv) == code
+    report = json.loads(capsys.readouterr().out)
+    report.pop("elapsed_ms", None)
+    assert hashlib.sha256(json.dumps(report, sort_keys=True, indent=2).encode()).hexdigest() == (
+        digest
+    )
+
+
 def test_zero_random_samples_per_cell_is_accepted(capsys):
     argv = ["check", "--rule", "rsd", "--axiom", "ordinality", "--seed", "1", "--grid", "1/2",
             "--samples", "0"]
@@ -553,6 +588,8 @@ def test_profile_files_round_trip(profiles):
         ("incomplete.csv", "1,2/5,0\n1,1/2,0\n",
          ": 2 agent rows do not form complete profiles of 3 agents"),
         ("short.csv", "1,2/5,0\n1,1/2\n1,9/10,0\n", ":2: expected 3 columns"),
+        ("boolean.json", '[[[true,"1/2",0],[1,"1/4",0],[1,"3/4",0]]]',
+         ": profile 0: agent 0: exact rational expected, got bool"),
     ],
 )
 def test_malformed_profile_file_message_is_pinned(tmp_path, capsys, name, text, message):
@@ -604,7 +641,8 @@ def test_check_csv_row_on_a_verdict(rule, code, status, capsys):
 
 
 @pytest.mark.parametrize(
-    "matrix", ["[[0.5,0.5],[0.5,0.5]]", "[[null,1],[1,0]]", "7", "[1,2]"]
+    "matrix",
+    ["[[0.5,0.5],[0.5,0.5]]", "[[null,1],[1,0]]", "7", "[1,2]", "[[true,false],[false,true]]"],
 )
 def test_malformed_matrix_is_usage_error(matrix, capsys):
     assert main(["decompose", "--matrix", matrix]) == 2
@@ -686,11 +724,48 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     )
 
 
+def _source_env() -> dict:
+    """The environment for a child process that imports this checkout's
+    alloclab."""
+    src = str(Path(alloclab.__file__).parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--matrix", "[[1,0],[0,1]]"],
+        ["lemma", "--lemma", "L2", "--rule", "utilitarian", "--trials", "200", "--seed", "1"],
+    ],
+    ids=["buffered", "larger-than-buffer"],
+)
+def test_closed_stdout_is_io_error(argv):
+    """A report that cannot reach stdout exits 2 with one stderr line, also
+    when the write only fails at the final flush, and also when the process
+    starts with no stdout at all."""
+    env = _source_env()
+    command = [sys.executable, "-m", "alloclab.cli", *argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(command, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (
+        2, "error: cannot write report to stdout: Broken pipe\n"
+    )
+    closed = subprocess.run(
+        ["sh", "-c", '"$@" >&-', "sh", *command], env=env, stderr=subprocess.PIPE, text=True
+    )
+    assert (closed.returncode, closed.stderr) == (
+        2, "error: cannot write report to stdout: it is closed\n"
+    )
+
+
 def test_import_loads_no_dataclass_machinery():
     """Every CLI process pays for its imports: `dataclasses` alone pulls in
     `inspect`, `ast`, `dis` and `tokenize`."""
-    src = str(Path(alloclab.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = _source_env()
     code = "import sys, alloclab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -32,6 +32,8 @@ from alloclab.harness import default_v_profiles, exploration_stress
 from alloclab.ordinal import VUtility, middle_rate, ordinal_of, v_from_bernoulli
 from alloclab.rules import DICTATORSHIP, Rule, built_in_family, rule_by_name
 
+from conftest import printed_witness, read_back
+
 F = Fraction
 SMALL = CheckConfig(mu_grid=(F(1, 10), F(1, 2), F(9, 10)), samples_per_cell=1, seed=5)
 
@@ -110,6 +112,40 @@ class TestVerifyLemma:
 
         report = verify_lemma("L2_middle_bump", UTILITARIAN, trials=60, seed=2)
         assert report.failures  # raising the middle rate moves the share
+
+    def test_failure_witnesses_hold_exact_values(self):
+        """Each witness re-runs from its own values, and the printed report
+        parses back to the same values."""
+        rule = rule_by_name("blend:rsd:utilitarian:1/2")
+        reports = {
+            lemma: verify_lemma(lemma, rule, trials=40, seed=1)
+            for lemma in ("L2_middle_bump", "L6_one_agent_invariance", "L8_interior_ordinality")
+        }
+        for report in reports.values():
+            assert report.failures
+            printed = json.loads(report.to_json())["failures"]
+            assert read_back(printed, report.failures) == report.failures
+
+        for witness in reports["L2_middle_bump"].failures:
+            profile, agent = witness["profile"], witness["agent"]
+            raised = profile[:agent] + (witness["raised_mu_report"],) + profile[agent + 1 :]
+            before = rule.allocate(profile).rows[agent]
+            after = rule.allocate(raised).rows[agent]
+            assert (before, after) == (witness["share_before"], witness["share_after"])
+            assert middle_rate(raised[agent]) > middle_rate(profile[agent])
+            assert before != after
+        for witness in reports["L6_one_agent_invariance"].failures:
+            profile, (i, _) = witness["profile"], witness["pair"]
+            replaced = profile[:i] + (witness["replacement"],) + profile[i + 1 :]
+            assert rule.allocate(profile) == witness["allocation"]
+            assert rule.allocate(replaced) == witness["replaced_allocation"]
+            assert ordinal_of(replaced[i]) == ordinal_of(profile[i])
+        for witness in reports["L8_interior_ordinality"].failures:
+            profile, twin = witness["profile"], witness["ordinal_twin"]
+            assert list(map(ordinal_of, profile)) == list(map(ordinal_of, twin))
+            assert rule.allocate(profile) == witness["allocation"]
+            assert rule.allocate(twin) == witness["twin_allocation"]
+            assert witness["allocation"] != witness["twin_allocation"]
 
 
 # sha256 of verify_lemma(lemma, rule, 40, 1).to_json(). Between them these
@@ -256,7 +292,7 @@ class TestTheorem2:
         config = CheckConfig(mu_grid=grid, samples_per_cell=0, seed=4)
         verdict = theorem2_check(rule, default_v_profiles(seed=4, count=2), config)
         assert verdict.status == "Fail"
-        witness = verdict.witness
+        witness = printed_witness(verdict)
         profile_a = make_profile(witness["profile_a"])
         profile_b = make_profile(witness["profile_b"])
         assert [str(ordinal_of(u)) for u in profile_a] == witness["cell"]

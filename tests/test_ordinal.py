@@ -30,6 +30,7 @@ from alloclab import (
     v_from_bernoulli,
     validate_v_domain,
 )
+from alloclab.checkers import encoded
 from alloclab.ordinal import (
     InconsistentBase,
     random_utility_consistent,
@@ -317,7 +318,7 @@ class TestValidateVDomain:
             ordinal=ABC,
         )
         members = [v_from_bernoulli(base), reversed_eu]
-        [witness] = validate_v_domain(members, sample_count=5, seed=1)
+        [witness] = encoded(validate_v_domain(members, sample_count=5, seed=1))
         assert witness["name"] == "minus-eu"
         dominant = make_lottery(witness["dominant"])
         dominated = make_lottery(witness["dominated"])
