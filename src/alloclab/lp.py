@@ -7,21 +7,29 @@ lexicographically smallest optimal vertex without pivoting.
 
 `maximize` serves the programs with per-agent expected-utility floors, whose
 optimal points need not be permutation matrices. It builds them on
-`_simplex`, a dense two-phase tableau simplex over `fractions.Fraction` with
-Bland's rule (Bland 1977), which terminates on the heavily degenerate
-programs that arise at permutation vertices. Its second phase prices
-lexicographically: a column enters when its reduced costs for the objective,
-then for -x_0, -x_1, ... in row-major entry order, form a lexicographically
-positive vector. The tie components are read off the tableau, so the one
-stage ends at the lexicographically smallest optimal point, which is unique.
+`_simplex`, a dense two-phase tableau simplex with Bland's rule (Bland
+1977), which terminates on the heavily degenerate programs that arise at
+permutation vertices. Its second phase prices lexicographically: a column
+enters when its reduced costs for the objective, then for -x_0, -x_1, ...
+in row-major entry order, form a lexicographically positive vector. The tie
+components are read off the tableau, so the one stage ends at the
+lexicographically smallest optimal point, which is unique.
+
+The tableau holds Python ints: each row, and the reduced-cost row, is the
+rational row up to a positive scale, the row's entry in its basic column.
+Pricing reads only signs, ratios compare by cross-multiplying, and a pivot
+clears a column by integer row combinations reduced by their gcd, so every
+rational tableau, every pivot and the argmax are those of the same method
+run over `fractions.Fraction`. A solution value is one `Fraction` per basic
+variable at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .core import (
-    ONE,
     ZERO,
     Allocation,
     UtilityProfile,
@@ -61,63 +69,78 @@ def _entering(tab, basis, z, lex) -> int:
 def _solve(tab, basis, costs, lex) -> None:
     """Pivot until no column improves `costs` (maximization), ties broken by
     minimizing columns 0, ..., lex-1 in turn. On ratio ties the leaving row
-    is the one whose basic variable has the smallest index (Bland)."""
-    z = [*costs, ZERO]
+    is the one whose basic variable has the smallest index (Bland).
+
+    Rows and costs are integers up to a positive scale, so a ratio
+    row[-1] / row[col] is the rational one and two of them compare by
+    cross-multiplying their positive denominators."""
+    z = [*costs, 0]
     for row, b in zip(tab, basis):
-        cb = costs[b]
-        if cb:
-            for j, v in enumerate(row):
-                if v:
-                    z[j] -= cb * v
+        if z[b]:
+            _eliminate(z, row, b)
     while (col := _entering(tab, basis, z, lex)) >= 0:
         pivot_row = -1
-        best_ratio = None
         for r, row in enumerate(tab):
             a = row[col]
-            if a > 0:
-                ratio = row[-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[pivot_row])
-                ):
-                    best_ratio = ratio
-                    pivot_row = r
+            if a > 0 and (
+                pivot_row < 0
+                or (cross := row[-1] * best[col] - best[-1] * a) < 0
+                or (cross == 0 and basis[r] < basis[pivot_row])
+            ):
+                best = row
+                pivot_row = r
         if pivot_row < 0:
             raise MalformedProgram("unbounded objective on a compact polytope")
         _pivot(tab, basis, pivot_row, col, z)
 
 
+def _eliminate(target, prow, col) -> None:
+    """Clear column `col` of `target` against the pivot row `prow`, whose
+    entry there is positive: target * prow[col] - target[col] * prow, in
+    lowest terms. The result stands for the rational row it did before,
+    less target[col] / prow[col] times the pivot row, over a new positive
+    scale."""
+    piv = prow[col]
+    factor = target[col]
+    target[:] = [t * piv - factor * p for t, p in zip(target, prow)]
+    g = gcd(*target)
+    if g > 1:
+        target[:] = [v // g for v in target]
+
+
 def _pivot(tab, basis, row, col, z=None) -> None:
     prow = tab[row]
-    piv = prow[col]
-    if piv != ONE:
-        tab[row] = prow = [v / piv if v else v for v in prow]
-    entries = [(j, v) for j, v in enumerate(prow) if v]
+    if prow[col] < 0:  # only when an artificial leaves at level zero
+        tab[row] = prow = [-v for v in prow]
     for target in tab if z is None else (*tab, z):
-        factor = target[col]
-        if factor and target is not prow:
-            for j, v in entries:
-                target[j] -= factor * v
+        if target[col] and target is not prow:
+            _eliminate(target, prow, col)
     basis[row] = col
 
 
 def _simplex(rows, costs, lex) -> list[Fraction] | None:
-    """Maximize `costs` over x >= 0 subject to the equality rows
-    (coefficients, rhs), ties broken by minimizing x_0, ..., x_{lex-1} in
-    turn; the optimal x, or None when the rows are infeasible."""
+    """Maximize `costs` over x >= 0 subject to the equality rows, ties
+    broken by minimizing x_0, ..., x_{lex-1} in turn; the optimal x, or None
+    when the rows are infeasible.
+
+    A row (coefficients, rhs, scale) holds integers and stands for the
+    rational equation coefficients / scale . x = rhs / scale, scale > 0;
+    `costs` are integers up to one positive scale. Every tableau row is kept
+    as integers over the positive entry in its basic column (the artificial's
+    `scale` at the start), so each rational tableau, and hence each pivot,
+    is the one of the rational method."""
     ncols = len(costs)
-    tab: list[list[Fraction]] = []
-    for r, (coef, rhs) in enumerate(rows):
+    tab: list[list[int]] = []
+    for r, (coef, rhs, scale) in enumerate(rows):
         if rhs < 0:
             coef = [-c for c in coef]
             rhs = -rhs
-        art = [ZERO] * len(rows)
-        art[r] = ONE
+        art = [0] * len(rows)
+        art[r] = scale
         tab.append([*coef, *art, rhs])
     basis = list(range(ncols, ncols + len(rows)))
 
-    _solve(tab, basis, [ZERO] * ncols + [-ONE] * len(rows), 0)
+    _solve(tab, basis, [0] * ncols + [-1] * len(rows), 0)
     if any(b >= ncols and row[-1] > 0 for b, row in zip(basis, tab)):
         return None
     r = 0
@@ -135,8 +158,19 @@ def _simplex(rows, costs, lex) -> list[Fraction] | None:
     _solve(tab, basis, costs, lex)
     solution = [ZERO] * ncols
     for row, b in zip(tab, basis):
-        solution[b] = row[-1]
+        solution[b] = Fraction(row[-1], row[b])
     return solution
+
+
+def _exact_scaled(rows) -> tuple[int, list[list[int]]]:
+    """`over_common_denominator` of rows whose entries are all ints or
+    Fractions. Anything else, a float or a bool included, is refused, so no
+    inexact value reaches a verdict through an LP."""
+    for row in rows:
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise MalformedProgram(f"LP entry {x!r} is not an int or a Fraction")
+    return over_common_denominator(rows)
 
 
 def maximize(
@@ -148,7 +182,8 @@ def maximize(
 
     Returns (value, argmax), where the argmax is the lexicographically
     smallest optimal point in row-major entry order, or None when the floors
-    are infeasible.
+    are infeasible. Every objective entry, floor value and minimum must be
+    an int or a Fraction.
     """
     n = len(objective)
     if n == 0 or any(len(row) != n for row in objective):
@@ -158,29 +193,32 @@ def maximize(
             raise MalformedProgram(f"floor references unknown agent {agent}")
         if len(values) != n:
             raise MalformedProgram("floor utility length differs from economy")
+    _, scaled = _exact_scaled(objective)
     num_x = n * n
     width = num_x + len(floors)
 
-    rows: list[tuple[list[Fraction], Fraction]] = []
+    rows: list[tuple[list[int], int, int]] = []
     for i in range(n):
-        coef = [ZERO] * width
-        coef[i * n:(i + 1) * n] = [ONE] * n
-        rows.append((coef, ONE))
+        coef = [0] * width
+        coef[i * n:(i + 1) * n] = [1] * n
+        rows.append((coef, 1, 1))
     for a in range(n):
-        coef = [ZERO] * width
-        coef[a:num_x:n] = [ONE] * n
-        rows.append((coef, ONE))
+        coef = [0] * width
+        coef[a:num_x:n] = [1] * n
+        rows.append((coef, 1, 1))
     for k, (agent, values, minimum) in enumerate(floors):
-        coef = [ZERO] * width
-        coef[agent * n:(agent + 1) * n] = values
-        coef[num_x + k] = -ONE
-        rows.append((coef, minimum))
+        scale, ((*weights, low),) = _exact_scaled(((*values, minimum),))
+        coef = [0] * width
+        coef[agent * n:(agent + 1) * n] = weights
+        coef[num_x + k] = -scale
+        rows.append((coef, low, scale))
 
-    costs = [v for row in objective for v in row] + [ZERO] * len(floors)
+    costs = [v for row in scaled for v in row] + [0] * len(floors)
     solution = _simplex(rows, costs, num_x)
     if solution is None:
         return None
-    value = sum((c * x for c, x in zip(costs, solution) if x), ZERO)
+    entries = (v for row in objective for v in row)
+    value = sum((c * x for c, x in zip(entries, solution) if x), ZERO)
     argmax = Allocation(tuple(tuple(solution[i * n:(i + 1) * n]) for i in range(n)))
     return value, argmax
 
@@ -207,7 +245,7 @@ def best_assignment(
     n = len(objective)
     if n == 0 or any(len(row) != n for row in objective):
         raise MalformedProgram("objective must be a square grid")
-    scale, scaled = over_common_denominator(objective)
+    scale, scaled = _exact_scaled(objective)
     full = (1 << n) - 1
     tail = [0] * (full + 1)
     for mask in range(full - 1, -1, -1):

@@ -1,5 +1,6 @@
 """Exact simplex engine, the assignment DP and the domination LP."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +8,11 @@ from fractions import Fraction
 import pytest
 
 from alloclab import (
+    PS,
+    RSD,
+    UNIFORM,
     MalformedProgram,
+    OrdinalPreference,
     best_assignment,
     dominates,
     expected_utility,
@@ -18,7 +23,9 @@ from alloclab import (
     mix_allocations,
     uniform_allocation,
 )
+from alloclab import lp
 from alloclab.bvn import random_bistochastic
+from alloclab.core import over_common_denominator
 from alloclab.ordinal import all_orders, random_utility_consistent
 
 from conftest import best_assignments, dominates_directly, perm_matrix_rows
@@ -96,6 +103,19 @@ class TestMaximize:
         with pytest.raises(MalformedProgram):
             maximize(_ones_objective(), ((5, (F(1),) * 3, F(0)),))
 
+    @pytest.mark.parametrize("inexact", [0.5, True])
+    def test_refuses_inexact_entries(self, inexact):
+        # A float would come back as a float optimum, and a bool is not a
+        # number the caller meant: either would leave exact arithmetic.
+        objective = ((F(1), F(2)), (F(3), F(0)))
+        for program in (
+            (((inexact, F(2)), (F(3), F(0))), ()),
+            (objective, ((0, (inexact, 1), F(0)),)),
+            (objective, ((0, (F(1), 1), inexact),)),
+        ):
+            with pytest.raises(MalformedProgram, match="not an int or a Fraction"):
+                maximize(*program)
+
 
 class TestBestAssignment:
     def test_matches_maximize_on_tie_heavy_objectives(self):
@@ -137,6 +157,11 @@ class TestBestAssignment:
             best_assignment(((F(1), F(0)),))
         with pytest.raises(MalformedProgram):
             best_assignment(())
+
+    @pytest.mark.parametrize("inexact", [0.5, True])
+    def test_refuses_inexact_entries(self, inexact):
+        with pytest.raises(MalformedProgram, match="not an int or a Fraction"):
+            best_assignment(((inexact, 1), (1, F(1, 4))))
 
 
 class TestFindDominating:
@@ -247,3 +272,215 @@ class TestFindDominating:
         mix = mix_allocations(vertices[0], vertices[1], F(1, 2))
         assert mix.rows[0] == (F(1, 2), F(1, 2), F(0))
         assert find_dominating(profile, mix) is None
+
+
+# The two-phase simplex over `Fraction`, the reference that the integer
+# tableau of `lp._simplex` must follow pivot for pivot. It shares only
+# `lp._entering`, which reads signs alone. `seen` collects the paths a
+# program took, so the differential test can show it covered each of them.
+
+
+def _reference_solve(tab, basis, costs, lex, pivots, seen):
+    z = [*costs, F(0)]
+    for row, b in zip(tab, basis):
+        cb = costs[b]
+        if cb:
+            for j, v in enumerate(row):
+                if v:
+                    z[j] -= cb * v
+    while (col := lp._entering(tab, basis, z, lex)) >= 0:
+        pivot_row = -1
+        best_ratio = None
+        for r, row in enumerate(tab):
+            a = row[col]
+            if a > 0:
+                ratio = row[-1] / a
+                if ratio == best_ratio:
+                    seen.add("ratio tie")
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[pivot_row])
+                ):
+                    best_ratio = ratio
+                    pivot_row = r
+        _reference_pivot(tab, basis, pivot_row, col, pivots, z)
+
+
+def _reference_pivot(tab, basis, row, col, pivots, z=None):
+    pivots.append((row, col))
+    prow = tab[row]
+    piv = prow[col]
+    if piv != 1:
+        tab[row] = prow = [v / piv if v else v for v in prow]
+    entries = [(j, v) for j, v in enumerate(prow) if v]
+    for target in tab if z is None else (*tab, z):
+        factor = target[col]
+        if factor and target is not prow:
+            for j, v in entries:
+                target[j] -= factor * v
+    basis[row] = col
+
+
+def _simplex_reference(rows, costs, lex, pivots, seen):
+    ncols = len(costs)
+    tab = []
+    for r, (coef, rhs) in enumerate(rows):
+        if rhs < 0:
+            seen.add("negative rhs")
+            coef = [-c for c in coef]
+            rhs = -rhs
+        art = [F(0)] * len(rows)
+        art[r] = F(1)
+        tab.append([*coef, *art, rhs])
+    basis = list(range(ncols, ncols + len(rows)))
+
+    _reference_solve(tab, basis, [F(0)] * ncols + [F(-1)] * len(rows), 0, pivots, seen)
+    if any(b >= ncols and row[-1] > 0 for b, row in zip(basis, tab)):
+        seen.add("infeasible")
+        return None
+    r = 0
+    while r < len(tab):
+        if basis[r] >= ncols:
+            col = next((j for j in range(ncols) if tab[r][j]), None)
+            if col is None:
+                seen.add("redundant row")
+                del tab[r]
+                del basis[r]
+                continue
+            if tab[r][col] < 0:
+                seen.add("negative artificial-removal pivot")
+            _reference_pivot(tab, basis, r, col, pivots)
+        r += 1
+    tab = [row[:ncols] + row[-1:] for row in tab]
+
+    _reference_solve(tab, basis, costs, lex, pivots, seen)
+    solution = [F(0)] * ncols
+    for row, b in zip(tab, basis):
+        solution[b] = row[-1]
+    return solution
+
+
+# Entries of both signs over unlike denominators, some given negative.
+_DENOMINATORS = (1, 2, 3, 5, 7, -4, -6)
+
+
+def _entry(rng):
+    return F(rng.randint(-6, 6), rng.choice(_DENOMINATORS))
+
+
+def _random_program(rng, n):
+    """An objective and 0 to n+1 floors. Four floors in ten are tight at a
+    permutation vertex, so phase 1 often ends with an artificial basic at
+    level zero; the others are often infeasible."""
+    objective = tuple(tuple(_entry(rng) for _ in range(n)) for _ in range(n))
+    floors = []
+    for _ in range(rng.randint(0, n + 1)):
+        agent = rng.randrange(n)
+        values = tuple(_entry(rng) for _ in range(n))
+        minimum = values[rng.randrange(n)] if rng.random() < 0.4 else _entry(rng)
+        floors.append((agent, values, minimum))
+    return objective, tuple(floors)
+
+
+def _rational_rows(objective, floors):
+    """The rows and costs `maximize` solves, as the rational method built
+    them: 2n sum rows (one of them redundant) and one row per floor."""
+    n = len(objective)
+    num_x = n * n
+    width = num_x + len(floors)
+    rows = []
+    for i in range(n):
+        coef = [F(0)] * width
+        coef[i * n:(i + 1) * n] = [F(1)] * n
+        rows.append((coef, F(1)))
+    for a in range(n):
+        coef = [F(0)] * width
+        coef[a:num_x:n] = [F(1)] * n
+        rows.append((coef, F(1)))
+    for k, (agent, values, minimum) in enumerate(floors):
+        coef = [F(0)] * width
+        coef[agent * n:(agent + 1) * n] = values
+        coef[num_x + k] = F(-1)
+        rows.append((coef, minimum))
+    costs = [v for row in objective for v in row] + [F(0)] * len(floors)
+    return rows, costs
+
+
+def _integer_rows(rows, costs, rng):
+    """The same program as integer rows: each row over its own lcm times a
+    random factor from 1 to 3, so scales are not always the smallest, and
+    the costs over one shared positive scale."""
+    integer = []
+    for coef, rhs in rows:
+        scale, ((*ints, low),) = over_common_denominator(((*coef, rhs),))
+        k = rng.randint(1, 3)
+        integer.append(([k * c for c in ints], k * low, k * scale))
+    k = rng.randint(1, 3)
+    _, (cost_ints,) = over_common_denominator((costs,))
+    return integer, [k * c for c in cost_ints]
+
+
+class TestIntegerSimplex:
+    def test_matches_the_rational_reference_pivot_for_pivot(self, monkeypatch):
+        pivots = []
+        integer_pivot = lp._pivot
+
+        def recording_pivot(tab, basis, row, col, z=None):
+            pivots.append((row, col))
+            integer_pivot(tab, basis, row, col, z)
+
+        monkeypatch.setattr(lp, "_pivot", recording_pivot)
+        rng = random.Random(1709)
+        seen = set()
+        sizes = set()
+        for _ in range(240):
+            n = rng.randint(1, 5)
+            objective, floors = _random_program(rng, n)
+            rows, costs = _rational_rows(objective, floors)
+            reference_pivots = []
+            expected = _simplex_reference(rows, costs, n * n, reference_pivots, seen)
+            pivots.clear()
+            assert lp._simplex(*_integer_rows(rows, costs, rng), n * n) == expected
+            assert pivots == reference_pivots
+            sizes.add(n)
+        assert sizes == {1, 2, 3, 4, 5}
+        assert seen == {
+            "infeasible",
+            "redundant row",
+            "negative rhs",
+            "negative artificial-removal pivot",
+            "ratio tie",
+        }
+
+
+def _random_profile(rng, n):
+    return tuple(
+        random_utility_consistent(OrdinalPreference(tuple(rng.sample(range(n), n))), rng)
+        for _ in range(n)
+    )
+
+
+def test_outputs_pinned_to_the_rational_simplex():
+    """A digest of seeded `maximize` and `find_dominating` outputs, computed
+    with the rational simplex: any change in a value, an argmax or a
+    verdict changes it."""
+    digest = hashlib.sha256()
+    rng = random.Random(1717)
+    for _ in range(150):
+        digest.update(repr(maximize(*_random_program(rng, rng.randint(2, 4)))).encode())
+    for n in (3, 4, 5):
+        for _ in range(6):
+            profile = _random_profile(rng, n)
+            for alloc in (
+                RSD.allocate(profile),
+                PS.allocate(profile),
+                UNIFORM.allocate(profile),
+                random_bistochastic(n, rng),
+            ):
+                digest.update(repr(find_dominating(profile, alloc)).encode())
+    profile = _random_profile(rng, 7)
+    digest.update(repr(find_dominating(profile, random_bistochastic(7, rng))).encode())
+    assert digest.hexdigest() == (
+        "e1ce9250e23d433ab831e1567421190a29e082a8eb36d702e90f03f4b936e94d"
+    )
