@@ -11,7 +11,8 @@ coverage says how far its scan got.
 
 The strategy-proofness and non-bossiness scans are one loop over deviation
 blocks (`_scan_blocks`), each with its own judge of a block: one agent,
-fixed reports of the other two, and every grid cell for the agent.
+fixed reports of the other two, and every grid cell for the agent. A scan
+allocates each grid profile at most once, though up to three blocks hold it.
 For a rule that reads only rankings (`Rule.reads_only_rankings`), all
 blocks with the same agent and the same orders of the others hold the same
 allocations, so they share one verdict. Such a rule is scanned one block
@@ -219,12 +220,23 @@ def check_efficiency(rule: Rule, profiles: Sequence[UtilityProfile]) -> Verdict:
 
 
 def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
-    """Allocate every cell of each deviation block, in canonical order (one
-    block per class for a rule that reads only rankings), and stop at the
-    first block where ``judge(agent, others, cells, scaled, allocations)``
-    returns a witness; `scanned_blocks` is that block's canonical index from
-    one. ``scaled[c]`` holds cell c's values as integers over their own
-    common denominator, computed once per scan."""
+    """Judge every deviation block in canonical order (one block per class
+    for a rule that reads only rankings), and stop at the first block where
+    ``judge(agent, others, cells, scaled, allocations, classes)`` returns a
+    witness; `scanned_blocks` is that block's canonical index from one.
+    ``scaled[c]`` holds cell c's values as integers over their own common
+    denominator, computed once per scan.
+
+    Each grid profile is allocated at most once per scan. The scan keeps one
+    table of allocations, indexed by the profile's cell triple
+    (a*count^2 + b*count + c) and filled on first use, so the three agents'
+    blocks share its entries. The table is one reference per grid profile
+    (1,728 at 2 rates, 74,088 on the default grid, 216,000 at the 10-rate
+    cap), and it keeps every allocation the rule returned alive until the
+    scan ends. So an object's `id` is stable for the whole scan, and
+    ``classes`` (see `_value_classes`) keys rows and allocations by it:
+    each distinct object is hashed by value once per scan, and the judges
+    compare class indices, not values."""
     cells = grid_cells(config)
     scaled = [over_common_denominator([cell.values])[1][0] for cell in cells]
     count = len(cells)
@@ -233,14 +245,24 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
         f"cells_per_agent={count}; profiles={count**3}; deviations_per_agent={count}"
     )
     step = len(config.mu_grid) if rule.reads_only_rankings else 1
+    table: list[Allocation | None] = [None] * count**3
+    classes: tuple[dict, dict, list] = ({}, {}, [])
+    strides = (count * count, count, 1)
     for agent in range(3):
+        stride = strides[agent]
+        stride_i, stride_j = strides[:agent] + strides[agent + 1 :]
         for i in range(0, count, step):
             for j in range(0, count, step):
                 others = (cells[i], cells[j])
-                allocations = [
-                    rule.allocate(_profile_with(others, agent, cell)) for cell in cells
-                ]
-                witness = judge(agent, others, cells, scaled, allocations)
+                base = i * stride_i + j * stride_j
+                allocations = table[base : base + count * stride : stride]
+                if not all(allocations):  # an allocation is truthy, an unfilled entry None
+                    for c, alloc in enumerate(allocations):
+                        if alloc is None:
+                            allocations[c] = table[base + c * stride] = rule.allocate(
+                                _profile_with(others, agent, cells[c])
+                            )
+                witness = judge(agent, others, cells, scaled, allocations, classes)
                 if witness is not None:
                     scanned = (agent * count + i) * count + j + 1
                     return Verdict(
@@ -249,28 +271,25 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     return Verdict(None, coverage)
 
 
-def _row_classes(allocations: Sequence[Allocation], agent: int) -> tuple[list, list[int]]:
-    """The agent's distinct rows over `allocations`, and each allocation's
-    row class index. Rows match first by identity (memoized rules return
-    shared objects, and the block keeps them alive), then by value so rules
-    that rebuild equal allocations still collapse."""
-    seen_id: dict[int, int] = {}
-    seen_value: dict[tuple[Fraction, ...], int] = {}
-    distinct: list[tuple[Fraction, ...]] = []
-    index_of: list[int] = []
-    for alloc in allocations:
-        row = alloc.rows[agent]
-        key = seen_id.get(id(row))
+def _value_classes(objects, classes: tuple[dict, dict, list]) -> list[int]:
+    """Each object's value class in the scan. ``classes`` is one scan's
+    ``(by_id, by_value, members)``: an object's id to its class, a value to
+    its class, and a class to its first object. An id is looked up first,
+    so each distinct object is hashed by value once per scan; that is sound
+    while the scan keeps every object it classifies alive."""
+    by_id, by_value, members = classes
+    index_of = []
+    for obj in objects:
+        key = by_id.get(id(obj))
         if key is None:
-            key = seen_value.setdefault(row, len(distinct))
-            if key == len(distinct):
-                distinct.append(row)
-            seen_id[id(row)] = key
+            key = by_id[id(obj)] = by_value.setdefault(obj, len(members))
+            if key == len(members):
+                members.append(obj)
         index_of.append(key)
-    return distinct, index_of
+    return index_of
 
 
-def _manipulation(agent, others, cells, scaled, allocations) -> dict | None:
+def _manipulation(agent, others, cells, scaled, allocations, classes) -> dict | None:
     """The first (truth, deviation) pair of the block where the agent gains
     strictly by reporting the deviation, or None.
 
@@ -279,14 +298,16 @@ def _manipulation(agent, others, cells, scaled, allocations) -> dict | None:
     rows over theirs. Both scales are positive and fixed for one truth, so
     every comparison is the rational one; the witness's gap is computed in
     `Fraction`s, only once a gain is found."""
-    distinct, index_of = _row_classes(allocations, agent)
+    index_of = _value_classes([alloc.rows[agent] for alloc in allocations], classes)
+    distinct = list(dict.fromkeys(index_of))
     if len(distinct) == 1:
         return None
-    rows = over_common_denominator(distinct)[1]
+    members = classes[2]
+    rows = over_common_denominator([members[key] for key in distinct])[1]
     for t, values in enumerate(scaled):
-        eus = [sum(map(mul, values, row)) for row in rows]
+        eus = dict(zip(distinct, [sum(map(mul, values, row)) for row in rows]))
         eu_true = eus[index_of[t]]
-        if max(eus) <= eu_true:
+        if max(eus.values()) <= eu_true:
             continue
         for d, key in enumerate(index_of):
             if eus[key] > eu_true:
@@ -305,14 +326,19 @@ def _manipulation(agent, others, cells, scaled, allocations) -> dict | None:
     return None
 
 
-def _bossiness(agent, others, cells, scaled, allocations) -> dict | None:
+def _bossiness(agent, others, cells, scaled, allocations, classes) -> dict | None:
     """The first cell of the block whose allocation differs from that of the
     first cell with the same own row, or None."""
     first: dict[int, int] = {}
-    for d, key in enumerate(_row_classes(allocations, agent)[1]):
+    for d, key in enumerate(
+        _value_classes([alloc.rows[agent] for alloc in allocations], classes)
+    ):
         t = first.setdefault(key, d)
         alloc = allocations[d]
-        if t != d and allocations[t] is not alloc and allocations[t] != alloc:
+        if allocations[t] is alloc:
+            continue
+        held, moved = _value_classes((allocations[t], alloc), classes)
+        if held != moved:
             return {
                 "profile": _profile_with(others, agent, cells[t]),
                 "agent": agent,

@@ -113,6 +113,17 @@ class NormalizedUtility(BernoulliUtility):
         if sum(values) != ONE:
             raise ValueError(f"normalized utility must sum to 1: {values}")
 
+    @classmethod
+    def _trusted(cls, values: tuple[Fraction, ...],
+                 order: OrdinalPreference | None = None) -> NormalizedUtility:
+        """Only for values built to have no ties, minimum 0 and sum 1, which
+        are not checked again; `order`, when given, is their ranking."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_hash", hash(values))
+        object.__setattr__(self, "_ordinal", order)
+        return self
+
 
 def canonicalize(utility: BernoulliUtility) -> NormalizedUtility:
     """Unique min-0 sum-1 representative; effectively the same as the input.
@@ -123,7 +134,7 @@ def canonicalize(utility: BernoulliUtility) -> NormalizedUtility:
     low = min(utility.values)
     shifted = tuple(v - low for v in utility.values)
     scale = sum(shifted)
-    return NormalizedUtility(tuple(v / scale for v in shifted))
+    return NormalizedUtility._trusted(tuple(v / scale for v in shifted))
 
 
 # Bounded: grid scans reuse a few dozen (order, rate) pairs, while lemma
@@ -142,9 +153,7 @@ def utility_from(order: OrdinalPreference, mu: Fraction) -> NormalizedUtility:
     best, mid, _ = order.ranking
     scale = ONE + mu
     values[best], values[mid] = ONE / scale, mu / scale
-    utility = NormalizedUtility(tuple(values))
-    object.__setattr__(utility, "_ordinal", order)
-    return utility
+    return NormalizedUtility._trusted(tuple(values), order)
 
 
 class SdVerdict(Enum):

@@ -36,6 +36,7 @@ from alloclab import (
     sd_compare,
     utility_from,
 )
+from alloclab import checkers
 from alloclab.bvn import random_bistochastic
 from alloclab.checkers import (
     MAX_PATH_PROBES,
@@ -189,9 +190,13 @@ class TestStrategyProofness:
                 for cell in cells
             ]
             drawn = [rng.choice(menu) for _ in cells]
+            # One scan's value classes for both blocks, which share the
+            # menu's objects and keep them alive, as a scan's table does.
+            classes = ({}, {}, [])
             for allocations in (best, drawn):
                 expected = _manipulation_reference(agent, others, cells, allocations)
-                assert _manipulation(agent, others, cells, scaled, allocations) == expected
+                witness = _manipulation(agent, others, cells, scaled, allocations, classes)
+                assert witness == expected
                 assert expected is None or allocations is drawn
                 outcomes.add(expected is None)
         assert outcomes == {True, False}
@@ -358,11 +363,25 @@ class TestRankingQuotient:
         for fail in (blend, bossy):
             assert fail.coverage == verdict.coverage
 
-    def test_cardinal_keys_sweep_every_block(self):
-        # A Pass scan calls the rule once per cell (12 here) of every block
-        # it visits: all 3 x 12^2 blocks for a cardinal key, and one block
-        # per class, 3 x 6^2, for a key that reads only rankings.
+    def test_cardinal_keys_sweep_every_block(self, monkeypatch):
+        # A Pass scan judges every block it visits, in canonical order: all
+        # 3 x 12^2 blocks for a cardinal key, and one block per class,
+        # 3 x 6^2, for a key that reads only rankings. Up to three of those
+        # blocks hold a profile, but the rule is called on each profile of
+        # them exactly once: on every one of the 12^3 grid profiles for a
+        # cardinal key.
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
+        cells = grid_cells(config)
+        judged = []
+
+        def spied(judge):
+            def spy(agent, others, *rest):
+                judged.append((agent, others))
+                return judge(agent, others, *rest)
+            return spy
+
+        for name in ("_manipulation", "_bossiness"):
+            monkeypatch.setattr(checkers, name, spied(getattr(checkers, name)))
         opaque = Rule("rsd-opaque", lambda profile: RSD.key(profile), RSD.compute)
         blend = rule_by_name("blend:rsd:utilitarian:1/2")
         scans = [(check_strategy_proofness, rule, 12) for rule in (opaque, BOSSY)]
@@ -373,8 +392,18 @@ class TestRankingQuotient:
         for check, rule, classes in scans:
             counted, calls = _counted(rule)
             assert counted.reads_only_rankings == (classes == 6)
+            judged.clear()
             assert check(counted, config).passed
-            assert len(calls) == 3 * classes**2 * 12
+            firsts = cells[:: 12 // classes]
+            blocks = [(agent, (a, b)) for agent in range(3) for a in firsts for b in firsts]
+            assert judged == blocks
+            profiles = {
+                others[:agent] + (cell,) + others[agent:]
+                for agent, others in blocks
+                for cell in cells
+            }
+            assert len(profiles) == (12**3 if classes == 12 else 3 * 6**2 * 12 - 2 * 6**3)
+            assert len(calls) == len(profiles) and set(calls) == profiles
 
 
 class TestInternedOutputs:
@@ -394,6 +423,27 @@ class TestInternedOutputs:
             config = CheckConfig(mu_grid=grid)
             for check in (check_strategy_proofness, check_non_bossiness, check_ordinality):
                 assert check(rule, config).to_dict() == check(twin, config).to_dict()
+
+    def test_reports_match_a_twin_with_no_memo(self):
+        # A scan keys rows and allocations by id into value classes. Here
+        # no two outputs share an object, so only the value path can find
+        # equal rows and allocations, and a bossy rule's Fail shows that it
+        # does.
+        rules = [rule_by_name(spec) for spec in (
+            "utilitarian", "blend:rsd:utilitarian:1/2", "blend:ps:utilitarian:1/3"
+        )] + [BOSSY]
+        statuses = set()
+        for rule in rules:
+            twin = Rule(rule.name, rule.key, lambda key, rule=rule: make_allocation(
+                rule.compute(key).rows
+            ))
+            for grid in REDUCED_GRIDS[1:3]:
+                config = CheckConfig(mu_grid=grid)
+                for check in (check_strategy_proofness, check_non_bossiness):
+                    report = check(twin, config).to_dict()
+                    assert report == check(rule, config).to_dict()
+                    statuses.add((check, report["status"]))
+        assert (check_non_bossiness, "Fail") in statuses
 
 
 class TestOrdinality:

@@ -129,6 +129,35 @@ class TestCanonicalize:
         assert canonicalize(canonical).values == canonical.values
 
 
+class TestNormalizedUtility:
+    def test_trusted_builds_equal_validated_ones(self):
+        # canonicalize and utility_from skip the checks on values they
+        # built to pass them; the public constructor runs them.
+        rng = random.Random(18)
+        for _ in range(200):
+            order = rng.choice(all_orders(3))
+            canonical = canonicalize(random_utility_consistent(order, rng))
+            built = utility_from.__wrapped__(order, Fraction(rng.randrange(1, 64), 64))
+            for trusted in (canonical, built):
+                checked = NormalizedUtility(trusted.values)
+                assert type(trusted) is NormalizedUtility
+                assert trusted == checked and hash(trusted) == hash(checked)
+                assert checked._ordinal is None and ordinal_of(checked) == order
+            # canonicalize leaves the ranking to ordinal_of, as a validated
+            # build does; utility_from sets the order it was given
+            assert canonical._ordinal is None and ordinal_of(canonical) == order
+            assert built._ordinal is order
+
+    def test_a_public_build_still_validates(self):
+        F = Fraction
+        with pytest.raises(ValueError, match="minimum 0"):
+            NormalizedUtility((F(1, 2), F(1, 3), F(1, 6)))
+        with pytest.raises(ValueError, match="sum to 1"):
+            NormalizedUtility((F(1), F(1, 2), F(0)))
+        with pytest.raises(TiesPresent):
+            NormalizedUtility((F(1, 2), F(1, 2), F(0)))
+
+
 class TestUtilityFrom:
     def test_examples(self):
         assert utility_from(ABC, Fraction(2, 5)).values == (
