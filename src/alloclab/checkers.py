@@ -13,14 +13,15 @@ The strategy-proofness and non-bossiness scans are one loop over deviation
 blocks (`_scan_blocks`), each with its own judge of a block: one agent,
 fixed reports of the other two, and every grid cell for the agent. A scan
 allocates each grid profile at most once, though up to three blocks hold it.
-For a rule that reads only rankings (`Rule.reads_only_rankings`), all
-blocks with the same agent and the same orders of the others hold the same
-allocations, so they share one verdict. Such a rule is scanned one block
-per class, the class's first block in canonical order (both others at the
-first grid rate). The full sweep's first failing block is the first block
-of the first failing class, so a Fail's witness and its `scanned_blocks=k`
-(k is the canonical block index) are the full sweep's, and a Pass reports
-the same coverage.
+Rule outputs are canonical (`rules._canonical`), so the judges compare
+outputs and own rows by identity. For a rule that reads only rankings
+(`Rule.reads_only_rankings`), all blocks with the same agent and the same
+orders of the others hold the same allocations, so they share one verdict.
+Such a rule is scanned one block per class, the class's first block in
+canonical order (both others at the first grid rate). The full sweep's
+first failing block is the first block of the first failing class, so a
+Fail's witness and its `scanned_blocks=k` (k is the canonical block index)
+are the full sweep's, and a Pass reports the same coverage.
 
 The same quotient covers ordinality: every profile of an ordinal cell has
 the cell's ranking profile as its key, so such a rule is called once per
@@ -222,7 +223,7 @@ def check_efficiency(rule: Rule, profiles: Sequence[UtilityProfile]) -> Verdict:
 def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     """Judge every deviation block in canonical order (one block per class
     for a rule that reads only rankings), and stop at the first block where
-    ``judge(agent, others, cells, scaled, allocations, classes)`` returns a
+    ``judge(agent, others, cells, scaled, allocations)`` returns a
     witness; `scanned_blocks` is that block's canonical index from one.
     ``scaled[c]`` holds cell c's values as integers over their own common
     denominator, computed once per scan.
@@ -230,13 +231,9 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     Each grid profile is allocated at most once per scan. The scan keeps one
     table of allocations, indexed by the profile's cell triple
     (a*count^2 + b*count + c) and filled on first use, so the three agents'
-    blocks share its entries. The table is one reference per grid profile
-    (1,728 at 2 rates, 74,088 on the default grid, 216,000 at the 10-rate
-    cap), and it keeps every allocation the rule returned alive until the
-    scan ends. So an object's `id` is stable for the whole scan, and
-    ``classes`` (see `_value_classes`) keys rows and allocations by it:
-    each distinct object is hashed by value once per scan, and the judges
-    compare class indices, not values."""
+    blocks share its entries: one reference per grid profile (1,728 at 2
+    rates, 74,088 on the default grid, 216,000 at the 10-rate cap). They are
+    canonical rule outputs: equal allocations, and equal rows, are one object."""
     cells = grid_cells(config)
     scaled = [over_common_denominator([cell.values])[1][0] for cell in cells]
     count = len(cells)
@@ -246,7 +243,6 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     )
     step = len(config.mu_grid) if rule.reads_only_rankings else 1
     table: list[Allocation | None] = [None] * count**3
-    classes: tuple[dict, dict, list] = ({}, {}, [])
     strides = (count * count, count, 1)
     for agent in range(3):
         stride = strides[agent]
@@ -262,7 +258,7 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
                             allocations[c] = table[base + c * stride] = rule.allocate(
                                 _profile_with(others, agent, cells[c])
                             )
-                witness = judge(agent, others, cells, scaled, allocations, classes)
+                witness = judge(agent, others, cells, scaled, allocations)
                 if witness is not None:
                     scanned = (agent * count + i) * count + j + 1
                     return Verdict(
@@ -271,25 +267,7 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     return Verdict(None, coverage)
 
 
-def _value_classes(objects, classes: tuple[dict, dict, list]) -> list[int]:
-    """Each object's value class in the scan. ``classes`` is one scan's
-    ``(by_id, by_value, members)``: an object's id to its class, a value to
-    its class, and a class to its first object. An id is looked up first,
-    so each distinct object is hashed by value once per scan; that is sound
-    while the scan keeps every object it classifies alive."""
-    by_id, by_value, members = classes
-    index_of = []
-    for obj in objects:
-        key = by_id.get(id(obj))
-        if key is None:
-            key = by_id[id(obj)] = by_value.setdefault(obj, len(members))
-            if key == len(members):
-                members.append(obj)
-        index_of.append(key)
-    return index_of
-
-
-def _manipulation(agent, others, cells, scaled, allocations, classes) -> dict | None:
+def _manipulation(agent, others, cells, scaled, allocations) -> dict | None:
     """The first (truth, deviation) pair of the block where the agent gains
     strictly by reporting the deviation, or None.
 
@@ -298,19 +276,18 @@ def _manipulation(agent, others, cells, scaled, allocations, classes) -> dict | 
     rows over theirs. Both scales are positive and fixed for one truth, so
     every comparison is the rational one; the witness's gap is computed in
     `Fraction`s, only once a gain is found."""
-    index_of = _value_classes([alloc.rows[agent] for alloc in allocations], classes)
-    distinct = list(dict.fromkeys(index_of))
+    own = [alloc.rows[agent] for alloc in allocations]
+    distinct = {id(row): row for row in own}
     if len(distinct) == 1:
         return None
-    members = classes[2]
-    rows = over_common_denominator([members[key] for key in distinct])[1]
+    rows = over_common_denominator(list(distinct.values()))[1]
     for t, values in enumerate(scaled):
         eus = dict(zip(distinct, [sum(map(mul, values, row)) for row in rows]))
-        eu_true = eus[index_of[t]]
+        eu_true = eus[id(own[t])]
         if max(eus.values()) <= eu_true:
             continue
-        for d, key in enumerate(index_of):
-            if eus[key] > eu_true:
+        for d, row in enumerate(own):
+            if eus[id(row)] > eu_true:
                 truth = cells[t]
                 gap = expected_utility(truth, allocations[d].row(agent)) - expected_utility(
                     truth, allocations[t].row(agent)
@@ -326,19 +303,13 @@ def _manipulation(agent, others, cells, scaled, allocations, classes) -> dict | 
     return None
 
 
-def _bossiness(agent, others, cells, scaled, allocations, classes) -> dict | None:
+def _bossiness(agent, others, cells, scaled, allocations) -> dict | None:
     """The first cell of the block whose allocation differs from that of the
     first cell with the same own row, or None."""
     first: dict[int, int] = {}
-    for d, key in enumerate(
-        _value_classes([alloc.rows[agent] for alloc in allocations], classes)
-    ):
-        t = first.setdefault(key, d)
-        alloc = allocations[d]
-        if allocations[t] is alloc:
-            continue
-        held, moved = _value_classes((allocations[t], alloc), classes)
-        if held != moved:
+    for d, alloc in enumerate(allocations):
+        t = first.setdefault(id(alloc.rows[agent]), d)
+        if allocations[t] is not alloc:
             return {
                 "profile": _profile_with(others, agent, cells[t]),
                 "agent": agent,

@@ -329,6 +329,10 @@ def _run_decompose(args: argparse.Namespace) -> int:
         raise ParseError(f"matrix is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("matrix", data)
+    # `decompose` searches matchings by backtracking: bound n before any entry is read.
+    rows = data if isinstance(data, (list, dict, str)) else ()
+    if len(rows) > MAX_N or any(isinstance(r, (list, dict, str)) and len(r) > MAX_N for r in rows):
+        raise UsageError(f"matrix has more than {MAX_N} rows or a row of more than {MAX_N} entries")
     try:
         matrix = make_allocation(data)
     except TypeError as exc:
@@ -364,6 +368,8 @@ def _run_lemma(args: argparse.Namespace) -> int:
 def _run_stress(args: argparse.Namespace) -> int:
     if not 3 <= args.n <= MAX_N:
         raise UsageError(f"--n must be between 3 and {MAX_N}")
+    if args.n > 3 and args.format == "csv":
+        raise UsageError("--format csv needs --n 3: the n > 3 exploration report is JSON only")
     config = _check_config(args)
     if args.rules is not None:
         family = [rule_by_name(name) for name in args.rules.split(",")]

@@ -13,10 +13,9 @@ they scan a rule whose key reads only rankings (`Rule.reads_only_rankings`)
 one deviation block per class of ranking profiles. The utilitarian rule
 solves an exact assignment problem (`lp.best_assignment`).
 
-Rule outputs are interned, so equal outputs are one shared object and the
-checkers' identity dedup hits: every permutation output (dictatorship,
-utilitarian) is built once per permutation, and a blend mixes once per pair
-of its parts' output objects.
+Rule outputs are canonical (`_canonical`): equal outputs are one object,
+and so are equal rows, so the checkers compare outputs and rows by identity.
+A blend mixes once per pair of its parts' outputs.
 """
 
 from __future__ import annotations
@@ -47,12 +46,32 @@ class AlphaOutOfRange(ValueError):
     """Blend weight must lie in [0, 1]."""
 
 
+# Canonical outputs, never freed, so their ids stay unique: row value -> row,
+# row ids -> allocation, and the ids of the canonical allocations.
+_ROWS: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
+_ALLOCATIONS: dict[tuple[int, ...], Allocation] = {}
+_CANONICAL: set[int] = set()
+
+
+def _canonical(alloc: Allocation) -> Allocation:
+    """The one allocation equal to `alloc`, built of the one row object of
+    each row value: equal outputs, and equal rows, are identical."""
+    if id(alloc) in _CANONICAL:
+        return alloc
+    rows = tuple([_ROWS.setdefault(row, row) for row in alloc.rows])
+    found = _ALLOCATIONS.get(key := tuple(map(id, rows)))
+    if found is None:
+        found = _ALLOCATIONS[key] = Allocation._trusted(rows)
+        _CANONICAL.add(id(found))
+    return found
+
+
 class Rule(Frozen):
     """Named allocation mechanism: ``allocate(profile)`` validates the
-    profile once and returns ``compute(key(profile))``. ``key`` returns the
-    hashable part of the profile the rule reads; ``compute`` must depend on
-    nothing else. A rule keeps no memo of its own: a compute worth
-    memoizing is passed in memoized.
+    profile once and returns ``_canonical(compute(key(profile)))``. ``key``
+    returns the hashable part of the profile the rule reads; ``compute``
+    must depend on nothing else. A rule keeps no memo of its own: a compute
+    worth memoizing is passed in memoized.
 
     ``reads_only_rankings`` says whether the key reads nothing beyond the
     ranking profile, so that profiles with the same rankings get the same
@@ -73,7 +92,7 @@ class Rule(Frozen):
 
     def allocate(self, profile: UtilityProfile) -> Allocation:
         validate_profile(profile)
-        return self.compute(self.key(profile))
+        return _canonical(self.compute(self.key(profile)))
 
 
 Rankings = tuple[tuple[int, ...], ...]
@@ -130,7 +149,8 @@ def _rsd(rankings: Rankings) -> Allocation:
         total += 1
         for agent, obj in enumerate(_dictatorship_picks(rankings, priority)):
             counts[agent][obj] += 1
-    return Allocation._trusted(tuple(tuple(Fraction(c, total) for c in r) for r in counts))
+    rows = tuple(tuple(Fraction(c, total) for c in r) for r in counts)
+    return _canonical(Allocation._trusted(rows))
 
 
 def _ps(rankings: Rankings) -> Allocation:
@@ -151,14 +171,14 @@ def _ps(rankings: Rankings) -> Allocation:
             shares[agent][obj] += step
         for obj in set(targets):
             remaining[obj] -= step * eaters[obj]
-    return Allocation._trusted(tuple(tuple(row) for row in shares))
+    return _canonical(Allocation._trusted(tuple(tuple(row) for row in shares)))
 
 
 @lru_cache(maxsize=None)
 def _permutation_allocation(picks: tuple[int, ...]) -> Allocation:
     """The permutation matrix giving agent i object picks[i], built once per
     picks tuple: at most the sum of n! entries (5,913 for n <= 7)."""
-    return PermutationMatrix(picks).to_allocation()
+    return _canonical(PermutationMatrix(picks).to_allocation())
 
 
 def _dictatorship(rankings: Rankings) -> Allocation:
@@ -177,12 +197,16 @@ def _utilitarian(canonical: UtilityProfile) -> Allocation:
     return _permutation_allocation(picks)
 
 
+def _uniform(n: int) -> Allocation:
+    return _canonical(uniform_allocation(n))
+
+
 # One memo entry per distinct key: at most (n!)^n for a ranking key.
 RSD = Rule("rsd", _ordinal_key, lru_cache(maxsize=None)(_rsd))
 PS = Rule("ps", _ordinal_key, lru_cache(maxsize=None)(_ps))
 DICTATORSHIP = Rule("dictatorship", _ordinal_key, lru_cache(maxsize=None)(_dictatorship))
 UTILITARIAN = Rule("utilitarian", _canonical_key, lru_cache(maxsize=None)(_utilitarian))
-UNIFORM = Rule("uniform", _size_key, lru_cache(maxsize=None)(uniform_allocation))
+UNIFORM = Rule("uniform", _size_key, lru_cache(maxsize=None)(_uniform))
 
 BASE_RULES = {
     rule.name: rule for rule in (RSD, PS, DICTATORSHIP, UTILITARIAN, UNIFORM)
@@ -193,24 +217,22 @@ BASE_RULES = {
 def blend_rule(first: Rule, second: Rule, alpha: Fraction) -> Rule:
     """Entrywise convex combination alpha*first + (1-alpha)*second, keyed on
     the pair of its parts' keys. Its only memo is the mix table, keyed on the
-    identity pair of the parts' outputs, so the blend builds at most
-    |outputs of first| * |outputs of second| matrices. Each entry holds both
-    parts, so an id in it is never reused by another object, even when a
-    part without a memo returns short-lived outputs.
+    ids of its parts' canonical outputs, so the blend builds at most
+    |outputs of first| * |outputs of second| matrices.
 
     Equal arguments return the one shared `Rule`, mix table included, so a
     family that draws the same blend twice computes it once."""
     alpha = Fraction(alpha)
     if not ZERO <= alpha <= ONE:
         raise AlphaOutOfRange(f"blend weight {alpha} outside [0, 1]")
-    mixes: dict[tuple[int, int], tuple[Allocation, Allocation, Allocation]] = {}
+    mixes: dict[tuple[int, int], Allocation] = {}
 
     def compute(keys: tuple[Hashable, Hashable]) -> Allocation:
-        a, b = first.compute(keys[0]), second.compute(keys[1])
-        entry = mixes.get((id(a), id(b)))
-        if entry is None:
-            entry = mixes[id(a), id(b)] = (a, b, mix_allocations(a, b, alpha))
-        return entry[2]
+        a, b = _canonical(first.compute(keys[0])), _canonical(second.compute(keys[1]))
+        mixed = mixes.get((id(a), id(b)))
+        if mixed is None:
+            mixed = mixes[id(a), id(b)] = _canonical(mix_allocations(a, b, alpha))
+        return mixed
 
     return Rule(
         name=f"blend:{first.name}:{second.name}:{alpha}",

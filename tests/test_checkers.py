@@ -190,12 +190,9 @@ class TestStrategyProofness:
                 for cell in cells
             ]
             drawn = [rng.choice(menu) for _ in cells]
-            # One scan's value classes for both blocks, which share the
-            # menu's objects and keep them alive, as a scan's table does.
-            classes = ({}, {}, [])
             for allocations in (best, drawn):
                 expected = _manipulation_reference(agent, others, cells, allocations)
-                witness = _manipulation(agent, others, cells, scaled, allocations, classes)
+                witness = _manipulation(agent, others, cells, scaled, allocations)
                 assert witness == expected
                 assert expected is None or allocations is drawn
                 outcomes.add(expected is None)
@@ -407,8 +404,8 @@ class TestRankingQuotient:
 
 
 class TestInternedOutputs:
-    """Interning rule outputs only lets the checkers' identity dedup hit:
-    every report must be the one for a twin that builds a fresh equal
+    """The judges compare canonical rule outputs by identity: every report
+    must be the one for a twin whose compute builds a fresh equal
     allocation, with fresh rows, for every key."""
 
     @pytest.mark.parametrize(
@@ -425,10 +422,10 @@ class TestInternedOutputs:
                 assert check(rule, config).to_dict() == check(twin, config).to_dict()
 
     def test_reports_match_a_twin_with_no_memo(self):
-        # A scan keys rows and allocations by id into value classes. Here
-        # no two outputs share an object, so only the value path can find
-        # equal rows and allocations, and a bossy rule's Fail shows that it
-        # does.
+        # The judges compare rows and allocations by identity. Here the
+        # compute builds a fresh object on every call, so only the canonical
+        # outputs of `Rule.allocate` make equal values one object, and a
+        # bossy rule's Fail shows that unequal ones are still told apart.
         rules = [rule_by_name(spec) for spec in (
             "utilitarian", "blend:rsd:utilitarian:1/2", "blend:ps:utilitarian:1/3"
         )] + [BOSSY]

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,36 @@ def test_decompose_permutation_matrix(tmp_path, capsys):
 def test_decompose_rejects_non_bistochastic(capsys):
     code = main(["decompose", "--matrix", '[["1","0","0"],["1","0","0"],["0","1","0"]]'])
     assert code == 2
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [_identity(8), _identity(8)[:7], [["0.5"] * 8] * 8, {"matrix": _identity(1100)}],
+)
+def test_decompose_refuses_matrices_over_the_size_cap(matrix, capsys):
+    # The size is checked before any entry is converted, so a decimal entry
+    # of an oversized matrix is not what gets reported.
+    assert main(["decompose", "--matrix", json.dumps(matrix)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: matrix has more than 7 rows or a row of more than 7 entries\n"
+    )
+
+
+def test_decompose_takes_a_matrix_at_the_size_cap(capsys):
+    # A circulant matrix: row i holds 1/28, ..., 7/28, shifted by i.
+    matrix = [[Fraction((i - j) % 7 + 1, 28) for j in range(7)] for i in range(7)]
+    assert main(["decompose", "--matrix", json.dumps([list(map(str, row)) for row in matrix])]) == 0
+    recomposed = [[Fraction(0)] * 7 for _ in range(7)]
+    for term in json.loads(capsys.readouterr().out)["terms"]:
+        for agent, obj in enumerate(term["perm"]):
+            recomposed[agent][obj] += Fraction(term["weight"])
+    assert recomposed == matrix
 
 
 def test_lemma_command(tmp_path):
@@ -337,6 +368,19 @@ def test_not_ordinal_report_honours_csv(tmp_path):
         ["axiom", "rule", "status"],
         ["sd-strategy-proofness", "utilitarian", "NotOrdinal"],
     ]
+
+
+def test_exploration_refuses_csv(monkeypatch, capsys):
+    # The n > 3 exploration report is JSON only; the refusal comes before
+    # the exploration runs.
+    monkeypatch.setattr("alloclab.cli.exploration_stress", None)
+    code = main(["stress", "--rules", "rsd", "--seed", "2", "--n", "4", "--format", "csv"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --format csv needs --n 3: the n > 3 exploration report is JSON only\n"
+    )
 
 
 @pytest.mark.parametrize("n", ["2", "8"])

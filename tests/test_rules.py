@@ -33,7 +33,7 @@ from alloclab import (
 from alloclab.ordinal import ordinal_of, random_utility_consistent, sd_compare
 from alloclab.core import validate_profile
 from alloclab.checkers import grid_cells
-from alloclab.rules import BASE_RULES
+from alloclab.rules import BASE_RULES, Rule
 
 from conftest import REDUCED_GRIDS, best_assignments, perm_matrix_rows, rsd_oracle
 
@@ -304,6 +304,35 @@ class TestStructuralMemo:
         finally:
             tracemalloc.stop()
         assert retained < 1.5 * 2**20
+
+
+class TestCanonicalOutputs:
+    """Equal outputs are one object, whichever rule or call built them."""
+
+    def test_a_blend_at_an_end_weight_returns_its_part(self, abc_profile):
+        for profile in (abc_profile, make_profile(SAME_TOPS)):
+            assert rule_by_name("blend:rsd:ps:1").allocate(profile) is RSD.allocate(profile)
+            assert rule_by_name("blend:rsd:ps:0").allocate(profile) is PS.allocate(profile)
+
+    def test_a_custom_rule_keeps_nothing_per_call(self, abc_profile):
+        half = F(1, 2)
+        fresh = Rule("fresh", len, lambda n: make_allocation(
+            [[half, half, 0], [half, 0, half], [0, half, half]]
+        ))
+        first = fresh.allocate(abc_profile)
+        assert fresh.allocate(abc_profile) is first
+        # Warm-up calls fill the interpreter's bounded free list of small
+        # tuples (128 KB here), which the traced calls then reuse.
+        for _ in range(1000):
+            assert fresh.allocate(abc_profile) is first
+        tracemalloc.start()
+        try:
+            for _ in range(10_000):
+                fresh.allocate(abc_profile)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 2**10
 
 
 SCAN_GRID = (F(1, 10), F(2, 5), F(3, 5), F(9, 10))
