@@ -12,8 +12,9 @@ coverage says how far its scan got.
 The strategy-proofness and non-bossiness scans are one loop over deviation
 blocks (`_scan_blocks`), each with its own judge of a block: one agent,
 fixed reports of the other two, and every grid cell for the agent. A scan
-allocates each grid profile at most once, though up to three blocks hold it.
-Rule outputs are canonical (`rules._canonical`), so the judges compare
+takes a block's allocations whole from the rule's block allocator
+(`Rule.blocks`), at most once per grid profile, though up to three blocks
+hold it; it builds no profile to allocate. Rule outputs are canonical (`rules._canonical`), so the judges compare
 outputs and own rows by identity. For a rule that reads only rankings
 (`Rule.reads_only_rankings`), all blocks with the same agent and the same
 orders of the others hold the same allocations, so they share one verdict.
@@ -50,6 +51,7 @@ from .core import (
     allocation_distance,
     expected_utility,
     over_common_denominator,
+    profile_with,
 )
 from .lp import find_dominating
 from .ordinal import (
@@ -183,12 +185,6 @@ def grid_cells(config: CheckConfig) -> tuple[NormalizedUtility, ...]:
     )
 
 
-def _profile_with(
-    others: tuple[BernoulliUtility, ...], agent: int, utility: BernoulliUtility
-) -> UtilityProfile:
-    return others[:agent] + (utility,) + others[agent:]
-
-
 def _stopped(coverage: str, scanned: int, total: int, unit: str) -> str:
     """A Fail's coverage: the declared sweep plus how far the scan got
     before it stopped at the failure."""
@@ -228,12 +224,15 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     ``scaled[c]`` holds cell c's values as integers over their own common
     denominator, computed once per scan.
 
-    Each grid profile is allocated at most once per scan. The scan keeps one
-    table of allocations, indexed by the profile's cell triple
-    (a*count^2 + b*count + c) and filled on first use, so the three agents'
-    blocks share its entries: one reference per grid profile (1,728 at 2
-    rates, 74,088 on the default grid, 216,000 at the 10-rate cap). They are
-    canonical rule outputs: equal allocations, and equal rows, are one object."""
+    The allocations come from the rule's block allocator (`Rule.blocks`),
+    never from a profile built here. The scan keeps one table of them,
+    indexed by the profile's cell triple (a*count^2 + b*count + c), so the
+    three agents' blocks share its entries: one reference per grid profile
+    (1,728 at 2 rates, 74,088 on the default grid, 216,000 at the 10-rate
+    cap). A block with an entry not yet in the table is taken whole from
+    the allocator, which is called once per such block. Its entries are
+    canonical rule outputs, the same objects as any already in the table:
+    equal allocations, and equal rows, are one object."""
     cells = grid_cells(config)
     scaled = [over_common_denominator([cell.values])[1][0] for cell in cells]
     count = len(cells)
@@ -242,6 +241,7 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
         f"cells_per_agent={count}; profiles={count**3}; deviations_per_agent={count}"
     )
     step = len(config.mu_grid) if rule.reads_only_rankings else 1
+    block = rule.blocks(cells)
     table: list[Allocation | None] = [None] * count**3
     strides = (count * count, count, 1)
     for agent in range(3):
@@ -249,16 +249,12 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
         stride_i, stride_j = strides[:agent] + strides[agent + 1 :]
         for i in range(0, count, step):
             for j in range(0, count, step):
-                others = (cells[i], cells[j])
                 base = i * stride_i + j * stride_j
-                allocations = table[base : base + count * stride : stride]
+                entries = slice(base, base + count * stride, stride)
+                allocations = table[entries]
                 if not all(allocations):  # an allocation is truthy, an unfilled entry None
-                    for c, alloc in enumerate(allocations):
-                        if alloc is None:
-                            allocations[c] = table[base + c * stride] = rule.allocate(
-                                _profile_with(others, agent, cells[c])
-                            )
-                witness = judge(agent, others, cells, scaled, allocations)
+                    allocations = table[entries] = block(agent, i, j)
+                witness = judge(agent, (cells[i], cells[j]), cells, scaled, allocations)
                 if witness is not None:
                     scanned = (agent * count + i) * count + j + 1
                     return Verdict(
@@ -293,7 +289,7 @@ def _manipulation(agent, others, cells, scaled, allocations) -> dict | None:
                     truth, allocations[t].row(agent)
                 )
                 return {
-                    "profile": _profile_with(others, agent, truth),
+                    "profile": profile_with(others, agent, truth),
                     "agent": agent,
                     "deviation": cells[d],
                     "truthful_allocation": allocations[t],
@@ -311,7 +307,7 @@ def _bossiness(agent, others, cells, scaled, allocations) -> dict | None:
         t = first.setdefault(id(alloc.rows[agent]), d)
         if allocations[t] is not alloc:
             return {
-                "profile": _profile_with(others, agent, cells[t]),
+                "profile": profile_with(others, agent, cells[t]),
                 "agent": agent,
                 "deviation": cells[d],
                 "own_row": alloc.rows[agent],
@@ -407,7 +403,7 @@ def check_sd_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
                 if deviation == truth_orders[agent]:
                     continue
                 deviated = rule.allocate(
-                    _profile_with(
+                    profile_with(
                         profile[:agent] + profile[agent + 1 :],
                         agent,
                         utility_from(deviation, mid),
@@ -466,7 +462,7 @@ def check_ncc_continuity(
                     for v0, v1 in zip(end0.values, end1.values)
                 )
             )
-            alloc = rule.allocate(_profile_with(others, agent, moving))
+            alloc = rule.allocate(profile_with(others, agent, moving))
             cache[alpha] = alloc
         return alloc
 

@@ -327,11 +327,12 @@ def _run_decompose(args: argparse.Namespace) -> int:
         data = json.loads(spec)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"matrix is not valid JSON: {exc}") from exc
-    if isinstance(data, dict):
-        data = data.get("matrix", data)
+    if isinstance(data, dict) and "matrix" in data:
+        data = data["matrix"]
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ParseError("matrix must be a JSON list of rows, each a JSON list")
     # `decompose` searches matchings by backtracking: bound n before any entry is read.
-    rows = data if isinstance(data, (list, dict, str)) else ()
-    if len(rows) > MAX_N or any(isinstance(r, (list, dict, str)) and len(r) > MAX_N for r in rows):
+    if len(data) > MAX_N or any(len(row) > MAX_N for row in data):
         raise UsageError(f"matrix has more than {MAX_N} rows or a row of more than {MAX_N} entries")
     try:
         matrix = make_allocation(data)

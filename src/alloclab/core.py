@@ -299,6 +299,14 @@ def validate_profile(profile: UtilityProfile) -> None:
             raise DimensionMismatch("profile is not square (n agents, n objects)")
 
 
+def profile_with(
+    others: tuple[BernoulliUtility, ...], agent: int, utility: BernoulliUtility
+) -> UtilityProfile:
+    """The profile where `agent` reports `utility` and the others, in agent
+    order, report `others`."""
+    return others[:agent] + (utility,) + others[agent:]
+
+
 def expected_utility(utility: BernoulliUtility, lottery: Lottery) -> Fraction:
     """Exact inner product of utility values and lottery probabilities."""
     if utility.m != lottery.m:

@@ -6,16 +6,21 @@ Every rule is a pure deterministic function from utility profiles to
 bistochastic allocations, split into a structural key (the part of the
 profile the rule reads) and a computation from that key. Each rule has one
 memo, where its work is done: rsd, ps and dictatorship memoize their compute
-on the ranking profile, utilitarian on the canonical profile, uniform on n,
-and a blend keeps only its mix table. So the grid checkers can sweep tens of
-thousands of profiles while each rule computes once per distinct key, and
-they scan a rule whose key reads only rankings (`Rule.reads_only_rankings`)
-one deviation block per class of ranking profiles. The utilitarian rule
-solves an exact assignment problem (`lp.best_assignment`).
+on the ranking profile, utilitarian on the canonical profile (bounded, since
+canonical profiles are unbounded in number), uniform on n, and a blend
+keeps only its mix table. The utilitarian rule solves an exact assignment
+problem (`lp.best_assignment`).
+
+The grid checkers take a rule's outputs a deviation block at a time from
+its block allocator (`Rule.blocks`), which for a built-in rule builds no
+key per profile and, for utilitarian, runs no assignment DP; they scan a
+rule whose key reads only rankings (`Rule.reads_only_rankings`) one
+deviation block per class of ranking profiles.
 
 Rule outputs are canonical (`_canonical`): equal outputs are one object,
 and so are equal rows, so the checkers compare outputs and rows by identity.
-A blend mixes once per pair of its parts' outputs.
+Every block entry is the very object `Rule.allocate` returns for its
+profile. A blend mixes once per pair of its parts' outputs.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .core import (
     ONE,
@@ -33,13 +38,15 @@ from .core import (
     Frozen,
     UtilityProfile,
     mix_allocations,
+    over_common_denominator,
     parse_fraction,
+    profile_with,
     uniform_allocation,
     validate_profile,
 )
 from .bvn import PermutationMatrix
 from .lp import best_assignment
-from .ordinal import canonicalize, ordinal_of
+from .ordinal import NormalizedUtility, OrdinalPreference, canonicalize, ordinal_of
 
 
 class AlphaOutOfRange(ValueError):
@@ -64,6 +71,10 @@ def _canonical(alloc: Allocation) -> Allocation:
         found = _ALLOCATIONS[key] = Allocation._trusted(rows)
         _CANONICAL.add(id(found))
     return found
+
+
+# A block allocator: ``block(agent, i, j)`` is one deviation block's allocations.
+Block = Callable[[int, int, int], list[Allocation]]
 
 
 class Rule(Frozen):
@@ -93,6 +104,33 @@ class Rule(Frozen):
     def allocate(self, profile: UtilityProfile) -> Allocation:
         validate_profile(profile)
         return _canonical(self.compute(self.key(profile)))
+
+    def blocks(self, cells: Sequence[NormalizedUtility]) -> Block:
+        """The block allocator of a three-agent scan over the grid `cells`:
+        ``block(agent, i, j)`` lists, for each cell c, the allocation of the
+        profile where the other two agents, in agent order, report cells i
+        and j and `agent` reports cell c. Each entry is the very object
+        `allocate` returns for that profile.
+
+        The allocator is chosen from the key and compute, as
+        `reads_only_rankings` is: a blend's own pair mixes its parts'
+        blocks, utilitarian's own pair takes an integer argmax per cell, a
+        size key gives a constant, a key that reads only rankings is
+        computed once per moving order, and any other rule is allocated
+        per cell."""
+        compute = self.compute
+        if isinstance(compute, _Mix) and self.key is compute.key:
+            return compute.blocks(cells)
+        if compute is UTILITARIAN.compute and self.key is _canonical_key:
+            return _utilitarian_blocks(cells)
+        if self.key is _size_key:
+            constant = _canonical(compute(3))  # every scan profile has 3 agents
+            return lambda agent, i, j: [constant] * len(cells)
+        if self.reads_only_rankings:
+            return _ranking_blocks(self, cells)
+        return lambda agent, i, j: [
+            self.allocate(profile_with((cells[i], cells[j]), agent, cell)) for cell in cells
+        ]
 
 
 Rankings = tuple[tuple[int, ...], ...]
@@ -201,11 +239,74 @@ def _uniform(n: int) -> Allocation:
     return _canonical(uniform_allocation(n))
 
 
+def _ranking_blocks(rule: Rule, cells: Sequence[NormalizedUtility]) -> Block:
+    """Blocks of a rule whose key reads only rankings: the cells of one
+    order share a key, so each block computes once per moving order, on
+    that order's first cell, and reuses the output at its other rates."""
+    leads: dict[OrdinalPreference, int] = {}
+    lead = [leads.setdefault(ordinal_of(cell), c) for c, cell in enumerate(cells)]
+    firsts = list(leads.values())
+
+    def block(agent: int, i: int, j: int) -> list[Allocation]:
+        others = (cells[i], cells[j])
+        outputs = {
+            c: _canonical(rule.compute(rule.key(profile_with(others, agent, cells[c]))))
+            for c in firsts
+        }
+        return [outputs[c] for c in lead]
+
+    return block
+
+
+def _utilitarian_blocks(cells: Sequence[NormalizedUtility]) -> Block:
+    """Utilitarian's blocks without the assignment DP: a profile's optimum
+    is the permutation with the largest total of the 6 over its canonical
+    values, ties going to the largest picks tuple, which is
+    `best_assignment`'s choice; so it is the maximal (total, k) for the k-th
+    permutation in lexicographic order.
+
+    Every cell's values are scaled to integers over one positive common
+    denominator, once per scan, so each total and each comparison is the
+    rational one. The moving agent's part of a total is its value of the
+    object the permutation gives it, so among the two permutations that
+    give it the same object the fixed agents' part decides. A block keeps
+    that best (part, k) per object, and each cell adds its values to the
+    three and takes the maximum."""
+    perms = list(itertools.permutations(range(3)))
+    outputs = [_permutation_allocation(picks) for picks in perms]
+    _, scaled = over_common_denominator([canonicalize(cell).values for cell in cells])
+
+    def block(agent: int, i: int, j: int) -> list[Allocation]:
+        first, second = [k for k in range(3) if k != agent]
+        fixed_i, fixed_j = scaled[i], scaled[j]
+        (t0, k0), (t1, k1), (t2, k2) = [
+            max(
+                (fixed_i[picks[first]] + fixed_j[picks[second]], k)
+                for k, picks in enumerate(perms)
+                if picks[agent] == obj
+            )
+            for obj in range(3)
+        ]
+        return [
+            outputs[max((t0 + v0, k0), (t1 + v1, k1), (t2 + v2, k2))[1]]
+            for v0, v1, v2 in scaled
+        ]
+
+    return block
+
+
+# Canonical profiles are unbounded in number (`check --profiles` reads any
+# list), and the grid scans take utilitarian's outputs from its blocks, not
+# from this memo, so it keeps only the most recent keys.
+UTILITARIAN_MEMO_SIZE = 4096
+
 # One memo entry per distinct key: at most (n!)^n for a ranking key.
 RSD = Rule("rsd", _ordinal_key, lru_cache(maxsize=None)(_rsd))
 PS = Rule("ps", _ordinal_key, lru_cache(maxsize=None)(_ps))
 DICTATORSHIP = Rule("dictatorship", _ordinal_key, lru_cache(maxsize=None)(_dictatorship))
-UTILITARIAN = Rule("utilitarian", _canonical_key, lru_cache(maxsize=None)(_utilitarian))
+UTILITARIAN = Rule(
+    "utilitarian", _canonical_key, lru_cache(maxsize=UTILITARIAN_MEMO_SIZE)(_utilitarian)
+)
 UNIFORM = Rule("uniform", _size_key, lru_cache(maxsize=None)(_uniform))
 
 BASE_RULES = {
@@ -213,31 +314,50 @@ BASE_RULES = {
 }
 
 
+class _Mix:
+    """A blend's compute, from the pair of its parts' keys. Its only memo is
+    the mix table, keyed on the ids of its parts' canonical outputs, so the
+    blend builds at most |outputs of first| * |outputs of second| matrices.
+    Its blocks mix its parts' blocks through the same table."""
+
+    __slots__ = ("first", "second", "alpha", "key", "mixes")
+
+    def __init__(self, first: Rule, second: Rule, alpha: Fraction):
+        self.first, self.second, self.alpha = first, second, alpha
+        self.key = partial(_pair_key, first.key, second.key)
+        self.mixes: dict[tuple[int, int], Allocation] = {}
+
+    def mix(self, a: Allocation, b: Allocation) -> Allocation:
+        mixed = self.mixes.get((id(a), id(b)))
+        if mixed is None:
+            mixed = self.mixes[id(a), id(b)] = _canonical(mix_allocations(a, b, self.alpha))
+        return mixed
+
+    def __call__(self, keys: tuple[Hashable, Hashable]) -> Allocation:
+        return self.mix(
+            _canonical(self.first.compute(keys[0])), _canonical(self.second.compute(keys[1]))
+        )
+
+    def blocks(self, cells: Sequence[NormalizedUtility]) -> Block:
+        first, second = self.first.blocks(cells), self.second.blocks(cells)
+        return lambda agent, i, j: list(
+            map(self.mix, first(agent, i, j), second(agent, i, j))
+        )
+
+
 @lru_cache(maxsize=None)
 def blend_rule(first: Rule, second: Rule, alpha: Fraction) -> Rule:
     """Entrywise convex combination alpha*first + (1-alpha)*second, keyed on
-    the pair of its parts' keys. Its only memo is the mix table, keyed on the
-    ids of its parts' canonical outputs, so the blend builds at most
-    |outputs of first| * |outputs of second| matrices.
+    the pair of its parts' keys, computed by a `_Mix`.
 
     Equal arguments return the one shared `Rule`, mix table included, so a
     family that draws the same blend twice computes it once."""
     alpha = Fraction(alpha)
     if not ZERO <= alpha <= ONE:
         raise AlphaOutOfRange(f"blend weight {alpha} outside [0, 1]")
-    mixes: dict[tuple[int, int], Allocation] = {}
-
-    def compute(keys: tuple[Hashable, Hashable]) -> Allocation:
-        a, b = _canonical(first.compute(keys[0])), _canonical(second.compute(keys[1]))
-        mixed = mixes.get((id(a), id(b)))
-        if mixed is None:
-            mixed = mixes[id(a), id(b)] = _canonical(mix_allocations(a, b, alpha))
-        return mixed
-
+    compute = _Mix(first, second, alpha)
     return Rule(
-        name=f"blend:{first.name}:{second.name}:{alpha}",
-        key=partial(_pair_key, first.key, second.key),
-        compute=compute,
+        name=f"blend:{first.name}:{second.name}:{alpha}", key=compute.key, compute=compute
     )
 
 

@@ -48,7 +48,7 @@ from alloclab.checkers import (
     grid_cells,
     report_json,
 )
-from alloclab.core import over_common_denominator
+from alloclab.core import over_common_denominator, profile_with
 from alloclab.ordinal import OrdinalPreference, all_orders, ordinal_of
 
 from conftest import REDUCED_GRIDS, printed_witness, read_back
@@ -96,16 +96,26 @@ RANKINGS_BOSSY = Rule(
 
 
 def _counted(rule):
-    """A twin of `rule` with the same key and compute, and the list that
-    gets one entry per `allocate` call."""
-    calls = []
+    """A twin of `rule` with the same key and compute, the list that gets
+    one entry per `allocate` call, and the list that gets one (agent, i, j)
+    entry per call of its block allocators."""
+    calls, blocks = [], []
 
     class Counted(Rule):
         def allocate(self, profile):
             calls.append(profile)
             return super().allocate(profile)
 
-    return Counted(f"{rule.name}-counted", rule.key, rule.compute), calls
+        def blocks(self, cells):
+            block = super().blocks(cells)
+
+            def counted(agent, i, j):
+                blocks.append((agent, i, j))
+                return block(agent, i, j)
+
+            return counted
+
+    return Counted(f"{rule.name}-counted", rule.key, rule.compute), calls, blocks
 
 
 def _sliding_allocate(profile):
@@ -301,12 +311,12 @@ class TestRankingQuotient:
         assert bossy.witness["agent"] == 2
 
     def test_rsd_scans_one_block_per_class_on_the_default_grid(self):
-        counted, calls = _counted(RSD)
+        counted, calls, blocks = _counted(RSD)
         assert check_strategy_proofness(counted, CheckConfig()).passed
-        assert len(calls) <= 3 * 36 * 42
+        assert calls == [] and len(blocks) == 3 * 36
 
     def test_ordinality_calls_the_rule_once_per_cell_on_the_default_grid(self):
-        counted, calls = _counted(rule_by_name("blend:rsd:dictatorship:1/3"))
+        counted, calls, _ = _counted(rule_by_name("blend:rsd:dictatorship:1/3"))
         verdict = check_ordinality(counted, CheckConfig())
         assert verdict.to_dict() == {
             "status": "Pass",
@@ -329,7 +339,7 @@ class TestRankingQuotient:
                 raise ZeroDivisionError("compute fails on one ranking profile")
             return RSD.compute(rankings)
 
-        counted, calls = _counted(Rule("raises-on-cell-100", RSD.key, compute))
+        counted, calls, _ = _counted(Rule("raises-on-cell-100", RSD.key, compute))
         assert counted.reads_only_rankings
         with pytest.raises(ZeroDivisionError, match="one ranking profile"):
             check_ordinality(counted, CheckConfig())
@@ -364,9 +374,10 @@ class TestRankingQuotient:
         # A Pass scan judges every block it visits, in canonical order: all
         # 3 x 12^2 blocks for a cardinal key, and one block per class,
         # 3 x 6^2, for a key that reads only rankings. Up to three of those
-        # blocks hold a profile, but the rule is called on each profile of
-        # them exactly once: on every one of the 12^3 grid profiles for a
-        # cardinal key.
+        # blocks hold a profile, but the rule's block allocator is called
+        # only for a block that holds a profile no earlier block held. A
+        # rule with no block of its own (an opaque key) is allocated once
+        # on each of those profiles; the others are never allocated.
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         cells = grid_cells(config)
         judged = []
@@ -387,20 +398,26 @@ class TestRankingQuotient:
             if rule is not RANKINGS_BOSSY:
                 scans += [(check_strategy_proofness, rule, 6), (check_non_bossiness, rule, 6)]
         for check, rule, classes in scans:
-            counted, calls = _counted(rule)
+            counted, calls, block_calls = _counted(rule)
             assert counted.reads_only_rankings == (classes == 6)
             judged.clear()
             assert check(counted, config).passed
             firsts = cells[:: 12 // classes]
             blocks = [(agent, (a, b)) for agent in range(3) for a in firsts for b in firsts]
             assert judged == blocks
-            profiles = {
-                others[:agent] + (cell,) + others[agent:]
-                for agent, others in blocks
-                for cell in cells
-            }
+            profiles, filled = set(), []
+            for agent, others in blocks:
+                held = {profile_with(others, agent, cell) for cell in cells}
+                if not held <= profiles:
+                    filled.append((agent, *map(cells.index, others)))
+                profiles |= held
             assert len(profiles) == (12**3 if classes == 12 else 3 * 6**2 * 12 - 2 * 6**3)
-            assert len(calls) == len(profiles) and set(calls) == profiles
+            assert block_calls == filled
+            assert len(filled) == (12**2 if classes == 12 else 3 * 6**2)
+            if rule in (opaque, BOSSY):
+                assert len(calls) == len(profiles) and set(calls) == profiles
+            else:
+                assert calls == []
 
 
 class TestInternedOutputs:
@@ -536,7 +553,7 @@ class TestContinuity:
     def test_probe_budget_caps_a_path_that_moves_continuously(self):
         # Resolving this path to tau = 10^-6 would take about 2^20 rule
         # evaluations; the budget stops at MAX_PATH_PROBES and says so.
-        counted, calls = _counted(SLIDING)
+        counted, calls, _ = _counted(SLIDING)
         agent, others, endpoints = default_continuity_paths()[0]
         verdict = check_ncc_continuity(counted, agent, others, endpoints, CheckConfig())
         assert verdict.passed

@@ -336,9 +336,26 @@ def test_grid_efficiency_report_bytes_are_pinned(capsys):
         (["decompose", "--matrix",
           '[["1/2","1/3","1/6"],["1/3","1/6","1/2"],["1/6","1/2","1/3"]]'], 0,
          "764723994a2a226946e83a2dd7f778bd917793416675cfe5127e8b5f73b6127b"),
+        # Default-grid scans of utilitarian and its blends, pinned before
+        # the scans took their allocations from the rules' block allocators.
+        (["check", "--rule", "utilitarian", "--axiom", "strategy-proofness"], 1,
+         "279111f2dcc0daacc2e2f2abc3a21514dda19cd1b7557e813213f5c7323767e0"),
+        (["check", "--rule", "utilitarian", "--axiom", "non-bossiness"], 0,
+         "ddbdd5c40cd639de7bf0801de9552e26d2b7de3a08d4225fedd490a3802c73c8"),
+        (["check", "--rule", "blend:rsd:utilitarian:1/2", "--axiom", "strategy-proofness"], 1,
+         "e642fbf90a53439b36ad2bf346d5035318d0495d6fd81fffd5347550fcb75be8"),
+        (["check", "--rule", "blend:rsd:utilitarian:1/2", "--axiom", "non-bossiness"], 0,
+         "6b828ba12da7fd342f74b49883f8fdae1c2643b5d583b9000232a2d1de0e5038"),
+        (["check", "--rule", "blend:ps:utilitarian:1/2", "--axiom", "strategy-proofness"], 1,
+         "0875f3bdc6bb84440b9dead6281a97d1215b500606d71950726e0c76f43e66d8"),
+        (["check", "--rule", "blend:ps:utilitarian:1/2", "--axiom", "non-bossiness"], 0,
+         "091ee58cb85dd221438e49a59eef1617c9f70fa586314d7b834e3f1f856259a9"),
     ],
     ids=["strategy-proofness", "ordinality", "sd-strategy-proofness", "continuity",
-         "not-ordinal", "not-ordinal-on-u", "decompose"],
+         "not-ordinal", "not-ordinal-on-u", "decompose",
+         *(f"default-grid-{rule}-{axiom}"
+           for rule in ("utilitarian", "blend-rsd-utilitarian", "blend-ps-utilitarian")
+           for axiom in ("strategy-proofness", "non-bossiness"))],
 )
 def test_report_bytes_are_pinned(argv, code, digest, capsys):
     """Each report less `elapsed_ms`, as the sha256 of its sorted JSON."""
@@ -686,7 +703,13 @@ def test_check_csv_row_on_a_verdict(rule, code, status, capsys):
 
 @pytest.mark.parametrize(
     "matrix",
-    ["[[0.5,0.5],[0.5,0.5]]", "[[null,1],[1,0]]", "7", "[1,2]", "[[true,false],[false,true]]"],
+    [
+        "[[0.5,0.5],[0.5,0.5]]", "[[null,1],[1,0]]", "7", "[1,2]", "[[true,false],[false,true]]",
+        # a matrix is a list of lists, or {"matrix": <that>}; these once
+        # decomposed as the identity
+        '["100","010","001"]', '{"100": 0, "010": 0, "001": 0}',
+        '[["1","0","0"],"010",["0","0","1"]]', '{"matrix": ["100","010","001"]}',
+    ],
 )
 def test_malformed_matrix_is_usage_error(matrix, capsys):
     assert main(["decompose", "--matrix", matrix]) == 2

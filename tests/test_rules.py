@@ -30,9 +30,15 @@ from alloclab import (
     uniform_allocation,
     utility_from,
 )
-from alloclab.ordinal import ordinal_of, random_utility_consistent, sd_compare
-from alloclab.core import validate_profile
-from alloclab.checkers import grid_cells
+from alloclab.ordinal import (
+    OrdinalPreference,
+    ordinal_of,
+    random_utility_consistent,
+    sd_compare,
+)
+from alloclab import rules
+from alloclab.core import over_common_denominator, profile_with, validate_profile
+from alloclab.checkers import DEFAULT_MU_GRID, grid_cells
 from alloclab.rules import BASE_RULES, Rule
 
 from conftest import REDUCED_GRIDS, best_assignments, perm_matrix_rows, rsd_oracle
@@ -289,6 +295,21 @@ class TestStructuralMemo:
     def test_cardinal_outputs_are_interned(self, spec, bound):
         assert _distinct_outputs_on_scan_grid(rule_by_name(spec)) <= bound
 
+    def test_utilitarian_memo_is_bounded(self):
+        # `check --profiles` can feed the memo any number of canonical
+        # profiles; it keeps at most its fixed bound of them.
+        bound = rules.UTILITARIAN_MEMO_SIZE
+        abc, bac, cba = (OrdinalPreference(r) for r in ((0, 1, 2), (1, 0, 2), (2, 1, 0)))
+        for k in range(1, 20_001):
+            profile = (
+                utility_from(abc, F(k, 20_001)),
+                utility_from(bac, F(1, 3)),
+                utility_from(cba, F(1, 2)),
+            )
+            UTILITARIAN.allocate(profile)
+        info = UTILITARIAN.compute.cache_info()
+        assert info.maxsize == bound and info.currsize <= bound
+
     def test_a_blend_keeps_no_memory_per_profile(self):
         # A blend's only memo is its mix table, at most one entry per pair of
         # its parts' outputs, however many profiles are scanned; a memo per
@@ -407,3 +428,47 @@ def test_every_grid_output_passes_validation(spec):
             outputs[id(alloc)] = alloc
     for alloc in outputs.values():
         assert Allocation(alloc.rows) == alloc
+
+
+BLOCK_RULES = [
+    "rsd",
+    "ps",
+    "dictatorship",
+    "uniform",
+    "utilitarian",
+    "blend:rsd:utilitarian:1/2",
+    "blend:ps:utilitarian:1/2",
+]
+
+
+@pytest.mark.parametrize(
+    "grid", [*REDUCED_GRIDS, DEFAULT_MU_GRID], ids=[*map(str, range(4)), "default"]
+)
+def test_block_entries_are_the_allocate_objects(grid):
+    """Every entry of every deviation block, from each built-in rule's own
+    block allocator, is the object `allocate` returns for its profile."""
+    cells = grid_cells(CheckConfig(mu_grid=grid))
+    tested = [rule_by_name(spec) for spec in BLOCK_RULES]
+    # Rules interleaved per profile, so the blends find utilitarian's output
+    # in its bounded memo.
+    expected = {
+        profile: [rule.allocate(profile) for rule in tested]
+        for profile in itertools.product(cells, repeat=3)
+    }
+    blocks = [rule.blocks(cells) for rule in tested]
+    for agent in range(3):
+        for i, j in itertools.product(range(len(cells)), repeat=2):
+            wanted = [expected[profile_with((cells[i], cells[j]), agent, cell)] for cell in cells]
+            for k, block in enumerate(blocks):
+                got = block(agent, i, j)
+                assert all(entry is want[k] for entry, want in zip(got, wanted, strict=True))
+    if grid == DEFAULT_MU_GRID:
+        # The tie-break is exercised: on some profiles of three distinct
+        # reports, two permutations share the optimal total.
+        _, scaled = over_common_denominator([cell.values for cell in cells])
+        perms = list(itertools.permutations(range(3)))
+        ties = 0
+        for a, b, c in itertools.combinations(scaled, 3):
+            totals = [a[p[0]] + b[p[1]] + c[p[2]] for p in perms]
+            ties += totals.count(max(totals)) > 1
+        assert ties > 0
