@@ -115,17 +115,14 @@ class Rule(Frozen):
         The allocator is chosen from the key and compute, as
         `reads_only_rankings` is: a blend's own pair mixes its parts'
         blocks, utilitarian's own pair takes an integer argmax per cell, a
-        size key gives a constant, a key that reads only rankings is
-        computed once per moving order, and any other rule is allocated
-        per cell."""
+        key that reads only rankings (uniform's size key among them) is
+        computed once per moving order, and any other rule is allocated per
+        cell."""
         compute = self.compute
         if isinstance(compute, _Mix) and self.key is compute.key:
             return compute.blocks(cells)
         if compute is UTILITARIAN.compute and self.key is _canonical_key:
             return _utilitarian_blocks(cells)
-        if self.key is _size_key:
-            constant = _canonical(compute(3))  # every scan profile has 3 agents
-            return lambda agent, i, j: [constant] * len(cells)
         if self.reads_only_rankings:
             return _ranking_blocks(self, cells)
         return lambda agent, i, j: [
