@@ -30,10 +30,11 @@ class PermutationMatrix(Frozen):
         return len(self.assignment)
 
     def to_allocation(self) -> Allocation:
+        """The 0/1 matrix, with its entries over 1 as its integer form."""
         picks, n = self.assignment, self.n
-        return Allocation._trusted(
-            tuple(tuple(ONE if obj == a else ZERO for a in range(n)) for obj in picks)
-        )
+        nums = tuple(tuple(int(obj == a) for a in range(n)) for obj in picks)
+        rows = tuple(tuple(ONE if x else ZERO for x in row) for row in nums)
+        return Allocation._trusted(rows, (1, nums))
 
 
 class Decomposition(Frozen):
@@ -114,7 +115,8 @@ def random_permutation(n: int, rng: random.Random) -> PermutationMatrix:
 def random_bistochastic(n: int, rng: random.Random) -> Allocation:
     """Random rational bistochastic matrix: a convex combination of 1 to 2n
     random permutation matrices with integer weights from 1 to 59. Each entry
-    is its integer weight count divided once by the total weight."""
+    is its integer weight count divided once by the total weight; the
+    counts over the total are the allocation's integer form."""
     count = rng.randrange(1, 2 * n + 1)
     perms = [random_permutation(n, rng) for _ in range(count)]
     raw = [rng.randrange(1, 60) for _ in range(count)]
@@ -123,4 +125,5 @@ def random_bistochastic(n: int, rng: random.Random) -> Allocation:
     for weight, perm in zip(raw, perms):
         for i, obj in enumerate(perm.assignment):
             counts[i][obj] += weight
-    return Allocation._trusted(tuple(tuple(Fraction(c, total) for c in r) for r in counts))
+    rows = tuple(tuple(Fraction(c, total) for c in r) for r in counts)
+    return Allocation._trusted(rows, (total, tuple(map(tuple, counts))))

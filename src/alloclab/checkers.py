@@ -221,8 +221,8 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     for a rule that reads only rankings), and stop at the first block where
     ``judge(agent, others, cells, scaled, allocations)`` returns a
     witness; `scanned_blocks` is that block's canonical index from one.
-    ``scaled[c]`` holds cell c's values as integers over their own common
-    denominator, computed once per scan.
+    ``scaled[c]`` holds cell c's values as integers over one positive
+    denominator: its integer form's `nums`.
 
     The allocations come from the rule's block allocator (`Rule.blocks`),
     never from a profile built here. The scan keeps one table of them,
@@ -234,7 +234,7 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     canonical rule outputs, the same objects as any already in the table:
     equal allocations, and equal rows, are one object."""
     cells = grid_cells(config)
-    scaled = [over_common_denominator([cell.values])[1][0] for cell in cells]
+    scaled = [cell.nums for cell in cells]
     count = len(cells)
     coverage = (
         f"grid: 6 orders x {len(config.mu_grid)} mu per agent; "
@@ -301,7 +301,18 @@ def _manipulation(agent, others, cells, scaled, allocations) -> dict | None:
 
 def _bossiness(agent, others, cells, scaled, allocations) -> dict | None:
     """The first cell of the block whose allocation differs from that of the
-    first cell with the same own row, or None."""
+    first cell with the same own row, or None.
+
+    Outputs are canonical, so the block is bossy iff two of its distinct
+    allocations share their own row object: that is decided over the
+    distinct allocations, and the cells are walked in order only to build
+    a Fail's witness."""
+    owners: dict[int, Allocation] = {}
+    for alloc in dict(zip(map(id, allocations), allocations)).values():
+        if owners.setdefault(id(alloc.rows[agent]), alloc) is not alloc:
+            break
+    else:
+        return None
     first: dict[int, int] = {}
     for d, alloc in enumerate(allocations):
         t = first.setdefault(id(alloc.rows[agent]), d)

@@ -1,9 +1,16 @@
 """Exact value types for random allocation: lotteries, bistochastic
 allocations, Bernoulli utilities, and expected utility.
 
-All probabilities and utilities are `fractions.Fraction`, never floats, so
-every comparison made downstream (domination, strategy-proofness, stochastic
-dominance) is bit-exact.
+Every probability and utility is an exact rational, never a float, so every
+comparison made downstream (domination, strategy-proofness, stochastic
+dominance) is bit-exact. A lottery and a utility hold their entries in one
+integer form, `den > 0` and `nums`, where entry k is `nums[k] / den` (not
+necessarily in lowest terms); the kernels (`expected_utility`, the rankings,
+stochastic dominance) read it. Their public `probs` and `values` are the
+same entries as `fractions.Fraction` tuples, built on first read when a
+builder passed only the integers. An allocation's `rows` are `Fraction`
+tuples; a builder that holds integer counts over one total passes them along
+(`Allocation._trusted(rows, form)`), and each `row` lottery reads them.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 AgentId = int
@@ -65,7 +73,15 @@ def parse_fraction(text: str) -> Fraction:
     text = text.strip()
     if not _FRACTION_RE.match(text):
         raise ValueError(f"not an exact rational: {text!r}")
-    return Fraction(text)
+    numerator, _, denominator = text.partition("/")
+    return Fraction(int(numerator), int(denominator or 1))
+
+
+def _integer_form(values: Sequence[int | Fraction]) -> tuple[int, tuple[int, ...]]:
+    """`(den, nums)` with entry k equal to nums[k] / den: den is the lcm of
+    the entries' denominators."""
+    den = lcm(*[x.denominator for x in values])
+    return den, tuple([x.numerator * (den // x.denominator) for x in values])
 
 
 def object_label(index: ObjectId) -> str:
@@ -112,27 +128,64 @@ class Frozen(Fields):
 
 
 class Lottery(Frozen):
-    """Probability vector over objects; one agent's random assignment."""
+    """Probability vector over objects; one agent's random assignment.
+    Entry k is ``probs[k]``, equally ``nums[k] / den``; a trusted build sets
+    one of the two forms, and the other is built on first read."""
 
-    __slots__ = ("probs",)
+    __slots__ = ("probs", "den", "nums")
 
     def __init__(self, probs: tuple[Fraction, ...]):
-        object.__setattr__(self, "probs", probs)
-        for p in probs:
-            if p < 0:
+        den, nums = _integer_form(probs)
+        self._set(probs, den, nums)
+        for p, num in zip(probs, nums):
+            if num < 0:
                 raise NegativeEntry(f"negative probability {p}")
-        if sum(probs) != ONE:
+        if sum(nums) != den:
             raise SumNotOne(f"probabilities sum to {sum(probs)}, not 1")
 
+    @classmethod
+    def _trusted(cls, probs: tuple[Fraction, ...] | None = None,
+                 den: int | None = None, nums: tuple[int, ...] | None = None) -> Lottery:
+        """Only for entries valid by construction: `probs`, or the integer
+        form `den` and `nums`, or both forms of the same entries."""
+        self = object.__new__(cls)
+        if probs is not None:
+            object.__setattr__(self, "probs", probs)
+        if nums is not None:
+            object.__setattr__(self, "den", den)
+            object.__setattr__(self, "nums", nums)
+        return self
+
+    def __getattr__(self, name):  # reached only for a form not yet built
+        if name == "probs":
+            den = self.den
+            object.__setattr__(self, "probs", tuple([Fraction(n, den) for n in self.nums]))
+        elif name in ("den", "nums"):
+            self._set(self.probs, *_integer_form(self.probs))
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    def _fields(self) -> tuple:
+        return (self.probs,)
+
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.probs == other.probs
+        return type(other) is type(self) and _same_entries(self, other)
 
     def __hash__(self) -> int:
         return hash(self.probs)
 
     @property
     def m(self) -> int:
-        return len(self.probs)
+        return len(self.nums)
+
+
+def _same_entries(first, second) -> bool:
+    """Whether two integer forms hold the same entries."""
+    d, e = first.den, second.den
+    return len(first.nums) == len(second.nums) and all(
+        [a * e == b * d for a, b in zip(first.nums, second.nums)]
+    )
 
 
 def make_lottery(probs: Iterable[int | Fraction | str]) -> Lottery:
@@ -142,17 +195,33 @@ def make_lottery(probs: Iterable[int | Fraction | str]) -> Lottery:
 
 def degenerate_lottery(obj: ObjectId, m: int) -> Lottery:
     """The lottery placing probability one on a single object."""
-    return Lottery(tuple(ONE if a == obj else ZERO for a in range(m)))
+    if not 0 <= obj < m:
+        raise SumNotOne("probabilities sum to 0, not 1")
+    return Lottery._trusted(den=1, nums=tuple([int(a == obj) for a in range(m)]))
 
 
 class Allocation(Frozen):
-    """Bistochastic matrix: rows are agents, columns are objects."""
+    """Bistochastic matrix: rows are agents, columns are objects. `_form`
+    is None, or `(den, nums)` with entry (i, a) equal to nums[i][a] / den,
+    when the builder held those integers."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_form")
 
     def __init__(self, rows: tuple[tuple[Fraction, ...], ...]):
-        object.__setattr__(self, "rows", rows)
+        self._set(rows, None)
         self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[Fraction, ...], ...],
+                 form: tuple[int, tuple[tuple[int, ...], ...]] | None = None) -> Allocation:
+        """Only for rows valid by construction, and `form` their integer form."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_form", form)
+        return self
+
+    def _fields(self) -> tuple:
+        return (self.rows,)
 
     def __post_init__(self) -> None:
         n = len(self.rows)
@@ -181,7 +250,10 @@ class Allocation(Frozen):
         return len(self.rows)
 
     def row(self, agent: AgentId) -> Lottery:
-        return Lottery._trusted(self.rows[agent])
+        form = self._form
+        if form is None:
+            return Lottery._trusted(self.rows[agent])
+        return Lottery._trusted(self.rows[agent], form[0], form[1][agent])
 
 
 def make_allocation(grid: Sequence[Sequence[int | Fraction | str]]) -> Allocation:
@@ -192,7 +264,7 @@ def make_allocation(grid: Sequence[Sequence[int | Fraction | str]]) -> Allocatio
 def uniform_allocation(n: int) -> Allocation:
     if n < 1:
         raise DimensionMismatch(f"an allocation needs at least one agent, got {n}")
-    return Allocation._trusted(((Fraction(1, n),) * n,) * n)
+    return Allocation._trusted(((Fraction(1, n),) * n,) * n, (n, ((1,) * n,) * n))
 
 
 def mix_allocations(first: Allocation, second: Allocation, weight: Fraction) -> Allocation:
@@ -246,25 +318,51 @@ def allocation_distance(first: Allocation, second: Allocation) -> Fraction:
 
 class BernoulliUtility(Frozen):
     """Per-object utility values with no ties over degenerate lotteries.
+    Value k is ``nums[k] / den``; `values` holds them as `Fraction`s and is
+    built on first read when a trusted builder passed only the integers.
     `_ordinal` holds the ranking once `ordinal.ordinal_of` has computed it
-    (`ordinal.utility_from` sets it on construction), so the ranking lives
+    (a builder that knows it sets it on construction), so the ranking lives
     and dies with the utility."""
 
-    __slots__ = ("values", "_hash", "_ordinal")
+    __slots__ = ("den", "nums", "values", "_hash", "_ordinal")
 
     def __init__(self, values: tuple[Fraction, ...]):
-        if len(set(values)) != len(values):
+        den, nums = _integer_form(values)
+        if len(set(nums)) != len(nums):
             raise TiesPresent(f"tied utility values in {values}")
+        self._build(den, nums, None)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_hash", hash(values))
-        object.__setattr__(self, "_ordinal", None)
+
+    @classmethod
+    def _trusted(cls, den: int, nums: tuple[int, ...], order=None) -> BernoulliUtility:
+        """Only for an integer form with den > 0 and no tied numerators,
+        built so by its caller; `order`, when given, is its ranking."""
+        self = object.__new__(cls)
+        self._build(den, nums, order)
+        return self
+
+    def _build(self, den: int, nums: tuple[int, ...], order) -> None:
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "_ordinal", order)
+
+    def __getattr__(self, name):  # reached only for `values` or `_hash` not yet built
+        if name == "values":
+            den = self.den
+            value = tuple([Fraction(n, den) for n in self.nums])
+        elif name == "_hash":
+            value = hash(self.values)
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
     @property
     def m(self) -> int:
-        return len(self.values)
+        return len(self.nums)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BernoulliUtility) and self.values == other.values
+        return isinstance(other, BernoulliUtility) and _same_entries(self, other)
 
     def __hash__(self) -> int:
         return self._hash
@@ -308,14 +406,14 @@ def profile_with(
 
 
 def expected_utility(utility: BernoulliUtility, lottery: Lottery) -> Fraction:
-    """Exact inner product of utility values and lottery probabilities."""
+    """Exact inner product of utility values and lottery probabilities: one
+    integer dot product of the two integer forms, over the product of their
+    denominators."""
     if utility.m != lottery.m:
         raise DimensionMismatch("utility and lottery differ in length")
-    return sum(
-        (v * p for v, p in zip(utility.values, lottery.probs) if p), ZERO
-    )
+    return Fraction(sum(map(mul, utility.nums, lottery.nums)), utility.den * lottery.den)
 
 
 def support(lottery: Lottery) -> set[ObjectId]:
     """Objects received with strictly positive probability."""
-    return {a for a, p in enumerate(lottery.probs) if p > 0}
+    return {a for a, p in enumerate(lottery.nums) if p > 0}

@@ -125,10 +125,15 @@ def _random_order(rng: random.Random) -> OrdinalPreference:
 
 
 def _random_affine(utility: BernoulliUtility, rng: random.Random) -> BernoulliUtility:
-    """Random positive affine transform: same cone, same middle rate."""
-    scale = Fraction(rng.randrange(1, 12), rng.randrange(1, 12))
-    shift = Fraction(rng.randrange(-12, 13), rng.randrange(1, 12))
-    return BernoulliUtility(tuple(scale * v + shift for v in utility.values))
+    """Random positive affine transform: same cone, same middle rate, same
+    ranking. With scale a/b and shift c/d, value n/den becomes
+    (a*d*n + c*b*den) / (den*b*d)."""
+    a, b = rng.randrange(1, 12), rng.randrange(1, 12)
+    c, d = rng.randrange(-12, 13), rng.randrange(1, 12)
+    den = utility.den
+    return BernoulliUtility._trusted(
+        den * b * d, tuple([a * d * n + c * b * den for n in utility.nums]), utility._ordinal
+    )
 
 
 def _random_member(

@@ -84,7 +84,7 @@ def ordinal_of(utility: BernoulliUtility) -> OrdinalPreference:
     utility object and kept on it."""
     order = utility._ordinal
     if order is None:
-        ranked = sorted(range(utility.m), key=lambda a: utility.values[a], reverse=True)
+        ranked = sorted(range(utility.m), key=utility.nums.__getitem__, reverse=True)
         order = OrdinalPreference(tuple(ranked))
         object.__setattr__(utility, "_ordinal", order)
     return order
@@ -96,9 +96,8 @@ def middle_rate(utility: BernoulliUtility) -> Fraction:
     if utility.m != 3:
         raise WrongDimension("middle rate is defined for three objects")
     best, mid, worst = ordinal_of(utility).ranking
-    return (utility.values[mid] - utility.values[worst]) / (
-        utility.values[best] - utility.values[worst]
-    )
+    nums = utility.nums
+    return Fraction(nums[mid] - nums[worst], nums[best] - nums[worst])
 
 
 class NormalizedUtility(BernoulliUtility):
@@ -108,21 +107,10 @@ class NormalizedUtility(BernoulliUtility):
 
     def __init__(self, values: tuple[Fraction, ...]):
         super().__init__(values)
-        if min(values) != ZERO:
+        if min(self.nums) != 0:
             raise ValueError(f"normalized utility must have minimum 0: {values}")
-        if sum(values) != ONE:
+        if sum(self.nums) != self.den:
             raise ValueError(f"normalized utility must sum to 1: {values}")
-
-    @classmethod
-    def _trusted(cls, values: tuple[Fraction, ...],
-                 order: OrdinalPreference | None = None) -> NormalizedUtility:
-        """Only for values built to have no ties, minimum 0 and sum 1, which
-        are not checked again; `order`, when given, is their ranking."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_hash", hash(values))
-        object.__setattr__(self, "_ordinal", order)
-        return self
 
 
 def canonicalize(utility: BernoulliUtility) -> NormalizedUtility:
@@ -131,10 +119,9 @@ def canonicalize(utility: BernoulliUtility) -> NormalizedUtility:
     as is."""
     if isinstance(utility, NormalizedUtility):
         return utility
-    low = min(utility.values)
-    shifted = tuple(v - low for v in utility.values)
-    scale = sum(shifted)
-    return NormalizedUtility._trusted(tuple(v / scale for v in shifted))
+    low = min(utility.nums)
+    shifted = tuple([n - low for n in utility.nums])
+    return NormalizedUtility._trusted(sum(shifted), shifted)
 
 
 # Bounded: grid scans reuse a few dozen (order, rate) pairs, while lemma
@@ -143,17 +130,18 @@ def canonicalize(utility: BernoulliUtility) -> NormalizedUtility:
 def utility_from(order: OrdinalPreference, mu: Fraction) -> NormalizedUtility:
     """Canonical utility with the given order and middle rate: best 1, middle
     mu, worst 0, normalized to sum 1, so best 1/(1+mu), middle mu/(1+mu),
-    worst 0. Its ranking is `order`. Three objects only."""
+    worst 0; for mu = p/q that is q, p and 0 over p + q. Its ranking is
+    `order`. Three objects only."""
     if order.m != 3:
         raise WrongDimension("middle-rate parameterization needs three objects")
     mu = Fraction(mu)
     if not ZERO < mu < ONE:
         raise MuOutOfRange(f"mu must lie strictly in (0, 1), got {mu}")
-    values = [ZERO, ZERO, ZERO]
+    p, q = mu.numerator, mu.denominator
+    nums = [0, 0, 0]
     best, mid, _ = order.ranking
-    scale = ONE + mu
-    values[best], values[mid] = ONE / scale, mu / scale
-    return NormalizedUtility._trusted(tuple(values), order)
+    nums[best], nums[mid] = q, p
+    return NormalizedUtility._trusted(p + q, tuple(nums), order)
 
 
 class SdVerdict(Enum):
@@ -168,13 +156,16 @@ def sd_compare(p: Lottery, q: Lottery, order: OrdinalPreference) -> SdVerdict:
     probability on the upper sets of the ranking."""
     if p.m != q.m or p.m != order.m:
         raise DimensionMismatch("lotteries and order differ in length")
-    if p.probs == q.probs:
+    # Each side's integer form times the other's denominator: one scale.
+    p_nums = [n * q.den for n in p.nums]
+    q_nums = [n * p.den for n in q.nums]
+    if p_nums == q_nums:
         return SdVerdict.EQUAL
     p_weak = q_weak = True
-    cum_p = cum_q = ZERO
+    cum_p = cum_q = 0
     for obj in order.ranking[:-1]:
-        cum_p += p.probs[obj]
-        cum_q += q.probs[obj]
+        cum_p += p_nums[obj]
+        cum_q += q_nums[obj]
         if cum_p < cum_q:
             p_weak = False
         elif cum_p > cum_q:
@@ -226,17 +217,20 @@ def rdu_utility(
         raise InconsistentBase(f"base {base.values} does not rank as {order}")
 
     def evaluate(lot: Lottery) -> Fraction:
+        """On the integer forms: with cumulative numerators C over lot.den
+        and base values B over base.den, the value is the sum of
+        B * (C**exponent - previous C**exponent) over base.den *
+        lot.den**exponent."""
         if lot.m != order.m:
             raise DimensionMismatch("lottery length differs from order")
-        value = ZERO
-        cum = ZERO
-        prev_weight = ZERO
+        nums = lot.nums
+        total = cum = prev_weight = 0
         for obj in order.ranking:
-            cum += lot.probs[obj]
+            cum += nums[obj]
             weight = cum**weight_exponent
-            value += base.values[obj] * (weight - prev_weight)
+            total += base.nums[obj] * (weight - prev_weight)
             prev_weight = weight
-        return value
+        return Fraction(total, base.den * lot.den**weight_exponent)
 
     name = f"rdu(exp={weight_exponent},{','.join(str(v) for v in base.values)})"
     return VUtility(name=name, evaluate=evaluate, ordinal=order)
@@ -261,7 +255,7 @@ def separating_utility(v: VUtility, p1: Lottery, p2: Lottery) -> BernoulliUtilit
     threshold = None
     for obj in reversed(order.ranking):
         upper = [b for b in range(order.m) if values[b] > values[obj]]
-        gap = sum(p1.probs[b] for b in upper) - sum(p2.probs[b] for b in upper)
+        gap = sum([p1.nums[b] for b in upper]) * p2.den - sum([p2.nums[b] for b in upper]) * p1.den
         if gap > 0:
             threshold = obj
             break
@@ -332,12 +326,13 @@ def random_rational(rng: random.Random) -> Fraction:
 
 
 def random_lottery(m: int, rng: random.Random) -> Lottery:
-    """Random rational lottery via integer weights from 0 to 360."""
+    """Random rational lottery via integer weights from 0 to 360, over their
+    total."""
     while True:
         weights = [rng.randrange(0, 361) for _ in range(m)]
         total = sum(weights)
         if total:
-            return Lottery(tuple(Fraction(w, total) for w in weights))
+            return Lottery._trusted(den=total, nums=tuple(weights))
 
 
 def sd_comparable_pair(
@@ -345,23 +340,23 @@ def sd_comparable_pair(
 ) -> tuple[Lottery, Lottery]:
     """(dominant, dominated) pair: shift probability mass from a worse-ranked
     object to a better-ranked one, which strictly raises every affected
-    upper-set cumulative."""
+    upper-set cumulative. The moved amount is k/16 of the source's mass,
+    1 <= k < 16, so the dominant lottery's integer form is over 16 times
+    the base's denominator."""
     m = order.m
     while True:
         base = random_lottery(m, rng)
-        positions = [k for k in range(1, m) if base.probs[order.ranking[k]] > 0]
+        positions = [k for k in range(1, m) if base.nums[order.ranking[k]] > 0]
         if not positions:
             continue
         src_pos = rng.choice(positions)
         dst_pos = rng.randrange(0, src_pos)
         src, dst = order.ranking[src_pos], order.ranking[dst_pos]
-        amount = base.probs[src] * Fraction(rng.randrange(1, 16), 16)
-        if amount == 0:
-            continue
-        probs = list(base.probs)
-        probs[src] -= amount
-        probs[dst] += amount
-        return Lottery(tuple(probs)), base
+        amount = base.nums[src] * rng.randrange(1, 16)
+        nums = [16 * n for n in base.nums]
+        nums[src] -= amount
+        nums[dst] += amount
+        return Lottery._trusted(den=16 * base.den, nums=tuple(nums)), base
 
 
 def random_utility_consistent(
@@ -373,8 +368,7 @@ def random_utility_consistent(
         draws = {rng.randrange(0, DENOMINATOR * 4) for _ in range(order.m)}
         if len(draws) == order.m:
             break
-    levels = sorted((Fraction(d, DENOMINATOR) for d in draws), reverse=True)
-    values = [ZERO] * order.m
-    for level, obj in zip(levels, order.ranking):
-        values[obj] = level
-    return BernoulliUtility(tuple(values))
+    nums = [0] * order.m
+    for level, obj in zip(sorted(draws, reverse=True), order.ranking):
+        nums[obj] = level
+    return BernoulliUtility._trusted(DENOMINATOR, tuple(nums), order)

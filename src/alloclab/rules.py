@@ -68,7 +68,7 @@ def _canonical(alloc: Allocation) -> Allocation:
     rows = tuple([_ROWS.setdefault(row, row) for row in alloc.rows])
     found = _ALLOCATIONS.get(key := tuple(map(id, rows)))
     if found is None:
-        found = _ALLOCATIONS[key] = Allocation._trusted(rows)
+        found = _ALLOCATIONS[key] = Allocation._trusted(rows, alloc._form)
         _CANONICAL.add(id(found))
     return found
 
@@ -176,7 +176,9 @@ def _dictatorship_picks(
 
 
 def _rsd(rankings: Rankings) -> Allocation:
-    """Average of serial dictatorship over all n! priority orders, exact."""
+    """Average of serial dictatorship over all n! priority orders, exact:
+    each agent's count of each object over n!, which its rows keep as
+    their integer form."""
     n = len(rankings)
     counts = [[0] * n for _ in range(n)]
     total = 0
@@ -185,7 +187,7 @@ def _rsd(rankings: Rankings) -> Allocation:
         for agent, obj in enumerate(_dictatorship_picks(rankings, priority)):
             counts[agent][obj] += 1
     rows = tuple(tuple(Fraction(c, total) for c in r) for r in counts)
-    return _canonical(Allocation._trusted(rows))
+    return _canonical(Allocation._trusted(rows, (total, tuple(map(tuple, counts)))))
 
 
 def _ps(rankings: Rankings) -> Allocation:

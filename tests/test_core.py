@@ -1,6 +1,7 @@
 """Value types: lotteries, allocations, utilities, expected utility."""
 
 import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -37,7 +38,16 @@ from alloclab import (
 )
 from alloclab import core, rules
 from alloclab.bvn import random_bistochastic
-from alloclab.core import parse_fraction
+from alloclab.core import BernoulliUtility, degenerate_lottery, parse_fraction
+from alloclab.harness import _random_affine
+from alloclab.ordinal import (
+    DENOMINATOR,
+    all_orders,
+    canonicalize,
+    random_lottery,
+    random_utility_consistent,
+    sd_comparable_pair,
+)
 
 from conftest import lotteries, unit_fractions, utilities
 
@@ -283,3 +293,185 @@ class TestTrustedConstruction:
             assert Allocation(alloc.rows) == alloc
             for agent in range(alloc.n):
                 assert Lottery(alloc.row(agent).probs) == alloc.row(agent)
+
+
+def _plain_expected_utility(values, probs) -> Fraction:
+    """The `Fraction` formula, on entries that never went through an
+    integer form."""
+    return sum((Fraction(v) * Fraction(p) for v, p in zip(values, probs)), Fraction(0))
+
+
+def _replay(rng: random.Random) -> random.Random:
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    return twin
+
+
+def _entries(den: int, nums) -> tuple[Fraction, ...]:
+    return tuple(Fraction(n, den) for n in nums)
+
+
+class TestIntegerForm:
+    """A utility's and a lottery's integer form (den, nums) holds the same
+    entries as `values` and `probs`, whichever builder made it."""
+
+    def test_expected_utility_matches_the_fraction_formula(self):
+        """Negative, zero, plain-int and unlike-denominator entries, through
+        validated builds and through unreduced integer forms."""
+        rng = random.Random(21)
+        for _ in range(400):
+            values = rng.sample(
+                [rng.randrange(-9, 10), 0, Fraction(rng.randrange(-40, 41), rng.randrange(1, 13)),
+                 Fraction(rng.randrange(1, 50), rng.randrange(1, 7)), -3, 7], 3
+            )
+            if len(set(values)) < 3:
+                continue
+            weights = [rng.randrange(0, 5) for _ in range(3)]
+            if not sum(weights):
+                continue
+            probs = [Fraction(w, sum(weights)) for w in weights]
+            expected = _plain_expected_utility(values, probs)
+            validated = make_utility(values)
+            k = rng.randrange(2, 9)  # a common factor: the forms are not in lowest terms
+            unreduced = BernoulliUtility._trusted(
+                validated.den * k, tuple(n * k for n in validated.nums)
+            )
+            lotteries = [
+                make_lottery(probs),
+                Lottery._trusted(den=sum(weights) * k, nums=tuple(w * k for w in weights)),
+                Lottery._trusted(tuple(probs)),
+            ]
+            for utility in (validated, unreduced):
+                for lottery in lotteries:
+                    got = expected_utility(utility, lottery)
+                    assert type(got) is Fraction and got == expected
+
+    def test_rows_with_an_integer_form_match_the_fraction_formula(self):
+        rng = random.Random(22)
+        profile = make_profile([[3, "-1/2", 0], ["2/7", "5/3", -1], [0, 1, "1/2"]])
+        for _ in range(100):
+            alloc = random_bistochastic(3, rng)
+            for i, u in enumerate(profile):
+                assert alloc.row(i).den is alloc._form[0]
+                assert expected_utility(u, alloc.row(i)) == _plain_expected_utility(
+                    u.values, alloc.rows[i]
+                )
+
+    def test_trusted_builders_hold_their_values(self):
+        """Each builder that passes an integer form, against its entries
+        computed in `Fraction`s from the same draws."""
+        rng = random.Random(23)
+        orders = all_orders(3)
+        for _ in range(300):
+            order = rng.choice(orders)
+            best, mid, worst = order.ranking
+            mu = Fraction(rng.randrange(1, 200), rng.randrange(200, 400))
+            built = utility_from.__wrapped__(order, mu)
+            reference = [Fraction(0)] * 3
+            reference[best], reference[mid] = 1 / (1 + mu), mu / (1 + mu)
+            assert _entries(built.den, built.nums) == tuple(reference) == built.values
+
+            twin = _replay(rng)
+            drawn = random_utility_consistent(order, rng)
+            while True:
+                draws = {twin.randrange(0, DENOMINATOR * 4) for _ in range(3)}
+                if len(draws) == 3:
+                    break
+            reference = [Fraction(0)] * 3
+            for level, obj in zip(sorted(draws, reverse=True), order.ranking):
+                reference[obj] = Fraction(level, DENOMINATOR)
+            assert _entries(drawn.den, drawn.nums) == tuple(reference) == drawn.values
+
+            twin = _replay(rng)
+            moved = _random_affine(drawn, rng)
+            scale = Fraction(twin.randrange(1, 12), twin.randrange(1, 12))
+            shift = Fraction(twin.randrange(-12, 13), twin.randrange(1, 12))
+            reference = tuple(scale * v + shift for v in drawn.values)
+            assert _entries(moved.den, moved.nums) == reference == moved.values
+
+            shifted = [v - min(reference) for v in reference]
+            canonical = canonicalize(moved)
+            reference = tuple(v / sum(shifted) for v in shifted)
+            assert _entries(canonical.den, canonical.nums) == reference == canonical.values
+
+            twin = _replay(rng)
+            lottery = random_lottery(3, rng)
+            while True:
+                weights = [twin.randrange(0, 361) for _ in range(3)]
+                if sum(weights):
+                    break
+            reference = tuple(Fraction(w, sum(weights)) for w in weights)
+            assert _entries(lottery.den, lottery.nums) == reference == lottery.probs
+
+            twin = _replay(rng)
+            dominant, dominated = sd_comparable_pair(order, rng)
+            base = random_lottery(3, twin)
+            positions = [k for k in range(1, 3) if base.probs[order.ranking[k]] > 0]
+            while not positions:
+                base = random_lottery(3, twin)
+                positions = [k for k in range(1, 3) if base.probs[order.ranking[k]] > 0]
+            src_pos = twin.choice(positions)
+            dst_pos = twin.randrange(0, src_pos)
+            src, dst = order.ranking[src_pos], order.ranking[dst_pos]
+            amount = base.probs[src] * Fraction(twin.randrange(1, 16), 16)
+            reference = list(base.probs)
+            reference[src] -= amount
+            reference[dst] += amount
+            assert _entries(dominant.den, dominant.nums) == tuple(reference) == dominant.probs
+            assert dominated.probs == base.probs
+
+        for m in range(1, 6):
+            for obj in range(m):
+                lottery = degenerate_lottery(obj, m)
+                reference = tuple(Fraction(int(a == obj)) for a in range(m))
+                assert _entries(lottery.den, lottery.nums) == reference == lottery.probs
+        with pytest.raises(SumNotOne):
+            degenerate_lottery(3, 3)
+
+    def test_allocation_forms_hold_their_rows(self):
+        rng = random.Random(24)
+        allocations = [random_bistochastic(rng.randrange(1, 6), rng) for _ in range(100)]
+        allocations += [uniform_allocation(n) for n in range(1, 6)]
+        allocations += [PermutationMatrix(picks).to_allocation()
+                        for n in (1, 3, 4) for picks in itertools.permutations(range(n))]
+        assert all(alloc._form is not None for alloc in allocations)
+        # An rsd output keeps its form unless an equal output of another
+        # rule was made canonical first.
+        outputs = {id(alloc): alloc for alloc in map(RSD.allocate, _grid_profiles())}
+        formed = [alloc for alloc in outputs.values() if alloc._form is not None]
+        assert any(alloc._form[0] == 6 for alloc in formed)  # rsd's counts over 3!
+        allocations += formed
+        for alloc in allocations:
+            den, nums = alloc._form
+            for i, row in enumerate(alloc.rows):
+                assert _entries(den, nums[i]) == row
+                lottery = alloc.row(i)
+                assert _entries(lottery.den, lottery.nums) == lottery.probs == row
+                assert lottery == Lottery(row) and hash(lottery) == hash(Lottery(row))
+
+    def test_builders_agree_on_equality_and_hash(self):
+        """A utility built from integers equals the same values built through
+        the validating constructor, hashes alike and is the same dict key."""
+        for order in all_orders(3):
+            for mu in (Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)):
+                built = utility_from(order, mu)
+                validated = make_utility(built.values)
+                fresh = utility_from.__wrapped__(order, mu)
+                assert built == validated and validated == built
+                assert hash(fresh) == hash(validated) == hash(built.values)
+                table = {validated: "validated"}
+                table[fresh] = "integer form"
+                assert table == {validated: "integer form"} and fresh in table
+        rng = random.Random(25)
+        u = random_utility_consistent(all_orders(3)[4], rng)
+        moved = _random_affine(u, rng)
+        assert len({moved, make_utility(moved.values), BernoulliUtility(moved.values)}) == 1
+        assert make_utility([1, 2, 3]) != make_utility([2, 4, 6])
+        assert make_utility([1, 2, 3]) != make_utility([1, 2])
+        lottery = random_lottery(3, rng)
+        assert len({lottery, make_lottery(lottery.probs)}) == 1
+
+
+def _grid_profiles():
+    cells = [utility_from(order, Fraction(1, 2)) for order in all_orders(3)]
+    return [(a, b, c) for a in cells for b in cells for c in cells]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,17 @@ from alloclab.core import (
     uniform_allocation,
 )
 from alloclab.harness import default_v_profiles, exploration_stress
-from alloclab.ordinal import VUtility, middle_rate, ordinal_of, v_from_bernoulli
+from alloclab.checkers import report_json
+from alloclab.ordinal import (
+    VUtility,
+    all_orders,
+    middle_rate,
+    ordinal_of,
+    random_lottery,
+    random_utility_consistent,
+    sd_comparable_pair,
+    v_from_bernoulli,
+)
 from alloclab.rules import DICTATORSHIP, Rule, built_in_family, rule_by_name
 
 from conftest import printed_witness, read_back
@@ -203,6 +214,59 @@ def test_lemma_report_bytes_are_pinned(lemma_id, rule_name):
     assert hashlib.sha256(report.encode()).hexdigest() == LEMMA_REPORT_SHA256[
         (lemma_id, rule_name)
     ]
+
+
+# sha256 of verify_lemma(lemma, rule, 200, 2024).to_json(): the benchmark's
+# lemma runs. rsd and L10 pass, so their reports pin the sampled counts;
+# utilitarian's failure witnesses, and the sampler stream below, pin the
+# drawn values and the order of the rng calls.
+SAMPLER_REPORT_SHA256 = {
+    ("L1_effectively_same", "rsd"):
+        "354198498611da4eabb76f696ae550301b7e317d624bafa4eaf179b37d8ae84b",
+    ("L2_middle_bump", "rsd"):
+        "2ee09e7074b10f0cb3229746a709a2d58bd0f2ed4cacf5bbdfef53604b77d6f9",
+    ("L4_top_or_bottom", "rsd"):
+        "c87d4d52a26d2ac068eb388e89bc0e39e383dd04006c61a11f21be146739d567",
+    ("L10_separating", None):
+        "c9cd20cd0797a5c7220e7b6e40b46e29d166affae1e7701365b1b0d513fa5407",
+    ("L2_middle_bump", "utilitarian"):
+        "0cf98d8318f7548176a65954098d7b4b3d055810894e901545afcc6aa2a68223",
+    ("L4_top_or_bottom", "utilitarian"):
+        "c63acaf411febeca1da2f84477014968e0e298d1e2d936bf933c2721115938de",
+}
+
+
+@pytest.mark.parametrize("lemma_id, rule_name", list(SAMPLER_REPORT_SHA256))
+def test_sampler_reports_are_pinned(lemma_id, rule_name):
+    rule = rule_by_name(rule_name) if rule_name else None
+    report = verify_lemma(lemma_id, rule, 200, 2024).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == SAMPLER_REPORT_SHA256[
+        (lemma_id, rule_name)
+    ]
+
+
+def _sampler_draws(seed: int) -> str:
+    """Every sampler's draws from one seeded stream, in report form."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(100):
+        order = rng.choice(all_orders(3))
+        utility = random_utility_consistent(order, rng)
+        draws.append([
+            utility,
+            harness._random_affine(utility, rng),
+            harness._random_member(order, rng, middle_rate(utility)),
+            harness._random_profile(rng),
+            random_lottery(3, rng),
+            *sd_comparable_pair(order, rng),
+        ])
+    return report_json({"draws": draws})
+
+
+def test_sampler_draws_are_pinned():
+    assert hashlib.sha256(_sampler_draws(2024).encode()).hexdigest() == (
+        "d3469cb3efa959b97ee08205b6055a4803b312029ce7032f844bf4841c0f0216"
+    )
 
 
 class TestTheoremStress:
