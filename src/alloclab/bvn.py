@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
-from .core import ONE, ZERO, AgentId, Allocation, Frozen, ObjectId
+from .core import ONE, AgentId, Allocation, Frozen, ObjectId
 
 
 class PermutationMatrix(Frozen):
@@ -31,10 +32,8 @@ class PermutationMatrix(Frozen):
 
     def to_allocation(self) -> Allocation:
         """The 0/1 matrix, with its entries over 1 as its integer form."""
-        picks, n = self.assignment, self.n
-        nums = tuple(tuple(int(obj == a) for a in range(n)) for obj in picks)
-        rows = tuple(tuple(ONE if x else ZERO for x in row) for row in nums)
-        return Allocation._trusted(rows, (1, nums))
+        n = self.n
+        return Allocation._over(1, [[int(obj == a) for a in range(n)] for obj in self.assignment])
 
 
 class Decomposition(Frozen):
@@ -97,13 +96,17 @@ def decompose(alloc: Allocation) -> Decomposition:
 
 
 def recompose(decomposition: Decomposition) -> Allocation:
-    """Weighted sum of permutation matrices; always bistochastic."""
-    n = decomposition.terms[0][1].n
-    grid = [[ZERO] * n for _ in range(n)]
-    for weight, perm in decomposition.terms:
+    """Weighted sum of permutation matrices; always bistochastic. Each entry
+    is its weights' numerators over their lcm denominator."""
+    terms = decomposition.terms
+    n = terms[0][1].n
+    den = lcm(*[weight.denominator for weight, _ in terms])
+    counts = [[0] * n for _ in range(n)]
+    for weight, perm in terms:
+        share = weight.numerator * (den // weight.denominator)
         for i, obj in enumerate(perm.assignment):
-            grid[i][obj] += weight
-    return Allocation._trusted(tuple(tuple(row) for row in grid))
+            counts[i][obj] += share
+    return Allocation._over(den, counts)
 
 
 def random_permutation(n: int, rng: random.Random) -> PermutationMatrix:
@@ -115,15 +118,18 @@ def random_permutation(n: int, rng: random.Random) -> PermutationMatrix:
 def random_bistochastic(n: int, rng: random.Random) -> Allocation:
     """Random rational bistochastic matrix: a convex combination of 1 to 2n
     random permutation matrices with integer weights from 1 to 59. Each entry
-    is its integer weight count divided once by the total weight; the
-    counts over the total are the allocation's integer form."""
+    is its integer weight count over the total weight, which is the
+    allocation's integer form. The permutations are drawn as
+    `random_permutation` draws them, without building one per draw."""
     count = rng.randrange(1, 2 * n + 1)
-    perms = [random_permutation(n, rng) for _ in range(count)]
+    orders = []
+    for _ in range(count):
+        order = list(range(n))
+        rng.shuffle(order)
+        orders.append(order)
     raw = [rng.randrange(1, 60) for _ in range(count)]
-    total = sum(raw)
     counts = [[0] * n for _ in range(n)]
-    for weight, perm in zip(raw, perms):
-        for i, obj in enumerate(perm.assignment):
+    for weight, order in zip(raw, orders):
+        for i, obj in enumerate(order):
             counts[i][obj] += weight
-    rows = tuple(tuple(Fraction(c, total) for c in r) for r in counts)
-    return Allocation._trusted(rows, (total, tuple(map(tuple, counts))))
+    return Allocation._over(sum(raw), counts)

@@ -50,7 +50,7 @@ from .core import (
     UtilityProfile,
     allocation_distance,
     expected_utility,
-    over_common_denominator,
+    forms_over_common_denominator,
     profile_with,
 )
 from .lp import find_dominating
@@ -269,14 +269,14 @@ def _manipulation(agent, others, cells, scaled, allocations) -> dict | None:
 
     Expected utilities are compared as integers: each truth's values over
     their common denominator (``scaled``) dotted with the block's distinct
-    rows over theirs. Both scales are positive and fixed for one truth, so
-    every comparison is the rational one; the witness's gap is computed in
-    `Fraction`s, only once a gain is found."""
-    own = [alloc.rows[agent] for alloc in allocations]
+    rows' integer forms over theirs. Both scales are positive and fixed for
+    one truth, so every comparison is the rational one; the witness's gap is
+    computed as a `Fraction` only once a gain is found."""
+    own = [alloc.row(agent) for alloc in allocations]
     distinct = {id(row): row for row in own}
     if len(distinct) == 1:
         return None
-    rows = over_common_denominator(list(distinct.values()))[1]
+    rows = forms_over_common_denominator(list(distinct.values()))[1]
     for t, values in enumerate(scaled):
         eus = dict(zip(distinct, [sum(map(mul, values, row)) for row in rows]))
         eu_true = eus[id(own[t])]
@@ -285,9 +285,7 @@ def _manipulation(agent, others, cells, scaled, allocations) -> dict | None:
         for d, row in enumerate(own):
             if eus[id(row)] > eu_true:
                 truth = cells[t]
-                gap = expected_utility(truth, allocations[d].row(agent)) - expected_utility(
-                    truth, allocations[t].row(agent)
-                )
+                gap = expected_utility(truth, row) - expected_utility(truth, own[t])
                 return {
                     "profile": profile_with(others, agent, truth),
                     "agent": agent,
@@ -309,13 +307,13 @@ def _bossiness(agent, others, cells, scaled, allocations) -> dict | None:
     a Fail's witness."""
     owners: dict[int, Allocation] = {}
     for alloc in dict(zip(map(id, allocations), allocations)).values():
-        if owners.setdefault(id(alloc.rows[agent]), alloc) is not alloc:
+        if owners.setdefault(id(alloc.row(agent)), alloc) is not alloc:
             break
     else:
         return None
     first: dict[int, int] = {}
     for d, alloc in enumerate(allocations):
-        t = first.setdefault(id(alloc.rows[agent]), d)
+        t = first.setdefault(id(alloc.row(agent)), d)
         if allocations[t] is not alloc:
             return {
                 "profile": profile_with(others, agent, cells[t]),
@@ -463,15 +461,18 @@ def check_ncc_continuity(
     tau = config.continuity_gap_tau
     delta = config.continuity_interval_delta
     cache: dict[Fraction, Allocation] = {}
+    # The endpoints over one denominator: alpha = a/b moves to
+    # ((b - a) * start + a * end) / (b * den), which keeps the cone's strict
+    # ranking, so it is built trusted with that ranking.
+    den, (start, end) = forms_over_common_denominator(endpoints)
+    order = ordinal_of(end0)
 
     def alloc_at(alpha: Fraction) -> Allocation:
         alloc = cache.get(alpha)
         if alloc is None:
-            moving = BernoulliUtility(
-                tuple(
-                    alpha * v1 + (ONE - alpha) * v0
-                    for v0, v1 in zip(end0.values, end1.values)
-                )
+            a, b = alpha.numerator, alpha.denominator
+            moving = BernoulliUtility._trusted(
+                b * den, tuple([(b - a) * x + a * y for x, y in zip(start, end)]), order
             )
             alloc = rule.allocate(profile_with(others, agent, moving))
             cache[alpha] = alloc

@@ -8,9 +8,10 @@ integer form, `den > 0` and `nums`, where entry k is `nums[k] / den` (not
 necessarily in lowest terms); the kernels (`expected_utility`, the rankings,
 stochastic dominance) read it. Their public `probs` and `values` are the
 same entries as `fractions.Fraction` tuples, built on first read when a
-builder passed only the integers. An allocation's `rows` are `Fraction`
-tuples; a builder that holds integer counts over one total passes them along
-(`Allocation._trusted(rows, form)`), and each `row` lottery reads them.
+builder passed only the integers. An allocation is its row lotteries, so
+it holds the same integer form row by row: a builder that holds integer
+counts over one total passes only them (`Allocation._over(den, nums)`), and
+its `rows` are `Fraction` tuples built on first read.
 """
 
 from __future__ import annotations
@@ -201,24 +202,34 @@ def degenerate_lottery(obj: ObjectId, m: int) -> Lottery:
 
 
 class Allocation(Frozen):
-    """Bistochastic matrix: rows are agents, columns are objects. `_form`
-    is None, or `(den, nums)` with entry (i, a) equal to nums[i][a] / den,
-    when the builder held those integers."""
+    """Bistochastic matrix: rows are agents, columns are objects. Row i is
+    the lottery `row(i)`, which holds its entries in integer form; `rows`
+    holds them as `Fraction` tuples, built on first read when a builder
+    passed only integers."""
 
-    __slots__ = ("rows", "_form")
+    __slots__ = ("_lotteries", "rows")
 
     def __init__(self, rows: tuple[tuple[Fraction, ...], ...]):
-        self._set(rows, None)
+        object.__setattr__(self, "rows", rows)
         self.__post_init__()
+        object.__setattr__(self, "_lotteries", tuple(
+            [Lottery._trusted(row, *_integer_form(row)) for row in rows]
+        ))
+
+    # `_trusted(lotteries)` (from `Frozen`): only for rows valid by construction.
 
     @classmethod
-    def _trusted(cls, rows: tuple[tuple[Fraction, ...], ...],
-                 form: tuple[int, tuple[tuple[int, ...], ...]] | None = None) -> Allocation:
-        """Only for rows valid by construction, and `form` their integer form."""
-        self = object.__new__(cls)
+    def _over(cls, den: int, nums: Sequence[Sequence[int]]) -> Allocation:
+        """Only for entries valid by construction: entry (i, a) is
+        nums[i][a] / den, with den > 0 and not necessarily in lowest terms."""
+        return cls._trusted(tuple([Lottery._trusted(den=den, nums=tuple(row)) for row in nums]))
+
+    def __getattr__(self, name):  # reached only for `rows` not yet built
+        if name != "rows":
+            raise AttributeError(name)
+        rows = tuple([lottery.probs for lottery in self._lotteries])
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_form", form)
-        return self
+        return rows
 
     def _fields(self) -> tuple:
         return (self.rows,)
@@ -240,20 +251,17 @@ class Allocation(Frozen):
                 raise ColumnSumNotOne(f"column {a} sums to {total}, not 1")
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.rows == other.rows
+        return type(other) is type(self) and self._lotteries == other._lotteries
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(self._lotteries)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self._lotteries)
 
     def row(self, agent: AgentId) -> Lottery:
-        form = self._form
-        if form is None:
-            return Lottery._trusted(self.rows[agent])
-        return Lottery._trusted(self.rows[agent], form[0], form[1][agent])
+        return self._lotteries[agent]
 
 
 def make_allocation(grid: Sequence[Sequence[int | Fraction | str]]) -> Allocation:
@@ -264,34 +272,30 @@ def make_allocation(grid: Sequence[Sequence[int | Fraction | str]]) -> Allocatio
 def uniform_allocation(n: int) -> Allocation:
     if n < 1:
         raise DimensionMismatch(f"an allocation needs at least one agent, got {n}")
-    return Allocation._trusted(((Fraction(1, n),) * n,) * n, (n, ((1,) * n,) * n))
+    return Allocation._trusted((Lottery._trusted(den=n, nums=(1,) * n),) * n)
 
 
 def mix_allocations(first: Allocation, second: Allocation, weight: Fraction) -> Allocation:
     """Entrywise convex combination; bistochasticity is preserved.
 
-    With weight a/b, each entry w*p + (1-w)*q is built as the one fraction
-    (a*p.num*q.den + (b-a)*q.num*p.den) / (b*p.den*q.den) from integer
-    numerators and denominators, which `Fraction` reduces once, instead of
-    two products and a sum that each reduce; the value is the same."""
+    With weight a/b, row i's entries w*p + (1-w)*q are the integers
+    a*p' + (b-a)*q' over b*d, where d is the lcm of the two rows'
+    denominators and p', q' their numerators scaled to it."""
     if first.n != second.n:
         raise DimensionMismatch("allocations differ in size")
     if not ZERO <= weight <= ONE:
         raise NegativeEntry(f"mix weight {weight} outside [0, 1]")
     a, b = weight.numerator, weight.denominator
     co = b - a
-    return Allocation._trusted(
-        tuple(
-            tuple(
-                Fraction(
-                    a * p.numerator * q.denominator + co * q.numerator * p.denominator,
-                    b * p.denominator * q.denominator,
-                )
-                for p, q in zip(row_p, row_q)
-            )
-            for row_p, row_q in zip(first.rows, second.rows)
-        )
-    )
+    rows = []
+    for p, q in zip(first._lotteries, second._lotteries):
+        dp, dq = p.den, q.den
+        den = lcm(dp, dq)
+        sp, sq = a * (den // dp), co * (den // dq)
+        rows.append(Lottery._trusted(
+            den=b * den, nums=tuple([sp * x + sq * y for x, y in zip(p.nums, q.nums)])
+        ))
+    return Allocation._trusted(tuple(rows))
 
 
 def over_common_denominator(
@@ -305,14 +309,22 @@ def over_common_denominator(
     return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
+def forms_over_common_denominator(forms: Sequence) -> tuple[int, list[list[int]]]:
+    """`over_common_denominator` read off integer forms (lotteries or
+    utilities): the lcm of their `den`s, and each form's `nums` scaled to it."""
+    scale = lcm(*[form.den for form in forms])
+    return scale, [[x * (scale // form.den) for x in form.nums] for form in forms]
+
+
 def allocation_distance(first: Allocation, second: Allocation) -> Fraction:
-    """Maximum absolute entry difference, exact."""
+    """Maximum absolute entry difference, exact: one integer maximum over
+    the rows' common denominator."""
     if first.n != second.n:
         raise DimensionMismatch("allocations differ in size")
-    return max(
-        abs(p - q)
-        for row_p, row_q in zip(first.rows, second.rows)
-        for p, q in zip(row_p, row_q)
+    scale, scaled = forms_over_common_denominator(first._lotteries + second._lotteries)
+    n = first.n
+    return Fraction(
+        max([abs(x - y) for p, q in zip(scaled[:n], scaled[n:]) for x, y in zip(p, q)]), scale
     )
 
 

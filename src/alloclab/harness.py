@@ -23,6 +23,7 @@ from fractions import Fraction
 from .core import (
     BernoulliUtility,
     Fields,
+    Lottery,
     UtilityProfile,
     expected_utility,
     support,
@@ -155,10 +156,11 @@ def _random_profile(rng: random.Random) -> UtilityProfile:
     return tuple(_random_member(_random_order(rng), rng) for _ in range(3))
 
 
-def _own_segments(share: tuple[Fraction, ...], order: OrdinalPreference) -> bool:
+def _own_segments(share: Lottery, order: OrdinalPreference) -> bool:
     """Membership in [best, mid] union [mid, worst] of the agent's order."""
     best, mid, worst = order.ranking
-    return share[best] + share[mid] == 1 or share[mid] + share[worst] == 1
+    nums, den = share.nums, share.den
+    return nums[best] + nums[mid] == den or nums[mid] + nums[worst] == den
 
 
 def verify_lemma(
@@ -223,12 +225,12 @@ def _fresh_member(utility: BernoulliUtility, order: OrdinalPreference, rng: rand
     return _random_member(order, rng)
 
 
-def _top_or_bottom(share: tuple[Fraction, ...], order: OrdinalPreference) -> bool:
-    return share[order.best] == 1 or share[order.worst] == 1
+def _top_or_bottom(share: Lottery, order: OrdinalPreference) -> bool:
+    return share.den in (share.nums[order.best], share.nums[order.worst])
 
 
-def _support_two(share: tuple[Fraction, ...], order: OrdinalPreference) -> bool:
-    return len([p for p in share if p > 0]) <= 2
+def _support_two(share: Lottery, order: OrdinalPreference) -> bool:
+    return len(support(share)) <= 2
 
 
 def _one_agent_check(hypothesis, perturb, whole: bool, key: str = "replacement"):
@@ -243,11 +245,11 @@ def _one_agent_check(hypothesis, perturb, whole: bool, key: str = "replacement")
         agent = rng.randrange(3)
         order = ordinal_of(profile[agent])
         base = rule.allocate(profile)
-        if hypothesis and not hypothesis(base.rows[agent], order):
+        if hypothesis and not hypothesis(base.row(agent), order):
             return _REJECTED
         replacement = perturb(profile[agent], order, rng)
         after = rule.allocate(profile[:agent] + (replacement,) + profile[agent + 1 :])
-        if (after == base) if whole else (after.rows[agent] == base.rows[agent]):
+        if (after == base) if whole else (after.row(agent) == base.row(agent)):
             return None
         witness = {"profile": profile, "agent": agent, key: replacement}
         if whole:
@@ -278,9 +280,9 @@ def _same_order_pair_check(draw_j, replaced: int):
         profile = tuple(parts)
         alloc = rule.allocate(profile)
         mid = order.ranking[1]
-        if alloc.rows[i][mid] + alloc.rows[j][mid] == 0:
+        if alloc.row(i).nums[mid] + alloc.row(j).nums[mid] == 0:
             return _REJECTED
-        holds = _own_segments(alloc.rows[i], order) and _own_segments(alloc.rows[j], order)
+        holds = _own_segments(alloc.row(i), order) and _own_segments(alloc.row(j), order)
         if replaced:
             replacements = [_random_member(order, rng) for _ in range(replaced)]
             for agent, utility in zip((i, j), replacements):

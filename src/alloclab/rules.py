@@ -19,6 +19,8 @@ deviation block per class of ranking profiles.
 
 Rule outputs are canonical (`_canonical`): equal outputs are one object,
 and so are equal rows, so the checkers compare outputs and rows by identity.
+A row is interned on its integer form in lowest terms, so building one
+hashes integers, never `Fraction`s.
 Every block entry is the very object `Rule.allocate` returns for its
 profile. A blend mixes once per pair of its parts' outputs.
 """
@@ -29,6 +31,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import gcd
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .core import (
@@ -36,9 +39,10 @@ from .core import (
     ZERO,
     Allocation,
     Frozen,
+    Lottery,
     UtilityProfile,
+    forms_over_common_denominator,
     mix_allocations,
-    over_common_denominator,
     parse_fraction,
     profile_with,
     uniform_allocation,
@@ -53,23 +57,37 @@ class AlphaOutOfRange(ValueError):
     """Blend weight must lie in [0, 1]."""
 
 
-# Canonical outputs, never freed, so their ids stay unique: row value -> row,
-# row ids -> allocation, and the ids of the canonical allocations.
-_ROWS: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
+# Canonical outputs, never freed, so their ids stay unique: a row's integer
+# form in lowest terms -> its row lottery, row ids -> allocation, and the
+# ids of the canonical allocations.
+_ROWS: dict[tuple[int, tuple[int, ...]], Lottery] = {}
 _ALLOCATIONS: dict[tuple[int, ...], Allocation] = {}
 _CANONICAL: set[int] = set()
 
 
 def _canonical(alloc: Allocation) -> Allocation:
-    """The one allocation equal to `alloc`, built of the one row object of
+    """The one allocation equal to `alloc`, built of the one row lottery of
     each row value: equal outputs, and equal rows, are identical."""
     if id(alloc) in _CANONICAL:
         return alloc
-    rows = tuple([_ROWS.setdefault(row, row) for row in alloc.rows])
+    rows = tuple([_canonical_row(row) for row in alloc._lotteries])
     found = _ALLOCATIONS.get(key := tuple(map(id, rows)))
     if found is None:
-        found = _ALLOCATIONS[key] = Allocation._trusted(rows, alloc._form)
+        found = _ALLOCATIONS[key] = Allocation._trusted(rows)
         _CANONICAL.add(id(found))
+    return found
+
+
+def _canonical_row(row: Lottery) -> Lottery:
+    """The one row lottery with `row`'s entries, keyed on its integer form
+    in lowest terms, whose numerators it shares."""
+    den, nums = row.den, row.nums
+    common = gcd(den, *nums)
+    if common > 1:
+        den, nums = den // common, tuple([x // common for x in nums])
+    found = _ROWS.get(key := (den, nums))
+    if found is None:
+        found = _ROWS[key] = row if common == 1 else Lottery._trusted(den=den, nums=nums)
     return found
 
 
@@ -186,29 +204,42 @@ def _rsd(rankings: Rankings) -> Allocation:
         total += 1
         for agent, obj in enumerate(_dictatorship_picks(rankings, priority)):
             counts[agent][obj] += 1
-    rows = tuple(tuple(Fraction(c, total) for c in r) for r in counts)
-    return _canonical(Allocation._trusted(rows, (total, tuple(map(tuple, counts)))))
+    return _canonical(Allocation._over(total, counts))
 
 
 def _ps(rankings: Rankings) -> Allocation:
-    """Simultaneous eating at unit speed with exact rational breakpoints."""
+    """Simultaneous eating at unit speed with exact rational breakpoints,
+    on integers: every share and every remaining amount is an integer over
+    one common denominator `den`. Each round, the object that runs out first
+    (the least remaining / eaters) sets the step, remaining / eaters in
+    lowest terms, and `den` grows by that step's denominator."""
     n = len(rankings)
-    remaining = [ONE] * n
-    shares = [[ZERO] * n for _ in range(n)]
+    den = 1
+    remaining = [1] * n
+    shares = [[0] * n for _ in range(n)]
     while any(remaining):
         targets = [
-            next(obj for obj in rankings[agent] if remaining[obj] > 0)
-            for agent in range(n)
+            next(obj for obj in rankings[agent] if remaining[obj]) for agent in range(n)
         ]
         eaters = [0] * n
         for obj in targets:
             eaters[obj] += 1
-        step = min(remaining[obj] / eaters[obj] for obj in set(targets))
+        eaten = set(targets)
+        first = min(eaten)
+        for obj in eaten:
+            if remaining[obj] * eaters[first] < remaining[first] * eaters[obj]:
+                first = obj
+        common = gcd(remaining[first], eaters[first])
+        step, scale = remaining[first] // common, eaters[first] // common
+        if scale > 1:
+            den *= scale
+            remaining = [r * scale for r in remaining]
+            shares = [[s * scale for s in row] for row in shares]
         for agent, obj in enumerate(targets):
             shares[agent][obj] += step
-        for obj in set(targets):
+        for obj in eaten:
             remaining[obj] -= step * eaters[obj]
-    return _canonical(Allocation._trusted(tuple(tuple(row) for row in shares)))
+    return _canonical(Allocation._over(den, shares))
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +304,7 @@ def _utilitarian_blocks(cells: Sequence[NormalizedUtility]) -> Block:
     three and takes the maximum."""
     perms = list(itertools.permutations(range(3)))
     outputs = [_permutation_allocation(picks) for picks in perms]
-    _, scaled = over_common_denominator([canonicalize(cell).values for cell in cells])
+    _, scaled = forms_over_common_denominator([canonicalize(cell) for cell in cells])
 
     def block(agent: int, i: int, j: int) -> list[Allocation]:
         first, second = [k for k in range(3) if k != agent]

@@ -838,3 +838,30 @@ def test_import_loads_no_dataclass_machinery():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout == "[]\n"
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    """Rule outputs are interned on ids and integer tuples, and a blend's
+    mix table is keyed on ids: a stress run and a grid scan print the same
+    bytes, `elapsed_ms` aside, under two hash seeds."""
+    commands = [
+        ["stress", "--grid", "1/4,3/4", "--seed", "766930",
+         "--tau", "1/1000000", "--delta", "1/1000000000"],
+        ["check", "--rule", "ps", "--axiom", "non-bossiness", "--grid", "1/10,2/5,3/5,9/10"],
+    ]
+    runs = {}
+    for hash_seed in ("0", "4242"):
+        env = {**_source_env(), "PYTHONHASHSEED": hash_seed}
+        for argv in commands:
+            runs[hash_seed, argv[0]] = subprocess.Popen(
+                [sys.executable, "-m", "alloclab.cli", *argv],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+    printed = {}
+    for key, run in runs.items():
+        out, err = run.communicate()
+        assert run.returncode == 0 and err == ""
+        printed[key] = re.sub(r'\n *"elapsed_ms": \d+,?', "", out)
+    for argv in commands:
+        assert printed["0", argv[0]] == printed["4242", argv[0]]
+    assert '"status": "Pass"' in printed["0", "check"]

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -18,14 +19,19 @@ from alloclab import (
     TiesPresent,
     Allocation,
     CheckConfig,
+    DICTATORSHIP,
     Lottery,
     OrdinalPreference,
+    PS,
     PermutationMatrix,
     RSD,
     Rule,
+    UTILITARIAN,
     allocation_distance,
     decompose,
     expected_utility,
+    maximize,
+    recompose,
     make_allocation,
     make_lottery,
     make_profile,
@@ -49,7 +55,14 @@ from alloclab.ordinal import (
     sd_comparable_pair,
 )
 
-from conftest import lotteries, unit_fractions, utilities
+from conftest import (
+    best_assignments,
+    lotteries,
+    perm_matrix_rows,
+    rsd_oracle,
+    unit_fractions,
+    utilities,
+)
 
 
 class TestLottery:
@@ -244,7 +257,7 @@ class TestValueTypes:
         rows = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
         Allocation(rows)
         make_allocation([[0, 1], [1, 0]])
-        Allocation._trusted(rows)
+        Allocation._over(1, ((1, 0), (0, 1)))
         rule = Rule("twin", RSD.key, RSD.compute)
         assert calls == ["Allocation", "Allocation", "Rule"]
         allocate = RSD.allocate
@@ -352,7 +365,7 @@ class TestIntegerForm:
         for _ in range(100):
             alloc = random_bistochastic(3, rng)
             for i, u in enumerate(profile):
-                assert alloc.row(i).den is alloc._form[0]
+                assert alloc.row(i).den == alloc.row(0).den  # the counts' one total
                 assert expected_utility(u, alloc.row(i)) == _plain_expected_utility(
                     u.values, alloc.rows[i]
                 )
@@ -434,17 +447,15 @@ class TestIntegerForm:
         allocations += [uniform_allocation(n) for n in range(1, 6)]
         allocations += [PermutationMatrix(picks).to_allocation()
                         for n in (1, 3, 4) for picks in itertools.permutations(range(n))]
-        assert all(alloc._form is not None for alloc in allocations)
-        # An rsd output keeps its form unless an equal output of another
-        # rule was made canonical first.
+        assert not any(map(_rows_built, allocations))
+        # A canonical rsd row is its counts over 3! in lowest terms.
         outputs = {id(alloc): alloc for alloc in map(RSD.allocate, _grid_profiles())}
-        formed = [alloc for alloc in outputs.values() if alloc._form is not None]
-        assert any(alloc._form[0] == 6 for alloc in formed)  # rsd's counts over 3!
-        allocations += formed
+        rows = {id(row): row for alloc in outputs.values() for row in alloc._lotteries}
+        assert {row.den for row in rows.values()} == {1, 2, 3, 6}
+        assert all(math.gcd(row.den, *row.nums) == 1 for row in rows.values())
+        allocations += outputs.values()
         for alloc in allocations:
-            den, nums = alloc._form
             for i, row in enumerate(alloc.rows):
-                assert _entries(den, nums[i]) == row
                 lottery = alloc.row(i)
                 assert _entries(lottery.den, lottery.nums) == lottery.probs == row
                 assert lottery == Lottery(row) and hash(lottery) == hash(Lottery(row))
@@ -471,6 +482,208 @@ class TestIntegerForm:
         lottery = random_lottery(3, rng)
         assert len({lottery, make_lottery(lottery.probs)}) == 1
 
+
+    def test_allocation_builders_match_the_fraction_reference(self):
+        """Each builder's rows, built on first read where it passed only
+        integers, against the same entries computed in `Fraction`s; every
+        row lottery holds them."""
+        rng = random.Random(26)
+        built = []
+        for profile in _grid_profiles() + _random_profiles(rng, 40):
+            canonical = tuple(canonicalize(u) for u in profile)
+            built += [
+                (RSD.allocate(profile), rsd_oracle(profile)),
+                (PS.allocate(profile), _ps_reference(profile)),
+                (DICTATORSHIP.allocate(profile), perm_matrix_rows(_serial_picks(profile))),
+                (UTILITARIAN.allocate(profile),
+                 min(perm_matrix_rows(p) for p in best_assignments(canonical))),
+            ]
+        for rankings in itertools.islice(itertools.product(all_orders(4), repeat=4), 0, None, 331):
+            profile = tuple(_utility_from_ranking(order) for order in rankings)
+            built.append((PS.allocate(profile), _ps_reference(profile)))
+        built += [(uniform_allocation(n), ((Fraction(1, n),) * n,) * n) for n in range(1, 6)]
+        for _ in range(100):
+            n = rng.randrange(1, 6)
+            twin = _replay(rng)
+            drawn = random_bistochastic(n, rng)
+            assert not _rows_built(drawn)
+            built.append((drawn, _bistochastic_reference(n, twin)))
+            rebuilt = recompose(decompose(drawn))
+            assert not _rows_built(rebuilt)
+            built.append((rebuilt, _recompose_reference(decompose(drawn))))
+        outputs = [alloc for alloc, _ in built if alloc.n == 3]
+        weights = [Fraction(0), Fraction(1)] + [
+            Fraction(rng.randrange(0, d + 1), d) for d in (rng.randrange(1, 40) for _ in range(198))
+        ]
+        for weight in weights:
+            first, second = rng.choice(outputs), rng.choice(outputs)
+            mixed = mix_allocations(first, second, weight)
+            assert not _rows_built(mixed)
+            built.append((mixed, tuple(
+                tuple(weight * p + (1 - weight) * q for p, q in zip(row_p, row_q))
+                for row_p, row_q in zip(first.rows, second.rows)
+            )))
+        for _ in range(40):
+            objective = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(3)]
+                         for _ in range(3)]
+            argmax = maximize(tuple(map(tuple, objective)))[1]
+            built.append((argmax, tuple(map(tuple, Allocation(argmax.rows).rows))))
+            grid = [[str(p) for p in row] for row in random_bistochastic(3, rng).rows]
+            built.append((make_allocation(grid), tuple(tuple(map(parse_fraction, r)) for r in grid)))
+        for alloc, reference in built:
+            assert alloc.rows == reference
+            assert all(type(p) is Fraction for row in alloc.rows for p in row)
+            for i, row in enumerate(reference):
+                lottery = alloc.row(i)
+                assert _entries(lottery.den, lottery.nums) == row == lottery.probs
+                assert lottery == Lottery(row) and hash(lottery) == hash(Lottery(row))
+
+    def test_allocation_distance_matches_the_fraction_formula(self):
+        rng = random.Random(27)
+        pool = [random_bistochastic(3, rng) for _ in range(30)]
+        pool += [RSD.allocate(p) for p in _random_profiles(rng, 20)]
+        pool += [PS.allocate(p) for p in _random_profiles(rng, 20)]
+        pool += [mix_allocations(rng.choice(pool), rng.choice(pool), Fraction(rng.randrange(0, 8), 7))
+                 for _ in range(30)]
+        for _ in range(300):
+            first, second = rng.choice(pool), rng.choice(pool)
+            got = allocation_distance(first, second)
+            assert type(got) is Fraction
+            assert got == max(
+                abs(p - q) for row_p, row_q in zip(first.rows, second.rows)
+                for p, q in zip(row_p, row_q)
+            )
+        assert allocation_distance(pool[0], pool[0]) == 0
+
+    def test_form_only_and_validated_allocations_agree(self):
+        """Equality and hash agree between an allocation built from integers
+        and the validated one with the same entries, whichever is read first."""
+        rng = random.Random(28)
+        for _ in range(100):
+            n = rng.randrange(1, 5)
+            twin = _replay(rng)
+            drawn = random_bistochastic(n, rng)
+            validated = make_allocation(_bistochastic_reference(n, twin))
+            assert drawn == validated and validated == drawn
+            assert hash(drawn) == hash(validated)
+            assert len({drawn, validated}) == 1 and not _rows_built(drawn)
+            other = random_bistochastic(n, rng)
+            assert (other == drawn) == (other.rows == validated.rows)
+        assert uniform_allocation(3) != make_allocation([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert uniform_allocation(2) != uniform_allocation(3)
+
+    def test_unreduced_forms_intern_to_one_output(self):
+        """An output is interned on its rows in lowest terms: the same rows
+        scaled by any factors, row by row, are the same canonical object
+        and are built of the same row objects."""
+        rng = random.Random(29)
+        for _ in range(60):
+            alloc = random_bistochastic(3, rng)
+            canonical = rules._canonical(alloc)
+            scaled = Allocation._trusted(tuple(
+                Lottery._trusted(den=row.den * k, nums=tuple(x * k for x in row.nums))
+                for row, k in zip(alloc._lotteries, (rng.randrange(1, 9) for _ in range(3)))
+            ))
+            twins = [rules._canonical(scaled), rules._canonical(make_allocation(alloc.rows))]
+            for twin in twins:
+                assert twin is canonical
+            unreduced = Allocation._over(alloc.row(0).den * 6, [
+                [x * 6 for x in alloc.row(i).nums] for i in range(3)
+            ])
+            other = rules._canonical(mix_allocations(unreduced, alloc, Fraction(1, 2)))
+            assert other is canonical
+            for i in range(3):
+                assert other.row(i) is canonical.row(i) and other.rows[i] is canonical.rows[i]
+                row = canonical.row(i)
+                assert math.gcd(row.den, *row.nums) == 1
+
+    def test_form_only_allocations_survive_pickle_and_copy(self):
+        rng = random.Random(30)
+        drawn = random_bistochastic(4, rng)
+        values = [
+            drawn,
+            mix_allocations(drawn, uniform_allocation(4), Fraction(2, 7)),
+            uniform_allocation(3),
+            PS.allocate(_grid_profiles()[5]),
+        ]
+        for value in values:
+            for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+                assert twin == value and hash(twin) == hash(value)
+                assert twin.rows == value.rows
+                assert [twin.row(i) for i in range(twin.n)] == [value.row(i) for i in range(value.n)]
+
+
+def _rows_built(alloc: Allocation) -> bool:
+    try:
+        Allocation.rows.__get__(alloc)
+    except AttributeError:
+        return False
+    return True
+
+
+def _random_profiles(rng: random.Random, count: int):
+    orders = all_orders(3)
+    return [
+        tuple(random_utility_consistent(rng.choice(orders), rng) for _ in range(3))
+        for _ in range(count)
+    ]
+
+
+def _utility_from_ranking(order: OrdinalPreference) -> BernoulliUtility:
+    """A utility with ranking `order`: m - 1 for the best object down to 0."""
+    values = [0] * order.m
+    for level, obj in enumerate(reversed(order.ranking)):
+        values[obj] = level
+    return make_utility(values)
+
+
+def _ps_reference(profile):
+    """Simultaneous eating in `Fraction`s."""
+    n = len(profile)
+    rankings = [sorted(range(n), key=lambda a: u.values[a], reverse=True) for u in profile]
+    remaining = [Fraction(1)] * n
+    shares = [[Fraction(0)] * n for _ in range(n)]
+    while any(remaining):
+        targets = [next(a for a in ranking if remaining[a] > 0) for ranking in rankings]
+        eaters = {a: targets.count(a) for a in targets}
+        step = min(remaining[a] / count for a, count in eaters.items())
+        for agent, obj in enumerate(targets):
+            shares[agent][obj] += step
+        for obj, count in eaters.items():
+            remaining[obj] -= step * count
+    return tuple(map(tuple, shares))
+
+
+def _serial_picks(profile) -> tuple[int, ...]:
+    taken: list[int] = []
+    for u in profile:
+        taken.append(max((a for a in range(len(profile)) if a not in taken), key=u.values.__getitem__))
+    return tuple(taken)
+
+
+def _bistochastic_reference(n: int, rng: random.Random):
+    """`random_bistochastic`'s entries from the same draws, in `Fraction`s."""
+    count = rng.randrange(1, 2 * n + 1)
+    perms = []
+    for _ in range(count):
+        order = list(range(n))
+        rng.shuffle(order)
+        perms.append(order)
+    weights = [rng.randrange(1, 60) for _ in range(count)]
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    for weight, perm in zip(weights, perms):
+        for i, obj in enumerate(perm):
+            grid[i][obj] += Fraction(weight, sum(weights))
+    return tuple(map(tuple, grid))
+
+
+def _recompose_reference(decomposition):
+    n = decomposition.terms[0][1].n
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    for weight, perm in decomposition.terms:
+        for i, obj in enumerate(perm.assignment):
+            grid[i][obj] += weight
+    return tuple(map(tuple, grid))
 
 def _grid_profiles():
     cells = [utility_from(order, Fraction(1, 2)) for order in all_orders(3)]
