@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from .core import ONE, AgentId, Allocation, Frozen, ObjectId
+from .core import ONE, AgentId, Allocation, Frozen, ObjectId, forms_over_common_denominator
 
 
 class PermutationMatrix(Frozen):
@@ -54,7 +54,7 @@ class Decomposition(Frozen):
         return {"terms": [{"weight": w, "perm": p.assignment} for w, p in self.terms]}
 
 
-def _find_matching(rows: list[list[Fraction]]) -> tuple[ObjectId, ...]:
+def _find_matching(rows: list[list[int]]) -> tuple[ObjectId, ...]:
     """Perfect matching on the positivity pattern, trying agents and objects
     in ascending index order so the result is reproducible."""
     n = len(rows)
@@ -81,16 +81,18 @@ def _find_matching(rows: list[list[Fraction]]) -> tuple[ObjectId, ...]:
 
 def decompose(alloc: Allocation) -> Decomposition:
     """Express a bistochastic allocation as an exact lottery over
-    permutation matrices; recompose(result) equals the input bit-for-bit."""
-    remaining = [list(row) for row in alloc.rows]
-    budget = ONE
+    permutation matrices; recompose(result) equals the input bit-for-bit.
+    The peeling runs on the entries' numerators over the rows' common
+    denominator, which each weight is a numerator over."""
+    den, remaining = forms_over_common_denominator(alloc._lotteries)
+    budget = den
     terms: list[tuple[Fraction, PermutationMatrix]] = []
     while budget > 0:
         assignment = _find_matching(remaining)
         weight = min(remaining[i][assignment[i]] for i in range(alloc.n))
         for i, obj in enumerate(assignment):
             remaining[i][obj] -= weight
-        terms.append((weight, PermutationMatrix(assignment)))
+        terms.append((Fraction(weight, den), PermutationMatrix(assignment)))
         budget -= weight
     return Decomposition(tuple(terms))
 
@@ -109,18 +111,12 @@ def recompose(decomposition: Decomposition) -> Allocation:
     return Allocation._over(den, counts)
 
 
-def random_permutation(n: int, rng: random.Random) -> PermutationMatrix:
-    order = list(range(n))
-    rng.shuffle(order)
-    return PermutationMatrix(tuple(order))
-
-
 def random_bistochastic(n: int, rng: random.Random) -> Allocation:
     """Random rational bistochastic matrix: a convex combination of 1 to 2n
     random permutation matrices with integer weights from 1 to 59. Each entry
     is its integer weight count over the total weight, which is the
-    allocation's integer form. The permutations are drawn as
-    `random_permutation` draws them, without building one per draw."""
+    allocation's integer form. Each permutation is one `rng.shuffle` of
+    range(n), with no `PermutationMatrix` built per draw."""
     count = rng.randrange(1, 2 * n + 1)
     orders = []
     for _ in range(count):

@@ -14,10 +14,11 @@ blocks (`_scan_blocks`), each with its own judge of a block: one agent,
 fixed reports of the other two, and every grid cell for the agent. A scan
 takes a block's allocations whole from the rule's block allocator
 (`Rule.blocks`), at most once per grid profile, though up to three blocks
-hold it; it builds no profile to allocate. Rule outputs are canonical (`rules._canonical`), so the judges compare
-outputs and own rows by identity. For a rule that reads only rankings
-(`Rule.reads_only_rankings`), all blocks with the same agent and the same
-orders of the others hold the same allocations, so they share one verdict.
+hold it; it builds no profile to allocate. Rule outputs are canonical
+(`rules._canonical`), so the judges compare outputs and own rows by
+identity. For a rule that reads only rankings (`Rule.reads_only_rankings`),
+all blocks with the same agent and the same orders of the others hold the
+same allocations, so they share one verdict.
 Such a rule is scanned one block per class, the class's first block in
 canonical order (both others at the first grid rate). The full sweep's
 first failing block is the first block of the first failing class, so a

@@ -3,22 +3,23 @@ allocations, Bernoulli utilities, and expected utility.
 
 Every probability and utility is an exact rational, never a float, so every
 comparison made downstream (domination, strategy-proofness, stochastic
-dominance) is bit-exact. A lottery and a utility hold their entries in one
-integer form, `den > 0` and `nums`, where entry k is `nums[k] / den` (not
-necessarily in lowest terms); the kernels (`expected_utility`, the rankings,
-stochastic dominance) read it. Their public `probs` and `values` are the
-same entries as `fractions.Fraction` tuples, built on first read when a
-builder passed only the integers. An allocation is its row lotteries, so
-it holds the same integer form row by row: a builder that holds integer
-counts over one total passes only them (`Allocation._over(den, nums)`), and
-its `rows` are `Fraction` tuples built on first read.
+dominance) is bit-exact. A lottery and a utility store their entries in one
+integer form and nothing else: `den > 0` and `nums`, where entry k is
+`nums[k] / den` (not necessarily in lowest terms). The kernels read it, and
+two forms hold the same entries iff their `lowest_terms` are equal, which
+equality, hashes and interning key on. An allocation stores its row
+lotteries; a builder that holds integer counts over one total passes only
+them (`Allocation._over(den, nums)`). The validating constructors take
+`Fraction`s and check the integer form they compute. The public `probs`,
+`values` and `rows` are read-only `fractions.Fraction` tuples built on each
+read, for reports, witnesses and outside callers.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -78,11 +79,20 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(int(numerator), int(denominator or 1))
 
 
-def _integer_form(values: Sequence[int | Fraction]) -> tuple[int, tuple[int, ...]]:
-    """`(den, nums)` with entry k equal to nums[k] / den: den is the lcm of
-    the entries' denominators."""
-    den = lcm(*[x.denominator for x in values])
-    return den, tuple([x.numerator * (den // x.denominator) for x in values])
+def lowest_terms(den: int, nums: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The integer form `(den, nums)` divided by the gcd of den and nums, or
+    the form itself when that is 1. Two forms hold the same entries iff their
+    lowest terms are equal."""
+    common = gcd(den, *nums)
+    if common == 1:
+        return den, nums
+    return den // common, tuple([x // common for x in nums])
+
+
+def _entries(form) -> tuple[Fraction, ...]:
+    """A lottery's or a utility's entries as `Fraction`s."""
+    den = form.den
+    return tuple([Fraction(x, den) for x in form.nums])
 
 
 def object_label(index: ObjectId) -> str:
@@ -130,63 +140,47 @@ class Frozen(Fields):
 
 class Lottery(Frozen):
     """Probability vector over objects; one agent's random assignment.
-    Entry k is ``probs[k]``, equally ``nums[k] / den``; a trusted build sets
-    one of the two forms, and the other is built on first read."""
+    Entry k is ``nums[k] / den``; ``probs`` spells the entries out as
+    `Fraction`s."""
 
-    __slots__ = ("probs", "den", "nums")
+    __slots__ = ("den", "nums")
 
     def __init__(self, probs: tuple[Fraction, ...]):
-        den, nums = _integer_form(probs)
-        self._set(probs, den, nums)
-        for p, num in zip(probs, nums):
+        den, (nums,) = over_common_denominator((probs,))
+        self._set(den, tuple(nums))
+        for num in nums:
             if num < 0:
-                raise NegativeEntry(f"negative probability {p}")
+                raise NegativeEntry(f"negative probability {Fraction(num, den)}")
         if sum(nums) != den:
-            raise SumNotOne(f"probabilities sum to {sum(probs)}, not 1")
+            raise SumNotOne(f"probabilities sum to {Fraction(sum(nums), den)}, not 1")
 
     @classmethod
-    def _trusted(cls, probs: tuple[Fraction, ...] | None = None,
-                 den: int | None = None, nums: tuple[int, ...] | None = None) -> Lottery:
-        """Only for entries valid by construction: `probs`, or the integer
-        form `den` and `nums`, or both forms of the same entries."""
+    def _trusted(cls, den: int, nums: tuple[int, ...]) -> Lottery:
+        """Only for an integer form with den > 0 whose entries are valid by
+        construction."""
         self = object.__new__(cls)
-        if probs is not None:
-            object.__setattr__(self, "probs", probs)
-        if nums is not None:
-            object.__setattr__(self, "den", den)
-            object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
         return self
 
-    def __getattr__(self, name):  # reached only for a form not yet built
-        if name == "probs":
-            den = self.den
-            object.__setattr__(self, "probs", tuple([Fraction(n, den) for n in self.nums]))
-        elif name in ("den", "nums"):
-            self._set(self.probs, *_integer_form(self.probs))
-        else:
-            raise AttributeError(name)
-        return getattr(self, name)
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        return _entries(self)
 
     def _fields(self) -> tuple:
         return (self.probs,)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and _same_entries(self, other)
+        return type(other) is type(self) and (
+            lowest_terms(self.den, self.nums) == lowest_terms(other.den, other.nums)
+        )
 
     def __hash__(self) -> int:
-        return hash(self.probs)
+        return hash(lowest_terms(self.den, self.nums))
 
     @property
     def m(self) -> int:
         return len(self.nums)
-
-
-def _same_entries(first, second) -> bool:
-    """Whether two integer forms hold the same entries."""
-    d, e = first.den, second.den
-    return len(first.nums) == len(second.nums) and all(
-        [a * e == b * d for a, b in zip(first.nums, second.nums)]
-    )
 
 
 def make_lottery(probs: Iterable[int | Fraction | str]) -> Lottery:
@@ -198,23 +192,20 @@ def degenerate_lottery(obj: ObjectId, m: int) -> Lottery:
     """The lottery placing probability one on a single object."""
     if not 0 <= obj < m:
         raise SumNotOne("probabilities sum to 0, not 1")
-    return Lottery._trusted(den=1, nums=tuple([int(a == obj) for a in range(m)]))
+    return Lottery._trusted(1, tuple([int(a == obj) for a in range(m)]))
 
 
 class Allocation(Frozen):
     """Bistochastic matrix: rows are agents, columns are objects. Row i is
     the lottery `row(i)`, which holds its entries in integer form; `rows`
-    holds them as `Fraction` tuples, built on first read when a builder
-    passed only integers."""
+    spells them out as `Fraction` tuples."""
 
-    __slots__ = ("_lotteries", "rows")
+    __slots__ = ("_lotteries",)
 
     def __init__(self, rows: tuple[tuple[Fraction, ...], ...]):
-        object.__setattr__(self, "rows", rows)
+        den, nums = over_common_denominator(rows)
+        self._set(tuple([Lottery._trusted(den, tuple(row)) for row in nums]))
         self.__post_init__()
-        object.__setattr__(self, "_lotteries", tuple(
-            [Lottery._trusted(row, *_integer_form(row)) for row in rows]
-        ))
 
     # `_trusted(lotteries)` (from `Frozen`): only for rows valid by construction.
 
@@ -222,33 +213,32 @@ class Allocation(Frozen):
     def _over(cls, den: int, nums: Sequence[Sequence[int]]) -> Allocation:
         """Only for entries valid by construction: entry (i, a) is
         nums[i][a] / den, with den > 0 and not necessarily in lowest terms."""
-        return cls._trusted(tuple([Lottery._trusted(den=den, nums=tuple(row)) for row in nums]))
+        return cls._trusted(tuple([Lottery._trusted(den, tuple(row)) for row in nums]))
 
-    def __getattr__(self, name):  # reached only for `rows` not yet built
-        if name != "rows":
-            raise AttributeError(name)
-        rows = tuple([lottery.probs for lottery in self._lotteries])
-        object.__setattr__(self, "rows", rows)
-        return rows
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple([lottery.probs for lottery in self._lotteries])
 
     def _fields(self) -> tuple:
         return (self.rows,)
 
     def __post_init__(self) -> None:
-        n = len(self.rows)
-        if n == 0 or any(len(row) != n for row in self.rows):
+        """The checks, in order, on the rows' integer forms over their common
+        denominator; a message spells its entry or sum out as a `Fraction`."""
+        n = len(self._lotteries)
+        if n == 0 or any(len(row.nums) != n for row in self._lotteries):
             raise DimensionMismatch("allocation matrix must be square")
-        for row in self.rows:
-            for p in row:
-                if p < 0:
-                    raise NegativeEntry(f"negative entry {p}")
-        for i, row in enumerate(self.rows):
-            if sum(row) != ONE:
-                raise RowSumNotOne(f"row {i} sums to {sum(row)}, not 1")
-        for a in range(n):
-            total = sum(row[a] for row in self.rows)
-            if total != ONE:
-                raise ColumnSumNotOne(f"column {a} sums to {total}, not 1")
+        den, rows = forms_over_common_denominator(self._lotteries)
+        for row in rows:
+            for x in row:
+                if x < 0:
+                    raise NegativeEntry(f"negative entry {Fraction(x, den)}")
+        for i, row in enumerate(rows):
+            if sum(row) != den:
+                raise RowSumNotOne(f"row {i} sums to {Fraction(sum(row), den)}, not 1")
+        for a, column in enumerate(zip(*rows)):
+            if sum(column) != den:
+                raise ColumnSumNotOne(f"column {a} sums to {Fraction(sum(column), den)}, not 1")
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._lotteries == other._lotteries
@@ -272,7 +262,7 @@ def make_allocation(grid: Sequence[Sequence[int | Fraction | str]]) -> Allocatio
 def uniform_allocation(n: int) -> Allocation:
     if n < 1:
         raise DimensionMismatch(f"an allocation needs at least one agent, got {n}")
-    return Allocation._trusted((Lottery._trusted(den=n, nums=(1,) * n),) * n)
+    return Allocation._trusted((Lottery._trusted(n, (1,) * n),) * n)
 
 
 def mix_allocations(first: Allocation, second: Allocation, weight: Fraction) -> Allocation:
@@ -293,7 +283,7 @@ def mix_allocations(first: Allocation, second: Allocation, weight: Fraction) -> 
         den = lcm(dp, dq)
         sp, sq = a * (den // dp), co * (den // dq)
         rows.append(Lottery._trusted(
-            den=b * den, nums=tuple([sp * x + sq * y for x, y in zip(p.nums, q.nums)])
+            b * den, tuple([sp * x + sq * y for x, y in zip(p.nums, q.nums)])
         ))
     return Allocation._trusted(tuple(rows))
 
@@ -330,20 +320,18 @@ def allocation_distance(first: Allocation, second: Allocation) -> Fraction:
 
 class BernoulliUtility(Frozen):
     """Per-object utility values with no ties over degenerate lotteries.
-    Value k is ``nums[k] / den``; `values` holds them as `Fraction`s and is
-    built on first read when a trusted builder passed only the integers.
+    Value k is ``nums[k] / den``; ``values`` spells them out as `Fraction`s.
     `_ordinal` holds the ranking once `ordinal.ordinal_of` has computed it
     (a builder that knows it sets it on construction), so the ranking lives
-    and dies with the utility."""
+    and dies with the utility; `_hash` holds the hash once taken."""
 
-    __slots__ = ("den", "nums", "values", "_hash", "_ordinal")
+    __slots__ = ("den", "nums", "_ordinal", "_hash")
 
     def __init__(self, values: tuple[Fraction, ...]):
-        den, nums = _integer_form(values)
+        den, (nums,) = over_common_denominator((values,))
         if len(set(nums)) != len(nums):
             raise TiesPresent(f"tied utility values in {values}")
-        self._build(den, nums, None)
-        object.__setattr__(self, "values", values)
+        self._build(den, tuple(nums), None)
 
     @classmethod
     def _trusted(cls, den: int, nums: tuple[int, ...], order=None) -> BernoulliUtility:
@@ -357,26 +345,24 @@ class BernoulliUtility(Frozen):
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "_ordinal", order)
+        object.__setattr__(self, "_hash", None)
 
-    def __getattr__(self, name):  # reached only for `values` or `_hash` not yet built
-        if name == "values":
-            den = self.den
-            value = tuple([Fraction(n, den) for n in self.nums])
-        elif name == "_hash":
-            value = hash(self.values)
-        else:
-            raise AttributeError(name)
-        object.__setattr__(self, name, value)
-        return value
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return _entries(self)
 
     @property
     def m(self) -> int:
         return len(self.nums)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BernoulliUtility) and _same_entries(self, other)
+        return isinstance(other, BernoulliUtility) and (
+            lowest_terms(self.den, self.nums) == lowest_terms(other.den, other.nums)
+        )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(lowest_terms(self.den, self.nums)))
         return self._hash
 
     def __repr__(self) -> str:

@@ -34,6 +34,7 @@ from .core import (
     Allocation,
     UtilityProfile,
     expected_utility,
+    forms_over_common_denominator,
     over_common_denominator,
     validate_profile,
 )
@@ -288,17 +289,19 @@ def find_dominating(profile: UtilityProfile, alloc: Allocation) -> Allocation | 
     exactly: maximize total expected utility subject to every agent weakly
     improving on the status quo. The optimum exceeds the status-quo total
     iff some feasible point makes someone strictly better off while nobody
-    loses.
+    loses. Both programs take the utilities over their common denominator:
+    one positive scale for all agents, and the floors scaled alike, leave
+    the pre-test, the feasible set and the argmax as they are.
     """
     validate_profile(profile)
     n = len(profile)
     if alloc.n != n:
         raise MalformedProgram("allocation size differs from profile")
+    scale, objective = forms_over_common_denominator(profile)
     floors = tuple(
-        (i, u.values, expected_utility(u, alloc.row(i))) for i, u in enumerate(profile)
+        (i, objective[i], scale * expected_utility(u, alloc.row(i))) for i, u in enumerate(profile)
     )
     status_quo = sum(minimum for _, _, minimum in floors)
-    objective = tuple(u.values for u in profile)
     if status_quo == best_assignment(objective)[0]:
         return None
     result = maximize(objective, floors)

@@ -332,7 +332,7 @@ def random_lottery(m: int, rng: random.Random) -> Lottery:
         weights = [rng.randrange(0, 361) for _ in range(m)]
         total = sum(weights)
         if total:
-            return Lottery._trusted(den=total, nums=tuple(weights))
+            return Lottery._trusted(total, tuple(weights))
 
 
 def sd_comparable_pair(
@@ -356,7 +356,7 @@ def sd_comparable_pair(
         nums = [16 * n for n in base.nums]
         nums[src] -= amount
         nums[dst] += amount
-        return Lottery._trusted(den=16 * base.den, nums=tuple(nums)), base
+        return Lottery._trusted(16 * base.den, tuple(nums)), base
 
 
 def random_utility_consistent(

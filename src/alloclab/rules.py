@@ -42,6 +42,7 @@ from .core import (
     Lottery,
     UtilityProfile,
     forms_over_common_denominator,
+    lowest_terms,
     mix_allocations,
     parse_fraction,
     profile_with,
@@ -81,13 +82,10 @@ def _canonical(alloc: Allocation) -> Allocation:
 def _canonical_row(row: Lottery) -> Lottery:
     """The one row lottery with `row`'s entries, keyed on its integer form
     in lowest terms, whose numerators it shares."""
-    den, nums = row.den, row.nums
-    common = gcd(den, *nums)
-    if common > 1:
-        den, nums = den // common, tuple([x // common for x in nums])
-    found = _ROWS.get(key := (den, nums))
+    key = lowest_terms(row.den, row.nums)
+    found = _ROWS.get(key)
     if found is None:
-        found = _ROWS[key] = row if common == 1 else Lottery._trusted(den=den, nums=nums)
+        found = _ROWS[key] = row if key[0] == row.den else Lottery._trusted(*key)
     return found
 
 
@@ -260,8 +258,10 @@ def _utilitarian(canonical: UtilityProfile) -> Allocation:
     """Maximize total expected utility over the bistochastic polytope. The
     optimum is a permutation matrix; ties go to the row-major
     lexicographically smallest one. Inputs are canonicalized by the key, so
-    any sensitivity to reports is driven by middle rates, not scale."""
-    _, picks = best_assignment(tuple(u.values for u in canonical))
+    any sensitivity to reports is driven by middle rates, not scale. The
+    assignment runs on the values over their common denominator: one
+    positive scale for all agents leaves the argmax as it is."""
+    _, picks = best_assignment(forms_over_common_denominator(canonical)[1])
     return _permutation_allocation(picks)
 
 

@@ -14,7 +14,6 @@ from alloclab.bvn import (
     Decomposition,
     PermutationMatrix,
     random_bistochastic,
-    random_permutation,
 )
 from alloclab.checkers import report_json
 
@@ -90,7 +89,11 @@ def test_round_trip_n4():
 def _summed_bistochastic(n, rng, resolution=60):
     """The former formula: sum each permutation's Fraction share per entry."""
     count = rng.randrange(1, 2 * n + 1)
-    perms = [random_permutation(n, rng).assignment for _ in range(count)]
+    perms = []
+    for _ in range(count):
+        order = list(range(n))
+        rng.shuffle(order)
+        perms.append(order)
     raw = [rng.randrange(1, resolution) for _ in range(count)]
     total = sum(raw)
     grid = [[Fraction(0)] * n for _ in range(n)]
@@ -142,3 +145,41 @@ def test_trusted_builds_pass_validation():
         for perm in itertools.permutations(range(n)):
             alloc = PermutationMatrix(perm).to_allocation()
             assert Allocation(alloc.rows) == alloc
+
+
+def _fraction_decompose(alloc):
+    """The greedy peeling in `Fraction`s: the lexicographically first
+    permutation inside the positive entries, at its smallest entry."""
+    n = alloc.n
+    remaining = [list(row) for row in alloc.rows]
+    budget = Fraction(1)
+    terms = []
+    while budget > 0:
+        assignment = next(
+            perm for perm in itertools.permutations(range(n))
+            if all(remaining[i][perm[i]] > 0 for i in range(n))
+        )
+        weight = min(remaining[i][assignment[i]] for i in range(n))
+        for i, obj in enumerate(assignment):
+            remaining[i][obj] -= weight
+        terms.append((weight, PermutationMatrix(assignment)))
+        budget -= weight
+    return tuple(terms)
+
+
+def test_decompose_peels_as_the_fraction_loop():
+    """Same terms, weights and permutations alike, as the loop on the
+    `Fraction` rows; the integer peeling divides by the common denominator."""
+    rng = random.Random(2424)
+    allocations = [random_bistochastic(n, rng) for n in range(1, 8) for _ in range(12)]
+    allocations += [
+        make_allocation([[str(p) for p in row] for row in random_bistochastic(n, rng).rows])
+        for n in (2, 3, 4, 5) for _ in range(6)
+    ]
+    allocations += [
+        make_allocation([["1/2", "1/3", "1/6"], ["1/4", "1/4", "1/2"], ["1/4", "5/12", "1/3"]]),
+        make_allocation([[1, 0], [0, 1]]),
+        make_allocation([["2/7", "5/7"], ["5/7", "2/7"]]),
+    ]
+    for alloc in allocations:
+        assert decompose(alloc).terms == _fraction_decompose(alloc)

@@ -718,6 +718,20 @@ def test_malformed_matrix_is_usage_error(matrix, capsys):
 
 
 @pytest.mark.parametrize(
+    "matrix, line",
+    [
+        ('[["1","1","0"],["0","0","1"],["1/2","-1/2","1"]]', "error: negative entry -1/2\n"),
+        ('[["1/2","1/3","1/5"],[0,1,0],["1/2",0,"1/2"]]', "error: row 0 sums to 31/30, not 1\n"),
+        ('[["1/3","2/3"],["1/2","1/2"]]', "error: column 0 sums to 5/6, not 1\n"),
+    ],
+)
+def test_non_bistochastic_matrix_names_its_first_fault(matrix, line, capsys):
+    assert main(["decompose", "--matrix", matrix]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == line and captured.out == ""
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["check", "--rule", "rsd", "--axiom", "efficiency", "--seed", "1", "--profiles",

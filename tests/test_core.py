@@ -15,6 +15,7 @@ from alloclab import (
     ColumnSumNotOne,
     DimensionMismatch,
     NegativeEntry,
+    RowSumNotOne,
     SumNotOne,
     TiesPresent,
     Allocation,
@@ -109,6 +110,46 @@ class TestAllocation:
         a = uniform_allocation(3)
         b = make_allocation([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert allocation_distance(a, b) == Fraction(2, 3)
+
+
+# Malformed inputs and the one message each must raise: the first fault in
+# check order wins. A matrix is checked for squareness, then for negative
+# entries, then row sums, then column sums; a lottery for negative entries,
+# then its sum. Entries mix ints, `Fraction`s and unlike denominators.
+_MALFORMED = [
+    (make_allocation, [[1, 0], [0, 1], [0, 0]],
+     DimensionMismatch, "allocation matrix must be square"),
+    (make_allocation, [], DimensionMismatch, "allocation matrix must be square"),
+    (make_allocation, [["-1/2", "3/2"], [1, 0, 0]],
+     DimensionMismatch, "allocation matrix must be square"),
+    (make_allocation, [[1, 1, 0], [0, 0, 1], ["1/2", "-1/2", 1]],
+     NegativeEntry, "negative entry -1/2"),
+    (make_allocation, [[Fraction(4, 3), "-1/3", 0], [0, "-2/5", "7/5"], [0, 1, 0]],
+     NegativeEntry, "negative entry -1/3"),
+    (make_allocation, [["1/2", "1/3", "1/5"], [0, 1, 0], ["1/2", 0, "1/2"]],
+     RowSumNotOne, "row 0 sums to 31/30, not 1"),
+    (make_allocation, [["1/2", "1/2"], ["1/3", "1/3"]], RowSumNotOne, "row 1 sums to 2/3, not 1"),
+    (make_allocation, [["1/3", "2/3"], ["1/2", "1/2"]],
+     ColumnSumNotOne, "column 0 sums to 5/6, not 1"),
+    (make_allocation, [[0, 1, 0], [0, 1, 0], [1, 0, 0]],
+     ColumnSumNotOne, "column 1 sums to 2, not 1"),
+    (make_lottery, [2, "-1/2", "-1/2"], NegativeEntry, "negative probability -1/2"),
+    (make_lottery, [Fraction(-1, 3), "4/3"], NegativeEntry, "negative probability -1/3"),
+    (make_lottery, ["1/2", "1/3"], SumNotOne, "probabilities sum to 5/6, not 1"),
+    (make_lottery, [1, "1/4", "3/4"], SumNotOne, "probabilities sum to 2, not 1"),
+    (make_lottery, [], SumNotOne, "probabilities sum to 0, not 1"),
+    (make_utility, [1, "2/2", 3],
+     TiesPresent, "tied utility values in (Fraction(1, 1), Fraction(1, 1), Fraction(3, 1))"),
+    (make_utility, ["1/2", "-1/3", "2/4"],
+     TiesPresent, "tied utility values in (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 2))"),
+]
+
+
+@pytest.mark.parametrize("build, entries, fault, message", _MALFORMED)
+def test_malformed_input_names_its_first_fault(build, entries, fault, message):
+    with pytest.raises(fault) as raised:
+        build(entries)
+    assert type(raised.value) is fault and str(raised.value) == message
 
 
 class TestUtility:
@@ -351,8 +392,7 @@ class TestIntegerForm:
             )
             lotteries = [
                 make_lottery(probs),
-                Lottery._trusted(den=sum(weights) * k, nums=tuple(w * k for w in weights)),
-                Lottery._trusted(tuple(probs)),
+                Lottery._trusted(sum(weights) * k, tuple(w * k for w in weights)),
             ]
             for utility in (validated, unreduced):
                 for lottery in lotteries:
@@ -447,7 +487,6 @@ class TestIntegerForm:
         allocations += [uniform_allocation(n) for n in range(1, 6)]
         allocations += [PermutationMatrix(picks).to_allocation()
                         for n in (1, 3, 4) for picks in itertools.permutations(range(n))]
-        assert not any(map(_rows_built, allocations))
         # A canonical rsd row is its counts over 3! in lowest terms.
         outputs = {id(alloc): alloc for alloc in map(RSD.allocate, _grid_profiles())}
         rows = {id(row): row for alloc in outputs.values() for row in alloc._lotteries}
@@ -462,14 +501,23 @@ class TestIntegerForm:
 
     def test_builders_agree_on_equality_and_hash(self):
         """A utility built from integers equals the same values built through
-        the validating constructor, hashes alike and is the same dict key."""
+        the validating constructor, hashes alike and is the same dict key;
+        so does the same form scaled by any k, which is not in lowest terms."""
         for order in all_orders(3):
             for mu in (Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)):
                 built = utility_from(order, mu)
                 validated = make_utility(built.values)
                 fresh = utility_from.__wrapped__(order, mu)
                 assert built == validated and validated == built
-                assert hash(fresh) == hash(validated) == hash(built.values)
+                assert hash(fresh) == hash(validated) == hash(built)
+                # A normalized utility's entries sum to one: a lottery's too.
+                lottery = Lottery._trusted(built.den, built.nums)
+                for k in range(2, 9):
+                    scaled = (built.den * k, tuple(x * k for x in built.nums))
+                    unreduced = BernoulliUtility._trusted(*scaled)
+                    assert unreduced == built and hash(unreduced) == hash(built)
+                    unreduced = Lottery._trusted(*scaled)
+                    assert unreduced == lottery and hash(unreduced) == hash(lottery)
                 table = {validated: "validated"}
                 table[fresh] = "integer form"
                 assert table == {validated: "integer form"} and fresh in table
@@ -484,9 +532,8 @@ class TestIntegerForm:
 
 
     def test_allocation_builders_match_the_fraction_reference(self):
-        """Each builder's rows, built on first read where it passed only
-        integers, against the same entries computed in `Fraction`s; every
-        row lottery holds them."""
+        """Each builder's rows against the same entries computed in
+        `Fraction`s; every row lottery holds them."""
         rng = random.Random(26)
         built = []
         for profile in _grid_profiles() + _random_profiles(rng, 40):
@@ -506,10 +553,8 @@ class TestIntegerForm:
             n = rng.randrange(1, 6)
             twin = _replay(rng)
             drawn = random_bistochastic(n, rng)
-            assert not _rows_built(drawn)
             built.append((drawn, _bistochastic_reference(n, twin)))
             rebuilt = recompose(decompose(drawn))
-            assert not _rows_built(rebuilt)
             built.append((rebuilt, _recompose_reference(decompose(drawn))))
         outputs = [alloc for alloc, _ in built if alloc.n == 3]
         weights = [Fraction(0), Fraction(1)] + [
@@ -518,7 +563,6 @@ class TestIntegerForm:
         for weight in weights:
             first, second = rng.choice(outputs), rng.choice(outputs)
             mixed = mix_allocations(first, second, weight)
-            assert not _rows_built(mixed)
             built.append((mixed, tuple(
                 tuple(weight * p + (1 - weight) * q for p, q in zip(row_p, row_q))
                 for row_p, row_q in zip(first.rows, second.rows)
@@ -566,7 +610,7 @@ class TestIntegerForm:
             validated = make_allocation(_bistochastic_reference(n, twin))
             assert drawn == validated and validated == drawn
             assert hash(drawn) == hash(validated)
-            assert len({drawn, validated}) == 1 and not _rows_built(drawn)
+            assert len({drawn, validated}) == 1
             other = random_bistochastic(n, rng)
             assert (other == drawn) == (other.rows == validated.rows)
         assert uniform_allocation(3) != make_allocation([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -581,7 +625,7 @@ class TestIntegerForm:
             alloc = random_bistochastic(3, rng)
             canonical = rules._canonical(alloc)
             scaled = Allocation._trusted(tuple(
-                Lottery._trusted(den=row.den * k, nums=tuple(x * k for x in row.nums))
+                Lottery._trusted(row.den * k, tuple(x * k for x in row.nums))
                 for row, k in zip(alloc._lotteries, (rng.randrange(1, 9) for _ in range(3)))
             ))
             twins = [rules._canonical(scaled), rules._canonical(make_allocation(alloc.rows))]
@@ -593,7 +637,7 @@ class TestIntegerForm:
             other = rules._canonical(mix_allocations(unreduced, alloc, Fraction(1, 2)))
             assert other is canonical
             for i in range(3):
-                assert other.row(i) is canonical.row(i) and other.rows[i] is canonical.rows[i]
+                assert other.row(i) is canonical.row(i) and other.rows[i] == canonical.rows[i]
                 row = canonical.row(i)
                 assert math.gcd(row.den, *row.nums) == 1
 
@@ -611,14 +655,6 @@ class TestIntegerForm:
                 assert twin == value and hash(twin) == hash(value)
                 assert twin.rows == value.rows
                 assert [twin.row(i) for i in range(twin.n)] == [value.row(i) for i in range(value.n)]
-
-
-def _rows_built(alloc: Allocation) -> bool:
-    try:
-        Allocation.rows.__get__(alloc)
-    except AttributeError:
-        return False
-    return True
 
 
 def _random_profiles(rng: random.Random, count: int):

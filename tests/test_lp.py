@@ -23,10 +23,11 @@ from alloclab import (
     mix_allocations,
     uniform_allocation,
 )
-from alloclab import lp
+from alloclab import lp, rules
 from alloclab.bvn import random_bistochastic
 from alloclab.core import over_common_denominator
-from alloclab.ordinal import all_orders, random_utility_consistent
+from alloclab.harness import _random_affine
+from alloclab.ordinal import all_orders, canonicalize, random_utility_consistent
 
 from conftest import best_assignments, dominates_directly, perm_matrix_rows
 
@@ -484,3 +485,38 @@ def test_outputs_pinned_to_the_rational_simplex():
     assert digest.hexdigest() == (
         "e1ce9250e23d433ab831e1567421190a29e082a8eb36d702e90f03f4b936e94d"
     )
+
+
+def _fraction_find_dominating(profile, alloc):
+    """`find_dominating` in `Fraction`s: the LP over the utilities' values
+    with expected-utility floors, and its argmax iff it beats the status quo."""
+    floors = tuple((i, u.values, expected_utility(u, alloc.row(i))) for i, u in enumerate(profile))
+    value, better = maximize(tuple(u.values for u in profile), floors)
+    return better if value > sum(minimum for _, _, minimum in floors) else None
+
+
+def _unlike_profile(rng, n):
+    """Utilities over unlike denominators, many with negative values: each
+    agent's seeded utility moved by its own positive affine map."""
+    return tuple(_random_affine(u, rng) for u in _random_profile(rng, n))
+
+
+def test_integer_forms_decide_as_the_fraction_formulation():
+    """`find_dominating` and utilitarian's compute take the utilities over
+    their common denominator; they return what the same programs return on
+    the `Fraction` values."""
+    rng = random.Random(2323)
+    found = 0
+    for n in (2, 3, 3, 3, 4):
+        for _ in range(24):
+            profile = _unlike_profile(rng, n)
+            assert len({u.den for u in profile}) > 1 or n == 2
+            for alloc in (RSD.allocate(profile), PS.allocate(profile), random_bistochastic(n, rng)):
+                got = find_dominating(profile, alloc)
+                assert got == _fraction_find_dominating(profile, alloc)
+                found += got is not None
+            canonical = tuple(canonicalize(u) for u in profile)
+            for utilities in (profile, canonical):
+                picks = best_assignment(tuple(u.values for u in utilities))[1]
+                assert rules._utilitarian(utilities) is rules._permutation_allocation(picks)
+    assert found > 100
