@@ -50,6 +50,7 @@ from .core import (
     Lottery,
     UtilityProfile,
     allocation_distance,
+    exact_rational,
     expected_utility,
     forms_over_common_denominator,
     profile_with,
@@ -107,11 +108,12 @@ class CheckConfig(Frozen):
         self._set(mu_grid, samples_per_cell, seed, continuity_gap_tau,
                   continuity_interval_delta)
         for index, mu in enumerate(self.mu_grid):
-            if not ZERO < mu < ONE:
+            if not ZERO < exact_rational(mu) < ONE:
                 raise ValueError(f"grid value {mu} outside (0, 1)")
             if mu in self.mu_grid[:index]:
                 raise ValueError(f"grid value {mu} repeated")
-        if self.continuity_gap_tau <= 0 or self.continuity_interval_delta <= 0:
+        thresholds = (self.continuity_gap_tau, self.continuity_interval_delta)
+        if min(map(exact_rational, thresholds)) <= 0:
             raise ValueError("continuity thresholds must be positive")
         if self.samples_per_cell < 0:
             raise ValueError(
@@ -320,7 +322,7 @@ def _bossiness(agent, others, cells, scaled, allocations) -> dict | None:
                 "profile": profile_with(others, agent, cells[t]),
                 "agent": agent,
                 "deviation": cells[d],
-                "own_row": alloc.rows[agent],
+                "own_row": alloc.row(agent).probs,
                 "allocation": allocations[t],
                 "deviated_allocation": alloc,
             }
@@ -428,8 +430,8 @@ def check_sd_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
                             "cell": truth_orders,
                             "agent": agent,
                             "deviation_order": deviation,
-                            "truthful_share": truthful.rows[agent],
-                            "deviated_share": deviated.rows[agent],
+                            "truthful_share": truthful.row(agent).probs,
+                            "deviated_share": deviated.row(agent).probs,
                             "sd_verdict": verdict,
                         },
                         coverage=_stopped(coverage, index + 1, 216, "cells"),

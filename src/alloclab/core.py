@@ -9,10 +9,10 @@ integer form and nothing else: `den > 0` and `nums`, where entry k is
 two forms hold the same entries iff their `lowest_terms` are equal, which
 equality, hashes and interning key on. An allocation stores its row
 lotteries; a builder that holds integer counts over one total passes only
-them (`Allocation._over(den, nums)`). The validating constructors take
-`Fraction`s and check the integer form they compute. The public `probs`,
-`values` and `rows` are read-only `fractions.Fraction` tuples built on each
-read, for reports, witnesses and outside callers.
+them (`Allocation._over(den, nums)`). The validating constructors take ints
+and `Fraction`s only (`exact_rational`) and check the integer form they
+compute. The public `probs`, `values` and `rows` are read-only `Fraction`
+tuples built on each read, for reports, witnesses and outside callers.
 """
 
 from __future__ import annotations
@@ -58,16 +58,21 @@ class TiesPresent(ValueError):
     """A Bernoulli utility assigns the same value to two objects."""
 
 
-def as_fraction(value: int | Fraction | str) -> Fraction:
-    """Coerce to Fraction. Strings must be integers or 'p/q'; floats, bools
-    and decimal literals are rejected to keep the pipeline exact."""
-    if isinstance(value, Fraction):
+def exact_rational(value: int | Fraction) -> int | Fraction:
+    """`value` itself if it is an int (not a bool) or a `Fraction`; anything
+    else raises `TypeError`, so no float or string enters a verdict path."""
+    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+    raise TypeError(f"exact rational expected, got {type(value).__name__}")
+
+
+def as_fraction(value: int | Fraction | str) -> Fraction:
+    """Coerce to Fraction: parse a string ('p' or 'p/q', no decimals), pass any
+    other value through `exact_rational`, and return a `Fraction` as is."""
     if isinstance(value, str):
         return parse_fraction(value)
-    raise TypeError(f"exact rational expected, got {type(value).__name__}")
+    value = exact_rational(value)
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -273,7 +278,7 @@ def mix_allocations(first: Allocation, second: Allocation, weight: Fraction) -> 
     denominators and p', q' their numerators scaled to it."""
     if first.n != second.n:
         raise DimensionMismatch("allocations differ in size")
-    if not ZERO <= weight <= ONE:
+    if not ZERO <= exact_rational(weight) <= ONE:
         raise NegativeEntry(f"mix weight {weight} outside [0, 1]")
     a, b = weight.numerator, weight.denominator
     co = b - a
@@ -291,11 +296,11 @@ def mix_allocations(first: Allocation, second: Allocation, weight: Fraction) -> 
 def over_common_denominator(
     rows: Sequence[Sequence[int | Fraction]],
 ) -> tuple[int, list[list[int]]]:
-    """The lcm of every entry's denominator, and each entry times it as an
-    int. All entries share one positive scale, so sums, dot products with
-    integer vectors and their comparisons keep their order and equalities:
-    integer kernels decide on these and divide by the scale only to print."""
-    scale = lcm(*(x.denominator for row in rows for x in row))
+    """The lcm of every entry's denominator, and each entry (which must pass
+    `exact_rational`) times it as an int. One positive scale for all entries
+    keeps every sum, integer dot product and comparison in order: integer
+    kernels decide on these and divide by the scale only to print."""
+    scale = lcm(*[exact_rational(x).denominator for row in rows for x in row])
     return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
@@ -323,9 +328,9 @@ class BernoulliUtility(Frozen):
     Value k is ``nums[k] / den``; ``values`` spells them out as `Fraction`s.
     `_ordinal` holds the ranking once `ordinal.ordinal_of` has computed it
     (a builder that knows it sets it on construction), so the ranking lives
-    and dies with the utility; `_hash` holds the hash once taken."""
+    and dies with the utility. Its hash is taken on each call, as a lottery's."""
 
-    __slots__ = ("den", "nums", "_ordinal", "_hash")
+    __slots__ = ("den", "nums", "_ordinal")
 
     def __init__(self, values: tuple[Fraction, ...]):
         den, (nums,) = over_common_denominator((values,))
@@ -345,7 +350,6 @@ class BernoulliUtility(Frozen):
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "_ordinal", order)
-        object.__setattr__(self, "_hash", None)
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -361,14 +365,12 @@ class BernoulliUtility(Frozen):
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(lowest_terms(self.den, self.nums)))
-        return self._hash
+        return hash(lowest_terms(self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(({', '.join(str(v) for v in self.values)}))"
 
-    def __reduce__(self):  # the cached hash and ranking are rebuilt, not passed
+    def __reduce__(self):  # the cached ranking is rebuilt, not passed
         return type(self), (self.values,)
 
 

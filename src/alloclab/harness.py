@@ -256,8 +256,8 @@ def _one_agent_check(hypothesis, perturb, whole: bool, key: str = "replacement")
             witness["allocation"] = base
             witness["replaced_allocation"] = after
         else:
-            witness["share_before"] = base.rows[agent]
-            witness["share_after"] = after.rows[agent]
+            witness["share_before"] = base.row(agent).probs
+            witness["share_after"] = after.row(agent).probs
         return witness
 
     return check

@@ -167,11 +167,10 @@ def _exact_scaled(rows) -> tuple[int, list[list[int]]]:
     """`over_common_denominator` of rows whose entries are all ints or
     Fractions. Anything else, a float or a bool included, is refused, so no
     inexact value reaches a verdict through an LP."""
-    for row in rows:
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                raise MalformedProgram(f"LP entry {x!r} is not an int or a Fraction")
-    return over_common_denominator(rows)
+    try:
+        return over_common_denominator(rows)
+    except TypeError as error:
+        raise MalformedProgram(f"an LP entry is not an int or a Fraction: {error}") from None
 
 
 def maximize(

@@ -20,6 +20,7 @@ from .core import (
     Lottery,
     ObjectId,
     degenerate_lottery,
+    exact_rational,
     expected_utility,
     object_label,
 )
@@ -124,9 +125,9 @@ def canonicalize(utility: BernoulliUtility) -> NormalizedUtility:
     return NormalizedUtility._trusted(sum(shifted), shifted)
 
 
-# Bounded: grid scans reuse a few dozen (order, rate) pairs, while lemma
-# sampling draws fresh rates on every trial.
-@lru_cache(maxsize=1024)
+# Bounded, as grid scans reuse a few dozen (order, rate) pairs and lemmas draw
+# fresh rates; typed, so a float equal to a cached rate is still refused.
+@lru_cache(maxsize=1024, typed=True)
 def utility_from(order: OrdinalPreference, mu: Fraction) -> NormalizedUtility:
     """Canonical utility with the given order and middle rate: best 1, middle
     mu, worst 0, normalized to sum 1, so best 1/(1+mu), middle mu/(1+mu),
@@ -134,8 +135,7 @@ def utility_from(order: OrdinalPreference, mu: Fraction) -> NormalizedUtility:
     `order`. Three objects only."""
     if order.m != 3:
         raise WrongDimension("middle-rate parameterization needs three objects")
-    mu = Fraction(mu)
-    if not ZERO < mu < ONE:
+    if not ZERO < exact_rational(mu) < ONE:
         raise MuOutOfRange(f"mu must lie strictly in (0, 1), got {mu}")
     p, q = mu.numerator, mu.denominator
     nums = [0, 0, 0]

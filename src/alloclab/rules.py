@@ -4,12 +4,12 @@ convex blends.
 
 Every rule is a pure deterministic function from utility profiles to
 bistochastic allocations, split into a structural key (the part of the
-profile the rule reads) and a computation from that key. Each rule has one
-memo, where its work is done: rsd, ps and dictatorship memoize their compute
-on the ranking profile, utilitarian on the canonical profile (bounded, since
-canonical profiles are unbounded in number), uniform on n, and a blend
-keeps only its mix table. The utilitarian rule solves an exact assignment
-problem (`lp.best_assignment`).
+profile the rule reads) and a computation from that key. Each output is
+cached once, where its work is done: rsd and ps memoize their compute on
+the ranking profile, dictatorship and utilitarian build a permutation matrix
+memoized on its picks, uniform's one matrix is interned, and a blend keeps
+only its mix table. The utilitarian rule solves an exact assignment problem
+(`lp.best_assignment`).
 
 The grid checkers take a rule's outputs a deviation block at a time from
 its block allocator (`Rule.blocks`), which for a built-in rule builds no
@@ -41,6 +41,7 @@ from .core import (
     Frozen,
     Lottery,
     UtilityProfile,
+    exact_rational,
     forms_over_common_denominator,
     lowest_terms,
     mix_allocations,
@@ -325,19 +326,12 @@ def _utilitarian_blocks(cells: Sequence[NormalizedUtility]) -> Block:
     return block
 
 
-# Canonical profiles are unbounded in number (`check --profiles` reads any
-# list), and the grid scans take utilitarian's outputs from its blocks, not
-# from this memo, so it keeps only the most recent keys.
-UTILITARIAN_MEMO_SIZE = 4096
-
 # One memo entry per distinct key: at most (n!)^n for a ranking key.
 RSD = Rule("rsd", _ordinal_key, lru_cache(maxsize=None)(_rsd))
 PS = Rule("ps", _ordinal_key, lru_cache(maxsize=None)(_ps))
-DICTATORSHIP = Rule("dictatorship", _ordinal_key, lru_cache(maxsize=None)(_dictatorship))
-UTILITARIAN = Rule(
-    "utilitarian", _canonical_key, lru_cache(maxsize=UTILITARIAN_MEMO_SIZE)(_utilitarian)
-)
-UNIFORM = Rule("uniform", _size_key, lru_cache(maxsize=None)(_uniform))
+DICTATORSHIP = Rule("dictatorship", _ordinal_key, _dictatorship)
+UTILITARIAN = Rule("utilitarian", _canonical_key, _utilitarian)
+UNIFORM = Rule("uniform", _size_key, _uniform)
 
 BASE_RULES = {
     rule.name: rule for rule in (RSD, PS, DICTATORSHIP, UTILITARIAN, UNIFORM)
@@ -375,14 +369,15 @@ class _Mix:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def blend_rule(first: Rule, second: Rule, alpha: Fraction) -> Rule:
     """Entrywise convex combination alpha*first + (1-alpha)*second, keyed on
     the pair of its parts' keys, computed by a `_Mix`.
 
     Equal arguments return the one shared `Rule`, mix table included, so a
-    family that draws the same blend twice computes it once."""
-    alpha = Fraction(alpha)
+    family that draws the same blend twice computes it once. The memo is
+    typed, so a float or a bool equal to a cached weight is still refused."""
+    alpha = Fraction(exact_rational(alpha))
     if not ZERO <= alpha <= ONE:
         raise AlphaOutOfRange(f"blend weight {alpha} outside [0, 1]")
     compute = _Mix(first, second, alpha)

@@ -1,5 +1,6 @@
 """Value types: lotteries, allocations, utilities, expected utility."""
 
+import contextlib
 import copy
 import itertools
 import math
@@ -28,7 +29,10 @@ from alloclab import (
     RSD,
     Rule,
     UTILITARIAN,
+    MalformedProgram,
     allocation_distance,
+    best_assignment,
+    blend_rule,
     decompose,
     expected_utility,
     maximize,
@@ -209,6 +213,28 @@ class TestSupport:
         assert support(lot)
 
 
+HALF = Fraction(1, 2)
+
+# Each entry point that takes an exact rational, applied to one value, and
+# the error it raises for anything else.
+_EXACT_ENTRY_POINTS = {
+    "as_fraction": (core.as_fraction, TypeError),
+    "Lottery": (lambda x: Lottery((x, HALF)), TypeError),
+    "Allocation": (lambda x: Allocation(((x, HALF), (HALF, HALF))), TypeError),
+    "BernoulliUtility": (lambda x: BernoulliUtility((x, 1, 0)), TypeError),
+    "maximize": (lambda x: maximize(((x, 1), (1, HALF))), MalformedProgram),
+    "best_assignment": (lambda x: best_assignment(((x, 1), (1, HALF))), MalformedProgram),
+    "blend_rule": (lambda x: blend_rule(RSD, PS, x), TypeError),
+    "utility_from": (lambda x: utility_from(OrdinalPreference((0, 1, 2)), x), TypeError),
+    "mix_allocations": (
+        lambda x: mix_allocations(uniform_allocation(2), uniform_allocation(2), x), TypeError
+    ),
+    "CheckConfig grid": (lambda x: CheckConfig(mu_grid=(x,)), TypeError),
+    "CheckConfig tau": (lambda x: CheckConfig(continuity_gap_tau=x), TypeError),
+    "CheckConfig delta": (lambda x: CheckConfig(continuity_interval_delta=x), TypeError),
+}
+
+
 class TestRationals:
     def test_parse_fraction(self):
         assert parse_fraction("2/5") == Fraction(2, 5)
@@ -218,6 +244,19 @@ class TestRationals:
     def test_rejects_inexact(self, text):
         with pytest.raises(ValueError):
             parse_fraction(text)
+
+    @pytest.mark.parametrize("entry, value", [
+        (entry, value)
+        for entry in _EXACT_ENTRY_POINTS
+        for value in (0.5, True, "1/2")
+        if not (entry == "as_fraction" and isinstance(value, str))  # it parses strings
+    ])
+    def test_every_entry_point_refuses_inexact_values(self, entry, value):
+        build, error = _EXACT_ENTRY_POINTS[entry]
+        with contextlib.suppress(ValueError):  # an equal exact value first, as a memo holds it
+            build(Fraction(value))
+        with pytest.raises(error, match=f"exact rational expected, got {type(value).__name__}"):
+            build(value)
 
 
 class TestValueTypes:

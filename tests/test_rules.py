@@ -17,6 +17,7 @@ from alloclab import (
     DICTATORSHIP,
     PS,
     RSD,
+    UNIFORM,
     UTILITARIAN,
     all_orders,
     blend_rule,
@@ -295,20 +296,27 @@ class TestStructuralMemo:
     def test_cardinal_outputs_are_interned(self, spec, bound):
         assert _distinct_outputs_on_scan_grid(rule_by_name(spec)) <= bound
 
-    def test_utilitarian_memo_is_bounded(self):
-        # `check --profiles` can feed the memo any number of canonical
-        # profiles; it keeps at most its fixed bound of them.
-        bound = rules.UTILITARIAN_MEMO_SIZE
+    def test_utilitarian_keeps_nothing_per_canonical_profile(self):
+        # `check --profiles` can feed utilitarian any number of canonical
+        # profiles. No memo keeps them, and its outputs are permutation
+        # matrices, so they add at most one canonical allocation each.
+        assert not hasattr(UTILITARIAN.compute, "cache_info")
         abc, bac, cba = (OrdinalPreference(r) for r in ((0, 1, 2), (1, 0, 2), (2, 1, 0)))
-        for k in range(1, 20_001):
+        before = len(rules._ALLOCATIONS)
+        for k in range(1, 20_002):
             profile = (
-                utility_from(abc, F(k, 20_001)),
+                utility_from(abc, F(k, 20_002)),
                 utility_from(bac, F(1, 3)),
                 utility_from(cba, F(1, 2)),
             )
             UTILITARIAN.allocate(profile)
-        info = UTILITARIAN.compute.cache_info()
-        assert info.maxsize == bound and info.currsize <= bound
+        assert len(rules._ALLOCATIONS) - before <= 6
+
+    def test_unmemoized_computes_return_one_object(self, abc_profile):
+        # Dictatorship's output is cached by `_permutation_allocation`, and
+        # uniform's by interning, so a repeated compute returns the same one.
+        for rule in (DICTATORSHIP, UNIFORM):
+            assert rule.compute(rule.key(abc_profile)) is rule.compute(rule.key(abc_profile))
 
     def test_a_blend_keeps_no_memory_per_profile(self):
         # A blend's only memo is its mix table, at most one entry per pair of
@@ -341,19 +349,24 @@ class TestCanonicalOutputs:
             [[half, half, 0], [half, 0, half], [0, half, half]]
         ))
         first = fresh.allocate(abc_profile)
-        assert fresh.allocate(abc_profile) is first
-        # Warm-up calls fill the interpreter's bounded free list of small
-        # tuples (128 KB here), which the traced calls then reuse.
-        for _ in range(1000):
-            assert fresh.allocate(abc_profile) is first
+
+        def batch():
+            for _ in range(10_000):
+                assert fresh.allocate(abc_profile) is first
+
+        # What a second batch adds after an equal warm-up batch is what the
+        # calls keep, however full the interpreter's free lists were before.
+        own = [tracemalloc.Filter(False, tracemalloc.__file__)]
         tracemalloc.start()
         try:
-            for _ in range(10_000):
-                fresh.allocate(abc_profile)
-            retained, _ = tracemalloc.get_traced_memory()
+            batch()
+            before = tracemalloc.take_snapshot().filter_traces(own)
+            batch()
+            after = tracemalloc.take_snapshot().filter_traces(own)
         finally:
             tracemalloc.stop()
-        assert retained < 64 * 2**10
+        growth = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert growth < 4 * 2**10
 
 
 SCAN_GRID = (F(1, 10), F(2, 5), F(3, 5), F(9, 10))
