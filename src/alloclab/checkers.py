@@ -12,11 +12,14 @@ coverage says how far its scan got.
 The strategy-proofness and non-bossiness scans are one loop over deviation
 blocks (`_scan_blocks`), each with its own judge of a block: one agent,
 fixed reports of the other two, and every grid cell for the agent. A scan
-takes a block's allocations whole from the rule's block allocator
-(`Rule.blocks`), at most once per grid profile, though up to three blocks
-hold it; it builds no profile to allocate. Rule outputs are canonical
-(`rules._canonical`), so the judges compare outputs and own rows by
-identity. For a rule that reads only rankings (`Rule.reads_only_rankings`),
+slices each block from the rule's grid table (`rules.grid_table`), which the
+rule's block allocator (`Rule.blocks`) fills at most once per grid profile
+in a process, though up to three blocks of a scan, and every later scan or
+blend of the rule on that grid, read it; it builds no profile to allocate.
+Rule outputs are canonical (`rules._canonical`), so the judges compare
+outputs and own rows by identity, and the strategy-proofness judge, which
+reads only the agent's own rows, runs once per distinct sequence of them
+in a scan. For a rule that reads only rankings (`Rule.reads_only_rankings`),
 all blocks with the same agent and the same orders of the others hold the
 same allocations, so they share one verdict.
 Such a rule is scanned one block per class, the class's first block in
@@ -66,7 +69,7 @@ from .ordinal import (
     sd_compare,
     utility_from,
 )
-from .rules import Rule
+from .rules import Rule, grid_table
 
 
 class NotOrdinal(ValueError):
@@ -219,7 +222,9 @@ def check_efficiency(rule: Rule, profiles: Sequence[UtilityProfile]) -> Verdict:
     return Verdict(None, coverage)
 
 
-def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
+def _scan_blocks(
+    rule: Rule, config: CheckConfig, judge, once_per_own_rows: bool = False
+) -> Verdict:
     """Judge every deviation block in canonical order (one block per class
     for a rule that reads only rankings), and stop at the first block where
     ``judge(agent, others, cells, scaled, allocations)`` returns a
@@ -227,15 +232,17 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     ``scaled[c]`` holds cell c's values as integers over one positive
     denominator: its integer form's `nums`.
 
-    The allocations come from the rule's block allocator (`Rule.blocks`),
-    never from a profile built here. The scan keeps one table of them,
-    indexed by the profile's cell triple (a*count^2 + b*count + c), so the
-    three agents' blocks share its entries: one reference per grid profile
-    (1,728 at 2 rates, 74,088 on the default grid, 216,000 at the 10-rate
-    cap). A block with an entry not yet in the table is taken whole from
-    the allocator, which is called once per such block. Its entries are
-    canonical rule outputs, the same objects as any already in the table:
-    equal allocations, and equal rows, are one object."""
+    With `once_per_own_rows`, for a judge whose verdict reads only the
+    moving agent's own rows, in cell order, and `scaled`, a block is judged
+    only if no earlier block had the same sequence of own rows: a repeat of
+    a clean sequence is clean, and no failing one comes before its first.
+    Rows are canonical, so the sequence is compared by their ids.
+
+    The blocks are slices of the rule's grid table (`rules.grid_table`),
+    shared by every scan and blend in the process and filled by the rule's
+    block allocator (`Rule.blocks`), never from a profile built here. Its
+    entries are canonical rule outputs: equal allocations, and equal rows,
+    are one object."""
     cells = grid_cells(config)
     scaled = [cell.nums for cell in cells]
     count = len(cells)
@@ -244,25 +251,24 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
         f"cells_per_agent={count}; profiles={count**3}; deviations_per_agent={count}"
     )
     step = len(config.mu_grid) if rule.reads_only_rankings else 1
-    block = rule.blocks(cells)
-    table: list[Allocation | None] = [None] * count**3
-    strides = (count * count, count, 1)
+    block = grid_table(rule, cells).block
+    clean: set[tuple[int, ...]] = set()
     for agent in range(3):
-        stride = strides[agent]
-        stride_i, stride_j = strides[:agent] + strides[agent + 1 :]
         for i in range(0, count, step):
             for j in range(0, count, step):
-                base = i * stride_i + j * stride_j
-                entries = slice(base, base + count * stride, stride)
-                allocations = table[entries]
-                if not all(allocations):  # an allocation is truthy, an unfilled entry None
-                    allocations = table[entries] = block(agent, i, j)
+                allocations = block(agent, i, j)
+                if once_per_own_rows:
+                    rows = tuple([id(alloc.row(agent)) for alloc in allocations])
+                    if rows in clean:
+                        continue
                 witness = judge(agent, (cells[i], cells[j]), cells, scaled, allocations)
                 if witness is not None:
                     scanned = (agent * count + i) * count + j + 1
                     return Verdict(
                         witness, _stopped(coverage, scanned, 3 * count**2, "blocks")
                     )
+                if once_per_own_rows:
+                    clean.add(rows)
     return Verdict(None, coverage)
 
 
@@ -331,8 +337,9 @@ def _bossiness(agent, others, cells, scaled, allocations) -> dict | None:
 
 def check_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
     """Exact weak-inequality test over every grid profile, agent, and
-    single-agent grid deviation."""
-    return _scan_blocks(rule, config, _manipulation)
+    single-agent grid deviation. The judge reads only the agent's own rows,
+    so it runs once per distinct sequence of them."""
+    return _scan_blocks(rule, config, _manipulation, once_per_own_rows=True)
 
 
 def check_non_bossiness(rule: Rule, config: CheckConfig) -> Verdict:
@@ -380,15 +387,16 @@ def check_ordinality(rule: Rule, config: CheckConfig) -> Verdict:
     samples = 0 if quotient else config.samples_per_cell
     cells = itertools.product(all_orders(3), repeat=3)
     for index, orders in enumerate(cells):
-        rng = random.Random(f"{config.seed}:cell:{index}")
         profiles = [
             tuple(utility_from(order, mu) for order, mu in zip(orders, mus))
             for mus in itertools.product(rates, repeat=3)
         ]
-        for _ in range(samples):
-            profiles.append(
-                tuple(utility_from(order, random_rational(rng)) for order in orders)
-            )
+        if samples:
+            rng = random.Random(f"{config.seed}:cell:{index}")
+            for _ in range(samples):
+                profiles.append(
+                    tuple(utility_from(order, random_rational(rng)) for order in orders)
+                )
         witness = cell_twin_witness(rule, orders, profiles)
         if witness is not None:
             return Verdict(witness, _stopped(coverage, index + 1, 216, "cells"))

@@ -271,26 +271,29 @@ def uniform_allocation(n: int) -> Allocation:
 
 
 def mix_allocations(first: Allocation, second: Allocation, weight: Fraction) -> Allocation:
-    """Entrywise convex combination; bistochasticity is preserved.
-
-    With weight a/b, row i's entries w*p + (1-w)*q are the integers
-    a*p' + (b-a)*q' over b*d, where d is the lcm of the two rows'
-    denominators and p', q' their numerators scaled to it."""
+    """Entrywise convex combination, row by row (`mix_lotteries`);
+    bistochasticity is preserved."""
     if first.n != second.n:
         raise DimensionMismatch("allocations differ in size")
     if not ZERO <= exact_rational(weight) <= ONE:
         raise NegativeEntry(f"mix weight {weight} outside [0, 1]")
+    return Allocation._trusted(tuple([
+        mix_lotteries(p, q, weight) for p, q in zip(first._lotteries, second._lotteries)
+    ]))
+
+
+def mix_lotteries(first: Lottery, second: Lottery, weight: Fraction) -> Lottery:
+    """w*p + (1-w)*q for lotteries of one size and a weight w = a/b in
+    [0, 1], which the caller checks: the integers a*p' + (b-a)*q' over b*d,
+    where d is the lcm of the two denominators and p', q' the numerators
+    scaled to it."""
     a, b = weight.numerator, weight.denominator
-    co = b - a
-    rows = []
-    for p, q in zip(first._lotteries, second._lotteries):
-        dp, dq = p.den, q.den
-        den = lcm(dp, dq)
-        sp, sq = a * (den // dp), co * (den // dq)
-        rows.append(Lottery._trusted(
-            b * den, tuple([sp * x + sq * y for x, y in zip(p.nums, q.nums)])
-        ))
-    return Allocation._trusted(tuple(rows))
+    dp, dq = first.den, second.den
+    den = lcm(dp, dq)
+    sp, sq = a * (den // dp), (b - a) * (den // dq)
+    return Lottery._trusted(
+        b * den, tuple([sp * x + sq * y for x, y in zip(first.nums, second.nums)])
+    )
 
 
 def over_common_denominator(

@@ -8,21 +8,27 @@ profile the rule reads) and a computation from that key. Each output is
 cached once, where its work is done: rsd and ps memoize their compute on
 the ranking profile, dictatorship and utilitarian build a permutation matrix
 memoized on its picks, uniform's one matrix is interned, and a blend keeps
-only its mix table. The utilitarian rule solves an exact assignment problem
+two mix tables, keyed on pairs of its parts' outputs and on pairs of their
+rows. The utilitarian rule solves an exact assignment problem
 (`lp.best_assignment`).
 
-The grid checkers take a rule's outputs a deviation block at a time from
-its block allocator (`Rule.blocks`), which for a built-in rule builds no
-key per profile and, for utilitarian, runs no assignment DP; they scan a
-rule whose key reads only rankings (`Rule.reads_only_rankings`) one
-deviation block per class of ranking profiles.
+Over a three-agent grid, a rule's outputs live in its grid table
+(`grid_table`), one per rule and grid, shared by every scan and every blend
+in the process that reads them; at most MAX_TABLES are kept.
+A table is filled a deviation block at a time by the rule's block allocator
+(`Rule.blocks`), which for a built-in rule builds no key per profile and,
+for utilitarian, runs no assignment DP; a blend's allocator mixes blocks of
+its parts' tables. The checkers scan a rule whose key reads only rankings
+(`Rule.reads_only_rankings`) one deviation block per class of ranking
+profiles.
 
 Rule outputs are canonical (`_canonical`): equal outputs are one object,
 and so are equal rows, so the checkers compare outputs and rows by identity.
 A row is interned on its integer form in lowest terms, so building one
 hashes integers, never `Fraction`s.
 Every block entry is the very object `Rule.allocate` returns for its
-profile. A blend mixes once per pair of its parts' outputs.
+profile. A blend mixes once per pair of its parts' outputs, and each row
+once per pair of their rows.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .core import (
     exact_rational,
     forms_over_common_denominator,
     lowest_terms,
-    mix_allocations,
+    mix_lotteries,
     parse_fraction,
     profile_with,
     uniform_allocation,
@@ -72,7 +78,11 @@ def _canonical(alloc: Allocation) -> Allocation:
     each row value: equal outputs, and equal rows, are identical."""
     if id(alloc) in _CANONICAL:
         return alloc
-    rows = tuple([_canonical_row(row) for row in alloc._lotteries])
+    return _interned(tuple([_canonical_row(row) for row in alloc._lotteries]))
+
+
+def _interned(rows: tuple[Lottery, ...]) -> Allocation:
+    """The one allocation of the canonical rows `rows`, keyed on their ids."""
     found = _ALLOCATIONS.get(key := tuple(map(id, rows)))
     if found is None:
         found = _ALLOCATIONS[key] = Allocation._trusted(rows)
@@ -123,18 +133,19 @@ class Rule(Frozen):
         return _canonical(self.compute(self.key(profile)))
 
     def blocks(self, cells: Sequence[NormalizedUtility]) -> Block:
-        """The block allocator of a three-agent scan over the grid `cells`:
-        ``block(agent, i, j)`` lists, for each cell c, the allocation of the
-        profile where the other two agents, in agent order, report cells i
-        and j and `agent` reports cell c. Each entry is the very object
-        `allocate` returns for that profile.
+        """The block allocator that fills the rule's grid table over the
+        three-agent grid `cells` (`grid_table`): ``block(agent, i, j)``
+        lists, for each cell c, the allocation of the profile where the
+        other two agents, in agent order, report cells i and j and `agent`
+        reports cell c. Each entry is the very object `allocate` returns for
+        that profile.
 
         The allocator is chosen from the key and compute, as
-        `reads_only_rankings` is: a blend's own pair mixes its parts'
-        blocks, utilitarian's own pair takes an integer argmax per cell, a
-        key that reads only rankings (uniform's size key among them) is
-        computed once per moving order, and any other rule is allocated per
-        cell."""
+        `reads_only_rankings` is: a blend's own pair mixes the blocks of its
+        parts' grid tables, utilitarian's own pair takes an integer argmax
+        per cell, a key that reads only rankings (uniform's size key among
+        them) is computed once per moving order, and any other rule is
+        allocated per cell."""
         compute = self.compute
         if isinstance(compute, _Mix) and self.key is compute.key:
             return compute.blocks(cells)
@@ -339,23 +350,35 @@ BASE_RULES = {
 
 
 class _Mix:
-    """A blend's compute, from the pair of its parts' keys. Its only memo is
+    """A blend's compute, from the pair of its parts' keys. Its memos are
     the mix table, keyed on the ids of its parts' canonical outputs, so the
-    blend builds at most |outputs of first| * |outputs of second| matrices.
-    Its blocks mix its parts' blocks through the same table."""
+    blend builds at most |outputs of first| * |outputs of second| matrices,
+    and the row table, keyed on the ids of their canonical rows, so a row
+    that recurs across matrices is mixed once. Its blocks mix blocks of its
+    parts' grid tables through the same tables."""
 
-    __slots__ = ("first", "second", "alpha", "key", "mixes")
+    __slots__ = ("first", "second", "alpha", "key", "mixes", "rows")
 
     def __init__(self, first: Rule, second: Rule, alpha: Fraction):
         self.first, self.second, self.alpha = first, second, alpha
         self.key = partial(_pair_key, first.key, second.key)
         self.mixes: dict[tuple[int, int], Allocation] = {}
+        self.rows: dict[tuple[int, int], Lottery] = {}
 
     def mix(self, a: Allocation, b: Allocation) -> Allocation:
+        """The canonical alpha*a + (1-alpha)*b of canonical `a` and `b`."""
         mixed = self.mixes.get((id(a), id(b)))
         if mixed is None:
-            mixed = self.mixes[id(a), id(b)] = _canonical(mix_allocations(a, b, self.alpha))
+            mixed = self.mixes[id(a), id(b)] = _interned(
+                tuple(map(self.mix_row, a._lotteries, b._lotteries))
+            )
         return mixed
+
+    def mix_row(self, p: Lottery, q: Lottery) -> Lottery:
+        row = self.rows.get((id(p), id(q)))
+        if row is None:
+            row = self.rows[id(p), id(q)] = _canonical_row(mix_lotteries(p, q, self.alpha))
+        return row
 
     def __call__(self, keys: tuple[Hashable, Hashable]) -> Allocation:
         return self.mix(
@@ -363,10 +386,68 @@ class _Mix:
         )
 
     def blocks(self, cells: Sequence[NormalizedUtility]) -> Block:
-        first, second = self.first.blocks(cells), self.second.blocks(cells)
+        first = grid_table(self.first, cells).block
+        second = grid_table(self.second, cells).block
         return lambda agent, i, j: list(
             map(self.mix, first(agent, i, j), second(agent, i, j))
         )
+
+
+class GridTable:
+    """A rule's allocations over a three-agent grid of `count` cells, indexed
+    by the profile's cell triple (a*count^2 + b*count + c): one reference
+    per grid profile (1,728 at 2 rates, 74,088 on the default grid, 216,000
+    at the 10-rate cap). It is filled lazily by the rule's block allocator
+    (`Rule.blocks`), which is called once per block that holds an entry
+    not yet filled, and fills the whole block; so the three agents' blocks
+    share its entries, and a compute that raises raises at the first block
+    that needs it."""
+
+    __slots__ = ("count", "entries", "allocator")
+
+    def __init__(self, allocator: Block, count: int):
+        self.count = count
+        self.entries: list[Allocation | None] = [None] * count**3
+        self.allocator = allocator
+
+    def block(self, agent: int, i: int, j: int) -> list[Allocation]:
+        """Deviation block (agent, i, j), as `Rule.blocks` lists it."""
+        count = self.count
+        strides = (count * count, count, 1)
+        stride = strides[agent]
+        stride_i, stride_j = strides[:agent] + strides[agent + 1 :]
+        base = i * stride_i + j * stride_j
+        entries = slice(base, base + count * stride, stride)
+        allocations = self.entries[entries]
+        if not all(allocations):  # an allocation is truthy, an unfilled entry None
+            allocations = self.entries[entries] = self.allocator(agent, i, j)
+        return allocations
+
+
+# Grid tables kept at once: in a stress run, the three base rules that the
+# blends mix plus the blend under scan.
+MAX_TABLES = 4
+_TABLES: dict[tuple[Rule, tuple[NormalizedUtility, ...]], GridTable] = {}
+
+
+def grid_table(rule: Rule, cells: tuple[NormalizedUtility, ...]) -> GridTable:
+    """The rule's one table over the grid `cells`, shared by every scan and
+    blend in the process. At most MAX_TABLES are kept: a new one evicts the
+    least recently used blend's, or, with no blend's kept, the least
+    recently used one. A blend's allocator reads its parts' tables, which
+    are fetched before anything is evicted for it, and a table is built
+    only after the eviction; so as long as no blend is a part of another,
+    every table alive is a kept one, and at most MAX_TABLES are alive."""
+    key = (rule, cells)
+    table = _TABLES.pop(key, None)
+    if table is None:
+        allocator = rule.blocks(cells)
+        if len(_TABLES) >= MAX_TABLES:
+            blends = [kept for kept in _TABLES if isinstance(kept[0].compute, _Mix)]
+            del _TABLES[(blends or list(_TABLES))[0]]
+        table = GridTable(allocator, len(cells))
+    _TABLES[key] = table
+    return table
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -374,7 +455,7 @@ def blend_rule(first: Rule, second: Rule, alpha: Fraction) -> Rule:
     """Entrywise convex combination alpha*first + (1-alpha)*second, keyed on
     the pair of its parts' keys, computed by a `_Mix`.
 
-    Equal arguments return the one shared `Rule`, mix table included, so a
+    Equal arguments return the one shared `Rule`, mix tables included, so a
     family that draws the same blend twice computes it once. The memo is
     typed, so a float or a bool equal to a cached weight is still refused."""
     alpha = Fraction(exact_rational(alpha))

@@ -37,6 +37,7 @@ from alloclab import (
     utility_from,
 )
 from alloclab import checkers
+from alloclab import rules as rules_module
 from alloclab.bvn import random_bistochastic
 from alloclab.checkers import (
     MAX_PATH_PROBES,
@@ -49,7 +50,9 @@ from alloclab.checkers import (
     report_json,
 )
 from alloclab.core import over_common_denominator, profile_with
+from alloclab.harness import theorem_stress
 from alloclab.ordinal import OrdinalPreference, all_orders, ordinal_of
+from alloclab.rules import MAX_TABLES, _TABLES, GridTable, built_in_family
 
 from conftest import REDUCED_GRIDS, printed_witness, read_back
 
@@ -371,13 +374,16 @@ class TestRankingQuotient:
             assert fail.coverage == verdict.coverage
 
     def test_cardinal_keys_sweep_every_block(self, monkeypatch):
-        # A Pass scan judges every block it visits, in canonical order: all
-        # 3 x 12^2 blocks for a cardinal key, and one block per class,
-        # 3 x 6^2, for a key that reads only rankings. Up to three of those
-        # blocks hold a profile, but the rule's block allocator is called
-        # only for a block that holds a profile no earlier block held. A
-        # rule with no block of its own (an opaque key) is allocated once
-        # on each of those profiles; the others are never allocated.
+        # A Pass scan visits every block in canonical order: all 3 x 12^2
+        # blocks for a cardinal key, and one block per class, 3 x 6^2, for
+        # a key that reads only rankings. Non-bossiness judges every block
+        # it visits; strategy-proofness, whose judge reads only the agent's
+        # own rows, judges the first block of each distinct sequence of them.
+        # Up to three of those blocks hold a profile, but the rule's block
+        # allocator is called only for a block that holds a profile no
+        # earlier block held. A rule with no block of its own (an opaque
+        # key) is allocated once on each of those profiles; the others are
+        # never allocated.
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         cells = grid_cells(config)
         judged = []
@@ -397,6 +403,7 @@ class TestRankingQuotient:
         for rule in RANKING_RULES:
             if rule is not RANKINGS_BOSSY:
                 scans += [(check_strategy_proofness, rule, 6), (check_non_bossiness, rule, 6)]
+        skipped = 0
         for check, rule, classes in scans:
             counted, calls, block_calls = _counted(rule)
             assert counted.reads_only_rankings == (classes == 6)
@@ -404,7 +411,18 @@ class TestRankingQuotient:
             assert check(counted, config).passed
             firsts = cells[:: 12 // classes]
             blocks = [(agent, (a, b)) for agent in range(3) for a in firsts for b in firsts]
-            assert judged == blocks
+            if check is check_strategy_proofness:
+                sequences = {}
+                for agent, others in blocks:
+                    rows = tuple(
+                        rule.allocate(profile_with(others, agent, cell)).row(agent)
+                        for cell in cells
+                    )
+                    sequences.setdefault(rows, (agent, others))
+                assert judged == list(sequences.values())
+                skipped += len(blocks) - len(judged)
+            else:
+                assert judged == blocks
             profiles, filled = set(), []
             for agent, others in blocks:
                 held = {profile_with(others, agent, cell) for cell in cells}
@@ -418,6 +436,112 @@ class TestRankingQuotient:
                 assert len(calls) == len(profiles) and set(calls) == profiles
             else:
                 assert calls == []
+        assert skipped > 0
+
+
+def _top_or_bottom_allocate(rankings):
+    """Agent 0 gets its top object when agents 1 and 2 report the same
+    ranking, and its bottom object otherwise; agents 1 and 2 take the other
+    two, agent 1 the lower-numbered one."""
+    own = rankings[0]
+    pick = own[0] if rankings[1] == rankings[2] else own[-1]
+    rest = sorted(set(range(3)) - {pick})
+    rows = [[0] * 3 for _ in range(3)]
+    rows[0][pick] = rows[1][rest[0]] = rows[2][rest[1]] = 1
+    return make_allocation(rows)
+
+
+TOP_OR_BOTTOM = Rule("top-or-bottom-test", RSD.key, _top_or_bottom_allocate)
+
+
+class TestGridTables:
+    """Every scan and blend in a process reads one table per rule and grid,
+    and strategy-proofness judges a sequence of own rows once: no report may
+    depend on which scan filled a table or judged a sequence first."""
+
+    PARTS = [RSD, PS, UTILITARIAN]
+    BLENDS = [
+        rule_by_name(spec)
+        for spec in (
+            "blend:rsd:ps:1/3",
+            "blend:ps:rsd:3/5",
+            "blend:rsd:utilitarian:1/2",
+            "blend:utilitarian:ps:2/5",
+        )
+    ]
+
+    def test_scan_order_does_not_matter(self):
+        config = CheckConfig(mu_grid=REDUCED_GRIDS[3])
+
+        def reports(rules, clear_each):
+            _TABLES.clear()
+            found = {}
+            for rule in rules:
+                for check in (check_strategy_proofness, check_non_bossiness):
+                    if clear_each:
+                        _TABLES.clear()
+                    found[rule.name, check.__name__] = check(rule, config).to_dict()
+            return found
+
+        parts_first = reports(self.PARTS + self.BLENDS, False)
+        assert reports(self.BLENDS + self.PARTS, False) == parts_first
+        assert reports(self.BLENDS + self.PARTS, True) == parts_first
+        statuses = {report["status"] for report in parts_first.values()}
+        assert statuses == {"Pass", "Fail"}
+
+    def test_a_stress_run_keeps_four_tables_and_builds_one_per_rule(self, monkeypatch):
+        # The three base rules that the blends mix stay kept, plus the rule
+        # under scan, whose table its two scans share. No table is built
+        # before another is freed for it.
+        alive, built = [0, 0], []
+
+        class Counted(GridTable):
+            __slots__ = ()
+
+            def __init__(self, allocator, count):
+                super().__init__(allocator, count)
+                built.append(count)
+                alive[0] += 1
+                alive[1] = max(alive)
+
+            def __del__(self):
+                alive[0] -= 1
+
+        _TABLES.clear()
+        monkeypatch.setattr(rules_module, "GridTable", Counted)
+        family = built_in_family(766930)
+        theorem_stress(family, CheckConfig(mu_grid=REDUCED_GRIDS[1]))
+        assert alive[1] == MAX_TABLES == 4
+        assert len(built) == len(family)
+        _TABLES.clear()
+        assert alive[0] == 0
+
+    def test_each_own_row_sequence_is_judged_once(self):
+        # Only the second block of agent 0 is manipulable (agent 0 gets its
+        # bottom object), and its own rows are those of the first block
+        # (its top object) in another cell order: a scan that judged each
+        # set of own rows once would skip it.
+        config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
+        cells = grid_cells(config)
+        verdict = check_strategy_proofness(TOP_OR_BOTTOM, config)
+        every_block = checkers._scan_blocks(TOP_OR_BOTTOM, config, _manipulation)
+        assert verdict.to_dict() == every_block.to_dict()
+        assert verdict.coverage.endswith(f"scanned_blocks=3 of {3 * len(cells)**2}")
+        witness = _fail_witness(verdict)
+        # a>b>c, truthful, gets c; reporting a>c>b gets b
+        assert witness["profile"] == (cells[0], cells[0], cells[2])
+        assert (witness["agent"], witness["deviation"]) == (0, cells[2])
+
+    @pytest.mark.parametrize("grid", REDUCED_GRIDS[1:], ids=["2", "3", "ps-fails"])
+    def test_judging_once_per_sequence_keeps_every_report(self, grid):
+        config = CheckConfig(mu_grid=grid)
+        tested = RANKING_RULES + self.PARTS + self.BLENDS + [BOSSY, TOP_OR_BOTTOM]
+        statuses = set()
+        for rule in tested:
+            report = check_strategy_proofness(rule, config).to_dict()
+            assert report == checkers._scan_blocks(rule, config, _manipulation).to_dict()
+            statuses.add(report["status"])
+        assert statuses == {"Pass", "Fail"}
 
 
 class TestInternedOutputs:

@@ -319,9 +319,12 @@ class TestStructuralMemo:
             assert rule.compute(rule.key(abc_profile)) is rule.compute(rule.key(abc_profile))
 
     def test_a_blend_keeps_no_memory_per_profile(self):
-        # A blend's only memo is its mix table, at most one entry per pair of
-        # its parts' outputs, however many profiles are scanned; a memo per
-        # profile would keep 13,824 entries here, several megabytes.
+        # A blend's memos are its mix tables, at most one entry per pair of
+        # its parts' outputs or rows, however many profiles are scanned; a
+        # memo per profile would keep 13,824 entries here, several
+        # megabytes. The scan also keeps the blend's grid table, one
+        # reference per grid profile (about 108 KB here), and reads its
+        # parts' tables, which the two scans before it left kept.
         config = CheckConfig(mu_grid=SCAN_GRID)
         assert check_non_bossiness(UTILITARIAN, config).passed
         assert check_strategy_proofness(RSD, config).passed
@@ -356,15 +359,19 @@ class TestCanonicalOutputs:
 
         # What a second batch adds after an equal warm-up batch is what the
         # calls keep, however full the interpreter's free lists were before.
-        own = [tracemalloc.Filter(False, tracemalloc.__file__)]
+        # Both snapshots are taken before either is filtered: filtering
+        # compiles the filter's pattern, and inside the window those `re`
+        # allocations would count as growth.
         tracemalloc.start()
         try:
             batch()
-            before = tracemalloc.take_snapshot().filter_traces(own)
+            before = tracemalloc.take_snapshot()
             batch()
-            after = tracemalloc.take_snapshot().filter_traces(own)
+            after = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
+        own = [tracemalloc.Filter(False, tracemalloc.__file__)]
+        before, after = before.filter_traces(own), after.filter_traces(own)
         growth = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
         assert growth < 4 * 2**10
 
@@ -441,6 +448,37 @@ def test_every_grid_output_passes_validation(spec):
             outputs[id(alloc)] = alloc
     for alloc in outputs.values():
         assert Allocation(alloc.rows) == alloc
+
+
+MIXED_BLENDS = [
+    (RSD, PS, F(1, 3)),
+    (PS, RSD, F(3, 5)),
+    (RSD, UTILITARIAN, F(1, 2)),
+    (UTILITARIAN, PS, F(2, 5)),
+    (PS, DICTATORSHIP, F(1, 2)),
+    (UNIFORM, RSD, F(3, 4)),
+]
+
+
+@pytest.mark.parametrize("grid", REDUCED_GRIDS, ids=lambda grid: ",".join(map(str, grid)))
+def test_row_mixes_return_the_canonical_mix(grid):
+    """A blend mixes row by row and interns the result on its row ids: every
+    output, from `allocate` and from its grid table, is the canonical form
+    of the whole-matrix mix of its parts' outputs."""
+    config = CheckConfig(mu_grid=grid)
+    cells = grid_cells(config)
+    for first, second, alpha in MIXED_BLENDS:
+        blend = blend_rule.__wrapped__(first, second, alpha)  # empty mix and row tables
+        assert check_non_bossiness(blend, config).coverage  # fills its grid table
+        table = rules.grid_table(blend, cells)
+        # agent 0's blocks hold every profile once
+        for i, j in itertools.product(range(len(cells)), repeat=2):
+            for cell, entry in zip(cells, table.block(0, i, j), strict=True):
+                profile = (cell, cells[i], cells[j])
+                output = blend.allocate(profile)
+                mixed = mix_allocations(first.allocate(profile), second.allocate(profile), alpha)
+                assert output is entry is rules._canonical(mixed)
+        assert blend.compute.rows  # the row table was used
 
 
 BLOCK_RULES = [
