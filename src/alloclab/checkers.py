@@ -17,11 +17,11 @@ rule's block allocator (`Rule.blocks`) fills at most once per grid profile
 in a process, though up to three blocks of a scan, and every later scan or
 blend of the rule on that grid, read it; it builds no profile to allocate.
 Rule outputs are canonical (`rules._canonical`), so the judges compare
-outputs and own rows by identity, and the strategy-proofness judge, which
-reads only the agent's own rows, runs once per distinct sequence of them
-in a scan. For a rule that reads only rankings (`Rule.reads_only_rankings`),
-all blocks with the same agent and the same orders of the others hold the
-same allocations, so they share one verdict.
+outputs and own rows by identity. For a rule that reads only rankings
+(`Rule.reads_only_rankings`), all blocks with the same agent and the same
+orders of the others hold the same allocations, so they share one verdict,
+and the strategy-proofness judge, which reads only the agent's own rows,
+runs once per distinct sequence of them in a scan.
 Such a rule is scanned one block per class, the class's first block in
 canonical order (both others at the first grid rate). The full sweep's
 first failing block is the first block of the first failing class, so a
@@ -222,21 +222,13 @@ def check_efficiency(rule: Rule, profiles: Sequence[UtilityProfile]) -> Verdict:
     return Verdict(None, coverage)
 
 
-def _scan_blocks(
-    rule: Rule, config: CheckConfig, judge, once_per_own_rows: bool = False
-) -> Verdict:
+def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     """Judge every deviation block in canonical order (one block per class
     for a rule that reads only rankings), and stop at the first block where
     ``judge(agent, others, cells, scaled, allocations)`` returns a
     witness; `scanned_blocks` is that block's canonical index from one.
     ``scaled[c]`` holds cell c's values as integers over one positive
     denominator: its integer form's `nums`.
-
-    With `once_per_own_rows`, for a judge whose verdict reads only the
-    moving agent's own rows, in cell order, and `scaled`, a block is judged
-    only if no earlier block had the same sequence of own rows: a repeat of
-    a clean sequence is clean, and no failing one comes before its first.
-    Rows are canonical, so the sequence is compared by their ids.
 
     The blocks are slices of the rule's grid table (`rules.grid_table`),
     shared by every scan and blend in the process and filled by the rule's
@@ -252,23 +244,16 @@ def _scan_blocks(
     )
     step = len(config.mu_grid) if rule.reads_only_rankings else 1
     block = grid_table(rule, cells).block
-    clean: set[tuple[int, ...]] = set()
     for agent in range(3):
         for i in range(0, count, step):
             for j in range(0, count, step):
                 allocations = block(agent, i, j)
-                if once_per_own_rows:
-                    rows = tuple([id(alloc.row(agent)) for alloc in allocations])
-                    if rows in clean:
-                        continue
                 witness = judge(agent, (cells[i], cells[j]), cells, scaled, allocations)
                 if witness is not None:
                     scanned = (agent * count + i) * count + j + 1
                     return Verdict(
                         witness, _stopped(coverage, scanned, 3 * count**2, "blocks")
                     )
-                if once_per_own_rows:
-                    clean.add(rows)
     return Verdict(None, coverage)
 
 
@@ -337,9 +322,28 @@ def _bossiness(agent, others, cells, scaled, allocations) -> dict | None:
 
 def check_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
     """Exact weak-inequality test over every grid profile, agent, and
-    single-agent grid deviation. The judge reads only the agent's own rows,
-    so it runs once per distinct sequence of them."""
-    return _scan_blocks(rule, config, _manipulation, once_per_own_rows=True)
+    single-agent grid deviation.
+
+    The judge reads only the agent's own rows, in cell order, and the fixed
+    truths, so a repeat of a clean sequence of own rows is clean, and no
+    failing one comes before its first. For a rule that reads only rankings,
+    whose scan visits at most 108 blocks whatever the grid, a block is
+    judged only if no earlier block had the same sequence; rows are
+    canonical, so the sequence is compared by their ids."""
+    if not rule.reads_only_rankings:
+        return _scan_blocks(rule, config, _manipulation)
+    clean: set[tuple[int, ...]] = set()
+
+    def judge(agent, others, cells, scaled, allocations):
+        rows = tuple([id(alloc.row(agent)) for alloc in allocations])
+        if rows in clean:
+            return None
+        witness = _manipulation(agent, others, cells, scaled, allocations)
+        if witness is None:
+            clean.add(rows)
+        return witness
+
+    return _scan_blocks(rule, config, judge)
 
 
 def check_non_bossiness(rule: Rule, config: CheckConfig) -> Verdict:

@@ -14,13 +14,14 @@ rows. The utilitarian rule solves an exact assignment problem
 
 Over a three-agent grid, a rule's outputs live in its grid table
 (`grid_table`), one per rule and grid, shared by every scan and every blend
-in the process that reads them; at most MAX_TABLES are kept.
+in the process that reads them; at most MAX_TABLES are kept, and only over
+grids of at most MAX_KEPT_CELLS cells per agent.
 A table is filled a deviation block at a time by the rule's block allocator
 (`Rule.blocks`), which for a built-in rule builds no key per profile and,
 for utilitarian, runs no assignment DP; a blend's allocator mixes blocks of
-its parts' tables. The checkers scan a rule whose key reads only rankings
-(`Rule.reads_only_rankings`) one deviation block per class of ranking
-profiles.
+its parts' tables (over a larger grid, of their allocators). The checkers
+scan a rule whose key reads only rankings (`Rule.reads_only_rankings`) one
+deviation block per class of ranking profiles.
 
 Rule outputs are canonical (`_canonical`): equal outputs are one object,
 and so are equal rows, so the checkers compare outputs and rows by identity.
@@ -142,10 +143,10 @@ class Rule(Frozen):
 
         The allocator is chosen from the key and compute, as
         `reads_only_rankings` is: a blend's own pair mixes the blocks of its
-        parts' grid tables, utilitarian's own pair takes an integer argmax
-        per cell, a key that reads only rankings (uniform's size key among
-        them) is computed once per moving order, and any other rule is
-        allocated per cell."""
+        parts' grid tables (`_Mix.blocks`), utilitarian's own pair takes an
+        integer argmax per cell, a key that reads only rankings (uniform's
+        size key among them) is computed once per moving order, and any
+        other rule is allocated per cell."""
         compute = self.compute
         if isinstance(compute, _Mix) and self.key is compute.key:
             return compute.blocks(cells)
@@ -386,8 +387,11 @@ class _Mix:
         )
 
     def blocks(self, cells: Sequence[NormalizedUtility]) -> Block:
-        first = grid_table(self.first, cells).block
-        second = grid_table(self.second, cells).block
+        if len(cells) > MAX_KEPT_CELLS:
+            first, second = self.first.blocks(cells), self.second.blocks(cells)
+        else:
+            first = grid_table(self.first, cells).block
+            second = grid_table(self.second, cells).block
         return lambda agent, i, j: list(
             map(self.mix, first(agent, i, j), second(agent, i, j))
         )
@@ -425,8 +429,11 @@ class GridTable:
 
 
 # Grid tables kept at once: in a stress run, the three base rules that the
-# blends mix plus the blend under scan.
+# blends mix plus the blend under scan. Tables are kept only over grids of at
+# most MAX_KEPT_CELLS cells per agent (the default grid's 42), so the kept
+# ones hold at most 4 * 42^3 references, 2.4 MB.
 MAX_TABLES = 4
+MAX_KEPT_CELLS = 42
 _TABLES: dict[tuple[Rule, tuple[NormalizedUtility, ...]], GridTable] = {}
 
 
@@ -437,7 +444,13 @@ def grid_table(rule: Rule, cells: tuple[NormalizedUtility, ...]) -> GridTable:
     recently used one. A blend's allocator reads its parts' tables, which
     are fetched before anything is evicted for it, and a table is built
     only after the eviction; so as long as no blend is a part of another,
-    every table alive is a kept one, and at most MAX_TABLES are alive."""
+    every table alive is a kept one, and at most MAX_TABLES are alive.
+
+    Over a grid of more than MAX_KEPT_CELLS cells per agent, the table is
+    a new one that nothing keeps, filled for the one scan that asks for it,
+    and a blend's allocator reads its parts' block allocators instead."""
+    if len(cells) > MAX_KEPT_CELLS:
+        return GridTable(rule.blocks(cells), len(cells))
     key = (rule, cells)
     table = _TABLES.pop(key, None)
     if table is None:

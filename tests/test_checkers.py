@@ -52,7 +52,7 @@ from alloclab.checkers import (
 from alloclab.core import over_common_denominator, profile_with
 from alloclab.harness import theorem_stress
 from alloclab.ordinal import OrdinalPreference, all_orders, ordinal_of
-from alloclab.rules import MAX_TABLES, _TABLES, GridTable, built_in_family
+from alloclab.rules import MAX_KEPT_CELLS, MAX_TABLES, _TABLES, GridTable, built_in_family
 
 from conftest import REDUCED_GRIDS, printed_witness, read_back
 
@@ -376,9 +376,10 @@ class TestRankingQuotient:
     def test_cardinal_keys_sweep_every_block(self, monkeypatch):
         # A Pass scan visits every block in canonical order: all 3 x 12^2
         # blocks for a cardinal key, and one block per class, 3 x 6^2, for
-        # a key that reads only rankings. Non-bossiness judges every block
-        # it visits; strategy-proofness, whose judge reads only the agent's
-        # own rows, judges the first block of each distinct sequence of them.
+        # a key that reads only rankings. Every visited block is judged,
+        # except that strategy-proofness, whose judge reads only the agent's
+        # own rows, judges for a key that reads only rankings the first
+        # block of each distinct sequence of them.
         # Up to three of those blocks hold a profile, but the rule's block
         # allocator is called only for a block that holds a profile no
         # earlier block held. A rule with no block of its own (an opaque
@@ -411,7 +412,7 @@ class TestRankingQuotient:
             assert check(counted, config).passed
             firsts = cells[:: 12 // classes]
             blocks = [(agent, (a, b)) for agent in range(3) for a in firsts for b in firsts]
-            if check is check_strategy_proofness:
+            if check is check_strategy_proofness and classes == 6:
                 sequences = {}
                 for agent, others in blocks:
                     rows = tuple(
@@ -492,7 +493,8 @@ class TestGridTables:
     def test_a_stress_run_keeps_four_tables_and_builds_one_per_rule(self, monkeypatch):
         # The three base rules that the blends mix stay kept, plus the rule
         # under scan, whose table its two scans share. No table is built
-        # before another is freed for it.
+        # before another is freed for it. The seed's family draws no rule
+        # twice, so each rule's table is built exactly once.
         alive, built = [0, 0], []
 
         class Counted(GridTable):
@@ -509,12 +511,35 @@ class TestGridTables:
 
         _TABLES.clear()
         monkeypatch.setattr(rules_module, "GridTable", Counted)
-        family = built_in_family(766930)
+        family = built_in_family(8080)
+        assert len(set(map(id, family))) == len(family) == 12
         theorem_stress(family, CheckConfig(mu_grid=REDUCED_GRIDS[1]))
         assert alive[1] == MAX_TABLES == 4
         assert len(built) == len(family)
         _TABLES.clear()
         assert alive[0] == 0
+
+    def test_grids_past_the_kept_size_keep_no_table(self, monkeypatch):
+        # Over more than 42 cells per agent nothing is kept: each scan fills
+        # a table of its own and a blend reads its parts' allocators. The
+        # reports are those of scans that share kept tables.
+        config = CheckConfig(mu_grid=tuple(F(k, 9) for k in range(1, 9)))
+        assert len(grid_cells(config)) == 48 > MAX_KEPT_CELLS == 42
+        ranking = [RSD, PS, rule_by_name("blend:rsd:ps:3/5")]
+        scans = [
+            (check, rule)
+            for rule in ranking
+            for check in (check_strategy_proofness, check_non_bossiness)
+        ]
+        scans.append((check_strategy_proofness, rule_by_name("blend:rsd:utilitarian:1/2")))
+        _TABLES.clear()
+        unkept = [check(rule, config).to_dict() for check, rule in scans]
+        assert not _TABLES
+        assert {report["status"] for report in unkept} == {"Pass", "Fail"}
+        monkeypatch.setattr(rules_module, "MAX_KEPT_CELLS", 48)
+        assert [check(rule, config).to_dict() for check, rule in scans] == unkept
+        assert len(_TABLES) == MAX_TABLES
+        _TABLES.clear()
 
     def test_each_own_row_sequence_is_judged_once(self):
         # Only the second block of agent 0 is manipulable (agent 0 gets its

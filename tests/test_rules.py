@@ -1,5 +1,6 @@
 """The allocation rules: rsd, ps, dictatorship, utilitarian, blends."""
 
+import gc
 import itertools
 import random
 import tracemalloc
@@ -361,12 +362,17 @@ class TestCanonicalOutputs:
         # calls keep, however full the interpreter's free lists were before.
         # Both snapshots are taken before either is filtered: filtering
         # compiles the filter's pattern, and inside the window those `re`
-        # allocations would count as growth.
+        # allocations would count as growth. A full collection before each
+        # snapshot leaves only live objects in it, so where the collector's
+        # counters stood, and what earlier tests left to collect, do not
+        # count either.
         tracemalloc.start()
         try:
             batch()
+            gc.collect()
             before = tracemalloc.take_snapshot()
             batch()
+            gc.collect()
             after = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
