@@ -12,12 +12,11 @@ coverage says how far its scan got.
 The strategy-proofness and non-bossiness scans are one loop over deviation
 blocks (`_scan_blocks`), each with its own judge of a block: one agent,
 fixed reports of the other two, and every grid cell for the agent. A scan
-slices each block from the rule's grid table (`rules.grid_table`), which the
-rule's block allocator (`Rule.blocks`) fills at most once per grid profile
-in a process, though up to three blocks of a scan, and every later scan or
-blend of the rule on that grid, read it; it builds no profile to allocate.
-Rule outputs are canonical (`rules._canonical`), so the judges compare
-outputs and own rows by identity. For a rule that reads only rankings
+slices each block from one table of its own (`rules.GridTable`), which the
+rule's block allocator (`Rule.blocks`) fills at most once per grid profile,
+though up to three blocks of the scan read it; it builds no profile to
+allocate. Rule outputs are canonical (`rules._canonical`), so the judges
+compare outputs and own rows by identity. For a rule that reads only rankings
 (`Rule.reads_only_rankings`), all blocks with the same agent and the same
 orders of the others hold the same allocations, so they share one verdict,
 and the strategy-proofness judge, which reads only the agent's own rows,
@@ -30,8 +29,10 @@ are the full sweep's, and a Pass reports the same coverage.
 
 The same quotient covers ordinality: every profile of an ordinal cell has
 the cell's ranking profile as its key, so such a rule is called once per
-cell and always passes, with the coverage string of the declared sweep of
-grid and random profiles, which that one call proves.
+cell, at the cell's mid profile (`rules.cell_outputs`), and always passes,
+with the coverage string of the declared sweep of grid and random profiles,
+which that one call proves. Sd-strategy-proofness reads the same 216
+outputs, for every rule.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .ordinal import (
     sd_compare,
     utility_from,
 )
-from .rules import Rule, grid_table
+from .rules import GridTable, Rule, cell_outputs
 
 
 class NotOrdinal(ValueError):
@@ -230,11 +231,10 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     ``scaled[c]`` holds cell c's values as integers over one positive
     denominator: its integer form's `nums`.
 
-    The blocks are slices of the rule's grid table (`rules.grid_table`),
-    shared by every scan and blend in the process and filled by the rule's
-    block allocator (`Rule.blocks`), never from a profile built here. Its
-    entries are canonical rule outputs: equal allocations, and equal rows,
-    are one object."""
+    The blocks are slices of the scan's own table (`rules.GridTable`),
+    filled by the rule's block allocator (`Rule.blocks`), never from a
+    profile built here. Its entries are canonical rule outputs: equal
+    allocations, and equal rows, are one object."""
     cells = grid_cells(config)
     scaled = [cell.nums for cell in cells]
     count = len(cells)
@@ -243,7 +243,7 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
         f"cells_per_agent={count}; profiles={count**3}; deviations_per_agent={count}"
     )
     step = len(config.mu_grid) if rule.reads_only_rankings else 1
-    block = grid_table(rule, cells).block
+    block = GridTable(rule.blocks(cells), count).block
     for agent in range(3):
         for i in range(0, count, step):
             for j in range(0, count, step):
@@ -377,27 +377,26 @@ def check_ordinality(rule: Rule, config: CheckConfig) -> Verdict:
 
     A rule that reads only rankings gives every profile of a cell the same
     key, hence the same allocation, so each cell is proved by one rule call
-    on its first grid profile (every agent at the first grid rate). That
-    call is kept so that a `compute` that raises still raises at the same
-    cell, and the coverage still describes the declared sweep, which the
-    quotient proves."""
+    on its mid profile (`rules.cell_outputs`). That call is kept so that a
+    `compute` that raises still raises at the same cell, and the coverage
+    still describes the declared sweep, which the quotient proves."""
     mu_grid = config.mu_grid
     coverage = (
         f"cells=216; per_cell={len(mu_grid)**3}+{config.samples_per_cell} random; "
         f"seed={config.seed}"
     )
-    quotient = rule.reads_only_rankings
-    rates = mu_grid[:1] if quotient else mu_grid
-    samples = 0 if quotient else config.samples_per_cell
+    if rule.reads_only_rankings:
+        cell_outputs(rule)
+        return Verdict(None, coverage)
     cells = itertools.product(all_orders(3), repeat=3)
     for index, orders in enumerate(cells):
         profiles = [
             tuple(utility_from(order, mu) for order, mu in zip(orders, mus))
-            for mus in itertools.product(rates, repeat=3)
+            for mus in itertools.product(mu_grid, repeat=3)
         ]
-        if samples:
+        if config.samples_per_cell:
             rng = random.Random(f"{config.seed}:cell:{index}")
-            for _ in range(samples):
+            for _ in range(config.samples_per_cell):
                 profiles.append(
                     tuple(utility_from(order, random_rational(rng)) for order in orders)
                 )
@@ -412,27 +411,23 @@ def check_sd_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
     dominate every single-agent ordinal deviation's share.
 
     Raises NotOrdinal when the rule varies within a cone on the grid, since
-    the finite test only makes sense for ordinal rules.
+    the finite test only makes sense for ordinal rules. Every report reads
+    the rule's outputs at the cells' mid profiles (`rules.cell_outputs`).
     """
     require_ordinal(rule, config, NotOrdinal, "varies within an ordinal cone")
+    outputs = cell_outputs(rule)
     orders = all_orders(3)
-    mid = Fraction(1, 2)
     coverage = "cells=216; ordinal deviations=6 per agent"
-    cells = itertools.product(orders, repeat=3)
+    cells = list(itertools.product(orders, repeat=3))
+    position = {cell: index for index, cell in enumerate(cells)}
     for index, truth_orders in enumerate(cells):
-        profile = tuple(utility_from(order, mid) for order in truth_orders)
-        truthful = rule.allocate(profile)
+        truthful = outputs[index]
         for agent in range(3):
             for deviation in orders:
                 if deviation == truth_orders[agent]:
                     continue
-                deviated = rule.allocate(
-                    profile_with(
-                        profile[:agent] + profile[agent + 1 :],
-                        agent,
-                        utility_from(deviation, mid),
-                    )
-                )
+                cell = truth_orders[:agent] + (deviation,) + truth_orders[agent + 1 :]
+                deviated = outputs[position[cell]]
                 verdict = sd_compare(
                     truthful.row(agent), deviated.row(agent), truth_orders[agent]
                 )

@@ -12,16 +12,16 @@ two mix tables, keyed on pairs of its parts' outputs and on pairs of their
 rows. The utilitarian rule solves an exact assignment problem
 (`lp.best_assignment`).
 
-Over a three-agent grid, a rule's outputs live in its grid table
-(`grid_table`), one per rule and grid, shared by every scan and every blend
-in the process that reads them; at most MAX_TABLES are kept, and only over
-grids of at most MAX_KEPT_CELLS cells per agent.
-A table is filled a deviation block at a time by the rule's block allocator
-(`Rule.blocks`), which for a built-in rule builds no key per profile and,
-for utilitarian, runs no assignment DP; a blend's allocator mixes blocks of
-its parts' tables (over a larger grid, of their allocators). The checkers
-scan a rule whose key reads only rankings (`Rule.reads_only_rankings`) one
-deviation block per class of ranking profiles.
+At three agents, a rule's outputs at the mid profiles of the 216 ordinal
+cells (`cell_outputs`) are computed once per rule; for a rule whose key
+reads only rankings (`Rule.reads_only_rankings`) they are its outputs on the
+whole domain, and its grid blocks are read off them.
+Over a three-agent grid, a rule's block allocator (`Rule.blocks`) lists one
+deviation block of outputs at a time and builds no key per profile: a
+ranking rule reads its cell outputs, utilitarian takes an integer argmax
+per cell into a table kept for the last grid only, and a blend mixes its
+parts' blocks. The checkers scan a ranking rule one deviation block per
+class of ranking profiles.
 
 Rule outputs are canonical (`_canonical`): equal outputs are one object,
 and so are equal rows, so the checkers compare outputs and rows by identity.
@@ -59,7 +59,7 @@ from .core import (
 )
 from .bvn import PermutationMatrix
 from .lp import best_assignment
-from .ordinal import NormalizedUtility, OrdinalPreference, canonicalize, ordinal_of
+from .ordinal import NormalizedUtility, all_orders, canonicalize, ordinal_of, utility_from
 
 
 class AlphaOutOfRange(ValueError):
@@ -134,24 +134,23 @@ class Rule(Frozen):
         return _canonical(self.compute(self.key(profile)))
 
     def blocks(self, cells: Sequence[NormalizedUtility]) -> Block:
-        """The block allocator that fills the rule's grid table over the
-        three-agent grid `cells` (`grid_table`): ``block(agent, i, j)``
-        lists, for each cell c, the allocation of the profile where the
-        other two agents, in agent order, report cells i and j and `agent`
-        reports cell c. Each entry is the very object `allocate` returns for
-        that profile.
+        """The block allocator over the three-agent grid `cells`:
+        ``block(agent, i, j)`` lists, for each cell c, the allocation of the
+        profile where the other two agents, in agent order, report cells i
+        and j and `agent` reports cell c. Each entry is the very object
+        `allocate` returns for that profile.
 
         The allocator is chosen from the key and compute, as
-        `reads_only_rankings` is: a blend's own pair mixes the blocks of its
-        parts' grid tables (`_Mix.blocks`), utilitarian's own pair takes an
-        integer argmax per cell, a key that reads only rankings (uniform's
-        size key among them) is computed once per moving order, and any
-        other rule is allocated per cell."""
+        `reads_only_rankings` is: a blend's own pair mixes its parts' blocks
+        (`_Mix.blocks`), utilitarian's own pair takes an integer argmax per
+        cell, a key that reads only rankings (uniform's size key among them)
+        is read off the rule's cell outputs, and any other rule is allocated
+        per cell."""
         compute = self.compute
         if isinstance(compute, _Mix) and self.key is compute.key:
             return compute.blocks(cells)
         if compute is UTILITARIAN.compute and self.key is _canonical_key:
-            return _utilitarian_blocks(cells)
+            return _utilitarian_blocks(tuple(cells))
         if self.reads_only_rankings:
             return _ranking_blocks(self, cells)
         return lambda agent, i, j: [
@@ -282,34 +281,50 @@ def _uniform(n: int) -> Allocation:
     return _canonical(uniform_allocation(n))
 
 
+@lru_cache(maxsize=None)
+def cell_outputs(rule: Rule) -> tuple[Allocation, ...]:
+    """The rule's output at the mid profile (every agent at rate 1/2) of each
+    of the 216 three-agent ordinal cells, through `rule.allocate`, memoized
+    per rule for the life of the process. The cells come in canonical order:
+    cell k gives agent a the order ``all_orders(3)[k // 6**(2 - a) % 6]``.
+
+    For a rule that reads only rankings, each entry is its output on the
+    whole cell. A compute that raises raises at the first cell that needs
+    it, and nothing is kept."""
+    mids = [utility_from(order, Fraction(1, 2)) for order in all_orders(3)]
+    return tuple([rule.allocate(profile) for profile in itertools.product(mids, repeat=3)])
+
+
 def _ranking_blocks(rule: Rule, cells: Sequence[NormalizedUtility]) -> Block:
-    """Blocks of a rule whose key reads only rankings: the cells of one
-    order share a key, so each block computes once per moving order, on
-    that order's first cell, and reuses the output at its other rates."""
-    leads: dict[OrdinalPreference, int] = {}
-    lead = [leads.setdefault(ordinal_of(cell), c) for c, cell in enumerate(cells)]
-    firsts = list(leads.values())
+    """Blocks of a rule whose key reads only rankings, read off its cell
+    outputs (`cell_outputs`): a profile's output is that of its ordinal
+    cell."""
+    outputs = cell_outputs(rule)
+    index = {order: k for k, order in enumerate(all_orders(3))}
+    orders = [index[ordinal_of(cell)] for cell in cells]
+    strides = (36, 6, 1)
 
     def block(agent: int, i: int, j: int) -> list[Allocation]:
-        others = (cells[i], cells[j])
-        outputs = {
-            c: _canonical(rule.compute(rule.key(profile_with(others, agent, cells[c]))))
-            for c in firsts
-        }
-        return [outputs[c] for c in lead]
+        stride_i, stride_j = strides[:agent] + strides[agent + 1 :]
+        base, stride = orders[i] * stride_i + orders[j] * stride_j, strides[agent]
+        return [outputs[base + order * stride] for order in orders]
 
     return block
 
 
-def _utilitarian_blocks(cells: Sequence[NormalizedUtility]) -> Block:
-    """Utilitarian's blocks without the assignment DP: a profile's optimum
-    is the permutation with the largest total of the 6 over its canonical
-    values, ties going to the largest picks tuple, which is
+@lru_cache(maxsize=1)
+def _utilitarian_blocks(cells: tuple[NormalizedUtility, ...]) -> Block:
+    """Utilitarian's blocks without the assignment DP, filled into a table
+    (`GridTable`) kept for the last grid only, so that every scan and blend
+    of the only cardinal base rule on that grid reads one table.
+
+    A profile's optimum is the permutation with the largest total of the 6
+    over its canonical values, ties going to the largest picks tuple, which is
     `best_assignment`'s choice; so it is the maximal (total, k) for the k-th
     permutation in lexicographic order.
 
     Every cell's values are scaled to integers over one positive common
-    denominator, once per scan, so each total and each comparison is the
+    denominator, once per grid, so each total and each comparison is the
     rational one. The moving agent's part of a total is its value of the
     object the permutation gives it, so among the two permutations that
     give it the same object the fixed agents' part decides. A block keeps
@@ -335,7 +350,7 @@ def _utilitarian_blocks(cells: Sequence[NormalizedUtility]) -> Block:
             for v0, v1, v2 in scaled
         ]
 
-    return block
+    return GridTable(block, len(cells)).block
 
 
 # One memo entry per distinct key: at most (n!)^n for a ranking key.
@@ -355,8 +370,8 @@ class _Mix:
     the mix table, keyed on the ids of its parts' canonical outputs, so the
     blend builds at most |outputs of first| * |outputs of second| matrices,
     and the row table, keyed on the ids of their canonical rows, so a row
-    that recurs across matrices is mixed once. Its blocks mix blocks of its
-    parts' grid tables through the same tables."""
+    that recurs across matrices is mixed once. Its blocks mix its parts'
+    blocks through the same tables."""
 
     __slots__ = ("first", "second", "alpha", "key", "mixes", "rows")
 
@@ -387,11 +402,7 @@ class _Mix:
         )
 
     def blocks(self, cells: Sequence[NormalizedUtility]) -> Block:
-        if len(cells) > MAX_KEPT_CELLS:
-            first, second = self.first.blocks(cells), self.second.blocks(cells)
-        else:
-            first = grid_table(self.first, cells).block
-            second = grid_table(self.second, cells).block
+        first, second = self.first.blocks(cells), self.second.blocks(cells)
         return lambda agent, i, j: list(
             map(self.mix, first(agent, i, j), second(agent, i, j))
         )
@@ -401,11 +412,12 @@ class GridTable:
     """A rule's allocations over a three-agent grid of `count` cells, indexed
     by the profile's cell triple (a*count^2 + b*count + c): one reference
     per grid profile (1,728 at 2 rates, 74,088 on the default grid, 216,000
-    at the 10-rate cap). It is filled lazily by the rule's block allocator
+    at the 10-rate cap). It is filled lazily by a block allocator
     (`Rule.blocks`), which is called once per block that holds an entry
     not yet filled, and fills the whole block; so the three agents' blocks
     share its entries, and a compute that raises raises at the first block
-    that needs it."""
+    that needs it. Each scan fills one (`checkers._scan_blocks`), and
+    utilitarian keeps one for the last grid (`_utilitarian_blocks`)."""
 
     __slots__ = ("count", "entries", "allocator")
 
@@ -426,41 +438,6 @@ class GridTable:
         if not all(allocations):  # an allocation is truthy, an unfilled entry None
             allocations = self.entries[entries] = self.allocator(agent, i, j)
         return allocations
-
-
-# Grid tables kept at once: in a stress run, the three base rules that the
-# blends mix plus the blend under scan. Tables are kept only over grids of at
-# most MAX_KEPT_CELLS cells per agent (the default grid's 42), so the kept
-# ones hold at most 4 * 42^3 references, 2.4 MB.
-MAX_TABLES = 4
-MAX_KEPT_CELLS = 42
-_TABLES: dict[tuple[Rule, tuple[NormalizedUtility, ...]], GridTable] = {}
-
-
-def grid_table(rule: Rule, cells: tuple[NormalizedUtility, ...]) -> GridTable:
-    """The rule's one table over the grid `cells`, shared by every scan and
-    blend in the process. At most MAX_TABLES are kept: a new one evicts the
-    least recently used blend's, or, with no blend's kept, the least
-    recently used one. A blend's allocator reads its parts' tables, which
-    are fetched before anything is evicted for it, and a table is built
-    only after the eviction; so as long as no blend is a part of another,
-    every table alive is a kept one, and at most MAX_TABLES are alive.
-
-    Over a grid of more than MAX_KEPT_CELLS cells per agent, the table is
-    a new one that nothing keeps, filled for the one scan that asks for it,
-    and a blend's allocator reads its parts' block allocators instead."""
-    if len(cells) > MAX_KEPT_CELLS:
-        return GridTable(rule.blocks(cells), len(cells))
-    key = (rule, cells)
-    table = _TABLES.pop(key, None)
-    if table is None:
-        allocator = rule.blocks(cells)
-        if len(_TABLES) >= MAX_TABLES:
-            blends = [kept for kept in _TABLES if isinstance(kept[0].compute, _Mix)]
-            del _TABLES[(blends or list(_TABLES))[0]]
-        table = GridTable(allocator, len(cells))
-    _TABLES[key] = table
-    return table
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -497,12 +474,14 @@ def rule_by_name(spec: str) -> Rule:
 
 def built_in_family(seed: int) -> list[Rule]:
     """The 12-rule stress-test family: rsd, ps, utilitarian, plus nine
-    seeded blends of distinct base rules with random rational weights."""
+    distinct seeded blends of distinct base rules with random rational
+    weights; a draw of a blend already in the family is drawn again."""
     rng = random.Random(seed)
     family = [RSD, PS, UTILITARIAN]
     pool = [RSD, PS, UTILITARIAN]
-    for _ in range(9):
+    while len(family) < 12:
         first, second = rng.sample(pool, 2)
-        alpha = Fraction(rng.randrange(1, 10), 10)
-        family.append(blend_rule(first, second, alpha))
+        blend = blend_rule(first, second, Fraction(rng.randrange(1, 10), 10))
+        if blend not in family:
+            family.append(blend)
     return family

@@ -52,13 +52,19 @@ from alloclab.checkers import (
 from alloclab.core import over_common_denominator, profile_with
 from alloclab.harness import theorem_stress
 from alloclab.ordinal import OrdinalPreference, all_orders, ordinal_of
-from alloclab.rules import MAX_KEPT_CELLS, MAX_TABLES, _TABLES, GridTable, built_in_family
+from alloclab.rules import GridTable, built_in_family, cell_outputs
 
 from conftest import REDUCED_GRIDS, printed_witness, read_back
 
 F = Fraction
 SMALL = CheckConfig(mu_grid=(F(1, 10), F(1, 2), F(9, 10)), samples_per_cell=1, seed=5)
 ABC = OrdinalPreference((0, 1, 2))
+# The mid profile of each ordinal cell, every agent at rate 1/2, in canonical
+# cell order: the profiles `cell_outputs` allocates.
+MID_PROFILES = [
+    tuple(utility_from(order, F(1, 2)) for order in orders)
+    for orders in itertools.product(all_orders(3), repeat=3)
+]
 
 
 def _bossy_allocate(profile):
@@ -314,9 +320,11 @@ class TestRankingQuotient:
         assert bossy.witness["agent"] == 2
 
     def test_rsd_scans_one_block_per_class_on_the_default_grid(self):
+        # The blocks are read off the rule's cell outputs: one call per
+        # ordinal cell, at its mid profile, whatever the grid.
         counted, calls, blocks = _counted(RSD)
         assert check_strategy_proofness(counted, CheckConfig()).passed
-        assert calls == [] and len(blocks) == 3 * 36
+        assert calls == MID_PROFILES and len(blocks) == 3 * 36
 
     def test_ordinality_calls_the_rule_once_per_cell_on_the_default_grid(self):
         counted, calls, _ = _counted(rule_by_name("blend:rsd:dictatorship:1/3"))
@@ -325,13 +333,10 @@ class TestRankingQuotient:
             "status": "Pass",
             "coverage": "cells=216; per_cell=343+2 random; seed=0",
         }
-        assert len(calls) == 216
-        # each call is its cell's first grid profile, in canonical order
-        first = F(1, 10)
-        assert calls == [
-            tuple(utility_from(order, first) for order in orders)
-            for orders in itertools.product(all_orders(3), repeat=3)
-        ]
+        # each call is its cell's mid profile, in canonical order
+        assert calls == MID_PROFILES
+        # the outputs are kept: a second check calls nothing
+        assert check_ordinality(counted, CheckConfig()).passed and len(calls) == 216
 
     def test_ordinality_raises_where_the_full_sweep_raises(self):
         orders = list(itertools.product(all_orders(3), repeat=3))
@@ -383,8 +388,9 @@ class TestRankingQuotient:
         # Up to three of those blocks hold a profile, but the rule's block
         # allocator is called only for a block that holds a profile no
         # earlier block held. A rule with no block of its own (an opaque
-        # key) is allocated once on each of those profiles; the others are
-        # never allocated.
+        # key) is allocated once on each of those profiles, a base rule whose
+        # key reads only rankings once per ordinal cell, at its mid profile,
+        # and the others, blends among them, are never allocated.
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         cells = grid_cells(config)
         judged = []
@@ -436,7 +442,8 @@ class TestRankingQuotient:
             if rule in (opaque, BOSSY):
                 assert len(calls) == len(profiles) and set(calls) == profiles
             else:
-                assert calls == []
+                mixed = isinstance(rule.compute, rules_module._Mix)
+                assert calls == (MID_PROFILES if classes == 6 and not mixed else [])
         assert skipped > 0
 
 
@@ -456,9 +463,10 @@ TOP_OR_BOTTOM = Rule("top-or-bottom-test", RSD.key, _top_or_bottom_allocate)
 
 
 class TestGridTables:
-    """Every scan and blend in a process reads one table per rule and grid,
-    and strategy-proofness judges a sequence of own rows once: no report may
-    depend on which scan filled a table or judged a sequence first."""
+    """Each scan fills one table of its own, utilitarian keeps one for the
+    last grid, and strategy-proofness judges a sequence of own rows once: no
+    report may depend on which scan filled a table or judged a sequence
+    first."""
 
     PARTS = [RSD, PS, UTILITARIAN]
     BLENDS = [
@@ -474,13 +482,17 @@ class TestGridTables:
     def test_scan_order_does_not_matter(self):
         config = CheckConfig(mu_grid=REDUCED_GRIDS[3])
 
+        def clear():
+            cell_outputs.cache_clear()
+            rules_module._utilitarian_blocks.cache_clear()
+
         def reports(rules, clear_each):
-            _TABLES.clear()
+            clear()
             found = {}
             for rule in rules:
                 for check in (check_strategy_proofness, check_non_bossiness):
                     if clear_each:
-                        _TABLES.clear()
+                        clear()
                     found[rule.name, check.__name__] = check(rule, config).to_dict()
             return found
 
@@ -490,11 +502,10 @@ class TestGridTables:
         statuses = {report["status"] for report in parts_first.values()}
         assert statuses == {"Pass", "Fail"}
 
-    def test_a_stress_run_keeps_four_tables_and_builds_one_per_rule(self, monkeypatch):
-        # The three base rules that the blends mix stay kept, plus the rule
-        # under scan, whose table its two scans share. No table is built
-        # before another is freed for it. The seed's family draws no rule
-        # twice, so each rule's table is built exactly once.
+    def test_a_stress_run_keeps_one_utilitarian_table(self, monkeypatch):
+        # Each scan builds one table, freed when the scan ends, and
+        # utilitarian's table, which every scan of a blend with it reads, is
+        # built once for the grid and kept. So at most two tables are alive.
         alive, built = [0, 0], []
 
         class Counted(GridTable):
@@ -509,37 +520,19 @@ class TestGridTables:
             def __del__(self):
                 alive[0] -= 1
 
-        _TABLES.clear()
+        rules_module._utilitarian_blocks.cache_clear()
         monkeypatch.setattr(rules_module, "GridTable", Counted)
+        monkeypatch.setattr(checkers, "GridTable", Counted)
+        config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         family = built_in_family(8080)
-        assert len(set(map(id, family))) == len(family) == 12
-        theorem_stress(family, CheckConfig(mu_grid=REDUCED_GRIDS[1]))
-        assert alive[1] == MAX_TABLES == 4
-        assert len(built) == len(family)
-        _TABLES.clear()
+        theorem_stress(family, config)
+        assert alive[1] == 2
+        assert len(built) == 2 * len(family) + 1
+        kept = rules_module._utilitarian_blocks(grid_cells(config)).__self__
+        assert alive[0] == 1 and isinstance(kept, Counted)
+        del kept
+        rules_module._utilitarian_blocks.cache_clear()
         assert alive[0] == 0
-
-    def test_grids_past_the_kept_size_keep_no_table(self, monkeypatch):
-        # Over more than 42 cells per agent nothing is kept: each scan fills
-        # a table of its own and a blend reads its parts' allocators. The
-        # reports are those of scans that share kept tables.
-        config = CheckConfig(mu_grid=tuple(F(k, 9) for k in range(1, 9)))
-        assert len(grid_cells(config)) == 48 > MAX_KEPT_CELLS == 42
-        ranking = [RSD, PS, rule_by_name("blend:rsd:ps:3/5")]
-        scans = [
-            (check, rule)
-            for rule in ranking
-            for check in (check_strategy_proofness, check_non_bossiness)
-        ]
-        scans.append((check_strategy_proofness, rule_by_name("blend:rsd:utilitarian:1/2")))
-        _TABLES.clear()
-        unkept = [check(rule, config).to_dict() for check, rule in scans]
-        assert not _TABLES
-        assert {report["status"] for report in unkept} == {"Pass", "Fail"}
-        monkeypatch.setattr(rules_module, "MAX_KEPT_CELLS", 48)
-        assert [check(rule, config).to_dict() for check, rule in scans] == unkept
-        assert len(_TABLES) == MAX_TABLES
-        _TABLES.clear()
 
     def test_each_own_row_sequence_is_judged_once(self):
         # Only the second block of agent 0 is manipulable (agent 0 gets its
@@ -667,6 +660,63 @@ class TestSdStrategyProofness:
     def test_utilitarian_raises_not_ordinal(self):
         with pytest.raises(NotOrdinal):
             check_sd_strategy_proofness(UTILITARIAN, SMALL)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "rsd",
+            "ps",
+            "dictatorship",
+            "uniform",
+            "blend:rsd:ps:3/5",
+            # cardinal keys whose outputs are ordinal
+            "blend:utilitarian:rsd:0",
+            "blend:rsd:utilitarian:1",
+        ],
+    )
+    def test_cell_outputs_give_the_per_profile_reports(self, spec):
+        rule = rule_by_name(spec)
+        config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
+        report = check_sd_strategy_proofness(rule, config).to_dict()
+        assert report == _sd_reference(rule, config).to_dict()
+        assert report["status"] == ("Fail" if "ps" in spec else "Pass")
+        assert list(cell_outputs(rule)) == [rule.allocate(profile) for profile in MID_PROFILES]
+
+
+def _sd_reference(rule, config):
+    """`check_sd_strategy_proofness` as a loop that allocates the truthful
+    and every deviated profile of each cell, at rate 1/2."""
+    checkers.require_ordinal(rule, config, NotOrdinal, "varies within an ordinal cone")
+    orders = all_orders(3)
+    mid = F(1, 2)
+    coverage = "cells=216; ordinal deviations=6 per agent"
+    for index, truth_orders in enumerate(itertools.product(orders, repeat=3)):
+        profile = tuple(utility_from(order, mid) for order in truth_orders)
+        truthful = rule.allocate(profile)
+        for agent in range(3):
+            for deviation in orders:
+                if deviation == truth_orders[agent]:
+                    continue
+                others = profile[:agent] + profile[agent + 1 :]
+                deviated = rule.allocate(
+                    profile_with(others, agent, utility_from(deviation, mid))
+                )
+                verdict = sd_compare(
+                    truthful.row(agent), deviated.row(agent), truth_orders[agent]
+                )
+                if verdict not in (SdVerdict.DOMINATES, SdVerdict.EQUAL):
+                    witness = {
+                        "cell": truth_orders,
+                        "agent": agent,
+                        "deviation_order": deviation,
+                        "truthful_share": truthful.row(agent).probs,
+                        "deviated_share": deviated.row(agent).probs,
+                        "sd_verdict": verdict,
+                    }
+                    return checkers.Verdict(
+                        witness, f"{coverage}; scanned_cells={index + 1} of 216"
+                    )
+    return checkers.Verdict(None, coverage)
 
 
 class TestContinuity:

@@ -686,6 +686,19 @@ def test_continuity_thresholds_reach_the_checker(thresholds, code, width, capsys
     assert report.get("witness", {}).get("width") == width
 
 
+def test_a_gap_equal_to_tau_still_fails(capsys):
+    # A jump counts when its gap is at least tau: set to the gap that the
+    # default run reports, tau still lets the same path fail.
+    argv = ["check", "--rule", "blend:utilitarian:rsd:1/1000", "--axiom", "continuity"]
+    assert main(argv) == 1
+    gap = json.loads(capsys.readouterr().out)["witness"]["gap"]
+    assert gap == "1/1000"
+    assert main([*argv, "--tau", gap]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["grid_description"] == "paths=3; failed_path=0"
+    assert report["witness"]["gap"] == gap
+
+
 @pytest.mark.parametrize("flag", ["--tau", "--delta"])
 def test_nonpositive_continuity_threshold_is_usage_error(flag, capsys):
     argv = ["check", "--rule", "rsd", "--axiom", "continuity", flag, "0"]

@@ -469,17 +469,15 @@ MIXED_BLENDS = [
 @pytest.mark.parametrize("grid", REDUCED_GRIDS, ids=lambda grid: ",".join(map(str, grid)))
 def test_row_mixes_return_the_canonical_mix(grid):
     """A blend mixes row by row and interns the result on its row ids: every
-    output, from `allocate` and from its grid table, is the canonical form
-    of the whole-matrix mix of its parts' outputs."""
-    config = CheckConfig(mu_grid=grid)
-    cells = grid_cells(config)
+    output, from `allocate` and from its block allocator, is the canonical
+    form of the whole-matrix mix of its parts' outputs."""
+    cells = grid_cells(CheckConfig(mu_grid=grid))
     for first, second, alpha in MIXED_BLENDS:
         blend = blend_rule.__wrapped__(first, second, alpha)  # empty mix and row tables
-        assert check_non_bossiness(blend, config).coverage  # fills its grid table
-        table = rules.grid_table(blend, cells)
+        block = blend.blocks(cells)
         # agent 0's blocks hold every profile once
         for i, j in itertools.product(range(len(cells)), repeat=2):
-            for cell, entry in zip(cells, table.block(0, i, j), strict=True):
+            for cell, entry in zip(cells, block(0, i, j), strict=True):
                 profile = (cell, cells[i], cells[j])
                 output = blend.allocate(profile)
                 mixed = mix_allocations(first.allocate(profile), second.allocate(profile), alpha)
