@@ -12,10 +12,10 @@ coverage says how far its scan got.
 The strategy-proofness and non-bossiness scans are one loop over deviation
 blocks (`_scan_blocks`), each with its own judge of a block: one agent,
 fixed reports of the other two, and every grid cell for the agent. A scan
-slices each block from one table of its own (`rules.GridTable`), which the
-rule's block allocator (`Rule.blocks`) fills at most once per grid profile,
-though up to three blocks of the scan read it; it builds no profile to
-allocate. Rule outputs are canonical (`rules._canonical`), so the judges
+reads each block from the rule's block allocator (`Rule.blocks`), which
+computes each grid profile's output at most once per check, though up to
+three blocks hold it; neither it nor ordinality builds a profile to allocate
+on the grid. Rule outputs are canonical (`rules._canonical`), so the judges
 compare outputs and own rows by identity. For a rule that reads only rankings
 (`Rule.reads_only_rankings`), all blocks with the same agent and the same
 orders of the others hold the same allocations, so they share one verdict,
@@ -42,7 +42,7 @@ import json
 import random
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     ONE,
@@ -70,7 +70,7 @@ from .ordinal import (
     sd_compare,
     utility_from,
 )
-from .rules import GridTable, Rule, cell_outputs
+from .rules import Rule, cell_outputs
 
 
 class NotOrdinal(ValueError):
@@ -231,10 +231,9 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     ``scaled[c]`` holds cell c's values as integers over one positive
     denominator: its integer form's `nums`.
 
-    The blocks are slices of the scan's own table (`rules.GridTable`),
-    filled by the rule's block allocator (`Rule.blocks`), never from a
-    profile built here. Its entries are canonical rule outputs: equal
-    allocations, and equal rows, are one object."""
+    The blocks come from the rule's block allocator (`Rule.blocks`), never
+    from a profile built here. Their entries are canonical rule outputs:
+    equal allocations, and equal rows, are one object."""
     cells = grid_cells(config)
     scaled = [cell.nums for cell in cells]
     count = len(cells)
@@ -243,7 +242,7 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
         f"cells_per_agent={count}; profiles={count**3}; deviations_per_agent={count}"
     )
     step = len(config.mu_grid) if rule.reads_only_rankings else 1
-    block = GridTable(rule.blocks(cells), count).block
+    block = rule.blocks(cells)
     for agent in range(3):
         for i in range(0, count, step):
             for j in range(0, count, step):
@@ -353,17 +352,19 @@ def check_non_bossiness(rule: Rule, config: CheckConfig) -> Verdict:
 
 
 def cell_twin_witness(
-    rule: Rule, orders: tuple[OrdinalPreference, ...], profiles: list[UtilityProfile]
+    orders: tuple[OrdinalPreference, ...], profiles: Iterable[UtilityProfile],
+    outputs: Iterable[Allocation],
 ) -> dict | None:
-    """The witness that `rule` gives some profile of the ordinal cell
-    `orders` another allocation than the reference `profiles[0]`, or None."""
-    reference = rule.allocate(profiles[0])
-    for profile in profiles[1:]:
-        alloc = rule.allocate(profile)
+    """The witness that some profile of the ordinal cell `orders` gets another
+    allocation than the first, or None. `outputs` are the rule's allocations
+    at `profiles`, in order, and are read only up to the first difference."""
+    pairs = zip(profiles, outputs)
+    first, reference = next(pairs)
+    for profile, alloc in pairs:
         if alloc != reference:
             return {
                 "cell": orders,
-                "profile_a": profiles[0],
+                "profile_a": first,
                 "profile_b": profile,
                 "allocation_a": reference,
                 "allocation_b": alloc,
@@ -379,7 +380,9 @@ def check_ordinality(rule: Rule, config: CheckConfig) -> Verdict:
     key, hence the same allocation, so each cell is proved by one rule call
     on its mid profile (`rules.cell_outputs`). That call is kept so that a
     `compute` that raises still raises at the same cell, and the coverage
-    still describes the declared sweep, which the quotient proves."""
+    still describes the declared sweep, which the quotient proves. Any other
+    rule's outputs at grid profiles are read off its blocks (`Rule.blocks`),
+    agent 2's at the others' cells, and only its random samples allocated."""
     mu_grid = config.mu_grid
     coverage = (
         f"cells=216; per_cell={len(mu_grid)**3}+{config.samples_per_cell} random; "
@@ -388,19 +391,19 @@ def check_ordinality(rule: Rule, config: CheckConfig) -> Verdict:
     if rule.reads_only_rankings:
         cell_outputs(rule)
         return Verdict(None, coverage)
-    cells = itertools.product(all_orders(3), repeat=3)
-    for index, orders in enumerate(cells):
-        profiles = [
-            tuple(utility_from(order, mu) for order, mu in zip(orders, mus))
-            for mus in itertools.product(mu_grid, repeat=3)
+    cells, orders, m = grid_cells(config), all_orders(3), len(mu_grid)
+    block, pairs = rule.blocks(cells), list(itertools.product(range(m), repeat=2))
+    for index, cell in enumerate(itertools.product(orders, repeat=3)):
+        a, b, c = [orders.index(order) * m for order in cell]
+        profiles = [(cells[a + i], cells[b + j], cells[c + k]) for i, j in pairs for k in range(m)]
+        outputs = itertools.chain.from_iterable(block(2, a + i, b + j)[c : c + m] for i, j in pairs)
+        rng = random.Random(f"{config.seed}:cell:{index}")
+        samples = [
+            tuple(utility_from(order, random_rational(rng)) for order in cell)
+            for _ in range(config.samples_per_cell)
         ]
-        if config.samples_per_cell:
-            rng = random.Random(f"{config.seed}:cell:{index}")
-            for _ in range(config.samples_per_cell):
-                profiles.append(
-                    tuple(utility_from(order, random_rational(rng)) for order in orders)
-                )
-        witness = cell_twin_witness(rule, orders, profiles)
+        outputs = itertools.chain(outputs, map(rule.allocate, samples))
+        witness = cell_twin_witness(cell, profiles + samples, outputs)
         if witness is not None:
             return Verdict(witness, _stopped(coverage, index + 1, 216, "cells"))
     return Verdict(None, coverage)

@@ -90,9 +90,11 @@ MAX_V_PROFILES = 1000
 MAX_TRIALS = 10_000
 
 # Largest accepted number of --grid rates. A deviation scan of a rule with a
-# cardinal key costs the cube of the rate count: non-bossiness took 7.3 s and
-# 27 MB at 7 rates and 17.8 s and 51 MB at 10 for utilitarian, and 8.8 s and
-# 43 MB, 23.3 s and 97 MB for blend:rsd:utilitarian:1/2 (2 vCPUs, Python 3.11).
+# cardinal key costs the cube of the rate count: non-bossiness took 0.2 s and
+# 16.8 MB at 7 rates and 0.3-0.4 s and 17.6 MB at 10 for utilitarian, and
+# 0.2 s and 17.4 MB, 0.4-0.6 s and 19.6 MB for blend:rsd:utilitarian:1/2; a
+# 10-rate stress run took 1.4-1.9 s and 20.3 MB (whole process, peak RSS,
+# 2 vCPUs, Python 3.11).
 MAX_GRID_RATES = 10
 
 
@@ -104,6 +106,8 @@ def parse_profile_file(path: str) -> list[UtilityProfile]:
         text = Path(path).read_text()
     except OSError as exc:
         raise IoError(f"cannot read profile file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if path.endswith(".json") or text.lstrip().startswith(("[", "{")):
         profiles = _profiles_from_json(text, path)
     else:
@@ -323,6 +327,8 @@ def _run_decompose(args: argparse.Namespace) -> int:
             spec = Path(spec[1:]).read_text()
         except OSError as exc:
             raise IoError(f"cannot read matrix file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"matrix file {spec[1:]}: {exc}") from exc
     try:
         data = json.loads(spec)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -374,6 +380,10 @@ def _run_stress(args: argparse.Namespace) -> int:
     config = _check_config(args)
     if args.rules is not None:
         family = [rule_by_name(name) for name in args.rules.split(",")]
+        names = [rule.name for rule in family]
+        for index, name in enumerate(names):
+            if name in names[:index]:
+                raise UsageError(f"--rules names {name} twice")
     else:
         family = built_in_family(args.seed)
     if args.n > 3:

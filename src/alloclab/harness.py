@@ -459,7 +459,7 @@ def theorem2_check(
         twins = [tuple(utility_from(order, Fraction(1, 2)) for order in orders)]
         for _ in range(max(2, config.samples_per_cell)):
             twins.append(tuple(utility_from(order, random_rational(rng)) for order in orders))
-        witness = cell_twin_witness(rule, orders, twins)
+        witness = cell_twin_witness(orders, twins, map(rule.allocate, twins))
         if witness is not None:
             return Verdict(witness, coverage)
         for member in profile:

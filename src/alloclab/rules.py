@@ -20,8 +20,8 @@ Over a three-agent grid, a rule's block allocator (`Rule.blocks`) lists one
 deviation block of outputs at a time and builds no key per profile: a
 ranking rule reads its cell outputs, utilitarian takes an integer argmax
 per cell into a table kept for the last grid only, and a blend mixes its
-parts' blocks. The checkers scan a ranking rule one deviation block per
-class of ranking profiles.
+parts' blocks into a table of its own (`GridTable`). The checkers read grid
+outputs only through blocks, and a ranking rule's one per ranking class.
 
 Rule outputs are canonical (`_canonical`): equal outputs are one object,
 and so are equal rows, so the checkers compare outputs and rows by identity.
@@ -145,7 +145,8 @@ class Rule(Frozen):
         (`_Mix.blocks`), utilitarian's own pair takes an integer argmax per
         cell, a key that reads only rankings (uniform's size key among them)
         is read off the rule's cell outputs, and any other rule is allocated
-        per cell."""
+        per cell. A blend's and the per-cell allocator fill a table of their
+        own (`GridTable`), and utilitarian's one kept for the last grid."""
         compute = self.compute
         if isinstance(compute, _Mix) and self.key is compute.key:
             return compute.blocks(cells)
@@ -153,9 +154,9 @@ class Rule(Frozen):
             return _utilitarian_blocks(tuple(cells))
         if self.reads_only_rankings:
             return _ranking_blocks(self, cells)
-        return lambda agent, i, j: [
+        return GridTable(lambda agent, i, j: [
             self.allocate(profile_with((cells[i], cells[j]), agent, cell)) for cell in cells
-        ]
+        ], len(cells)).block
 
 
 Rankings = tuple[tuple[int, ...], ...]
@@ -403,9 +404,9 @@ class _Mix:
 
     def blocks(self, cells: Sequence[NormalizedUtility]) -> Block:
         first, second = self.first.blocks(cells), self.second.blocks(cells)
-        return lambda agent, i, j: list(
+        return GridTable(lambda agent, i, j: list(
             map(self.mix, first(agent, i, j), second(agent, i, j))
-        )
+        ), len(cells)).block
 
 
 class GridTable:
@@ -416,8 +417,8 @@ class GridTable:
     (`Rule.blocks`), which is called once per block that holds an entry
     not yet filled, and fills the whole block; so the three agents' blocks
     share its entries, and a compute that raises raises at the first block
-    that needs it. Each scan fills one (`checkers._scan_blocks`), and
-    utilitarian keeps one for the last grid (`_utilitarian_blocks`)."""
+    that needs it. A blend's and the per-cell block allocator fill one per
+    check, and utilitarian keeps one for the last grid (`_utilitarian_blocks`)."""
 
     __slots__ = ("count", "entries", "allocator")
 

@@ -42,6 +42,7 @@ from alloclab.bvn import random_bistochastic
 from alloclab.checkers import (
     MAX_PATH_PROBES,
     PROBE_CAP_NOTE,
+    Verdict,
     _manipulation,
     check_continuity_battery,
     default_continuity_paths,
@@ -51,7 +52,7 @@ from alloclab.checkers import (
 )
 from alloclab.core import over_common_denominator, profile_with
 from alloclab.harness import theorem_stress
-from alloclab.ordinal import OrdinalPreference, all_orders, ordinal_of
+from alloclab.ordinal import OrdinalPreference, all_orders, ordinal_of, random_rational
 from alloclab.rules import GridTable, built_in_family, cell_outputs
 
 from conftest import REDUCED_GRIDS, printed_witness, read_back
@@ -107,8 +108,16 @@ RANKINGS_BOSSY = Rule(
 def _counted(rule):
     """A twin of `rule` with the same key and compute, the list that gets
     one entry per `allocate` call, and the list that gets one (agent, i, j)
-    entry per call of its block allocators."""
+    entry per block its block allocators compute: for an allocator that
+    keeps a table, each call of the allocator that fills it, not each read."""
     calls, blocks = [], []
+
+    def counting(block):
+        def counted(agent, i, j):
+            blocks.append((agent, i, j))
+            return block(agent, i, j)
+
+        return counted
 
     class Counted(Rule):
         def allocate(self, profile):
@@ -117,12 +126,11 @@ def _counted(rule):
 
         def blocks(self, cells):
             block = super().blocks(cells)
-
-            def counted(agent, i, j):
-                blocks.append((agent, i, j))
-                return block(agent, i, j)
-
-            return counted
+            table = getattr(block, "__self__", None)
+            if table is None:
+                return counting(block)
+            table.allocator = counting(table.allocator)
+            return block
 
     return Counted(f"{rule.name}-counted", rule.key, rule.compute), calls, blocks
 
@@ -386,11 +394,13 @@ class TestRankingQuotient:
         # own rows, judges for a key that reads only rankings the first
         # block of each distinct sequence of them.
         # Up to three of those blocks hold a profile, but the rule's block
-        # allocator is called only for a block that holds a profile no
-        # earlier block held. A rule with no block of its own (an opaque
-        # key) is allocated once on each of those profiles, a base rule whose
-        # key reads only rankings once per ordinal cell, at its mid profile,
-        # and the others, blends among them, are never allocated.
+        # allocator computes only a block that holds a profile no earlier
+        # block held: a table's allocator fills it, and a ranking rule's
+        # blocks hold new profiles only. A rule with no block of its own (an
+        # opaque key) is allocated once on each of those profiles, a base
+        # rule whose key reads only rankings once per ordinal cell, at its
+        # mid profile, and the others, blends among them, are never
+        # allocated.
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         cells = grid_cells(config)
         judged = []
@@ -411,6 +421,8 @@ class TestRankingQuotient:
             if rule is not RANKINGS_BOSSY:
                 scans += [(check_strategy_proofness, rule, 6), (check_non_bossiness, rule, 6)]
         skipped = 0
+        # utilitarian's table is kept for the grid: fill it here
+        rules_module._utilitarian_blocks.cache_clear()
         for check, rule, classes in scans:
             counted, calls, block_calls = _counted(rule)
             assert counted.reads_only_rankings == (classes == 6)
@@ -445,6 +457,7 @@ class TestRankingQuotient:
                 mixed = isinstance(rule.compute, rules_module._Mix)
                 assert calls == (MID_PROFILES if classes == 6 and not mixed else [])
         assert skipped > 0
+        rules_module._utilitarian_blocks.cache_clear()  # drop the counted allocator
 
 
 def _top_or_bottom_allocate(rankings):
@@ -503,9 +516,11 @@ class TestGridTables:
         assert statuses == {"Pass", "Fail"}
 
     def test_a_stress_run_keeps_one_utilitarian_table(self, monkeypatch):
-        # Each scan builds one table, freed when the scan ends, and
-        # utilitarian's table, which every scan of a blend with it reads, is
-        # built once for the grid and kept. So at most two tables are alive.
+        # Each scan of a blend builds one table, and so does each ordinality
+        # check of a blend with utilitarian, freed when the check ends;
+        # utilitarian's table, which every check of utilitarian or such a
+        # blend reads, is built once for the grid and kept. A base rule that
+        # reads only rankings builds none. So at most two tables are alive.
         alive, built = [0, 0], []
 
         class Counted(GridTable):
@@ -522,12 +537,14 @@ class TestGridTables:
 
         rules_module._utilitarian_blocks.cache_clear()
         monkeypatch.setattr(rules_module, "GridTable", Counted)
-        monkeypatch.setattr(checkers, "GridTable", Counted)
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         family = built_in_family(8080)
+        blends = [rule for rule in family if isinstance(rule.compute, rules_module._Mix)]
+        cardinal = [rule for rule in blends if not rule.reads_only_rankings]
+        assert len(cardinal) == 6 and len(blends) == 9
         theorem_stress(family, config)
         assert alive[1] == 2
-        assert len(built) == 2 * len(family) + 1
+        assert len(built) == 3 * len(cardinal) + 2 * (len(blends) - len(cardinal)) + 1
         kept = rules_module._utilitarian_blocks(grid_cells(config)).__self__
         assert alive[0] == 1 and isinstance(kept, Counted)
         del kept
@@ -632,6 +649,75 @@ class TestOrdinality:
             twin = make_utility([scale * v + shift for v in profile[agent].values])
             replaced = profile[:agent] + (twin,) + profile[agent + 1 :]
             assert RSD.allocate(profile) == RSD.allocate(replaced)
+
+
+def _ordinality_reference(rule, config):
+    """`check_ordinality`'s per-profile loop for a rule that does not read
+    only rankings, as it ran before the grid outputs were read off the
+    rule's blocks: one `allocate` call per grid and sample profile."""
+    coverage = (
+        f"cells=216; per_cell={len(config.mu_grid)**3}+{config.samples_per_cell} random; "
+        f"seed={config.seed}"
+    )
+    for index, orders in enumerate(itertools.product(all_orders(3), repeat=3)):
+        profiles = [
+            tuple(utility_from(order, mu) for order, mu in zip(orders, mus))
+            for mus in itertools.product(config.mu_grid, repeat=3)
+        ]
+        rng = random.Random(f"{config.seed}:cell:{index}")
+        for _ in range(config.samples_per_cell):
+            profiles.append(tuple(utility_from(order, random_rational(rng)) for order in orders))
+        reference = rule.allocate(profiles[0])
+        for profile in profiles[1:]:
+            alloc = rule.allocate(profile)
+            if alloc != reference:
+                witness = {
+                    "cell": orders,
+                    "profile_a": profiles[0],
+                    "profile_b": profile,
+                    "allocation_a": reference,
+                    "allocation_b": alloc,
+                }
+                return Verdict(witness, f"{coverage}; scanned_cells={index + 1} of 216")
+    return Verdict(None, coverage)
+
+
+class TestOrdinalityBlocks:
+    """A rule that does not read only rankings has its outputs at grid
+    profiles read off its blocks, and only its random samples allocated;
+    the reports must be the per-profile loop's."""
+
+    CARDINAL = [UTILITARIAN, BOSSY] + [
+        rule_by_name(spec)
+        for spec in ("blend:utilitarian:rsd:0", "blend:rsd:utilitarian:1/2",
+                     "blend:ps:utilitarian:1/3")
+    ]
+
+    @pytest.mark.parametrize("samples", [0, 2])
+    def test_only_the_samples_are_allocated(self, samples):
+        counted, calls, _ = _counted(rule_by_name("blend:utilitarian:rsd:0"))
+        config = CheckConfig(mu_grid=REDUCED_GRIDS[2], samples_per_cell=samples, seed=3)
+        assert check_ordinality(counted, config).passed
+        assert len(calls) == 216 * samples
+        drawn = []
+        for index, orders in enumerate(itertools.product(all_orders(3), repeat=3)):
+            rng = random.Random(f"3:cell:{index}")
+            drawn += [
+                tuple(utility_from(order, random_rational(rng)) for order in orders)
+                for _ in range(samples)
+            ]
+        assert calls == drawn
+
+    def test_reports_match_the_per_profile_loop(self):
+        statuses = set()
+        for grid in REDUCED_GRIDS:
+            for samples in (0, 2):
+                config = CheckConfig(mu_grid=grid, samples_per_cell=samples, seed=7)
+                for rule in self.CARDINAL:
+                    report = report_json(check_ordinality(rule, config).to_dict())
+                    assert report == report_json(_ordinality_reference(rule, config).to_dict())
+                    statuses.add(json.loads(report)["status"])
+        assert statuses == {"Pass", "Fail"}
 
 
 class TestSdStrategyProofness:

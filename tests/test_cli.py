@@ -407,6 +407,27 @@ def test_n_outside_supported_range_is_usage_error(n, capsys):
     assert "--n must be between 3 and 7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rules, named",
+    [
+        ("rsd,rsd", "rsd"),
+        ("rsd,ps,rsd", "rsd"),
+        # both resolve to one rule, named by its weight in lowest terms
+        ("blend:rsd:ps:1/2,blend:rsd:ps:2/4", "blend:rsd:ps:1/2"),
+    ],
+)
+@pytest.mark.parametrize("n", ["3", "4"])
+def test_stress_rules_naming_one_rule_twice_is_usage_error(rules, named, n, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("checkers ran before the rule list was checked")
+
+    monkeypatch.setattr("alloclab.cli.theorem_stress", no_run)
+    monkeypatch.setattr("alloclab.cli.exploration_stress", no_run)
+    assert main(["stress", "--rules", rules, "--seed", "1", "--grid", "1/2", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --rules names {named} twice\n" and captured.out == ""
+
+
 class TestProfileParsing:
     def test_csv_single_profile(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -651,11 +672,13 @@ def test_profile_files_round_trip(profiles):
         ("short.csv", "1,2/5,0\n1,1/2\n1,9/10,0\n", ":2: expected 3 columns"),
         ("boolean.json", '[[[true,"1/2",0],[1,"1/4",0],[1,"3/4",0]]]',
          ": profile 0: agent 0: exact rational expected, got bool"),
+        ("binary.json", b"\xff\xfe[[[1,0,2]]]",
+         ": 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     ],
 )
 def test_malformed_profile_file_message_is_pinned(tmp_path, capsys, name, text, message):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
     argv = ["check", "--rule", "utilitarian", "--axiom", "efficiency", "--seed", "1",
             "--profiles", str(path)]
     assert main(argv) == 2
@@ -759,6 +782,16 @@ def test_deeply_nested_json_is_usage_error(argv, message, tmp_path, capsys):
     assert main([arg.format(deep=deep) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(message.format(deep=deep)) and err.count("\n") == 1
+
+
+def test_matrix_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe[[1,0],[0,1]]")
+    assert main(["decompose", "--matrix", f"@{path}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: matrix file {path}: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
 
 
 def test_grid_rates_are_distinct_and_capped(monkeypatch, capsys):
