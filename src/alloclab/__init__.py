@@ -29,6 +29,7 @@ from .ordinal import (
     OrdinalPreference,
     PreconditionViolated,
     SdVerdict,
+    SingleObject,
     VUtility,
     WrongDimension,
     all_orders,

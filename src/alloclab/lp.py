@@ -22,6 +22,13 @@ clears a column by integer row combinations reduced by their gcd, so every
 rational tableau, every pivot and the argmax are those of the same method
 run over `fractions.Fraction`. A solution value is one `Fraction` per basic
 variable at the end.
+
+`find_dominating` runs the simplex only when a cheaper certificate fails:
+an allocation that maximizes a total of expected utilities with positive
+weights is Pareto-efficient (Isermann 1974). The weights bring each utility
+to its canonical form (`ordinal.canonicalize`: minimum 0, sum 1), so the
+certificate, like efficiency itself, does not depend on how any agent's
+utility is scaled.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .core import (
     over_common_denominator,
     validate_profile,
 )
+from .ordinal import canonicalize
 
 
 class MalformedProgram(ValueError):
@@ -282,32 +290,41 @@ def dominates(profile: UtilityProfile, candidate: Allocation, incumbent: Allocat
 def find_dominating(profile: UtilityProfile, alloc: Allocation) -> Allocation | None:
     """A dominating allocation if one exists, else None.
 
-    A dominating allocation strictly raises total expected utility, so none
-    exists when the status quo already attains the unconstrained optimum of
-    `best_assignment`. Otherwise one LP decides the existential question
-    exactly: maximize total expected utility subject to every agent weakly
-    improving on the status quo. The optimum exceeds the status-quo total
-    iff some feasible point makes someone strictly better off while nobody
-    loses. Both programs take the utilities over their common denominator:
-    one positive scale for all agents, and the floors scaled alike, leave
-    the pre-test, the feasible set and the argmax as they are.
+    The pre-test is a certificate with weights lambda > 0: if the status quo
+    attains `best_assignment`'s optimum of the total canonical expected
+    utility, it maximizes sum_i lambda_i u_i . Q_i with lambda_i the inverse
+    of agent i's value range, and nothing dominates it. A positive affine
+    rescaling of u_i leaves its canonical form, and so the pre-test, as it
+    is. One agent's polytope is the single point [[1]].
+
+    Otherwise one LP decides the existential question exactly: maximize
+    total expected utility subject to every agent weakly improving on the
+    status quo. The optimum exceeds the status-quo total iff some feasible
+    point makes someone strictly better off while nobody loses. Both
+    programs take their utilities over a common denominator: one positive
+    scale for all agents, and the floors scaled alike, leave the pre-test,
+    the feasible set and the argmax as they are.
     """
     validate_profile(profile)
     n = len(profile)
     if alloc.n != n:
         raise MalformedProgram("allocation size differs from profile")
+    if n == 1:
+        return None
+    canonical = [canonicalize(u) for u in profile]
+    scale, weighted = forms_over_common_denominator(canonical)
+    total = sum(expected_utility(c, alloc.row(i)) for i, c in enumerate(canonical))
+    if scale * total == best_assignment(weighted)[0]:
+        return None
     scale, objective = forms_over_common_denominator(profile)
     floors = tuple(
         (i, objective[i], scale * expected_utility(u, alloc.row(i))) for i, u in enumerate(profile)
     )
-    status_quo = sum(minimum for _, _, minimum in floors)
-    if status_quo == best_assignment(objective)[0]:
-        return None
     result = maximize(objective, floors)
     if result is None:
         raise AssertionError("status-quo allocation must be feasible")
     value, better = result
-    if value > status_quo:
+    if value > sum(minimum for _, _, minimum in floors):
         if not dominates(profile, better, alloc):
             raise AssertionError("LP argmax failed the exact domination test")
         return better

@@ -42,6 +42,10 @@ class InconsistentBase(ValueError):
     """Base utility does not rank objects as the declared order."""
 
 
+class SingleObject(ValueError):
+    """A one-object utility has no min-0, sum-1 representative."""
+
+
 class OrdinalPreference(Frozen):
     """Strict ranking of objects, best first."""
 
@@ -117,12 +121,15 @@ class NormalizedUtility(BernoulliUtility):
 def canonicalize(utility: BernoulliUtility) -> NormalizedUtility:
     """Unique min-0 sum-1 representative; effectively the same as the input.
     A `NormalizedUtility` already is its own representative and is returned
-    as is."""
+    as is. A one-object utility has none: its shifted values sum to 0."""
     if isinstance(utility, NormalizedUtility):
         return utility
     low = min(utility.nums)
     shifted = tuple([n - low for n in utility.nums])
-    return NormalizedUtility._trusted(sum(shifted), shifted)
+    total = sum(shifted)
+    if not total:
+        raise SingleObject(f"a one-object utility has no canonical form: {utility}")
+    return NormalizedUtility._trusted(total, shifted)
 
 
 # Bounded, as grid scans reuse a few dozen (order, rate) pairs and lemmas draw

@@ -2,17 +2,21 @@
 
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from alloclab import (
+    DICTATORSHIP,
     PS,
     RSD,
     UNIFORM,
+    UTILITARIAN,
     MalformedProgram,
     OrdinalPreference,
+    SingleObject,
     best_assignment,
     dominates,
     expected_utility,
@@ -21,10 +25,13 @@ from alloclab import (
     make_profile,
     maximize,
     mix_allocations,
+    rule_by_name,
     uniform_allocation,
+    utility_from,
 )
 from alloclab import lp, rules
 from alloclab.bvn import random_bistochastic
+from alloclab.cli import main
 from alloclab.core import over_common_denominator
 from alloclab.harness import _random_affine
 from alloclab.ordinal import all_orders, canonicalize, random_utility_consistent
@@ -257,6 +264,37 @@ class TestFindDominating:
         # face under the status-quo floors.
         better = find_dominating(make_profile(rows), make_allocation(status_quo))
         assert better.rows == make_allocation(dominating).rows
+
+    @pytest.mark.parametrize("left_out", range(4))
+    def test_every_weight_counts(self, left_out):
+        # The status quo, an even mix of four permutations, maximizes the
+        # total canonical utility of every agent but one, and is still
+        # dominated: a pre-test that gave that agent weight 0 would pass it.
+        rows = [[0, 1, 2, 3], [3, 4, 5, 1], [0, 3, 4, 2], [3, 4, 2, 0]]
+        status_quo = [
+            ["1/4", 0, 0, "3/4"], ["1/4", "1/4", "1/2", 0], [0, "1/4", "1/2", "1/4"], ["1/2", "1/2", 0, 0]
+        ]
+        order = [1, 2, 3]
+        order.insert(left_out, 0)
+        profile = make_profile([rows[k] for k in order])
+        alloc = make_allocation([status_quo[k] for k in order])
+        canonical = [canonicalize(u) for u in profile]
+        others = [c.values if i != left_out else (F(0),) * 4 for i, c in enumerate(canonical)]
+        assert best_assignment(others)[0] == sum(
+            expected_utility(c, alloc.row(i)) for i, c in enumerate(canonical) if i != left_out
+        )
+        better = find_dominating(profile, alloc)
+        assert better is not None and dominates_directly(profile, better, alloc)
+
+    def test_one_agent(self):
+        # The 1x1 polytope is the single point [[1]]. Utilitarian reads
+        # canonical utilities, which one object does not have.
+        profile = make_profile([[5]])
+        assert find_dominating(profile, make_allocation([[1]])) is None
+        for rule in (RSD, PS, DICTATORSHIP, UNIFORM):
+            assert rule.allocate(profile).rows == ((F(1),),)
+        with pytest.raises(SingleObject):
+            UTILITARIAN.allocate(profile)
 
     def test_optimal_face_is_undominated(self):
         # Agents 0 and 1 have equal utilities, so swapping a and b between
@@ -520,3 +558,75 @@ def test_integer_forms_decide_as_the_fraction_formulation():
                 picks = best_assignment(tuple(u.values for u in utilities))[1]
                 assert rules._utilitarian(utilities) is rules._permutation_allocation(picks)
     assert found > 100
+
+
+def _count_maximize(monkeypatch):
+    """The argument tuples of every `lp.maximize` call from here on."""
+    calls = []
+    solve = lp.maximize
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "maximize", counting)
+    return calls
+
+
+def _rescaled_profile_rows(rng):
+    """A three-agent profile file entry, as the benchmark's `lp-solve`
+    writes one, with every agent's grid utility moved by a random positive
+    affine map."""
+    rows = []
+    for _ in range(3):
+        values = utility_from(rng.choice(all_orders(3)), F(rng.randrange(1, 64), 64)).values
+        scale = F(rng.randrange(1, 20), rng.randrange(1, 20))
+        shift = F(rng.randrange(-20, 21), rng.randrange(1, 20))
+        rows.append([str(scale * v + shift) for v in values])
+    return rows
+
+
+def test_utilitarian_efficiency_on_rescaled_profiles_solves_no_lp(tmp_path, monkeypatch, capsys):
+    """Utilitarian maximizes the total canonical utility, so the canonical
+    weights certify each of its outputs, however the input is scaled."""
+    rng = random.Random(2828)
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps([_rescaled_profile_rows(rng) for _ in range(120)]))
+    calls = _count_maximize(monkeypatch)
+    argv = ["check", "--rule", "utilitarian", "--axiom", "efficiency", "--profiles", str(path),
+            "--seed", "1"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "Pass"
+    assert calls == []
+
+
+def test_rescaling_changes_neither_verdict_nor_work(monkeypatch):
+    """Whether an allocation is dominated does not depend on how each
+    agent's utility is scaled, and neither does the work that decides it:
+    the pre-test reads canonical utilities, so a twin, each agent's utility
+    moved by its own positive affine map, solves exactly the LPs its
+    profile does. Each side's answer is that of the LP alone."""
+    rng = random.Random(2830)
+    battery = []
+    for n in (3,) * 40 + (4,) * 8:
+        profile = tuple(canonicalize(u) for u in _random_profile(rng, n))
+        battery.append((profile, tuple(_random_affine(u, rng) for u in profile)))
+    calls = _count_maximize(monkeypatch)
+    paths = set()
+    for name in ("rsd", "ps", "dictatorship", "uniform", "utilitarian",
+                 "blend:rsd:utilitarian:1/2", "blend:utilitarian:ps:9/10"):
+        rule = rule_by_name(name)
+        for pair in battery:
+            alloc = rule.allocate(pair[0])
+            assert rule.allocate(pair[1]) is alloc
+            work, answers = [], []
+            for profile in pair:
+                calls.clear()
+                answers.append(find_dominating(profile, alloc))
+                work.append(len(calls))
+                assert answers[-1] == _fraction_find_dominating(profile, alloc)
+            assert work[0] == work[1]
+            assert (answers[0] is None) == (answers[1] is None)
+            paths.add((work[0], answers[0] is None))
+    # certified; solved and undominated; solved and dominated
+    assert paths == {(0, True), (1, True), (1, False)}

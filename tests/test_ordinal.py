@@ -14,6 +14,7 @@ from alloclab import (
     OrdinalPreference,
     PreconditionViolated,
     SdVerdict,
+    SingleObject,
     TiesPresent,
     WrongDimension,
     all_orders,
@@ -118,6 +119,11 @@ class TestCanonicalize:
             Fraction(2, 3),
             Fraction(1, 3),
         )
+
+    def test_refuses_one_object(self):
+        # One value shifts to 0, which no scale brings to sum 1.
+        with pytest.raises(SingleObject, match="one-object utility has no canonical form"):
+            canonicalize(make_utility([5]))
 
     @given(utilities())
     def test_lands_in_same_class(self, u):
