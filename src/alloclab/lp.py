@@ -1,9 +1,12 @@
 """Exact rational optimization over the bistochastic polytope.
 
 `best_assignment` decides the unconstrained problem. Every vertex of the
-polytope is a permutation matrix (Birkhoff 1946; von Neumann 1953), so an
-exact dynamic program over assignments finds the optimum and the
-lexicographically smallest optimal vertex without pivoting.
+polytope is a permutation matrix (Birkhoff 1946; von Neumann 1953), so one
+integer dynamic program over assignments, `integer_assignment`, finds the
+optimum and the lexicographically smallest optimal vertex without pivoting.
+It is the one assignment kernel: `best_assignment` runs it on the rationals
+scaled to integers, and utilitarian (`rules._utilitarian`) and
+`find_dominating`'s pre-test run it on integer forms directly.
 
 `maximize` serves the programs with per-agent expected-utility floors, whose
 optimal points need not be permutation matrices. It builds them on
@@ -28,13 +31,14 @@ an allocation that maximizes a total of expected utilities with positive
 weights is Pareto-efficient (Isermann 1974). The weights bring each utility
 to its canonical form (`ordinal.canonicalize`: minimum 0, sum 1), so the
 certificate, like efficiency itself, does not depend on how any agent's
-utility is scaled.
+utility is scaled. It is decided in integers, with no `Fraction` built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .core import (
     ZERO,
@@ -231,46 +235,57 @@ def maximize(
     return value, argmax
 
 
+def integer_assignment(scaled: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+    """The largest total ``sum(scaled[i][picks[i]])`` over the permutations
+    `picks` of a square list of int rows, and the largest picks tuple that
+    attains it. ``picks[i]`` is the object assigned to row i.
+
+    Dynamic programming over the set of objects already taken decides it in
+    O(n * 2**n) integer additions: ``tail[mask]`` is the best total of rows
+    ``popcount(mask)`` to n-1 over the objects outside ``mask``. The
+    assignment is rebuilt row by row, trying objects from n-1 down to 0, so
+    ties go to the largest picks tuple. The rows are not checked: callers
+    pass integer forms that a validating constructor or `_exact_scaled`
+    built.
+    """
+    n = len(scaled)
+    full = (1 << n) - 1
+    tail = [0] * (full + 1)
+    bits = [(a, 1 << a) for a in range(n)]
+    for mask in range(full - 1, -1, -1):
+        row = scaled[mask.bit_count()]
+        tail[mask] = max([row[a] + tail[mask | bit] for a, bit in bits if not mask & bit])
+    picks = []
+    mask = 0
+    for row in scaled:
+        for a, bit in reversed(bits):
+            if not mask & bit and row[a] + tail[mask | bit] == tail[mask]:
+                break
+        picks.append(a)
+        mask |= bit
+    return tail[0], tuple(picks)
+
+
 def best_assignment(
     objective: tuple[tuple[Fraction, ...], ...],
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Optimum of a linear objective over the bistochastic polytope, and the
     permutation attaining it that `maximize` would return.
 
-    The optimum is attained at a permutation matrix, so dynamic programming
-    over the set of objects already taken decides it in O(n * 2**n) exact
-    additions: ``tail[mask]`` is the best total of rows ``popcount(mask)``
-    to n-1 over the objects outside ``mask``. The assignment is rebuilt row
-    by row, trying objects from n-1 down to 0, so ties go to the largest
-    permutation tuple, which is the row-major lexicographically smallest
-    optimal 0/1 matrix. ``picks[i]`` is the object assigned to row i.
-
-    The program runs on integers: every entry is scaled by the one positive
-    lcm of the entries' denominators, which scales every total alike, so
-    each comparison, and hence the picks, is the rational one, and the
-    optimum is the integer optimum over that lcm.
+    The optimum is attained at a permutation matrix, so `integer_assignment`
+    decides it on the entries scaled by the one positive lcm of their
+    denominators, which scales every total alike: each comparison, and
+    hence the picks, is the rational one, and the optimum is the integer
+    optimum over that lcm. Its tie-break, the largest picks tuple, is the
+    row-major lexicographically smallest optimal 0/1 matrix. Every entry
+    must be an int or a Fraction.
     """
     n = len(objective)
     if n == 0 or any(len(row) != n for row in objective):
         raise MalformedProgram("objective must be a square grid")
     scale, scaled = _exact_scaled(objective)
-    full = (1 << n) - 1
-    tail = [0] * (full + 1)
-    for mask in range(full - 1, -1, -1):
-        row = scaled[mask.bit_count()]
-        tail[mask] = max(
-            row[a] + tail[mask | (1 << a)] for a in range(n) if not (mask >> a) & 1
-        )
-    picks = []
-    mask = 0
-    for row in scaled:
-        for a in range(n - 1, -1, -1):
-            bit = 1 << a
-            if not mask & bit and row[a] + tail[mask | bit] == tail[mask]:
-                break
-        picks.append(a)
-        mask |= bit
-    return Fraction(tail[0], scale), tuple(picks)
+    total, picks = integer_assignment(scaled)
+    return Fraction(total, scale), picks
 
 
 def dominates(profile: UtilityProfile, candidate: Allocation, incumbent: Allocation) -> bool:
@@ -291,11 +306,15 @@ def find_dominating(profile: UtilityProfile, alloc: Allocation) -> Allocation | 
     """A dominating allocation if one exists, else None.
 
     The pre-test is a certificate with weights lambda > 0: if the status quo
-    attains `best_assignment`'s optimum of the total canonical expected
-    utility, it maximizes sum_i lambda_i u_i . Q_i with lambda_i the inverse
-    of agent i's value range, and nothing dominates it. A positive affine
-    rescaling of u_i leaves its canonical form, and so the pre-test, as it
-    is. One agent's polytope is the single point [[1]].
+    attains the optimum of the total canonical expected utility, it
+    maximizes sum_i lambda_i u_i . Q_i with lambda_i the inverse of agent
+    i's value range, and nothing dominates it. A positive affine rescaling
+    of u_i leaves its canonical form, and so the pre-test, as it is. The
+    test runs on integers: with the canonical values over their common
+    denominator (`weighted`) and the status quo's rows over theirs, `den`,
+    the status quo's weighted total is den times the optimum
+    (`integer_assignment` of `weighted`) iff the rational totals are equal.
+    One agent's polytope is the single point [[1]].
 
     Otherwise one LP decides the existential question exactly: maximize
     total expected utility subject to every agent weakly improving on the
@@ -311,10 +330,10 @@ def find_dominating(profile: UtilityProfile, alloc: Allocation) -> Allocation | 
         raise MalformedProgram("allocation size differs from profile")
     if n == 1:
         return None
-    canonical = [canonicalize(u) for u in profile]
-    scale, weighted = forms_over_common_denominator(canonical)
-    total = sum(expected_utility(c, alloc.row(i)) for i, c in enumerate(canonical))
-    if scale * total == best_assignment(weighted)[0]:
+    _, weighted = forms_over_common_denominator([canonicalize(u) for u in profile])
+    den, rows = forms_over_common_denominator(alloc._lotteries)
+    total = sum([sum(map(mul, values, row)) for values, row in zip(weighted, rows)])
+    if total == den * integer_assignment(weighted)[0]:
         return None
     scale, objective = forms_over_common_denominator(profile)
     floors = tuple(

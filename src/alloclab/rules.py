@@ -9,8 +9,8 @@ cached once, where its work is done: rsd and ps memoize their compute on
 the ranking profile, dictatorship and utilitarian build a permutation matrix
 memoized on its picks, uniform's one matrix is interned, and a blend keeps
 two mix tables, keyed on pairs of its parts' outputs and on pairs of their
-rows. The utilitarian rule solves an exact assignment problem
-(`lp.best_assignment`).
+rows. The utilitarian rule solves an exact assignment problem on the
+integer forms of its canonical utilities (`lp.integer_assignment`).
 
 At three agents, a rule's outputs at the mid profiles of the 216 ordinal
 cells (`cell_outputs`) are computed once per rule; for a rule whose key
@@ -58,7 +58,7 @@ from .core import (
     validate_profile,
 )
 from .bvn import PermutationMatrix
-from .lp import best_assignment
+from .lp import integer_assignment
 from .ordinal import NormalizedUtility, all_orders, canonicalize, ordinal_of, utility_from
 
 
@@ -272,9 +272,11 @@ def _utilitarian(canonical: UtilityProfile) -> Allocation:
     optimum is a permutation matrix; ties go to the row-major
     lexicographically smallest one. Inputs are canonicalized by the key, so
     any sensitivity to reports is driven by middle rates, not scale. The
-    assignment runs on the values over their common denominator: one
-    positive scale for all agents leaves the argmax as it is."""
-    _, picks = best_assignment(forms_over_common_denominator(canonical)[1])
+    assignment kernel (`lp.integer_assignment`) runs on the values over
+    their common denominator: one positive scale for all agents leaves the
+    argmax as it is, and the canonical forms are valid by construction, so
+    nothing is checked again."""
+    _, picks = integer_assignment(forms_over_common_denominator(canonical)[1])
     return _permutation_allocation(picks)
 
 
@@ -321,8 +323,8 @@ def _utilitarian_blocks(cells: tuple[NormalizedUtility, ...]) -> Block:
 
     A profile's optimum is the permutation with the largest total of the 6
     over its canonical values, ties going to the largest picks tuple, which is
-    `best_assignment`'s choice; so it is the maximal (total, k) for the k-th
-    permutation in lexicographic order.
+    `lp.integer_assignment`'s choice, and so `_utilitarian`'s; so it is the
+    maximal (total, k) for the k-th permutation in lexicographic order.
 
     Every cell's values are scaled to integers over one positive common
     denominator, once per grid, so each total and each comparison is the

@@ -128,7 +128,8 @@ class TestMaximize:
 class TestBestAssignment:
     def test_matches_maximize_on_tie_heavy_objectives(self):
         # Entries from {0, 1/2, 1, 3/2, 2} make many optimal permutations, so
-        # the tie-break is exercised as often as the optimum.
+        # the tie-break is exercised as often as the optimum. The answer is
+        # the integer kernel's, over the entries' common denominator.
         rng = random.Random(83)
         for n, trials in ((3, 60), (4, 25), (5, 6)):
             for _ in range(trials):
@@ -137,6 +138,9 @@ class TestBestAssignment:
                 )
                 value, picks = best_assignment(objective)
                 assert maximize(objective) == (value, make_allocation(perm_matrix_rows(picks)))
+                scale, scaled = over_common_denominator(objective)
+                total, kernel_picks = lp.integer_assignment(scaled)
+                assert (value, picks) == (F(total, scale), kernel_picks)
 
     def test_matches_brute_force_on_mixed_entries(self):
         """The integer DP against every permutation's `Fraction` total, on
@@ -170,6 +174,24 @@ class TestBestAssignment:
     def test_refuses_inexact_entries(self, inexact):
         with pytest.raises(MalformedProgram, match="not an int or a Fraction"):
             best_assignment(((inexact, 1), (1, F(1, 4))))
+
+
+class TestIntegerAssignment:
+    def test_matches_brute_force(self):
+        """The kernel against every permutation's integer total, on entries
+        from a small pool with negatives, so that optimal ties are common:
+        the largest total, ties to the largest picks tuple."""
+        rng = random.Random(2929)
+        for n, trials in ((1, 5), (2, 30), (3, 80), (4, 40), (5, 12), (6, 4)):
+            for _ in range(trials):
+                scaled = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+                totals = {
+                    perm: sum(scaled[i][a] for i, a in enumerate(perm))
+                    for perm in itertools.permutations(range(n))
+                }
+                top = max(totals.values())
+                picks = max(perm for perm, total in totals.items() if total == top)
+                assert lp.integer_assignment(scaled) == (top, picks)
 
 
 class TestFindDominating:
@@ -560,16 +582,16 @@ def test_integer_forms_decide_as_the_fraction_formulation():
     assert found > 100
 
 
-def _count_maximize(monkeypatch):
-    """The argument tuples of every `lp.maximize` call from here on."""
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every call to `lp.<name>` from here on."""
     calls = []
-    solve = lp.maximize
+    function = getattr(lp, name)
 
     def counting(*args):
         calls.append(args)
-        return solve(*args)
+        return function(*args)
 
-    monkeypatch.setattr(lp, "maximize", counting)
+    monkeypatch.setattr(lp, name, counting)
     return calls
 
 
@@ -592,7 +614,7 @@ def test_utilitarian_efficiency_on_rescaled_profiles_solves_no_lp(tmp_path, monk
     rng = random.Random(2828)
     path = tmp_path / "profiles.json"
     path.write_text(json.dumps([_rescaled_profile_rows(rng) for _ in range(120)]))
-    calls = _count_maximize(monkeypatch)
+    calls = _count_calls(monkeypatch, "maximize")
     argv = ["check", "--rule", "utilitarian", "--axiom", "efficiency", "--profiles", str(path),
             "--seed", "1"]
     assert main(argv) == 0
@@ -611,7 +633,7 @@ def test_rescaling_changes_neither_verdict_nor_work(monkeypatch):
     for n in (3,) * 40 + (4,) * 8:
         profile = tuple(canonicalize(u) for u in _random_profile(rng, n))
         battery.append((profile, tuple(_random_affine(u, rng) for u in profile)))
-    calls = _count_maximize(monkeypatch)
+    calls = _count_calls(monkeypatch, "maximize")
     paths = set()
     for name in ("rsd", "ps", "dictatorship", "uniform", "utilitarian",
                  "blend:rsd:utilitarian:1/2", "blend:utilitarian:ps:9/10"):
@@ -630,3 +652,54 @@ def test_rescaling_changes_neither_verdict_nor_work(monkeypatch):
             paths.add((work[0], answers[0] is None))
     # certified; solved and undominated; solved and dominated
     assert paths == {(0, True), (1, True), (1, False)}
+
+
+def test_certifying_utilitarian_builds_no_expected_utility(monkeypatch):
+    """The pre-test is decided on integer forms: certifying a utilitarian
+    output, over canonical or rescaled utilities, calls no
+    `expected_utility`."""
+    rng = random.Random(2931)
+    calls = _count_calls(monkeypatch, "expected_utility")
+    checked = 0
+    for n in (2, 3, 3, 4, 5):
+        for _ in range(12):
+            profile = _random_profile(rng, n)
+            for utilities in (profile, tuple(_random_affine(u, rng) for u in profile)):
+                assert find_dominating(utilities, UTILITARIAN.allocate(utilities)) is None
+                checked += 1
+    assert checked == 120 and calls == []
+
+
+def _canonical_total(profile, alloc):
+    canonical = [canonicalize(u) for u in profile]
+    return sum(expected_utility(c, alloc.row(i)) for i, c in enumerate(canonical))
+
+
+def test_pre_test_certifies_exactly_the_canonical_optima(monkeypatch):
+    """`find_dominating` solves no LP iff the status quo's total canonical
+    expected utility, in `Fraction`s, is the optimum. The battery holds
+    rescaled profiles where agent 1 is a rescaled twin of agent 0, so two
+    permutations are optimal; their mixes, off the polytope's vertices and
+    with canonical rows over unlike denominators, are certified."""
+    rng = random.Random(2932)
+    calls = _count_calls(monkeypatch, "maximize")
+    mixed_certified = uncertified = 0
+    for n in (3,) * 16 + (4,) * 8:
+        base = _random_profile(rng, n)
+        profile = tuple(_random_affine(u, rng) for u in (base[0], base[0], *base[2:]))
+        canonical = tuple(canonicalize(u) for u in profile)
+        top = best_assignment(tuple(c.values for c in canonical))[0]
+        optima = [make_allocation(perm_matrix_rows(p)) for p in best_assignments(canonical)]
+        allocs = [rules._canonical(mix_allocations(optima[0], optima[1], F(k, 5))) for k in (1, 2)]
+        allocs += [RSD.allocate(profile), PS.allocate(profile), random_bistochastic(n, rng)]
+        for alloc in allocs:
+            calls.clear()
+            got = find_dominating(profile, alloc)
+            certified = _canonical_total(profile, alloc) == top
+            assert (calls == []) == certified
+            assert got == _fraction_find_dominating(profile, alloc)
+            if certified:
+                mixed_certified += len({row.den for row in alloc._lotteries}) > 1
+            else:
+                uncertified += 1
+    assert mixed_certified >= 48 and uncertified > 24
