@@ -16,23 +16,23 @@ reads each block from the rule's block allocator (`Rule.blocks`), which
 computes each grid profile's output at most once per check, though up to
 three blocks hold it; neither it nor ordinality builds a profile to allocate
 on the grid. Rule outputs are canonical (`rules._canonical`), so the judges
-compare outputs and own rows by identity. For a rule that reads only rankings
-(`Rule.reads_only_rankings`), all blocks with the same agent and the same
-orders of the others hold the same allocations, so they share one verdict,
-and the strategy-proofness judge, which reads only the agent's own rows,
-runs once per distinct sequence of them in a scan.
-Such a rule is scanned one block per class, the class's first block in
-canonical order (both others at the first grid rate). The full sweep's
-first failing block is the first block of the first failing class, so a
-Fail's witness and its `scanned_blocks=k` (k is the canonical block index)
-are the full sweep's, and a Pass reports the same coverage.
+compare outputs and own rows by identity, and the strategy-proofness judge,
+which reads only the agent's own rows, runs once per distinct sequence of
+them in a scan, for every rule.
 
-The same quotient covers ordinality: every profile of an ordinal cell has
-the cell's ranking profile as its key, so such a rule is called once per
-cell, at the cell's mid profile (`rules.cell_outputs`), and always passes,
-with the coverage string of the declared sweep of grid and random profiles,
-which that one call proves. Sd-strategy-proofness reads the same 216
-outputs, for every rule.
+A rule that reads only rankings (`Rule.reads_only_rankings`), a blend of two
+such rules included, is quotiented by the 216 ordinal cells, whose outputs
+(`rules.cell_outputs`) are its outputs everywhere. All blocks with the same
+agent and the same orders of the others hold the same allocations, so such a
+rule is scanned one block per class, the class's first block in canonical
+order (both others at the first grid rate). The full sweep's first failing
+block is the first block of the first failing class, so a Fail's witness and
+its `scanned_blocks=k` (k is the canonical block index) are the full
+sweep's, and a Pass reports the same coverage. Ordinality calls such a rule
+once per cell, at the cell's mid profile, and always passes, with the
+coverage string of the declared sweep of grid and random profiles, which
+that one call proves. Sd-strategy-proofness reads the same 216 outputs, for
+every rule.
 """
 
 from __future__ import annotations
@@ -111,6 +111,8 @@ class CheckConfig(Frozen):
                  continuity_interval_delta: Fraction = Fraction(1, 10**9)):
         self._set(mu_grid, samples_per_cell, seed, continuity_gap_tau,
                   continuity_interval_delta)
+        if not self.mu_grid:
+            raise ValueError("grid needs at least one value")
         for index, mu in enumerate(self.mu_grid):
             if not ZERO < exact_rational(mu) < ONE:
                 raise ValueError(f"grid value {mu} outside (0, 1)")
@@ -119,10 +121,11 @@ class CheckConfig(Frozen):
         thresholds = (self.continuity_gap_tau, self.continuity_interval_delta)
         if min(map(exact_rational, thresholds)) <= 0:
             raise ValueError("continuity thresholds must be positive")
-        if self.samples_per_cell < 0:
-            raise ValueError(
-                f"samples per cell must be 0 or more, got {self.samples_per_cell}"
-            )
+        samples = self.samples_per_cell
+        if type(samples) is not int:  # a bool is refused too
+            raise TypeError(f"samples per cell must be an int, got {samples!r}")
+        if samples < 0:
+            raise ValueError(f"samples per cell must be 0 or more, got {samples}")
 
 
 class Verdict(Fields):
@@ -226,16 +229,13 @@ def check_efficiency(rule: Rule, profiles: Sequence[UtilityProfile]) -> Verdict:
 def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     """Judge every deviation block in canonical order (one block per class
     for a rule that reads only rankings), and stop at the first block where
-    ``judge(agent, others, cells, scaled, allocations)`` returns a
-    witness; `scanned_blocks` is that block's canonical index from one.
-    ``scaled[c]`` holds cell c's values as integers over one positive
-    denominator: its integer form's `nums`.
+    ``judge(agent, others, cells, allocations)`` returns a witness;
+    `scanned_blocks` is that block's canonical index from one.
 
     The blocks come from the rule's block allocator (`Rule.blocks`), never
     from a profile built here. Their entries are canonical rule outputs:
     equal allocations, and equal rows, are one object."""
     cells = grid_cells(config)
-    scaled = [cell.nums for cell in cells]
     count = len(cells)
     coverage = (
         f"grid: 6 orders x {len(config.mu_grid)} mu per agent; "
@@ -247,7 +247,7 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
         for i in range(0, count, step):
             for j in range(0, count, step):
                 allocations = block(agent, i, j)
-                witness = judge(agent, (cells[i], cells[j]), cells, scaled, allocations)
+                witness = judge(agent, (cells[i], cells[j]), cells, allocations)
                 if witness is not None:
                     scanned = (agent * count + i) * count + j + 1
                     return Verdict(
@@ -256,28 +256,29 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     return Verdict(None, coverage)
 
 
-def _manipulation(agent, others, cells, scaled, allocations) -> dict | None:
+def _manipulation(agent, others, cells, allocations) -> dict | None:
     """The first (truth, deviation) pair of the block where the agent gains
-    strictly by reporting the deviation, or None.
+    strictly by reporting the deviation, or None. It reads only the agent's
+    own rows and the truths, and the others only for a witness.
 
-    Expected utilities are compared as integers: each truth's values over
-    their common denominator (``scaled``) dotted with the block's distinct
-    rows' integer forms over theirs. Both scales are positive and fixed for
-    one truth, so every comparison is the rational one; the witness's gap is
-    computed as a `Fraction` only once a gain is found."""
+    Expected utilities are compared as integers: each truth's integer form
+    (``cell.nums``, its values over one positive denominator) dotted with the
+    block's distinct rows' integer forms over theirs. Both scales are
+    positive and fixed for one truth, so every comparison is the rational
+    one; the witness's gap is computed as a `Fraction` only once a gain is
+    found."""
     own = [alloc.row(agent) for alloc in allocations]
     distinct = {id(row): row for row in own}
     if len(distinct) == 1:
         return None
     rows = forms_over_common_denominator(list(distinct.values()))[1]
-    for t, values in enumerate(scaled):
-        eus = dict(zip(distinct, [sum(map(mul, values, row)) for row in rows]))
+    for t, truth in enumerate(cells):
+        eus = dict(zip(distinct, [sum(map(mul, truth.nums, row)) for row in rows]))
         eu_true = eus[id(own[t])]
         if max(eus.values()) <= eu_true:
             continue
         for d, row in enumerate(own):
             if eus[id(row)] > eu_true:
-                truth = cells[t]
                 gap = expected_utility(truth, row) - expected_utility(truth, own[t])
                 return {
                     "profile": profile_with(others, agent, truth),
@@ -290,7 +291,7 @@ def _manipulation(agent, others, cells, scaled, allocations) -> dict | None:
     return None
 
 
-def _bossiness(agent, others, cells, scaled, allocations) -> dict | None:
+def _bossiness(agent, others, cells, allocations) -> dict | None:
     """The first cell of the block whose allocation differs from that of the
     first cell with the same own row, or None.
 
@@ -325,19 +326,16 @@ def check_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
 
     The judge reads only the agent's own rows, in cell order, and the fixed
     truths, so a repeat of a clean sequence of own rows is clean, and no
-    failing one comes before its first. For a rule that reads only rankings,
-    whose scan visits at most 108 blocks whatever the grid, a block is
-    judged only if no earlier block had the same sequence; rows are
-    canonical, so the sequence is compared by their ids."""
-    if not rule.reads_only_rankings:
-        return _scan_blocks(rule, config, _manipulation)
+    failing one comes before its first. So a block is judged only if no
+    earlier block of the scan had the same sequence, whatever the rule;
+    rows are canonical, so the sequence is compared by their ids."""
     clean: set[tuple[int, ...]] = set()
 
-    def judge(agent, others, cells, scaled, allocations):
+    def judge(agent, others, cells, allocations):
         rows = tuple([id(alloc.row(agent)) for alloc in allocations])
         if rows in clean:
             return None
-        witness = _manipulation(agent, others, cells, scaled, allocations)
+        witness = _manipulation(agent, others, cells, allocations)
         if witness is None:
             clean.add(rows)
         return witness

@@ -14,14 +14,14 @@ integer forms of its canonical utilities (`lp.integer_assignment`).
 
 At three agents, a rule's outputs at the mid profiles of the 216 ordinal
 cells (`cell_outputs`) are computed once per rule; for a rule whose key
-reads only rankings (`Rule.reads_only_rankings`) they are its outputs on the
-whole domain, and its grid blocks are read off them.
+reads only rankings (`Rule.reads_only_rankings`), blends of two such rules
+included, they are its outputs on the whole domain.
 Over a three-agent grid, a rule's block allocator (`Rule.blocks`) lists one
 deviation block of outputs at a time and builds no key per profile: a
 ranking rule reads its cell outputs, utilitarian takes an integer argmax
-per cell into a table kept for the last grid only, and a blend mixes its
-parts' blocks into a table of its own (`GridTable`). The checkers read grid
-outputs only through blocks, and a ranking rule's one per ranking class.
+per cell into a table kept for the last grid only, and a blend with a
+cardinal part mixes its parts' blocks into a table of its own (`GridTable`).
+The checkers read grid outputs only through blocks.
 
 Rule outputs are canonical (`_canonical`): equal outputs are one object,
 and so are equal rows, so the checkers compare outputs and rows by identity.
@@ -141,19 +141,19 @@ class Rule(Frozen):
         `allocate` returns for that profile.
 
         The allocator is chosen from the key and compute, as
-        `reads_only_rankings` is: a blend's own pair mixes its parts' blocks
-        (`_Mix.blocks`), utilitarian's own pair takes an integer argmax per
-        cell, a key that reads only rankings (uniform's size key among them)
-        is read off the rule's cell outputs, and any other rule is allocated
-        per cell. A blend's and the per-cell allocator fill a table of their
-        own (`GridTable`), and utilitarian's one kept for the last grid."""
+        `reads_only_rankings` is: a key that reads only rankings, a ranking
+        blend's and uniform's size key among them, is read off the rule's
+        cell outputs; a blend with a cardinal part mixes its parts' blocks
+        (`_Mix.blocks`) and any other rule is allocated per cell, each into a
+        table of its own (`GridTable`), but utilitarian's own pair takes an
+        integer argmax per cell into one kept for the last grid."""
         compute = self.compute
+        if self.reads_only_rankings:
+            return _ranking_blocks(self, cells)
         if isinstance(compute, _Mix) and self.key is compute.key:
             return compute.blocks(cells)
         if compute is UTILITARIAN.compute and self.key is _canonical_key:
             return _utilitarian_blocks(tuple(cells))
-        if self.reads_only_rankings:
-            return _ranking_blocks(self, cells)
         return GridTable(lambda agent, i, j: [
             self.allocate(profile_with((cells[i], cells[j]), agent, cell)) for cell in cells
         ], len(cells)).block
@@ -373,8 +373,8 @@ class _Mix:
     the mix table, keyed on the ids of its parts' canonical outputs, so the
     blend builds at most |outputs of first| * |outputs of second| matrices,
     and the row table, keyed on the ids of their canonical rows, so a row
-    that recurs across matrices is mixed once. Its blocks mix its parts'
-    blocks through the same tables."""
+    that recurs across matrices is mixed once. A blend with a cardinal part
+    mixes its parts' blocks through the same tables (`Rule.blocks`)."""
 
     __slots__ = ("first", "second", "alpha", "key", "mixes", "rows")
 
@@ -419,8 +419,8 @@ class GridTable:
     (`Rule.blocks`), which is called once per block that holds an entry
     not yet filled, and fills the whole block; so the three agents' blocks
     share its entries, and a compute that raises raises at the first block
-    that needs it. A blend's and the per-cell block allocator fill one per
-    check, and utilitarian keeps one for the last grid (`_utilitarian_blocks`)."""
+    that needs it. A blend with a cardinal part and the per-cell allocator
+    fill one per check, and utilitarian keeps one for the last grid (`_utilitarian_blocks`)."""
 
     __slots__ = ("count", "entries", "allocator")
 

@@ -50,7 +50,7 @@ from alloclab.checkers import (
     grid_cells,
     report_json,
 )
-from alloclab.core import over_common_denominator, profile_with
+from alloclab.core import profile_with
 from alloclab.harness import theorem_stress
 from alloclab.ordinal import OrdinalPreference, all_orders, ordinal_of, random_rational
 from alloclab.rules import GridTable, built_in_family, cell_outputs
@@ -206,7 +206,7 @@ class TestStrategyProofness:
         menu entry (no gain anywhere; ties are common) or a random one."""
         rng = random.Random(14)
         cells = grid_cells(CheckConfig(mu_grid=(F(1, 10), F(2, 7), F(3, 5), F(9, 10))))
-        scaled = [over_common_denominator([cell.values])[1][0] for cell in cells]
+        assert len({cell.den for cell in cells}) > 1  # the judge reads each cell's own form
         outcomes = set()
         for _ in range(40):
             menu = [random_bistochastic(3, rng) for _ in range(rng.randrange(2, 6))]
@@ -219,7 +219,7 @@ class TestStrategyProofness:
             drawn = [rng.choice(menu) for _ in cells]
             for allocations in (best, drawn):
                 expected = _manipulation_reference(agent, others, cells, allocations)
-                witness = _manipulation(agent, others, cells, scaled, allocations)
+                witness = _manipulation(agent, others, cells, allocations)
                 assert witness == expected
                 assert expected is None or allocations is drawn
                 outcomes.add(expected is None)
@@ -391,16 +391,16 @@ class TestRankingQuotient:
         # blocks for a cardinal key, and one block per class, 3 x 6^2, for
         # a key that reads only rankings. Every visited block is judged,
         # except that strategy-proofness, whose judge reads only the agent's
-        # own rows, judges for a key that reads only rankings the first
-        # block of each distinct sequence of them.
+        # own rows, judges for every key the first block of each distinct
+        # sequence of them.
         # Up to three of those blocks hold a profile, but the rule's block
         # allocator computes only a block that holds a profile no earlier
         # block held: a table's allocator fills it, and a ranking rule's
         # blocks hold new profiles only. A rule with no block of its own (an
-        # opaque key) is allocated once on each of those profiles, a base
-        # rule whose key reads only rankings once per ordinal cell, at its
-        # mid profile, and the others, blends among them, are never
-        # allocated.
+        # opaque key) is allocated once on each of those profiles, a rule
+        # whose key reads only rankings, ranking blends included, once per
+        # ordinal cell, at its mid profile, and the others, utilitarian and
+        # its blends, are never allocated.
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         cells = grid_cells(config)
         judged = []
@@ -430,7 +430,7 @@ class TestRankingQuotient:
             assert check(counted, config).passed
             firsts = cells[:: 12 // classes]
             blocks = [(agent, (a, b)) for agent in range(3) for a in firsts for b in firsts]
-            if check is check_strategy_proofness and classes == 6:
+            if check is check_strategy_proofness:
                 sequences = {}
                 for agent, others in blocks:
                     rows = tuple(
@@ -454,8 +454,7 @@ class TestRankingQuotient:
             if rule in (opaque, BOSSY):
                 assert len(calls) == len(profiles) and set(calls) == profiles
             else:
-                mixed = isinstance(rule.compute, rules_module._Mix)
-                assert calls == (MID_PROFILES if classes == 6 and not mixed else [])
+                assert calls == (MID_PROFILES if classes == 6 else [])
         assert skipped > 0
         rules_module._utilitarian_blocks.cache_clear()  # drop the counted allocator
 
@@ -516,11 +515,12 @@ class TestGridTables:
         assert statuses == {"Pass", "Fail"}
 
     def test_a_stress_run_keeps_one_utilitarian_table(self, monkeypatch):
-        # Each scan of a blend builds one table, and so does each ordinality
-        # check of a blend with utilitarian, freed when the check ends;
-        # utilitarian's table, which every check of utilitarian or such a
-        # blend reads, is built once for the grid and kept. A base rule that
-        # reads only rankings builds none. So at most two tables are alive.
+        # Each scan and each ordinality check of a blend with utilitarian
+        # builds one table, freed when the check ends; utilitarian's table,
+        # which every check of utilitarian or such a blend reads, is built
+        # once for the grid and kept. A rule that reads only rankings, a
+        # ranking blend included, builds none. So at most two tables are
+        # alive.
         alive, built = [0, 0], []
 
         class Counted(GridTable):
@@ -544,7 +544,7 @@ class TestGridTables:
         assert len(cardinal) == 6 and len(blends) == 9
         theorem_stress(family, config)
         assert alive[1] == 2
-        assert len(built) == 3 * len(cardinal) + 2 * (len(blends) - len(cardinal)) + 1
+        assert len(built) == 3 * len(cardinal) + 1
         kept = rules_module._utilitarian_blocks(grid_cells(config)).__self__
         assert alive[0] == 1 and isinstance(kept, Counted)
         del kept
@@ -568,15 +568,67 @@ class TestGridTables:
         assert (witness["agent"], witness["deviation"]) == (0, cells[2])
 
     @pytest.mark.parametrize("grid", REDUCED_GRIDS[1:], ids=["2", "3", "ps-fails"])
-    def test_judging_once_per_sequence_keeps_every_report(self, grid):
+    def test_judging_once_per_sequence_keeps_every_report(self, grid, monkeypatch):
+        # Two blends whose weight leaves only rsd read cardinal keys, so
+        # their scans visit every block, yet rsd's own rows recur: the memo
+        # judges fewer blocks than it visits, whatever the key.
         config = CheckConfig(mu_grid=grid)
-        tested = RANKING_RULES + self.PARTS + self.BLENDS + [BOSSY, TOP_OR_BOTTOM]
+        count = len(grid_cells(config))
+        rsd_twins = [
+            rule_by_name("blend:utilitarian:rsd:0"), rule_by_name("blend:rsd:utilitarian:1")
+        ]
+        tested = RANKING_RULES + self.PARTS + self.BLENDS + [BOSSY, TOP_OR_BOTTOM] + rsd_twins
+        judged = []
+
+        def spy(agent, *rest):
+            judged.append(agent)
+            return _manipulation(agent, *rest)
+
+        monkeypatch.setattr(checkers, "_manipulation", spy)
         statuses = set()
         for rule in tested:
+            judged.clear()
             report = check_strategy_proofness(rule, config).to_dict()
             assert report == checkers._scan_blocks(rule, config, _manipulation).to_dict()
             statuses.add(report["status"])
+            if rule in rsd_twins:
+                assert not rule.reads_only_rankings and report["status"] == "Pass"
+                assert 0 < len(judged) < 3 * count**2
         assert statuses == {"Pass", "Fail"}
+
+    def test_a_ranking_blend_builds_no_table(self, monkeypatch):
+        # A blend of two ranking rules reads its blocks off its own cell
+        # outputs, as its parts do, so its scans build no table.
+        built, seen = [], []
+
+        class Counted(GridTable):
+            __slots__ = ()
+
+            def __init__(self, allocator, count):
+                super().__init__(allocator, count)
+                built.append(count)
+
+        original = Rule.blocks
+
+        def recorded(self, cells):
+            block = original(self, cells)
+
+            def read(agent, i, j):
+                entries = block(agent, i, j)
+                seen.extend(entries)
+                return entries
+
+            return read
+
+        monkeypatch.setattr(rules_module, "GridTable", Counted)
+        monkeypatch.setattr(Rule, "blocks", recorded)
+        blend = rule_by_name("blend:rsd:ps:1/3")
+        config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
+        for check in (check_strategy_proofness, check_non_bossiness):
+            assert check(blend, config).passed
+        assert built == [] and len(seen) == 2 * 3 * 6**2 * 12
+        outputs = {id(alloc) for alloc in cell_outputs(blend)}
+        assert {id(alloc) for alloc in seen} <= outputs
 
 
 class TestInternedOutputs:
@@ -882,6 +934,15 @@ class TestConfig:
             CheckConfig(mu_grid=(F(0), F(1, 2)))
         with pytest.raises(ValueError):
             CheckConfig(continuity_gap_tau=F(0))
+        # An empty grid would leave the scans a quotient step of 0 and the
+        # efficiency battery no rate to cycle.
+        with pytest.raises(ValueError, match="at least one value"):
+            CheckConfig(mu_grid=(), samples_per_cell=0)
+
+    @pytest.mark.parametrize("samples", [1.5, 2.0, True, F(2), "2"])
+    def test_sample_count_must_be_an_int(self, samples):
+        with pytest.raises(TypeError, match="must be an int"):
+            CheckConfig(samples_per_cell=samples)
 
     def test_constant_rule_passes_everything_but_efficiency(self):
         profiles = default_efficiency_profiles(SMALL)[:10]
