@@ -18,7 +18,6 @@ from .core import (
     make_lottery,
     make_profile,
     make_utility,
-    mix_allocations,
     support,
     uniform_allocation,
 )

@@ -53,7 +53,7 @@ from .core import (
     Frozen,
     Lottery,
     UtilityProfile,
-    allocation_distance,
+    distance_form,
     exact_rational,
     expected_utility,
     forms_over_common_denominator,
@@ -170,14 +170,19 @@ def encode(value):
 
 def report_json(data: dict) -> str:
     """The byte-stable JSON form of every report: sorted keys, two-space
-    indent, exact values through `encode`."""
-    return json.dumps(data, sort_keys=True, indent=2, default=encode)
+    indent, exact values through `encode`.
+
+    The exact values are spelled out first (`encoded`), by the C encoder,
+    which the indenting encoder never uses, so that walks only plain lists
+    and strings. The bytes are those of encoding `data` directly as long as
+    every key is a `str`: an int key would be sorted after its conversion."""
+    return json.dumps(encoded(data), sort_keys=True, indent=2, check_circular=False)
 
 
 def encoded(data):
     """`data` with every exact value in its report form, as plain lists and
     strings; error messages embed a witness in this form."""
-    return json.loads(json.dumps(data, default=encode))
+    return json.loads(json.dumps(data, default=encode, check_circular=False))
 
 
 def require_ordinal(rule: Rule, config: CheckConfig, error: type[ValueError], claim: str) -> None:
@@ -471,43 +476,58 @@ def check_ncc_continuity(
         )
     tau = config.continuity_gap_tau
     delta = config.continuity_interval_delta
-    cache: dict[Fraction, Allocation] = {}
-    # The endpoints over one denominator: alpha = a/b moves to
-    # ((b - a) * start + a * end) / (b * den), which keeps the cone's strict
-    # ranking, so it is built trusted with that ranking.
+    # Every point the bisection reaches is k / scale with scale = 2**depth:
+    # an interval is split only while its width 2**-d is at least delta, so
+    # depth is the first d with 2**-d < delta (0 when delta > 1), and an
+    # interval is narrower than delta iff it is one unit wide. Points and
+    # gaps are compared as integers, and `Fraction`s are built only for a
+    # witness.
+    depth = 0
+    while delta.denominator >= delta.numerator << depth:
+        depth += 1
+    scale = 1 << depth
+    cache: dict[int, Allocation] = {}
+    # The endpoints over one denominator: alpha = a/b in lowest terms moves
+    # to ((b - a) * start + a * end) / (b * den), which keeps the cone's
+    # strict ranking, so it is built trusted with that ranking.
     den, (start, end) = forms_over_common_denominator(endpoints)
     order = ordinal_of(end0)
 
-    def alloc_at(alpha: Fraction) -> Allocation:
-        alloc = cache.get(alpha)
+    def alloc_at(k: int) -> Allocation:
+        alloc = cache.get(k)
         if alloc is None:
-            a, b = alpha.numerator, alpha.denominator
+            common = k & -k or scale  # k / scale in lowest terms is a / b
+            a, b = k // common, scale // common
             moving = BernoulliUtility._trusted(
                 b * den, tuple([(b - a) * x + a * y for x, y in zip(start, end)]), order
             )
             alloc = rule.allocate(profile_with(others, agent, moving))
-            cache[alpha] = alloc
+            cache[k] = alloc
         return alloc
 
     # Depth-first bisection, left half first, on an explicit stack so that a
     # tiny delta cannot exhaust the interpreter's recursion limit. Each split
     # costs one evaluation (its midpoint); none is made once MAX_PATH_PROBES
     # are spent, but pending intervals are still tested on their cached ends.
+    # Outputs are canonical and tau > 0, so ends that are one object have no
+    # gap to measure.
     witness = None
     capped = False
-    pending = [(ZERO, ONE)]
+    pending = [(0, scale)]
     while pending:
         lo, hi = pending.pop()
         left, right = alloc_at(lo), alloc_at(hi)
-        gap = allocation_distance(left, right)
-        if gap < tau:
+        if left is right:
             continue
-        if hi - lo < delta:
+        gap, gap_den = distance_form(left, right)
+        if gap * tau.denominator < tau.numerator * gap_den:
+            continue
+        if hi - lo == 1:
             witness = {
                 "agent": agent,
-                "interval": (lo, hi),
-                "width": hi - lo,
-                "gap": gap,
+                "interval": (Fraction(lo, scale), Fraction(hi, scale)),
+                "width": Fraction(hi - lo, scale),
+                "gap": Fraction(gap, gap_den),
                 "allocation_low": left,
                 "allocation_high": right,
             }
@@ -515,7 +535,7 @@ def check_ncc_continuity(
         if len(cache) >= MAX_PATH_PROBES:
             capped = True
             continue
-        mid = (lo + hi) / 2
+        mid = (lo + hi) >> 1
         pending += ((mid, hi), (lo, mid))
     coverage = (
         f"path agent={agent}; cone={ordinal_of(end0)}; tau={tau}; delta={delta}"

@@ -270,18 +270,6 @@ def uniform_allocation(n: int) -> Allocation:
     return Allocation._trusted((Lottery._trusted(n, (1,) * n),) * n)
 
 
-def mix_allocations(first: Allocation, second: Allocation, weight: Fraction) -> Allocation:
-    """Entrywise convex combination, row by row (`mix_lotteries`);
-    bistochasticity is preserved."""
-    if first.n != second.n:
-        raise DimensionMismatch("allocations differ in size")
-    if not ZERO <= exact_rational(weight) <= ONE:
-        raise NegativeEntry(f"mix weight {weight} outside [0, 1]")
-    return Allocation._trusted(tuple([
-        mix_lotteries(p, q, weight) for p, q in zip(first._lotteries, second._lotteries)
-    ]))
-
-
 def mix_lotteries(first: Lottery, second: Lottery, weight: Fraction) -> Lottery:
     """w*p + (1-w)*q for lotteries of one size and a weight w = a/b in
     [0, 1], which the caller checks: the integers a*p' + (b-a)*q' over b*d,
@@ -315,15 +303,19 @@ def forms_over_common_denominator(forms: Sequence) -> tuple[int, list[list[int]]
 
 
 def allocation_distance(first: Allocation, second: Allocation) -> Fraction:
-    """Maximum absolute entry difference, exact: one integer maximum over
-    the rows' common denominator."""
+    """Maximum absolute entry difference, exact."""
+    return Fraction(*distance_form(first, second))
+
+
+def distance_form(first: Allocation, second: Allocation) -> tuple[int, int]:
+    """`allocation_distance` as (numerator, denominator > 0), not
+    necessarily in lowest terms: one integer maximum over the rows' common
+    denominator."""
     if first.n != second.n:
         raise DimensionMismatch("allocations differ in size")
     scale, scaled = forms_over_common_denominator(first._lotteries + second._lotteries)
     n = first.n
-    return Fraction(
-        max([abs(x - y) for p, q in zip(scaled[:n], scaled[n:]) for x, y in zip(p, q)]), scale
-    )
+    return max([abs(x - y) for p, q in zip(scaled[:n], scaled[n:]) for x, y in zip(p, q)]), scale
 
 
 class BernoulliUtility(Frozen):

@@ -38,7 +38,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import gcd
+from math import factorial, gcd
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .core import (
@@ -207,36 +207,49 @@ def _dictatorship_picks(
 def _rsd(rankings: Rankings) -> Allocation:
     """Average of serial dictatorship over all n! priority orders, exact:
     each agent's count of each object over n!, which its rows keep as
-    their integer form."""
+    their integer form. Each order's picks are made inline, the objects
+    taken held as a bitmask."""
     n = len(rankings)
     counts = [[0] * n for _ in range(n)]
-    total = 0
+    prefs = [[(obj, 1 << obj) for obj in ranking] for ranking in rankings]
     for priority in itertools.permutations(range(n)):
-        total += 1
-        for agent, obj in enumerate(_dictatorship_picks(rankings, priority)):
-            counts[agent][obj] += 1
-    return _canonical(Allocation._over(total, counts))
+        taken = 0
+        for agent in priority:
+            for obj, bit in prefs[agent]:
+                if not taken & bit:
+                    taken |= bit
+                    counts[agent][obj] += 1
+                    break
+    return _canonical(Allocation._over(factorial(n), counts))
 
 
 def _ps(rankings: Rankings) -> Allocation:
     """Simultaneous eating at unit speed with exact rational breakpoints,
     on integers: every share and every remaining amount is an integer over
-    one common denominator `den`. Each round, the object that runs out first
-    (the least remaining / eaters) sets the step, remaining / eaters in
-    lowest terms, and `den` grows by that step's denominator."""
+    one common denominator `den`. Each round, every agent eats its best
+    object left (a pointer into its ranking, which only moves forward), and
+    the object that runs out first (the least remaining / eaters) sets the
+    step, remaining / eaters in lowest terms, and `den` grows by that step's
+    denominator. Which of several such objects is picked does not matter:
+    they set the same step."""
     n = len(rankings)
     den = 1
     remaining = [1] * n
     shares = [[0] * n for _ in range(n)]
-    while any(remaining):
-        targets = [
-            next(obj for obj in rankings[agent] if remaining[obj]) for agent in range(n)
-        ]
+    pointers = [0] * n
+    left = n
+    while left:
+        targets = []
         eaters = [0] * n
-        for obj in targets:
-            eaters[obj] += 1
-        eaten = set(targets)
-        first = min(eaten)
+        for agent, ranking in enumerate(rankings):
+            k = pointers[agent]
+            while not remaining[ranking[k]]:
+                k += 1
+            pointers[agent] = k
+            targets.append(ranking[k])
+            eaters[ranking[k]] += 1
+        eaten = [obj for obj in range(n) if eaters[obj]]
+        first = eaten[0]
         for obj in eaten:
             if remaining[obj] * eaters[first] < remaining[first] * eaters[obj]:
                 first = obj
@@ -250,6 +263,8 @@ def _ps(rankings: Rankings) -> Allocation:
             shares[agent][obj] += step
         for obj in eaten:
             remaining[obj] -= step * eaters[obj]
+            if not remaining[obj]:
+                left -= 1
     return _canonical(Allocation._over(den, shares))
 
 

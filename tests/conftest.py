@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import strategies as st
@@ -21,8 +22,22 @@ from alloclab import (
     make_lottery,
     make_utility,
 )
-from alloclab.checkers import report_json
-from alloclab.core import OBJECT_LABELS, parse_fraction
+from alloclab import rules
+from alloclab.checkers import MAX_PATH_PROBES, PROBE_CAP_NOTE, Verdict, report_json
+from alloclab.core import (
+    ONE,
+    ZERO,
+    OBJECT_LABELS,
+    DimensionMismatch,
+    NegativeEntry,
+    allocation_distance,
+    exact_rational,
+    forms_over_common_denominator,
+    mix_lotteries,
+    parse_fraction,
+    profile_with,
+)
+from alloclab.ordinal import ordinal_of
 
 
 F = Fraction
@@ -164,3 +179,117 @@ def abc_profile():
         make_utility(values)
         for values in (("1", "1/10", "0"), ("1", "1/2", "0"), ("1", "9/10", "0"))
     )
+
+
+def mix_allocations(first: Allocation, second: Allocation, weight: Fraction) -> Allocation:
+    """Reference blend of two allocations: the entrywise convex combination,
+    row by row (`mix_lotteries`), with the size and weight checked."""
+    if first.n != second.n:
+        raise DimensionMismatch("allocations differ in size")
+    if not ZERO <= exact_rational(weight) <= ONE:
+        raise NegativeEntry(f"mix weight {weight} outside [0, 1]")
+    return Allocation._trusted(tuple([
+        mix_lotteries(p, q, weight) for p, q in zip(first._lotteries, second._lotteries)
+    ]))
+
+
+def reference_rsd(rankings) -> Allocation:
+    """Reference rsd kernel: serial dictatorship's picks per priority order
+    from a set of taken objects, counted over all n! orders; the canonical
+    output, as `rules._rsd` must return it."""
+    n = len(rankings)
+    counts = [[0] * n for _ in range(n)]
+    total = 0
+    for priority in itertools.permutations(range(n)):
+        total += 1
+        taken: set[int] = set()
+        for agent in priority:
+            choice = next(obj for obj in rankings[agent] if obj not in taken)
+            counts[agent][choice] += 1
+            taken.add(choice)
+    return rules._canonical(Allocation._over(total, counts))
+
+
+def reference_ps(rankings) -> Allocation:
+    """Reference ps kernel: each round every agent's best object left, found
+    from the top of its ranking, and the step of the object that runs out
+    first; the canonical output, as `rules._ps` must return it."""
+    n = len(rankings)
+    den = 1
+    remaining = [1] * n
+    shares = [[0] * n for _ in range(n)]
+    while any(remaining):
+        targets = [
+            next(obj for obj in rankings[agent] if remaining[obj]) for agent in range(n)
+        ]
+        eaters = [0] * n
+        for obj in targets:
+            eaters[obj] += 1
+        eaten = set(targets)
+        first = min(eaten)
+        for obj in eaten:
+            if remaining[obj] * eaters[first] < remaining[first] * eaters[obj]:
+                first = obj
+        common = gcd(remaining[first], eaters[first])
+        step, scale = remaining[first] // common, eaters[first] // common
+        if scale > 1:
+            den *= scale
+            remaining = [r * scale for r in remaining]
+            shares = [[s * scale for s in row] for row in shares]
+        for agent, obj in enumerate(targets):
+            shares[agent][obj] += step
+        for obj in eaten:
+            remaining[obj] -= step * eaters[obj]
+    return rules._canonical(Allocation._over(den, shares))
+
+
+def fraction_ncc_continuity(rule, agent, others, endpoints, config) -> Verdict:
+    """Reference `checkers.check_ncc_continuity`, for endpoints in one cone:
+    the same depth-first bisection with every point, width and gap a
+    `Fraction`, probes cached on the point."""
+    end0, _ = endpoints
+    tau = config.continuity_gap_tau
+    delta = config.continuity_interval_delta
+    cache: dict[Fraction, Allocation] = {}
+    den, (start, end) = forms_over_common_denominator(endpoints)
+    order = ordinal_of(end0)
+
+    def alloc_at(alpha: Fraction) -> Allocation:
+        alloc = cache.get(alpha)
+        if alloc is None:
+            a, b = alpha.numerator, alpha.denominator
+            moving = BernoulliUtility._trusted(
+                b * den, tuple([(b - a) * x + a * y for x, y in zip(start, end)]), order
+            )
+            alloc = rule.allocate(profile_with(others, agent, moving))
+            cache[alpha] = alloc
+        return alloc
+
+    witness = None
+    capped = False
+    pending = [(ZERO, ONE)]
+    while pending:
+        lo, hi = pending.pop()
+        left, right = alloc_at(lo), alloc_at(hi)
+        gap = allocation_distance(left, right)
+        if gap < tau:
+            continue
+        if hi - lo < delta:
+            witness = {
+                "agent": agent,
+                "interval": (lo, hi),
+                "width": hi - lo,
+                "gap": gap,
+                "allocation_low": left,
+                "allocation_high": right,
+            }
+            break
+        if len(cache) >= MAX_PATH_PROBES:
+            capped = True
+            continue
+        mid = (lo + hi) / 2
+        pending += ((mid, hi), (lo, mid))
+    coverage = f"path agent={agent}; cone={order}; tau={tau}; delta={delta}"
+    if capped:
+        coverage += PROBE_CAP_NOTE
+    return Verdict(witness, coverage)

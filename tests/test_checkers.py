@@ -55,7 +55,7 @@ from alloclab.harness import theorem_stress
 from alloclab.ordinal import OrdinalPreference, all_orders, ordinal_of, random_rational
 from alloclab.rules import GridTable, built_in_family, cell_outputs
 
-from conftest import REDUCED_GRIDS, printed_witness, read_back
+from conftest import REDUCED_GRIDS, fraction_ncc_continuity, printed_witness, read_back
 
 F = Fraction
 SMALL = CheckConfig(mu_grid=(F(1, 10), F(1, 2), F(9, 10)), samples_per_cell=1, seed=5)
@@ -146,6 +146,22 @@ def _sliding_allocate(profile):
 
 
 SLIDING = Rule("sliding-test", lambda profile: profile, lru_cache(maxsize=None)(_sliding_allocate))
+
+
+def _den_parity_allocate(forms):
+    """Reads the agents' integer forms, not only their values: one of two
+    permutation matrices by the parity of the bit lengths of their
+    denominators plus the number whose middle value is above half their top
+    one. So it jumps on every default continuity path, and tells a utility
+    built in lowest terms from one that is not."""
+    if sum(den.bit_length() + (2 * sorted(nums)[1] > max(nums)) for den, nums in forms) % 2:
+        return make_allocation([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    return make_allocation([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+
+
+DEN_PARITY = Rule(
+    "den-parity-test", lambda profile: tuple((u.den, u.nums) for u in profile), _den_parity_allocate
+)
 
 
 def _fail_witness(verdict) -> dict:
@@ -911,6 +927,43 @@ class TestContinuity:
         assert not verdict.coverage.endswith(PROBE_CAP_NOTE)
         lo, hi = (F(x) for x in verdict.witness["interval"])
         assert hi - lo < delta
+
+    @pytest.mark.parametrize(
+        "tau, delta",
+        [
+            (None, None),
+            (F(1, 3), F(3, 7)),
+            (F(1, 1000), F(2)),
+            (F(1, 7), F(1, 1023)),
+            (F(1, 7), F(1, 1025)),
+            (F(1, 10**6), F(1, 10**40)),
+            # delta a power of two: an interval exactly delta wide still splits
+            (F(1, 7), F(1, 1024)),
+        ],
+        ids=["default", "1/3-3/7", "1/1000-2", "1/7-1/1023", "1/7-1/1025", "1e-6-1e-40",
+             "1/7-1/1024"],
+    )
+    @pytest.mark.parametrize(
+        "spec", ["utilitarian", "blend:rsd:utilitarian:1/2", "blend:utilitarian:rsd:1/10000000",
+                 "sliding", "den-parity"],
+    )
+    def test_integer_bisection_matches_the_fraction_reference(self, spec, tau, delta, monkeypatch):
+        """The dyadic-integer bisection gives the verdict, witness and
+        coverage of bisecting on `Fraction`s, path by path and for the
+        battery: on a rule that jumps, one that moves continuously (and
+        reaches the probe cap) and one that reads its reports' integer forms."""
+        rule = {"sliding": SLIDING, "den-parity": DEN_PARITY}.get(spec) or rule_by_name(spec)
+        config = CheckConfig() if tau is None else CheckConfig(
+            continuity_gap_tau=tau, continuity_interval_delta=delta
+        )
+        for agent, others, endpoints in default_continuity_paths():
+            got = check_ncc_continuity(rule, agent, others, endpoints, config)
+            want = fraction_ncc_continuity(rule, agent, others, endpoints, config)
+            assert (got.witness, got.coverage) == (want.witness, want.coverage)
+            assert report_json(got.to_dict()) == report_json(want.to_dict())
+        battery = check_continuity_battery(rule, config).to_dict()
+        monkeypatch.setattr(checkers, "check_ncc_continuity", fraction_ncc_continuity)
+        assert battery == check_continuity_battery(rule, config).to_dict()
 
     def test_different_cones_rejected(self):
         config = SMALL

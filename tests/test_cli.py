@@ -27,6 +27,8 @@ from alloclab.cli import (
 from alloclab.core import TiesPresent
 from alloclab.harness import default_v_profiles, verify_lemma
 from alloclab.cli import ParseError
+from alloclab.checkers import encode, report_json
+from alloclab.rules import BASE_RULES
 
 
 def test_check_ordinality_pass_exit_zero(tmp_path, capsys):
@@ -925,3 +927,128 @@ def test_reports_do_not_depend_on_the_hash_seed():
     for argv in commands:
         assert printed["0", argv[0]] == printed["4242", argv[0]]
     assert '"status": "Pass"' in printed["0", "check"]
+
+
+def _grid(*argv):
+    return [*argv, "--grid", "1/4,3/4", "--samples", "0", "--seed", "3"]
+
+
+# One command per kind of report the CLI writes, as (argv, exit code).
+EVERY_REPORT = {
+    **{
+        f"{axiom}-{status}": (_grid("check", "--rule", rule, "--axiom", axiom), code)
+        for axiom, passing, failing in (
+            ("efficiency", "utilitarian", "rsd"),
+            ("strategy-proofness", "rsd", "utilitarian"),
+            ("sd-strategy-proofness", "rsd", "ps"),
+            ("non-bossiness", "rsd", "bossy-test"),
+            ("ordinality", "rsd", "utilitarian"),
+            ("continuity", "rsd", "utilitarian"),
+        )
+        for status, rule, code in (("pass", passing, 0), ("fail", failing, 1))
+    },
+    "not-ordinal": (_grid("check", "--rule", "utilitarian", "--axiom", "sd-strategy-proofness"), 1),
+    "stress": (_grid("stress"), 0),
+    "stress-n4": (["stress", "--seed", "2", "--n", "4", "--grid", "1/2"], 0),
+    "lemma-failures": (["lemma", "--lemma", "L3", "--rule", "rsd", "--trials", "20", "--seed", "3"], 1),
+    "theorem2-pass": (["theorem2", "--rule", "ps", "--seed", "4", "--count", "2", "--grid", "1/10,9/10",
+                       "--samples", "1"], 0),
+    "theorem2-fail": (["theorem2", "--rule", "utilitarian", "--seed", "4", "--count", "2", "--grid",
+                       "1/10,9/10", "--samples", "1"], 1),
+    "decompose": (["decompose", "--matrix",
+                   '[["1/2","1/3","1/6"],["1/3","1/6","1/2"],["1/6","1/2","1/3"]]'], 0),
+}
+
+
+def _keys(value):
+    """Every dict key anywhere in a report's data."""
+    if isinstance(value, dict):
+        yield from value
+        values = value.values()
+    elif isinstance(value, (list, tuple)):
+        values = value
+    else:
+        return
+    for item in values:
+        yield from _keys(item)
+
+
+@pytest.mark.parametrize("name", list(EVERY_REPORT))
+def test_reports_encode_as_the_direct_dump(name, monkeypatch, capsys):
+    """`report_json` spells out the exact values before it sorts and
+    indents: its bytes are those of one `json.dumps` with `encode` as the
+    hook, on every kind of report. That holds only while every key is a
+    `str`, since an int key would be sorted after its conversion."""
+    import alloclab.cli as cli
+    import alloclab.harness as harness
+    from test_checkers import BOSSY
+
+    written = []
+
+    def recording(data):
+        written.append(data)
+        return report_json(data)
+
+    monkeypatch.setattr(cli, "report_json", recording)
+    monkeypatch.setattr(harness, "report_json", recording)
+    monkeypatch.setitem(BASE_RULES, BOSSY.name, BOSSY)
+    argv, code = EVERY_REPORT[name]
+    assert main(argv) == code
+    [data] = written
+    printed = json.dumps(data, sort_keys=True, indent=2, default=encode)
+    assert report_json(data) == printed
+    assert capsys.readouterr().out == printed + "\n"
+    assert all(type(key) is str for key in _keys(data))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", "--rule", "rsd", "--axiom", "continuity"], 0),
+        (["check", "--rule", "utilitarian", "--axiom", "continuity"], 1),
+        (["check", "--rule", "nosuch", "--axiom", "continuity"], 2),
+    ],
+    ids=["pass", "fail", "usage-error"],
+)
+def test_the_process_exit_keeps_codes_and_reports(argv, code, tmp_path, capsys):
+    """`python -m alloclab.cli` exits through `cli.entry`, which skips the
+    interpreter's final collection: the exit code and the report, on stdout
+    or in a file, are those of `main` in-process, `elapsed_ms` aside."""
+    def timeless(text):
+        return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text)
+
+    in_process = tmp_path / "in-process.json"
+    assert main(argv) == code
+    printed, error = capsys.readouterr()
+    assert main([*argv, "--out", str(in_process)]) == code
+    command = [sys.executable, "-m", "alloclab.cli", *argv]
+    piped = subprocess.run(command, env=_source_env(), capture_output=True, text=True)
+    assert (piped.returncode, timeless(piped.stdout), piped.stderr) == (
+        code, timeless(printed), error
+    )
+    written = tmp_path / "process.json"
+    run = subprocess.run([*command, "--out", str(written)], env=_source_env(), capture_output=True)
+    assert run.returncode == code
+    if code == 2:
+        assert not written.exists() and not in_process.exists()
+    else:
+        assert timeless(written.read_text()) == timeless(in_process.read_text())
+        assert printed.strip()
+
+
+def test_main_in_process_freezes_nothing(monkeypatch):
+    """Only the process entry point freezes the collector's objects: tests
+    call `main` in-process many times."""
+    import gc
+    import alloclab.cli as cli
+
+    before = gc.get_freeze_count()
+    assert main(["check", "--rule", "rsd", "--axiom", "continuity"]) == 0
+    assert gc.get_freeze_count() == before
+    monkeypatch.setattr(cli, "main", lambda: 1)
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry()
+        assert exit_.value.code == 1 and gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()

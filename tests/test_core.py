@@ -41,7 +41,6 @@ from alloclab import (
     make_lottery,
     make_profile,
     make_utility,
-    mix_allocations,
     support,
     uniform_allocation,
     utility_from,
@@ -63,6 +62,7 @@ from alloclab.ordinal import (
 from conftest import (
     best_assignments,
     lotteries,
+    mix_allocations,
     perm_matrix_rows,
     rsd_oracle,
     unit_fractions,

@@ -24,7 +24,6 @@ from alloclab import (
     make_allocation,
     make_profile,
     maximize,
-    mix_allocations,
     rule_by_name,
     uniform_allocation,
     utility_from,
@@ -36,7 +35,7 @@ from alloclab.core import over_common_denominator
 from alloclab.harness import _random_affine
 from alloclab.ordinal import all_orders, canonicalize, random_utility_consistent
 
-from conftest import best_assignments, dominates_directly, perm_matrix_rows
+from conftest import best_assignments, dominates_directly, mix_allocations, perm_matrix_rows
 
 
 F = Fraction

@@ -27,7 +27,6 @@ from alloclab import (
     make_allocation,
     make_profile,
     make_utility,
-    mix_allocations,
     rule_by_name,
     uniform_allocation,
     utility_from,
@@ -43,7 +42,15 @@ from alloclab.core import over_common_denominator, profile_with, validate_profil
 from alloclab.checkers import DEFAULT_MU_GRID, grid_cells
 from alloclab.rules import BASE_RULES, Rule
 
-from conftest import REDUCED_GRIDS, best_assignments, perm_matrix_rows, rsd_oracle
+from conftest import (
+    REDUCED_GRIDS,
+    best_assignments,
+    mix_allocations,
+    perm_matrix_rows,
+    reference_ps,
+    reference_rsd,
+    rsd_oracle,
+)
 
 
 F = Fraction
@@ -127,6 +134,23 @@ class TestPs:
             "Equal": 504,
             "Incomparable": 0,
         }
+
+
+@pytest.mark.parametrize(
+    "kernel, reference", [(rules._rsd, reference_rsd), (rules._ps, reference_ps)], ids=["rsd", "ps"]
+)
+def test_kernels_return_the_reference_objects(kernel, reference):
+    """The rsd and ps kernels return the very canonical object of the set-
+    and generator-based references: on every three-agent ranking profile,
+    on 200 seeded profiles each at four, five and six agents, and where all
+    agents share one ranking (every object eaten by all at once)."""
+    profiles = list(itertools.product([order.ranking for order in all_orders(3)], repeat=3))
+    rng = random.Random(31)
+    for n in (4, 5, 6):
+        profiles += [tuple(tuple(rng.sample(range(n), n)) for _ in range(n)) for _ in range(200)]
+        profiles += [(ranking,) * n for ranking in (tuple(range(n)), tuple(rng.sample(range(n), n)))]
+    for rankings in profiles:
+        assert kernel(rankings) is reference(rankings)
 
 
 class TestDictatorship:
