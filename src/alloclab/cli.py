@@ -1,10 +1,13 @@
 """Command-line entry point: load profiles, run checkers and the harness,
-emit JSON or CSV reports.
+and write their results as reports. Every report becomes bytes in one
+writer, `_write`: JSON through `checkers.report_json`, or CSV.
 
-Exit codes: 0 when every verdict in the report passes, 1 on any failing
-verdict or metamorphic violation, 2 on usage errors (bad flags, unreadable
-or malformed input files), 3 on an internal error, so that a crash never
-reads as a failed verdict.
+Exit codes: 1 from `check` and `theorem2` on a Fail or when the ordinality
+pre-check rejects the rule, from `lemma` iff it recorded a failure, and from
+`stress` only on a metamorphic violation (`stress --n 4` and `decompose`
+exit 0); 2 on usage errors (bad flags, unreadable or malformed input
+files); 3 on an internal error, so that a crash never reads as a failed
+verdict; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .checkers import (
 )
 from .core import (
     BernoulliUtility,
+    DimensionMismatch,
     TiesPresent,
     UtilityProfile,
     make_allocation,
@@ -49,7 +53,6 @@ from .harness import (
     NotOrdinalOnU,
     default_v_profiles,
     exploration_stress,
-    report_csv,
     theorem_stress,
     theorem2_check,
     verify_lemma,
@@ -186,8 +189,13 @@ def _profiles_from_json(text: str, path: str) -> list[UtilityProfile]:
                 )
             utilities.append(_utility(row, f"{path}: profile {p_index}: agent {agent}"))
         profile = tuple(utilities)
-        validate_profile(profile)
+        try:
+            validate_profile(profile)
+        except DimensionMismatch as exc:
+            raise ParseError(f"{path}: profile {p_index}: {exc}") from exc
         profiles.append(profile)
+    if not profiles:
+        raise ParseError(f"{path}: no profiles")
     return profiles
 
 
@@ -243,12 +251,21 @@ def _check_config(args: argparse.Namespace) -> CheckConfig:
     return CheckConfig(**kwargs)
 
 
-def _emit(payload: str, out: str | None) -> None:
-    if out is not None:
+def _write(args: argparse.Namespace, report: dict, rows: list[list] | tuple = ()) -> None:
+    """Write a command's report, the one place a result becomes bytes: its
+    JSON form, or under `--format csv` the CSV of `rows`, header first. The
+    report goes to `--out`, else to stdout."""
+    if getattr(args, "format", "json") == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows(rows)
+        payload = buffer.getvalue()
+    else:
+        payload = report_json(report)
+    if args.out is not None:
         try:
-            Path(out).write_text(payload)
+            Path(args.out).write_text(payload)
         except OSError as exc:
-            raise IoError(f"cannot write report to {out!r}: {exc.strerror}") from exc
+            raise IoError(f"cannot write report to {args.out!r}: {exc.strerror}") from exc
     elif sys.stdout is None:  # the process started with stdout closed
         raise IoError("cannot write report to stdout: it is closed")
     else:
@@ -261,24 +278,17 @@ def _emit(payload: str, out: str | None) -> None:
             raise IoError(f"cannot write report to stdout: {exc.strerror}") from exc
 
 
-def _not_ordinal(fields: dict, exc: NotOrdinal | NotOrdinalOnU, out: str | None) -> int:
-    """Report a rule that the command's ordinality pre-check rejected."""
-    _emit(report_json({**fields, "error": f"{type(exc).__name__}: {exc}"}), out)
-    return 1
-
-
-def _verdict(fields: dict, verdict: Verdict, args: argparse.Namespace) -> int:
-    """Write a verdict report; the exit code is 0 on Pass and 1 on Fail."""
+def _verdict(fields: dict, verdict: Verdict, seed: int | None) -> dict:
+    """A verdict's report: `fields`, then the verdict and the seed."""
     report = {
         **fields,
         "status": verdict.status,
         "grid_description": verdict.coverage,
-        "seed": args.seed,
+        "seed": seed,
     }
     if verdict.witness is not None:
         report["witness"] = verdict.witness
-    _emit(report_json(report), args.out)
-    return 0 if verdict.passed else 1
+    return report
 
 
 def _run_check(args: argparse.Namespace) -> int:
@@ -306,18 +316,12 @@ def _run_check(args: argparse.Namespace) -> int:
     try:
         verdict = checkers[axiom](rule, config)
     except NotOrdinal as exc:
-        if args.format == "csv":
-            return _check_csv(axiom, args, "NotOrdinal")
-        return _not_ordinal(fields, exc, args.out)
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    if args.format == "csv":
-        return _check_csv(axiom, args, verdict.status)
-    return _verdict({**fields, "elapsed_ms": elapsed_ms}, verdict, args)
-
-
-def _check_csv(axiom: str, args: argparse.Namespace, status: str) -> int:
-    """The one-row CSV report of `check`; the exit code is 0 only on Pass."""
-    _emit(report_csv([["axiom", "rule", "status"], [axiom, args.rule, status]]), args.out)
+        status, report = "NotOrdinal", {**fields, "error": f"NotOrdinal: {exc}"}
+    else:
+        elapsed_ms = int((time.perf_counter() - started) * 1000)
+        status = verdict.status
+        report = _verdict({**fields, "elapsed_ms": elapsed_ms}, verdict, args.seed)
+    _write(args, report, [["axiom", "rule", "status"], [axiom, args.rule, status]])
     return 0 if status == "Pass" else 1
 
 
@@ -345,7 +349,7 @@ def _run_decompose(args: argparse.Namespace) -> int:
         matrix = make_allocation(data)
     except TypeError as exc:
         raise ParseError(f"matrix is not a square grid of exact rationals: {exc}") from exc
-    _emit(report_json(decompose(matrix).to_dict()), args.out)
+    _write(args, decompose(matrix).to_dict())
     return 0
 
 
@@ -360,16 +364,13 @@ def _run_lemma(args: argparse.Namespace) -> int:
         raise UsageError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     rule = rule_by_name(args.rule) if args.rule is not None else None
     report = verify_lemma(lemma, rule, args.trials, args.seed)
-    if args.format == "csv":
-        _emit(
-            report_csv([
-                ["lemma", "rule", "trials", "sampled", "failures"],
-                [lemma, report.rule, report.trials, report.sampled, report.failures_total],
-            ]),
-            args.out,
-        )
-    else:
-        _emit(report.to_json(), args.out)
+    data = {name: getattr(report, name) for name in report.__slots__}
+    if report.failures_total == len(report.failures):
+        del data["failures_total"]  # it appears only when witnesses were dropped
+    _write(args, data, [
+        ["lemma", "rule", "trials", "sampled", "failures"],
+        [lemma, report.rule, report.trials, report.sampled, report.failures_total],
+    ])
     return 0 if report.passed else 1
 
 
@@ -388,10 +389,15 @@ def _run_stress(args: argparse.Namespace) -> int:
     else:
         family = built_in_family(args.seed)
     if args.n > 3:
-        _emit(report_json(exploration_stress(family, args.n, config)), args.out)
+        _write(args, exploration_stress(family, args.n, config))
         return 0
     report = theorem_stress(family, config)
-    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
+    _write(args, {name: getattr(report, name) for name in report.__slots__}, [
+        ["rule", "axiom", "status"],
+        *([rule, axiom, verdict["status"]]
+          for rule in report.rules_tested
+          for axiom, verdict in report.verdicts[rule].items()),
+    ])
     return 0 if not report.metamorphic_violations else 1
 
 
@@ -404,8 +410,10 @@ def _run_theorem2(args: argparse.Namespace) -> int:
     try:
         verdict = theorem2_check(rule, profiles, config)
     except NotOrdinalOnU as exc:
-        return _not_ordinal({"rule": args.rule}, exc, args.out)
-    return _verdict({"command": "theorem2", "rule": args.rule}, verdict, args)
+        _write(args, {"rule": args.rule, "error": f"NotOrdinalOnU: {exc}"})
+        return 1
+    _write(args, _verdict({"command": "theorem2", "rule": args.rule}, verdict, args.seed))
+    return 0 if verdict.passed else 1
 
 
 def run(args: argparse.Namespace) -> int:

@@ -10,13 +10,12 @@ the instances: the one-agent sampler (L1, L2, L4, L9) replaces one agent's
 utility and compares the whole allocation or that agent's share; the
 same-order-pair sampler (L3, L5-L7) draws two agents of one order, checks
 their segments and replaces 0, 1 or 2 of them. L8 has its own sampler, and
-L10 is the separation check that theorem2_check also runs.
+L10 is the separation check that theorem2_check also runs. The reports here
+are values; the CLI alone turns them into report bytes.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import random
 from fractions import Fraction
 
@@ -39,7 +38,6 @@ from .checkers import (
     check_strategy_proofness,
     default_efficiency_profiles,
     encoded,
-    report_json,
     require_ordinal,
 )
 from .ordinal import (
@@ -92,13 +90,6 @@ EXPLORATION_PROBES = 40
 MAX_WITNESSES = 100
 
 
-def report_csv(rows: list[list]) -> str:
-    """The CSV form of a report: a header row, then one row per record."""
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows(rows)
-    return buffer.getvalue()
-
-
 class LemmaReport(Fields):
     __slots__ = ("lemma_id", "rule", "trials", "failures", "seed", "sampled",
                  "hypothesis_unsatisfiable", "failures_total")
@@ -112,13 +103,6 @@ class LemmaReport(Fields):
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> str:
-        """`failures_total` appears only when witnesses were dropped."""
-        data = dict(zip(self.__slots__, self._fields()))
-        if self.failures_total == len(self.failures):
-            del data["failures_total"]
-        return report_json(data)
 
 
 def _random_order(rng: random.Random) -> OrdinalPreference:
@@ -374,19 +358,6 @@ class StressReport(Fields):
     def __init__(self, rules_tested: list[str], verdicts: dict[str, dict[str, dict]],
                  metamorphic_violations: tuple[str, ...] | list[str] = ()):
         self._set(rules_tested, verdicts, list(metamorphic_violations))
-
-    def to_json(self) -> str:
-        return report_json(dict(zip(self.__slots__, self._fields())))
-
-    def to_csv(self) -> str:
-        return report_csv(
-            [["rule", "axiom", "status"]]
-            + [
-                [rule, axiom, verdict["status"]]
-                for rule in self.rules_tested
-                for axiom, verdict in self.verdicts[rule].items()
-            ]
-        )
 
 
 def theorem_stress(rule_family: list[Rule], config: CheckConfig) -> StressReport:

@@ -676,6 +676,10 @@ def test_profile_files_round_trip(profiles):
          ": profile 0: agent 0: exact rational expected, got bool"),
         ("binary.json", b"\xff\xfe[[[1,0,2]]]",
          ": 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ("ragged.json", "[[[1,0,2],[1,2,0],[0,1]]]",
+         ": profile 0: profile is not square (n agents, n objects)"),
+        ("empty-profile.json", "[[]]", ": profile 0: empty profile"),
+        ("no-profiles.json", "[]", ": no profiles"),
     ],
 )
 def test_malformed_profile_file_message_is_pinned(tmp_path, capsys, name, text, message):
@@ -951,6 +955,8 @@ EVERY_REPORT = {
     "stress": (_grid("stress"), 0),
     "stress-n4": (["stress", "--seed", "2", "--n", "4", "--grid", "1/2"], 0),
     "lemma-failures": (["lemma", "--lemma", "L3", "--rule", "rsd", "--trials", "20", "--seed", "3"], 1),
+    # more failures than the report keeps witnesses: it adds failures_total
+    "lemma-capped": (["lemma", "--lemma", "L3", "--rule", "rsd", "--trials", "300", "--seed", "3"], 1),
     "theorem2-pass": (["theorem2", "--rule", "ps", "--seed", "4", "--count", "2", "--grid", "1/10,9/10",
                        "--samples", "1"], 0),
     "theorem2-fail": (["theorem2", "--rule", "utilitarian", "--seed", "4", "--count", "2", "--grid",
@@ -978,9 +984,10 @@ def test_reports_encode_as_the_direct_dump(name, monkeypatch, capsys):
     """`report_json` spells out the exact values before it sorts and
     indents: its bytes are those of one `json.dumps` with `encode` as the
     hook, on every kind of report. That holds only while every key is a
-    `str`, since an int key would be sorted after its conversion."""
+    `str`, since an int key would be sorted after its conversion. Only
+    `cli.report_json` is recorded, so the one report written also shows
+    that the CLI's writer wrote it."""
     import alloclab.cli as cli
-    import alloclab.harness as harness
     from test_checkers import BOSSY
 
     written = []
@@ -990,7 +997,6 @@ def test_reports_encode_as_the_direct_dump(name, monkeypatch, capsys):
         return report_json(data)
 
     monkeypatch.setattr(cli, "report_json", recording)
-    monkeypatch.setattr(harness, "report_json", recording)
     monkeypatch.setitem(BASE_RULES, BOSSY.name, BOSSY)
     argv, code = EVERY_REPORT[name]
     assert main(argv) == code

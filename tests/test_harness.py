@@ -31,6 +31,7 @@ from alloclab.core import (
 )
 from alloclab.harness import default_v_profiles, exploration_stress
 from alloclab.checkers import report_json
+from alloclab.cli import main
 from alloclab.ordinal import (
     VUtility,
     all_orders,
@@ -47,6 +48,21 @@ from conftest import printed_witness, read_back
 
 F = Fraction
 SMALL = CheckConfig(mu_grid=(F(1, 10), F(1, 2), F(9, 10)), samples_per_cell=1, seed=5)
+# The same grid as flags of `alloclab stress`.
+SMALL_FLAGS = ("--grid", "1/10,1/2,9/10", "--samples", "1", "--seed", "5")
+
+
+def printed(capsys, *argv: str) -> str:
+    """The report `alloclab <argv>` writes, less print's final newline."""
+    main(list(argv))
+    out = capsys.readouterr().out
+    assert out.endswith("\n")
+    return out[:-1]
+
+
+def lemma_argv(lemma_id: str, rule_name: str | None, trials: int, seed: int) -> list[str]:
+    argv = ["lemma", "--lemma", lemma_id, "--trials", str(trials), "--seed", str(seed)]
+    return argv + ["--rule", rule_name] if rule_name else argv
 
 
 class TestVerifyLemma:
@@ -90,22 +106,25 @@ class TestVerifyLemma:
         assert report.sampled == 0 and report.hypothesis_unsatisfiable
         assert report.failures == []
 
-    def test_reports_are_deterministic(self):
-        a = verify_lemma("L10_separating", None, trials=60, seed=3)
-        b = verify_lemma("L10_separating", None, trials=60, seed=3)
-        assert a.to_json() == b.to_json()
+    def test_reports_are_deterministic(self, capsys):
+        a = printed(capsys, *lemma_argv("L10_separating", None, 60, 3))
+        b = printed(capsys, *lemma_argv("L10_separating", None, 60, 3))
+        assert a == b
 
-    def test_failure_witnesses_are_capped_and_counted(self, monkeypatch):
+    def test_failure_witnesses_are_capped_and_counted(self, monkeypatch, capsys):
         assert harness.MAX_WITNESSES == 100
+        argv = lemma_argv("L3_identical_pair", "rsd", 300, 3)
         capped = verify_lemma("L3_identical_pair", RSD, trials=300, seed=3)
+        capped_json = printed(capsys, *argv)
         monkeypatch.setattr(harness, "MAX_WITNESSES", 10**6)
         whole = verify_lemma("L3_identical_pair", RSD, trials=300, seed=3)
+        whole_json = printed(capsys, *argv)
         assert len(whole.failures) == whole.failures_total > 100
         assert capped.failures == whole.failures[:100]
         assert capped.failures_total == whole.failures_total
-        assert json.loads(capped.to_json())["failures_total"] == whole.failures_total
+        assert json.loads(capped_json)["failures_total"] == whole.failures_total
         # a report that kept every witness has no count
-        assert "failures_total" not in json.loads(whole.to_json())
+        assert "failures_total" not in json.loads(whole_json)
 
     def test_lemma_metadata(self):
         assert set(LEMMA_HYPOTHESES) == set(LEMMA_IDS)
@@ -124,7 +143,7 @@ class TestVerifyLemma:
         report = verify_lemma("L2_middle_bump", UTILITARIAN, trials=60, seed=2)
         assert report.failures  # raising the middle rate moves the share
 
-    def test_failure_witnesses_hold_exact_values(self):
+    def test_failure_witnesses_hold_exact_values(self, capsys):
         """Each witness re-runs from its own values, and the printed report
         parses back to the same values."""
         rule = rule_by_name("blend:rsd:utilitarian:1/2")
@@ -132,10 +151,10 @@ class TestVerifyLemma:
             lemma: verify_lemma(lemma, rule, trials=40, seed=1)
             for lemma in ("L2_middle_bump", "L6_one_agent_invariance", "L8_interior_ordinality")
         }
-        for report in reports.values():
+        for lemma, report in reports.items():
             assert report.failures
-            printed = json.loads(report.to_json())["failures"]
-            assert read_back(printed, report.failures) == report.failures
+            failures = json.loads(printed(capsys, *lemma_argv(lemma, rule.name, 40, 1)))["failures"]
+            assert read_back(failures, report.failures) == report.failures
 
         for witness in reports["L2_middle_bump"].failures:
             profile, agent = witness["profile"], witness["agent"]
@@ -159,8 +178,9 @@ class TestVerifyLemma:
             assert witness["allocation"] != witness["twin_allocation"]
 
 
-# sha256 of verify_lemma(lemma, rule, 40, 1).to_json(). Between them these
-# reports hold every failure-witness shape the samplers emit.
+# sha256 of the JSON report of `alloclab lemma --lemma <lemma> --rule <rule>
+# --trials 40 --seed 1`. Between them these reports hold every
+# failure-witness shape the samplers emit.
 LEMMA_REPORT_SHA256 = {
     ("L1_effectively_same", "utilitarian"):
         "77528dbb5715d0051e03bda2f1a8345427a4f570a6b9308e8b889373951c23e4",
@@ -208,18 +228,18 @@ LEMMA_REPORT_SHA256 = {
 
 
 @pytest.mark.parametrize("lemma_id, rule_name", list(LEMMA_REPORT_SHA256))
-def test_lemma_report_bytes_are_pinned(lemma_id, rule_name):
-    rule = rule_by_name(rule_name) if rule_name else None
-    report = verify_lemma(lemma_id, rule, 40, 1).to_json()
+def test_lemma_report_bytes_are_pinned(lemma_id, rule_name, capsys):
+    report = printed(capsys, *lemma_argv(lemma_id, rule_name, 40, 1))
     assert hashlib.sha256(report.encode()).hexdigest() == LEMMA_REPORT_SHA256[
         (lemma_id, rule_name)
     ]
 
 
-# sha256 of verify_lemma(lemma, rule, 200, 2024).to_json(): the benchmark's
-# lemma runs. rsd and L10 pass, so their reports pin the sampled counts;
-# utilitarian's failure witnesses, and the sampler stream below, pin the
-# drawn values and the order of the rng calls.
+# sha256 of the JSON report of `alloclab lemma --lemma <lemma> --rule <rule>
+# --trials 200 --seed 2024`: the benchmark's lemma runs. rsd and L10 pass,
+# so their reports pin the sampled counts; utilitarian's failure witnesses,
+# and the sampler stream below, pin the drawn values and the order of the
+# rng calls.
 SAMPLER_REPORT_SHA256 = {
     ("L1_effectively_same", "rsd"):
         "354198498611da4eabb76f696ae550301b7e317d624bafa4eaf179b37d8ae84b",
@@ -237,9 +257,8 @@ SAMPLER_REPORT_SHA256 = {
 
 
 @pytest.mark.parametrize("lemma_id, rule_name", list(SAMPLER_REPORT_SHA256))
-def test_sampler_reports_are_pinned(lemma_id, rule_name):
-    rule = rule_by_name(rule_name) if rule_name else None
-    report = verify_lemma(lemma_id, rule, 200, 2024).to_json()
+def test_sampler_reports_are_pinned(lemma_id, rule_name, capsys):
+    report = printed(capsys, *lemma_argv(lemma_id, rule_name, 200, 2024))
     assert hashlib.sha256(report.encode()).hexdigest() == SAMPLER_REPORT_SHA256[
         (lemma_id, rule_name)
     ]
@@ -293,24 +312,24 @@ class TestTheoremStress:
             assert verdicts[axiom]["status"] == "Pass"
         assert report.metamorphic_violations == []
 
-    def test_family_report_bytes_are_pinned(self):
-        # seed 3's family holds seven blends with utilitarian, in both orders
-        report = theorem_stress(
-            built_in_family(3), CheckConfig(mu_grid=(F(1, 4), F(3, 4)))
-        ).to_json()
+    def test_family_report_bytes_are_pinned(self, capsys):
+        # seed 3's family holds seven blends with utilitarian, in both
+        # orders; --seed 0 keeps CheckConfig's default seed
+        names = ",".join(rule.name for rule in built_in_family(3))
+        report = printed(capsys, "stress", "--rules", names, "--grid", "1/4,3/4", "--seed", "0")
         assert hashlib.sha256(report.encode()).hexdigest() == (
             "e9149d247ee080f0615123bd3374d89ff3e760b280e4957e942fba91004692d3"
         )
 
-    def test_report_bytes_stable_for_fixed_seed(self):
-        family = [RSD, UNIFORM]
-        first = theorem_stress(family, SMALL).to_json()
-        second = theorem_stress(family, SMALL).to_json()
+    def test_report_bytes_stable_for_fixed_seed(self, capsys):
+        argv = ("stress", "--rules", "rsd,uniform", *SMALL_FLAGS)
+        first = printed(capsys, *argv)
+        second = printed(capsys, *argv)
         assert first == second
 
-    def test_csv_summary_shape(self):
-        report = theorem_stress([UNIFORM], SMALL)
-        lines = report.to_csv().strip().splitlines()
+    def test_csv_summary_shape(self, capsys):
+        report = printed(capsys, "stress", "--rules", "uniform", *SMALL_FLAGS, "--format", "csv")
+        lines = report.strip().splitlines()
         assert lines[0] == "rule,axiom,status"
         assert len(lines) == 1 + 5  # five checks for one rule
 
