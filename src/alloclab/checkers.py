@@ -33,6 +33,14 @@ once per cell, at the cell's mid profile, and always passes, with the
 coverage string of the declared sweep of grid and random profiles, which
 that one call proves. Sd-strategy-proofness reads the same 216 outputs, for
 every rule.
+
+A blend's Pass is certified from its parts' Passes on the same grid where it
+is certain: strategy-proofness whenever both parts pass, and non-bossiness
+of a blend with a cardinal part when its mix is also one-to-one on pairs of
+its parts' possible rows (`rules._Mix.is_injective`). Every verdict of these
+two checks is recorded per (rule, grid) for the life of the process, so each
+part is judged once per grid. A certified Pass has the scan's coverage, and
+every Fail comes from a scan.
 """
 
 from __future__ import annotations
@@ -70,7 +78,7 @@ from .ordinal import (
     sd_compare,
     utility_from,
 )
-from .rules import Rule, cell_outputs
+from .rules import Rule, cell_outputs, mix_of
 
 
 class NotOrdinal(ValueError):
@@ -206,6 +214,15 @@ def _stopped(coverage: str, scanned: int, total: int, unit: str) -> str:
     return f"{coverage}; scanned_{unit}={scanned} of {total}"
 
 
+def _block_sweep(config: CheckConfig) -> str:
+    """The coverage of a deviation-block scan over the grid."""
+    count = 6 * len(config.mu_grid)
+    return (
+        f"grid: 6 orders x {len(config.mu_grid)} mu per agent; "
+        f"cells_per_agent={count}; profiles={count**3}; deviations_per_agent={count}"
+    )
+
+
 def check_efficiency(rule: Rule, profiles: Sequence[UtilityProfile]) -> Verdict:
     """Pass iff no profile in the list yields a dominated allocation."""
     if not profiles:
@@ -242,10 +259,7 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     equal allocations, and equal rows, are one object."""
     cells = grid_cells(config)
     count = len(cells)
-    coverage = (
-        f"grid: 6 orders x {len(config.mu_grid)} mu per agent; "
-        f"cells_per_agent={count}; profiles={count**3}; deviations_per_agent={count}"
-    )
+    coverage = _block_sweep(config)
     step = len(config.mu_grid) if rule.reads_only_rankings else 1
     block = rule.blocks(cells)
     for agent in range(3):
@@ -259,6 +273,36 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
                         witness, _stopped(coverage, scanned, 3 * count**2, "blocks")
                     )
     return Verdict(None, coverage)
+
+
+# Every strategy-proofness and non-bossiness verdict of the process, as
+# (check, rule, grid) -> passed, so that a blend's parts are judged once per
+# grid however many blends hold them.
+_PASSED: dict[tuple[object, Rule, tuple], bool] = {}
+
+
+def _judged(check, rule: Rule, config: CheckConfig, judge, certified: bool) -> Verdict:
+    """`rule`'s verdict under `check`: the full sweep's Pass when
+    `certified`, else the scan's (`_scan_blocks`); recorded either way."""
+    if certified:
+        verdict = Verdict(None, _block_sweep(config))
+    else:
+        verdict = _scan_blocks(rule, config, judge)
+    _PASSED[check, rule, tuple(config.mu_grid)] = verdict.passed
+    return verdict
+
+
+def _parts_pass(check, mix, config: CheckConfig) -> bool:
+    """Whether both parts of the blend whose compute is `mix` pass `check`
+    on the grid; a part that `check` has not judged on it yet is judged
+    now."""
+    for part in (mix.first, mix.second):
+        passed = _PASSED.get((check, part, tuple(config.mu_grid)))
+        if passed is None:
+            passed = check(part, config).passed
+        if not passed:
+            return False
+    return True
 
 
 def _manipulation(agent, others, cells, allocations) -> dict | None:
@@ -333,7 +377,12 @@ def check_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
     truths, so a repeat of a clean sequence of own rows is clean, and no
     failing one comes before its first. So a block is judged only if no
     earlier block of the scan had the same sequence, whatever the rule;
-    rows are canonical, so the sequence is compared by their ids."""
+    rows are canonical, so the sequence is compared by their ids.
+
+    A blend whose parts both pass on the grid passes without a scan: an
+    expected utility is linear in the allocation, so a deviation that gains
+    nothing in either part gains nothing in their mix. Its Pass is the one
+    the scan would report."""
     clean: set[tuple[int, ...]] = set()
 
     def judge(agent, others, cells, allocations):
@@ -345,13 +394,30 @@ def check_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
             clean.add(rows)
         return witness
 
-    return _scan_blocks(rule, config, judge)
+    mix = mix_of(rule)
+    certified = mix is not None and _parts_pass(check_strategy_proofness, mix, config)
+    return _judged(check_strategy_proofness, rule, config, judge, certified)
 
 
 def check_non_bossiness(rule: Rule, config: CheckConfig) -> Verdict:
     """Whenever a deviation leaves the deviator's own row unchanged, the full
-    matrix must be unchanged."""
-    return _scan_blocks(rule, config, _bossiness)
+    matrix must be unchanged.
+
+    A blend with a cardinal part passes without a scan when mixing at its
+    weight is one-to-one on pairs of its parts' possible rows
+    (`rules._Mix.is_injective`) and both parts pass on the grid: equal mixed
+    own rows then mean equal own rows in each part, so equal allocations of
+    each part, and so equal mixes. Its Pass is the one the scan would
+    report. A blend of two ranking rules is scanned, which costs less than
+    that test."""
+    mix = mix_of(rule)
+    certified = (
+        mix is not None
+        and not rule.reads_only_rankings
+        and mix.is_injective()
+        and _parts_pass(check_non_bossiness, mix, config)
+    )
+    return _judged(check_non_bossiness, rule, config, _bossiness, certified)
 
 
 def cell_twin_witness(

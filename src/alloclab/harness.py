@@ -162,6 +162,8 @@ def verify_lemma(
     MAX_WITNESSES failure witnesses and counts them all."""
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id: {lemma_id!r}")
+    if lemma_id == "L10_separating" and rule is not None:
+        raise ValueError(f"{lemma_id} takes no rule: its trials never call one")
     if lemma_id != "L10_separating" and rule is None:
         raise ValueError(f"{lemma_id} needs a rule")
     if trials < 1:

@@ -21,7 +21,10 @@ deviation block of outputs at a time and builds no key per profile: a
 ranking rule reads its cell outputs, utilitarian takes an integer argmax
 per cell into a table kept for the last grid only, and a blend with a
 cardinal part mixes its parts' blocks into a table of its own (`GridTable`).
-The checkers read grid outputs only through blocks.
+The checkers read grid outputs only through blocks. A rule's possible rows
+(`possible_rows`) are every row it can give an agent, where they are known;
+a blend whose mix is one-to-one on pairs of its parts' possible rows
+(`_Mix.is_injective`) has its non-bossiness certified from its parts'.
 
 Rule outputs are canonical (`_canonical`): equal outputs are one object,
 and so are equal rows, so the checkers compare outputs and rows by identity.
@@ -147,12 +150,12 @@ class Rule(Frozen):
         (`_Mix.blocks`) and any other rule is allocated per cell, each into a
         table of its own (`GridTable`), but utilitarian's own pair takes an
         integer argmax per cell into one kept for the last grid."""
-        compute = self.compute
         if self.reads_only_rankings:
             return _ranking_blocks(self, cells)
-        if isinstance(compute, _Mix) and self.key is compute.key:
-            return compute.blocks(cells)
-        if compute is UTILITARIAN.compute and self.key is _canonical_key:
+        mix = mix_of(self)
+        if mix is not None:
+            return mix.blocks(cells)
+        if _is_utilitarian(self):
             return _utilitarian_blocks(tuple(cells))
         return GridTable(lambda agent, i, j: [
             self.allocate(profile_with((cells[i], cells[j]), agent, cell)) for cell in cells
@@ -183,6 +186,11 @@ def _pair_key(
     profile: UtilityProfile,
 ) -> tuple[Hashable, Hashable]:
     return first(profile), second(profile)
+
+
+def _is_utilitarian(rule: Rule) -> bool:
+    """Whether `rule` is utilitarian's own compute on its own key."""
+    return rule.compute is UTILITARIAN.compute and rule.key is _canonical_key
 
 
 def _reads_only_rankings(key: Callable[[UtilityProfile], Hashable]) -> bool:
@@ -419,6 +427,17 @@ class _Mix:
             _canonical(self.first.compute(keys[0])), _canonical(self.second.compute(keys[1]))
         )
 
+    def is_injective(self) -> bool:
+        """Whether mixing at alpha is one-to-one on pairs of the parts'
+        possible rows (`possible_rows`), so that equal mixed rows mean equal
+        part rows; False when a part's possible rows are not known. Rows
+        are canonical, so the mixed rows are counted by identity."""
+        first, second = possible_rows(self.first), possible_rows(self.second)
+        if first is None or second is None:
+            return False
+        mixed = {id(self.mix_row(p, q)) for p in first for q in second}
+        return len(mixed) == len(first) * len(second)
+
     def blocks(self, cells: Sequence[NormalizedUtility]) -> Block:
         first, second = self.first.blocks(cells), self.second.blocks(cells)
         return GridTable(lambda agent, i, j: list(
@@ -456,6 +475,34 @@ class GridTable:
         if not all(allocations):  # an allocation is truthy, an unfilled entry None
             allocations = self.entries[entries] = self.allocator(agent, i, j)
         return allocations
+
+
+def mix_of(rule: Rule) -> _Mix | None:
+    """The blend's compute when `rule` is a blend read on its own pair key,
+    else None."""
+    compute = rule.compute
+    return compute if isinstance(compute, _Mix) and rule.key is compute.key else None
+
+
+def possible_rows(rule: Rule) -> list[Lottery] | None:
+    """Every row `rule` can give an agent at three agents, each canonical
+    row once, or None when that is not known. A ranking rule's are the rows
+    of its cell outputs (`cell_outputs`), utilitarian's the three unit rows
+    of its permutation matrices, and a blend's the mixed rows of its parts'
+    possible rows; a custom rule has none."""
+    mix = mix_of(rule)
+    if rule.reads_only_rankings:
+        rows = [row for alloc in cell_outputs(rule) for row in alloc._lotteries]
+    elif _is_utilitarian(rule):
+        rows = _permutation_allocation((0, 1, 2))._lotteries
+    elif mix is not None:
+        first, second = possible_rows(mix.first), possible_rows(mix.second)
+        if first is None or second is None:
+            return None
+        rows = [mix.mix_row(p, q) for p in first for q in second]
+    else:
+        return None
+    return list({id(row): row for row in rows}.values())
 
 
 @lru_cache(maxsize=None, typed=True)

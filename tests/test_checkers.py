@@ -53,7 +53,7 @@ from alloclab.checkers import (
 from alloclab.core import profile_with
 from alloclab.harness import theorem_stress
 from alloclab.ordinal import OrdinalPreference, all_orders, ordinal_of, random_rational
-from alloclab.rules import GridTable, built_in_family, cell_outputs
+from alloclab.rules import GridTable, built_in_family, cell_outputs, mix_of
 
 from conftest import REDUCED_GRIDS, fraction_ncc_continuity, printed_witness, read_back
 
@@ -416,9 +416,14 @@ class TestRankingQuotient:
         # opaque key) is allocated once on each of those profiles, a rule
         # whose key reads only rankings, ranking blends included, once per
         # ordinal cell, at its mid profile, and the others, utilitarian and
-        # its blends, are never allocated.
+        # its blends, are never allocated. A ranking blend's strategy-proofness
+        # reads no block: its parts, judged first, both pass, so it passes
+        # without a scan. blend:rsd:utilitarian:1/2 mixes two pairs of part
+        # rows into one row, so its non-bossiness is still scanned.
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         cells = grid_cells(config)
+        for part in (RSD, PS, DICTATORSHIP, UNIFORM):
+            assert check_strategy_proofness(part, config).passed
         judged = []
 
         def spied(judge):
@@ -444,6 +449,9 @@ class TestRankingQuotient:
             assert counted.reads_only_rankings == (classes == 6)
             judged.clear()
             assert check(counted, config).passed
+            if check is check_strategy_proofness and mix_of(rule) is not None:
+                assert judged == [] and block_calls == [] and calls == []
+                continue
             firsts = cells[:: 12 // classes]
             blocks = [(agent, (a, b)) for agent in range(3) for a in firsts for b in firsts]
             if check is check_strategy_proofness:
@@ -535,8 +543,10 @@ class TestGridTables:
         # builds one table, freed when the check ends; utilitarian's table,
         # which every check of utilitarian or such a blend reads, is built
         # once for the grid and kept. A rule that reads only rankings, a
-        # ranking blend included, builds none. So at most two tables are
-        # alive.
+        # ranking blend included, builds none, and neither does a
+        # non-bossiness check that passes off the blend's parts (no
+        # strategy-proofness check of such a blend does: utilitarian fails
+        # it). So at most two tables are alive.
         alive, built = [0, 0], []
 
         class Counted(GridTable):
@@ -558,9 +568,11 @@ class TestGridTables:
         blends = [rule for rule in family if isinstance(rule.compute, rules_module._Mix)]
         cardinal = [rule for rule in blends if not rule.reads_only_rankings]
         assert len(cardinal) == 6 and len(blends) == 9
+        certified = [rule for rule in cardinal if mix_of(rule).is_injective()]
+        assert len(certified) == 6
         theorem_stress(family, config)
         assert alive[1] == 2
-        assert len(built) == 3 * len(cardinal) + 1
+        assert len(built) == 3 * len(cardinal) - len(certified) + 1 == 13
         kept = rules_module._utilitarian_blocks(grid_cells(config)).__self__
         assert alive[0] == 1 and isinstance(kept, Counted)
         del kept
@@ -614,7 +626,12 @@ class TestGridTables:
 
     def test_a_ranking_blend_builds_no_table(self, monkeypatch):
         # A blend of two ranking rules reads its blocks off its own cell
-        # outputs, as its parts do, so its scans build no table.
+        # outputs, as its parts do, so its scans build no table. Its parts
+        # pass strategy-proofness, judged here first, so only its
+        # non-bossiness check reads blocks.
+        config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
+        for part in (RSD, PS):
+            assert check_strategy_proofness(part, config).passed
         built, seen = [], []
 
         class Counted(GridTable):
@@ -639,10 +656,9 @@ class TestGridTables:
         monkeypatch.setattr(rules_module, "GridTable", Counted)
         monkeypatch.setattr(Rule, "blocks", recorded)
         blend = rule_by_name("blend:rsd:ps:1/3")
-        config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         for check in (check_strategy_proofness, check_non_bossiness):
             assert check(blend, config).passed
-        assert built == [] and len(seen) == 2 * 3 * 6**2 * 12
+        assert built == [] and len(seen) == 3 * 6**2 * 12
         outputs = {id(alloc) for alloc in cell_outputs(blend)}
         assert {id(alloc) for alloc in seen} <= outputs
 
@@ -685,6 +701,125 @@ class TestInternedOutputs:
                     assert report == check(rule, config).to_dict()
                     statuses.add((check, report["status"]))
         assert (check_non_bossiness, "Fail") in statuses
+
+
+def _permutation(picks):
+    rows = [[0] * 3 for _ in range(3)]
+    for agent, obj in enumerate(picks):
+        rows[agent][obj] = 1
+    return make_allocation(rows)
+
+
+def _serial_allocate(rankings):
+    """Serial dictatorship with priority (0, 1, 2)."""
+    picks = []
+    for ranking in rankings:
+        picks.append(next(obj for obj in ranking if obj not in picks))
+    return _permutation(picks)
+
+
+def _second_first_allocate(rankings):
+    """Agent 0 gets its second-ranked object, then agent 2 picks, and agent 1
+    takes the rest."""
+    first = rankings[0][1]
+    last = next(obj for obj in rankings[2] if obj != first)
+    return _permutation((first, 3 - first - last, last))
+
+
+# Two non-bossy rules whose half-half blend is bossy: agent 0 gets the same
+# half of a and half of b from a>b>c and from b>a>c.
+SERIAL = Rule("serial-test", RSD.key, _serial_allocate)
+SECOND_FIRST = Rule("second-first-test", RSD.key, _second_first_allocate)
+
+
+class TestBlendCertificates:
+    """A blend passes strategy-proofness, and a blend with a cardinal part
+    non-bossiness, off its parts' Passes without a scan where that Pass is
+    certain: every report must be the scan's."""
+
+    WEIGHTS = [F(0), F(1, 10), F(1, 3), F(2, 5), F(1, 2), F(3, 5), F(9, 10), F(1)]
+
+    def test_reports_match_the_scan(self):
+        base = [RSD, PS, DICTATORSHIP, UTILITARIAN, UNIFORM]
+        blends = [
+            blend_rule(first, second, alpha)
+            for first, second in itertools.permutations(base, 2)
+            for alpha in self.WEIGHTS
+        ]
+        blends.append(blend_rule(rule_by_name("blend:rsd:utilitarian:1/10"), PS, F(1, 3)))
+        statuses = set()
+        for grid in REDUCED_GRIDS:
+            config = CheckConfig(mu_grid=grid)
+            for rule in blends:
+                for check, judge in (
+                    (check_strategy_proofness, _manipulation),
+                    (check_non_bossiness, checkers._bossiness),
+                ):
+                    report = check(rule, config).to_dict()
+                    assert report == checkers._scan_blocks(rule, config, judge).to_dict()
+                    statuses.add((check, report["status"]))
+        assert statuses == {
+            (check, status)
+            for check in (check_strategy_proofness, check_non_bossiness)
+            for status in ("Pass", "Fail")
+        } - {(check_non_bossiness, "Fail")}
+
+    @staticmethod
+    def _spy_bossiness(monkeypatch) -> list:
+        judged, bossiness = [], checkers._bossiness
+
+        def spy(agent, *rest):
+            judged.append(agent)
+            return bossiness(agent, *rest)
+
+        monkeypatch.setattr(checkers, "_bossiness", spy)
+        return judged
+
+    def test_an_injective_blend_judges_no_block(self, monkeypatch):
+        config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
+        for part in (RSD, UTILITARIAN):
+            assert check_non_bossiness(part, config).passed
+        judged = self._spy_bossiness(monkeypatch)
+        certified = rule_by_name("blend:rsd:utilitarian:1/10")
+        assert mix_of(certified).is_injective()
+        assert check_non_bossiness(certified, config).passed and judged == []
+        # rsd's rows include the unit rows, and a half-half mix of a with b
+        # is one of b with a, so this blend is scanned
+        scanned = rule_by_name("blend:rsd:utilitarian:1/2")
+        assert not mix_of(scanned).is_injective()
+        assert check_non_bossiness(scanned, config).passed and len(judged) == 3 * 12**2
+
+    def test_non_bossy_parts_need_an_injective_mix(self, monkeypatch):
+        config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
+        assert all(check_non_bossiness(rule, config).passed for rule in (SERIAL, SECOND_FIRST))
+        bossy = check_non_bossiness(blend_rule(SERIAL, SECOND_FIRST, F(1, 2)), config)
+        assert bossy.coverage.endswith("; scanned_blocks=1 of 432")
+        assert _fail_witness(bossy)["agent"] == 0
+        assert check_non_bossiness(blend_rule(SERIAL, SECOND_FIRST, F(1, 3)), config).passed
+        # Those blends read only rankings, so they are always scanned. At
+        # weight 1 a blend with utilitarian allocates as its first part on
+        # a cardinal key, so the blends of these twins reach the certificate.
+        twins = [blend_rule(rule, UTILITARIAN, F(1)) for rule in (SERIAL, SECOND_FIRST)]
+        assert all(check_non_bossiness(twin, config).passed for twin in twins)
+        halves, thirds = (blend_rule(*twins, alpha) for alpha in (F(1, 2), F(1, 3)))
+        assert not halves.reads_only_rankings
+        assert not mix_of(halves).is_injective() and mix_of(thirds).is_injective()
+        judged = self._spy_bossiness(monkeypatch)
+        assert check_non_bossiness(halves, config).to_dict() == bossy.to_dict()
+        assert judged == [0]
+        assert check_non_bossiness(thirds, config).passed and judged == [0]
+
+    def test_a_part_that_fails_on_the_grid_blocks_the_certificate(self):
+        # ps passes on one grid and fails on another: its Pass on the first
+        # must not certify a blend on the second.
+        assert check_strategy_proofness(PS, CheckConfig(mu_grid=REDUCED_GRIDS[1])).passed
+        config = CheckConfig(mu_grid=REDUCED_GRIDS[3])
+        blend = rule_by_name("blend:rsd:ps:1/2")
+        verdict = check_strategy_proofness(blend, config)
+        assert verdict.to_dict() == checkers._scan_blocks(blend, config, _manipulation).to_dict()
+        assert not verdict.passed
+        assert check_strategy_proofness(RSD, config).passed
+        assert not check_strategy_proofness(PS, config).passed
 
 
 class TestOrdinality:

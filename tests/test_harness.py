@@ -200,8 +200,6 @@ LEMMA_REPORT_SHA256 = {
         "441ea54f0586d89595f01f4e25ac90f707d3586d9951f65e63964837347235a8",
     ("L9_support_two", "utilitarian"):
         "404a1e33f5bcebbcd21600b0a13c8e2f4da1287f462435ec2a4b15d92a077ae3",
-    ("L10_separating", "utilitarian"):
-        "17dbd22a364ecfa0dc5638c61595abc6419c1baa564ec1dceaa552e6cc7a3dba",
     ("L1_effectively_same", "blend:rsd:utilitarian:1/2"):
         "e64b1f4dd5f01ba7869cf19c39e5bf4188afb2812ff359019d200cd7e41c8b11",
     ("L2_middle_bump", "blend:rsd:utilitarian:1/2"):
@@ -220,11 +218,20 @@ LEMMA_REPORT_SHA256 = {
         "d01b5f8f4e139666ac25f4cbe1c55ebb44f4664c57f511e504d94a852f082f69",
     ("L9_support_two", "blend:rsd:utilitarian:1/2"):
         "0722965b3a324880128a589d06b7013d5e242eff7f4e7c2c7c73fb1d8db96b24",
-    ("L10_separating", "blend:rsd:utilitarian:1/2"):
-        "bf771ebeedfa15741ce543b3ba30289550d146d3bd7c817f590134c478449b28",
     ("L10_separating", None):
         "80051673475ae4fe3efe5f1433e627c3b2b2ff756b30d11ecc4c6e1eb498f886",
 }
+
+
+@pytest.mark.parametrize("rule_name", ["utilitarian", "blend:rsd:utilitarian:1/2"])
+def test_l10_refuses_a_rule(rule_name, capsys):
+    # L10's trials never call a rule, so a report must not name one.
+    message = "L10_separating takes no rule: its trials never call one"
+    assert main(lemma_argv("L10_separating", rule_name, 40, 1)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    with pytest.raises(ValueError, match=message):
+        verify_lemma("L10_separating", rule_by_name(rule_name), 40, 1)
 
 
 @pytest.mark.parametrize("lemma_id, rule_name", list(LEMMA_REPORT_SHA256))
