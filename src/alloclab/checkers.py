@@ -36,11 +36,18 @@ every rule.
 
 A blend's Pass is certified from its parts' Passes on the same grid where it
 is certain: strategy-proofness whenever both parts pass, and non-bossiness
-of a blend with a cardinal part when its mix is also one-to-one on pairs of
-its parts' possible rows (`rules._Mix.is_injective`). Every verdict of these
-two checks is recorded per (rule, grid) for the life of the process, so each
-part is judged once per grid. A certified Pass has the scan's coverage, and
-every Fail comes from a scan.
+of a blend with a cardinal part when its mix is also one-to-one within every
+deviation class (`rules._Mix.is_injective`). That test pairs a ranking
+part's own rows in each class (agent, others' orders), at most six, with
+the other part's possible rows, or every pair of the parts' possible rows
+when neither part reads only rankings. Every verdict of these two checks is
+recorded per (rule, grid) for the life of the process, so each part is
+judged once per grid. A certified Pass has the scan's coverage, and every
+Fail comes from a scan.
+
+Continuity reads a rule's outputs along a path from a table per rule and
+path (`_path_table`), kept for recent paths only, so a blend's entries are
+the mixes of its parts' and every check of a path shares them.
 """
 
 from __future__ import annotations
@@ -49,8 +56,9 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     ONE,
@@ -95,6 +103,9 @@ class EndpointsInDifferentCones(ValueError):
 # and 32 for utilitarian and blend:rsd:utilitarian:1/2.
 MAX_PATH_PROBES = 4096
 PROBE_CAP_NOTE = f"; probe_cap={MAX_PATH_PROBES} reached"
+# How many (rule, path) tables of outputs at continuity path points are kept
+# (`_path_table`): a stress run's 12 rules on the battery's 3 paths fill 36.
+PATH_TABLES = 64
 
 DEFAULT_MU_GRID = (
     Fraction(1, 10),
@@ -404,12 +415,12 @@ def check_non_bossiness(rule: Rule, config: CheckConfig) -> Verdict:
     matrix must be unchanged.
 
     A blend with a cardinal part passes without a scan when mixing at its
-    weight is one-to-one on pairs of its parts' possible rows
-    (`rules._Mix.is_injective`) and both parts pass on the grid: equal mixed
-    own rows then mean equal own rows in each part, so equal allocations of
-    each part, and so equal mixes. Its Pass is the one the scan would
-    report. A blend of two ranking rules is scanned, which costs less than
-    that test."""
+    weight is one-to-one within every deviation class
+    (`rules._Mix.is_injective`) and both parts pass on the grid: a block's
+    profiles lie in one class, so equal mixed own rows in a block mean equal
+    own rows in each part, so equal allocations of each part, and so equal
+    mixes. Its Pass is the one the scan would report. A blend of two ranking
+    rules is scanned, one block per class, which costs less than that test."""
     mix = mix_of(rule)
     certified = (
         mix is not None
@@ -534,6 +545,12 @@ def check_ncc_continuity(
     interval narrower than delta. When the budget runs out before every
     interval is resolved, the coverage ends with PROBE_CAP_NOTE and a Pass
     covers only the intervals resolved.
+
+    The budget counts the points this call probes. Their outputs are read
+    from the rule's table for the path (`_path_reader`), which keeps the
+    outputs of every check of the same path and rule, and a blend's entry
+    is the mix of its parts' entries; each entry is the object
+    `rule.allocate` gives at that point.
     """
     end0, end1 = endpoints
     if ordinal_of(end0) != ordinal_of(end1):
@@ -559,16 +576,26 @@ def check_ncc_continuity(
     den, (start, end) = forms_over_common_denominator(endpoints)
     order = ordinal_of(end0)
 
+    def profile_at(k: int) -> UtilityProfile:
+        common = k & -k or scale  # k / scale in lowest terms is a / b
+        a, b = k // common, scale // common
+        moving = BernoulliUtility._trusted(
+            b * den, tuple([(b - a) * x + a * y for x, y in zip(start, end)]), order
+        )
+        return profile_with(others, agent, moving)
+
+    # The path's points are fixed by these integers, whatever objects hold
+    # them, so every check of the path reads the same tables.
+    path = (
+        agent, tuple([(type(u), u.den, u.nums) for u in others]),
+        den, tuple(start), tuple(end), scale,
+    )
+    read = _path_reader(rule, path, profile_at)
+
     def alloc_at(k: int) -> Allocation:
         alloc = cache.get(k)
         if alloc is None:
-            common = k & -k or scale  # k / scale in lowest terms is a / b
-            a, b = k // common, scale // common
-            moving = BernoulliUtility._trusted(
-                b * den, tuple([(b - a) * x + a * y for x, y in zip(start, end)]), order
-            )
-            alloc = rule.allocate(profile_with(others, agent, moving))
-            cache[k] = alloc
+            alloc = cache[k] = read(k)
         return alloc
 
     # Depth-first bisection, left half first, on an explicit stack so that a
@@ -611,6 +638,47 @@ def check_ncc_continuity(
     if witness is not None:
         return Verdict(witness, coverage)
     return Verdict(None, coverage)
+
+
+@lru_cache(maxsize=PATH_TABLES)
+def _path_table(rule: Rule, path: tuple) -> dict[int, Allocation]:
+    """`rule`'s outputs at the points k of the continuity path `path`, by k,
+    filled as they are read; kept for the PATH_TABLES pairs of rule and path
+    read last."""
+    return {}
+
+
+def _path_reader(
+    rule: Rule, path: tuple, profile_at: Callable[[int], UtilityProfile]
+) -> Callable[[int], Allocation]:
+    """The reader of `rule`'s output at point k of `path`, whose profile is
+    ``profile_at(k)``, through the rule's path table (`_path_table`). A
+    blend's entry is the mix of its parts' entries (`rules._Mix.mix`), read
+    through theirs, which is the object its `allocate` gives; when a part
+    raises, the blend is allocated there, so it raises what, and where,
+    `allocate` raises."""
+    table = _path_table(rule, path)
+    mix = mix_of(rule)
+    if mix is None:
+        def compute(k: int) -> Allocation:
+            return rule.allocate(profile_at(k))
+    else:
+        first = _path_reader(mix.first, path, profile_at)
+        second = _path_reader(mix.second, path, profile_at)
+
+        def compute(k: int) -> Allocation:
+            try:
+                return mix.mix(first(k), second(k))
+            except Exception:
+                return rule.allocate(profile_at(k))
+
+    def read(k: int) -> Allocation:
+        alloc = table.get(k)
+        if alloc is None:
+            alloc = table[k] = compute(k)
+        return alloc
+
+    return read
 
 
 def default_efficiency_profiles(config: CheckConfig) -> list[UtilityProfile]:

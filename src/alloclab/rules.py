@@ -15,16 +15,19 @@ integer forms of its canonical utilities (`lp.integer_assignment`).
 At three agents, a rule's outputs at the mid profiles of the 216 ordinal
 cells (`cell_outputs`) are computed once per rule; for a rule whose key
 reads only rankings (`Rule.reads_only_rankings`), blends of two such rules
-included, they are its outputs on the whole domain.
+included, they are its outputs on the whole domain, and such a blend's are
+the mixes of its parts'.
 Over a three-agent grid, a rule's block allocator (`Rule.blocks`) lists one
 deviation block of outputs at a time and builds no key per profile: a
 ranking rule reads its cell outputs, utilitarian takes an integer argmax
 per cell into a table kept for the last grid only, and a blend with a
 cardinal part mixes its parts' blocks into a table of its own (`GridTable`).
 The checkers read grid outputs only through blocks. A rule's possible rows
-(`possible_rows`) are every row it can give an agent, where they are known;
-a blend whose mix is one-to-one on pairs of its parts' possible rows
-(`_Mix.is_injective`) has its non-bossiness certified from its parts'.
+(`possible_rows`) are every row it can give an agent, where they are known,
+and a ranking rule's class rows (`class_rows`) the rows it can give one
+agent within one deviation class; a blend whose mix is one-to-one within
+every class (`_Mix.is_injective`) has its non-bossiness certified from its
+parts'.
 
 Rule outputs are canonical (`_canonical`): equal outputs are one object,
 and so are equal rows, so the checkers compare outputs and rows by identity.
@@ -315,8 +318,19 @@ def cell_outputs(rule: Rule) -> tuple[Allocation, ...]:
     cell k gives agent a the order ``all_orders(3)[k // 6**(2 - a) % 6]``.
 
     For a rule that reads only rankings, each entry is its output on the
-    whole cell. A compute that raises raises at the first cell that needs
-    it, and nothing is kept."""
+    whole cell. Such a blend mixes its parts' cell outputs (`_Mix.mix`),
+    which gives each cell the very object `allocate` does, unless a part
+    raises: then its cells are allocated one by one, as any rule's are. A
+    compute that raises raises at the first cell that needs it, and nothing
+    is kept."""
+    mix = mix_of(rule)
+    if mix is not None and rule.reads_only_rankings:
+        try:
+            parts = cell_outputs(mix.first), cell_outputs(mix.second)
+        except Exception:  # allocate below raises what, and where, the blend does
+            pass
+        else:
+            return tuple(map(mix.mix, *parts))
     mids = [utility_from(order, Fraction(1, 2)) for order in all_orders(3)]
     return tuple([rule.allocate(profile) for profile in itertools.product(mids, repeat=3)])
 
@@ -396,8 +410,11 @@ class _Mix:
     the mix table, keyed on the ids of its parts' canonical outputs, so the
     blend builds at most |outputs of first| * |outputs of second| matrices,
     and the row table, keyed on the ids of their canonical rows, so a row
-    that recurs across matrices is mixed once. A blend with a cardinal part
-    mixes its parts' blocks through the same tables (`Rule.blocks`)."""
+    that recurs across matrices is mixed once. Its parts' tabulated outputs
+    are mixed through the same tables: a blend with a cardinal part mixes
+    their blocks (`Rule.blocks`), a ranking blend their cell outputs
+    (`cell_outputs`), and a continuity check their outputs along a path
+    (`checkers._path_reader`)."""
 
     __slots__ = ("first", "second", "alpha", "key", "mixes", "rows")
 
@@ -428,15 +445,29 @@ class _Mix:
         )
 
     def is_injective(self) -> bool:
-        """Whether mixing at alpha is one-to-one on pairs of the parts'
-        possible rows (`possible_rows`), so that equal mixed rows mean equal
-        part rows; False when a part's possible rows are not known. Rows
-        are canonical, so the mixed rows are counted by identity."""
-        first, second = possible_rows(self.first), possible_rows(self.second)
-        if first is None or second is None:
-            return False
-        mixed = {id(self.mix_row(p, q)) for p in first for q in second}
-        return len(mixed) == len(first) * len(second)
+        """Whether mixing at alpha is one-to-one within every deviation
+        class (one agent, fixed orders of the other two), so that equal
+        mixed own rows in a class mean equal part rows; False when a part's
+        rows are not known. The pairs tested are a ranking part's own rows
+        in each class (`class_rows`), at most six, times the other part's
+        possible rows (`possible_rows`), or, when neither part reads only
+        rankings, every pair of the parts' possible rows. Rows are
+        canonical, so the mixed rows are counted by identity."""
+        first, second = self.first, self.second
+        if first.reads_only_rankings:
+            other = possible_rows(second)
+            pairs = [(own, other) for own in class_rows(first)]
+        elif second.reads_only_rankings:
+            other = possible_rows(first)
+            pairs = [(other, own) for own in class_rows(second)]
+        else:
+            pairs = [(possible_rows(first), possible_rows(second))]
+        for ps, qs in pairs:
+            if ps is None or qs is None:
+                return False
+            if len({id(self.mix_row(p, q)) for p in ps for q in qs}) != len(ps) * len(qs):
+                return False
+        return True
 
     def blocks(self, cells: Sequence[NormalizedUtility]) -> Block:
         first, second = self.first.blocks(cells), self.second.blocks(cells)
@@ -489,7 +520,9 @@ def possible_rows(rule: Rule) -> list[Lottery] | None:
     row once, or None when that is not known. A ranking rule's are the rows
     of its cell outputs (`cell_outputs`), utilitarian's the three unit rows
     of its permutation matrices, and a blend's the mixed rows of its parts'
-    possible rows; a custom rule has none."""
+    possible rows; a custom rule has none. They are what `_Mix.is_injective`
+    pairs with a ranking part's rows in one deviation class, or with the
+    other part's possible rows when neither part reads only rankings."""
     mix = mix_of(rule)
     if rule.reads_only_rankings:
         rows = [row for alloc in cell_outputs(rule) for row in alloc._lotteries]
@@ -503,6 +536,25 @@ def possible_rows(rule: Rule) -> list[Lottery] | None:
     else:
         return None
     return list({id(row): row for row in rows}.values())
+
+
+@lru_cache(maxsize=None)
+def class_rows(rule: Rule) -> list[list[Lottery]]:
+    """The own rows that `rule`, which reads only rankings, gives one agent
+    within one deviation class (the agent's 6 orders, fixed orders of the
+    other two), read off its cell outputs (`cell_outputs`): at most six
+    canonical rows per class, each distinct set of them once, memoized per
+    rule as its cell outputs are."""
+    outputs = cell_outputs(rule)
+    found: dict[frozenset[int], list[Lottery]] = {}
+    for agent, stride in enumerate((36, 6, 1)):
+        for base in range(216):
+            if base // stride % 6 == 0:
+                rows = {id(row): row for row in (
+                    outputs[base + order * stride]._lotteries[agent] for order in range(6)
+                )}
+                found.setdefault(frozenset(rows), list(rows.values()))
+    return list(found.values())
 
 
 @lru_cache(maxsize=None, typed=True)

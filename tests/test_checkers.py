@@ -351,16 +351,22 @@ class TestRankingQuotient:
         assert calls == MID_PROFILES and len(blocks) == 3 * 36
 
     def test_ordinality_calls_the_rule_once_per_cell_on_the_default_grid(self):
-        counted, calls, _ = _counted(rule_by_name("blend:rsd:dictatorship:1/3"))
+        # A ranking blend's cell outputs mix its parts' (`cell_outputs`):
+        # the blend itself is never allocated, and each part once per cell.
+        rsd, rsd_calls, _ = _counted(RSD)
+        dictatorship, dictatorship_calls, _ = _counted(DICTATORSHIP)
+        counted, calls, _ = _counted(blend_rule(rsd, dictatorship, F(1, 3)))
         verdict = check_ordinality(counted, CheckConfig())
         assert verdict.to_dict() == {
             "status": "Pass",
             "coverage": "cells=216; per_cell=343+2 random; seed=0",
         }
-        # each call is its cell's mid profile, in canonical order
-        assert calls == MID_PROFILES
+        # each part call is its cell's mid profile, in canonical order
+        assert calls == [] and rsd_calls == dictatorship_calls == MID_PROFILES
         # the outputs are kept: a second check calls nothing
-        assert check_ordinality(counted, CheckConfig()).passed and len(calls) == 216
+        assert check_ordinality(counted, CheckConfig()).passed
+        assert calls == [] and len(rsd_calls) == len(dictatorship_calls) == 216
+        assert cell_outputs(counted) == cell_outputs(rule_by_name("blend:rsd:dictatorship:1/3"))
 
     def test_ordinality_raises_where_the_full_sweep_raises(self):
         orders = list(itertools.product(all_orders(3), repeat=3))
@@ -414,16 +420,22 @@ class TestRankingQuotient:
         # block held: a table's allocator fills it, and a ranking rule's
         # blocks hold new profiles only. A rule with no block of its own (an
         # opaque key) is allocated once on each of those profiles, a rule
-        # whose key reads only rankings, ranking blends included, once per
-        # ordinal cell, at its mid profile, and the others, utilitarian and
-        # its blends, are never allocated. A ranking blend's strategy-proofness
-        # reads no block: its parts, judged first, both pass, so it passes
-        # without a scan. blend:rsd:utilitarian:1/2 mixes two pairs of part
-        # rows into one row, so its non-bossiness is still scanned.
+        # whose key reads only rankings once per ordinal cell, at its mid
+        # profile, and the others, utilitarian, its blends and the ranking
+        # blends, whose cell outputs mix their parts', are never allocated.
+        # A ranking blend's strategy-proofness reads no block: its parts,
+        # judged first, both pass, so it passes without a scan. Nor does
+        # blend:rsd:utilitarian:1/2's non-bossiness:
+        # its mix is one-to-one within every deviation class and its parts,
+        # judged first, pass. blend:utilitarian:rsd:2/5 mixes two pairs of
+        # part rows of one class into one row, so its non-bossiness is still
+        # scanned.
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         cells = grid_cells(config)
         for part in (RSD, PS, DICTATORSHIP, UNIFORM):
             assert check_strategy_proofness(part, config).passed
+        for part in (RSD, UTILITARIAN):
+            assert check_non_bossiness(part, config).passed
         judged = []
 
         def spied(judge):
@@ -435,9 +447,12 @@ class TestRankingQuotient:
         for name in ("_manipulation", "_bossiness"):
             monkeypatch.setattr(checkers, name, spied(getattr(checkers, name)))
         opaque = Rule("rsd-opaque", lambda profile: RSD.key(profile), RSD.compute)
-        blend = rule_by_name("blend:rsd:utilitarian:1/2")
+        certified = rule_by_name("blend:rsd:utilitarian:1/2")
+        scanned = rule_by_name("blend:utilitarian:rsd:2/5")
         scans = [(check_strategy_proofness, rule, 12) for rule in (opaque, BOSSY)]
-        scans += [(check_non_bossiness, rule, 12) for rule in (opaque, UTILITARIAN, blend)]
+        scans += [
+            (check_non_bossiness, rule, 12) for rule in (opaque, UTILITARIAN, certified, scanned)
+        ]
         for rule in RANKING_RULES:
             if rule is not RANKINGS_BOSSY:
                 scans += [(check_strategy_proofness, rule, 6), (check_non_bossiness, rule, 6)]
@@ -449,7 +464,7 @@ class TestRankingQuotient:
             assert counted.reads_only_rankings == (classes == 6)
             judged.clear()
             assert check(counted, config).passed
-            if check is check_strategy_proofness and mix_of(rule) is not None:
+            if rule is certified or (check is check_strategy_proofness and mix_of(rule) is not None):
                 assert judged == [] and block_calls == [] and calls == []
                 continue
             firsts = cells[:: 12 // classes]
@@ -478,7 +493,7 @@ class TestRankingQuotient:
             if rule in (opaque, BOSSY):
                 assert len(calls) == len(profiles) and set(calls) == profiles
             else:
-                assert calls == (MID_PROFILES if classes == 6 else [])
+                assert calls == (MID_PROFILES if classes == 6 and mix_of(rule) is None else [])
         assert skipped > 0
         rules_module._utilitarian_blocks.cache_clear()  # drop the counted allocator
 
@@ -780,12 +795,15 @@ class TestBlendCertificates:
         for part in (RSD, UTILITARIAN):
             assert check_non_bossiness(part, config).passed
         judged = self._spy_bossiness(monkeypatch)
-        certified = rule_by_name("blend:rsd:utilitarian:1/10")
-        assert mix_of(certified).is_injective()
-        assert check_non_bossiness(certified, config).passed and judged == []
+        for spec in ("blend:rsd:utilitarian:1/10", "blend:rsd:utilitarian:1/2"):
+            certified = rule_by_name(spec)
+            assert mix_of(certified).is_injective()
+            assert check_non_bossiness(certified, config).passed and judged == []
         # rsd's rows include the unit rows, and a half-half mix of a with b
-        # is one of b with a, so this blend is scanned
-        scanned = rule_by_name("blend:rsd:utilitarian:1/2")
+        # is one of b with a, yet no class of rsd holds two unit rows: only
+        # the pairs within a class are tested. At 2/5, two pairs of rows of
+        # one class mix into one row, so this blend is scanned.
+        scanned = rule_by_name("blend:utilitarian:rsd:2/5")
         assert not mix_of(scanned).is_injective()
         assert check_non_bossiness(scanned, config).passed and len(judged) == 3 * 12**2
 
@@ -820,6 +838,106 @@ class TestBlendCertificates:
         assert not verdict.passed
         assert check_strategy_proofness(RSD, config).passed
         assert not check_strategy_proofness(PS, config).passed
+
+
+def _reverse_dictatorship_allocate(rankings):
+    """Serial dictatorship with priority (2, 1, 0)."""
+    picks = rules_module._dictatorship_picks(rankings, (2, 1, 0))
+    return rules_module._permutation_allocation(picks)
+
+
+REVERSE_DICTATORSHIP = Rule("reverse-dictatorship-test", RSD.key, _reverse_dictatorship_allocate)
+
+
+class TestClassCertificates:
+    """A blend with a ranking part has its non-bossiness certified when its
+    mix is one-to-one within every deviation class: the ranking part's own
+    rows in the class times the other part's possible rows. Every report
+    must be the scan's, and every Fail must come from it."""
+
+    # The blends at tenths whose mix confuses two pairs of the parts'
+    # possible rows, and the ones among them whose classes keep every pair
+    # apart.
+    NON_INJECTIVE = [
+        "blend:rsd:utilitarian:1/2", "blend:ps:utilitarian:1/2",
+        "blend:utilitarian:rsd:1/2", "blend:utilitarian:ps:1/2",
+        "blend:utilitarian:rsd:2/5", "blend:utilitarian:ps:1/5", "blend:utilitarian:ps:2/5",
+        "blend:rsd:utilitarian:3/5", "blend:ps:utilitarian:3/5", "blend:ps:utilitarian:4/5",
+    ]
+    CERTIFIED = NON_INJECTIVE[:4]
+    GRIDS = [
+        *REDUCED_GRIDS,
+        checkers.DEFAULT_MU_GRID,
+        tuple(F(k, 11) for k in range(1, 11)),
+        (F(3, 4), F(1, 10), F(1, 2)),  # unsorted
+    ]
+
+    def test_the_classes_keep_only_the_half_blends_apart(self):
+        for spec in self.NON_INJECTIVE:
+            mix = mix_of(rule_by_name(spec))
+            pairs = [
+                mix.mix_row(p, q)
+                for p in rules_module.possible_rows(mix.first)
+                for q in rules_module.possible_rows(mix.second)
+            ]
+            assert len(set(map(id, pairs))) < len(pairs)
+            assert mix.is_injective() == (spec in self.CERTIFIED)
+
+    def test_reports_match_the_scan_on_every_grid(self, monkeypatch):
+        # A blend of a ranking part with a cardinal twin of a non-bossy rule
+        # whose classes confuse two pairs of rows: it is scanned, and bossy.
+        twin = blend_rule(SECOND_FIRST, UTILITARIAN, F(1))
+        bossy = blend_rule(SERIAL, twin, F(1, 2))
+        assert not mix_of(bossy).is_injective()
+        blends = [rule_by_name(spec) for spec in self.NON_INJECTIVE] + [bossy]
+        judged = TestBlendCertificates._spy_bossiness(monkeypatch)
+        statuses = set()
+        for grid in self.GRIDS:
+            config = CheckConfig(mu_grid=grid)
+            for part in (RSD, PS, UTILITARIAN, SERIAL, twin):
+                assert check_non_bossiness(part, config).passed
+            for rule in blends:
+                judged.clear()
+                report = check_non_bossiness(rule, config).to_dict()
+                certified = rule.name in self.CERTIFIED
+                assert (judged == []) == certified
+                assert report == checkers._scan_blocks(rule, config, checkers._bossiness).to_dict()
+                statuses.add((certified, report["status"]))
+        assert statuses == {(True, "Pass"), (False, "Pass"), (False, "Fail")}
+
+    def test_every_agent_is_tested(self, monkeypatch):
+        # Agent 2 picks first: each of its classes holds three unit rows,
+        # which a half-half mix with utilitarian's unit rows confuses, while
+        # agent 0, which takes what is left, has one row per class.
+        config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
+        classes = rules_module.class_rows(REVERSE_DICTATORSHIP)
+        assert {len(rows) for rows in classes} == {1, 2, 3}
+        for part in (REVERSE_DICTATORSHIP, UTILITARIAN):
+            assert check_non_bossiness(part, config).passed
+        judged = TestBlendCertificates._spy_bossiness(monkeypatch)
+        for first, second in itertools.permutations((REVERSE_DICTATORSHIP, UTILITARIAN)):
+            blend = blend_rule(first, second, F(1, 2))
+            assert not mix_of(blend).is_injective()
+            assert mix_of(blend_rule(first, second, F(1, 3))).is_injective()
+            judged.clear()
+            assert check_non_bossiness(blend, config).passed and len(judged) == 3 * 12**2
+
+    @pytest.mark.parametrize(
+        "rule", [RSD, PS, DICTATORSHIP, UNIFORM, REVERSE_DICTATORSHIP, SERIAL],
+        ids=lambda rule: rule.name,
+    )
+    def test_class_rows_are_each_class_own_rows(self, rule):
+        cells = list(itertools.product(all_orders(3), repeat=3))
+        want = set()
+        for agent in range(3):
+            classes: dict = {}
+            for cell, alloc in zip(cells, cell_outputs(rule)):
+                others = cell[:agent] + cell[agent + 1 :]
+                classes.setdefault(others, set()).add(id(alloc.row(agent)))
+            assert len(classes) == 36
+            want |= set(map(frozenset, classes.values()))
+        got = [frozenset(map(id, rows)) for rows in rules_module.class_rows(rule)]
+        assert set(got) == want and len(got) == len(want)
 
 
 class TestOrdinality:
@@ -1114,6 +1232,136 @@ class TestContinuity:
     def test_battery_verdicts(self):
         assert check_continuity_battery(UNIFORM, SMALL).passed
         assert not check_continuity_battery(UTILITARIAN, SMALL).passed
+
+
+def _per_call_reader(rule, path, profile_at):
+    """`checkers._path_reader` with no table: the rule allocated at each
+    point a check probes, as every check did before the tables."""
+    return lambda k: rule.allocate(profile_at(k))
+
+
+class TestPathTables:
+    """Continuity checks read a rule's outputs at its path's points from a
+    table per rule and path, and a blend's entries mix its parts'. Every
+    report must be the one of allocating the rule at each point the check
+    probes, and every entry the object `allocate` gives there."""
+
+    BASE = [RSD, PS, DICTATORSHIP, UTILITARIAN, UNIFORM]
+    CONFIGS = [
+        CheckConfig(),
+        CheckConfig(continuity_gap_tau=F(1, 7), continuity_interval_delta=F(1, 1023)),
+    ]
+
+    @staticmethod
+    def _custom_paths():
+        """Seeded paths, each set of others and endpoints moved by every
+        agent in turn, and a path whose others are raw utilities."""
+        rng = random.Random(35)
+        orders = all_orders(3)
+        paths = []
+        for _ in range(2):
+            others = tuple(utility_from(rng.choice(orders), random_rational(rng)) for _ in range(2))
+            order = rng.choice(orders)
+            low, high = sorted({random_rational(rng), random_rational(rng), F(1, 2)})[:2]
+            ends = (utility_from(order, low), utility_from(order, high))
+            paths += [(agent, others, ends) for agent in range(3)]
+        raw = (make_utility([5, 1, 3]), make_utility([F(1, 3), 2, 0]))
+        paths.append((1, raw, (utility_from(ABC, F(1, 7)), utility_from(ABC, F(5, 6)))))
+        return paths
+
+    @staticmethod
+    def _checked_reader(monkeypatch):
+        """Make every table read also check that its entry is the object
+        `allocate` gives at the point."""
+        real = checkers._path_reader
+
+        def checked(rule, path, profile_at):
+            read = real(rule, path, profile_at)
+
+            def verified(k):
+                alloc = read(k)
+                assert alloc is rule.allocate(profile_at(k))
+                return alloc
+
+            return verified
+
+        monkeypatch.setattr(checkers, "_path_reader", checked)
+
+    def test_reports_match_allocating_each_probe(self, monkeypatch):
+        blends = [
+            blend_rule(first, second, alpha)
+            for first, second in itertools.permutations(self.BASE, 2)
+            for alpha in TestBlendCertificates.WEIGHTS
+        ]
+        sliding = blend_rule(SLIDING, RSD, F(1, 2))
+        rules = self.BASE + blends + [sliding, blend_rule(UTILITARIAN, sliding, F(1, 3))]
+        paths = default_continuity_paths() + self._custom_paths()
+
+        def reports():
+            return [
+                check_ncc_continuity(rule, agent, others, endpoints, config).to_dict()
+                for config in self.CONFIGS
+                for rule in rules
+                for agent, others, endpoints in paths
+            ]
+
+        checkers._path_table.cache_clear()
+        self._checked_reader(monkeypatch)
+        tabled = reports()
+        monkeypatch.setattr(checkers, "_path_reader", _per_call_reader)
+        assert tabled == reports()
+        statuses = {report["status"] for report in tabled}
+        assert statuses == {"Pass", "Fail"}
+        # At the default thresholds the two sliding blends reach the cap on
+        # each path that moves agent 0: the battery's first and two custom.
+        capped = [report for report in tabled if report["coverage"].endswith(PROBE_CAP_NOTE)]
+        assert len(capped) == 2 * 3
+        assert check_continuity_battery(sliding, CheckConfig()).to_dict() == {
+            "status": "Pass",
+            "coverage": "paths=3; probe_capped_paths=0",
+        }
+
+    def test_a_check_probes_as_many_points_with_tables_filled(self):
+        # The parts' tables are full when the blend is checked, yet the
+        # budget counts the blend's own probes: it still reaches the cap.
+        sliding = blend_rule(SLIDING, UNIFORM, F(1, 3))
+        agent, others, endpoints = default_continuity_paths()[0]
+        for rule in (SLIDING, sliding, sliding):
+            verdict = check_ncc_continuity(rule, agent, others, endpoints, CheckConfig())
+            assert verdict.passed and verdict.coverage.endswith(PROBE_CAP_NOTE)
+
+    def test_a_raising_part_raises_what_allocate_raises(self):
+        # The blend's key reads the second part's key before the first
+        # part's compute runs, so allocating it raises the key's error.
+        def fails(profile):
+            raise KeyError("second key")
+
+        def raising(key):
+            raise ZeroDivisionError("first compute")
+
+        first = Rule("raises-in-compute", RSD.key, raising)
+        second = Rule("raises-in-key", fails, RSD.compute)
+        agent, others, endpoints = default_continuity_paths()[1]
+        for blend in (blend_rule(first, second, F(1, 2)), blend_rule(second, first, F(1, 2))):
+            with pytest.raises(KeyError, match="second key"):
+                blend.allocate(profile_with(others, agent, endpoints[0]))
+            with pytest.raises(KeyError, match="second key"):
+                check_ncc_continuity(blend, agent, others, endpoints, CheckConfig())
+
+    def test_tables_stay_bounded(self):
+        checkers._path_table.cache_clear()
+        rng = random.Random(8)
+        orders = all_orders(3)
+        for index in range(3 * checkers.PATH_TABLES):
+            fresh = Rule(f"fresh-{index}", lambda profile: RSD.key(profile), RSD.compute)
+            order = rng.choice(orders)
+            others = tuple(utility_from(rng.choice(orders), random_rational(rng)) for _ in range(2))
+            endpoints = (utility_from(order, F(1, 3)), utility_from(order, random_rational(rng)))
+            for rule in (fresh, UTILITARIAN, rule_by_name("blend:rsd:utilitarian:1/3")):
+                check_ncc_continuity(rule, index % 3, others, endpoints, CheckConfig())
+                assert checkers._path_table.cache_info().currsize <= checkers.PATH_TABLES
+        assert checkers._path_table.cache_info().currsize == checkers.PATH_TABLES
+        checkers._path_table.cache_clear()
 
 
 class TestConfig:

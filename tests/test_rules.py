@@ -255,6 +255,70 @@ class TestBlend:
             rule_by_name("nope")
 
 
+MID_PROFILES = [
+    tuple(utility_from(order, F(1, 2)) for order in orders)
+    for orders in itertools.product(all_orders(3), repeat=3)
+]
+
+
+class TestBlendCellOutputs:
+    """A blend of two ranking rules mixes its parts' cell outputs: each entry
+    must be the object `allocate` gives at the cell's mid profile, and a part
+    that raises must make the blend raise what, and where, allocating the
+    cells one by one raises."""
+
+    WEIGHTS = [F(0), F(1, 10), F(1, 3), F(2, 5), F(1, 2), F(3, 5), F(9, 10), F(1)]
+
+    def test_entries_are_the_allocate_objects(self):
+        ranking = [RSD, PS, DICTATORSHIP, UNIFORM]
+        blends = [
+            blend_rule(first, second, alpha)
+            for first, second in itertools.permutations(ranking, 2)
+            for alpha in self.WEIGHTS
+        ]
+        blends.append(blend_rule(rule_by_name("blend:rsd:ps:1/3"), DICTATORSHIP, F(2, 7)))
+        for blend in blends:
+            assert blend.reads_only_rankings
+            outputs = rules.cell_outputs(blend)
+            assert all(
+                entry is blend.allocate(profile)
+                for entry, profile in zip(outputs, MID_PROFILES, strict=True)
+            )
+
+    @staticmethod
+    def _raising(name: str, cell: int) -> Rule:
+        """rsd, but its compute raises at the ranking profile of `cell`."""
+        bad = tuple(order.ranking for order in map(ordinal_of, MID_PROFILES[cell]))
+
+        def compute(rankings):
+            if rankings == bad:
+                raise ZeroDivisionError(f"{name} fails at cell {cell}")
+            return RSD.compute(rankings)
+
+        return Rule(name, RSD.key, compute)
+
+    @pytest.mark.parametrize("first_cell, second_cell", [(100, 50), (50, 100), (70, 70)])
+    def test_a_raising_part_raises_where_allocate_raises(self, first_cell, second_cell):
+        first = self._raising("first", first_cell)
+        second = self._raising("second", second_cell)
+        blend = blend_rule(first, second, F(1, 3))
+        calls = []
+
+        class Counted(Rule):
+            def allocate(self, profile):
+                calls.append(profile)
+                return super().allocate(profile)
+
+        counted = Counted(blend.name, blend.key, blend.compute)
+        cell = min(first_cell, second_cell)
+        expected = "first" if first_cell <= second_cell else "second"
+        for _ in range(2):  # nothing is kept, so a second call raises again
+            calls.clear()
+            with pytest.raises(ZeroDivisionError, match=f"{expected} fails at cell {cell}"):
+                rules.cell_outputs(counted)
+            assert calls == MID_PROFILES[: cell + 1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     names=st.lists(st.sampled_from(sorted(BASE_RULES)), min_size=2, max_size=2),
