@@ -60,6 +60,7 @@ from .rules import (
     UTILITARIAN,
     blend_rule,
     built_in_family,
+    forget,
     rule_by_name,
 )
 from .checkers import (

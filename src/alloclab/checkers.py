@@ -41,13 +41,14 @@ deviation class (`rules._Mix.is_injective`). That test pairs a ranking
 part's own rows in each class (agent, others' orders), at most six, with
 the other part's possible rows, or every pair of the parts' possible rows
 when neither part reads only rankings. Every verdict of these two checks is
-recorded per (rule, grid) for the life of the process, so each part is
-judged once per grid. A certified Pass has the scan's coverage, and every
-Fail comes from a scan.
+recorded per (rule, grid) (`rules.VERDICTS`), so each part is judged once
+per grid. A certified Pass has the scan's coverage, and every Fail comes
+from a scan.
 
 Continuity reads a rule's outputs along a path from a table per rule and
-path (`_path_table`), kept for recent paths only, so a blend's entries are
-the mixes of its parts' and every check of a path shares them.
+path (`rules.PATH_OUTPUTS`), so a blend's entries are the mixes of its
+parts' and every check of a path shares them. `rules.forget` frees both
+tables with every other memo.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -86,7 +86,7 @@ from .ordinal import (
     sd_compare,
     utility_from,
 )
-from .rules import Rule, cell_outputs, mix_of
+from .rules import PATH_OUTPUTS, VERDICTS, Rule, cell_outputs, mix_of
 
 
 class NotOrdinal(ValueError):
@@ -103,9 +103,6 @@ class EndpointsInDifferentCones(ValueError):
 # and 32 for utilitarian and blend:rsd:utilitarian:1/2.
 MAX_PATH_PROBES = 4096
 PROBE_CAP_NOTE = f"; probe_cap={MAX_PATH_PROBES} reached"
-# How many (rule, path) tables of outputs at continuity path points are kept
-# (`_path_table`): a stress run's 12 rules on the battery's 3 paths fill 36.
-PATH_TABLES = 64
 
 DEFAULT_MU_GRID = (
     Fraction(1, 10),
@@ -286,20 +283,15 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     return Verdict(None, coverage)
 
 
-# Every strategy-proofness and non-bossiness verdict of the process, as
-# (check, rule, grid) -> passed, so that a blend's parts are judged once per
-# grid however many blends hold them.
-_PASSED: dict[tuple[object, Rule, tuple], bool] = {}
-
-
 def _judged(check, rule: Rule, config: CheckConfig, judge, certified: bool) -> Verdict:
     """`rule`'s verdict under `check`: the full sweep's Pass when
-    `certified`, else the scan's (`_scan_blocks`); recorded either way."""
+    `certified`, else the scan's (`_scan_blocks`); recorded either way
+    (`rules.VERDICTS`), so a blend's parts are judged once per grid."""
     if certified:
         verdict = Verdict(None, _block_sweep(config))
     else:
         verdict = _scan_blocks(rule, config, judge)
-    _PASSED[check, rule, tuple(config.mu_grid)] = verdict.passed
+    VERDICTS[check, rule, tuple(config.mu_grid)] = verdict.passed
     return verdict
 
 
@@ -308,7 +300,7 @@ def _parts_pass(check, mix, config: CheckConfig) -> bool:
     on the grid; a part that `check` has not judged on it yet is judged
     now."""
     for part in (mix.first, mix.second):
-        passed = _PASSED.get((check, part, tuple(config.mu_grid)))
+        passed = VERDICTS.get((check, part, tuple(config.mu_grid)))
         if passed is None:
             passed = check(part, config).passed
         if not passed:
@@ -635,29 +627,19 @@ def check_ncc_continuity(
     )
     if capped:
         coverage += PROBE_CAP_NOTE
-    if witness is not None:
-        return Verdict(witness, coverage)
-    return Verdict(None, coverage)
-
-
-@lru_cache(maxsize=PATH_TABLES)
-def _path_table(rule: Rule, path: tuple) -> dict[int, Allocation]:
-    """`rule`'s outputs at the points k of the continuity path `path`, by k,
-    filled as they are read; kept for the PATH_TABLES pairs of rule and path
-    read last."""
-    return {}
+    return Verdict(witness, coverage)
 
 
 def _path_reader(
     rule: Rule, path: tuple, profile_at: Callable[[int], UtilityProfile]
 ) -> Callable[[int], Allocation]:
     """The reader of `rule`'s output at point k of `path`, whose profile is
-    ``profile_at(k)``, through the rule's path table (`_path_table`). A
-    blend's entry is the mix of its parts' entries (`rules._Mix.mix`), read
-    through theirs, which is the object its `allocate` gives; when a part
-    raises, the blend is allocated there, so it raises what, and where,
-    `allocate` raises."""
-    table = _path_table(rule, path)
+    ``profile_at(k)``, through the rule's table for the path, filled as it
+    is read (`rules.PATH_OUTPUTS`). A blend's entry is the mix of its parts'
+    entries (`rules._Mix.mix`), read through theirs, which is the object its
+    `allocate` gives; when a part raises, the blend is allocated there, so
+    it raises what, and where, `allocate` raises."""
+    table = PATH_OUTPUTS.setdefault((rule, path), {})
     mix = mix_of(rule)
     if mix is None:
         def compute(k: int) -> Allocation:

@@ -57,7 +57,7 @@ from .harness import (
     theorem2_check,
     verify_lemma,
 )
-from .rules import built_in_family, rule_by_name
+from .rules import built_in_family, forget, rule_by_name
 
 
 class UsageError(ValueError):
@@ -493,6 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    forget()  # each command starts from no memo, so it keeps only its own
     try:
         return run(_build_parser().parse_args(argv))
     except SystemExit as exc:  # --help

@@ -7,10 +7,11 @@ bistochastic allocations, split into a structural key (the part of the
 profile the rule reads) and a computation from that key. Each output is
 cached once, where its work is done: rsd and ps memoize their compute on
 the ranking profile, dictatorship and utilitarian build a permutation matrix
-memoized on its picks, uniform's one matrix is interned, and a blend keeps
-two mix tables, keyed on pairs of its parts' outputs and on pairs of their
-rows. The utilitarian rule solves an exact assignment problem on the
-integer forms of its canonical utilities (`lp.integer_assignment`).
+memoized on its picks, uniform's one matrix is interned, and a blend mixes
+each pair of its parts' outputs, and of their rows, once. `forget` frees
+every memo of the process, the checkers' included, at once. The utilitarian
+rule solves an exact assignment problem on the integer forms of its
+canonical utilities (`lp.integer_assignment`).
 
 At three agents, a rule's outputs at the mid profiles of the 216 ordinal
 cells (`cell_outputs`) are computed once per rule; for a rule whose key
@@ -20,8 +21,8 @@ the mixes of its parts'.
 Over a three-agent grid, a rule's block allocator (`Rule.blocks`) lists one
 deviation block of outputs at a time and builds no key per profile: a
 ranking rule reads its cell outputs, utilitarian takes an integer argmax
-per cell into a table kept for the last grid only, and a blend with a
-cardinal part mixes its parts' blocks into a table of its own (`GridTable`).
+per cell into a table per grid, and a blend with a cardinal part mixes its
+parts' blocks into a table of its own (`GridTable`).
 The checkers read grid outputs only through blocks. A rule's possible rows
 (`possible_rows`) are every row it can give an agent, where they are known,
 and a ranking rule's class rows (`class_rows`) the rows it can give one
@@ -34,8 +35,7 @@ and so are equal rows, so the checkers compare outputs and rows by identity.
 A row is interned on its integer form in lowest terms, so building one
 hashes integers, never `Fraction`s.
 Every block entry is the very object `Rule.allocate` returns for its
-profile. A blend mixes once per pair of its parts' outputs, and each row
-once per pair of their rows.
+profile.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial, wraps
 from math import factorial, gcd
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -72,12 +72,40 @@ class AlphaOutOfRange(ValueError):
     """Blend weight must lie in [0, 1]."""
 
 
-# Canonical outputs, never freed, so their ids stay unique: a row's integer
-# form in lowest terms -> its row lottery, row ids -> allocation, and the
-# ids of the canonical allocations.
+# The process's memos, freed together by `forget`: canonical rows by integer
+# form and allocations by row ids, a blend's mixes, the checkers' verdicts
+# and path tables, and every `_memo` table. An id key is always that of an
+# object the intern tables keep alive, so no id is read after it is freed.
 _ROWS: dict[tuple[int, tuple[int, ...]], Lottery] = {}
 _ALLOCATIONS: dict[tuple[int, ...], Allocation] = {}
 _CANONICAL: set[int] = set()
+_MIXES: dict[tuple[_Mix, int, int], Allocation] = {}
+_MIXED_ROWS: dict[tuple[_Mix, int, int], Lottery] = {}
+VERDICTS: dict[tuple[Callable, Rule, tuple], bool] = {}
+PATH_OUTPUTS: dict[tuple[Rule, tuple], dict[int, Allocation]] = {}
+_MEMOS = [_ROWS, _ALLOCATIONS, _CANONICAL, _MIXES, _MIXED_ROWS, VERDICTS, PATH_OUTPUTS]
+
+
+def forget() -> None:
+    """Free every memo of the process at once. Outputs built before are no
+    longer canonical, so a block or table read before must not be read after."""
+    for table in _MEMOS:
+        table.clear()
+
+
+def _memo(function: Callable) -> Callable:
+    """`function` memoized on its arguments until `forget`; a raise keeps nothing."""
+    table: dict = {}
+    _MEMOS.append(table)
+
+    @wraps(function)
+    def memoized(*args):
+        found = table.get(args)
+        if found is None:
+            found = table[args] = function(*args)
+        return found
+
+    return memoized
 
 
 def _canonical(alloc: Allocation) -> Allocation:
@@ -152,7 +180,7 @@ class Rule(Frozen):
         cell outputs; a blend with a cardinal part mixes its parts' blocks
         (`_Mix.blocks`) and any other rule is allocated per cell, each into a
         table of its own (`GridTable`), but utilitarian's own pair takes an
-        integer argmax per cell into one kept for the last grid."""
+        integer argmax per cell into one per grid."""
         if self.reads_only_rankings:
             return _ranking_blocks(self, cells)
         mix = mix_of(self)
@@ -279,7 +307,7 @@ def _ps(rankings: Rankings) -> Allocation:
     return _canonical(Allocation._over(den, shares))
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _permutation_allocation(picks: tuple[int, ...]) -> Allocation:
     """The permutation matrix giving agent i object picks[i], built once per
     picks tuple: at most the sum of n! entries (5,913 for n <= 7)."""
@@ -310,11 +338,11 @@ def _uniform(n: int) -> Allocation:
     return _canonical(uniform_allocation(n))
 
 
-@lru_cache(maxsize=None)
+@_memo
 def cell_outputs(rule: Rule) -> tuple[Allocation, ...]:
     """The rule's output at the mid profile (every agent at rate 1/2) of each
     of the 216 three-agent ordinal cells, through `rule.allocate`, memoized
-    per rule for the life of the process. The cells come in canonical order:
+    per rule. The cells come in canonical order:
     cell k gives agent a the order ``all_orders(3)[k // 6**(2 - a) % 6]``.
 
     For a rule that reads only rankings, each entry is its output on the
@@ -352,11 +380,11 @@ def _ranking_blocks(rule: Rule, cells: Sequence[NormalizedUtility]) -> Block:
     return block
 
 
-@lru_cache(maxsize=1)
+@_memo
 def _utilitarian_blocks(cells: tuple[NormalizedUtility, ...]) -> Block:
     """Utilitarian's blocks without the assignment DP, filled into a table
-    (`GridTable`) kept for the last grid only, so that every scan and blend
-    of the only cardinal base rule on that grid reads one table.
+    (`GridTable`) per grid, so that every scan and blend of the only
+    cardinal base rule on that grid reads one table.
 
     A profile's optimum is the permutation with the largest total of the 6
     over its canonical values, ties going to the largest picks tuple, which is
@@ -394,8 +422,8 @@ def _utilitarian_blocks(cells: tuple[NormalizedUtility, ...]) -> Block:
 
 
 # One memo entry per distinct key: at most (n!)^n for a ranking key.
-RSD = Rule("rsd", _ordinal_key, lru_cache(maxsize=None)(_rsd))
-PS = Rule("ps", _ordinal_key, lru_cache(maxsize=None)(_ps))
+RSD = Rule("rsd", _ordinal_key, _memo(_rsd))
+PS = Rule("ps", _ordinal_key, _memo(_ps))
 DICTATORSHIP = Rule("dictatorship", _ordinal_key, _dictatorship)
 UTILITARIAN = Rule("utilitarian", _canonical_key, _utilitarian)
 UNIFORM = Rule("uniform", _size_key, _uniform)
@@ -406,37 +434,30 @@ BASE_RULES = {
 
 
 class _Mix:
-    """A blend's compute, from the pair of its parts' keys. Its memos are
-    the mix table, keyed on the ids of its parts' canonical outputs, so the
-    blend builds at most |outputs of first| * |outputs of second| matrices,
-    and the row table, keyed on the ids of their canonical rows, so a row
-    that recurs across matrices is mixed once. Its parts' tabulated outputs
-    are mixed through the same tables: a blend with a cardinal part mixes
-    their blocks (`Rule.blocks`), a ranking blend their cell outputs
-    (`cell_outputs`), and a continuity check their outputs along a path
-    (`checkers._path_reader`)."""
+    """A blend's compute, from the pair of its parts' keys. It mixes each
+    pair of its parts' canonical outputs once (`_MIXES`), so it builds at
+    most |outputs of first| * |outputs of second| matrices, and each pair of
+    their rows once (`_MIXED_ROWS`). Its parts' tabulated outputs are mixed
+    through the same tables: their blocks (`Rule.blocks`), cell outputs
+    (`cell_outputs`) and outputs along a path (`checkers._path_reader`)."""
 
-    __slots__ = ("first", "second", "alpha", "key", "mixes", "rows")
+    __slots__ = ("first", "second", "alpha", "key")
 
     def __init__(self, first: Rule, second: Rule, alpha: Fraction):
         self.first, self.second, self.alpha = first, second, alpha
         self.key = partial(_pair_key, first.key, second.key)
-        self.mixes: dict[tuple[int, int], Allocation] = {}
-        self.rows: dict[tuple[int, int], Lottery] = {}
 
     def mix(self, a: Allocation, b: Allocation) -> Allocation:
         """The canonical alpha*a + (1-alpha)*b of canonical `a` and `b`."""
-        mixed = self.mixes.get((id(a), id(b)))
+        mixed = _MIXES.get(key := (self, id(a), id(b)))
         if mixed is None:
-            mixed = self.mixes[id(a), id(b)] = _interned(
-                tuple(map(self.mix_row, a._lotteries, b._lotteries))
-            )
+            mixed = _MIXES[key] = _interned(tuple(map(self.mix_row, a._lotteries, b._lotteries)))
         return mixed
 
     def mix_row(self, p: Lottery, q: Lottery) -> Lottery:
-        row = self.rows.get((id(p), id(q)))
+        row = _MIXED_ROWS.get(key := (self, id(p), id(q)))
         if row is None:
-            row = self.rows[id(p), id(q)] = _canonical_row(mix_lotteries(p, q, self.alpha))
+            row = _MIXED_ROWS[key] = _canonical_row(mix_lotteries(p, q, self.alpha))
         return row
 
     def __call__(self, keys: tuple[Hashable, Hashable]) -> Allocation:
@@ -485,7 +506,7 @@ class GridTable:
     not yet filled, and fills the whole block; so the three agents' blocks
     share its entries, and a compute that raises raises at the first block
     that needs it. A blend with a cardinal part and the per-cell allocator
-    fill one per check, and utilitarian keeps one for the last grid (`_utilitarian_blocks`)."""
+    fill one per check, and utilitarian one per grid (`_utilitarian_blocks`)."""
 
     __slots__ = ("count", "entries", "allocator")
 
@@ -520,9 +541,7 @@ def possible_rows(rule: Rule) -> list[Lottery] | None:
     row once, or None when that is not known. A ranking rule's are the rows
     of its cell outputs (`cell_outputs`), utilitarian's the three unit rows
     of its permutation matrices, and a blend's the mixed rows of its parts'
-    possible rows; a custom rule has none. They are what `_Mix.is_injective`
-    pairs with a ranking part's rows in one deviation class, or with the
-    other part's possible rows when neither part reads only rankings."""
+    possible rows; a custom rule has none."""
     mix = mix_of(rule)
     if rule.reads_only_rankings:
         rows = [row for alloc in cell_outputs(rule) for row in alloc._lotteries]
@@ -538,13 +557,13 @@ def possible_rows(rule: Rule) -> list[Lottery] | None:
     return list({id(row): row for row in rows}.values())
 
 
-@lru_cache(maxsize=None)
+@_memo
 def class_rows(rule: Rule) -> list[list[Lottery]]:
     """The own rows that `rule`, which reads only rankings, gives one agent
     within one deviation class (the agent's 6 orders, fixed orders of the
     other two), read off its cell outputs (`cell_outputs`): at most six
     canonical rows per class, each distinct set of them once, memoized per
-    rule as its cell outputs are."""
+    rule."""
     outputs = cell_outputs(rule)
     found: dict[frozenset[int], list[Lottery]] = {}
     for agent, stride in enumerate((36, 6, 1)):
@@ -557,14 +576,10 @@ def class_rows(rule: Rule) -> list[list[Lottery]]:
     return list(found.values())
 
 
-@lru_cache(maxsize=None, typed=True)
 def blend_rule(first: Rule, second: Rule, alpha: Fraction) -> Rule:
     """Entrywise convex combination alpha*first + (1-alpha)*second, keyed on
-    the pair of its parts' keys, computed by a `_Mix`.
-
-    Equal arguments return the one shared `Rule`, mix tables included, so a
-    family that draws the same blend twice computes it once. The memo is
-    typed, so a float or a bool equal to a cached weight is still refused."""
+    the pair of its parts' keys, computed by a `_Mix`: a new rule per call,
+    whose mixes live in the process's mix tables until `forget`."""
     alpha = Fraction(exact_rational(alpha))
     if not ZERO <= alpha <= ONE:
         raise AlphaOutOfRange(f"blend weight {alpha} outside [0, 1]")
@@ -592,13 +607,14 @@ def rule_by_name(spec: str) -> Rule:
 def built_in_family(seed: int) -> list[Rule]:
     """The 12-rule stress-test family: rsd, ps, utilitarian, plus nine
     distinct seeded blends of distinct base rules with random rational
-    weights; a draw of a blend already in the family is drawn again."""
+    weights; a draw of a blend already in the family, by name, is drawn
+    again."""
     rng = random.Random(seed)
     family = [RSD, PS, UTILITARIAN]
     pool = [RSD, PS, UTILITARIAN]
     while len(family) < 12:
         first, second = rng.sample(pool, 2)
         blend = blend_rule(first, second, Fraction(rng.randrange(1, 10), 10))
-        if blend not in family:
+        if blend.name not in [rule.name for rule in family]:
             family.append(blend)
     return family

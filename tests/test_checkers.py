@@ -53,7 +53,7 @@ from alloclab.checkers import (
 from alloclab.core import profile_with
 from alloclab.harness import theorem_stress
 from alloclab.ordinal import OrdinalPreference, all_orders, ordinal_of, random_rational
-from alloclab.rules import GridTable, built_in_family, cell_outputs, mix_of
+from alloclab.rules import GridTable, built_in_family, cell_outputs, forget, mix_of
 
 from conftest import REDUCED_GRIDS, fraction_ncc_continuity, printed_witness, read_back
 
@@ -429,13 +429,14 @@ class TestRankingQuotient:
         # its mix is one-to-one within every deviation class and its parts,
         # judged first, pass. blend:utilitarian:rsd:2/5 mixes two pairs of
         # part rows of one class into one row, so its non-bossiness is still
-        # scanned.
+        # scanned. Utilitarian, a part of both, is judged right after its
+        # twin has filled utilitarian's table for the grid.
+        forget()
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         cells = grid_cells(config)
         for part in (RSD, PS, DICTATORSHIP, UNIFORM):
             assert check_strategy_proofness(part, config).passed
-        for part in (RSD, UTILITARIAN):
-            assert check_non_bossiness(part, config).passed
+        assert check_non_bossiness(RSD, config).passed
         judged = []
 
         def spied(judge):
@@ -457,8 +458,6 @@ class TestRankingQuotient:
             if rule is not RANKINGS_BOSSY:
                 scans += [(check_strategy_proofness, rule, 6), (check_non_bossiness, rule, 6)]
         skipped = 0
-        # utilitarian's table is kept for the grid: fill it here
-        rules_module._utilitarian_blocks.cache_clear()
         for check, rule, classes in scans:
             counted, calls, block_calls = _counted(rule)
             assert counted.reads_only_rankings == (classes == 6)
@@ -494,8 +493,10 @@ class TestRankingQuotient:
                 assert len(calls) == len(profiles) and set(calls) == profiles
             else:
                 assert calls == (MID_PROFILES if classes == 6 and mix_of(rule) is None else [])
+            if rule is UTILITARIAN:
+                assert check(rule, config).passed
         assert skipped > 0
-        rules_module._utilitarian_blocks.cache_clear()  # drop the counted allocator
+        forget()  # drop the counted allocator
 
 
 def _top_or_bottom_allocate(rankings):
@@ -514,10 +515,9 @@ TOP_OR_BOTTOM = Rule("top-or-bottom-test", RSD.key, _top_or_bottom_allocate)
 
 
 class TestGridTables:
-    """Each scan fills one table of its own, utilitarian keeps one for the
-    last grid, and strategy-proofness judges a sequence of own rows once: no
-    report may depend on which scan filled a table or judged a sequence
-    first."""
+    """Each scan fills one table of its own, utilitarian keeps one per grid,
+    and strategy-proofness judges a sequence of own rows once: no report may
+    depend on which scan filled a table or judged a sequence first."""
 
     PARTS = [RSD, PS, UTILITARIAN]
     BLENDS = [
@@ -531,19 +531,17 @@ class TestGridTables:
     ]
 
     def test_scan_order_does_not_matter(self):
+        # A blend checked first, or right after `forget`, judges its parts
+        # on demand from an empty verdict record.
         config = CheckConfig(mu_grid=REDUCED_GRIDS[3])
 
-        def clear():
-            cell_outputs.cache_clear()
-            rules_module._utilitarian_blocks.cache_clear()
-
-        def reports(rules, clear_each):
-            clear()
+        def reports(rules, forget_each):
+            forget()
             found = {}
             for rule in rules:
                 for check in (check_strategy_proofness, check_non_bossiness):
-                    if clear_each:
-                        clear()
+                    if forget_each:
+                        forget()
                     found[rule.name, check.__name__] = check(rule, config).to_dict()
             return found
 
@@ -557,9 +555,9 @@ class TestGridTables:
         # Each scan and each ordinality check of a blend with utilitarian
         # builds one table, freed when the check ends; utilitarian's table,
         # which every check of utilitarian or such a blend reads, is built
-        # once for the grid and kept. A rule that reads only rankings, a
-        # ranking blend included, builds none, and neither does a
-        # non-bossiness check that passes off the blend's parts (no
+        # once for the grid and kept until `forget`. A rule that reads only
+        # rankings, a ranking blend included, builds none, and neither does
+        # a non-bossiness check that passes off the blend's parts (no
         # strategy-proofness check of such a blend does: utilitarian fails
         # it). So at most two tables are alive.
         alive, built = [0, 0], []
@@ -576,7 +574,7 @@ class TestGridTables:
             def __del__(self):
                 alive[0] -= 1
 
-        rules_module._utilitarian_blocks.cache_clear()
+        forget()
         monkeypatch.setattr(rules_module, "GridTable", Counted)
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         family = built_in_family(8080)
@@ -591,7 +589,7 @@ class TestGridTables:
         kept = rules_module._utilitarian_blocks(grid_cells(config)).__self__
         assert alive[0] == 1 and isinstance(kept, Counted)
         del kept
-        rules_module._utilitarian_blocks.cache_clear()
+        forget()
         assert alive[0] == 0
 
     def test_each_own_row_sequence_is_judged_once(self):
@@ -791,6 +789,7 @@ class TestBlendCertificates:
         return judged
 
     def test_an_injective_blend_judges_no_block(self, monkeypatch):
+        forget()
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         for part in (RSD, UTILITARIAN):
             assert check_non_bossiness(part, config).passed
@@ -808,6 +807,7 @@ class TestBlendCertificates:
         assert check_non_bossiness(scanned, config).passed and len(judged) == 3 * 12**2
 
     def test_non_bossy_parts_need_an_injective_mix(self, monkeypatch):
+        forget()
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         assert all(check_non_bossiness(rule, config).passed for rule in (SERIAL, SECOND_FIRST))
         bossy = check_non_bossiness(blend_rule(SERIAL, SECOND_FIRST, F(1, 2)), config)
@@ -826,6 +826,20 @@ class TestBlendCertificates:
         assert check_non_bossiness(halves, config).to_dict() == bossy.to_dict()
         assert judged == [0]
         assert check_non_bossiness(thirds, config).passed and judged == [0]
+
+    def test_forget_empties_the_verdict_record(self, monkeypatch):
+        # A blend checked right after `forget` judges its parts on demand,
+        # rsd one block per class and utilitarian every block, and a second
+        # check reads their recorded Passes.
+        config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
+        blend = rule_by_name("blend:rsd:utilitarian:1/2")
+        judged = self._spy_bossiness(monkeypatch)
+        for _ in range(2):
+            forget()
+            judged.clear()
+            for _ in range(2):
+                assert check_non_bossiness(blend, config).passed
+                assert len(judged) == 3 * 6**2 + 3 * 12**2
 
     def test_a_part_that_fails_on_the_grid_blocks_the_certificate(self):
         # ps passes on one grid and fails on another: its Pass on the first
@@ -1305,7 +1319,7 @@ class TestPathTables:
                 for agent, others, endpoints in paths
             ]
 
-        checkers._path_table.cache_clear()
+        forget()
         self._checked_reader(monkeypatch)
         tabled = reports()
         monkeypatch.setattr(checkers, "_path_reader", _per_call_reader)
@@ -1324,6 +1338,7 @@ class TestPathTables:
     def test_a_check_probes_as_many_points_with_tables_filled(self):
         # The parts' tables are full when the blend is checked, yet the
         # budget counts the blend's own probes: it still reaches the cap.
+        forget()
         sliding = blend_rule(SLIDING, UNIFORM, F(1, 3))
         agent, others, endpoints = default_continuity_paths()[0]
         for rule in (SLIDING, sliding, sliding):
@@ -1347,21 +1362,6 @@ class TestPathTables:
                 blend.allocate(profile_with(others, agent, endpoints[0]))
             with pytest.raises(KeyError, match="second key"):
                 check_ncc_continuity(blend, agent, others, endpoints, CheckConfig())
-
-    def test_tables_stay_bounded(self):
-        checkers._path_table.cache_clear()
-        rng = random.Random(8)
-        orders = all_orders(3)
-        for index in range(3 * checkers.PATH_TABLES):
-            fresh = Rule(f"fresh-{index}", lambda profile: RSD.key(profile), RSD.compute)
-            order = rng.choice(orders)
-            others = tuple(utility_from(rng.choice(orders), random_rational(rng)) for _ in range(2))
-            endpoints = (utility_from(order, F(1, 3)), utility_from(order, random_rational(rng)))
-            for rule in (fresh, UTILITARIAN, rule_by_name("blend:rsd:utilitarian:1/3")):
-                check_ncc_continuity(rule, index % 3, others, endpoints, CheckConfig())
-                assert checkers._path_table.cache_info().currsize <= checkers.PATH_TABLES
-        assert checkers._path_table.cache_info().currsize == checkers.PATH_TABLES
-        checkers._path_table.cache_clear()
 
 
 class TestConfig:

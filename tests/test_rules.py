@@ -39,8 +39,9 @@ from alloclab.ordinal import (
 )
 from alloclab import rules
 from alloclab.core import over_common_denominator, profile_with, validate_profile
-from alloclab.checkers import DEFAULT_MU_GRID, grid_cells
-from alloclab.rules import BASE_RULES, Rule
+from alloclab import checkers
+from alloclab.checkers import DEFAULT_MU_GRID, check_continuity_battery, grid_cells
+from alloclab.rules import BASE_RULES, Rule, forget, mix_of
 
 from conftest import (
     REDUCED_GRIDS,
@@ -408,16 +409,19 @@ class TestStructuralMemo:
             assert rule.compute(rule.key(abc_profile)) is rule.compute(rule.key(abc_profile))
 
     def test_a_blend_keeps_no_memory_per_profile(self):
-        # A blend's memos are its mix tables, at most one entry per pair of
-        # its parts' outputs or rows, however many profiles are scanned; a
-        # memo per profile would keep 13,824 entries here, several
-        # megabytes. The scan also keeps the blend's grid table, one
+        # A blend's memos are its entries in the mix tables, at most one per
+        # pair of its parts' outputs or rows, however many profiles are
+        # scanned; a memo per profile would keep 13,824 entries here,
+        # several megabytes. The scan also keeps the blend's grid table, one
         # reference per grid profile (about 108 KB here), and reads its
-        # parts' tables, which the two scans before it left kept.
+        # parts' tables, which the two scans before it left kept. The mix
+        # tables, which every blend shares, start empty, so that what they
+        # grow by here is this blend's.
+        forget()
         config = CheckConfig(mu_grid=SCAN_GRID)
         assert check_non_bossiness(UTILITARIAN, config).passed
         assert check_strategy_proofness(RSD, config).passed
-        fresh = blend_rule.__wrapped__(RSD, UTILITARIAN, F(1, 2))  # no earlier test filled it
+        fresh = blend_rule(RSD, UTILITARIAN, F(1, 2))  # a new rule: no mix of it is kept
         tracemalloc.start()
         try:
             assert check_non_bossiness(fresh, config).passed
@@ -561,7 +565,7 @@ def test_row_mixes_return_the_canonical_mix(grid):
     form of the whole-matrix mix of its parts' outputs."""
     cells = grid_cells(CheckConfig(mu_grid=grid))
     for first, second, alpha in MIXED_BLENDS:
-        blend = blend_rule.__wrapped__(first, second, alpha)  # empty mix and row tables
+        blend = blend_rule(first, second, alpha)  # a new rule: no mix of it is kept
         block = blend.blocks(cells)
         # agent 0's blocks hold every profile once
         for i, j in itertools.product(range(len(cells)), repeat=2):
@@ -570,7 +574,7 @@ def test_row_mixes_return_the_canonical_mix(grid):
                 output = blend.allocate(profile)
                 mixed = mix_allocations(first.allocate(profile), second.allocate(profile), alpha)
                 assert output is entry is rules._canonical(mixed)
-        assert blend.compute.rows  # the row table was used
+        assert any(key[0] is blend.compute for key in rules._MIXED_ROWS)  # rows were mixed
 
 
 BLOCK_RULES = [
@@ -615,3 +619,105 @@ def test_block_entries_are_the_allocate_objects(grid):
             totals = [a[p[0]] + b[p[1]] + c[p[2]] for p in perms]
             ties += totals.count(max(totals)) > 1
         assert ties > 0
+
+
+def _by_top(agent, den, top):
+    """A compute that gives `agent` top/den of its top object, the others
+    top/den of the two objects left in agent order, and everyone the rest
+    evenly: a fresh matrix per call, read off one ranking."""
+    other = (den - top) // 2
+
+    def compute(rankings):
+        picks = [obj for obj in range(3) if obj != rankings[agent][0]]
+        picks.insert(agent, rankings[agent][0])
+        rows = [[top if obj == pick else other for obj in range(3)] for pick in picks]
+        return Allocation._over(den, rows)
+
+    return compute
+
+
+# Neither shares an output or a row with the other, so no mix of the two is
+# one of them, and every output of either is freed by `forget`.
+FIRST_TOP = Rule("first-top-test", RSD.key, _by_top(0, 9, 7))
+SECOND_TOP = Rule("second-top-test", RSD.key, _by_top(1, 6, 4))
+
+
+class TestForget:
+    """`forget` frees every memo of the process at once: what the process
+    keeps is bounded by the work since the last call, and no output built
+    after it reads a mix keyed on the id of an object it freed."""
+
+    def test_sessions_keep_what_their_work_keeps(self):
+        # 200 blends, 20 per session, each checked for non-bossiness on
+        # grid 1/2. Twenty of them keep about 1 MB in one session and all
+        # 200 about 7.6 MB; after the last `forget` the ten sessions keep
+        # next to nothing (a few KB).
+        config = CheckConfig(mu_grid=(F(1, 2),))
+        pairs = list(itertools.permutations([RSD, PS, DICTATORSHIP, UTILITARIAN], 2))
+        forget()
+        tracemalloc.start()
+        try:
+            for session in range(10):
+                forget()
+                for k in range(20 * session + 1, 20 * session + 21):
+                    check_non_bossiness(blend_rule(*pairs[k % len(pairs)], F(k, 211)), config)
+            forget()
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 0.71 * 2**20
+
+    def test_no_output_reads_a_mix_of_freed_objects(self, monkeypatch):
+        # Every blend output, from `allocate`, from its blocks, its cell
+        # outputs and its continuity path tables, is the mix of its parts'
+        # outputs, and within a session the object `allocate` gives. Each
+        # session's parts are fresh objects that take the memory the last
+        # session's freed, in another order, so a mix kept across `forget`
+        # would be read for parts it was not made of.
+        cells = grid_cells(CheckConfig(mu_grid=(F(1, 3),)))
+        opaque = Rule("opaque-second-top", lambda profile: RSD.key(profile), SECOND_TOP.compute)
+        ranking = [
+            blend_rule(FIRST_TOP, SECOND_TOP, F(1, 3)),
+            blend_rule(SECOND_TOP, FIRST_TOP, F(1, 2)),
+        ]
+        cardinal = [
+            blend_rule(UTILITARIAN, FIRST_TOP, F(2, 5)),
+            blend_rule(opaque, FIRST_TOP, F(3, 7)),
+        ]
+
+        def allocated(rule, profile):
+            output = rule.allocate(profile)
+            mix = mix_of(rule)
+            if mix is not None:
+                parts = mix.first.allocate(profile), mix.second.allocate(profile)
+                assert output == mix_allocations(*parts, mix.alpha)
+            return output
+
+        real = checkers._path_reader
+
+        def checked(rule, path, profile_at):
+            read = real(rule, path, profile_at)
+
+            def verified(k):
+                alloc = read(k)
+                assert alloc is allocated(rule, profile_at(k))
+                return alloc
+
+            return verified
+
+        monkeypatch.setattr(checkers, "_path_reader", checked)
+        config = CheckConfig(continuity_interval_delta=F(1, 64))
+        for blends in [ranking] * 8 + [cardinal] * 2:
+            forget()
+            for blend in blends:
+                for profile in itertools.product(cells, repeat=3):
+                    allocated(blend, profile)
+                block = blend.blocks(cells)
+                # agent 0's blocks hold every profile once
+                for i, j in itertools.product(range(len(cells)), repeat=2):
+                    for cell, entry in zip(cells, block(0, i, j), strict=True):
+                        assert entry is blend.allocate((cell, cells[i], cells[j]))
+                for entry, profile in zip(rules.cell_outputs(blend), MID_PROFILES, strict=True):
+                    assert entry is allocated(blend, profile)
+                check_continuity_battery(blend, config)
