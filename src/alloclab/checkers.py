@@ -82,7 +82,7 @@ from .ordinal import (
     SdVerdict,
     all_orders,
     ordinal_of,
-    random_rational,
+    random_canonical,
     sd_compare,
     utility_from,
 )
@@ -471,7 +471,7 @@ def check_ordinality(rule: Rule, config: CheckConfig) -> Verdict:
         outputs = itertools.chain.from_iterable(block(2, a + i, b + j)[c : c + m] for i, j in pairs)
         rng = random.Random(f"{config.seed}:cell:{index}")
         samples = [
-            tuple(utility_from(order, random_rational(rng)) for order in cell)
+            tuple(random_canonical(order, rng) for order in cell)
             for _ in range(config.samples_per_cell)
         ]
         outputs = itertools.chain(outputs, map(rule.allocate, samples))
@@ -683,7 +683,7 @@ def default_efficiency_profiles(config: CheckConfig) -> list[UtilityProfile]:
 def random_profile(rng: random.Random) -> UtilityProfile:
     """Three agents, each with a random order and a random middle rate."""
     orders = all_orders(3)
-    return tuple(utility_from(rng.choice(orders), random_rational(rng)) for _ in range(3))
+    return tuple(random_canonical(rng.choice(orders), rng) for _ in range(3))
 
 
 def default_continuity_paths() -> list[

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import io
 import json
 import os
@@ -272,8 +271,8 @@ def _write(args: argparse.Namespace, report: dict, rows: list[list] | tuple = ()
         try:
             print(payload, end="" if payload.endswith("\n") else "\n", flush=True)
         except OSError as exc:
-            # The interpreter flushes stdout again at exit: point it at
-            # devnull, so that the error line stays the only message.
+            # `entry` flushes stdout again at exit: point it at devnull, so
+            # that the error line stays the only message.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise IoError(f"cannot write report to stdout: {exc.strerror}") from exc
 
@@ -508,16 +507,25 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     """The process's entry point (`python -m alloclab.cli` and the
-    `alloclab` script): `main`, then exit without collecting.
+    `alloclab` script): `main`, then flush stdout and stderr and end the
+    process with `os._exit`, without the interpreter's teardown.
 
-    Freezing moves every object still alive to the permanent generation,
-    which the interpreter's shutdown collections do not walk; it saves them
-    clearing and freeing cycles the process ends anyway. The report is
-    already written, stdout is still flushed at exit, and no object here
-    has a finalizer. `main` itself never freezes: tests call it in-process."""
+    The report is written by then, and no object here has a finalizer or
+    holds an open file, so teardown would only free what the process ends
+    anyway. Only argparse's usage text may still sit in stdout's buffer: if
+    it cannot be flushed, the exit is 2 with one stderr line, as for a
+    report `_write` cannot write. `main` itself never exits: tests and
+    perfbench's traced runs call it in-process."""
     status = main()
-    gc.freeze()
-    sys.exit(status)
+    try:
+        if sys.stdout is not None:  # the process may start with it closed
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        status = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ from .ordinal import (
     middle_rate,
     ordinal_of,
     random_lottery,
-    random_rational,
+    random_canonical,
     random_utility_consistent,
     rdu_utility,
     sd_compare,
@@ -125,12 +125,9 @@ def _random_member(
     order: OrdinalPreference, rng: random.Random, floor: Fraction | int = 0
 ) -> BernoulliUtility:
     """Random utility in the cone whose middle rate exceeds `floor`: canonical
-    representative, then a random affine transform so samplers also exercise
-    non-normalized inputs."""
-    mu = random_rational(rng)
-    if floor:
-        mu = floor + (1 - floor) * mu
-    canonical = utility_from(order, mu)
+    representative (`random_canonical`), then a random affine transform so
+    samplers also exercise non-normalized inputs."""
+    canonical = random_canonical(order, rng, floor)
     if rng.randrange(2):
         return _random_affine(canonical, rng)
     return canonical
@@ -431,7 +428,7 @@ def theorem2_check(
         orders = tuple(member.ordinal for member in profile)
         twins = [tuple(utility_from(order, Fraction(1, 2)) for order in orders)]
         for _ in range(max(2, config.samples_per_cell)):
-            twins.append(tuple(utility_from(order, random_rational(rng)) for order in orders))
+            twins.append(tuple(random_canonical(order, rng) for order in orders))
         witness = cell_twin_witness(orders, twins, map(rule.allocate, twins))
         if witness is not None:
             return Verdict(witness, coverage)

@@ -9,6 +9,8 @@ import random
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from operator import mul
 from typing import Callable, Sequence
 
 from .core import (
@@ -22,7 +24,9 @@ from .core import (
     degenerate_lottery,
     exact_rational,
     expected_utility,
+    lowest_terms,
     object_label,
+    over_common_denominator,
 )
 
 
@@ -132,8 +136,9 @@ def canonicalize(utility: BernoulliUtility) -> NormalizedUtility:
     return NormalizedUtility._trusted(total, shifted)
 
 
-# Bounded, as grid scans reuse a few dozen (order, rate) pairs and lemmas draw
-# fresh rates; typed, so a float equal to a cached rate is still refused.
+# Bounded, as grid scans reuse a few dozen (order, rate) pairs (the samplers
+# build theirs with `random_canonical`); typed, so a float equal to a cached
+# rate is still refused.
 @lru_cache(maxsize=1024, typed=True)
 def utility_from(order: OrdinalPreference, mu: Fraction) -> NormalizedUtility:
     """Canonical utility with the given order and middle rate: best 1, middle
@@ -144,7 +149,12 @@ def utility_from(order: OrdinalPreference, mu: Fraction) -> NormalizedUtility:
         raise WrongDimension("middle-rate parameterization needs three objects")
     if not ZERO < exact_rational(mu) < ONE:
         raise MuOutOfRange(f"mu must lie strictly in (0, 1), got {mu}")
-    p, q = mu.numerator, mu.denominator
+    return _canonical_at(order, mu.numerator, mu.denominator)
+
+
+def _canonical_at(order: OrdinalPreference, p: int, q: int) -> NormalizedUtility:
+    """`utility_from(order, p/q)` for a rate p/q in (0, 1) in lowest terms,
+    unchecked: q, p and 0 over p + q, which is in lowest terms too."""
     nums = [0, 0, 0]
     best, mid, _ = order.ranking
     nums[best], nums[mid] = q, p
@@ -251,13 +261,16 @@ def separating_utility(v: VUtility, p1: Lottery, p2: Lottery) -> BernoulliUtilit
     objects worst to best for the first strictly positive upper-set
     cumulative gap; objects above that threshold are compressed into
     (1 - delta, 1], objects at or below are scaled by delta. delta starts at
-    1/2 and is halved until the ordinal is preserved and the expected-utility
-    gap is strictly positive.
+    1/2 and is halved until the values have no ties, the ordinal is
+    preserved and the expected-utility gap is strictly positive. It all runs
+    on the integer forms of `v`'s values over their common denominator
+    `scale`. The result is in lowest terms, and its ranking is left to
+    `ordinal_of`, so that a caller's order check reads its values.
     """
     order = v.ordinal
     if sd_compare(p2, p1, order) in (SdVerdict.DOMINATES, SdVerdict.EQUAL):
         raise PreconditionViolated("p2 weakly sd-dominates p1")
-    values = v.degenerate_values()
+    scale, (values,) = over_common_denominator((v.degenerate_values(),))
 
     threshold = None
     for obj in reversed(order.ranking):
@@ -272,18 +285,22 @@ def separating_utility(v: VUtility, p1: Lottery, p2: Lottery) -> BernoulliUtilit
     peak = max(values[b] for b in upper_set)
     span = peak - values[threshold]
 
-    delta = Fraction(1, 2)
-    for _ in range(256):
-        raw = tuple(
-            ONE - delta * (peak - values[b]) / span if b in upper_set else delta * values[b]
+    # delta = 1/2**k over the one denominator 2**k * span * scale: an upper
+    # entry 1 - delta * (peak - v) / span is (2**k * span - peak + v) * scale
+    # and a lower entry delta * v is v * span.
+    ranking = order.ranking
+    for k in range(1, 257):
+        unit = span << k
+        nums = tuple([
+            (unit - peak + values[b]) * scale if b in upper_set else values[b] * span
             for b in range(order.m)
-        )
-        if len(set(raw)) == len(raw):
-            candidate = BernoulliUtility(raw)
-            gap = expected_utility(candidate, p1) - expected_utility(candidate, p2)
-            if ordinal_of(candidate) == order and gap > 0:
-                return candidate
-        delta /= 2
+        ])
+        if len(set(nums)) == len(nums) and all(
+            nums[a] > nums[b] for a, b in zip(ranking, ranking[1:])
+        ):
+            gap = sum(map(mul, nums, p1.nums)) * p2.den - sum(map(mul, nums, p2.nums)) * p1.den
+            if gap > 0:
+                return BernoulliUtility._trusted(*lowest_terms(unit * scale, nums))
     raise ValueError("construction failed to preserve the ordinal and separate the lotteries")
 
 
@@ -327,9 +344,19 @@ def validate_v_domain(
 DENOMINATOR = 1024
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    """Uniform rational in (0, 1) with denominator DENOMINATOR."""
-    return Fraction(rng.randrange(1, DENOMINATOR), DENOMINATOR)
+def random_canonical(
+    order: OrdinalPreference, rng: random.Random, floor: Fraction | int = 0
+) -> NormalizedUtility:
+    """`utility_from(order, mu)` at a random middle rate mu above `floor`
+    (0 <= floor < 1), built from its integer form: one draw k in
+    [1, DENOMINATOR), and mu = floor + (1 - floor) * k / DENOMINATOR, which
+    for floor = fp/fq is (fp * DENOMINATOR + (fq - fp) * k) / (fq *
+    DENOMINATOR), in lowest terms. Three objects only."""
+    k = rng.randrange(1, DENOMINATOR)
+    fp, fq = floor.numerator, floor.denominator
+    p, q = fp * DENOMINATOR + (fq - fp) * k, fq * DENOMINATOR
+    common = gcd(p, q)
+    return _canonical_at(order, p // common, q // common)
 
 
 def random_lottery(m: int, rng: random.Random) -> Lottery:

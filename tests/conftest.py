@@ -37,7 +37,7 @@ from alloclab.core import (
     parse_fraction,
     profile_with,
 )
-from alloclab.ordinal import ordinal_of
+from alloclab.ordinal import PreconditionViolated, SdVerdict, ordinal_of, sd_compare
 
 
 F = Fraction
@@ -293,3 +293,33 @@ def fraction_ncc_continuity(rule, agent, others, endpoints, config) -> Verdict:
     if capped:
         coverage += PROBE_CAP_NOTE
     return Verdict(witness, coverage)
+
+
+def fraction_separating_utility(v, p1: Lottery, p2: Lottery) -> BernoulliUtility:
+    """Reference `ordinal.separating_utility`: the same threshold and the
+    same halving of delta from 1/2, 256 times at most, with every value a
+    `Fraction` and each candidate built by the validating constructor."""
+    order = v.ordinal
+    if sd_compare(p2, p1, order) in (SdVerdict.DOMINATES, SdVerdict.EQUAL):
+        raise PreconditionViolated("p2 weakly sd-dominates p1")
+    values = v.degenerate_values()
+    threshold = next(
+        obj for obj in reversed(order.ranking)
+        if sum(p1.probs[b] - p2.probs[b] for b in range(order.m) if values[b] > values[obj]) > 0
+    )
+    upper_set = [b for b in range(order.m) if values[b] > values[threshold]]
+    peak = max(values[b] for b in upper_set)
+    span = peak - values[threshold]
+    delta = Fraction(1, 2)
+    for _ in range(256):
+        raw = tuple(
+            ONE - delta * (peak - values[b]) / span if b in upper_set else delta * values[b]
+            for b in range(order.m)
+        )
+        if len(set(raw)) == len(raw):
+            candidate = BernoulliUtility(raw)
+            gap = expected_utility(candidate, p1) - expected_utility(candidate, p2)
+            if ordinal_of(candidate) == order and gap > 0:
+                return candidate
+        delta /= 2
+    raise ValueError("construction failed to preserve the ordinal and separate the lotteries")

@@ -52,7 +52,7 @@ from alloclab.checkers import (
 )
 from alloclab.core import profile_with
 from alloclab.harness import theorem_stress
-from alloclab.ordinal import OrdinalPreference, all_orders, ordinal_of, random_rational
+from alloclab.ordinal import OrdinalPreference, all_orders, ordinal_of, random_canonical
 from alloclab.rules import GridTable, built_in_family, cell_outputs, forget, mix_of
 
 from conftest import REDUCED_GRIDS, fraction_ncc_continuity, printed_witness, read_back
@@ -1001,7 +1001,7 @@ def _ordinality_reference(rule, config):
         ]
         rng = random.Random(f"{config.seed}:cell:{index}")
         for _ in range(config.samples_per_cell):
-            profiles.append(tuple(utility_from(order, random_rational(rng)) for order in orders))
+            profiles.append(tuple(random_canonical(order, rng) for order in orders))
         reference = rule.allocate(profiles[0])
         for profile in profiles[1:]:
             alloc = rule.allocate(profile)
@@ -1038,7 +1038,7 @@ class TestOrdinalityBlocks:
         for index, orders in enumerate(itertools.product(all_orders(3), repeat=3)):
             rng = random.Random(f"3:cell:{index}")
             drawn += [
-                tuple(utility_from(order, random_rational(rng)) for order in orders)
+                tuple(random_canonical(order, rng) for order in orders)
                 for _ in range(samples)
             ]
         assert calls == drawn
@@ -1274,9 +1274,12 @@ class TestPathTables:
         orders = all_orders(3)
         paths = []
         for _ in range(2):
-            others = tuple(utility_from(rng.choice(orders), random_rational(rng)) for _ in range(2))
+            others = tuple(
+                utility_from(rng.choice(orders), F(rng.randrange(1, 1024), 1024)) for _ in range(2)
+            )
             order = rng.choice(orders)
-            low, high = sorted({random_rational(rng), random_rational(rng), F(1, 2)})[:2]
+            draws = [F(rng.randrange(1, 1024), 1024) for _ in range(2)]
+            low, high = sorted({*draws, F(1, 2)})[:2]
             ends = (utility_from(order, low), utility_from(order, high))
             paths += [(agent, others, ends) for agent in range(3)]
         raw = (make_utility([5, 1, 3]), make_utility([F(1, 3), 2, 0]))

@@ -369,6 +369,60 @@ def test_report_bytes_are_pinned(argv, code, digest, capsys):
     )
 
 
+def _seeded_runs(group: str) -> list[list[str]]:
+    """The seeded invocations of one group whose reports read the samplers'
+    draws: a lemma at two seeds (with rsd and utilitarian where it takes a
+    rule), theorem2's twins, ordinality's per-cell samples (on grid 1/2 the
+    witness is a sampled profile) and random efficiency profiles."""
+    seeds = ("1", "2")
+    if group == "L10":
+        return [["lemma", "--lemma", "L10", "--seed", seed] for seed in seeds]
+    if group.startswith("L"):
+        return [["lemma", "--lemma", group, "--rule", rule, "--seed", seed]
+                for seed in seeds for rule in ("rsd", "utilitarian")]
+    if group == "theorem2":
+        return [["theorem2", "--rule", rule, "--seed", seed] for seed in seeds for rule in ("rsd", "ps")]
+    if group == "ordinality":
+        return [["check", "--rule", rule, "--axiom", "ordinality", *grid, "--seed", seed]
+                for seed in seeds for grid in ([], ["--grid", "1/2"])
+                for rule in ("utilitarian", "blend:rsd:utilitarian:1/2")]
+    return [["check", "--rule", rule, "--axiom", "efficiency", "--profiles", "random:count=50",
+             "--seed", seed] for seed in seeds for rule in ("utilitarian", "rsd")]
+
+
+# sha256 of each group's exit codes and reports less `elapsed_ms` (see
+# `test_sampled_report_bytes_are_pinned`).
+SAMPLED_REPORT_SHA256 = {
+    "L1": "4bfe9b63f17dc47108941a5f9b88683f379fbf4b19da4904931ba21f15f09ca9",
+    "L2": "f11341a26d1623d29c8c30dd4668609e2436e665795435c42240a1c9b1bbb0ed",
+    "L3": "5d121a14206aebb5ce0433aa899d5464fe9522d1541103120f7ce9fc81481f83",
+    "L4": "3eee7383449b36d69f5721ae0c3952afea6c3f69db11d933fdbbcfb356de36bc",
+    "L5": "ba8cbf85a524a7d925a4ebc2d7a9512b229dd107d261c78ed6b721ecdcf3ac34",
+    "L6": "f351d50cdc7333003a87e0485910b195819645d50a5f614358292cdbb0a94851",
+    "L7": "cbaa3a41b67eb68312df414c7b4d4f4167c59e22547f8217abc1e57f197cafe6",
+    "L8": "cc1d0a678e45bbd00dcfc193ef8cf00f4bfd418a0ff9eb0ca337d9d510989146",
+    "L9": "4feb6901f0da0218a6fc7c3f5f9b28253d4682982a08fa3f396ccb0d4a4ee1ce",
+    "L10": "1f137c5fde3b0e1252881f6319053622c87cc8bdac29b13d0638e73815d6277c",
+    "theorem2": "cd8c93b9ef3e1d6cd939c7e404497d2e432c344466395e216fc6fe580548cef8",
+    "ordinality": "7614b455888089e56a8e6eb1e69d12bceae14d6c0e9052662aac210ff0f0cf61",
+    "efficiency": "adbb37fb1aa10902ea04272ab9529567d30eff47537b0b5efdde039982a0c123",
+}
+
+
+@pytest.mark.parametrize("group", list(SAMPLED_REPORT_SHA256))
+def test_sampled_report_bytes_are_pinned(group, capsys):
+    """The sha256 of each run's exit code and report less `elapsed_ms`, in
+    turn, pinned while the samplers still built every utility from a
+    `Fraction` rate: a draw added, dropped or reordered changes it."""
+    hashed = hashlib.sha256()
+    for argv in _seeded_runs(group):
+        code = main(argv)
+        report = json.loads(capsys.readouterr().out)
+        report.pop("elapsed_ms", None)
+        hashed.update(json.dumps([code, report], sort_keys=True).encode())
+    assert hashed.hexdigest() == SAMPLED_REPORT_SHA256[group]
+
+
 def test_zero_random_samples_per_cell_is_accepted(capsys):
     argv = ["check", "--rule", "rsd", "--axiom", "ordinality", "--seed", "1", "--grid", "1/2",
             "--samples", "0"]
@@ -1013,48 +1067,64 @@ def test_reports_encode_as_the_direct_dump(name, monkeypatch, capsys):
         (["check", "--rule", "rsd", "--axiom", "continuity"], 0),
         (["check", "--rule", "utilitarian", "--axiom", "continuity"], 1),
         (["check", "--rule", "nosuch", "--axiom", "continuity"], 2),
+        (["--help"], 0),
+        (["lemma", "--lemma", "L2", "--rule", "utilitarian", "--seed", "1"], 1),
     ],
-    ids=["pass", "fail", "usage-error"],
+    ids=["pass", "fail", "usage-error", "help", "lemma"],
 )
 def test_the_process_exit_keeps_codes_and_reports(argv, code, tmp_path, capsys):
     """`python -m alloclab.cli` exits through `cli.entry`, which skips the
-    interpreter's final collection: the exit code and the report, on stdout
-    or in a file, are those of `main` in-process, `elapsed_ms` aside."""
+    interpreter's teardown: the exit code and the report, on stdout or in a
+    file, are those of `main` in-process, `elapsed_ms` aside. The children
+    run with stdout block-buffered, as perfbench spawns them, so only
+    `entry`'s flush gets the last of it out."""
     def timeless(text):
         return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text)
 
+    env = {key: value for key, value in _source_env().items() if key != "PYTHONUNBUFFERED"}
     in_process = tmp_path / "in-process.json"
     assert main(argv) == code
     printed, error = capsys.readouterr()
     assert main([*argv, "--out", str(in_process)]) == code
     command = [sys.executable, "-m", "alloclab.cli", *argv]
-    piped = subprocess.run(command, env=_source_env(), capture_output=True, text=True)
+    piped = subprocess.run(command, env=env, capture_output=True, text=True)
     assert (piped.returncode, timeless(piped.stdout), piped.stderr) == (
         code, timeless(printed), error
     )
+    assert printed.strip() or code == 2
     written = tmp_path / "process.json"
-    run = subprocess.run([*command, "--out", str(written)], env=_source_env(), capture_output=True)
+    run = subprocess.run([*command, "--out", str(written)], env=env, capture_output=True)
     assert run.returncode == code
-    if code == 2:
+    if code == 2 or argv == ["--help"]:  # no report to write
         assert not written.exists() and not in_process.exists()
     else:
         assert timeless(written.read_text()) == timeless(in_process.read_text())
-        assert printed.strip()
 
 
-def test_main_in_process_freezes_nothing(monkeypatch):
-    """Only the process entry point freezes the collector's objects: tests
-    call `main` in-process many times."""
-    import gc
+def test_entry_flushes_then_exits_with_mains_code(monkeypatch, capsys):
+    """`cli.entry` flushes what stdout and stderr still buffer, then ends the
+    process with `os._exit` and `main`'s code; `main` never exits, since
+    tests and perfbench's traced runs call it in-process."""
     import alloclab.cli as cli
 
-    before = gc.get_freeze_count()
-    assert main(["check", "--rule", "rsd", "--axiom", "continuity"]) == 0
-    assert gc.get_freeze_count() == before
-    monkeypatch.setattr(cli, "main", lambda: 1)
-    try:
-        with pytest.raises(SystemExit) as exit_:
-            cli.entry()
-        assert exit_.value.code == 1 and gc.get_freeze_count() > before
-    finally:
-        gc.unfreeze()
+    out, err, exits = io.BytesIO(), io.BytesIO(), []
+    monkeypatch.setattr(os, "_exit", lambda status: exits.append(
+        (status, out.getvalue(), err.getvalue())
+    ))
+    for argv, code in ((["check", "--rule", "rsd", "--axiom", "continuity"], 0),
+                       (["check", "--rule", "utilitarian", "--axiom", "continuity"], 1),
+                       (["check", "--rule", "nosuch", "--axiom", "continuity"], 2),
+                       (["--help"], 0)):
+        assert main(argv) == code
+    assert exits == []
+
+    def buffered():
+        print("report")
+        print("note", file=sys.stderr, end="")
+        return 1
+
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(out)))
+    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(io.BufferedWriter(err)))
+    monkeypatch.setattr(cli, "main", buffered)
+    cli.entry()
+    assert exits == [(1, b"report\n", b"note")]

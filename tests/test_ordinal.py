@@ -32,13 +32,17 @@ from alloclab import (
     validate_v_domain,
 )
 from alloclab.checkers import encoded
+from alloclab.core import Lottery, lowest_terms
 from alloclab.ordinal import (
+    DENOMINATOR,
     InconsistentBase,
+    random_canonical,
+    random_lottery,
     random_utility_consistent,
     sd_comparable_pair,
 )
 
-from conftest import utilities
+from conftest import fraction_separating_utility, utilities
 
 
 ABC = OrdinalPreference((0, 1, 2))
@@ -207,10 +211,32 @@ class TestUtilityFrom:
                 assert ordinal_of(u) is order
 
     def test_memo_is_bounded(self):
-        # Lemma sampling draws fresh rates on every trial.
+        # A caller may pass a fresh rate on every call.
         for k in range(1, 2001):
             utility_from(ABC, Fraction(k, 2001))
         assert utility_from.cache_info().currsize <= 1024
+
+
+class TestRandomCanonical:
+    FLOORS = [0, Fraction(1, 1024), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7),
+              Fraction(1023, 1024), Fraction(99, 100)]
+
+    @pytest.mark.parametrize("floor", FLOORS, ids=str)
+    def test_is_utility_from_at_the_drawn_rate(self, floor):
+        """One draw k, and `utility_from(order, floor + (1 - floor) *
+        k/DENOMINATOR)`'s integer form, in lowest terms, with the order set."""
+        for seed in range(300):
+            rng, replay = random.Random(seed), random.Random(seed)
+            order = rng.choice(all_orders(3))
+            assert replay.choice(all_orders(3)) is order
+            u = random_canonical(order, rng, floor)
+            mu = floor + (1 - floor) * Fraction(replay.randrange(1, DENOMINATOR), DENOMINATOR)
+            expected = utility_from.__wrapped__(order, mu)
+            assert rng.getstate() == replay.getstate()
+            assert type(u) is NormalizedUtility and u._ordinal is order
+            assert (u.den, u.nums) == (expected.den, expected.nums)
+            assert lowest_terms(u.den, u.nums) == (u.den, u.nums)
+            assert middle_rate(u) == mu > floor
 
 
 class TestSdCompare:
@@ -240,6 +266,26 @@ class TestSdCompare:
                 u = random_utility_consistent(order, rng)
                 assert expected_utility(u, p) > expected_utility(u, q)
             cases += 1
+
+
+def _separation_member(kind: int, order: OrdinalPreference, rng: random.Random):
+    """An eu member (kind 1) or an rdu member at exponent `kind`, on a base of
+    `order` that is a random positive affine image of a consistent utility,
+    so its values have several denominators and may be negative."""
+    base = random_utility_consistent(order, rng)
+    scale = Fraction(rng.randrange(1, 12), rng.randrange(1, 12))
+    shift = Fraction(rng.randrange(-12, 13), rng.randrange(1, 12))
+    base = BernoulliUtility(tuple(scale * v + shift for v in base.values))
+    return v_from_bernoulli(base) if kind == 1 else rdu_utility(order, base, kind)
+
+
+def _small_lottery(m: int, rng: random.Random) -> Lottery:
+    """`random_lottery` on weights 0 to 3, so equal cumulatives and zero
+    gaps are common."""
+    while True:
+        weights = [rng.randrange(4) for _ in range(m)]
+        if sum(weights):
+            return Lottery._trusted(sum(weights), tuple(weights))
 
 
 class TestSeparatingUtility:
@@ -288,6 +334,46 @@ class TestSeparatingUtility:
             u1 = separating_utility(v, p1, p2)
             assert ordinal_of(u1) == order
             assert expected_utility(u1, p1) > expected_utility(u1, p2)
+            done += 1
+
+    @pytest.mark.parametrize(
+        "p1, p2, separating",
+        [
+            # At delta = 1/2 the candidate (1, 1/2, 0) values p1 and p2
+            # alike, so delta is halved once more.
+            (["13/30", "2/15", "13/30"], ["1/3", "1/3", "1/3"], ["1", "1/4", "0"]),
+            # c's upper set {a, b} has cumulative gap 0, not a positive one,
+            # so the threshold is b.
+            (["1/2", "1/4", "1/4"], ["1/4", "1/2", "1/4"], ["1", "1/2", "0"]),
+        ],
+        ids=["zero-eu-gap", "zero-upper-set-gap"],
+    )
+    def test_a_zero_gap_is_not_positive(self, p1, p2, separating):
+        v = v_from_bernoulli(make_utility([3, 1, 0]))
+        u = separating_utility(v, make_lottery(p1), make_lottery(p2))
+        assert u.values == tuple(Fraction(x) for x in separating)
+
+    @pytest.mark.parametrize("kind", [1, 2, 3], ids=["eu", "rdu2", "rdu3"])
+    def test_matches_the_fraction_construction(self, kind):
+        """The integer construction returns the lowest-terms form of the
+        `Fraction` one (`conftest.fraction_separating_utility`), ranked as
+        the member, on seeded triples: lotteries on weights up to 360
+        and on weights up to 3."""
+        rng = random.Random(f"separating:{kind}")
+        done = 0
+        while done < 400:
+            order = rng.choice(all_orders(3))
+            member = _separation_member(kind, order, rng)
+            draw = random_lottery if done % 2 else _small_lottery
+            p1, p2 = draw(3, rng), draw(3, rng)
+            if sd_compare(p2, p1, order) in (SdVerdict.DOMINATES, SdVerdict.EQUAL):
+                with pytest.raises(PreconditionViolated):
+                    separating_utility(member, p1, p2)
+                continue
+            u, reference = separating_utility(member, p1, p2), fraction_separating_utility(member, p1, p2)
+            assert type(u) is BernoulliUtility and ordinal_of(u) == order
+            assert (u.den, u.nums) == (reference.den, reference.nums)
+            assert lowest_terms(u.den, u.nums) == (u.den, u.nums)
             done += 1
 
 
