@@ -37,18 +37,14 @@ every rule.
 A blend's Pass is certified from its parts' Passes on the same grid where it
 is certain: strategy-proofness whenever both parts pass, and non-bossiness
 of a blend with a cardinal part when its mix is also one-to-one within every
-deviation class (`rules._Mix.is_injective`). That test pairs a ranking
-part's own rows in each class (agent, others' orders), at most six, with
-the other part's possible rows, or every pair of the parts' possible rows
-when neither part reads only rankings. Every verdict of these two checks is
-recorded per (rule, grid) (`rules.VERDICTS`), so each part is judged once
-per grid. A certified Pass has the scan's coverage, and every Fail comes
-from a scan.
+deviation class (`rules._Mix.is_injective`), which pairs the parts' class
+rows (`rules.class_rows`). Every verdict of these two checks is recorded
+per (rule, grid) (`rules.VERDICTS`), so each part is judged once per grid.
+A certified Pass has the scan's coverage, and every Fail comes from a scan.
 
-Continuity reads a rule's outputs along a path from a table per rule and
-path (`rules.PATH_OUTPUTS`), so a blend's entries are the mixes of its
-parts' and every check of a path shares them. `rules.forget` frees both
-tables with every other memo.
+Continuity reads a rule's outputs along a path through the rule's reader
+for the path (`rules.path_reader`), so every check of a path shares them.
+`rules.forget` frees the verdicts and the path tables with every other memo.
 """
 
 from __future__ import annotations
@@ -58,7 +54,7 @@ import json
 import random
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     ONE,
@@ -86,7 +82,7 @@ from .ordinal import (
     sd_compare,
     utility_from,
 )
-from .rules import PATH_OUTPUTS, VERDICTS, Rule, cell_outputs, mix_of
+from .rules import VERDICTS, Rule, block_slice, cell_outputs, mix_of, path_reader
 
 
 class NotOrdinal(ValueError):
@@ -493,16 +489,17 @@ def check_sd_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
     outputs = cell_outputs(rule)
     orders = all_orders(3)
     coverage = "cells=216; ordinal deviations=6 per agent"
-    cells = list(itertools.product(orders, repeat=3))
-    position = {cell: index for index, cell in enumerate(cells)}
-    for index, truth_orders in enumerate(cells):
+    # A cell index moves by the agent's stride from one of its orders to the
+    # next, as along the agent's deviation blocks (`rules.block_slice`).
+    strides = [block_slice(6, agent, 0, 0).step for agent in range(3)]
+    for index, truth_orders in enumerate(itertools.product(orders, repeat=3)):
         truthful = outputs[index]
-        for agent in range(3):
-            for deviation in orders:
-                if deviation == truth_orders[agent]:
+        for agent, stride in enumerate(strides):
+            own = index // stride % 6
+            for k, deviation in enumerate(orders):
+                if k == own:
                     continue
-                cell = truth_orders[:agent] + (deviation,) + truth_orders[agent + 1 :]
-                deviated = outputs[position[cell]]
+                deviated = outputs[index + (k - own) * stride]
                 verdict = sd_compare(
                     truthful.row(agent), deviated.row(agent), truth_orders[agent]
                 )
@@ -539,10 +536,9 @@ def check_ncc_continuity(
     covers only the intervals resolved.
 
     The budget counts the points this call probes. Their outputs are read
-    from the rule's table for the path (`_path_reader`), which keeps the
-    outputs of every check of the same path and rule, and a blend's entry
-    is the mix of its parts' entries; each entry is the object
-    `rule.allocate` gives at that point.
+    through the rule's reader for the path (`rules.path_reader`), which
+    keeps the outputs of every check of the same path and rule; each is the
+    object `rule.allocate` gives at that point.
     """
     end0, end1 = endpoints
     if ordinal_of(end0) != ordinal_of(end1):
@@ -582,7 +578,7 @@ def check_ncc_continuity(
         agent, tuple([(type(u), u.den, u.nums) for u in others]),
         den, tuple(start), tuple(end), scale,
     )
-    read = _path_reader(rule, path, profile_at)
+    read = path_reader(rule, path, profile_at)
 
     def alloc_at(k: int) -> Allocation:
         alloc = cache.get(k)
@@ -628,39 +624,6 @@ def check_ncc_continuity(
     if capped:
         coverage += PROBE_CAP_NOTE
     return Verdict(witness, coverage)
-
-
-def _path_reader(
-    rule: Rule, path: tuple, profile_at: Callable[[int], UtilityProfile]
-) -> Callable[[int], Allocation]:
-    """The reader of `rule`'s output at point k of `path`, whose profile is
-    ``profile_at(k)``, through the rule's table for the path, filled as it
-    is read (`rules.PATH_OUTPUTS`). A blend's entry is the mix of its parts'
-    entries (`rules._Mix.mix`), read through theirs, which is the object its
-    `allocate` gives; when a part raises, the blend is allocated there, so
-    it raises what, and where, `allocate` raises."""
-    table = PATH_OUTPUTS.setdefault((rule, path), {})
-    mix = mix_of(rule)
-    if mix is None:
-        def compute(k: int) -> Allocation:
-            return rule.allocate(profile_at(k))
-    else:
-        first = _path_reader(mix.first, path, profile_at)
-        second = _path_reader(mix.second, path, profile_at)
-
-        def compute(k: int) -> Allocation:
-            try:
-                return mix.mix(first(k), second(k))
-            except Exception:
-                return rule.allocate(profile_at(k))
-
-    def read(k: int) -> Allocation:
-        alloc = table.get(k)
-        if alloc is None:
-            alloc = table[k] = compute(k)
-        return alloc
-
-    return read
 
 
 def default_efficiency_profiles(config: CheckConfig) -> list[UtilityProfile]:

@@ -23,12 +23,14 @@ deviation block of outputs at a time and builds no key per profile: a
 ranking rule reads its cell outputs, utilitarian takes an integer argmax
 per cell into a table per grid, and a blend with a cardinal part mixes its
 parts' blocks into a table of its own (`GridTable`).
-The checkers read grid outputs only through blocks. A rule's possible rows
-(`possible_rows`) are every row it can give an agent, where they are known,
-and a ranking rule's class rows (`class_rows`) the rows it can give one
-agent within one deviation class; a blend whose mix is one-to-one within
-every class (`_Mix.is_injective`) has its non-bossiness certified from its
-parts'.
+Every block is one line of a count^3 table (`block_slice`). The checkers
+read grid outputs only through blocks, and a rule's outputs along a
+continuity path through its table for the path (`path_reader`), where a
+blend's entries are mixes of its parts'. A rule's class rows (`class_rows`)
+are the rows it can give one agent within one deviation class, where they
+are known: a ranking rule's per class, utilitarian's three unit rows in one
+class; a blend whose mix is one-to-one on every pair of its parts' classes
+(`_Mix.is_injective`) has its non-bossiness certified from its parts'.
 
 Rule outputs are canonical (`_canonical`): equal outputs are one object,
 and so are equal rows, so the checkers compare outputs and rows by identity.
@@ -73,8 +75,8 @@ class AlphaOutOfRange(ValueError):
 
 
 # The process's memos, freed together by `forget`: canonical rows by integer
-# form and allocations by row ids, a blend's mixes, the checkers' verdicts
-# and path tables, and every `_memo` table. An id key is always that of an
+# form and allocations by row ids, a blend's mixes, the checkers' verdicts,
+# the path tables, and every `_memo` table. An id key is always that of an
 # object the intern tables keep alive, so no id is read after it is freed.
 _ROWS: dict[tuple[int, tuple[int, ...]], Lottery] = {}
 _ALLOCATIONS: dict[tuple[int, ...], Allocation] = {}
@@ -82,8 +84,8 @@ _CANONICAL: set[int] = set()
 _MIXES: dict[tuple[_Mix, int, int], Allocation] = {}
 _MIXED_ROWS: dict[tuple[_Mix, int, int], Lottery] = {}
 VERDICTS: dict[tuple[Callable, Rule, tuple], bool] = {}
-PATH_OUTPUTS: dict[tuple[Rule, tuple], dict[int, Allocation]] = {}
-_MEMOS = [_ROWS, _ALLOCATIONS, _CANONICAL, _MIXES, _MIXED_ROWS, VERDICTS, PATH_OUTPUTS]
+_PATH_OUTPUTS: dict[tuple[Rule, tuple], dict[int, Allocation]] = {}
+_MEMOS = [_ROWS, _ALLOCATIONS, _CANONICAL, _MIXES, _MIXED_ROWS, VERDICTS, _PATH_OUTPUTS]
 
 
 def forget() -> None:
@@ -363,6 +365,50 @@ def cell_outputs(rule: Rule) -> tuple[Allocation, ...]:
     return tuple([rule.allocate(profile) for profile in itertools.product(mids, repeat=3)])
 
 
+def path_reader(
+    rule: Rule, path: tuple, profile_at: Callable[[int], UtilityProfile]
+) -> Callable[[int], Allocation]:
+    """The reader of `rule`'s output at point k of `path`, whose profile is
+    ``profile_at(k)``, through the rule's table for the path, filled as it
+    is read and kept until `forget`. A blend's entry is the mix of its
+    parts' entries (`_Mix.mix`), read through theirs, which is the object
+    its `allocate` gives; when a part raises, the blend is allocated there,
+    so it raises what, and where, `allocate` raises."""
+    table = _PATH_OUTPUTS.setdefault((rule, path), {})
+    mix = mix_of(rule)
+    if mix is None:
+        def compute(k: int) -> Allocation:
+            return rule.allocate(profile_at(k))
+    else:
+        first = path_reader(mix.first, path, profile_at)
+        second = path_reader(mix.second, path, profile_at)
+
+        def compute(k: int) -> Allocation:
+            try:
+                return mix.mix(first(k), second(k))
+            except Exception:
+                return rule.allocate(profile_at(k))
+
+    def read(k: int) -> Allocation:
+        alloc = table.get(k)
+        if alloc is None:
+            alloc = table[k] = compute(k)
+        return alloc
+
+    return read
+
+
+def block_slice(count: int, agent: int, i: int, j: int) -> slice:
+    """Where deviation block (agent, i, j) lies in a table over a
+    three-agent grid of `count` cells indexed by the profile's cell triple,
+    a*count^2 + b*count + c: the other two agents, in agent order, at cells
+    i and j, and `agent` at each cell in turn."""
+    strides = (count * count, count, 1)
+    stride_i, stride_j = strides[:agent] + strides[agent + 1 :]
+    start, stride = i * stride_i + j * stride_j, strides[agent]
+    return slice(start, start + count * stride, stride)
+
+
 def _ranking_blocks(rule: Rule, cells: Sequence[NormalizedUtility]) -> Block:
     """Blocks of a rule whose key reads only rankings, read off its cell
     outputs (`cell_outputs`): a profile's output is that of its ordinal
@@ -370,12 +416,10 @@ def _ranking_blocks(rule: Rule, cells: Sequence[NormalizedUtility]) -> Block:
     outputs = cell_outputs(rule)
     index = {order: k for k, order in enumerate(all_orders(3))}
     orders = [index[ordinal_of(cell)] for cell in cells]
-    strides = (36, 6, 1)
 
     def block(agent: int, i: int, j: int) -> list[Allocation]:
-        stride_i, stride_j = strides[:agent] + strides[agent + 1 :]
-        base, stride = orders[i] * stride_i + orders[j] * stride_j, strides[agent]
-        return [outputs[base + order * stride] for order in orders]
+        line = outputs[block_slice(6, agent, orders[i], orders[j])]
+        return [line[order] for order in orders]
 
     return block
 
@@ -439,7 +483,8 @@ class _Mix:
     most |outputs of first| * |outputs of second| matrices, and each pair of
     their rows once (`_MIXED_ROWS`). Its parts' tabulated outputs are mixed
     through the same tables: their blocks (`Rule.blocks`), cell outputs
-    (`cell_outputs`) and outputs along a path (`checkers._path_reader`)."""
+    (`cell_outputs`) and outputs along a path (`path_reader`), and its
+    injectivity is tested on their class rows (`class_rows`)."""
 
     __slots__ = ("first", "second", "alpha", "key")
 
@@ -469,26 +514,18 @@ class _Mix:
         """Whether mixing at alpha is one-to-one within every deviation
         class (one agent, fixed orders of the other two), so that equal
         mixed own rows in a class mean equal part rows; False when a part's
-        rows are not known. The pairs tested are a ranking part's own rows
-        in each class (`class_rows`), at most six, times the other part's
-        possible rows (`possible_rows`), or, when neither part reads only
-        rankings, every pair of the parts' possible rows. Rows are
-        canonical, so the mixed rows are counted by identity."""
-        first, second = self.first, self.second
-        if first.reads_only_rankings:
-            other = possible_rows(second)
-            pairs = [(own, other) for own in class_rows(first)]
-        elif second.reads_only_rankings:
-            other = possible_rows(first)
-            pairs = [(other, own) for own in class_rows(second)]
-        else:
-            pairs = [(possible_rows(first), possible_rows(second))]
-        for ps, qs in pairs:
-            if ps is None or qs is None:
-                return False
-            if len({id(self.mix_row(p, q)) for p in ps for q in qs}) != len(ps) * len(qs):
-                return False
-        return True
+        class rows (`class_rows`) are not known. Each class of the first
+        part is tested with each class of the second, which covers the
+        pair that meets in any one deviation class. Rows are canonical, so
+        the mixed rows are counted by identity."""
+        firsts, seconds = class_rows(self.first), class_rows(self.second)
+        if firsts is None or seconds is None:
+            return False
+        return all(
+            len({id(self.mix_row(p, q)) for p in ps for q in qs}) == len(ps) * len(qs)
+            for ps in firsts
+            for qs in seconds
+        )
 
     def blocks(self, cells: Sequence[NormalizedUtility]) -> Block:
         first, second = self.first.blocks(cells), self.second.blocks(cells)
@@ -499,14 +536,15 @@ class _Mix:
 
 class GridTable:
     """A rule's allocations over a three-agent grid of `count` cells, indexed
-    by the profile's cell triple (a*count^2 + b*count + c): one reference
-    per grid profile (1,728 at 2 rates, 74,088 on the default grid, 216,000
-    at the 10-rate cap). It is filled lazily by a block allocator
-    (`Rule.blocks`), which is called once per block that holds an entry
-    not yet filled, and fills the whole block; so the three agents' blocks
-    share its entries, and a compute that raises raises at the first block
-    that needs it. A blend with a cardinal part and the per-cell allocator
-    fill one per check, and utilitarian one per grid (`_utilitarian_blocks`)."""
+    by the profile's cell triple, so that each block is one slice
+    (`block_slice`): one reference per grid profile (1,728 at 2 rates,
+    74,088 on the default grid, 216,000 at the 10-rate cap). It is filled
+    lazily by a block allocator (`Rule.blocks`), which is called once per
+    block that holds an entry not yet filled, and fills the whole block; so
+    the three agents' blocks share its entries, and a compute that raises
+    raises at the first block that needs it. A blend with a cardinal part
+    and the per-cell allocator fill one per check, and utilitarian one per
+    grid (`_utilitarian_blocks`)."""
 
     __slots__ = ("count", "entries", "allocator")
 
@@ -517,12 +555,7 @@ class GridTable:
 
     def block(self, agent: int, i: int, j: int) -> list[Allocation]:
         """Deviation block (agent, i, j), as `Rule.blocks` lists it."""
-        count = self.count
-        strides = (count * count, count, 1)
-        stride = strides[agent]
-        stride_i, stride_j = strides[:agent] + strides[agent + 1 :]
-        base = i * stride_i + j * stride_j
-        entries = slice(base, base + count * stride, stride)
+        entries = block_slice(self.count, agent, i, j)
         allocations = self.entries[entries]
         if not all(allocations):  # an allocation is truthy, an unfilled entry None
             allocations = self.entries[entries] = self.allocator(agent, i, j)
@@ -536,43 +569,27 @@ def mix_of(rule: Rule) -> _Mix | None:
     return compute if isinstance(compute, _Mix) and rule.key is compute.key else None
 
 
-def possible_rows(rule: Rule) -> list[Lottery] | None:
-    """Every row `rule` can give an agent at three agents, each canonical
-    row once, or None when that is not known. A ranking rule's are the rows
-    of its cell outputs (`cell_outputs`), utilitarian's the three unit rows
-    of its permutation matrices, and a blend's the mixed rows of its parts'
-    possible rows; a custom rule has none."""
-    mix = mix_of(rule)
-    if rule.reads_only_rankings:
-        rows = [row for alloc in cell_outputs(rule) for row in alloc._lotteries]
-    elif _is_utilitarian(rule):
-        rows = _permutation_allocation((0, 1, 2))._lotteries
-    elif mix is not None:
-        first, second = possible_rows(mix.first), possible_rows(mix.second)
-        if first is None or second is None:
-            return None
-        rows = [mix.mix_row(p, q) for p in first for q in second]
-    else:
-        return None
-    return list({id(row): row for row in rows}.values())
-
-
 @_memo
-def class_rows(rule: Rule) -> list[list[Lottery]]:
-    """The own rows that `rule`, which reads only rankings, gives one agent
-    within one deviation class (the agent's 6 orders, fixed orders of the
-    other two), read off its cell outputs (`cell_outputs`): at most six
-    canonical rows per class, each distinct set of them once, memoized per
-    rule."""
+def class_rows(rule: Rule) -> list[list[Lottery]] | None:
+    """The own rows that `rule` can give one agent within one deviation
+    class (the agent's 6 orders, fixed orders of the other two), each
+    distinct set of canonical rows once, or None when they are not known;
+    memoized per rule. A ranking rule's are read off its cell outputs
+    (`cell_outputs`), at most six rows in each of its 108 classes, and
+    utilitarian's are its three unit rows in one class, since it can give
+    any of them in each; any other rule's, a blend with a cardinal part
+    among them, are not known."""
+    if _is_utilitarian(rule):
+        return [list(_permutation_allocation((0, 1, 2))._lotteries)]
+    if not rule.reads_only_rankings:
+        return None
     outputs = cell_outputs(rule)
     found: dict[frozenset[int], list[Lottery]] = {}
-    for agent, stride in enumerate((36, 6, 1)):
-        for base in range(216):
-            if base // stride % 6 == 0:
-                rows = {id(row): row for row in (
-                    outputs[base + order * stride]._lotteries[agent] for order in range(6)
-                )}
-                found.setdefault(frozenset(rows), list(rows.values()))
+    for agent, i, j in itertools.product(range(3), range(6), range(6)):
+        rows = {id(row): row for row in (
+            alloc._lotteries[agent] for alloc in outputs[block_slice(6, agent, i, j)]
+        )}
+        found.setdefault(frozenset(rows), list(rows.values()))
     return list(found.values())
 
 

@@ -194,6 +194,10 @@ class TestEfficiency:
         assert check_efficiency(RSD, [profile]).passed
         assert check_efficiency(PS, [profile]).passed
 
+    def test_no_profiles_is_refused(self):
+        with pytest.raises(ValueError, match="at least one profile"):
+            check_efficiency(RSD, [])
+
 
 def _manipulation_reference(agent, others, cells, allocations):
     """The judge's `Fraction` formula: the first truth, then the first
@@ -304,6 +308,11 @@ class TestNonBossiness:
         assert hashlib.sha256(report.encode()).hexdigest() == (
             "7bc5dc87792c9433646702c77dd4094546791bc2fdc38ff82ce2acde79e01553"
         )
+
+
+def test_a_value_without_a_report_form_is_refused():
+    with pytest.raises(TypeError, match="object has no report form"):
+        checkers.encode(object())
 
 
 RANKING_RULES = [
@@ -816,16 +825,18 @@ class TestBlendCertificates:
         assert check_non_bossiness(blend_rule(SERIAL, SECOND_FIRST, F(1, 3)), config).passed
         # Those blends read only rankings, so they are always scanned. At
         # weight 1 a blend with utilitarian allocates as its first part on
-        # a cardinal key, so the blends of these twins reach the certificate.
+        # a cardinal key. The class rows of such a blend are not known, so
+        # the blends of these twins are scanned too, with the same reports.
         twins = [blend_rule(rule, UTILITARIAN, F(1)) for rule in (SERIAL, SECOND_FIRST)]
         assert all(check_non_bossiness(twin, config).passed for twin in twins)
         halves, thirds = (blend_rule(*twins, alpha) for alpha in (F(1, 2), F(1, 3)))
         assert not halves.reads_only_rankings
-        assert not mix_of(halves).is_injective() and mix_of(thirds).is_injective()
+        assert rules_module.class_rows(twins[0]) is None
+        assert not mix_of(halves).is_injective() and not mix_of(thirds).is_injective()
         judged = self._spy_bossiness(monkeypatch)
         assert check_non_bossiness(halves, config).to_dict() == bossy.to_dict()
         assert judged == [0]
-        assert check_non_bossiness(thirds, config).passed and judged == [0]
+        assert check_non_bossiness(thirds, config).passed and len(judged) == 1 + 3 * 12**2
 
     def test_forget_empties_the_verdict_record(self, monkeypatch):
         # A blend checked right after `forget` judges its parts on demand,
@@ -865,13 +876,12 @@ REVERSE_DICTATORSHIP = Rule("reverse-dictatorship-test", RSD.key, _reverse_dicta
 
 class TestClassCertificates:
     """A blend with a ranking part has its non-bossiness certified when its
-    mix is one-to-one within every deviation class: the ranking part's own
-    rows in the class times the other part's possible rows. Every report
-    must be the scan's, and every Fail must come from it."""
+    mix is one-to-one within every deviation class: on every pair of the
+    parts' class rows (`rules.class_rows`). Every report must be the
+    scan's, and every Fail must come from it."""
 
-    # The blends at tenths whose mix confuses two pairs of the parts'
-    # possible rows, and the ones among them whose classes keep every pair
-    # apart.
+    # The blends at tenths whose mix confuses two pairs of the parts' rows,
+    # and the ones among them whose classes keep every pair apart.
     NON_INJECTIVE = [
         "blend:rsd:utilitarian:1/2", "blend:ps:utilitarian:1/2",
         "blend:utilitarian:rsd:1/2", "blend:utilitarian:ps:1/2",
@@ -886,14 +896,17 @@ class TestClassCertificates:
         (F(3, 4), F(1, 10), F(1, 2)),  # unsorted
     ]
 
+    @staticmethod
+    def _rows(rule) -> list:
+        """Every row `rule` gives an agent: each row of its classes once."""
+        classes = rules_module.class_rows(rule)
+        return list({id(row): row for rows in classes for row in rows}.values())
+
     def test_the_classes_keep_only_the_half_blends_apart(self):
         for spec in self.NON_INJECTIVE:
             mix = mix_of(rule_by_name(spec))
-            pairs = [
-                mix.mix_row(p, q)
-                for p in rules_module.possible_rows(mix.first)
-                for q in rules_module.possible_rows(mix.second)
-            ]
+            firsts, seconds = self._rows(mix.first), self._rows(mix.second)
+            pairs = [mix.mix_row(p, q) for p in firsts for q in seconds]
             assert len(set(map(id, pairs))) < len(pairs)
             assert mix.is_injective() == (spec in self.CERTIFIED)
 
@@ -952,6 +965,19 @@ class TestClassCertificates:
             want |= set(map(frozenset, classes.values()))
         got = [frozenset(map(id, rows)) for rows in rules_module.class_rows(rule)]
         assert set(got) == want and len(got) == len(want)
+
+    def test_utilitarian_has_one_class_of_the_rows_its_blocks_give(self):
+        # Utilitarian's own rows in a deviation block are unit rows, and
+        # some block gives all three, so no smaller class would hold them.
+        (unit_rows,) = rules_module.class_rows(UTILITARIAN)
+        cells = grid_cells(CheckConfig(mu_grid=REDUCED_GRIDS[1]))
+        block = UTILITARIAN.blocks(cells)
+        counts = set()
+        for agent, i, j in itertools.product(range(3), range(len(cells)), range(len(cells))):
+            own = {id(alloc.row(agent)) for alloc in block(agent, i, j)}
+            assert own <= set(map(id, unit_rows))
+            counts.add(len(own))
+        assert len(unit_rows) == 3 and 3 in counts
 
 
 class TestOrdinality:
@@ -1249,7 +1275,7 @@ class TestContinuity:
 
 
 def _per_call_reader(rule, path, profile_at):
-    """`checkers._path_reader` with no table: the rule allocated at each
+    """`rules.path_reader` with no table: the rule allocated at each
     point a check probes, as every check did before the tables."""
     return lambda k: rule.allocate(profile_at(k))
 
@@ -1290,7 +1316,7 @@ class TestPathTables:
     def _checked_reader(monkeypatch):
         """Make every table read also check that its entry is the object
         `allocate` gives at the point."""
-        real = checkers._path_reader
+        real = rules_module.path_reader
 
         def checked(rule, path, profile_at):
             read = real(rule, path, profile_at)
@@ -1302,7 +1328,8 @@ class TestPathTables:
 
             return verified
 
-        monkeypatch.setattr(checkers, "_path_reader", checked)
+        for module in (rules_module, checkers):  # a blend's parts, and the check's own read
+            monkeypatch.setattr(module, "path_reader", checked)
 
     def test_reports_match_allocating_each_probe(self, monkeypatch):
         blends = [
@@ -1325,7 +1352,7 @@ class TestPathTables:
         forget()
         self._checked_reader(monkeypatch)
         tabled = reports()
-        monkeypatch.setattr(checkers, "_path_reader", _per_call_reader)
+        monkeypatch.setattr(checkers, "path_reader", _per_call_reader)
         assert tabled == reports()
         statuses = {report["status"] for report in tabled}
         assert statuses == {"Pass", "Fail"}

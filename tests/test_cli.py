@@ -643,6 +643,11 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(argv, capsys):
         (["lemma", "--lemma", "L4", "--rule", "rsd", "--trials", "x", "--seed", "1"],
          "argument --trials: invalid int value: 'x'"),
         ([], "the following arguments are required: command"),
+        (["check", "--rule", "blend:rsd:ps", "--axiom", "ordinality", "--grid", "1/2",
+          "--seed", "1"], "blend spec must be blend:<rule>:<rule>:<p/q>"),
+        (["lemma", "--lemma", "L99", "--seed", "1"], "--lemma must be one of"),
+        (["lemma", "--lemma", "L1", "--seed", "1"], "L1_effectively_same needs a rule"),
+        (["decompose", "--matrix", "@no-such-directory/matrix.json"], "cannot read matrix file"),
     ],
 )
 def test_argument_parser_errors_print_one_line(argv, message, capsys):

@@ -48,7 +48,7 @@ from alloclab import (
 )
 from alloclab import core, rules
 from alloclab.bvn import random_bistochastic
-from alloclab.core import BernoulliUtility, degenerate_lottery, parse_fraction
+from alloclab.core import BernoulliUtility, degenerate_lottery, distance_form, parse_fraction
 from alloclab.harness import _random_affine
 from alloclab.ordinal import (
     DENOMINATOR,
@@ -114,6 +114,10 @@ class TestAllocation:
         a = uniform_allocation(3)
         b = make_allocation([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert allocation_distance(a, b) == Fraction(2, 3)
+
+    def test_distance_needs_one_size(self):
+        with pytest.raises(DimensionMismatch, match="allocations differ in size"):
+            distance_form(uniform_allocation(3), uniform_allocation(2))
 
 
 # Malformed inputs and the one message each must raise: the first fault in

@@ -30,7 +30,7 @@ from alloclab.core import (
     uniform_allocation,
 )
 from alloclab.harness import default_v_profiles, exploration_stress
-from alloclab.checkers import report_json
+from alloclab.checkers import Verdict, report_json
 from alloclab.cli import main
 from alloclab.ordinal import (
     VUtility,
@@ -318,6 +318,23 @@ class TestTheoremStress:
         for axiom in ("strategy_proofness", "non_bossiness", "continuity", "ordinality"):
             assert verdicts[axiom]["status"] == "Pass"
         assert report.metamorphic_violations == []
+
+    def test_a_rule_passing_the_four_axioms_but_not_ordinality_is_flagged(
+        self, monkeypatch, capsys
+    ):
+        # No three-agent rule is flagged, so ordinality is made to fail here;
+        # dictatorship passes the four axioms on this grid.
+        def fails(rule, config):
+            return Verdict({"cell": "stubbed"}, "stubbed")
+
+        monkeypatch.setattr(harness, "check_ordinality", fails)
+        argv = ["stress", "--rules", "dictatorship", "--grid", "1/4,3/4", "--seed", "1"]
+        assert main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["metamorphic_violations"] == ["dictatorship"]
+        assert report["verdicts"]["dictatorship"]["ordinality"]["status"] == "Fail"
+        for axiom in ("efficiency", "strategy_proofness", "non_bossiness", "continuity"):
+            assert report["verdicts"]["dictatorship"][axiom]["status"] == "Pass"
 
     def test_family_report_bytes_are_pinned(self, capsys):
         # seed 3's family holds seven blends with utilitarian, in both

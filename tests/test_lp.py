@@ -209,6 +209,11 @@ class TestFindDominating:
         better = find_dominating(abc_profile, uniform_allocation(3))
         assert better is not None
         assert dominates(abc_profile, better, uniform_allocation(3))
+        assert not dominates(abc_profile, uniform_allocation(3), better)
+
+    def test_an_allocation_of_another_size_is_malformed(self, abc_profile):
+        with pytest.raises(MalformedProgram, match="allocation size differs from profile"):
+            find_dominating(abc_profile, uniform_allocation(4))
 
     def test_sum_maximizer_is_undominated(self, abc_profile):
         objective = tuple(u.values for u in abc_profile)

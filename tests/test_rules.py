@@ -694,7 +694,7 @@ class TestForget:
                 assert output == mix_allocations(*parts, mix.alpha)
             return output
 
-        real = checkers._path_reader
+        real = rules.path_reader
 
         def checked(rule, path, profile_at):
             read = real(rule, path, profile_at)
@@ -706,7 +706,8 @@ class TestForget:
 
             return verified
 
-        monkeypatch.setattr(checkers, "_path_reader", checked)
+        for module in (rules, checkers):  # a blend's parts, and the check's own read
+            monkeypatch.setattr(module, "path_reader", checked)
         config = CheckConfig(continuity_interval_delta=F(1, 64))
         for blends in [ranking] * 8 + [cardinal] * 2:
             forget()
