@@ -38,9 +38,11 @@ A blend's Pass is certified from its parts' Passes on the same grid where it
 is certain: strategy-proofness whenever both parts pass, and non-bossiness
 of a blend with a cardinal part when its mix is also one-to-one within every
 deviation class (`rules._Mix.is_injective`), which pairs the parts' class
-rows (`rules.class_rows`). Every verdict of these two checks is recorded
-per (rule, grid) (`rules.VERDICTS`), so each part is judged once per grid.
-A certified Pass has the scan's coverage, and every Fail comes from a scan.
+rows (`rules.class_rows`). Both checks are memoized per (rule, config)
+(`rules.memo`), so each part is judged once per config. A certified Pass
+has the scan's coverage, and every Fail comes from a scan. A memoized
+`Verdict` is shared by every caller: none may mutate a strategy-proofness
+or non-bossiness verdict or its witness.
 
 Continuity reads a rule's outputs along a path through the rule's reader
 for the path (`rules.path_reader`), so every check of a path shares them.
@@ -82,7 +84,7 @@ from .ordinal import (
     sd_compare,
     utility_from,
 )
-from .rules import VERDICTS, Rule, block_slice, cell_outputs, mix_of, path_reader
+from .rules import Rule, block_slice, cell_outputs, memo, mix_of, path_reader
 
 
 class NotOrdinal(ValueError):
@@ -121,7 +123,7 @@ class CheckConfig(Frozen):
                  samples_per_cell: int = 2, seed: int = 0,
                  continuity_gap_tau: Fraction = Fraction(1, 10**6),
                  continuity_interval_delta: Fraction = Fraction(1, 10**9)):
-        self._set(mu_grid, samples_per_cell, seed, continuity_gap_tau,
+        self._set(tuple(mu_grid), samples_per_cell, seed, continuity_gap_tau,
                   continuity_interval_delta)
         if not self.mu_grid:
             raise ValueError("grid needs at least one value")
@@ -138,6 +140,11 @@ class CheckConfig(Frozen):
             raise TypeError(f"samples per cell must be an int, got {samples!r}")
         if samples < 0:
             raise ValueError(f"samples per cell must be 0 or more, got {samples}")
+
+    def __hash__(self) -> int:
+        # The checks' memo key: the grid hashes in an eighth of the time of
+        # every field, whose `Fraction`s hash slowly. Equality reads every field.
+        return hash(self.mu_grid)
 
 
 class Verdict(Fields):
@@ -279,29 +286,11 @@ def _scan_blocks(rule: Rule, config: CheckConfig, judge) -> Verdict:
     return Verdict(None, coverage)
 
 
-def _judged(check, rule: Rule, config: CheckConfig, judge, certified: bool) -> Verdict:
-    """`rule`'s verdict under `check`: the full sweep's Pass when
-    `certified`, else the scan's (`_scan_blocks`); recorded either way
-    (`rules.VERDICTS`), so a blend's parts are judged once per grid."""
-    if certified:
-        verdict = Verdict(None, _block_sweep(config))
-    else:
-        verdict = _scan_blocks(rule, config, judge)
-    VERDICTS[check, rule, tuple(config.mu_grid)] = verdict.passed
-    return verdict
-
-
 def _parts_pass(check, mix, config: CheckConfig) -> bool:
     """Whether both parts of the blend whose compute is `mix` pass `check`
-    on the grid; a part that `check` has not judged on it yet is judged
-    now."""
-    for part in (mix.first, mix.second):
-        passed = VERDICTS.get((check, part, tuple(config.mu_grid)))
-        if passed is None:
-            passed = check(part, config).passed
-        if not passed:
-            return False
-    return True
+    on the config's grid, through `check`'s memo, so each part is judged
+    once per (rule, config)."""
+    return check(mix.first, config).passed and check(mix.second, config).passed
 
 
 def _manipulation(agent, others, cells, allocations) -> dict | None:
@@ -368,6 +357,7 @@ def _bossiness(agent, others, cells, allocations) -> dict | None:
     return None
 
 
+@memo
 def check_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
     """Exact weak-inequality test over every grid profile, agent, and
     single-agent grid deviation.
@@ -382,6 +372,9 @@ def check_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
     expected utility is linear in the allocation, so a deviation that gains
     nothing in either part gains nothing in their mix. Its Pass is the one
     the scan would report."""
+    mix = mix_of(rule)
+    if mix is not None and _parts_pass(check_strategy_proofness, mix, config):
+        return Verdict(None, _block_sweep(config))
     clean: set[tuple[int, ...]] = set()
 
     def judge(agent, others, cells, allocations):
@@ -393,11 +386,10 @@ def check_strategy_proofness(rule: Rule, config: CheckConfig) -> Verdict:
             clean.add(rows)
         return witness
 
-    mix = mix_of(rule)
-    certified = mix is not None and _parts_pass(check_strategy_proofness, mix, config)
-    return _judged(check_strategy_proofness, rule, config, judge, certified)
+    return _scan_blocks(rule, config, judge)
 
 
+@memo
 def check_non_bossiness(rule: Rule, config: CheckConfig) -> Verdict:
     """Whenever a deviation leaves the deviator's own row unchanged, the full
     matrix must be unchanged.
@@ -410,13 +402,14 @@ def check_non_bossiness(rule: Rule, config: CheckConfig) -> Verdict:
     mixes. Its Pass is the one the scan would report. A blend of two ranking
     rules is scanned, one block per class, which costs less than that test."""
     mix = mix_of(rule)
-    certified = (
+    if (
         mix is not None
         and not rule.reads_only_rankings
         and mix.is_injective()
         and _parts_pass(check_non_bossiness, mix, config)
-    )
-    return _judged(check_non_bossiness, rule, config, _bossiness, certified)
+    ):
+        return Verdict(None, _block_sweep(config))
+    return _scan_blocks(rule, config, _bossiness)
 
 
 def cell_twin_witness(
@@ -535,7 +528,8 @@ def check_ncc_continuity(
     interval is resolved, the coverage ends with PROBE_CAP_NOTE and a Pass
     covers only the intervals resolved.
 
-    The budget counts the points this call probes. Their outputs are read
+    The budget counts the points this call probes: the two ends and each
+    split's midpoint, filled in the path's table or not. Every point is read
     through the rule's reader for the path (`rules.path_reader`), which
     keeps the outputs of every check of the same path and rule; each is the
     object `rule.allocate` gives at that point.
@@ -557,7 +551,6 @@ def check_ncc_continuity(
     while delta.denominator >= delta.numerator << depth:
         depth += 1
     scale = 1 << depth
-    cache: dict[int, Allocation] = {}
     # The endpoints over one denominator: alpha = a/b in lowest terms moves
     # to ((b - a) * start + a * end) / (b * den), which keeps the cone's
     # strict ranking, so it is built trusted with that ranking.
@@ -580,24 +573,19 @@ def check_ncc_continuity(
     )
     read = path_reader(rule, path, profile_at)
 
-    def alloc_at(k: int) -> Allocation:
-        alloc = cache.get(k)
-        if alloc is None:
-            alloc = cache[k] = read(k)
-        return alloc
-
     # Depth-first bisection, left half first, on an explicit stack so that a
     # tiny delta cannot exhaust the interpreter's recursion limit. Each split
-    # costs one evaluation (its midpoint); none is made once MAX_PATH_PROBES
-    # are spent, but pending intervals are still tested on their cached ends.
-    # Outputs are canonical and tau > 0, so ends that are one object have no
-    # gap to measure.
+    # costs one probe (its midpoint); none is made once MAX_PATH_PROBES are
+    # spent, but pending intervals are still tested on their ends, which are
+    # probed already. Outputs are canonical and tau > 0, so ends that are one
+    # object have no gap to measure.
     witness = None
     capped = False
+    probes = 2
     pending = [(0, scale)]
     while pending:
         lo, hi = pending.pop()
-        left, right = alloc_at(lo), alloc_at(hi)
+        left, right = read(lo), read(hi)
         if left is right:
             continue
         gap, gap_den = distance_form(left, right)
@@ -613,9 +601,10 @@ def check_ncc_continuity(
                 "allocation_high": right,
             }
             break
-        if len(cache) >= MAX_PATH_PROBES:
+        if probes >= MAX_PATH_PROBES:
             capped = True
             continue
+        probes += 1
         mid = (lo + hi) >> 1
         pending += ((mid, hi), (lo, mid))
     coverage = (

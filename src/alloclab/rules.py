@@ -9,15 +9,14 @@ cached once, where its work is done: rsd and ps memoize their compute on
 the ranking profile, dictatorship and utilitarian build a permutation matrix
 memoized on its picks, uniform's one matrix is interned, and a blend mixes
 each pair of its parts' outputs, and of their rows, once. `forget` frees
-every memo of the process, the checkers' included, at once. The utilitarian
-rule solves an exact assignment problem on the integer forms of its
-canonical utilities (`lp.integer_assignment`).
+every memo of the process at once, the checkers' verdicts (`memo`)
+included. The utilitarian rule solves an exact assignment problem on the
+integer forms of its canonical utilities (`lp.integer_assignment`).
 
 At three agents, a rule's outputs at the mid profiles of the 216 ordinal
-cells (`cell_outputs`) are computed once per rule; for a rule whose key
-reads only rankings (`Rule.reads_only_rankings`), blends of two such rules
-included, they are its outputs on the whole domain, and such a blend's are
-the mixes of its parts'.
+cells (`cell_outputs`) are computed once per rule, and a blend's are the
+mixes of its parts'; for a rule whose key reads only rankings
+(`Rule.reads_only_rankings`), they are its outputs on the whole domain.
 Over a three-agent grid, a rule's block allocator (`Rule.blocks`) lists one
 deviation block of outputs at a time and builds no key per profile: a
 ranking rule reads its cell outputs, utilitarian takes an integer argmax
@@ -75,17 +74,17 @@ class AlphaOutOfRange(ValueError):
 
 
 # The process's memos, freed together by `forget`: canonical rows by integer
-# form and allocations by row ids, a blend's mixes, the checkers' verdicts,
-# the path tables, and every `_memo` table. An id key is always that of an
-# object the intern tables keep alive, so no id is read after it is freed.
+# form and allocations by row ids, a blend's mixes, the path tables, and
+# every `memo` table, the checkers' verdicts among them. An id key is always
+# that of an object the intern tables keep alive, so no id is read after it
+# is freed.
 _ROWS: dict[tuple[int, tuple[int, ...]], Lottery] = {}
 _ALLOCATIONS: dict[tuple[int, ...], Allocation] = {}
 _CANONICAL: set[int] = set()
 _MIXES: dict[tuple[_Mix, int, int], Allocation] = {}
 _MIXED_ROWS: dict[tuple[_Mix, int, int], Lottery] = {}
-VERDICTS: dict[tuple[Callable, Rule, tuple], bool] = {}
 _PATH_OUTPUTS: dict[tuple[Rule, tuple], dict[int, Allocation]] = {}
-_MEMOS = [_ROWS, _ALLOCATIONS, _CANONICAL, _MIXES, _MIXED_ROWS, VERDICTS, _PATH_OUTPUTS]
+_MEMOS = [_ROWS, _ALLOCATIONS, _CANONICAL, _MIXES, _MIXED_ROWS, _PATH_OUTPUTS]
 
 
 def forget() -> None:
@@ -95,8 +94,9 @@ def forget() -> None:
         table.clear()
 
 
-def _memo(function: Callable) -> Callable:
-    """`function` memoized on its arguments until `forget`; a raise keeps nothing."""
+def memo(function: Callable) -> Callable:
+    """`function` memoized on its arguments until `forget`; a raise keeps
+    nothing, and every call with equal arguments gets the one result."""
     table: dict = {}
     _MEMOS.append(table)
 
@@ -309,7 +309,7 @@ def _ps(rankings: Rankings) -> Allocation:
     return _canonical(Allocation._over(den, shares))
 
 
-@_memo
+@memo
 def _permutation_allocation(picks: tuple[int, ...]) -> Allocation:
     """The permutation matrix giving agent i object picks[i], built once per
     picks tuple: at most the sum of n! entries (5,913 for n <= 7)."""
@@ -340,7 +340,7 @@ def _uniform(n: int) -> Allocation:
     return _canonical(uniform_allocation(n))
 
 
-@_memo
+@memo
 def cell_outputs(rule: Rule) -> tuple[Allocation, ...]:
     """The rule's output at the mid profile (every agent at rate 1/2) of each
     of the 216 three-agent ordinal cells, through `rule.allocate`, memoized
@@ -348,13 +348,13 @@ def cell_outputs(rule: Rule) -> tuple[Allocation, ...]:
     cell k gives agent a the order ``all_orders(3)[k // 6**(2 - a) % 6]``.
 
     For a rule that reads only rankings, each entry is its output on the
-    whole cell. Such a blend mixes its parts' cell outputs (`_Mix.mix`),
-    which gives each cell the very object `allocate` does, unless a part
-    raises: then its cells are allocated one by one, as any rule's are. A
-    compute that raises raises at the first cell that needs it, and nothing
-    is kept."""
+    whole cell. A blend mixes its parts' cell outputs (`_Mix.mix`), which
+    gives each cell the very object `allocate` does, unless a part raises:
+    then its cells are allocated one by one, as any rule's are. A compute
+    that raises raises at the first cell that needs it, and nothing is
+    kept."""
     mix = mix_of(rule)
-    if mix is not None and rule.reads_only_rankings:
+    if mix is not None:
         try:
             parts = cell_outputs(mix.first), cell_outputs(mix.second)
         except Exception:  # allocate below raises what, and where, the blend does
@@ -424,7 +424,7 @@ def _ranking_blocks(rule: Rule, cells: Sequence[NormalizedUtility]) -> Block:
     return block
 
 
-@_memo
+@memo
 def _utilitarian_blocks(cells: tuple[NormalizedUtility, ...]) -> Block:
     """Utilitarian's blocks without the assignment DP, filled into a table
     (`GridTable`) per grid, so that every scan and blend of the only
@@ -466,8 +466,8 @@ def _utilitarian_blocks(cells: tuple[NormalizedUtility, ...]) -> Block:
 
 
 # One memo entry per distinct key: at most (n!)^n for a ranking key.
-RSD = Rule("rsd", _ordinal_key, _memo(_rsd))
-PS = Rule("ps", _ordinal_key, _memo(_ps))
+RSD = Rule("rsd", _ordinal_key, memo(_rsd))
+PS = Rule("ps", _ordinal_key, memo(_ps))
 DICTATORSHIP = Rule("dictatorship", _ordinal_key, _dictatorship)
 UTILITARIAN = Rule("utilitarian", _canonical_key, _utilitarian)
 UNIFORM = Rule("uniform", _size_key, _uniform)
@@ -569,7 +569,7 @@ def mix_of(rule: Rule) -> _Mix | None:
     return compute if isinstance(compute, _Mix) and rule.key is compute.key else None
 
 
-@_memo
+@memo
 def class_rows(rule: Rule) -> list[list[Lottery]] | None:
     """The own rows that `rule` can give one agent within one deviation
     class (the agent's 6 orders, fixed orders of the other two), each

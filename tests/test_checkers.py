@@ -164,6 +164,19 @@ DEN_PARITY = Rule(
 )
 
 
+def _spy_judge(monkeypatch, name: str) -> list:
+    """Make the checkers' block judge `name` (`_manipulation` or
+    `_bossiness`) also list the agent of every block it judges."""
+    judged, judge = [], getattr(checkers, name)
+
+    def spy(agent, *rest):
+        judged.append(agent)
+        return judge(agent, *rest)
+
+    monkeypatch.setattr(checkers, name, spy)
+    return judged
+
+
 def _fail_witness(verdict) -> dict:
     """A Fail's witness, which holds the counterexample's own values; the
     printed report must parse back to equal values."""
@@ -786,23 +799,12 @@ class TestBlendCertificates:
             for status in ("Pass", "Fail")
         } - {(check_non_bossiness, "Fail")}
 
-    @staticmethod
-    def _spy_bossiness(monkeypatch) -> list:
-        judged, bossiness = [], checkers._bossiness
-
-        def spy(agent, *rest):
-            judged.append(agent)
-            return bossiness(agent, *rest)
-
-        monkeypatch.setattr(checkers, "_bossiness", spy)
-        return judged
-
     def test_an_injective_blend_judges_no_block(self, monkeypatch):
         forget()
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         for part in (RSD, UTILITARIAN):
             assert check_non_bossiness(part, config).passed
-        judged = self._spy_bossiness(monkeypatch)
+        judged = _spy_judge(monkeypatch, "_bossiness")
         for spec in ("blend:rsd:utilitarian:1/10", "blend:rsd:utilitarian:1/2"):
             certified = rule_by_name(spec)
             assert mix_of(certified).is_injective()
@@ -833,7 +835,7 @@ class TestBlendCertificates:
         assert not halves.reads_only_rankings
         assert rules_module.class_rows(twins[0]) is None
         assert not mix_of(halves).is_injective() and not mix_of(thirds).is_injective()
-        judged = self._spy_bossiness(monkeypatch)
+        judged = _spy_judge(monkeypatch, "_bossiness")
         assert check_non_bossiness(halves, config).to_dict() == bossy.to_dict()
         assert judged == [0]
         assert check_non_bossiness(thirds, config).passed and len(judged) == 1 + 3 * 12**2
@@ -844,7 +846,7 @@ class TestBlendCertificates:
         # check reads their recorded Passes.
         config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
         blend = rule_by_name("blend:rsd:utilitarian:1/2")
-        judged = self._spy_bossiness(monkeypatch)
+        judged = _spy_judge(monkeypatch, "_bossiness")
         for _ in range(2):
             forget()
             judged.clear()
@@ -863,6 +865,59 @@ class TestBlendCertificates:
         assert not verdict.passed
         assert check_strategy_proofness(RSD, config).passed
         assert not check_strategy_proofness(PS, config).passed
+
+
+class TestVerdictMemo:
+    """Strategy-proofness and non-bossiness are memoized per (rule, config)
+    until `forget`: a repeat judges no block and gives an equal report."""
+
+    CHECKS = [(check_strategy_proofness, "_manipulation"), (check_non_bossiness, "_bossiness")]
+
+    @pytest.mark.parametrize("spec", ["rsd", "utilitarian", "blend:rsd:utilitarian:1/2", "bossy"])
+    def test_a_repeat_judges_no_block(self, spec, monkeypatch):
+        rule = BOSSY if spec == "bossy" else rule_by_name(spec)
+        for check, judge in self.CHECKS:
+            forget()
+            judged = _spy_judge(monkeypatch, judge)
+            first = check(rule, CheckConfig(mu_grid=REDUCED_GRIDS[1]))
+            assert judged
+            judged.clear()
+            # An equal config is the same key, though another object.
+            again = check(rule, CheckConfig(mu_grid=REDUCED_GRIDS[1]))
+            assert judged == [] and again.to_dict() == first.to_dict()
+            assert again.to_dict() == checkers._scan_blocks(
+                rule, CheckConfig(mu_grid=REDUCED_GRIDS[1]), getattr(checkers, judge)
+            ).to_dict()
+
+    def test_parts_checked_after_their_blend_judge_no_block(self, monkeypatch):
+        # As `stress --rules blend:rsd:ps:1/2,rsd,ps` checks them: the blend's
+        # certificate judges its parts, and their own checks read that.
+        forget()
+        config = CheckConfig(mu_grid=REDUCED_GRIDS[1])
+        judged = _spy_judge(monkeypatch, "_manipulation")
+        assert check_strategy_proofness(rule_by_name("blend:rsd:ps:1/2"), config).passed
+        parts = len(judged)
+        assert parts > 0
+        for part in (RSD, PS):
+            assert check_strategy_proofness(part, config).to_dict() == {
+                "status": "Pass",
+                "coverage": checkers._block_sweep(config),
+            }
+        assert len(judged) == parts
+
+    def test_another_field_is_another_key(self, monkeypatch):
+        # A config hashes on its grid alone, but equal configs agree on
+        # every field: another seed judges again, with the same report.
+        forget()
+        judged = _spy_judge(monkeypatch, "_bossiness")
+        configs = [CheckConfig(mu_grid=REDUCED_GRIDS[1], seed=seed) for seed in (1, 2)]
+        assert hash(configs[0]) == hash(configs[1]) and configs[0] != configs[1]
+        reports = []
+        for config in configs:
+            judged.clear()
+            reports.append(check_non_bossiness(UTILITARIAN, config).to_dict())
+            assert len(judged) == 3 * 12**2
+        assert reports[0] == reports[1]
 
 
 def _reverse_dictatorship_allocate(rankings):
@@ -917,7 +972,7 @@ class TestClassCertificates:
         bossy = blend_rule(SERIAL, twin, F(1, 2))
         assert not mix_of(bossy).is_injective()
         blends = [rule_by_name(spec) for spec in self.NON_INJECTIVE] + [bossy]
-        judged = TestBlendCertificates._spy_bossiness(monkeypatch)
+        judged = _spy_judge(monkeypatch, "_bossiness")
         statuses = set()
         for grid in self.GRIDS:
             config = CheckConfig(mu_grid=grid)
@@ -941,7 +996,7 @@ class TestClassCertificates:
         assert {len(rows) for rows in classes} == {1, 2, 3}
         for part in (REVERSE_DICTATORSHIP, UTILITARIAN):
             assert check_non_bossiness(part, config).passed
-        judged = TestBlendCertificates._spy_bossiness(monkeypatch)
+        judged = _spy_judge(monkeypatch, "_bossiness")
         for first, second in itertools.permutations((REVERSE_DICTATORSHIP, UTILITARIAN)):
             blend = blend_rule(first, second, F(1, 2))
             assert not mix_of(blend).is_injective()
@@ -1404,6 +1459,11 @@ class TestConfig:
         # efficiency battery no rate to cycle.
         with pytest.raises(ValueError, match="at least one value"):
             CheckConfig(mu_grid=(), samples_per_cell=0)
+
+    def test_a_grid_given_as_a_list_is_kept_as_a_tuple(self):
+        config = CheckConfig(mu_grid=[F(1, 4), F(3, 4)])
+        assert config.mu_grid == REDUCED_GRIDS[1] and config == CheckConfig(mu_grid=REDUCED_GRIDS[1])
+        assert check_strategy_proofness(PS, config).passed
 
     @pytest.mark.parametrize("samples", [1.5, 2.0, True, F(2), "2"])
     def test_sample_count_must_be_an_int(self, samples):

@@ -263,28 +263,43 @@ MID_PROFILES = [
 
 
 class TestBlendCellOutputs:
-    """A blend of two ranking rules mixes its parts' cell outputs: each entry
-    must be the object `allocate` gives at the cell's mid profile, and a part
-    that raises must make the blend raise what, and where, allocating the
-    cells one by one raises."""
+    """A blend mixes its parts' cell outputs, a cardinal part's included:
+    each entry must be the object `allocate` gives at the cell's mid
+    profile, and a part that raises must make the blend raise what, and
+    where, allocating the cells one by one raises."""
 
     WEIGHTS = [F(0), F(1, 10), F(1, 3), F(2, 5), F(1, 2), F(3, 5), F(9, 10), F(1)]
 
     def test_entries_are_the_allocate_objects(self):
-        ranking = [RSD, PS, DICTATORSHIP, UNIFORM]
+        base = [RSD, PS, DICTATORSHIP, UNIFORM, UTILITARIAN]
         blends = [
             blend_rule(first, second, alpha)
-            for first, second in itertools.permutations(ranking, 2)
+            for first, second in itertools.permutations(base, 2)
             for alpha in self.WEIGHTS
         ]
         blends.append(blend_rule(rule_by_name("blend:rsd:ps:1/3"), DICTATORSHIP, F(2, 7)))
+        blends.append(blend_rule(rule_by_name("blend:utilitarian:ps:1/3"), RSD, F(2, 7)))
         for blend in blends:
-            assert blend.reads_only_rankings
             outputs = rules.cell_outputs(blend)
             assert all(
                 entry is blend.allocate(profile)
                 for entry, profile in zip(outputs, MID_PROFILES, strict=True)
             )
+
+    def test_a_blend_with_a_cardinal_part_allocates_no_cell(self):
+        calls = []
+
+        class Counted(Rule):
+            def allocate(self, profile):
+                calls.append(profile)
+                return super().allocate(profile)
+
+        for spec in ("blend:utilitarian:rsd:1/2", "blend:ps:utilitarian:0"):
+            blend = rule_by_name(spec)
+            assert not blend.reads_only_rankings
+            counted = Counted(blend.name, blend.key, blend.compute)
+            assert rules.cell_outputs(counted) == rules.cell_outputs(blend)
+        assert calls == []
 
     @staticmethod
     def _raising(name: str, cell: int) -> Rule:

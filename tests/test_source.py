@@ -1,4 +1,5 @@
-"""Source hygiene of the package: no module imports a name it never uses."""
+"""Source hygiene of the package: no module imports a name it never uses,
+and none imports a private name of another."""
 
 import ast
 from pathlib import Path
@@ -7,9 +8,8 @@ import pytest
 
 import alloclab
 
-MODULES = sorted(
-    path for path in Path(alloclab.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+PACKAGE = sorted(Path(alloclab.__file__).parent.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +41,32 @@ def test_an_unused_import_is_found():
         "    return len(list(itertools.chain(cells)))\n"
     )
     assert unused_imports(source) == ["Callable", "os"]
+
+
+def private_imports(source: str) -> list[str]:
+    """The leading-underscore names that `source` imports from a module of
+    the package, by a relative or an absolute import, sorted."""
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "alloclab")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.stem)
+def test_no_private_name_is_imported_across_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_private_import_is_found():
+    source = (
+        "from __future__ import annotations\n"
+        "from functools import _lru_cache_wrapper\n"
+        "from .rules import Rule, _memo as memo\n"
+        "from alloclab.core import _trusted\n"
+        "from . import _private\n"
+    )
+    assert private_imports(source) == ["_memo", "_private", "_trusted"]
