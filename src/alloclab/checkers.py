@@ -28,11 +28,10 @@ rule is scanned one block per class, the class's first block in canonical
 order (both others at the first grid rate). The full sweep's first failing
 block is the first block of the first failing class, so a Fail's witness and
 its `scanned_blocks=k` (k is the canonical block index) are the full
-sweep's, and a Pass reports the same coverage. Ordinality calls such a rule
-once per cell, at the cell's mid profile, and always passes, with the
-coverage string of the declared sweep of grid and random profiles, which
-that one call proves. Sd-strategy-proofness reads the same 216 outputs, for
-every rule.
+sweep's, and a Pass reports the same coverage. Ordinality passes such a
+rule with no rule call, with the coverage string of the declared sweep of
+grid and random profiles, which its key proves. Sd-strategy-proofness reads
+the same 216 outputs, for every rule.
 
 A blend's Pass is certified from its parts' Passes on the same grid where it
 is certain: strategy-proofness whenever both parts pass, and non-bossiness
@@ -438,19 +437,17 @@ def check_ordinality(rule: Rule, config: CheckConfig) -> Verdict:
     seeded random rates.
 
     A rule that reads only rankings gives every profile of a cell the same
-    key, hence the same allocation, so each cell is proved by one rule call
-    on its mid profile (`rules.cell_outputs`). That call is kept so that a
-    `compute` that raises still raises at the same cell, and the coverage
-    still describes the declared sweep, which the quotient proves. Any other
-    rule's outputs at grid profiles are read off its blocks (`Rule.blocks`),
-    agent 2's at the others' cells, and only its random samples allocated."""
+    key, hence the same allocation, so it passes with no rule call, and the
+    coverage still describes the declared sweep, which its key proves. Any
+    other rule's outputs at grid profiles are read off its blocks
+    (`Rule.blocks`), agent 2's at the others' cells, and only its random
+    samples allocated."""
     mu_grid = config.mu_grid
     coverage = (
         f"cells=216; per_cell={len(mu_grid)**3}+{config.samples_per_cell} random; "
         f"seed={config.seed}"
     )
     if rule.reads_only_rankings:
-        cell_outputs(rule)
         return Verdict(None, coverage)
     cells, orders, m = grid_cells(config), all_orders(3), len(mu_grid)
     block, pairs = rule.blocks(cells), list(itertools.product(range(m), repeat=2))

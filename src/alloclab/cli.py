@@ -80,8 +80,8 @@ MAX_N = 7
 # Largest accepted --samples and random:count=. Both size a profile list
 # that is built in full before the first check: --samples adds that many
 # profiles to each of the 216 ordinality cells of a rule that does not read
-# only rankings (a rankings-keyed rule is proved with one profile per cell
-# and builds none of them) and 8 per sample to the efficiency battery.
+# only rankings (a rankings-keyed rule is proved by its key, with no rule
+# call, and builds none of them) and 8 per sample to the efficiency battery.
 MAX_SAMPLES = 1000
 MAX_PROFILES = 10_000
 

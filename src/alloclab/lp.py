@@ -138,10 +138,12 @@ def _simplex(rows, costs, lex) -> list[Fraction] | None:
 
     A row (coefficients, rhs, scale) holds integers and stands for the
     rational equation coefficients / scale . x = rhs / scale, scale > 0;
-    `costs` are integers up to one positive scale. Every tableau row is kept
-    as integers over the positive entry in its basic column (the artificial's
-    `scale` at the start), so each rational tableau, and hence each pivot,
-    is the one of the rational method."""
+    `costs` are integers up to one positive scale. The rows must be
+    linearly independent, as `maximize`'s are, so that phase 1 can pivot
+    every artificial left basic at level zero out on a nonzero entry. Every
+    tableau row is kept as integers over the positive entry in its basic
+    column (the artificial's `scale` at the start), so each rational
+    tableau, and hence each pivot, is the one of the rational method."""
     ncols = len(costs)
     tab: list[list[int]] = []
     for r, (coef, rhs, scale) in enumerate(rows):
@@ -156,16 +158,9 @@ def _simplex(rows, costs, lex) -> list[Fraction] | None:
     _solve(tab, basis, [0] * ncols + [-1] * len(rows), 0)
     if any(b >= ncols and row[-1] > 0 for b, row in zip(basis, tab)):
         return None
-    r = 0
-    while r < len(tab):
+    for r, row in enumerate(tab):
         if basis[r] >= ncols:
-            col = next((j for j in range(ncols) if tab[r][j]), None)
-            if col is None:
-                del tab[r]  # redundant constraint (row/column sums overlap)
-                del basis[r]
-                continue
-            _pivot(tab, basis, r, col)
-        r += 1
+            _pivot(tab, basis, r, next(j for j in range(ncols) if row[j]))
     tab = [row[:ncols] + row[-1:] for row in tab]  # artificials are out of the basis
 
     _solve(tab, basis, costs, lex)
@@ -214,7 +209,7 @@ def maximize(
         coef = [0] * width
         coef[i * n:(i + 1) * n] = [1] * n
         rows.append((coef, 1, 1))
-    for a in range(n):
+    for a in range(n - 1):  # the last column's sum follows from the others
         coef = [0] * width
         coef[a:num_x:n] = [1] * n
         rows.append((coef, 1, 1))

@@ -25,7 +25,9 @@ parts' blocks into a table of its own (`GridTable`).
 Every block is one line of a count^3 table (`block_slice`). The checkers
 read grid outputs only through blocks, and a rule's outputs along a
 continuity path through its table for the path (`path_reader`), where a
-blend's entries are mixes of its parts'. A rule's class rows (`class_rows`)
+blend's entries are mixes of its parts'. Each table of a blend reads its
+parts' tables, the first part's before the second's, and passes a part's
+error on unchanged. A rule's class rows (`class_rows`)
 are the rows it can give one agent within one deviation class, where they
 are known: a ranking rule's per class, utilitarian's three unit rows in one
 class; a blend whose mix is one-to-one on every pair of its parts' classes
@@ -349,18 +351,13 @@ def cell_outputs(rule: Rule) -> tuple[Allocation, ...]:
 
     For a rule that reads only rankings, each entry is its output on the
     whole cell. A blend mixes its parts' cell outputs (`_Mix.mix`), which
-    gives each cell the very object `allocate` does, unless a part raises:
-    then its cells are allocated one by one, as any rule's are. A compute
-    that raises raises at the first cell that needs it, and nothing is
-    kept."""
+    gives each cell the very object `allocate` does; it reads the first
+    part's in full before the second's and passes a part's error on
+    unchanged. A compute that raises raises at the first cell that needs
+    it, and nothing is kept."""
     mix = mix_of(rule)
     if mix is not None:
-        try:
-            parts = cell_outputs(mix.first), cell_outputs(mix.second)
-        except Exception:  # allocate below raises what, and where, the blend does
-            pass
-        else:
-            return tuple(map(mix.mix, *parts))
+        return tuple(map(mix.mix, cell_outputs(mix.first), cell_outputs(mix.second)))
     mids = [utility_from(order, Fraction(1, 2)) for order in all_orders(3)]
     return tuple([rule.allocate(profile) for profile in itertools.product(mids, repeat=3)])
 
@@ -371,9 +368,9 @@ def path_reader(
     """The reader of `rule`'s output at point k of `path`, whose profile is
     ``profile_at(k)``, through the rule's table for the path, filled as it
     is read and kept until `forget`. A blend's entry is the mix of its
-    parts' entries (`_Mix.mix`), read through theirs, which is the object
-    its `allocate` gives; when a part raises, the blend is allocated there,
-    so it raises what, and where, `allocate` raises."""
+    parts' entries (`_Mix.mix`), read through theirs, the first part's
+    before the second's, which is the object its `allocate` gives; a part's
+    error passes on unchanged, and nothing is kept for that point."""
     table = _PATH_OUTPUTS.setdefault((rule, path), {})
     mix = mix_of(rule)
     if mix is None:
@@ -384,10 +381,7 @@ def path_reader(
         second = path_reader(mix.second, path, profile_at)
 
         def compute(k: int) -> Allocation:
-            try:
-                return mix.mix(first(k), second(k))
-            except Exception:
-                return rule.allocate(profile_at(k))
+            return mix.mix(first(k), second(k))
 
     def read(k: int) -> Allocation:
         alloc = table.get(k)

@@ -341,8 +341,8 @@ RANKING_RULES = [
 ]
 class TestRankingQuotient:
     """Rules that read only rankings are scanned one deviation block per
-    (agent, others' orders) class and one profile per ordinal cell; the
-    reports must be the full sweep's."""
+    (agent, others' orders) class, and their ordinality is proved by their
+    key; the reports must be the full sweep's."""
 
     @pytest.mark.parametrize("rule", RANKING_RULES, ids=lambda rule: rule.name)
     def test_reports_match_the_full_sweep(self, rule):
@@ -372,9 +372,10 @@ class TestRankingQuotient:
         assert check_strategy_proofness(counted, CheckConfig()).passed
         assert calls == MID_PROFILES and len(blocks) == 3 * 36
 
-    def test_ordinality_calls_the_rule_once_per_cell_on_the_default_grid(self):
-        # A ranking blend's cell outputs mix its parts' (`cell_outputs`):
-        # the blend itself is never allocated, and each part once per cell.
+    def test_ordinality_of_a_ranking_blend_calls_no_rule(self):
+        # A ranking rule's key proves its ordinality: neither the blend nor
+        # its parts are called, and its cell outputs are still those of
+        # the blend, each part called once per cell.
         rsd, rsd_calls, _ = _counted(RSD)
         dictatorship, dictatorship_calls, _ = _counted(DICTATORSHIP)
         counted, calls, _ = _counted(blend_rule(rsd, dictatorship, F(1, 3)))
@@ -383,14 +384,11 @@ class TestRankingQuotient:
             "status": "Pass",
             "coverage": "cells=216; per_cell=343+2 random; seed=0",
         }
-        # each part call is its cell's mid profile, in canonical order
-        assert calls == [] and rsd_calls == dictatorship_calls == MID_PROFILES
-        # the outputs are kept: a second check calls nothing
-        assert check_ordinality(counted, CheckConfig()).passed
-        assert calls == [] and len(rsd_calls) == len(dictatorship_calls) == 216
+        assert calls == rsd_calls == dictatorship_calls == []
         assert cell_outputs(counted) == cell_outputs(rule_by_name("blend:rsd:dictatorship:1/3"))
+        assert calls == [] and rsd_calls == dictatorship_calls == MID_PROFILES
 
-    def test_ordinality_raises_where_the_full_sweep_raises(self):
+    def test_ordinality_passes_a_ranking_rule_whose_compute_raises(self):
         orders = list(itertools.product(all_orders(3), repeat=3))
         bad = tuple(order.ranking for order in orders[100])
 
@@ -401,8 +399,10 @@ class TestRankingQuotient:
 
         counted, calls, _ = _counted(Rule("raises-on-cell-100", RSD.key, compute))
         assert counted.reads_only_rankings
+        assert check_ordinality(counted, CheckConfig()).passed and calls == []
+        # its cell outputs still raise at the first cell that needs it
         with pytest.raises(ZeroDivisionError, match="one ranking profile"):
-            check_ordinality(counted, CheckConfig())
+            cell_outputs(counted)
         assert len(calls) == 101
 
     @pytest.mark.parametrize("samples", [0, 2])
@@ -1429,24 +1429,6 @@ class TestPathTables:
         for rule in (SLIDING, sliding, sliding):
             verdict = check_ncc_continuity(rule, agent, others, endpoints, CheckConfig())
             assert verdict.passed and verdict.coverage.endswith(PROBE_CAP_NOTE)
-
-    def test_a_raising_part_raises_what_allocate_raises(self):
-        # The blend's key reads the second part's key before the first
-        # part's compute runs, so allocating it raises the key's error.
-        def fails(profile):
-            raise KeyError("second key")
-
-        def raising(key):
-            raise ZeroDivisionError("first compute")
-
-        first = Rule("raises-in-compute", RSD.key, raising)
-        second = Rule("raises-in-key", fails, RSD.compute)
-        agent, others, endpoints = default_continuity_paths()[1]
-        for blend in (blend_rule(first, second, F(1, 2)), blend_rule(second, first, F(1, 2))):
-            with pytest.raises(KeyError, match="second key"):
-                blend.allocate(profile_with(others, agent, endpoints[0]))
-            with pytest.raises(KeyError, match="second key"):
-                check_ncc_continuity(blend, agent, others, endpoints, CheckConfig())
 
 
 class TestConfig:

@@ -404,19 +404,12 @@ def _simplex_reference(rows, costs, lex, pivots, seen):
     if any(b >= ncols and row[-1] > 0 for b, row in zip(basis, tab)):
         seen.add("infeasible")
         return None
-    r = 0
-    while r < len(tab):
+    for r, row in enumerate(tab):
         if basis[r] >= ncols:
-            col = next((j for j in range(ncols) if tab[r][j]), None)
-            if col is None:
-                seen.add("redundant row")
-                del tab[r]
-                del basis[r]
-                continue
-            if tab[r][col] < 0:
+            col = next(j for j in range(ncols) if row[j])
+            if row[col] < 0:
                 seen.add("negative artificial-removal pivot")
             _reference_pivot(tab, basis, r, col, pivots)
-        r += 1
     tab = [row[:ncols] + row[-1:] for row in tab]
 
     _reference_solve(tab, basis, costs, lex, pivots, seen)
@@ -450,7 +443,8 @@ def _random_program(rng, n):
 
 def _rational_rows(objective, floors):
     """The rows and costs `maximize` solves, as the rational method built
-    them: 2n sum rows (one of them redundant) and one row per floor."""
+    them: the n row sums and the first n - 1 column sums, which are
+    linearly independent, and one row per floor."""
     n = len(objective)
     num_x = n * n
     width = num_x + len(floors)
@@ -459,7 +453,7 @@ def _rational_rows(objective, floors):
         coef = [F(0)] * width
         coef[i * n:(i + 1) * n] = [F(1)] * n
         rows.append((coef, F(1)))
-    for a in range(n):
+    for a in range(n - 1):
         coef = [F(0)] * width
         coef[a:num_x:n] = [F(1)] * n
         rows.append((coef, F(1)))
@@ -512,7 +506,6 @@ class TestIntegerSimplex:
         assert sizes == {1, 2, 3, 4, 5}
         assert seen == {
             "infeasible",
-            "redundant row",
             "negative rhs",
             "negative artificial-removal pivot",
             "ratio tie",

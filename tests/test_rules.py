@@ -265,8 +265,7 @@ MID_PROFILES = [
 class TestBlendCellOutputs:
     """A blend mixes its parts' cell outputs, a cardinal part's included:
     each entry must be the object `allocate` gives at the cell's mid
-    profile, and a part that raises must make the blend raise what, and
-    where, allocating the cells one by one raises."""
+    profile, and a part's error must pass on unchanged."""
 
     WEIGHTS = [F(0), F(1, 10), F(1, 3), F(2, 5), F(1, 2), F(3, 5), F(9, 10), F(1)]
 
@@ -302,9 +301,12 @@ class TestBlendCellOutputs:
         assert calls == []
 
     @staticmethod
-    def _raising(name: str, cell: int) -> Rule:
-        """rsd, but its compute raises at the ranking profile of `cell`."""
-        bad = tuple(order.ranking for order in map(ordinal_of, MID_PROFILES[cell]))
+    def _raising(name: str, cell: int | None) -> Rule:
+        """rsd, but its compute raises at the ranking profile of `cell`, if
+        any."""
+        bad = None if cell is None else tuple(
+            order.ranking for order in map(ordinal_of, MID_PROFILES[cell])
+        )
 
         def compute(rankings):
             if rankings == bad:
@@ -313,26 +315,29 @@ class TestBlendCellOutputs:
 
         return Rule(name, RSD.key, compute)
 
-    @pytest.mark.parametrize("first_cell, second_cell", [(100, 50), (50, 100), (70, 70)])
-    def test_a_raising_part_raises_where_allocate_raises(self, first_cell, second_cell):
-        first = self._raising("first", first_cell)
-        second = self._raising("second", second_cell)
+    @pytest.mark.parametrize(
+        "first_cell, second_cell", [(100, 50), (50, 100), (70, 70), (None, 50)]
+    )
+    def test_a_raising_part_passes_its_error_on(self, first_cell, second_cell):
+        # The blend's tables read its parts' tables, the first part's
+        # before the second's: its cell outputs raise the first part's
+        # error if it raises anywhere, and its path reader the first part's
+        # error at a point where both raise.
+        first, second = self._raising("first", first_cell), self._raising("second", second_cell)
         blend = blend_rule(first, second, F(1, 3))
-        calls = []
-
-        class Counted(Rule):
-            def allocate(self, profile):
-                calls.append(profile)
-                return super().allocate(profile)
-
-        counted = Counted(blend.name, blend.key, blend.compute)
-        cell = min(first_cell, second_cell)
-        expected = "first" if first_cell <= second_cell else "second"
+        reader = rules.path_reader(blend, ("mid profiles",), MID_PROFILES.__getitem__)
+        raised = (
+            f"second fails at cell {second_cell}" if first_cell is None
+            else f"first fails at cell {first_cell}"
+        )
         for _ in range(2):  # nothing is kept, so a second call raises again
-            calls.clear()
-            with pytest.raises(ZeroDivisionError, match=f"{expected} fails at cell {cell}"):
-                rules.cell_outputs(counted)
-            assert calls == MID_PROFILES[: cell + 1]
+            with pytest.raises(ZeroDivisionError, match=raised):
+                rules.cell_outputs(blend)
+            for cell in {first_cell, second_cell} - {None}:
+                name = "first" if cell == first_cell else "second"
+                with pytest.raises(ZeroDivisionError, match=f"{name} fails at cell {cell}"):
+                    reader(cell)
+        assert reader(0) is blend.allocate(MID_PROFILES[0])
 
 
 @settings(max_examples=40, deadline=None)
