@@ -168,7 +168,7 @@ def _profiles_from_csv(text: str, path: str) -> list[UtilityProfile]:
 def _profiles_from_json(text: str, path: str) -> list[UtilityProfile]:
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or an int over the digit limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("profiles", data)

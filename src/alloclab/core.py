@@ -66,22 +66,32 @@ def exact_rational(value: int | Fraction) -> int | Fraction:
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
 
 
-def as_fraction(value: int | Fraction | str) -> Fraction:
-    """Coerce to Fraction: parse a string ('p' or 'p/q', no decimals), pass any
-    other value through `exact_rational`, and return a `Fraction` as is."""
+def _rational_pair(value: int | Fraction | str) -> tuple[int, int]:
+    """An exact rational as (numerator, denominator > 0), not necessarily in
+    lowest terms: a string 'p' or 'p/q' (no decimals or exponents) as
+    written, surrounding blanks aside, and any other value through
+    `exact_rational`."""
     if isinstance(value, str):
-        return parse_fraction(value)
+        text = value.strip()
+        if not _FRACTION_RE.match(text):
+            raise ValueError(f"not an exact rational: {text!r}")
+        numerator, _, denominator = text.partition("/")
+        return int(numerator), int(denominator or 1)
     value = exact_rational(value)
-    return value if isinstance(value, Fraction) else Fraction(value)
+    return value.numerator, value.denominator
+
+
+def as_fraction(value: int | Fraction | str) -> Fraction:
+    """Coerce to Fraction: return a `Fraction` as is, and read any other
+    value with `_rational_pair`."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(*_rational_pair(value))
 
 
 def parse_fraction(text: str) -> Fraction:
     """Parse 'p/q' or 'p'. Rejects decimal and exponent notation."""
-    text = text.strip()
-    if not _FRACTION_RE.match(text):
-        raise ValueError(f"not an exact rational: {text!r}")
-    numerator, _, denominator = text.partition("/")
-    return Fraction(int(numerator), int(denominator or 1))
+    return Fraction(*_rational_pair(text))
 
 
 def lowest_terms(den: int, nums: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -322,10 +332,12 @@ class BernoulliUtility(Frozen):
     """Per-object utility values with no ties over degenerate lotteries.
     Value k is ``nums[k] / den``; ``values`` spells them out as `Fraction`s.
     `_ordinal` holds the ranking once `ordinal.ordinal_of` has computed it
-    (a builder that knows it sets it on construction), so the ranking lives
-    and dies with the utility. Its hash is taken on each call, as a lottery's."""
+    (a builder that knows it sets it on construction), and `_canonical` the
+    canonical form once `ordinal.canonicalize` has, so both live and die
+    with the utility. Neither enters equality, the hash, the repr or a
+    pickle. Its hash is taken on each call, as a lottery's."""
 
-    __slots__ = ("den", "nums", "_ordinal")
+    __slots__ = ("den", "nums", "_ordinal", "_canonical")
 
     def __init__(self, values: tuple[Fraction, ...]):
         den, (nums,) = over_common_denominator((values,))
@@ -345,6 +357,7 @@ class BernoulliUtility(Frozen):
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "_ordinal", order)
+        object.__setattr__(self, "_canonical", None)
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -365,12 +378,22 @@ class BernoulliUtility(Frozen):
     def __repr__(self) -> str:
         return f"{type(self).__name__}(({', '.join(str(v) for v in self.values)}))"
 
-    def __reduce__(self):  # the cached ranking is rebuilt, not passed
+    def __reduce__(self):  # the cached ranking and canonical form are rebuilt, not passed
         return type(self), (self.values,)
 
 
 def make_utility(values: Iterable[int | Fraction | str]) -> BernoulliUtility:
-    return BernoulliUtility(tuple(as_fraction(v) for v in values))
+    """Validated utility from any iterable of exact rationals, read straight
+    to its integer form: each entry's `_rational_pair`, over the lcm of their
+    denominators, in lowest terms, which is the form `BernoulliUtility`
+    builds from the entries' `Fraction`s. No `Fraction` is built, except to
+    spell out the entries of a tie."""
+    pairs = [_rational_pair(v) for v in values]
+    den = lcm(*[q for _, q in pairs])
+    den, nums = lowest_terms(den, tuple([p * (den // q) for p, q in pairs]))
+    if len(set(nums)) != len(nums):
+        raise TiesPresent(f"tied utility values in {tuple([Fraction(p, q) for p, q in pairs])}")
+    return BernoulliUtility._trusted(den, nums)
 
 
 UtilityProfile = tuple[BernoulliUtility, ...]

@@ -6,7 +6,9 @@ integer dynamic program over assignments, `integer_assignment`, finds the
 optimum and the lexicographically smallest optimal vertex without pivoting.
 It is the one assignment kernel: `best_assignment` runs it on the rationals
 scaled to integers, and utilitarian (`rules._utilitarian`) and
-`find_dominating`'s pre-test run it on integer forms directly.
+`find_dominating`'s pre-test run it on integer forms directly. It keeps its
+last answer, so the pre-test of a utilitarian output reads the optimum the
+rule has just found on the same rows, and the kernel runs once per profile.
 
 `maximize` serves the programs with per-agent expected-utility floors, whose
 optimal points need not be permutation matrices. It builds them on
@@ -31,7 +33,10 @@ an allocation that maximizes a total of expected utilities with positive
 weights is Pareto-efficient (Isermann 1974). The weights bring each utility
 to its canonical form (`ordinal.canonicalize`: minimum 0, sum 1), so the
 certificate, like efficiency itself, does not depend on how any agent's
-utility is scaled. It is decided in integers, with no `Fraction` built.
+utility is scaled. It is decided in integers, with no `Fraction` built: the
+canonical forms are the ones the utilities keep from the rule's key, and the
+optimum the one `integer_assignment` keeps from the rule's compute, when
+the rule is utilitarian or a blend with a utilitarian part.
 """
 
 from __future__ import annotations
@@ -230,18 +235,39 @@ def maximize(
     return value, argmax
 
 
+# The last rows `integer_assignment` solved and its answer for them, as one
+# pair, so that a read never mixes the rows of one call with the answer of
+# another.
+_LAST: list = [(None, None)]
+
+
 def integer_assignment(scaled: list[list[int]]) -> tuple[int, tuple[int, ...]]:
     """The largest total ``sum(scaled[i][picks[i]])`` over the permutations
     `picks` of a square list of int rows, and the largest picks tuple that
     attains it. ``picks[i]`` is the object assigned to row i.
 
-    Dynamic programming over the set of objects already taken decides it in
-    O(n * 2**n) integer additions: ``tail[mask]`` is the best total of rows
-    ``popcount(mask)`` to n-1 over the objects outside ``mask``. The
-    assignment is rebuilt row by row, trying objects from n-1 down to 0, so
-    ties go to the largest picks tuple. The rows are not checked: callers
-    pass integer forms that a validating constructor or `_exact_scaled`
-    built.
+    The answer for the last rows solved is kept (`_LAST`), keyed on the rows
+    themselves: utilitarian's compute and then the efficiency certificate
+    (`find_dominating`) solve the same canonical rows of one profile in
+    turn, so the second reads the optimum the first found. One entry needs
+    no freeing, and an answer is a function of its key.
+    """
+    rows = tuple(map(tuple, scaled))
+    last, answer = _LAST[0]
+    if rows != last:
+        answer = _assignment(rows)
+        _LAST[0] = rows, answer
+    return answer
+
+
+def _assignment(scaled: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[int, ...]]:
+    """`integer_assignment`, computed. Dynamic programming over the set of
+    objects already taken decides it in O(n * 2**n) integer additions:
+    ``tail[mask]`` is the best total of rows ``popcount(mask)`` to n-1 over
+    the objects outside ``mask``. The assignment is rebuilt row by row,
+    trying objects from n-1 down to 0, so ties go to the largest picks
+    tuple. The rows are not checked: callers pass integer forms that a
+    validating constructor or `_exact_scaled` built.
     """
     n = len(scaled)
     full = (1 << n) - 1
@@ -309,7 +335,10 @@ def find_dominating(profile: UtilityProfile, alloc: Allocation) -> Allocation | 
     denominator (`weighted`) and the status quo's rows over theirs, `den`,
     the status quo's weighted total is den times the optimum
     (`integer_assignment` of `weighted`) iff the rational totals are equal.
-    One agent's polytope is the single point [[1]].
+    Each utility keeps its canonical form (`canonicalize`), and the kernel
+    its last answer, so for the output of utilitarian, which has just
+    canonicalized the profile and solved `weighted` itself, neither is
+    computed again. One agent's polytope is the single point [[1]].
 
     Otherwise one LP decides the existential question exactly: maximize
     total expected utility subject to every agent weakly improving on the

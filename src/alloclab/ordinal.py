@@ -125,15 +125,21 @@ class NormalizedUtility(BernoulliUtility):
 def canonicalize(utility: BernoulliUtility) -> NormalizedUtility:
     """Unique min-0 sum-1 representative; effectively the same as the input.
     A `NormalizedUtility` already is its own representative and is returned
-    as is. A one-object utility has none: its shifted values sum to 0."""
+    as is. Any other utility's is computed once and kept on it, so every
+    call returns the one object. A one-object utility has none: its shifted
+    values sum to 0."""
     if isinstance(utility, NormalizedUtility):
         return utility
-    low = min(utility.nums)
-    shifted = tuple([n - low for n in utility.nums])
-    total = sum(shifted)
-    if not total:
-        raise SingleObject(f"a one-object utility has no canonical form: {utility}")
-    return NormalizedUtility._trusted(total, shifted)
+    form = utility._canonical
+    if form is None:
+        low = min(utility.nums)
+        shifted = tuple([n - low for n in utility.nums])
+        total = sum(shifted)
+        if not total:
+            raise SingleObject(f"a one-object utility has no canonical form: {utility}")
+        form = NormalizedUtility._trusted(total, shifted)
+        object.__setattr__(utility, "_canonical", form)
+    return form
 
 
 # Bounded, as grid scans reuse a few dozen (order, rate) pairs (the samplers

@@ -723,6 +723,9 @@ def test_profile_files_round_trip(profiles):
         ("decimal.json", "[[[1,0.5,0],[1,0.25,0],[0,0.5,1]]]",
          ": profile 0: agent 0: exact rational expected, got float"),
         ("broken.json", "[[[1,", ": invalid JSON: Expecting value: line 1 column 6 (char 5)"),
+        ("huge.json", "[[[1" + "0" * 5000 + ",1,0],[1,2,0],[0,1,2]]]",
+         ": invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+         "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
         ("object.json", '{"x": 1}', ": expected a list of profiles"),
         ("tied.csv", "1,2/5,0\n1,1,0\n1,9/10,0\n",
          ":2: agent 1: tied utility values in "

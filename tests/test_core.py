@@ -160,6 +160,18 @@ def test_malformed_input_names_its_first_fault(build, entries, fault, message):
     assert type(raised.value) is fault and str(raised.value) == message
 
 
+def _row_entries():
+    """Utility entries as a profile file or a caller gives them: ints,
+    Fractions, unreduced, signed and padded strings, and inexact values."""
+    ints = st.integers(-40, 40)
+    dens = st.integers(1, 12)
+    unreduced = st.builds(lambda p, q, k: f"{p * k}/{q * k}", ints, dens, st.integers(1, 4))
+    signed = st.builds(lambda sign, p, q: f"{sign}{abs(p)}/{q}", st.sampled_from("+-"), ints, dens)
+    padded = st.one_of(unreduced, signed, ints.map(str)).map(lambda text: f" {text}\t")
+    inexact = st.sampled_from(["1.5", "1/0", "1_0", "+3/-2", True, 0.5])
+    return st.one_of(ints, st.builds(Fraction, ints, dens), unreduced, signed, padded, inexact)
+
+
 class TestUtility:
     def test_no_ties_enforced(self):
         with pytest.raises(TiesPresent):
@@ -171,6 +183,21 @@ class TestUtility:
 
     def test_equality_is_value_based(self):
         assert make_utility([1, 2, 3]) == make_utility(["1", "2", "3"])
+
+    @given(st.lists(_row_entries(), max_size=4))
+    def test_reads_rows_as_the_fraction_route_does(self, row):
+        # make_utility reads each entry to an integer pair, with no
+        # Fraction; the form, or the error, is the one the validating
+        # constructor gives on the entries' Fractions.
+        def outcome(build):
+            try:
+                u = build(row)
+            except (ValueError, TypeError) as exc:
+                return type(exc), str(exc)
+            return type(u), u.den, u.nums
+
+        reference = outcome(lambda entries: BernoulliUtility(tuple(map(core.as_fraction, entries))))
+        assert outcome(make_utility) == reference
 
 
 class TestExpectedUtility:

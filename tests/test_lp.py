@@ -312,6 +312,21 @@ class TestFindDominating:
         better = find_dominating(profile, alloc)
         assert better is not None and dominates_directly(profile, better, alloc)
 
+    def test_reads_the_optimum_utilitarian_found(self, tmp_path, monkeypatch, capsys):
+        # An efficiency check shaped as the benchmark's lp-solve, over 400
+        # rescaled three-agent profiles: utilitarian's compute solves each
+        # profile's canonical rows, and the certificate that follows reads
+        # that optimum, so the assignment kernel runs once per profile.
+        rng = random.Random(2827)
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps([_rescaled_profile_rows(rng) for _ in range(400)]))
+        runs = _count_calls(monkeypatch, "_assignment")
+        argv = ["check", "--rule", "utilitarian", "--axiom", "efficiency", "--profiles",
+                str(path), "--seed", "1"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "Pass"
+        assert len(runs) == 400
+
     def test_one_agent(self):
         # The 1x1 polytope is the single point [[1]]. Utilitarian reads
         # canonical utilities, which one object does not have.

@@ -1,5 +1,7 @@
 """Ordinal cones, middle rates, stochastic dominance, and the V-domain."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -123,6 +125,19 @@ class TestCanonicalize:
             Fraction(2, 3),
             Fraction(1, 3),
         )
+
+    def test_kept_on_the_utility(self):
+        # Computed once and kept in a field that equality, the hash, the
+        # repr, copies and pickles do not read.
+        u = make_utility(["3", "-1/2", "7/4"])
+        before = hash(u), repr(u), pickle.dumps(u)
+        assert canonicalize(u) is canonicalize(u)
+        assert (hash(u), repr(u), pickle.dumps(u)) == before
+        twin = make_utility(["3", "-1/2", "7/4"])
+        assert u == twin and twin == u and hash(twin) == hash(u)
+        for copied in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+            assert copied == u and repr(copied) == repr(u)
+            assert canonicalize(copied) == canonicalize(u)
 
     def test_refuses_one_object(self):
         # One value shifts to 0, which no scale brings to sum 1.

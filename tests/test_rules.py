@@ -39,6 +39,7 @@ from alloclab.ordinal import (
 )
 from alloclab import rules
 from alloclab.core import over_common_denominator, profile_with, validate_profile
+from alloclab.harness import _random_affine
 from alloclab import checkers
 from alloclab.checkers import DEFAULT_MU_GRID, check_continuity_battery, grid_cells
 from alloclab.rules import BASE_RULES, Rule, forget, mix_of
@@ -687,6 +688,28 @@ class TestForget:
         finally:
             tracemalloc.stop()
         assert retained < 0.71 * 2**20
+
+    def test_an_efficiency_check_keeps_nothing_of_its_profiles(self):
+        # Each utility keeps its canonical form, and the assignment kernel
+        # only its last answer, so once the profiles are dropped and the
+        # rule outputs forgotten, 400 rescaled profiles keep next to nothing.
+        rng = random.Random(2827)
+        forget()
+        tracemalloc.start()
+        try:
+            profiles = [
+                tuple(_random_affine(random_utility_consistent(o, rng), rng) for o in orders)
+                for orders in (rng.choices(all_orders(3), k=3) for _ in range(400))
+            ]
+            assert checkers.check_efficiency(UTILITARIAN, profiles).witness is None
+            held, _ = tracemalloc.get_traced_memory()
+            del profiles
+            forget()
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held > 100 * retained
 
     def test_no_output_reads_a_mix_of_freed_objects(self, monkeypatch):
         # Every blend output, from `allocate`, from its blocks, its cell
