@@ -5,8 +5,10 @@ writer, `_write`: JSON through `checkers.report_json`, or CSV.
 Exit codes: 1 from `check` and `theorem2` on a Fail or when the ordinality
 pre-check rejects the rule, from `lemma` iff it recorded a failure, and from
 `stress` only on a metamorphic violation (`stress --n 4` and `decompose`
-exit 0); 2 on usage errors (bad flags, unreadable or malformed input
-files); 3 on an internal error, so that a crash never reads as a failed
+exit 0); 2 on an `InputError` (bad flags, unreadable or malformed input
+files, an unwritable report) or a library validation error (a
+`ValueError`, such as `TiesPresent` or `RowSumNotOne`, raised on the
+input); 3 on an internal error, so that a crash never reads as a failed
 verdict; 0 otherwise.
 """
 
@@ -59,16 +61,10 @@ from .harness import (
 from .rules import built_in_family, forget, rule_by_name
 
 
-class UsageError(ValueError):
-    """Bad flags or malformed generator specs."""
-
-
-class IoError(ValueError):
-    """Profile or matrix file is unreadable, or the report file unwritable."""
-
-
-class ParseError(ValueError):
-    """Profile file or matrix content is malformed; message carries the location."""
+class InputError(ValueError):
+    """Input the CLI refuses: a bad flag or generator spec, an unreadable or
+    malformed profile or matrix file, or a report it cannot write. The
+    message names the flag, file or location."""
 
 
 SEEDLESS_AXIOMS = {"strategy-proofness", "non-bossiness", "continuity"}
@@ -105,28 +101,44 @@ def parse_profile_file(path: str) -> list[UtilityProfile]:
     """Parse a CSV (rows are agents, entries exact rationals) or JSON profile
     file into a list of square no-ties profiles, all with the same number of
     agents, between 3 and MAX_N."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise IoError(f"cannot read profile file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    text = _read_text(path, f"cannot read profile file {path}", path)
     if path.endswith(".json") or text.lstrip().startswith(("[", "{")):
         profiles = _profiles_from_json(text, path)
     else:
         profiles = _profiles_from_csv(text, path)
     for index, profile in enumerate(profiles):
         if len(profile) != len(profiles[0]):
-            raise ParseError(
+            raise InputError(
                 f"{path}: profile {index}: {len(profile)} agents, "
                 f"but profile 0 has {len(profiles[0])}"
             )
         if not 3 <= len(profile) <= MAX_N:
-            raise ParseError(
+            raise InputError(
                 f"{path}: profile {index}: {len(profile)} agents; "
                 f"expected 3 to {MAX_N}"
             )
     return profiles
+
+
+def _read_text(path: str, unreadable: str, undecodable: str) -> str:
+    """The text of the file at `path`, for profile and matrix files alike. A
+    file that cannot be read is refused as `unreadable: <reason>`, and one
+    that is not UTF-8 as `undecodable: <reason>`."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"{unreadable}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{undecodable}: {exc}") from exc
+
+
+def _read_json(text: str, invalid: str):
+    """`text` parsed as JSON, refused as `invalid: <reason>` when it is not
+    JSON, nests too deep, or holds an integer over Python's digit limit."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{invalid}: {exc}") from exc
 
 
 def _profiles_from_csv(text: str, path: str) -> list[UtilityProfile]:
@@ -139,15 +151,13 @@ def _profiles_from_csv(text: str, path: str) -> list[UtilityProfile]:
             try:
                 values.append(parse_fraction(field))
             except ValueError as exc:
-                raise ParseError(
-                    f"{path}:{line_no}: field {field_no}: {exc}"
-                ) from exc
+                raise InputError(f"{path}:{line_no}: field {field_no}: {exc}") from exc
         rows.append((line_no, values))
     if not rows:
-        raise ParseError(f"{path}: no profile rows")
+        raise InputError(f"{path}: no profile rows")
     n = len(rows[0][1])
     if len(rows) % n:
-        raise ParseError(
+        raise InputError(
             f"{path}: {len(rows)} agent rows do not form complete "
             f"profiles of {n} agents"
         )
@@ -157,33 +167,28 @@ def _profiles_from_csv(text: str, path: str) -> list[UtilityProfile]:
         utilities = []
         for agent, (line_no, values) in enumerate(chunk):
             if len(values) != n:
-                raise ParseError(f"{path}:{line_no}: expected {n} columns")
+                raise InputError(f"{path}:{line_no}: expected {n} columns")
             utilities.append(_utility(values, f"{path}:{line_no}: agent {agent}"))
-        profile = tuple(utilities)
-        validate_profile(profile)
-        profiles.append(profile)
+        profiles.append(tuple(utilities))
     return profiles
 
 
 def _profiles_from_json(text: str, path: str) -> list[UtilityProfile]:
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or an int over the digit limit
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    data = _read_json(text, f"{path}: invalid JSON")
     if isinstance(data, dict):
         data = data.get("profiles", data)
     if not isinstance(data, list):
-        raise ParseError(f"{path}: expected a list of profiles")
+        raise InputError(f"{path}: expected a list of profiles")
     if data and isinstance(data[0], list) and data[0] and not isinstance(data[0][0], list):
         data = [data]  # a single profile given bare
     profiles = []
     for p_index, entry in enumerate(data):
         if not isinstance(entry, list):
-            raise ParseError(f"{path}: profile {p_index}: expected a list of agent rows")
+            raise InputError(f"{path}: profile {p_index}: expected a list of agent rows")
         utilities = []
         for agent, row in enumerate(entry):
             if not isinstance(row, list):
-                raise ParseError(
+                raise InputError(
                     f"{path}: profile {p_index}: agent {agent}: expected a list of utilities"
                 )
             utilities.append(_utility(row, f"{path}: profile {p_index}: agent {agent}"))
@@ -191,10 +196,10 @@ def _profiles_from_json(text: str, path: str) -> list[UtilityProfile]:
         try:
             validate_profile(profile)
         except DimensionMismatch as exc:
-            raise ParseError(f"{path}: profile {p_index}: {exc}") from exc
+            raise InputError(f"{path}: profile {p_index}: {exc}") from exc
         profiles.append(profile)
     if not profiles:
-        raise ParseError(f"{path}: no profiles")
+        raise InputError(f"{path}: no profiles")
     return profiles
 
 
@@ -205,21 +210,21 @@ def _utility(row: list, where: str) -> BernoulliUtility:
     except TiesPresent as exc:
         raise TiesPresent(f"{where}: {exc}") from exc
     except (ValueError, TypeError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def _random_profiles(spec: str, config: CheckConfig) -> list[UtilityProfile]:
     """The generator spec 'random:count=N': N seeded random profiles."""
     if not spec.startswith("random:count="):
-        raise UsageError(f"unrecognized profile generator spec: {spec!r}")
+        raise InputError(f"unrecognized profile generator spec: {spec!r}")
     text = spec[len("random:count=") :]
     count = int(text) if text.isdecimal() else 0
     if count < 1:
-        raise UsageError(
+        raise InputError(
             f"random:count must be an integer from 1 to {MAX_PROFILES}, got {text!r}"
         )
     if count > MAX_PROFILES:
-        raise UsageError(f"random:count must be at most {MAX_PROFILES}, got {count}")
+        raise InputError(f"random:count must be at most {MAX_PROFILES}, got {count}")
     rng = random.Random(f"{config.seed}:cli-profiles")
     return [random_profile(rng) for _ in range(count)]
 
@@ -236,12 +241,12 @@ def _check_config(args: argparse.Namespace) -> CheckConfig:
     """The declared grid from --grid, --samples and --seed, plus the
     continuity thresholds for the subcommands that take --tau and --delta."""
     if args.samples > MAX_SAMPLES:
-        raise UsageError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
+        raise InputError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     kwargs: dict = {"samples_per_cell": args.samples, "seed": args.seed or 0}
     if args.grid is not None:
         rates = args.grid.split(",")
         if len(rates) > MAX_GRID_RATES:
-            raise UsageError(f"--grid takes at most {MAX_GRID_RATES} rates, got {len(rates)}")
+            raise InputError(f"--grid takes at most {MAX_GRID_RATES} rates, got {len(rates)}")
         kwargs["mu_grid"] = tuple(parse_fraction(part) for part in rates)
     if getattr(args, "tau", None) is not None:
         kwargs["continuity_gap_tau"] = parse_fraction(args.tau)
@@ -264,9 +269,9 @@ def _write(args: argparse.Namespace, report: dict, rows: list[list] | tuple = ()
         try:
             Path(args.out).write_text(payload)
         except OSError as exc:
-            raise IoError(f"cannot write report to {args.out!r}: {exc.strerror}") from exc
+            raise InputError(f"cannot write report to {args.out!r}: {exc.strerror}") from exc
     elif sys.stdout is None:  # the process started with stdout closed
-        raise IoError("cannot write report to stdout: it is closed")
+        raise InputError("cannot write report to stdout: it is closed")
     else:
         try:
             print(payload, end="" if payload.endswith("\n") else "\n", flush=True)
@@ -274,7 +279,7 @@ def _write(args: argparse.Namespace, report: dict, rows: list[list] | tuple = ()
             # `entry` flushes stdout again at exit: point it at devnull, so
             # that the error line stays the only message.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise IoError(f"cannot write report to stdout: {exc.strerror}") from exc
+            raise InputError(f"cannot write report to stdout: {exc.strerror}") from exc
 
 
 def _verdict(fields: dict, verdict: Verdict, seed: int | None) -> dict:
@@ -305,9 +310,9 @@ def _run_check(args: argparse.Namespace) -> int:
     }
     axiom = args.axiom.replace("_", "-")
     if axiom not in checkers:
-        raise UsageError(f"--axiom must be one of {', '.join(checkers)}")
+        raise InputError(f"--axiom must be one of {', '.join(checkers)}")
     if args.seed is None and axiom not in SEEDLESS_AXIOMS:
-        raise UsageError(f"--seed is required for the randomized {axiom} check")
+        raise InputError(f"--seed is required for the randomized {axiom} check")
     rule = rule_by_name(args.rule)
     config = _check_config(args)
     fields = {"axiom": axiom, "rule": args.rule}
@@ -327,27 +332,19 @@ def _run_check(args: argparse.Namespace) -> int:
 def _run_decompose(args: argparse.Namespace) -> int:
     spec = args.matrix
     if spec.startswith("@"):
-        try:
-            spec = Path(spec[1:]).read_text()
-        except OSError as exc:
-            raise IoError(f"cannot read matrix file: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"matrix file {spec[1:]}: {exc}") from exc
-    try:
-        data = json.loads(spec)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"matrix is not valid JSON: {exc}") from exc
+        spec = _read_text(spec[1:], "cannot read matrix file", f"matrix file {spec[1:]}")
+    data = _read_json(spec, "matrix is not valid JSON")
     if isinstance(data, dict) and "matrix" in data:
         data = data["matrix"]
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        raise ParseError("matrix must be a JSON list of rows, each a JSON list")
+        raise InputError("matrix must be a JSON list of rows, each a JSON list")
     # `decompose` searches matchings by backtracking: bound n before any entry is read.
     if len(data) > MAX_N or any(len(row) > MAX_N for row in data):
-        raise UsageError(f"matrix has more than {MAX_N} rows or a row of more than {MAX_N} entries")
+        raise InputError(f"matrix has more than {MAX_N} rows or a row of more than {MAX_N} entries")
     try:
         matrix = make_allocation(data)
     except TypeError as exc:
-        raise ParseError(f"matrix is not a square grid of exact rationals: {exc}") from exc
+        raise InputError(f"matrix is not a square grid of exact rationals: {exc}") from exc
     _write(args, decompose(matrix).to_dict())
     return 0
 
@@ -357,10 +354,10 @@ def _run_lemma(args: argparse.Namespace) -> int:
         lid for lid in LEMMA_IDS if lid == args.lemma or lid.startswith(f"{args.lemma}_")
     ]
     if len(matches) != 1:
-        raise UsageError(f"--lemma must be one of {', '.join(LEMMA_IDS)}")
+        raise InputError(f"--lemma must be one of {', '.join(LEMMA_IDS)}")
     lemma = matches[0]
     if args.trials > MAX_TRIALS:
-        raise UsageError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
+        raise InputError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     rule = rule_by_name(args.rule) if args.rule is not None else None
     report = verify_lemma(lemma, rule, args.trials, args.seed)
     data = {name: getattr(report, name) for name in report.__slots__}
@@ -375,16 +372,16 @@ def _run_lemma(args: argparse.Namespace) -> int:
 
 def _run_stress(args: argparse.Namespace) -> int:
     if not 3 <= args.n <= MAX_N:
-        raise UsageError(f"--n must be between 3 and {MAX_N}")
+        raise InputError(f"--n must be between 3 and {MAX_N}")
     if args.n > 3 and args.format == "csv":
-        raise UsageError("--format csv needs --n 3: the n > 3 exploration report is JSON only")
+        raise InputError("--format csv needs --n 3: the n > 3 exploration report is JSON only")
     config = _check_config(args)
     if args.rules is not None:
         family = [rule_by_name(name) for name in args.rules.split(",")]
         names = [rule.name for rule in family]
         for index, name in enumerate(names):
             if name in names[:index]:
-                raise UsageError(f"--rules names {name} twice")
+                raise InputError(f"--rules names {name} twice")
     else:
         family = built_in_family(args.seed)
     if args.n > 3:
@@ -402,7 +399,7 @@ def _run_stress(args: argparse.Namespace) -> int:
 
 def _run_theorem2(args: argparse.Namespace) -> int:
     if args.count > MAX_V_PROFILES:
-        raise UsageError(f"--count must be at most {MAX_V_PROFILES}, got {args.count}")
+        raise InputError(f"--count must be at most {MAX_V_PROFILES}, got {args.count}")
     rule = rule_by_name(args.rule)
     config = _check_config(args)
     profiles = default_v_profiles(args.seed, args.count)
@@ -418,7 +415,7 @@ def _run_theorem2(args: argparse.Namespace) -> int:
 def run(args: argparse.Namespace) -> int:
     """Execute a parsed command; returns the process exit code."""
     if args.command in ("lemma", "stress", "theorem2") and args.seed is None:
-        raise UsageError(f"--seed is required for the randomized {args.command} command")
+        raise InputError(f"--seed is required for the randomized {args.command} command")
     handlers = {
         "check": _run_check,
         "decompose": _run_decompose,
@@ -442,12 +439,12 @@ SHARED_FLAGS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises `UsageError` where argparse would print its usage and exit 2,
+    """Raises `InputError` where argparse would print its usage and exit 2,
     so a bad flag gets the same one-line message as every other input error.
     `add_subparsers` builds each subcommand's parser with this class too."""
 
     def error(self, message: str):
-        raise UsageError(message)
+        raise InputError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -497,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
         return run(_build_parser().parse_args(argv))
     except SystemExit as exc:  # --help
         return 2 if exc.code else 0
-    except ValueError as exc:  # every input error subclasses ValueError
+    except ValueError as exc:  # an InputError, or a library validation error on input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

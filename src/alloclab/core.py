@@ -81,17 +81,13 @@ def _rational_pair(value: int | Fraction | str) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def as_fraction(value: int | Fraction | str) -> Fraction:
-    """Coerce to Fraction: return a `Fraction` as is, and read any other
-    value with `_rational_pair`."""
+def parse_fraction(value: int | Fraction | str) -> Fraction:
+    """The one reader of an exact rational as a `Fraction`: a `Fraction` as
+    is, and any other value, an int or 'p' or 'p/q' text (no decimals or
+    exponents), through `_rational_pair`."""
     if isinstance(value, Fraction):
         return value
     return Fraction(*_rational_pair(value))
-
-
-def parse_fraction(text: str) -> Fraction:
-    """Parse 'p/q' or 'p'. Rejects decimal and exponent notation."""
-    return Fraction(*_rational_pair(text))
 
 
 def lowest_terms(den: int, nums: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -200,7 +196,7 @@ class Lottery(Frozen):
 
 def make_lottery(probs: Iterable[int | Fraction | str]) -> Lottery:
     """Validated lottery from any iterable of exact rationals."""
-    return Lottery(tuple(as_fraction(p) for p in probs))
+    return Lottery(tuple(parse_fraction(p) for p in probs))
 
 
 def degenerate_lottery(obj: ObjectId, m: int) -> Lottery:
@@ -271,7 +267,7 @@ class Allocation(Frozen):
 
 def make_allocation(grid: Sequence[Sequence[int | Fraction | str]]) -> Allocation:
     """Validated bistochastic allocation from a square grid of rationals."""
-    return Allocation(tuple(tuple(as_fraction(p) for p in row) for row in grid))
+    return Allocation(tuple(tuple(parse_fraction(p) for p in row) for row in grid))
 
 
 def uniform_allocation(n: int) -> Allocation:

@@ -42,6 +42,7 @@ the rule is utilitarian or a blend with a utilitarian part.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import mul
 
@@ -107,8 +108,8 @@ def _solve(tab, basis, costs, lex) -> None:
             ):
                 best = row
                 pivot_row = r
-        if pivot_row < 0:
-            raise MalformedProgram("unbounded objective on a compact polytope")
+        if pivot_row < 0:  # `maximize`'s polytope is compact: only a bug gets here
+            raise AssertionError("unbounded objective on a compact polytope")
         _pivot(tab, basis, pivot_row, col, z)
 
 
@@ -235,31 +236,22 @@ def maximize(
     return value, argmax
 
 
-# The last rows `integer_assignment` solved and its answer for them, as one
-# pair, so that a read never mixes the rows of one call with the answer of
-# another.
-_LAST: list = [(None, None)]
-
-
 def integer_assignment(scaled: list[list[int]]) -> tuple[int, tuple[int, ...]]:
     """The largest total ``sum(scaled[i][picks[i]])`` over the permutations
     `picks` of a square list of int rows, and the largest picks tuple that
     attains it. ``picks[i]`` is the object assigned to row i.
 
-    The answer for the last rows solved is kept (`_LAST`), keyed on the rows
-    themselves: utilitarian's compute and then the efficiency certificate
-    (`find_dominating`) solve the same canonical rows of one profile in
-    turn, so the second reads the optimum the first found. One entry needs
-    no freeing, and an answer is a function of its key.
+    The answer for the last rows solved is kept (`_assignment`'s one-entry
+    cache), keyed on the rows themselves: utilitarian's compute and then
+    the efficiency certificate (`find_dominating`) solve the same canonical
+    rows of one profile in turn, so the second reads the optimum the first
+    found. One entry needs no freeing, and an answer is a function of its
+    key.
     """
-    rows = tuple(map(tuple, scaled))
-    last, answer = _LAST[0]
-    if rows != last:
-        answer = _assignment(rows)
-        _LAST[0] = rows, answer
-    return answer
+    return _assignment(tuple(map(tuple, scaled)))
 
 
+@lru_cache(maxsize=1)
 def _assignment(scaled: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[int, ...]]:
     """`integer_assignment`, computed. Dynamic programming over the set of
     objects already taken decides it in O(n * 2**n) integer additions:

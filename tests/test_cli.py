@@ -1,5 +1,6 @@
 """CLI surface: exit codes, report files, profile parsing."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -21,12 +22,12 @@ from alloclab.cli import (
     MAX_GRID_RATES,
     MAX_TRIALS,
     MAX_V_PROFILES,
+    InputError,
     main,
     parse_profile_file,
 )
 from alloclab.core import TiesPresent
 from alloclab.harness import default_v_profiles, verify_lemma
-from alloclab.cli import ParseError
 from alloclab.checkers import encode, report_json
 from alloclab.rules import BASE_RULES
 
@@ -506,13 +507,13 @@ class TestProfileParsing:
     def test_malformed_field_located(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("1,x,0\n1,1/2,0\n1,9/10,0\n")
-        with pytest.raises(ParseError, match="field 2"):
+        with pytest.raises(InputError, match="field 2"):
             parse_profile_file(str(path))
 
     def test_decimal_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("1,0.4,0\n1,1/2,0\n1,9/10,0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_profile_file(str(path))
 
     def test_json_profiles(self, tmp_path):
@@ -523,9 +524,7 @@ class TestProfileParsing:
         assert len(parse_profile_file(str(path))) == 1
 
     def test_missing_file_is_io_error(self):
-        from alloclab.cli import IoError
-
-        with pytest.raises(IoError):
+        with pytest.raises(InputError, match="cannot read profile file"):
             parse_profile_file("/nonexistent/profiles.csv")
 
     def test_efficiency_with_profile_file(self, tmp_path):
@@ -551,7 +550,7 @@ class TestProfileParsing:
     def test_profile_sizes_checked(self, tmp_path, capsys, text, where):
         path = tmp_path / "p.json"
         path.write_text(text)
-        with pytest.raises(ParseError, match=where):
+        with pytest.raises(InputError, match=where):
             parse_profile_file(str(path))
         code = main(
             ["check", "--rule", "utilitarian", "--axiom", "efficiency",
@@ -571,7 +570,7 @@ class TestProfileParsing:
     def test_json_non_list_entries_rejected(self, tmp_path, capsys, text, where):
         path = tmp_path / "p.json"
         path.write_text(text)
-        with pytest.raises(ParseError, match=where):
+        with pytest.raises(InputError, match=where):
             parse_profile_file(str(path))
         code = main(
             ["check", "--rule", "utilitarian", "--axiom", "efficiency",
@@ -835,6 +834,9 @@ def test_non_bistochastic_matrix_names_its_first_fault(matrix, line, capsys):
     assert captured.err == line and captured.out == ""
 
 
+HUGE_MATRIX = "[[1" + "0" * 5000 + ",0],[0,1]]"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -842,12 +844,18 @@ def test_non_bistochastic_matrix_names_its_first_fault(matrix, line, capsys):
           "{deep}"], "error: {deep}: invalid JSON: maximum recursion depth exceeded"),
         (["decompose", "--matrix", "@{deep}"],
          "error: matrix is not valid JSON: maximum recursion depth exceeded"),
+        # an integer over Python's digit limit, inline and in a file
+        (["decompose", "--matrix", HUGE_MATRIX],
+         "error: matrix is not valid JSON: Exceeds the limit (4300 digits)"),
+        (["decompose", "--matrix", "@{huge}"],
+         "error: matrix is not valid JSON: Exceeds the limit (4300 digits)"),
     ],
 )
 def test_deeply_nested_json_is_usage_error(argv, message, tmp_path, capsys):
-    deep = tmp_path / "deep.json"
+    deep, huge = tmp_path / "deep.json", tmp_path / "huge.json"
     deep.write_text("[" * 100_000)
-    assert main([arg.format(deep=deep) for arg in argv]) == 2
+    huge.write_text(HUGE_MATRIX)
+    assert main([arg.format(deep=deep, huge=huge) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(message.format(deep=deep)) and err.count("\n") == 1
 
@@ -1136,3 +1144,122 @@ def test_entry_flushes_then_exits_with_mains_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "main", buffered)
     cli.entry()
     assert exits == [(1, b"report\n", b"note")]
+
+
+# Near-valid flag values for the robustness test below, as (good, bad)
+# pairs: values the CLI takes, and values it must refuse. Every grid has one
+# or two rates, so that each command runs in milliseconds.
+_RATIONALS = (["1/2", "2/3", "1", "3/2"], ["0", "-1/2", "1/0", "2/-3", "0.5", "1e-3", "x", ""])
+_GRIDS = (["1/2", "1/4,3/4", "1/3,2/3"], ["0", "1", "-1/2", "1/2,1/2", "1/2,0.5", ",", "x", ""])
+_RULES = (["rsd", "ps", "dictatorship", "uniform", "utilitarian", "blend:rsd:utilitarian:1/2",
+           "blend:rsd:ps:3/5"],
+          ["blend:rsd:ps:2", "blend:rsd:ps:-1/2", "blend:rsd:ps:0.5", "blend:rsd:ps",
+           "blend:rsd:nosuch:1/2", "nosuch", ""])
+_AXIOMS = (["efficiency", "strategy-proofness", "strategy_proofness", "sd-strategy-proofness",
+            "non-bossiness", "ordinality", "continuity"], ["fairness", ""])
+_LEMMAS = (["L1", "L2", "L3", "L5", "L9", "L10"], ["L0", "L", "x", ""])
+_COUNTS = (["1", "2"], ["0", "-1", "x", str(MAX_TRIALS + 1)])
+_SEEDS = (["1", "7", "-3"], ["x", ""])
+_SAMPLES = (["0", "1"], ["-1", "x"])
+_FORMATS = (["json", "csv"], ["xml"])
+_MATRICES = (['[[1,0],[0,1]]', '[["1/2","1/2"],["1/2","1/2"]]', '{"matrix": [[1]]}',
+              '[["1/3","2/3"],["2/3","1/3"]]'],
+             ['[[1,0],[1,0]]', '[["3/2","-1/2"],["-1/2","3/2"]]', '[[0.5,0.5],[0.5,0.5]]',
+              '[[true]]', '[]', '[[]]', '[[1,"a"],[0,1]]', '["10","01"]', '{"m": [[1]]}',
+              '[[1,0],[0,1]', "x", ""])
+_PROFILE_FILES = {
+    "good.csv": "1,2/5,0\n1,1/2,0\n1,9/10,0\n",
+    "good.json": '[[["1","1/2","0"],["1","1/4","0"],["0","1/2","1"]]]',
+    "tied.csv": "1,1,0\n1,1/2,0\n1,9/10,0\n",
+    "short.csv": "1,2/5,0\n1,1/2\n1,9/10,0\n",
+    "small.json": '[[["1","0"],["0","1"]]]',
+    "ragged.json": "[[[1,0,2],[1,2,0],[0,1]]]",
+    "decimal.json": "[[[1,0.5,0],[1,0.25,0],[0,0.5,1]]]",
+    "broken.json": "[[[1,",
+    "empty.json": "[]",
+}
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """The robustness test's profile and matrix values as (good, bad) pairs
+    of `--profiles` and `--matrix` values; the files live in one folder."""
+    folder = tmp_path_factory.mktemp("inputs")
+    for name, text in _PROFILE_FILES.items():
+        (folder / name).write_text(text)
+    (folder / "binary.json").write_bytes(b"\xff\xfe[[1,0],[0,1]]")
+
+    def at_file(name, text):
+        (folder / name).write_text(text)
+        return f"@{folder / name}"
+
+    good, bad = _MATRICES
+    matrices = ([*good, *(at_file(f"good{i}.json", text) for i, text in enumerate(good))],
+                [*bad, *(at_file(f"bad{i}.json", text) for i, text in enumerate(bad)),
+                 f"@{folder / 'binary.json'}", f"@{folder / 'missing.json'}"])
+    names = [*_PROFILE_FILES, "binary.json", "missing.csv"]
+    profiles = ([str(folder / name) for name in names[:2]] + ["random:count=2"],
+                [str(folder / name) for name in names[2:]]
+                + ["random:count=0", "random:count=x", "random:n=3"])
+    return {"--profiles": profiles, "--matrix": matrices}
+
+
+def _near_valid_argv(draw, files) -> list[str]:
+    """One argument vector for a command drawn at random: its required
+    flags, and a random subset of the others. Each value is one the CLI
+    takes four times in five, and else one it must refuse; one vector in
+    ten lacks a required flag or carries one the command does not take."""
+    def pick(values):
+        good, bad = values
+        return draw(st.sampled_from(good if draw(st.integers(0, 4)) else bad))
+
+    def maybe(flag, values):
+        return [flag, pick(values)] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["check", "decompose", "lemma", "stress", "theorem2"]))
+    if command == "check":
+        required = ["--rule", pick(_RULES), "--axiom", pick(_AXIOMS), "--seed", pick(_SEEDS)]
+        optional = [*maybe("--samples", _SAMPLES),
+                    *maybe("--profiles", files["--profiles"]), *maybe("--format", _FORMATS),
+                    *maybe("--tau", _RATIONALS), *maybe("--delta", _RATIONALS)]
+    elif command == "decompose":
+        required, optional = ["--matrix", pick(files["--matrix"])], []
+    elif command == "lemma":
+        required = ["--lemma", pick(_LEMMAS), "--seed", pick(_SEEDS)]
+        optional = [*maybe("--rule", _RULES), "--trials", pick(_COUNTS),
+                    *maybe("--format", _FORMATS)]
+    elif command == "stress":
+        required = ["--seed", pick(_SEEDS)]
+        optional = ["--rules", pick((["rsd", "utilitarian,ps", "blend:rsd:utilitarian:1/2"],
+                                     ["rsd,rsd", "ps,nosuch", ""])),
+                    *maybe("--samples", _SAMPLES),
+                    *maybe("--format", _FORMATS), *maybe("--tau", _RATIONALS),
+                    *maybe("--n", (["3", "4"], ["2", "8", "x"]))]
+    else:
+        required = ["--rule", pick(_RULES), "--seed", pick(_SEEDS)]
+        optional = ["--count", pick(_COUNTS), *maybe("--samples", _SAMPLES)]
+    if command in ("check", "stress", "theorem2"):
+        optional += ["--grid", pick(_GRIDS)]
+    if draw(st.integers(0, 9)) == 0:
+        if draw(st.booleans()):
+            required = required[2:]
+        else:
+            optional += ["--matrix", "[[1]]"] if command != "decompose" else ["--seed", "1"]
+    return [command, *required, *optional]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_near_valid_input_is_refused_in_one_line(data, input_files):
+    """Whatever mix of good and bad values a command gets, it gives a
+    verdict (exit 0 or 1) or refuses the input with one `error:` line (exit
+    2); an internal error (exit 3) never stands in for a refusal."""
+    argv = _near_valid_argv(data.draw, input_files)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    message = err.getvalue()
+    assert code in (0, 1, 2), (argv, message)
+    assert "internal error" not in message
+    if code == 2:
+        assert message.startswith("error: ") and message.count("\n") == 1, (argv, message)

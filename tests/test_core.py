@@ -196,7 +196,7 @@ class TestUtility:
                 return type(exc), str(exc)
             return type(u), u.den, u.nums
 
-        reference = outcome(lambda entries: BernoulliUtility(tuple(map(core.as_fraction, entries))))
+        reference = outcome(lambda entries: BernoulliUtility(tuple(map(parse_fraction, entries))))
         assert outcome(make_utility) == reference
 
 
@@ -249,7 +249,7 @@ HALF = Fraction(1, 2)
 # Each entry point that takes an exact rational, applied to one value, and
 # the error it raises for anything else.
 _EXACT_ENTRY_POINTS = {
-    "as_fraction": (core.as_fraction, TypeError),
+    "parse_fraction": (parse_fraction, TypeError),
     "Lottery": (lambda x: Lottery((x, HALF)), TypeError),
     "Allocation": (lambda x: Allocation(((x, HALF), (HALF, HALF))), TypeError),
     "BernoulliUtility": (lambda x: BernoulliUtility((x, 1, 0)), TypeError),
@@ -280,7 +280,7 @@ class TestRationals:
         (entry, value)
         for entry in _EXACT_ENTRY_POINTS
         for value in (0.5, True, "1/2")
-        if not (entry == "as_fraction" and isinstance(value, str))  # it parses strings
+        if not (entry == "parse_fraction" and isinstance(value, str))  # it parses strings
     ])
     def test_every_entry_point_refuses_inexact_values(self, entry, value):
         build, error = _EXACT_ENTRY_POINTS[entry]

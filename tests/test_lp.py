@@ -110,6 +110,13 @@ class TestMaximize:
         with pytest.raises(MalformedProgram):
             maximize(_ones_objective(), ((5, (F(1),) * 3, F(0)),))
 
+    def test_an_unbounded_tableau_is_an_internal_fault(self):
+        # `maximize`'s polytope is compact, so no program it builds can leave
+        # the ratio test without a row: reaching that is a bug, which the CLI
+        # reports as exit 3, not as a refused input.
+        with pytest.raises(AssertionError, match="unbounded objective"):
+            lp._solve([[1, -1, 0]], [0], [0, 1], 0)
+
     @pytest.mark.parametrize("inexact", [0.5, True])
     def test_refuses_inexact_entries(self, inexact):
         # A float would come back as a float optimum, and a bool is not a
@@ -312,20 +319,22 @@ class TestFindDominating:
         better = find_dominating(profile, alloc)
         assert better is not None and dominates_directly(profile, better, alloc)
 
-    def test_reads_the_optimum_utilitarian_found(self, tmp_path, monkeypatch, capsys):
+    def test_reads_the_optimum_utilitarian_found(self, tmp_path, capsys):
         # An efficiency check shaped as the benchmark's lp-solve, over 400
         # rescaled three-agent profiles: utilitarian's compute solves each
         # profile's canonical rows, and the certificate that follows reads
-        # that optimum, so the assignment kernel runs once per profile.
+        # that optimum from the kernel's one-entry cache, so the assignment
+        # kernel runs once per profile.
         rng = random.Random(2827)
         path = tmp_path / "profiles.json"
         path.write_text(json.dumps([_rescaled_profile_rows(rng) for _ in range(400)]))
-        runs = _count_calls(monkeypatch, "_assignment")
+        lp._assignment.cache_clear()
         argv = ["check", "--rule", "utilitarian", "--axiom", "efficiency", "--profiles",
                 str(path), "--seed", "1"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "Pass"
-        assert len(runs) == 400
+        info = lp._assignment.cache_info()
+        assert (info.misses, info.hits) == (400, 400)
 
     def test_one_agent(self):
         # The 1x1 polytope is the single point [[1]]. Utilitarian reads
